@@ -35,6 +35,7 @@ from .dielectric import (
     read_optical_csv,
 )
 from .lifshitz import QuadratureSpec, SumConvergenceError, casimir_pressure
+from .quadrature import QuadratureError
 from .quantities import Geometry
 from .thermo import BracketError, entropy, nernst_check
 
@@ -297,16 +298,18 @@ def cmd_entropy(args: argparse.Namespace, stream) -> int:
             rows.append(row)
     _emit_rows(rows, args.format or "pretty", stream)
     t_min = min(t_list)
+    verdicts_ok = True
     for a in sorted(a_list):
         m1, m3 = _pair_models(args, db, t_min)
         report = nernst_check(Geometry(a, t_min), m1, m3, spec)
         verdict = "pass" if report.passed else "FAIL"
+        verdicts_ok = verdicts_ok and report.passed
         stream.write(
             f"nernst a={a} um: {verdict} "
             f"(|S({_fmt(t_min)}K)|={abs(report.entropies_J_per_m2_K[0]):.3e}, "
             f"threshold |S_NV|/2={report.threshold_J_per_m2_K:.3e}, "
             f"monotone={str(report.monotone).lower()})\n")
-    return EXIT_OK
+    return EXIT_OK if verdicts_ok else EXIT_TOLERANCE
 
 
 def cmd_kk(args: argparse.Namespace, stream) -> int:
@@ -410,10 +413,7 @@ def main(argv=None) -> int:
     except (InputError, UnknownMaterialError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except BracketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except SumConvergenceError as exc:
+    except (BracketError, QuadratureError, SumConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

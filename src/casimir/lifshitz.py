@@ -1,6 +1,10 @@
 """Core mode sum: the primed Matsubara sum of semi-infinite y-integrals
 over TE/TM reflection products, with the analytic static (m=0) term.
 
+The modes are integrated in blocks: one kernel evaluates the pressure or
+free-energy integrand of a whole block on a (mode x node) array, and one
+batched adaptive quadrature certifies every mode of the block separately.
+
 All mode arithmetic is dimensionless; SI conversion happens once at the
 end through :func:`casimir.quantities.pressure_to_si`.
 """
@@ -10,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .dielectric import DielectricModel
-from .quadrature import integrate_adaptive
+from .quadrature import QuadratureError, integrate_adaptive
 from .quantities import (
     Geometry,
     matsubara_frequency,
@@ -76,7 +80,7 @@ class QuadratureSpec:
         if self.max_terms < 1 or self.min_terms < 1:
             raise ValueError("term counts must be >= 1")
 
-    def y_max(self, lower: float) -> float:
+    def y_max(self, lower):
         """Truncation point of the semi-infinite y-range.
 
         The unit-reflection envelope y^2 e^{-2y} bounds every admissible
@@ -84,7 +88,7 @@ class QuadratureSpec:
         of (lower, 1) guarantees a relative tail below integral_rel_tol
         without evaluating any material model.
         """
-        return max(lower, 1.0) + 0.5 * math.log(1.0 / self.integral_rel_tol) + self.y_max_pad
+        return np.maximum(lower, 1.0) + 0.5 * math.log(1.0 / self.integral_rel_tol) + self.y_max_pad
 
 
 @dataclass(frozen=True)
@@ -171,14 +175,6 @@ def mode_integrand(rp_tm: ReflectionPair, rp_te: ReflectionPair, y):
     return float(out) if out.ndim == 0 else out
 
 
-def _interface_deltas(eps: float, p):
-    """(TM, TE) reflection quantities of one interface; eps may be inf."""
-    if math.isinf(eps):
-        return 1.0, 1.0
-    s = np.sqrt(eps - 1.0 + p * p)
-    return reflection_tm(eps, s, p), reflection_te(s, p)
-
-
 def mode_point(m: int, y: float, geom: Geometry,
                model1: DielectricModel, model3: DielectricModel) -> ModePoint:
     """Assemble the dimensionless quantities at one (m, y) point, m >= 1."""
@@ -217,26 +213,94 @@ def zero_mode_pressure(geom: Geometry) -> float:
     return pressure_to_si(-zeta3() / 8.0, geom)
 
 
-def _integral_breaks(lower: float, spec: QuadratureSpec) -> list[float]:
+def _reflections(eps, p):
+    """(TM, TE) reflection quantities of one interface; eps = inf gives 1."""
+    if np.all(np.isinf(eps)):
+        return 1.0, 1.0
+    s = np.sqrt(eps - 1.0 + p * p)
+    return reflection_tm(eps, s, p), reflection_te(s, p)
+
+
+def _mode_kernel(y, A, eps1, eps3, free_energy: bool):
+    """Integrand of a block of Matsubara modes on a (mode x node) array.
+
+    Row i of ``y`` holds nodes of mode i, whose lower limit is A[i] = m*gamma
+    and whose permittivities at zeta_m are eps1[i] and eps3[i] (inf for an
+    ideal metal).  Returns the pressure integrand (see :func:`mode_integrand`)
+    or, with ``free_energy``, y * [ln(1-x_TM) + ln(1-x_TE)].
+    """
+    p = y / A[:, None]
+    tm1, te1 = _reflections(eps1[:, None], p)
+    tm3, te3 = _reflections(eps3[:, None], p)
+    if not free_energy:
+        return mode_integrand(ReflectionPair(tm1, tm3, "TM"), ReflectionPair(te1, te3, "TE"), y)
+    e2y = np.exp(-2.0 * y)
+    em = -np.expm1(-2.0 * y)
+    out = 0.0
+    for d1, d3 in ((tm1, tm3), (te1, te3)):
+        prod = d1 * d3
+        x = prod * e2y
+        # ln(1-x): assemble 1-x from positive pieces when x is near 1,
+        # switch to log1p for small x where that assembly would round away
+        one_minus = em + e2y * (1.0 - prod)
+        out = out + np.where(x > 0.5, np.log(one_minus), np.log1p(-x))
+    return y * out
+
+
+# First breaks of every mode integral, as offsets from its lower limit.
+_BREAK_OFFSETS = np.array([0.0, 0.75, 2.0, 4.0, 7.0, 11.0, 16.0])
+
+# Largest number of modes evaluated in one block.  The block's arrays grow
+# with it; past about a hundred modes the per-call overhead is already
+# amortised and only the peak memory keeps growing.
+_BLOCK_CAP = 128
+
+
+def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
+                model3: DielectricModel, spec: QuadratureSpec, floor: float,
+                free_energy: bool, integrate):
+    """Mode integrals of the Matsubara indices ``ms`` (>= 1) in one batch.
+
+    Each integral is certified to max(integral_rel_tol * |I_m|, floor) by
+    ``integrate`` (the module's ``integrate_adaptive``).  Returns (values,
+    errors, failed); a failed mode holds its uncertified estimate.
+    """
+    gamma = reduced_temperature(geom)
+    lower = ms * gamma
+    zeta = ms * matsubara_frequency(1, geom.T_K)
+    eps1 = np.asarray(model1.epsilon(zeta), dtype=float)
+    eps3 = np.asarray(model3.epsilon(zeta), dtype=float)
     y_max = spec.y_max(lower)
-    pts = [lower + off for off in (0.0, 0.75, 2.0, 4.0, 7.0, 11.0, 16.0) if lower + off < y_max]
-    pts.append(y_max)
-    return pts
+    starts = lower[:, None] + _BREAK_OFFSETS
+    n_starts = (starts < y_max[:, None]).sum(axis=1)
+    values = np.empty(ms.size)
+    errors = np.empty(ms.size)
+    failed = np.zeros(ms.size, dtype=bool)
+    for k in np.unique(n_starts):  # one group unless the tolerances are loose
+        rows = np.flatnonzero(n_starts == k)
+        args = (lower[rows], eps1[rows], eps3[rows])
+
+        def f(y, args=args):
+            live = ~np.isnan(y[:, 0])
+            if live.all():
+                return _mode_kernel(y, *args, free_energy)
+            out = np.full(y.shape, np.nan)
+            out[live] = _mode_kernel(y[live], *(a[live] for a in args), free_energy)
+            return out
+
+        breaks = np.concatenate([starts[rows, :k], y_max[rows, None]], axis=1)
+        try:
+            values[rows], errors[rows] = integrate(
+                f, breaks, rel_tol=spec.integral_rel_tol, abs_tol=floor)
+        except QuadratureError as exc:
+            values[rows], errors[rows], failed[rows] = exc.estimate, exc.error, exc.failed
+    return values, errors, failed
 
 
-def _pressure_mode_integral(A: float, eps1: float, eps3: float, spec: QuadratureSpec) -> float:
-    def f(y):
-        p = y / A
-        dtm1, dte1 = _interface_deltas(eps1, p)
-        dtm3, dte3 = _interface_deltas(eps3, p)
-        return mode_integrand(
-            ReflectionPair(dtm1, dtm3, "TM"),
-            ReflectionPair(dte1, dte3, "TE"),
-            y,
-        )
-
-    value, _ = integrate_adaptive(f, _integral_breaks(A, spec), rel_tol=spec.integral_rel_tol)
-    return value
+def _mode_error(m: int, geom: Geometry, estimate: float, error: float) -> QuadratureError:
+    return QuadratureError(
+        f"mode integral m={m} not certified: quadrature error {error:.3e} "
+        f"(a={geom.a_um} um, T={geom.T_K} K)", estimate, error)
 
 
 def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
@@ -246,16 +310,18 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
     The permittivities are frozen at zeta_m across the y-integral.  The
     semi-infinite range is truncated at ``spec.y_max`` and integrated
     adaptively to ``spec.integral_rel_tol``; a QuadratureError carrying the
-    partial estimate escapes if the certificate cannot be met.
+    partial estimate escapes if the certificate cannot be met.  This is a
+    one-mode block of the sum driver, so it equals the term the sum uses
+    wherever the sum's floor does not bind.
     """
     if m < 1:
         raise ValueError("the static mode is analytic; matsubara_term needs m >= 1")
     spec = spec or QuadratureSpec()
-    gamma = reduced_temperature(geom)
-    zeta = matsubara_frequency(m, geom.T_K)
-    eps1 = float(model1.epsilon(zeta))
-    eps3 = float(model3.epsilon(zeta))
-    return _pressure_mode_integral(m * gamma, eps1, eps3, spec)
+    values, errors, failed = _mode_block(
+        np.array([m]), geom, model1, model3, spec, 0.0, False, integrate_adaptive)
+    if failed[0]:
+        raise _mode_error(m, geom, float(values[0]), float(errors[0]))
+    return float(values[0])
 
 
 def _summed_modes(
@@ -263,17 +329,26 @@ def _summed_modes(
     model1: DielectricModel,
     model3: DielectricModel,
     spec: QuadratureSpec,
-    mode_integral: Callable[[float, float, float, QuadratureSpec], float],
     zero_coeff: float,
+    free_energy: bool,
+    integrate,
 ):
     """Primed Matsubara sum driver shared by pressure and free energy.
 
-    Terms are accumulated in increasing m with Neumaier compensation.  The
-    sum stops at the first m >= min_terms where the term and its estimated
-    geometric tail |t_m| * r/(1-r), r = e^{-2*gamma}, both fall below
-    sum_rel_tol relative to the accumulated total; the tail estimate keeps
-    the truncation bias itself at the tolerance level, which matters for
-    temperature derivatives downstream.
+    Modes are integrated in blocks of min_terms, then twice as many each
+    time, up to _BLOCK_CAP modes; every integral of a block is certified to
+    max(integral_rel_tol * |I_m|, integral_rel_tol * sum_rel_tol * |S|),
+    with S the running sum at the block's start.  Every term has the sign
+    of the static term, so that floor stays below the sum's own tolerance
+    scale; it stops terms that underflow from refining forever.
+
+    The block values are then accumulated in increasing m with Neumaier
+    compensation.  The sum stops at the first m >= min_terms where the term
+    and its estimated geometric tail |t_m| * r/(1-r), r = e^{-2*gamma},
+    both fall below sum_rel_tol relative to the accumulated total; the tail
+    estimate keeps the truncation bias itself at the tolerance level, which
+    matters for temperature derivatives downstream.  Modes past the stop
+    are discarded, whether or not their integrals were certified.
 
     Returns (total, terms, n_terms, converged, max_zeta_eV).
     """
@@ -284,24 +359,31 @@ def _summed_modes(
     comp = 0.0
     terms: list[float] = []
     converged = False
-    zeta = 0.0
-    for m in range(1, spec.max_terms + 1):
-        zeta = matsubara_frequency(m, geom.T_K)
-        eps1 = float(model1.epsilon(zeta))
-        eps3 = float(model3.epsilon(zeta))
-        t = mode_integral(m * gamma, eps1, eps3, spec)
-        new = acc + t
-        if abs(acc) >= abs(t):
-            comp += (acc - new) + t
-        else:
-            comp += (t - new) + acc
-        acc = new
-        terms.append(t)
-        if m >= spec.min_terms:
-            scale = spec.sum_rel_tol * abs(acc + comp)
-            if abs(t) <= scale and abs(t) * tail_factor <= scale:
-                converged = True
-                break
+    size = min(spec.min_terms, _BLOCK_CAP)
+    while not converged and len(terms) < spec.max_terms:
+        first = len(terms) + 1
+        ms = np.arange(first, min(first + size, spec.max_terms + 1))
+        floor = spec.integral_rel_tol * spec.sum_rel_tol * abs(acc + comp)
+        values, errors, failed = _mode_block(
+            ms, geom, model1, model3, spec, floor, free_energy, integrate)
+        for m, t, bad, err in zip(ms.tolist(), values.tolist(), failed.tolist(),
+                                  errors.tolist()):
+            if bad:
+                raise _mode_error(m, geom, t, err)
+            new = acc + t
+            if abs(acc) >= abs(t):
+                comp += (acc - new) + t
+            else:
+                comp += (t - new) + acc
+            acc = new
+            terms.append(t)
+            if m >= spec.min_terms:
+                scale = spec.sum_rel_tol * abs(acc + comp)
+                if abs(t) <= scale and abs(t) * tail_factor <= scale:
+                    converged = True
+                    break
+        size = min(2 * size, _BLOCK_CAP)
+    zeta = matsubara_frequency(len(terms), geom.T_K)
     return acc + comp, np.asarray(terms), len(terms), converged, zeta
 
 
@@ -320,7 +402,7 @@ def casimir_pressure(geom: Geometry, model1: DielectricModel,
         return PressureResult(0.0, 0.0, np.zeros(0), 0, True, 0.0)
     zero_coeff = zeta3() / 8.0
     total, terms, n_used, converged, max_zeta = _summed_modes(
-        geom, model1, model3, spec, _pressure_mode_integral, zero_coeff)
+        geom, model1, model3, spec, zero_coeff, False, integrate_adaptive)
     si = pressure_to_si(1.0, geom)
     result = PressureResult(
         pressure_mPa=-total * si,

@@ -2,9 +2,18 @@
 
 The integrands in this package are smooth and exponentially decaying, so a
 15-point Kronrod rule with panel bisection certifies very tight tolerances
-in a handful of refinement rounds.  Integrands must accept a 1-D ndarray
-and evaluate elementwise, which keeps the per-panel cost at a few numpy
-calls instead of hundreds of scalar Python calls.
+in a handful of refinement rounds.
+
+One call integrates a batch of integrals, one row of breaks each (a 1-D
+``breaks`` is the one-row case).  The integrand sees every row at once: it
+receives an array of nodes with one row per integral and must evaluate
+elementwise, which keeps the cost of a refinement round at a few numpy
+calls for the whole batch instead of a few per integral.  Each row keeps
+its own panels, error budget and certificate, and makes the bisection
+decisions it would make alone: its panels are bisected in the same order,
+its Kronrod sums are taken with the same matrix shape, and its total is
+summed the way ``np.sum`` sums that row, so a batched integral equals the
+single one bit for bit.
 """
 
 from __future__ import annotations
@@ -37,68 +46,159 @@ _WEIGHTS_K = np.concatenate([_WK[:-1], _WK[::-1]])
 _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
+_MAX_ROUNDS = 64  # bisection rounds before an integral counts as failed
+
 
 class QuadratureError(RuntimeError):
-    """Error target not certified within budget; carries the partial result."""
+    """Error target not certified within budget; carries the partial result.
 
-    def __init__(self, message: str, estimate: float, error: float):
+    For one integral ``estimate`` and ``error`` are floats.  For a batch they
+    are arrays over the rows, and ``failed`` marks the rows that were not
+    certified; the other rows hold their certified values.
+    """
+
+    def __init__(self, message: str, estimate, error, failed=None):
         super().__init__(message)
         self.estimate = estimate
         self.error = error
+        self.failed = failed
 
 
-def _panel_rule(f, lo, hi):
-    """Kronrod values and |K-G| error estimates for a batch of panels."""
+def _row_sums(a, count):
+    """Sum of the first count[i] entries of each row, as ``np.sum`` of that row."""
+    out = np.empty(count.size)
+    for n in np.unique(count):
+        sel = count == n
+        out[sel] = a[sel, :n].sum(axis=1)
+    return out
+
+
+def _panel_rule(f, n_rows, rows, lo, hi, count):
+    """Kronrod values and |K-G| error estimates of a batch of panels.
+
+    Row i holds count[i] panels of integral rows[i], NaN-padded to a common
+    width.  The integrand gets one row per integral of the batch, NaN for
+    the integrals with no panel in this round.  The rule is applied to the
+    rows of each panel count as one (count, 15) matrix per row, the shape a
+    single integral would use, so each row's sums do not depend on the
+    batch around it.
+    """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    x = c[:, None] + h[:, None] * _NODES
-    fx = np.asarray(f(x.reshape(-1)), dtype=float).reshape(x.shape)
-    k = h * (fx @ _WEIGHTS_K)
-    g = h * (fx @ _WEIGHTS_G)
+    x = (c[..., None] + h[..., None] * _NODES).reshape(len(rows), -1)
+    if len(rows) < n_rows:
+        x_all = np.full((n_rows, x.shape[1]), np.nan)
+        x_all[rows] = x
+        x = x_all
+    fx = np.asarray(f(x), dtype=float)[rows].reshape(lo.shape + (15,))
+    k = np.zeros(lo.shape)
+    g = np.zeros(lo.shape)
+    for n in np.unique(count):
+        sel = count == n
+        part = fx[sel, :n]
+        k[sel, :n] = h[sel, :n] * (part @ _WEIGHTS_K)
+        g[sel, :n] = h[sel, :n] * (part @ _WEIGHTS_G)
     return k, np.abs(k - g)
 
 
 def integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
-    breaks: Sequence[float],
+    breaks: Sequence[float] | np.ndarray,
     rel_tol: float = 1e-12,
-    abs_tol: float = 0.0,
+    abs_tol=0.0,
     max_panels: int = 2048,
-) -> tuple[float, float]:
+):
     """Integrate ``f`` over [breaks[0], breaks[-1]]; returns (value, error).
 
-    ``breaks`` seeds the initial panel layout.  Panels carrying more than
-    their share of the error budget are bisected until the summed
-    Kronrod-Gauss estimate certifies ``rel_tol`` (or ``abs_tol`` if larger).
+    ``breaks`` seeds the initial panel layout; a 2-D array integrates one
+    row per integral and returns arrays.  ``f`` maps an array of nodes with
+    one row per integral to values of the same shape; rows with nothing to
+    evaluate in a round are NaN, and their values are ignored.  Panels
+    carrying more than their share of an integral's error budget are
+    bisected until its summed Kronrod-Gauss estimate certifies ``rel_tol``
+    (or ``abs_tol``, a scalar or one value per row, if larger).  Integrals
+    not certified within ``max_panels`` raise QuadratureError once the
+    whole batch is done.
     """
     pts = np.asarray(breaks, dtype=float)
-    if pts.ndim != 1 or pts.size < 2 or np.any(np.diff(pts) <= 0):
-        raise ValueError("breaks must be a strictly increasing sequence")
-    lo, hi = pts[:-1], pts[1:]
-    val, err = _panel_rule(f, lo, hi)
-    for _ in range(64):
-        total = float(val.sum())
-        total_err = float(err.sum())
-        target = max(rel_tol * abs(total), abs_tol)
-        if total_err <= target:
-            return total, total_err
-        if lo.size >= max_panels:
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    if pts.ndim != 2 or pts.shape[1] < 2 or np.any(np.diff(pts, axis=1) <= 0):
+        raise ValueError("breaks must be strictly increasing sequences")
+    n = pts.shape[0]
+    floor = np.broadcast_to(np.asarray(abs_tol, dtype=float), (n,))
+    value = np.empty(n)
+    error = np.empty(n)
+    failed = np.zeros(n, dtype=bool)
+    fail_target = np.zeros(n)
+    fail_panels = np.zeros(n, dtype=int)
+
+    rows = np.arange(n)
+    lo, hi = pts[:, :-1], pts[:, 1:]
+    count = np.full(n, lo.shape[1])
+    val, err = _panel_rule(f, n, rows, lo, hi, count)
+    for rounds in range(_MAX_ROUNDS + 1):
+        total = _row_sums(val, count)
+        total_err = _row_sums(err, count)
+        target = np.maximum(rel_tol * np.abs(total), floor[rows])
+        done = total_err <= target
+        # a NaN error never certifies, however the panels are cut
+        spent = ~done & ((count >= max_panels) | np.isnan(total_err)
+                         | (rounds == _MAX_ROUNDS))
+        fin = done | spent
+        value[rows[fin]] = total[fin]
+        error[rows[fin]] = total_err[fin]
+        failed[rows[spent]] = True
+        fail_target[rows[spent]] = target[spent]
+        fail_panels[rows[spent]] = count[spent]
+        if fin.all():
             break
-        share = target / (2.0 * lo.size)
-        bad = err > share
-        if not bad.any():
-            bad = err == err.max()
-        mid = 0.5 * (lo[bad] + hi[bad])
-        new_lo = np.concatenate([lo[bad], mid])
-        new_hi = np.concatenate([mid, hi[bad]])
-        new_val, new_err = _panel_rule(f, new_lo, new_hi)
-        lo = np.concatenate([lo[~bad], new_lo])
-        hi = np.concatenate([hi[~bad], new_hi])
-        val = np.concatenate([val[~bad], new_val])
-        err = np.concatenate([err[~bad], new_err])
-    raise QuadratureError(
-        f"quadrature error {total_err:.3e} above target {target:.3e} "
-        f"after {lo.size} panels",
-        estimate=float(val.sum()),
-        error=float(err.sum()),
-    )
+        live = ~fin
+        rows, lo, hi, val, err, count, target = (
+            a[live] for a in (rows, lo, hi, val, err, count, target))
+
+        valid = np.arange(lo.shape[1]) < count[:, None]
+        bad = valid & (err > (target / (2.0 * count))[:, None])
+        none = ~bad.any(axis=1)
+        if none.any():
+            e = np.where(valid[none], err[none], -np.inf)
+            bad[none] = e == e.max(axis=1, keepdims=True)
+        n_bad = bad.sum(axis=1)
+        kept = valid & ~bad
+        # bisected panels go to the end of their row: left halves, then right
+        rk, ck = np.nonzero(kept)
+        rb, cb = np.nonzero(bad)
+        j = (np.cumsum(bad, axis=1) - 1)[rb, cb]
+        mid = 0.5 * (lo[rb, cb] + hi[rb, cb])
+        new_lo = np.full((rows.size, 2 * n_bad.max()), np.nan)
+        new_hi = new_lo.copy()
+        new_lo[rb, j], new_hi[rb, j] = lo[rb, cb], mid
+        new_lo[rb, j + n_bad[rb]], new_hi[rb, j + n_bad[rb]] = mid, hi[rb, cb]
+        new_val, new_err = _panel_rule(f, n, rows, new_lo, new_hi, 2 * n_bad)
+
+        pos_kept = (np.cumsum(kept, axis=1) - 1)[rk, ck]
+        left = count[rb] - n_bad[rb] + j
+        right = count[rb] + j
+        width = (count + n_bad).max()
+        merged = []
+        for old, new in ((lo, new_lo), (hi, new_hi), (val, new_val), (err, new_err)):
+            row = np.zeros((rows.size, width))
+            row[rk, pos_kept] = old[rk, ck]
+            row[rb, left] = new[rb, j]
+            row[rb, right] = new[rb, j + n_bad[rb]]
+            merged.append(row)
+        lo, hi, val, err = merged
+        count = count + n_bad
+
+    if failed.any():
+        i = int(np.flatnonzero(failed)[0])
+        detail = (f"quadrature error {error[i]:.3e} above target {fail_target[i]:.3e} "
+                  f"after {fail_panels[i]} panels")
+        if single:
+            raise QuadratureError(detail, float(value[0]), float(error[0]))
+        raise QuadratureError(
+            f"{int(failed.sum())} of {n} integrals not certified; row {i}: {detail}",
+            value, error, failed)
+    if single:
+        return float(value[0]), float(error[0])
+    return value, error

@@ -23,8 +23,6 @@ from .dielectric import DielectricModel
 from .lifshitz import (
     QuadratureSpec,
     SumConvergenceError,
-    _interface_deltas,
-    _integral_breaks,
     _summed_modes,
     casimir_pressure,
     zeta3,
@@ -101,28 +99,6 @@ class BracketError(RuntimeError):
         self.g_high = g_high
 
 
-def _free_energy_mode_integral(A: float, eps1: float, eps3: float,
-                               spec: QuadratureSpec) -> float:
-    def f(y):
-        p = y / A
-        dtm1, dte1 = _interface_deltas(eps1, p)
-        dtm3, dte3 = _interface_deltas(eps3, p)
-        e2y = np.exp(-2.0 * y)
-        em = -np.expm1(-2.0 * y)
-        out = 0.0
-        for d1, d3 in ((dtm1, dtm3), (dte1, dte3)):
-            prod = d1 * d3
-            x = prod * e2y
-            # ln(1-x): assemble 1-x from positive pieces when x is near 1,
-            # switch to log1p for small x where that assembly would round away
-            one_minus = em + e2y * (1.0 - prod)
-            out = out + np.where(x > 0.5, np.log(one_minus), np.log1p(-x))
-        return y * out
-
-    value, _ = integrate_adaptive(f, _integral_breaks(A, spec), rel_tol=spec.integral_rel_tol)
-    return value
-
-
 def free_energy(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
                 spec: QuadratureSpec | None = None) -> FreeEnergyResult:
     """Free energy per unit area in J/m^2 under the same tolerance regime
@@ -136,7 +112,7 @@ def free_energy(geom: Geometry, model1: DielectricModel, model3: DielectricModel
         return FreeEnergyResult(0.0, 0.0, np.zeros(0), 0, True)
     zero_coeff = -zeta3() / 8.0  # (1/2) * int_0^inf y ln(1-e^{-2y}) dy
     total, terms, n_used, converged, _ = _summed_modes(
-        geom, model1, model3, spec, _free_energy_mode_integral, zero_coeff)
+        geom, model1, model3, spec, zero_coeff, True, integrate_adaptive)
     a_m = geom.a_um * 1e-6
     si = CODATA.k_B_J_per_K * geom.T_K / (2.0 * math.pi * a_m**2)
     result = FreeEnergyResult(

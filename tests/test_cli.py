@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import casimir.lifshitz
 from casimir.cli import (
     EXIT_COMPUTE,
     EXIT_INPUT,
@@ -14,6 +15,7 @@ from casimir.cli import (
     main,
 )
 from casimir.dielectric import DrudeParams, drude_epsilon
+from casimir.quadrature import integrate_adaptive
 from casimir.quantities import CODATA
 
 
@@ -78,6 +80,23 @@ class TestPressureCommand:
         # nu(300 K) ~ 35.6 meV vs 34.5 meV: a small but visible shift
         assert p_bg != p_fixed
         assert p_bg == pytest.approx(p_fixed, rel=1e-2)
+
+    def test_underflowing_terms_converge(self, capsys):
+        code, out, _ = run_cli(capsys, "pressure", "--a", "88", "--T", "300",
+                               "--format", "csv")
+        assert code == EXIT_OK
+        assert parse_csv(out)[0]["converged"] == "true"
+
+    def test_quadrature_error_exits_1_without_traceback(self, capsys, monkeypatch):
+        def no_refinement(f, breaks, rel_tol, abs_tol):
+            # an unreachable target with no room to bisect fails every mode
+            return integrate_adaptive(f, breaks, rel_tol=0.0, abs_tol=0.0, max_panels=1)
+        monkeypatch.setattr(casimir.lifshitz, "integrate_adaptive", no_refinement)
+        code, out, err = run_cli(capsys, "pressure", "--a", "1", "--T", "300")
+        assert code == EXIT_COMPUTE
+        assert err.startswith("error: ")
+        assert "m=1 " in err
+        assert "Traceback" not in err
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "pressure", "--pair", "Au,Au",
@@ -152,6 +171,13 @@ class TestEntropyCommand:
         rows = parse_csv(out.split("nernst")[0])
         assert all(float(r["entropy_J_per_m2_K"]) == 0.0 for r in rows)
         assert "nernst a=1.0 um: pass" in out
+
+    def test_nernst_fail_exits_2(self, capsys):
+        # unit reflection for every m >= 1 keeps S at the Nernst-violating limit
+        code, out, _ = run_cli(capsys, "entropy", "--pair", "ideal,ideal",
+                               "--a", "2", "--T", "2")
+        assert code == EXIT_TOLERANCE
+        assert "nernst a=2.0 um: FAIL" in out
 
     def test_step_halving_flag(self, capsys):
         code, out, _ = run_cli(capsys, "entropy", "--pair", "vacuum,Au",

@@ -12,6 +12,7 @@ from casimir.lifshitz import (
     ModePoint,
     PressureResult,
     QuadratureSpec,
+    _BLOCK_CAP,
     ReflectionPair,
     SumConvergenceError,
     casimir_pressure,
@@ -24,10 +25,12 @@ from casimir.lifshitz import (
     zero_mode_pressure,
     zeta3,
 )
+from casimir.quadrature import QuadratureError
 from casimir.quantities import (
     CODATA,
     Geometry,
     matsubara_frequency,
+    pressure_to_si,
     reduced_temperature,
 )
 
@@ -348,3 +351,101 @@ class TestCasimirPressure:
             QuadratureSpec(integral_rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_terms=0)
+
+
+class NanAbove(DrudeModel):
+    """Drude model whose permittivity is NaN above a frequency, so every
+    mode integral there fails to certify."""
+
+    def __init__(self, params, zeta_eV):
+        super().__init__(params)
+        self.zeta_eV = zeta_eV
+
+    def epsilon(self, zeta_eV):
+        eps = np.asarray(super().epsilon(zeta_eV), dtype=float)
+        return np.where(np.asarray(zeta_eV) > self.zeta_eV, np.nan, eps)
+
+
+class TestBlockDriver:
+    # Blocks hold modes 1-5, 6-15, 16-35, 36-75, 76-155, 156-283, then 128
+    # each; values recorded from the one-mode-at-a-time driver.
+    @pytest.mark.parametrize("a_um,T_K,n_terms,pressure_mPa", [
+        (2.5, 300.0, 6, -0.021759861535672498),     # first mode of block 2
+        (0.95, 300.0, 15, -1.2110995379203673),     # last mode of block 2
+        (0.85, 300.0, 16, -1.896084880347681),      # first mode of block 3
+        (1.3, 20.0, 156, -0.40645489235415855),     # first mode of block 6
+        (3.65, 4.0, 283, -0.006959357918267075),    # last mode of block 6
+        (2.5, 4.0, 411, -0.031207448276329198),     # last mode of a capped block
+    ])
+    def test_stop_at_block_edges(self, a_um, T_K, n_terms, pressure_mPa):
+        res = casimir_pressure(Geometry(a_um, T_K), AU, CU)
+        assert res.n_terms_used == n_terms
+        assert res.pressure_mPa == pytest.approx(pressure_mPa, rel=1e-12)
+
+    def test_stop_at_first_mode(self):
+        res = casimir_pressure(Geometry(100.0, 300.0), AU, AU, QuadratureSpec(min_terms=1))
+        assert res.n_terms_used == 1
+        assert res.pressure_mPa == pytest.approx(-1.981023851906023e-07, rel=1e-12)
+
+    @pytest.mark.parametrize("max_terms", [12, 40, 300])
+    def test_max_terms_inside_a_block(self, max_terms):
+        spec = QuadratureSpec(max_terms=max_terms)
+        with pytest.raises(SumConvergenceError) as excinfo:
+            casimir_pressure(Geometry(1.0, 1.0), AU, AU, spec)
+        partial = excinfo.value.partial
+        assert partial.n_terms_used == max_terms
+        assert partial.terms_mPa.size == max_terms
+        assert partial.max_zeta_eV == matsubara_frequency(max_terms, 1.0)
+
+    def test_failure_past_the_stop_is_discarded(self):
+        geom = Geometry(0.85, 300.0)  # stops at m = 16, the first mode of a block
+        ref = casimir_pressure(geom, AU, CU)
+        broken = NanAbove(DB.get("Au"), matsubara_frequency(16, geom.T_K) * 1.0001)
+        res = casimir_pressure(geom, broken, CU)
+        assert res.n_terms_used == ref.n_terms_used == 16
+        assert res.pressure_mPa == ref.pressure_mPa
+
+    def test_failure_before_the_stop_raises(self):
+        geom = Geometry(0.85, 300.0)
+        broken = NanAbove(DB.get("Au"), matsubara_frequency(15, geom.T_K) * 1.0001)
+        with pytest.raises(QuadratureError, match="m=16"):
+            casimir_pressure(geom, broken, CU)
+        with pytest.raises(QuadratureError):
+            matsubara_term(16, geom, broken, CU)
+
+    def test_cold_pair_symmetry_is_exact(self):
+        geom = Geometry(0.5, 2.0)  # thousands of terms over many blocks
+        res_13 = casimir_pressure(geom, AU, CU)
+        res_31 = casimir_pressure(geom, CU, AU)
+        assert res_13.n_terms_used == res_31.n_terms_used > 10 * _BLOCK_CAP
+        assert res_13.pressure_mPa == res_31.pressure_mPa
+        assert np.array_equal(res_13.terms_mPa, res_31.terms_mPa)
+
+    def test_matsubara_term_equals_block_value(self):
+        # at 1 K the terms decay slowly, so the floor never binds here
+        geom = Geometry(1.0, 1.0)
+        res = casimir_pressure(geom, AU, CU)
+        si = pressure_to_si(1.0, geom)
+        for m in (1, 5, 6, 15, 16, 35, 36, 200, 283, 284, res.n_terms_used):
+            assert -matsubara_term(m, geom, AU, CU) * si == res.terms_mPa[m - 1]
+
+    def test_loose_tolerance_mixes_panel_layouts(self):
+        # at integral_rel_tol 1e-9 the break at lower + 16 falls inside the
+        # range only for lower limits below ~0.36: modes up to m = 109 start
+        # with 7 panels here, later ones with 6, and blocks straddle the edge
+        spec = QuadratureSpec(integral_rel_tol=1e-9)
+        geom = Geometry(0.3, 4.0)
+        res = casimir_pressure(geom, AU, CU, spec)
+        assert res.n_terms_used == 3080
+        assert res.pressure_mPa == pytest.approx(-112.12918478255027, rel=1e-12)
+        si = pressure_to_si(1.0, geom)
+        for m in (108, 109, 110, 111):
+            assert -matsubara_term(m, geom, AU, CU, spec) * si == res.terms_mPa[m - 1]
+
+    def test_underflowing_terms_stop_refining(self):
+        # the fifth term underflows to ~1e-316; a purely relative target
+        # made its integral bisect to the panel budget and raise
+        res = casimir_pressure(Geometry(88.0, 300.0), AU, AU)
+        assert res.converged
+        assert math.isfinite(res.pressure_mPa)
+        assert res.pressure_mPa == pytest.approx(res.zero_mode_mPa, rel=1e-12)

@@ -66,3 +66,45 @@ def test_absolute_floor():
     val, err = integrate_adaptive(lambda x: 1e-30 * np.ones_like(x),
                                   [0.0, 1.0], rel_tol=1e-12, abs_tol=1e-20)
     assert val == pytest.approx(1e-30, rel=1e-12)
+
+
+def peaks(centres):
+    """One Lorentzian per row, centred at centres[i]; NaN rows stay NaN."""
+    c = np.asarray(centres, dtype=float)[:, None]
+
+    def f(x):
+        return 1.0 / (1.0 + (x - c) ** 2 * 400.0)
+    return f
+
+
+def test_batch_equals_single_integrals():
+    centres = [0.3, 3.0, 7.77, 9.9, 5.0]
+    breaks = np.array([[0.0, 2.0, 5.0, 10.0]] * len(centres))
+    val, err = integrate_adaptive(peaks(centres), breaks, rel_tol=1e-12)
+    assert val.shape == err.shape == (len(centres),)
+    for i, c in enumerate(centres):
+        v1, e1 = integrate_adaptive(peaks([c]), breaks[i], rel_tol=1e-12)
+        assert val[i] == v1
+        assert err[i] == e1
+
+
+def test_batch_absolute_floor_per_row():
+    breaks = np.array([[0.0, 1.0], [0.0, 1.0]])
+    val, _ = integrate_adaptive(lambda x: 1e-30 * np.ones_like(x), breaks,
+                                rel_tol=1e-12, abs_tol=np.array([1e-20, 0.0]))
+    assert val == pytest.approx([1e-30, 1e-30], rel=1e-12)
+
+
+def test_batch_failure_marks_rows_and_keeps_the_rest():
+    def f(x):
+        out = 1.0 / (1e-12 + (x - 0.5) ** 2)
+        out[0] = np.cos(x[0])
+        return out
+
+    breaks = np.array([[0.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(QuadratureError) as excinfo:
+        integrate_adaptive(f, breaks, rel_tol=1e-12, max_panels=4)
+    exc = excinfo.value
+    assert exc.failed.tolist() == [False, True]
+    assert exc.estimate[0] == pytest.approx(np.sin(1.0), rel=1e-12)
+    assert exc.error[1] > 0.0

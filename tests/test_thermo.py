@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from casimir.dielectric import DrudeModel, IdealMetal, MaterialDatabase, Vacuum
@@ -46,6 +47,15 @@ class TestFreeEnergy:
         fd_mPa = -(fp - fm) / (2.0 * h * 1e-6) * 1e3
         p = casimir_pressure(Geometry(a, T), AU, AU, TIGHT).pressure_mPa
         assert fd_mPa == pytest.approx(p, rel=1e-3)
+
+    def test_pair_symmetry_is_exact(self):
+        geom = Geometry(0.5, 2.0)
+        cu = DrudeModel(DB.get("Cu"))
+        f_13 = free_energy(geom, AU, cu, TIGHT)
+        f_31 = free_energy(geom, cu, AU, TIGHT)
+        assert f_13.n_terms_used == f_31.n_terms_used > 1000
+        assert f_13.free_energy_J_per_m2 == f_31.free_energy_J_per_m2
+        assert np.array_equal(f_13.terms_J_per_m2, f_31.terms_J_per_m2)
 
     def test_decomposes_into_terms(self):
         res = free_energy(Geometry(1.0, 300.0), AU, AU)
