@@ -15,13 +15,13 @@ import argparse
 import csv
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
 from . import golden
 from .dielectric import (
     BlochGruneisenParams,
-    DielectricModel,
     DrudeModel,
     DrudeParams,
     IdealMetal,
@@ -98,37 +98,41 @@ def _database(args: argparse.Namespace) -> MaterialDatabase:
     return MaterialDatabase.builtin()
 
 
-def _model_for(label: str, db: MaterialDatabase, T_K: float,
-               nu_model: str, theta_K: float, eps_path=None) -> DielectricModel:
+def _side_model(label: str, db: MaterialDatabase, nu_model: str, theta_K: float,
+                eps_path=None):
+    """T -> model of one half-space; a permittivity table is read here, once."""
     low = label.strip().lower()
     if eps_path:
         try:
             table = PermittivityTable.from_csv(eps_path)
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot load permittivity table {eps_path}: {exc}") from exc
-        return TabulatedModel(table, low_freq=db.get(label))
-    if low == "vacuum":
-        return Vacuum()
-    if low == "ideal":
-        return IdealMetal()
-    params = db.get(label)
-    if nu_model == "bloch-gruneisen":
-        nu = bloch_gruneisen_nu(BlochGruneisenParams(theta_K=theta_K), T_K)
-        params = DrudeParams(params.omega_p_eV, nu, params.label)
-    return DrudeModel(params)
+        model = TabulatedModel(table, low_freq=db.get(label))
+    elif low == "vacuum":
+        model = Vacuum()
+    elif low == "ideal":
+        model = IdealMetal()
+    else:
+        params = db.get(label)
+        if nu_model == "bloch-gruneisen":
+            bg = BlochGruneisenParams(theta_K=theta_K)
+            return lambda T_K: DrudeModel(DrudeParams(
+                params.omega_p_eV, bloch_gruneisen_nu(bg, T_K), params.label))
+        model = DrudeModel(params)
+    return lambda T_K: model
 
 
-def _pair_models(args: argparse.Namespace, db: MaterialDatabase,
-                 T_K: float) -> tuple[DielectricModel, DielectricModel]:
+def _pair_models(args: argparse.Namespace, db: MaterialDatabase):
+    """T -> (model1, model3) for ``--pair``, built once per distinct T."""
     pair = args.pair if args.pair is not None else "Au,Au"
     labels = [tok.strip() for tok in pair.split(",")]
     if len(labels) != 2 or not all(labels):
         raise InputError(f"--pair needs two comma-separated labels, got {pair!r}")
     nu_model = args.nu_model if args.nu_model is not None else "fixed"
     theta = float(args.theta) if getattr(args, "theta", None) is not None else 175.0
-    m1 = _model_for(labels[0], db, T_K, nu_model, theta, getattr(args, "eps1", None))
-    m3 = _model_for(labels[1], db, T_K, nu_model, theta, getattr(args, "eps3", None))
-    return m1, m3
+    side1 = _side_model(labels[0], db, nu_model, theta, getattr(args, "eps1", None))
+    side3 = _side_model(labels[1], db, nu_model, theta, getattr(args, "eps3", None))
+    return lru_cache(maxsize=None)(lambda T_K: (side1(T_K), side3(T_K)))
 
 
 def _fmt(value) -> str:
@@ -164,11 +168,12 @@ def cmd_pressure(args: argparse.Namespace, stream) -> int:
     spec = _build_spec(args)
     a_list = _float_list(args.a if args.a is not None else "1.0")
     t_list = _float_list(args.T if args.T is not None else "300")
+    models_at = _pair_models(args, db)
     rows = []
     failed = False
     for a in sorted(a_list):
         for T in sorted(t_list):
-            m1, m3 = _pair_models(args, db, T)
+            m1, m3 = models_at(T)
             try:
                 res = casimir_pressure(Geometry(a, T), m1, m3, spec)
             except SumConvergenceError as exc:
@@ -194,10 +199,11 @@ def cmd_sweep(args: argparse.Namespace, stream) -> int:
     t_list = _float_list(args.T if args.T is not None else "300")
     writer = csv.writer(stream)
     writer.writerow(["a_um", "T_K", "pressure_mPa", "zero_mode_mPa", "n_terms", "converged"])
+    models_at = _pair_models(args, db)
     failed = False
     for a in sorted(a_list):
         for T in sorted(t_list):
-            m1, m3 = _pair_models(args, db, T)
+            m1, m3 = models_at(T)
             try:
                 res = casimir_pressure(Geometry(a, T), m1, m3, spec)
             except SumConvergenceError as exc:
@@ -217,13 +223,13 @@ def cmd_table(args: argparse.Namespace, stream) -> int:
     spec = _build_spec(args)
     short_tol = float(args.tol_short if args.tol_short is not None else 0.05)
     long_tol = float(args.tol_long if args.tol_long is not None else 0.02)
+    sides = [_side_model(label, db, "fixed", 175.0) for label in fixture.pair]
     rows = []
     offenders = []
     failed_compute = False
     for a in golden.SEPARATIONS_UM:
         for T in golden.TEMPERATURES_K:
-            m1 = _model_for(fixture.pair[0], db, T, "fixed", 175.0)
-            m3 = _model_for(fixture.pair[1], db, T, "fixed", 175.0)
+            m1, m3 = (side(T) for side in sides)
             try:
                 res = casimir_pressure(Geometry(a, T), m1, m3, spec)
             except SumConvergenceError as exc:
@@ -271,18 +277,16 @@ def cmd_entropy(args: argparse.Namespace, stream) -> int:
     a_list = _float_list(args.a if args.a is not None else "1.0")
     t_list = _float_list(args.T if args.T is not None else "1,2,4,8")
     step = float(args.fd_step)
+    models_at = _pair_models(args, db)
     # with the temperature-dependent relaxation model, let the derivative
     # see nu(T) as well; the default keeps nu frozen across the difference
-    models_at = None
-    if (args.nu_model or "fixed") == "bloch-gruneisen":
-        def models_at(t_K):
-            return _pair_models(args, db, t_K)
+    shifted = models_at if (args.nu_model or "fixed") == "bloch-gruneisen" else None
     rows = []
     for a in sorted(a_list):
         for T in sorted(t_list):
-            m1, m3 = _pair_models(args, db, T)
+            m1, m3 = models_at(T)
             res = entropy(Geometry(a, T), m1, m3, spec, fd_step_K=step,
-                          models_at=models_at)
+                          models_at=shifted)
             row = {
                 "a_um": a,
                 "T_K": T,
@@ -291,7 +295,7 @@ def cmd_entropy(args: argparse.Namespace, stream) -> int:
             }
             if args.check_step_halving:
                 half = entropy(Geometry(a, T), m1, m3, spec,
-                               fd_step_K=0.5 * step, models_at=models_at)
+                               fd_step_K=0.5 * step, models_at=shifted)
                 row["entropy_halved_step"] = half.entropy_J_per_m2_K
                 row["richardson"] = (4.0 * half.entropy_J_per_m2_K
                                      - res.entropy_J_per_m2_K) / 3.0
@@ -300,7 +304,7 @@ def cmd_entropy(args: argparse.Namespace, stream) -> int:
     t_min = min(t_list)
     verdicts_ok = True
     for a in sorted(a_list):
-        m1, m3 = _pair_models(args, db, t_min)
+        m1, m3 = models_at(t_min)
         report = nernst_check(Geometry(a, t_min), m1, m3, spec)
         verdict = "pass" if report.passed else "FAIL"
         verdicts_ok = verdicts_ok and report.passed
@@ -328,7 +332,7 @@ def cmd_kk(args: argparse.Namespace, stream) -> int:
         lo, hi, per_decade = float(omega[0]), float(omega[-1]), 60.0
     n = max(2, int(round(np.log10(hi / lo) * per_decade)) + 1)
     zeta_grid = np.logspace(np.log10(lo), np.log10(hi), n)
-    eps = [kramers_kronig_transform(omega, eps2, z) for z in zeta_grid]
+    eps = kramers_kronig_transform(omega, eps2, zeta_grid)
     try:
         with open(args.output, "w", newline="") as fh:
             writer = csv.writer(fh)

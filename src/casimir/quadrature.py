@@ -64,10 +64,18 @@ class QuadratureError(RuntimeError):
         self.failed = failed
 
 
+def _distinct(count):
+    """Sorted distinct values of a nonnegative integer array.
+
+    Same as ``np.unique``, which on its first call loads ``numpy.ma``.
+    """
+    return np.flatnonzero(np.bincount(count))
+
+
 def _row_sums(a, count):
     """Sum of the first count[i] entries of each row, as ``np.sum`` of that row."""
     out = np.empty(count.size)
-    for n in np.unique(count):
+    for n in _distinct(count):
         sel = count == n
         out[sel] = a[sel, :n].sum(axis=1)
     return out
@@ -93,7 +101,7 @@ def _panel_rule(f, n_rows, rows, lo, hi, count):
     fx = np.asarray(f(x), dtype=float)[rows].reshape(lo.shape + (15,))
     k = np.zeros(lo.shape)
     g = np.zeros(lo.shape)
-    for n in np.unique(count):
+    for n in _distinct(count):
         sel = count == n
         part = fx[sel, :n]
         k[sel, :n] = h[sel, :n] * (part @ _WEIGHTS_K)

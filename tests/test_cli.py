@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -14,7 +18,12 @@ from casimir.cli import (
     build_parser,
     main,
 )
-from casimir.dielectric import DrudeParams, drude_epsilon
+from casimir.dielectric import (
+    DrudeParams,
+    drude_epsilon,
+    kramers_kronig_transform,
+    read_optical_csv,
+)
 from casimir.quadrature import integrate_adaptive
 from casimir.quantities import CODATA
 
@@ -220,6 +229,42 @@ class TestKKCommand:
             want = drude_epsilon(au, z_eV)
             assert float(row["eps_izeta"]) == pytest.approx(want, rel=5e-3)
 
+    @staticmethod
+    def _kk_one_zeta(w, e2, z):
+        """Window part of the transform at one zeta: Gauss-Legendre over the
+        sample intervals, with zeta inserted as one more break."""
+        t = np.log(w)
+        bounds = np.sort(np.append(t, np.log(z))) if w[0] < z < w[-1] else t
+        t0, t1 = bounds[:-1], bounds[1:]
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        tq = 0.5 * (t0 + t1)[:, None] + 0.5 * (t1 - t0)[:, None] * nodes
+        wq = np.exp(tq)
+        vals = wq * wq * np.exp(np.interp(tq, t, np.log(e2))) / (wq * wq + z * z)
+        return float(((0.5 * (t1 - t0))[:, None] * vals * weights).sum())
+
+    # at one sample per decade the split at zeta moves eps by about 1e-8
+    @pytest.mark.parametrize("per_decade", [30, 1])
+    def test_array_zeta_matches_scalar_calls(self, tmp_path, per_decade):
+        src = tmp_path / "loss.csv"
+        self._write_drude_loss(src, per_decade=per_decade)
+        omega, eps2 = read_optical_csv(src)
+        # the command's grid, plus sample points and frequencies outside the window
+        zeta = np.concatenate([np.logspace(13, np.log10(1.5e17), 62),
+                               omega[[0, 1, -2, -1]], [1e9, 1e20]])
+        got = kramers_kronig_transform(omega, eps2, zeta)
+        want = np.array([kramers_kronig_transform(omega, eps2, z) for z in zeta])
+        assert got.shape == zeta.shape
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        grid = kramers_kronig_transform(omega, eps2, zeta.reshape(2, -1))
+        np.testing.assert_array_equal(grid.ravel(), got)
+        # against a per-zeta evaluation; with eps'' ~ 1e-300 at both ends the
+        # closed-form tails fall far below the last digit of eps >= 1
+        e2_window = eps2.copy()
+        e2_window[[0, -1]] = 1e-300
+        ref = np.array([self._kk_one_zeta(omega, e2_window, z) for z in zeta])
+        np.testing.assert_allclose(kramers_kronig_transform(omega, e2_window, zeta),
+                                   1.0 + (2.0 / np.pi) * ref, rtol=1e-14, atol=0.0)
+
     def test_linearity_of_output(self, tmp_path, capsys):
         src1, src2 = tmp_path / "a.csv", tmp_path / "b.csv"
         dst1, dst2 = tmp_path / "a_out.csv", tmp_path / "b_out.csv"
@@ -288,6 +333,28 @@ class TestTabulatedInput:
         p_tab = float(parse_csv(out)[0]["pressure_mPa"])
         p_drude = float(parse_csv(out_ref)[0]["pressure_mPa"])
         assert p_tab == pytest.approx(p_drude, rel=1e-3)
+
+
+def test_cli_runs_on_numpy_alone(tmp_path):
+    """A tabulated sweep and a kk run load neither scipy nor numpy.ma."""
+    loss = tmp_path / "loss.csv"
+    TestKKCommand()._write_drude_loss(loss, per_decade=10)
+    script = textwrap.dedent(f"""
+        import sys
+        import casimir.cli
+        eps = {str(tmp_path / "eps.csv")!r}
+        assert casimir.cli.main(["kk", {str(loss)!r}, eps, "--grid", "1e12,1e17,10"]) == 0
+        assert casimir.cli.main(["sweep", "--pair", "Au,Au", "--eps1", eps, "--eps3", eps,
+                                 "--a", "2", "--T", "300"]) == 0
+        print(sorted(m for m in sys.modules
+                     if m.startswith("scipy") or m == "numpy.ma" or m.startswith("numpy.ma.")))
+    """)
+    src_dir = os.path.dirname(os.path.dirname(casimir.lifshitz.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_parser_exists_for_all_subcommands():

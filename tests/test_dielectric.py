@@ -147,6 +147,26 @@ class TestBlochGruneisen:
         # T^5 scaling once the integral saturates
         assert nu4 / nu1 == pytest.approx(4.0**5, rel=1e-3)
 
+    @staticmethod
+    def _quadpack_nu(params, T_K):
+        cut = min(params.theta_K / T_K, 200.0)
+        val, _ = quad(lambda x: x**5 / (4.0 * math.sinh(0.5 * x) ** 2), 0.0, cut,
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+        return params.prefactor_eV * (T_K / params.theta_K) ** 5 * val
+
+    @pytest.mark.parametrize("T_K", np.geomspace(0.05, 1000.0, 25))
+    def test_matches_quadpack(self, T_K):
+        params = BlochGruneisenParams()
+        nu = bloch_gruneisen_nu(params, T_K)
+        assert nu == pytest.approx(self._quadpack_nu(params, T_K), rel=1e-13)
+
+    @pytest.mark.parametrize("T_K", [175.0, 200.0, 400.0, 5000.0])
+    def test_matches_quadpack_above_theta(self, T_K):
+        # theta/T <= 1: a single panel [0, theta/T], no interior breaks
+        params = BlochGruneisenParams(theta_K=175.0, prefactor_eV=0.05)
+        nu = bloch_gruneisen_nu(params, T_K)
+        assert nu == pytest.approx(self._quadpack_nu(params, T_K), rel=1e-13)
+
     def test_invalid_temperature(self):
         with pytest.raises(ValueError):
             bloch_gruneisen_nu(BlochGruneisenParams(), 0.0)
