@@ -218,6 +218,9 @@ def cmd_sweep(args: argparse.Namespace, stream) -> int:
 def cmd_table(args: argparse.Namespace, stream) -> int:
     if args.table_id not in golden.TABLES:
         raise InputError(f"table id must be 1..6, got {args.table_id}")
+    for key in ("pair", "a", "T", "eps1", "eps3", "nu_model", "theta"):
+        if getattr(args, key, None) is not None:  # fixed by the reference table
+            raise InputError(f"table does not take --{key.replace('_', '-')}")
     fixture = golden.TABLES[args.table_id]
     db = _database(args)
     spec = _build_spec(args)

@@ -204,38 +204,74 @@ def zero_mode_pressure(geom: Geometry) -> float:
     return pressure_to_si(-zeta3() / 8.0, geom)
 
 
-def _reflections(eps, p):
-    """(TM, TE) reflection quantities of one interface; eps = inf gives 1."""
+class _Workspace:
+    """Scratch storage of the mode kernel, reused by every block of one sum.
+    ``arrays(shape)`` views it as eight float arrays and a bool array (grown
+    if need be) that its next call overwrites."""
+
+    def __init__(self, rows: int):  # room for the first round of `rows` modes
+        self.size = 0
+        self.arrays((rows, 15 * _BREAK_OFFSETS.size))
+
+    def arrays(self, shape):
+        n = shape[0] * shape[1]
+        if self.size < n:
+            self.size, self.floats, self.mask = n, np.empty(8 * n), np.empty(n, dtype=bool)
+        return (*self.floats[:8 * n].reshape((8,) + shape), self.mask[:n].reshape(shape))
+
+
+def _reflections(eps, p, pp, s, x, tm, te):
+    """(TM, TE) reflections of one interface into tm and te, computed as in
+    reflection_tm/reflection_te; pp = p*p, s, x scratch; eps = inf gives 1."""
     if np.all(np.isinf(eps)):
         return 1.0, 1.0
-    s = np.sqrt(eps - 1.0 + p * p)
-    return reflection_tm(eps, s, p), reflection_te(s, p)
+    em1 = eps - 1.0
+    np.sqrt(np.add(em1, pp, out=s), out=s)
+    np.add(s, p, out=te)
+    np.subtract(p, np.divide(1.0, te, out=tm), out=tm)
+    np.multiply(em1, tm, out=tm)
+    np.divide(tm, np.add(np.multiply(eps, p, out=x), s, out=x), out=tm)
+    np.divide(np.subtract(s, p, out=s), te, out=te)
+    return tm, te
 
 
-def _mode_kernel(y, A, eps1, eps3, free_energy: bool):
+def _mode_kernel(y, work: _Workspace, free_energy: bool, A, eps1, eps3=None):
     """Integrand of a block of Matsubara modes on a (mode x node) array.
 
     Row i of ``y`` holds nodes of mode i, whose lower limit is A[i] = m*gamma
     and whose permittivities at zeta_m are eps1[i] and eps3[i] (inf for an
-    ideal metal).  Returns the pressure integrand (see :func:`mode_integrand`)
-    or, with ``free_energy``, y * [ln(1-x_TM) + ln(1-x_TE)].
+    ideal metal; no eps3 means eps3 = eps1).  Gives the pressure integrand
+    (see :func:`mode_integrand`) or, with ``free_energy``, y * [ln(1-x_TM)
+    + ln(1-x_TE)], with the operations and order of those expressions, in a
+    view into ``work`` valid until the next call; ``integrate_adaptive``
+    copies each integrand value before it calls the integrand again.
     """
-    p = y / A[:, None]
-    tm1, te1 = _reflections(eps1[:, None], p)
-    tm3, te3 = _reflections(eps3[:, None], p)
-    if not free_energy:
-        return mode_integrand(ReflectionPair(tm1, tm3, "TM"), ReflectionPair(te1, te3, "TE"), y)
-    e2y = np.exp(-2.0 * y)
-    em = -np.expm1(-2.0 * y)
-    out = 0.0
+    p, pp, s, x, b1, b2, b3, b4, mask = work.arrays(y.shape)
+    np.divide(y, A[:, None], out=p)
+    np.multiply(p, p, out=pp)
+    tm1, te1 = _reflections(eps1[:, None], p, pp, s, x, b1, b2)
+    tm3, te3 = (tm1, te1) if eps3 is None else _reflections(eps3[:, None], p, pp, s, x, b3, b4)
+    if not free_energy and np.less_equal(y, 0, out=mask).any():
+        raise ValueError("y must be positive")
+    em = np.negative(np.expm1(np.multiply(-2.0, y, out=p), out=pp), out=pp)
+    e2y = np.exp(p, out=p)
+    total = 0.0
     for d1, d3 in ((tm1, tm3), (te1, te3)):
-        prod = d1 * d3
-        x = prod * e2y
-        # ln(1-x): assemble 1-x from positive pieces when x is near 1,
-        # switch to log1p for small x where that assembly would round away
-        one_minus = em + e2y * (1.0 - prod)
-        out = out + np.where(x > 0.5, np.log(one_minus), np.log1p(-x))
-    return y * out
+        prod = np.multiply(d1, d3, out=s)
+        np.multiply(prod, e2y, out=x)
+        if not free_energy and np.greater_equal(x, 1.0, out=mask).any():
+            raise ValueError("delta1*delta2*e^{-2y} must stay below 1")
+        one_minus = np.add(em, np.multiply(e2y, np.subtract(1.0, prod, out=s), out=s), out=s)
+        if free_energy:
+            # ln(1-x): log of the assembled 1-x when x is near 1, log1p
+            # for small x where that assembly would round away
+            np.greater(x, 0.5, out=mask)
+            np.log1p(np.negative(x, out=x), out=x)
+            np.copyto(x, np.log(one_minus, out=s), where=mask)
+        else:
+            np.divide(x, one_minus, out=x)
+        total = np.add(total, x, out=b1)  # tm1's storage, consumed above
+    return np.multiply(y if free_energy else np.multiply(y, y, out=x), total, out=x)
 
 
 # First breaks of every mode integral, as offsets from its lower limit.
@@ -249,18 +285,20 @@ _BLOCK_CAP = 128
 
 def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
                 model3: DielectricModel, spec: QuadratureSpec, floor: float,
-                free_energy: bool, integrate):
+                free_energy: bool, integrate, work: _Workspace):
     """Mode integrals of the Matsubara indices ``ms`` (>= 1) in one batch.
 
     Each integral is certified to max(integral_rel_tol * |I_m|, floor) by
-    ``integrate`` (the module's ``integrate_adaptive``).  Returns (values,
-    errors, failed); a failed mode holds its uncertified estimate.
+    ``integrate`` (the module's ``integrate_adaptive``), the kernel working
+    in ``work``.  Returns (values, errors, failed); a failed mode holds its
+    uncertified estimate.
     """
     gamma = reduced_temperature(geom)
     lower = ms * gamma
     zeta = ms * matsubara_frequency(1, geom.T_K)
     eps1 = np.asarray(model1.epsilon(zeta), dtype=float)
     eps3 = np.asarray(model3.epsilon(zeta), dtype=float)
+    same = (eps1 == eps3).all()  # then one interface serves both sides
     y_max = spec.y_max(lower)
     starts = lower[:, None] + _BREAK_OFFSETS
     n_starts = (starts < y_max[:, None]).sum(axis=1)
@@ -269,14 +307,14 @@ def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
     failed = np.zeros(ms.size, dtype=bool)
     for k in _distinct(n_starts):  # one group unless the tolerances are loose
         rows = np.flatnonzero(n_starts == k)
-        args = (lower[rows], eps1[rows], eps3[rows])
+        args = (lower[rows], eps1[rows]) + (() if same else (eps3[rows],))
 
         def f(y, args=args):
             live = ~np.isnan(y[:, 0])
             if live.all():
-                return _mode_kernel(y, *args, free_energy)
+                return _mode_kernel(y, work, free_energy, *args)
             out = np.full(y.shape, np.nan)
-            out[live] = _mode_kernel(y[live], *(a[live] for a in args), free_energy)
+            out[live] = _mode_kernel(y[live], work, free_energy, *(a[live] for a in args))
             return out
 
         breaks = np.concatenate([starts[rows, :k], y_max[rows, None]], axis=1)
@@ -309,7 +347,8 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
         raise ValueError("the static mode is analytic; matsubara_term needs m >= 1")
     spec = spec or QuadratureSpec()
     values, errors, failed = _mode_block(
-        np.array([m]), geom, model1, model3, spec, 0.0, False, integrate_adaptive)
+        np.array([m]), geom, model1, model3, spec, 0.0, False, integrate_adaptive,
+        _Workspace(1))
     if failed[0]:
         raise _mode_error(m, geom, float(values[0]), float(errors[0]))
     return float(values[0])
@@ -351,12 +390,13 @@ def _summed_modes(
     terms: list[float] = []
     converged = False
     size = min(spec.min_terms, _BLOCK_CAP)
+    work = _Workspace(min(spec.max_terms, _BLOCK_CAP))
     while not converged and len(terms) < spec.max_terms:
         first = len(terms) + 1
         ms = np.arange(first, min(first + size, spec.max_terms + 1))
         floor = spec.integral_rel_tol * spec.sum_rel_tol * abs(acc + comp)
         values, errors, failed = _mode_block(
-            ms, geom, model1, model3, spec, floor, free_energy, integrate)
+            ms, geom, model1, model3, spec, floor, free_energy, integrate, work)
         for m, t, bad, err in zip(ms.tolist(), values.tolist(), failed.tolist(),
                                   errors.tolist()):
             if bad:

@@ -121,7 +121,9 @@ def integrate_adaptive(
     ``breaks`` seeds the initial panel layout; a 2-D array integrates one
     row per integral and returns arrays.  ``f`` maps an array of nodes with
     one row per integral to values of the same shape; rows with nothing to
-    evaluate in a round are NaN, and their values are ignored.  Panels
+    evaluate in a round are NaN, and their values are ignored.  ``f`` may
+    return a view of storage that its next call overwrites: each value is
+    copied out before ``f`` is called again.  Panels
     carrying more than their share of an integral's error budget are
     bisected until its summed Kronrod-Gauss estimate certifies ``rel_tol``
     (or ``abs_tol``, a scalar or one value per row, if larger).  Integrals

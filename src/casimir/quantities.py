@@ -65,11 +65,6 @@ class Geometry:
         if not self.T_K > 0:
             raise ValueError(f"temperature must be positive, got {self.T_K}")
 
-    @property
-    def beta_per_eV(self) -> float:
-        """Inverse temperature 1/(k_B T) in 1/eV."""
-        return 1.0 / (CODATA.k_B_eV_per_K * self.T_K)
-
 
 def matsubara_frequency(m: int, T_K: float) -> float:
     """m-th Matsubara frequency 2*pi*m*k_B*T in eV; m=0 returns exactly 0.

@@ -171,6 +171,24 @@ class TestTableCommand:
         code, _, err = run_cli(capsys, "table", "9")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--pair", "Cu,Cu"), ("--a", "0.5"), ("--eps1", "eps.csv"),
+        ("--eps3", "eps.csv"), ("--nu-model", "bloch-gruneisen"), ("--theta", "200")])
+    def test_fixed_flags_are_rejected(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "table", "1", flag, value)
+        assert code == EXIT_INPUT
+        assert flag in err and out == ""
+
+    @pytest.mark.parametrize("key, value", [
+        ("pair", "Cu,Cu"), ("a", "0.5"), ("T", "300"), ("eps1", "eps.csv"),
+        ("eps3", "eps.csv"), ("nu_model", "bloch-gruneisen"), ("theta", 200.0)])
+    def test_fixed_config_keys_are_rejected(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(capsys, "table", "1", "--config", str(cfg))
+        assert code == EXIT_INPUT
+        assert "--" + key.replace("_", "-") in err and out == ""
+
 
 class TestEntropyCommand:
     def test_vacuum_all_zero_and_nernst_pass(self, capsys):

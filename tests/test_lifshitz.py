@@ -6,13 +6,23 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import zeta as scipy_zeta
 
-from casimir.dielectric import DrudeModel, IdealMetal, MaterialDatabase, Vacuum
+from casimir.dielectric import (
+    DrudeModel,
+    IdealMetal,
+    MaterialDatabase,
+    PermittivityTable,
+    TabulatedModel,
+    Vacuum,
+    drude_epsilon,
+)
 from casimir.golden import TABLES, cell_tolerance
 from casimir.lifshitz import (
     ModePoint,
     PressureResult,
     QuadratureSpec,
     _BLOCK_CAP,
+    _Workspace,
+    _mode_kernel,
     ReflectionPair,
     SumConvergenceError,
     casimir_pressure,
@@ -449,3 +459,136 @@ class TestBlockDriver:
         assert res.converged
         assert math.isfinite(res.pressure_mPa)
         assert res.pressure_mPa == pytest.approx(res.zero_mode_mPa, rel=1e-12)
+
+
+# A small tabulated model: Drude Al samples over 0.01-100 eV, Au below.
+TABLE_ZETA_EV = np.logspace(-2, 2, 9)
+TAB = TabulatedModel(PermittivityTable(TABLE_ZETA_EV, drude_epsilon(DB.get("Al"), TABLE_ZETA_EV)),
+                     low_freq=DB.get("Au"))
+
+
+def reference_kernel(y, A, eps1, eps3, free_energy):
+    """The mode integrand from the public reflection_* and mode_integrand,
+    and the free-energy expression y * [ln(1-x_TM) + ln(1-x_TE)]."""
+    p = y / A[:, None]
+
+    def reflections(eps):
+        eps = eps[:, None]
+        if np.all(np.isinf(eps)):
+            return 1.0, 1.0
+        s = np.sqrt(eps - 1.0 + p * p)
+        return reflection_tm(eps, s, p), reflection_te(s, p)
+
+    (tm1, te1), (tm3, te3) = reflections(eps1), reflections(eps3)
+    if not free_energy:
+        return mode_integrand(ReflectionPair(tm1, tm3), ReflectionPair(te1, te3), y)
+    e2y = np.exp(-2.0 * y)
+    em = -np.expm1(-2.0 * y)
+    out = 0.0
+    for d1, d3 in ((tm1, tm3), (te1, te3)):
+        prod = d1 * d3
+        x = prod * e2y
+        out = out + np.where(x > 0.5, np.log(em + e2y * (1.0 - prod)), np.log1p(-x))
+    return y * out
+
+
+def kernel_inputs(rows, nodes, pair=(AU, CU), T_K=2.0, a_um=0.3, first=1):
+    """Nodes from each mode's lower limit out to lower + 25, as the sum uses them."""
+    gamma = reduced_temperature(Geometry(a_um, T_K))
+    ms = np.arange(first, first + rows)
+    A = ms * gamma
+    zeta = ms * matsubara_frequency(1, T_K)
+    eps1, eps3 = (np.asarray(m.epsilon(zeta), dtype=float) for m in pair)
+    y = A[:, None] + np.geomspace(1e-6, 25.0, nodes)
+    return y, A, eps1, eps3
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestModeKernel:
+    @pytest.mark.parametrize("free_energy", [False, True])
+    @pytest.mark.parametrize("pair", [(AU, AU), (AU, CU), (AU, IdealMetal()),
+                                      (IdealMetal(), IdealMetal())],
+                             ids=["similar", "dissimilar", "drude-ideal", "ideal-ideal"])
+    def test_bit_identical_to_public_functions(self, pair, free_energy):
+        y, A, eps1, eps3 = kernel_inputs(40, 105, pair)
+        ref = reference_kernel(y, A, eps1, eps3, free_energy)
+        got = _mode_kernel(y, _Workspace(40), free_energy, A, eps1, eps3)
+        assert same_bits(got, ref)
+        if np.array_equal(eps1, eps3):  # one interface serves both sides
+            assert same_bits(_mode_kernel(y, _Workspace(40), free_energy, A, eps1), ref)
+
+    def test_log_select_covers_both_branches(self):
+        y, A, eps1, eps3 = kernel_inputs(10, 105, (AU, AU), T_K=1.0, a_um=0.1)
+        p = y / A[:, None]
+        s = np.sqrt(eps1[:, None] - 1.0 + p * p)
+        x = reflection_tm(eps1[:, None], s, p) ** 2 * np.exp(-2.0 * y)
+        assert (x > 0.5).any() and (x <= 0.5).any()
+        ref = reference_kernel(y, A, eps1, eps3, True)
+        assert same_bits(_mode_kernel(y, _Workspace(10), True, A, eps1), ref)
+
+    @pytest.mark.parametrize("free_energy", [False, True])
+    def test_reused_workspace_equals_fresh_one(self, free_energy):
+        # blocks grow and then shrink in rows and nodes; every value is
+        # taken before the next call, as integrate_adaptive takes it
+        work = _Workspace(2)
+        for rows, nodes, pair in ((3, 15, (AU, CU)), (20, 105, (AU, AU)), (128, 105, (CU, AU)),
+                                  (40, 210, (AU, IdealMetal())), (7, 30, (AU, CU)),
+                                  (1, 15, (AU, AU))):
+            y, A, eps1, eps3 = kernel_inputs(rows, nodes, pair, first=rows)
+            shared = _mode_kernel(y, work, free_energy, A, eps1, eps3).copy()
+            fresh = _mode_kernel(y, _Workspace(1), free_energy, A, eps1, eps3)
+            assert same_bits(shared, fresh)
+            assert same_bits(shared, reference_kernel(y, A, eps1, eps3, free_energy))
+
+    def test_returns_a_view_the_next_call_overwrites(self):
+        work = _Workspace(4)
+        y, A, eps1, eps3 = kernel_inputs(4, 15)
+        first = _mode_kernel(y, work, False, A, eps1, eps3)
+        kept = first.copy()
+        _mode_kernel(y + 1.0, work, False, A, eps1, eps3)
+        assert not np.array_equal(first, kept)
+
+    def test_domain_checks(self):
+        y, A, eps1, eps3 = kernel_inputs(3, 15)
+        y[1, 0] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            _mode_kernel(y, _Workspace(3), False, A, eps1, eps3)
+        # eps = -3 at p near 3 gives a TM reflection of about 1.7, so x > 1
+        A = np.array([0.01])
+        y = A[:, None] * np.linspace(2.5, 3.5, 15)
+        with pytest.raises(ValueError, match="below 1"):
+            _mode_kernel(y, _Workspace(1), False, A, np.array([-3.0]))
+
+    def test_tabulated_pair_symmetry_is_exact(self):
+        geom = Geometry(0.4, 3.0)
+        res_13 = casimir_pressure(geom, TAB, AU)
+        res_31 = casimir_pressure(geom, AU, TAB)
+        assert res_13.n_terms_used == res_31.n_terms_used > _BLOCK_CAP
+        assert res_13.pressure_mPa == res_31.pressure_mPa
+        assert np.array_equal(res_13.terms_mPa, res_31.terms_mPa)
+
+
+ROBUST_MODELS = {"Au": AU, "Cu": CU, "Al": DrudeModel(DB.get("Al")), "ideal": IdealMetal(),
+                 "vacuum": Vacuum(), "tabulated": TAB}
+
+
+class TestRobustness:
+    @settings(max_examples=150, deadline=None)
+    @given(a_um=st.floats(math.log(0.05), math.log(1000.0)).map(math.exp),
+           T_K=st.floats(0.0, math.log(1000.0)).map(math.exp),
+           side1=st.sampled_from(sorted(ROBUST_MODELS)),
+           side3=st.sampled_from(sorted(ROBUST_MODELS)))
+    def test_converges_or_raises_a_typed_error(self, a_um, T_K, side1, side3):
+        spec = QuadratureSpec(max_terms=2000)
+        try:
+            res = casimir_pressure(Geometry(a_um, T_K), ROBUST_MODELS[side1],
+                                   ROBUST_MODELS[side3], spec)
+        except (SumConvergenceError, QuadratureError):
+            return
+        assert res.converged
+        assert math.isfinite(res.pressure_mPa) and math.isfinite(res.zero_mode_mPa)
+        assert np.isfinite(res.terms_mPa).all()
+        assert res.n_terms_used <= 2000

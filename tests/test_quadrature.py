@@ -108,3 +108,24 @@ def test_batch_failure_marks_rows_and_keeps_the_rest():
     assert exc.failed.tolist() == [False, True]
     assert exc.estimate[0] == pytest.approx(np.sin(1.0), rel=1e-12)
     assert exc.error[1] > 0.0
+
+
+def test_integrand_may_reuse_its_output_buffer():
+    # the mode kernel returns a view of scratch storage that its next call
+    # overwrites; each value must be taken before the integrand runs again
+    centres = [0.3, 3.0, 7.77, 9.9, 5.0]
+    breaks = np.array([[0.0, 2.0, 5.0, 10.0]] * len(centres))
+    fresh = peaks(centres)
+    storage = np.empty(10_000)
+    calls = []
+
+    def reused(x):
+        calls.append(x.shape)
+        out = storage[:x.size].reshape(x.shape)
+        out[...] = fresh(x)
+        return out
+
+    got = integrate_adaptive(reused, breaks, rel_tol=1e-12)
+    want = integrate_adaptive(fresh, breaks, rel_tol=1e-12)
+    assert len(calls) > 2
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -37,10 +37,6 @@ class TestGeometry:
         with pytest.raises(ValueError):
             Geometry(a_um=1.0, T_K=-1.0)
 
-    def test_beta(self):
-        geom = Geometry(1.0, 300.0)
-        assert geom.beta_per_eV == pytest.approx(1.0 / (8.617333262e-5 * 300.0))
-
 
 class TestReducedTemperature:
     def test_room_temperature_micron_gap(self):
