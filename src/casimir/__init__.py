@@ -9,7 +9,6 @@ crossover of the pressure) live in :mod:`casimir.thermo`.
 
 from .dielectric import (
     BlochGruneisenParams,
-    DielectricModel,
     DrudeModel,
     DrudeParams,
     IdealMetal,
@@ -19,41 +18,18 @@ from .dielectric import (
     UnknownMaterialError,
     Vacuum,
     bloch_gruneisen_nu,
-    drude_epsilon,
-    epsilon_at,
     kramers_kronig_transform,
-    plasma_wavelength_nm,
 )
 from .lifshitz import (
-    ModePoint,
-    PressureResult,
     QuadratureSpec,
-    ReflectionPair,
     SumConvergenceError,
     casimir_pressure,
-    lifshitz_variables,
-    matsubara_term,
-    mode_integrand,
-    mode_point,
-    reflection_te,
-    reflection_tm,
-    zero_mode_pressure,
     zeta3,
 )
-from .quadrature import QuadratureError, integrate_adaptive
-from .quantities import (
-    CODATA,
-    Geometry,
-    PhysicalConstants,
-    matsubara_frequency,
-    pressure_to_si,
-    reduced_temperature,
-)
+from .quadrature import QuadratureError
+from .quantities import CODATA, Geometry
 from .thermo import (
     BracketError,
-    EntropyResult,
-    FreeEnergyResult,
-    NernstReport,
     crossover_separation,
     entropy,
     free_energy,
@@ -66,22 +42,14 @@ __all__ = [
     "BlochGruneisenParams",
     "BracketError",
     "CODATA",
-    "DielectricModel",
     "DrudeModel",
     "DrudeParams",
-    "EntropyResult",
-    "FreeEnergyResult",
     "Geometry",
     "IdealMetal",
     "MaterialDatabase",
-    "ModePoint",
-    "NernstReport",
     "PermittivityTable",
-    "PhysicalConstants",
-    "PressureResult",
     "QuadratureError",
     "QuadratureSpec",
-    "ReflectionPair",
     "SumConvergenceError",
     "TabulatedModel",
     "UnknownMaterialError",
@@ -89,23 +57,9 @@ __all__ = [
     "bloch_gruneisen_nu",
     "casimir_pressure",
     "crossover_separation",
-    "drude_epsilon",
     "entropy",
-    "epsilon_at",
     "free_energy",
-    "integrate_adaptive",
     "kramers_kronig_transform",
-    "lifshitz_variables",
-    "matsubara_frequency",
-    "matsubara_term",
-    "mode_integrand",
-    "mode_point",
     "nernst_check",
-    "plasma_wavelength_nm",
-    "pressure_to_si",
-    "reduced_temperature",
-    "reflection_te",
-    "reflection_tm",
-    "zero_mode_pressure",
     "zeta3",
 ]

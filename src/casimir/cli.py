@@ -1,12 +1,12 @@
 """Command line front end.
 
-Subcommands: ``pressure`` (point evaluations), ``sweep`` (CSV stream over a
-separation/temperature grid), ``table`` (regression against the built-in
+Subcommands: ``pressure`` (point evaluations; ``sweep`` streams them as CSV
+without the zero-mode share), ``table`` (regression against the built-in
 reference grids), ``entropy`` (entropy rows plus the zero-temperature
 check), and ``kk`` (Kramers-Kronig ingestion of absorption data).
 
 Exit codes: 0 success, 1 computational failure, 2 tolerance failure,
-3 input error.
+3 input or usage error.
 """
 
 from __future__ import annotations
@@ -44,12 +44,16 @@ EXIT_COMPUTE = 1
 EXIT_TOLERANCE = 2
 EXIT_INPUT = 3
 
-_CONFIG_KEYS = ("pair", "a", "T", "int_tol", "sum_tol", "format",
-                "materials", "eps1", "eps3", "nu_model", "theta")
-
 
 class InputError(ValueError):
     """Bad command line input or unreadable data file."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as InputError, so it exits 3 and not 2."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def _float_list(text: str) -> list[float]:
@@ -65,7 +69,11 @@ def _float_list(text: str) -> list[float]:
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the JSON config file: flags > config > defaults."""
+    """Fill unset flags from the JSON config file: flags > config > defaults.
+
+    A key names a flag of the subcommand that takes a value; a JSON string
+    or number goes through that flag's type and choices.
+    """
     if not getattr(args, "config", None):
         return
     try:
@@ -76,21 +84,33 @@ def _apply_config(args: argparse.Namespace) -> None:
     if not isinstance(conf, dict):
         raise InputError(f"{args.config}: config must be a JSON object")
     for key, value in conf.items():
-        if key not in _CONFIG_KEYS:
-            raise InputError(f"{args.config}: unknown config key {key!r}")
-        if getattr(args, key, None) is None:
+        flag = "--" + key.replace("_", "-")
+        action = args.command_parser._option_string_actions.get(flag)
+        if action is None or action.dest != key or action.nargs == 0 or key == "config":
+            raise InputError(f"{args.config}: {args.command} takes no config key {key!r} ({flag})")
+        try:
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ValueError
+            value = (action.type or str)(str(value))
+            if action.choices is not None and value not in action.choices:
+                raise ValueError
+        except ValueError:
+            raise InputError(f"{args.config}: invalid value {value!r} "
+                             f"for config key {key!r}") from None
+        if getattr(args, key) is None:
             setattr(args, key, value)
 
 
-def _build_spec(args: argparse.Namespace) -> QuadratureSpec:
+def _build_spec(args: argparse.Namespace, sum_tol: float) -> QuadratureSpec:
+    """The tolerances given, else 1e-12 and the command's default ``sum_tol``."""
     return QuadratureSpec(
         integral_rel_tol=float(args.int_tol if args.int_tol is not None else 1e-12),
-        sum_rel_tol=float(args.sum_tol if args.sum_tol is not None else 1e-8),
+        sum_rel_tol=float(args.sum_tol if args.sum_tol is not None else sum_tol),
     )
 
 
 def _database(args: argparse.Namespace) -> MaterialDatabase:
-    if getattr(args, "materials", None):
+    if args.materials:
         try:
             return MaterialDatabase.from_json(args.materials)
         except (OSError, ValueError) as exc:
@@ -129,9 +149,11 @@ def _pair_models(args: argparse.Namespace, db: MaterialDatabase):
     if len(labels) != 2 or not all(labels):
         raise InputError(f"--pair needs two comma-separated labels, got {pair!r}")
     nu_model = args.nu_model if args.nu_model is not None else "fixed"
-    theta = float(args.theta) if getattr(args, "theta", None) is not None else 175.0
-    side1 = _side_model(labels[0], db, nu_model, theta, getattr(args, "eps1", None))
-    side3 = _side_model(labels[1], db, nu_model, theta, getattr(args, "eps3", None))
+    if args.theta is not None and nu_model != "bloch-gruneisen":
+        raise InputError("--theta needs --nu-model bloch-gruneisen")
+    theta = float(args.theta) if args.theta is not None else 175.0
+    side1 = _side_model(labels[0], db, nu_model, theta, args.eps1)
+    side3 = _side_model(labels[1], db, nu_model, theta, args.eps3)
     return lru_cache(maxsize=None)(lambda T_K: (side1(T_K), side3(T_K)))
 
 
@@ -143,43 +165,57 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit_rows(rows: list[dict], fmt: str, stream) -> None:
-    if not rows:
-        return
-    keys = list(rows[0].keys())
-    if fmt == "json":
-        json.dump(rows, stream, indent=2, default=_fmt)
-        stream.write("\n")
-    elif fmt == "csv":
+def _emit_rows(rows, fmt: str, stream) -> list[dict]:
+    """Write the rows in ``fmt`` and return them; CSV rows go out one by one
+    as they are produced."""
+    written = []
+    if fmt == "csv":
         writer = csv.writer(stream)
-        writer.writerow(keys)
         for row in rows:
-            writer.writerow([_fmt(row[k]) for k in keys])
+            if not written:
+                writer.writerow(row.keys())
+            writer.writerow([_fmt(v) for v in row.values()])
+            written.append(row)
+        return written
+    written = list(rows)
+    if not written:
+        return written
+    keys = list(written[0].keys())
+    if fmt == "json":
+        json.dump(written, stream, indent=2, default=_fmt)
+        stream.write("\n")
     else:  # pretty
-        cells = [[_fmt(row[k]) for k in keys] for row in rows]
+        cells = [[_fmt(row[k]) for k in keys] for row in written]
         widths = [max(len(k), *(len(c[i]) for c in cells)) for i, k in enumerate(keys)]
         stream.write("  ".join(k.rjust(w) for k, w in zip(keys, widths)) + "\n")
         for c in cells:
             stream.write("  ".join(v.rjust(w) for v, w in zip(c, widths)) + "\n")
+    return written
 
 
-def cmd_pressure(args: argparse.Namespace, stream) -> int:
-    db = _database(args)
-    spec = _build_spec(args)
-    a_list = _float_list(args.a if args.a is not None else "1.0")
-    t_list = _float_list(args.T if args.T is not None else "300")
-    models_at = _pair_models(args, db)
-    rows = []
-    failed = False
+def _pressures(a_list, t_list, models_at, spec):
+    """(a, T, result) over the sorted a x T grid.  A sum that runs out of
+    terms gives its partial result, whose ``converged`` is false."""
     for a in sorted(a_list):
         for T in sorted(t_list):
             m1, m3 = models_at(T)
             try:
-                res = casimir_pressure(Geometry(a, T), m1, m3, spec)
+                yield a, T, casimir_pressure(Geometry(a, T), m1, m3, spec)
             except SumConvergenceError as exc:
-                res = exc.partial
-                failed = True
-            rows.append({
+                yield a, T, exc.partial
+
+
+def cmd_pressure(args: argparse.Namespace, stream) -> int:
+    """``pressure``, and ``sweep``: CSV without the zero_mode_share column."""
+    db = _database(args)
+    spec = _build_spec(args, sum_tol=1e-8)
+    a_list = _float_list(args.a if args.a is not None else "1.0")
+    t_list = _float_list(args.T if args.T is not None else "300")
+    models_at = _pair_models(args, db)
+
+    def rows():
+        for a, T, res in _pressures(a_list, t_list, models_at, spec):
+            row = {
                 "a_um": a,
                 "T_K": T,
                 "pressure_mPa": res.pressure_mPa,
@@ -187,76 +223,48 @@ def cmd_pressure(args: argparse.Namespace, stream) -> int:
                 "zero_mode_share": res.zero_mode_share,
                 "n_terms": res.n_terms_used,
                 "converged": res.converged,
-            })
-    _emit_rows(rows, args.format or "pretty", stream)
-    return EXIT_COMPUTE if failed else EXIT_OK
+            }
+            if args.command == "sweep":
+                del row["zero_mode_share"]
+            yield row
 
-
-def cmd_sweep(args: argparse.Namespace, stream) -> int:
-    db = _database(args)
-    spec = _build_spec(args)
-    a_list = _float_list(args.a if args.a is not None else "1.0")
-    t_list = _float_list(args.T if args.T is not None else "300")
-    writer = csv.writer(stream)
-    writer.writerow(["a_um", "T_K", "pressure_mPa", "zero_mode_mPa", "n_terms", "converged"])
-    models_at = _pair_models(args, db)
-    failed = False
-    for a in sorted(a_list):
-        for T in sorted(t_list):
-            m1, m3 = models_at(T)
-            try:
-                res = casimir_pressure(Geometry(a, T), m1, m3, spec)
-            except SumConvergenceError as exc:
-                res = exc.partial
-                failed = True
-            writer.writerow([_fmt(v) for v in (
-                a, T, res.pressure_mPa, res.zero_mode_mPa,
-                res.n_terms_used, res.converged)])
-    return EXIT_COMPUTE if failed else EXIT_OK
+    written = _emit_rows(rows(), args.format or "pretty", stream)
+    return EXIT_OK if all(row["converged"] for row in written) else EXIT_COMPUTE
 
 
 def cmd_table(args: argparse.Namespace, stream) -> int:
     if args.table_id not in golden.TABLES:
         raise InputError(f"table id must be 1..6, got {args.table_id}")
-    for key in ("pair", "a", "T", "eps1", "eps3", "nu_model", "theta"):
-        if getattr(args, key, None) is not None:  # fixed by the reference table
-            raise InputError(f"table does not take --{key.replace('_', '-')}")
     fixture = golden.TABLES[args.table_id]
     db = _database(args)
-    spec = _build_spec(args)
+    spec = _build_spec(args, sum_tol=1e-8)
     short_tol = float(args.tol_short if args.tol_short is not None else 0.05)
     long_tol = float(args.tol_long if args.tol_long is not None else 0.02)
     sides = [_side_model(label, db, "fixed", 175.0) for label in fixture.pair]
+    cells = list(_pressures(golden.SEPARATIONS_UM, golden.TEMPERATURES_K,
+                            lambda T: [side(T) for side in sides], spec))
     rows = []
     offenders = []
-    failed_compute = False
-    for a in golden.SEPARATIONS_UM:
-        for T in golden.TEMPERATURES_K:
-            m1, m3 = (side(T) for side in sides)
-            try:
-                res = casimir_pressure(Geometry(a, T), m1, m3, spec)
-            except SumConvergenceError as exc:
-                res = exc.partial
-                failed_compute = True
-            ref, corrected = fixture.reference(a, T)
-            dev = abs(abs(res.pressure_mPa) - ref) / ref
-            tol = golden.cell_tolerance(a, short_tol=short_tol, long_tol=long_tol)
-            ok = dev <= tol and res.converged
-            if not ok:
-                offenders.append((a, T, dev, tol))
-            rows.append({
-                "a_um": a,
-                "T_K": T,
-                "computed_mPa": abs(res.pressure_mPa),
-                "reference_mPa": ref,
-                "rel_dev": dev,
-                "tol": tol,
-                "status": "pass" if ok else "FAIL",
-                "note": "typo-corrected reference" if corrected else "",
-            })
+    for a, T, res in cells:
+        ref, corrected = fixture.reference(a, T)
+        dev = abs(abs(res.pressure_mPa) - ref) / ref
+        tol = golden.cell_tolerance(a, short_tol=short_tol, long_tol=long_tol)
+        ok = dev <= tol and res.converged
+        if not ok:
+            offenders.append((a, T, dev, tol))
+        rows.append({
+            "a_um": a,
+            "T_K": T,
+            "computed_mPa": abs(res.pressure_mPa),
+            "reference_mPa": ref,
+            "rel_dev": dev,
+            "tol": tol,
+            "status": "pass" if ok else "FAIL",
+            "note": "typo-corrected reference" if corrected else "",
+        })
     _emit_rows(rows, args.format or "pretty", stream)
     pair = "-".join(fixture.pair)
-    if failed_compute:
+    if not all(res.converged for _, _, res in cells):
         stream.write(f"table {args.table_id} ({pair}): computational failure\n")
         return EXIT_COMPUTE
     if offenders:
@@ -271,15 +279,10 @@ def cmd_table(args: argparse.Namespace, stream) -> int:
 
 def cmd_entropy(args: argparse.Namespace, stream) -> int:
     db = _database(args)
-    spec = None  # thermo's tighter default unless tolerances are given
-    if args.int_tol is not None or args.sum_tol is not None:
-        spec = QuadratureSpec(
-            integral_rel_tol=float(args.int_tol if args.int_tol is not None else 1e-12),
-            sum_rel_tol=float(args.sum_tol if args.sum_tol is not None else 1e-10),
-        )
+    spec = _build_spec(args, sum_tol=1e-10)  # thermo's tighter entropy default
     a_list = _float_list(args.a if args.a is not None else "1.0")
     t_list = _float_list(args.T if args.T is not None else "1,2,4,8")
-    step = float(args.fd_step)
+    step = float(args.fd_step if args.fd_step is not None else 0.5)
     models_at = _pair_models(args, db)
     # with the temperature-dependent relaxation model, let the derivative
     # see nu(T) as well; the default keeps nu frozen across the difference
@@ -349,40 +352,44 @@ def cmd_kk(args: argparse.Namespace, stream) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The subcommand parsers are the one list of what each command accepts,
+    on the command line and in a ``--config`` file."""
+    parser = _Parser(
         prog="casimir",
         description="Finite-temperature Casimir pressure between material half-spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, temps: bool = True) -> None:
-        p.add_argument("--pair", help="two material labels, e.g. Au,Au "
-                       "(also: vacuum, ideal)")
-        p.add_argument("--a", help="comma-separated gap widths in um")
-        if temps:
+    def common(p: argparse.ArgumentParser, pair: bool = True, formats: bool = True) -> None:
+        if pair:
+            p.add_argument("--pair", help="two material labels, e.g. Au,Au "
+                           "(also: vacuum, ideal)")
+            p.add_argument("--a", help="comma-separated gap widths in um")
             p.add_argument("--T", help="comma-separated temperatures in K")
+            p.add_argument("--eps1", help="permittivity table CSV for side 1")
+            p.add_argument("--eps3", help="permittivity table CSV for side 3")
+            p.add_argument("--nu-model", dest="nu_model",
+                           choices=("fixed", "bloch-gruneisen"),
+                           help="relaxation frequency model (default fixed)")
+            p.add_argument("--theta", type=float,
+                           help="phonon temperature for bloch-gruneisen (default 175 K)")
         p.add_argument("--int-tol", dest="int_tol", type=float,
                        help="relative tolerance of the mode integrals (default 1e-12)")
         p.add_argument("--sum-tol", dest="sum_tol", type=float,
-                       help="relative tolerance of the frequency sum (default 1e-8)")
-        p.add_argument("--format", choices=("csv", "json", "pretty"),
-                       help="output format (default pretty)")
+                       help="relative tolerance of the frequency sum "
+                       "(default 1e-8; entropy 1e-10)")
+        if formats:
+            p.add_argument("--format", choices=("csv", "json", "pretty"),
+                           help="output format (default pretty)")
         p.add_argument("--materials", help="JSON material database path")
-        p.add_argument("--eps1", help="permittivity table CSV for side 1")
-        p.add_argument("--eps3", help="permittivity table CSV for side 3")
-        p.add_argument("--nu-model", dest="nu_model",
-                       choices=("fixed", "bloch-gruneisen"),
-                       help="relaxation frequency model (default fixed)")
-        p.add_argument("--theta", type=float,
-                       help="phonon temperature for bloch-gruneisen (default 175 K)")
         p.add_argument("--config", help="JSON config file (flags take precedence)")
 
     p = sub.add_parser("pressure", help="pressure at given (a, T) points")
     common(p)
     p.set_defaults(func=cmd_pressure)
 
-    p = sub.add_parser("sweep", help="CSV stream over the a x T grid")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
+    p = sub.add_parser("sweep", help="pressure over the a x T grid as a CSV stream")
+    common(p, formats=False)
+    p.set_defaults(func=cmd_pressure, format="csv")
 
     p = sub.add_parser("table", help="regression against a reference grid")
     p.add_argument("table_id", type=int, help="reference table id (1..6)")
@@ -390,12 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative tolerance for a < 0.5 um (default 0.05)")
     p.add_argument("--tol-long", dest="tol_long", type=float,
                    help="relative tolerance for a >= 0.5 um (default 0.02)")
-    common(p, temps=False)
+    common(p, pair=False)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("entropy", help="entropy rows and zero-temperature check")
     common(p)
-    p.add_argument("--fd-step", dest="fd_step", type=float, default=0.5,
+    p.add_argument("--fd-step", dest="fd_step", type=float,
                    help="central-difference step in K (default 0.5)")
     p.add_argument("--check-step-halving", action="store_true",
                    help="also report the halved-step and Richardson values")
@@ -408,13 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default: the input window at 60/decade)")
     p.set_defaults(func=cmd_kk)
 
+    for p in sub.choices.values():  # read by _apply_config
+        p.set_defaults(command_parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _apply_config(args)
         return args.func(args, sys.stdout)
     except (InputError, UnknownMaterialError, ValueError) as exc:

@@ -37,7 +37,6 @@ __all__ = [
     "plasma_wavelength_nm",
     "bloch_gruneisen_nu",
     "kramers_kronig_transform",
-    "epsilon_at",
     "read_optical_csv",
 ]
 
@@ -134,9 +133,6 @@ class MaterialDatabase:
         except KeyError:
             known = ", ".join(sorted(p.label for p in self._entries.values()))
             raise UnknownMaterialError(f"unknown material {label!r} (known: {known})") from None
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(sorted(p.label for p in self._entries.values()))
 
 
 @dataclass(frozen=True)
@@ -268,16 +264,13 @@ class TabulatedModel(DielectricModel):
     Measured data never reach the static limit, so below the lowest sample
     the Drude form takes over.  Above the highest sample a free-electron
     (zeta_top/zeta)^2 falloff of eps-1 is assumed; whether an evaluation
-    ever needed that extrapolation can be checked against ``zeta_max_eV``.
+    ever needed that extrapolation can be checked against
+    ``table.zeta_max_eV``.
     """
 
     def __init__(self, table: PermittivityTable, low_freq: DrudeParams):
         self.table = table
         self.low_freq = low_freq
-
-    @property
-    def zeta_max_eV(self) -> float:
-        return self.table.zeta_max_eV
 
     def epsilon(self, zeta_eV):
         z = np.atleast_1d(np.asarray(zeta_eV, dtype=float))
@@ -318,14 +311,6 @@ class IdealMetal(DielectricModel):
     def epsilon(self, zeta_eV):
         out = np.full_like(np.asarray(zeta_eV, dtype=float), np.inf)
         return float(out) if out.ndim == 0 else out
-
-
-def epsilon_at(model: DielectricModel, zeta_eV):
-    """Evaluate a dielectric model at zeta > 0 (eV), dispatching on variant."""
-    z = np.asarray(zeta_eV, dtype=float)
-    if np.any(z <= 0):
-        raise ValueError("zeta must be positive")
-    return model.epsilon(zeta_eV)
 
 
 def _read_two_column_csv(path, expected_header: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:

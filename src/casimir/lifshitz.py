@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,16 +26,12 @@ from .quantities import (
 )
 
 __all__ = [
-    "ReflectionPair",
-    "ModePoint",
     "QuadratureSpec",
     "PressureResult",
     "SumConvergenceError",
     "lifshitz_variables",
     "reflection_te",
     "reflection_tm",
-    "mode_integrand",
-    "mode_point",
     "matsubara_term",
     "zeta3",
     "zero_mode_pressure",
@@ -44,23 +39,8 @@ __all__ = [
 ]
 
 
-class ReflectionPair(NamedTuple):
-    """Reflection quantities of the two interfaces for one polarization."""
-
-    delta1: object  # float or ndarray
-    delta2: object
-    polarization: str = ""
-
-
-class ModePoint(NamedTuple):
-    """One (m, y) evaluation point of the mode integrand."""
-
-    m: int
-    y: float
-    gamma: float
-    p: float
-    s1: float
-    s3: float
+# Additive safety margin on the truncation point of the y-integrals.
+_Y_MAX_PAD = 5.0
 
 
 @dataclass(frozen=True)
@@ -71,7 +51,6 @@ class QuadratureSpec:
     sum_rel_tol: float = 1e-8
     max_terms: int = 200_000
     min_terms: int = 5
-    y_max_pad: float = 5.0  # additive safety margin on the truncation point
 
     def __post_init__(self) -> None:
         if not self.integral_rel_tol > 0 or not self.sum_rel_tol > 0:
@@ -87,7 +66,7 @@ class QuadratureSpec:
         of (lower, 1) guarantees a relative tail below integral_rel_tol
         without evaluating any material model.
         """
-        return np.maximum(lower, 1.0) + 0.5 * math.log(1.0 / self.integral_rel_tol) + self.y_max_pad
+        return np.maximum(lower, 1.0) + 0.5 * math.log(1.0 / self.integral_rel_tol) + _Y_MAX_PAD
 
 
 @dataclass(frozen=True)
@@ -151,43 +130,6 @@ def reflection_tm(eps, s, p):
     return (eps - 1.0) * (p - 1.0 / (s + p)) / (eps * p + s)
 
 
-def mode_integrand(rp_tm: ReflectionPair, rp_te: ReflectionPair, y):
-    """y^2 * [TM fraction + TE fraction], each fraction x/(1-x) with
-    x = delta1*delta2*e^{-2y} < 1.
-
-    1-x is assembled as (1-e^{-2y}) + e^{-2y}(1-delta1*delta2), a sum of
-    nonnegative terms, so no precision is lost when both factors approach 1.
-    """
-    yy = np.asarray(y, dtype=float)
-    if np.any(yy <= 0):
-        raise ValueError("y must be positive")
-    e2y = np.exp(-2.0 * yy)
-    em = -np.expm1(-2.0 * yy)  # 1 - e^{-2y}
-    total = 0.0
-    for pair in (rp_tm, rp_te):
-        prod = np.asarray(pair.delta1, dtype=float) * np.asarray(pair.delta2, dtype=float)
-        x = prod * e2y
-        if np.any(x >= 1.0):
-            raise ValueError("delta1*delta2*e^{-2y} must stay below 1")
-        total = total + x / (em + e2y * (1.0 - prod))
-    out = yy * yy * total
-    return float(out) if out.ndim == 0 else out
-
-
-def mode_point(m: int, y: float, geom: Geometry,
-               model1: DielectricModel, model3: DielectricModel) -> ModePoint:
-    """Assemble the dimensionless quantities at one (m, y) point, m >= 1."""
-    if m < 1:
-        raise ValueError("mode points are defined for m >= 1")
-    gamma = reduced_temperature(geom)
-    if y < m * gamma:
-        raise ValueError(f"y={y} below the integration lower limit {m * gamma}")
-    zeta = matsubara_frequency(m, geom.T_K)
-    p = y / (m * gamma)
-    s1, s3 = lifshitz_variables(model1.epsilon(zeta), model3.epsilon(zeta), p)
-    return ModePoint(m=m, y=y, gamma=gamma, p=p, s1=s1, s3=s3)
-
-
 def zeta3() -> float:
     """Riemann zeta(3) (Apery's constant), correctly rounded to double."""
     return 1.2020569031595942
@@ -241,10 +183,13 @@ def _mode_kernel(y, work: _Workspace, free_energy: bool, A, eps1, eps3=None):
     Row i of ``y`` holds nodes of mode i, whose lower limit is A[i] = m*gamma
     and whose permittivities at zeta_m are eps1[i] and eps3[i] (inf for an
     ideal metal; no eps3 means eps3 = eps1).  Gives the pressure integrand
-    (see :func:`mode_integrand`) or, with ``free_energy``, y * [ln(1-x_TM)
-    + ln(1-x_TE)], with the operations and order of those expressions, in a
-    view into ``work`` valid until the next call; ``integrate_adaptive``
-    copies each integrand value before it calls the integrand again.
+    y^2 * [x_TM/(1-x_TM) + x_TE/(1-x_TE)], x = delta1*delta2*e^{-2y} < 1,
+    or, with ``free_energy``, y * [ln(1-x_TM) + ln(1-x_TE)], in a view into
+    ``work`` valid until the next call; ``integrate_adaptive`` copies each
+    integrand value before it calls the integrand again.
+
+    1-x is assembled as (1-e^{-2y}) + e^{-2y}(1-delta1*delta2), a sum of
+    nonnegative terms, so no precision is lost when both factors approach 1.
     """
     p, pp, s, x, b1, b2, b3, b4, mask = work.arrays(y.shape)
     np.divide(y, A[:, None], out=p)

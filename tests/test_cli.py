@@ -9,6 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import casimir
 import casimir.lifshitz
 from casimir.cli import (
     EXIT_COMPUTE,
@@ -146,6 +147,17 @@ class TestSweepCommand:
     def test_single_point(self, capsys):
         _, out, _ = run_cli(capsys, "sweep", "--pair", "Au,Au", "--a", "4", "--T", "350")
         assert len(parse_csv(out)) == 1
+
+    def test_equals_pressure_csv_without_zero_mode_share(self, capsys):
+        grid = ("--pair", "Au,Cu", "--a", "2,0.5", "--T", "350,300")
+        code, sweep, _ = run_cli(capsys, "sweep", *grid)
+        assert code == EXIT_OK
+        code, pressure, _ = run_cli(capsys, "pressure", *grid, "--format", "csv")
+        assert code == EXIT_OK
+        lines = [line.split(",") for line in pressure.split("\r\n")]
+        share = lines[0].index("zero_mode_share")
+        dropped = "\r\n".join(",".join(f[:share] + f[share + 1:]) for f in lines)
+        assert len(lines) == 6 and sweep == dropped  # header, 2 x 2 cells, final newline
 
 
 class TestTableCommand:
@@ -311,6 +323,37 @@ class TestKKCommand:
         assert code == EXIT_INPUT
 
 
+class TestUsage:
+    @pytest.mark.parametrize("argv, names", [
+        (["pressure", "--format", "xml"], "--format"),
+        (["pressure", "--int-tol", "abc"], "--int-tol"),
+        (["table"], "table_id"),
+        (["frobnicate"], "frobnicate"),
+        (["sweep", "--format", "json"], "--format"),
+        (["pressure", "--theta", "999"], "--theta"),
+        (["sweep", "--theta", "200", "--nu-model", "fixed"], "--theta"),
+        (["entropy", "--theta", "200"], "--theta"),
+    ])
+    def test_usage_errors_and_ignored_flags_exit_3(self, capsys, argv, names):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and names in err and out == ""
+
+    def test_theta_with_bloch_gruneisen_is_used(self, capsys):
+        argv = ("pressure", "--a", "2", "--T", "300", "--format", "csv",
+                "--nu-model", "bloch-gruneisen")
+        code, out_200, _ = run_cli(capsys, *argv, "--theta", "200")
+        assert code == EXIT_OK
+        _, out_175, _ = run_cli(capsys, *argv)
+        assert out_200 != out_175
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pressure", "--help"])
+        assert exc.value.code == 0
+        assert "--pair" in capsys.readouterr().out
+
+
 class TestConfigPrecedence:
     def test_config_supplies_defaults_flags_override(self, tmp_path, capsys):
         conf = tmp_path / "run.json"
@@ -332,6 +375,45 @@ class TestConfigPrecedence:
         conf.write_text(json.dumps({"nonsense": 1}))
         code, _, err = run_cli(capsys, "pressure", "--config", str(conf))
         assert code == EXIT_INPUT
+
+    VACUUM_ENTROPY = ["entropy", "--pair", "vacuum,vacuum", "--a", "1", "--T", "4"]
+
+    # flags: what the config must equal, each value away from its default;
+    # None: the config must exit 3 and name the key
+    @pytest.mark.parametrize("argv, conf, flags", [
+        (["pressure"], {"a": 2.0, "T": 350}, ["--a", "2.0", "--T", "350"]),
+        (["pressure"], {"format": "json", "sum_tol": 1e-4},
+         ["--format", "json", "--sum-tol", "1e-4"]),
+        (["sweep"], {"pair": "Au,Cu", "int_tol": "1e-9"}, ["--pair", "Au,Cu", "--int-tol", "1e-9"]),
+        (VACUUM_ENTROPY, {"fd_step": 0.25}, ["--fd-step", "0.25"]),
+        (["pressure"], {"a": [1.0, 2.0]}, None),
+        (["pressure"], {"pair": ["Au", "Au"]}, None),
+        (["pressure"], {"int_tol": [1]}, None),
+        (["pressure"], {"int_tol": "abc"}, None),
+        (["pressure"], {"int_tol": True}, None),
+        (["pressure"], {"sum_tol": None}, None),
+        (["pressure"], {"format": "xml"}, None),
+        (["sweep"], {"format": "csv"}, None),
+        (["pressure"], {"fd_step": 0.25}, None),
+        (["pressure"], {"theta": 200.0}, None),
+        (VACUUM_ENTROPY, {"check_step_halving": True}, None),
+        (["pressure"], {"config": "other.json"}, None),
+    ], ids=["a-T-numbers", "format-sum_tol", "sweep-pair-int_tol", "entropy-fd_step",
+            "a-list", "pair-list", "int_tol-list", "int_tol-text", "int_tol-bool",
+            "sum_tol-null", "format-xml", "sweep-format", "pressure-fd_step",
+            "theta-without-bloch-gruneisen", "switch-key", "config-key"])
+    def test_config_value_is_checked_like_its_flag(self, tmp_path, capsys, argv, conf, flags):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(conf))
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        if flags is None:
+            (key,) = conf
+            assert code == EXIT_INPUT and out == ""
+            assert repr(key) in err or "--" + key.replace("_", "-") + " " in err
+            return
+        want = run_cli(capsys, *argv, *flags)
+        assert (code, out, err) == want and code == EXIT_OK
+        assert out != run_cli(capsys, *argv)[1]
 
 
 class TestTabulatedInput:
@@ -373,6 +455,27 @@ def test_cli_runs_on_numpy_alone(tmp_path):
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+# what README documents as the library surface; perfbench/worker.py reads
+# the WORKER names
+SURFACE = {
+    "BlochGruneisenParams", "BracketError", "CODATA", "DrudeModel", "DrudeParams",
+    "Geometry", "IdealMetal", "MaterialDatabase", "PermittivityTable", "QuadratureError",
+    "QuadratureSpec", "SumConvergenceError", "TabulatedModel", "UnknownMaterialError",
+    "Vacuum", "bloch_gruneisen_nu", "casimir_pressure", "crossover_separation", "entropy",
+    "free_energy", "kramers_kronig_transform", "nernst_check", "zeta3",
+}
+WORKER = {"casimir_pressure", "Geometry", "BlochGruneisenParams", "zeta3", "IdealMetal",
+          "DrudeModel", "MaterialDatabase", "CODATA", "entropy", "DrudeParams",
+          "bloch_gruneisen_nu"}
+
+
+def test_package_surface():
+    assert len(casimir.__all__) == len(SURFACE)
+    assert set(casimir.__all__) == SURFACE
+    assert all(getattr(casimir, name) is not None for name in casimir.__all__)
+    assert WORKER <= set(casimir.__all__)
 
 
 def test_parser_exists_for_all_subcommands():

@@ -18,7 +18,6 @@ from casimir.dielectric import (
     Vacuum,
     bloch_gruneisen_nu,
     drude_epsilon,
-    epsilon_at,
     kramers_kronig_transform,
     plasma_wavelength_nm,
     read_optical_csv,
@@ -280,13 +279,6 @@ class TestPermittivityTable:
 
 
 class TestModels:
-    def test_epsilon_at_dispatch(self):
-        assert epsilon_at(DrudeModel(AU), 9.03) == drude_epsilon(AU, 9.03)
-        assert epsilon_at(Vacuum(), 1.0) == 1.0
-        assert math.isinf(epsilon_at(IdealMetal(), 1.0))
-        with pytest.raises(ValueError):
-            epsilon_at(DrudeModel(AU), 0.0)
-
     def test_vacuum_flag(self):
         assert Vacuum().is_vacuum
         assert not DrudeModel(AU).is_vacuum
@@ -299,6 +291,6 @@ class TestModels:
             zeta_eV=np.logspace(-4, 3, 100),
             eps=drude_epsilon(AU, np.logspace(-4, 3, 100)))
         for model in (DrudeModel(AU), TabulatedModel(table, AU)):
-            lo = epsilon_at(model, zeta)
-            hi = epsilon_at(model, zeta * 2.0)
+            lo = model.epsilon(zeta)
+            hi = model.epsilon(zeta * 2.0)
             assert 1.0 <= hi <= lo * (1 + 1e-12)

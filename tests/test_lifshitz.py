@@ -17,19 +17,15 @@ from casimir.dielectric import (
 )
 from casimir.golden import TABLES, cell_tolerance
 from casimir.lifshitz import (
-    ModePoint,
     PressureResult,
     QuadratureSpec,
     _BLOCK_CAP,
     _Workspace,
     _mode_kernel,
-    ReflectionPair,
     SumConvergenceError,
     casimir_pressure,
     lifshitz_variables,
     matsubara_term,
-    mode_integrand,
-    mode_point,
     reflection_te,
     reflection_tm,
     zero_mode_pressure,
@@ -119,60 +115,6 @@ class TestReflections:
         dtm = reflection_tm(eps, s1, p)
         assert 0.0 <= dte < 1.0
         assert 0.0 <= dtm < 1.0
-
-
-class TestModeIntegrand:
-    def test_vacuum_zero(self):
-        rp = ReflectionPair(0.0, 0.0, "TM")
-        assert mode_integrand(rp, ReflectionPair(0.0, 0.0, "TE"), 1.0) == 0.0
-
-    def test_ideal_metal_hand_value(self):
-        # 2 * 1^2 * e^-2/(1 - e^-2)
-        rp = ReflectionPair(1.0, 1.0)
-        got = mode_integrand(rp, rp, 1.0)
-        assert got == pytest.approx(2.0 * math.exp(-2) / (1 - math.exp(-2)), rel=1e-14)
-        assert got == pytest.approx(0.313035, rel=1e-6)
-
-    def test_exponential_decay(self):
-        rp = ReflectionPair(0.9, 0.9)
-        v10 = mode_integrand(rp, rp, 10.0)
-        v20 = mode_integrand(rp, rp, 20.0)
-        assert v20 < v10 * 1e-6
-
-    def test_rejects_saturated_product(self):
-        rp = ReflectionPair(1.2, 1.0)
-        with pytest.raises(ValueError):
-            mode_integrand(rp, rp, 0.05)
-
-    def test_rejects_nonpositive_y(self):
-        rp = ReflectionPair(0.5, 0.5)
-        with pytest.raises(ValueError):
-            mode_integrand(rp, rp, 0.0)
-
-    def test_vectorised(self):
-        rp = ReflectionPair(0.8, 0.7)
-        y = np.array([0.5, 1.0, 2.0])
-        out = mode_integrand(rp, rp, y)
-        assert out.shape == (3,)
-        assert np.all(out > 0)
-
-
-class TestModePoint:
-    def test_fields(self):
-        geom = Geometry(1.0, 300.0)
-        gamma = reduced_temperature(geom)
-        mp = mode_point(2, 3.0, geom, AU, CU)
-        assert mp.m == 2
-        assert mp.gamma == gamma
-        assert mp.p == pytest.approx(3.0 / (2 * gamma), rel=1e-15)
-        assert mp.s1 >= mp.p and mp.s3 >= mp.p
-
-    def test_below_lower_limit_rejected(self):
-        geom = Geometry(1.0, 300.0)
-        with pytest.raises(ValueError):
-            mode_point(3, 0.1, geom, AU, CU)
-        with pytest.raises(ValueError):
-            mode_point(0, 1.0, geom, AU, CU)
 
 
 class TestZeta3:
@@ -468,8 +410,9 @@ TAB = TabulatedModel(PermittivityTable(TABLE_ZETA_EV, drude_epsilon(DB.get("Al")
 
 
 def reference_kernel(y, A, eps1, eps3, free_energy):
-    """The mode integrand from the public reflection_* and mode_integrand,
-    and the free-energy expression y * [ln(1-x_TM) + ln(1-x_TE)]."""
+    """The pressure integrand y^2 * [x_TM/(1-x_TM) + x_TE/(1-x_TE)] and the
+    free-energy integrand y * [ln(1-x_TM) + ln(1-x_TE)] from the public
+    reflection_*, one expression per array, in the kernel's operation order."""
     p = y / A[:, None]
 
     def reflections(eps):
@@ -480,16 +423,17 @@ def reference_kernel(y, A, eps1, eps3, free_energy):
         return reflection_tm(eps, s, p), reflection_te(s, p)
 
     (tm1, te1), (tm3, te3) = reflections(eps1), reflections(eps3)
-    if not free_energy:
-        return mode_integrand(ReflectionPair(tm1, tm3), ReflectionPair(te1, te3), y)
     e2y = np.exp(-2.0 * y)
-    em = -np.expm1(-2.0 * y)
+    em = -np.expm1(-2.0 * y)  # 1 - e^{-2y}
     out = 0.0
     for d1, d3 in ((tm1, tm3), (te1, te3)):
         prod = d1 * d3
         x = prod * e2y
-        out = out + np.where(x > 0.5, np.log(em + e2y * (1.0 - prod)), np.log1p(-x))
-    return y * out
+        if free_energy:
+            out = out + np.where(x > 0.5, np.log(em + e2y * (1.0 - prod)), np.log1p(-x))
+        else:
+            out = out + x / (em + e2y * (1.0 - prod))
+    return y * out if free_energy else y * y * out
 
 
 def kernel_inputs(rows, nodes, pair=(AU, CU), T_K=2.0, a_um=0.3, first=1):
@@ -507,18 +451,29 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# Pressure integrand at y = 1 by hand: 2 e^-2/(1 - e^-2) = 0.313035 for unit
+# reflection, 0 for vacuum; None where no closed form is checked.
+UNIT_AT_Y1 = 2.0 * math.exp(-2) / (1 - math.exp(-2))
+
+
 class TestModeKernel:
     @pytest.mark.parametrize("free_energy", [False, True])
-    @pytest.mark.parametrize("pair", [(AU, AU), (AU, CU), (AU, IdealMetal()),
-                                      (IdealMetal(), IdealMetal())],
-                             ids=["similar", "dissimilar", "drude-ideal", "ideal-ideal"])
-    def test_bit_identical_to_public_functions(self, pair, free_energy):
+    @pytest.mark.parametrize("pair, at_y1", [((AU, AU), None), ((AU, CU), None),
+                                             ((AU, IdealMetal()), None),
+                                             ((IdealMetal(), IdealMetal()), UNIT_AT_Y1),
+                                             ((Vacuum(), Vacuum()), 0.0)],
+                             ids=["similar", "dissimilar", "drude-ideal", "ideal-ideal",
+                                  "vacuum"])
+    def test_bit_identical_to_public_functions(self, pair, at_y1, free_energy):
         y, A, eps1, eps3 = kernel_inputs(40, 105, pair)
         ref = reference_kernel(y, A, eps1, eps3, free_energy)
         got = _mode_kernel(y, _Workspace(40), free_energy, A, eps1, eps3)
         assert same_bits(got, ref)
         if np.array_equal(eps1, eps3):  # one interface serves both sides
             assert same_bits(_mode_kernel(y, _Workspace(40), free_energy, A, eps1), ref)
+        if at_y1 is not None and not free_energy:
+            one = _mode_kernel(np.ones((1, 1)), _Workspace(1), False, A[:1], eps1[:1], eps3[:1])
+            assert one[0, 0] == pytest.approx(at_y1, rel=1e-14)
 
     def test_log_select_covers_both_branches(self):
         y, A, eps1, eps3 = kernel_inputs(10, 105, (AU, AU), T_K=1.0, a_um=0.1)
