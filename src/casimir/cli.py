@@ -6,7 +6,8 @@ reference grids), ``entropy`` (entropy rows plus the zero-temperature
 check), and ``kk`` (Kramers-Kronig ingestion of absorption data).
 
 Exit codes: 0 success, 1 computational failure, 2 tolerance failure,
-3 input or usage error.
+3 input or usage error.  Input is checked where it enters, so any other
+error raised by the numerics counts as a computational failure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from functools import lru_cache
 
@@ -36,7 +38,7 @@ from .dielectric import (
 )
 from .lifshitz import QuadratureSpec, SumConvergenceError, casimir_pressure
 from .quadrature import QuadratureError
-from .quantities import Geometry
+from .quantities import CODATA, Geometry
 from .thermo import BracketError, entropy, nernst_check
 
 EXIT_OK = 0
@@ -63,8 +65,8 @@ def _float_list(text: str) -> list[float]:
         raise InputError(f"expected a comma-separated list of numbers, got {text!r}") from None
     if not values:
         raise InputError(f"expected at least one number in {text!r}")
-    if any(v <= 0 for v in values):
-        raise InputError(f"values must be positive, got {text!r}")
+    if not all(0 < v < math.inf for v in values):
+        raise InputError(f"values must be positive and finite, got {text!r}")
     return values
 
 
@@ -103,10 +105,13 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 def _build_spec(args: argparse.Namespace, sum_tol: float) -> QuadratureSpec:
     """The tolerances given, else 1e-12 and the command's default ``sum_tol``."""
-    return QuadratureSpec(
-        integral_rel_tol=float(args.int_tol if args.int_tol is not None else 1e-12),
-        sum_rel_tol=float(args.sum_tol if args.sum_tol is not None else sum_tol),
-    )
+    try:
+        return QuadratureSpec(
+            integral_rel_tol=float(args.int_tol if args.int_tol is not None else 1e-12),
+            sum_rel_tol=float(args.sum_tol if args.sum_tol is not None else sum_tol),
+        )
+    except ValueError as exc:
+        raise InputError(f"--int-tol/--sum-tol: {exc}") from None
 
 
 def _database(args: argparse.Namespace) -> MaterialDatabase:
@@ -118,28 +123,32 @@ def _database(args: argparse.Namespace) -> MaterialDatabase:
     return MaterialDatabase.builtin()
 
 
-def _side_model(label: str, db: MaterialDatabase, nu_model: str, theta_K: float,
+def _has_drude(label: str, eps_path) -> bool:
+    """Whether a side has Drude parameters: a material, or a table's continuation."""
+    return bool(eps_path) or label.strip().lower() not in ("vacuum", "ideal")
+
+
+def _side_model(label: str, db: MaterialDatabase, bg: BlochGruneisenParams | None,
                 eps_path=None):
-    """T -> model of one half-space; a permittivity table is read here, once."""
-    low = label.strip().lower()
+    """T -> model of one half-space; a permittivity table is read here, once.
+    With ``bg`` the Drude parameters, also those of a table's continuation
+    below its window, take the relaxation frequency nu(T)."""
+    if not _has_drude(label, eps_path):
+        fixed = Vacuum() if label.strip().lower() == "vacuum" else IdealMetal()
+        return lambda T_K: fixed
+    params = db.get(label)
+    table = None
     if eps_path:
         try:
             table = PermittivityTable.from_csv(eps_path)
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot load permittivity table {eps_path}: {exc}") from exc
-        model = TabulatedModel(table, low_freq=db.get(label))
-    elif low == "vacuum":
-        model = Vacuum()
-    elif low == "ideal":
-        model = IdealMetal()
-    else:
-        params = db.get(label)
-        if nu_model == "bloch-gruneisen":
-            bg = BlochGruneisenParams(theta_K=theta_K)
-            return lambda T_K: DrudeModel(DrudeParams(
-                params.omega_p_eV, bloch_gruneisen_nu(bg, T_K), params.label))
-        model = DrudeModel(params)
-    return lambda T_K: model
+
+    def model(T_K):
+        drude = params if bg is None else DrudeParams(
+            params.omega_p_eV, bloch_gruneisen_nu(bg, T_K), params.label)
+        return DrudeModel(drude) if table is None else TabulatedModel(table, low_freq=drude)
+    return model
 
 
 def _pair_models(args: argparse.Namespace, db: MaterialDatabase):
@@ -148,12 +157,19 @@ def _pair_models(args: argparse.Namespace, db: MaterialDatabase):
     labels = [tok.strip() for tok in pair.split(",")]
     if len(labels) != 2 or not all(labels):
         raise InputError(f"--pair needs two comma-separated labels, got {pair!r}")
-    nu_model = args.nu_model if args.nu_model is not None else "fixed"
-    if args.theta is not None and nu_model != "bloch-gruneisen":
+    bg = None
+    if args.nu_model == "bloch-gruneisen":
+        if not any(map(_has_drude, labels, (args.eps1, args.eps3))):
+            raise InputError("--nu-model bloch-gruneisen needs a side with Drude "
+                             f"parameters, got --pair {pair}")
+        try:
+            bg = BlochGruneisenParams(theta_K=args.theta if args.theta is not None else 175.0)
+        except ValueError as exc:
+            raise InputError(f"--theta: {exc}") from None
+    elif args.theta is not None:
         raise InputError("--theta needs --nu-model bloch-gruneisen")
-    theta = float(args.theta) if args.theta is not None else 175.0
-    side1 = _side_model(labels[0], db, nu_model, theta, args.eps1)
-    side3 = _side_model(labels[1], db, nu_model, theta, args.eps3)
+    side1 = _side_model(labels[0], db, bg, args.eps1)
+    side3 = _side_model(labels[1], db, bg, args.eps3)
     return lru_cache(maxsize=None)(lambda T_K: (side1(T_K), side3(T_K)))
 
 
@@ -240,7 +256,7 @@ def cmd_table(args: argparse.Namespace, stream) -> int:
     spec = _build_spec(args, sum_tol=1e-8)
     short_tol = float(args.tol_short if args.tol_short is not None else 0.05)
     long_tol = float(args.tol_long if args.tol_long is not None else 0.02)
-    sides = [_side_model(label, db, "fixed", 175.0) for label in fixture.pair]
+    sides = [_side_model(label, db, None) for label in fixture.pair]
     cells = list(_pressures(golden.SEPARATIONS_UM, golden.TEMPERATURES_K,
                             lambda T: [side(T) for side in sides], spec))
     rows = []
@@ -283,6 +299,8 @@ def cmd_entropy(args: argparse.Namespace, stream) -> int:
     a_list = _float_list(args.a if args.a is not None else "1.0")
     t_list = _float_list(args.T if args.T is not None else "1,2,4,8")
     step = float(args.fd_step if args.fd_step is not None else 0.5)
+    if not 0 < step < min(t_list):
+        raise InputError(f"--fd-step must be positive and below every T, got {step}")
     models_at = _pair_models(args, db)
     # with the temperature-dependent relaxation model, let the derivative
     # see nu(T) as well; the default keeps nu frozen across the difference
@@ -328,23 +346,22 @@ def cmd_kk(args: argparse.Namespace, stream) -> int:
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
     if args.grid:
-        parts = args.grid.split(",")
-        if len(parts) != 3:
-            raise InputError(f"--grid needs lo,hi,per_decade, got {args.grid!r}")
-        lo, hi, per_decade = float(parts[0]), float(parts[1]), float(parts[2])
-        if lo <= 0 or hi <= lo or per_decade <= 0:
+        try:
+            lo, hi, per_decade = (float(v) for v in args.grid.split(","))
+        except ValueError:
+            raise InputError(f"--grid needs lo,hi,per_decade, got {args.grid!r}") from None
+        if not (0 < lo < hi < math.inf and 0 < per_decade < math.inf):
             raise InputError(f"--grid values out of range: {args.grid!r}")
     else:
         lo, hi, per_decade = float(omega[0]), float(omega[-1]), 60.0
     n = max(2, int(round(np.log10(hi / lo) * per_decade)) + 1)
     zeta_grid = np.logspace(np.log10(lo), np.log10(hi), n)
-    eps = kramers_kronig_transform(omega, eps2, zeta_grid)
+    try:  # the transform checks the samples before it computes anything
+        eps = kramers_kronig_transform(omega, eps2, zeta_grid)
+    except ValueError as exc:
+        raise InputError(f"{args.input}: {exc}") from None
     try:
-        with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["zeta_rad_s", "eps_izeta"])
-            for z, e in zip(zeta_grid, eps):
-                writer.writerow([f"{z:.12g}", f"{e:.12g}"])
+        PermittivityTable(zeta_grid / CODATA.eV_to_rad_per_s, eps).to_csv(args.output)
     except OSError as exc:
         raise InputError(f"cannot write {args.output}: {exc}") from exc
     stream.write(f"wrote {n} rows to {args.output}\n")
@@ -425,10 +442,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _apply_config(args)
         return args.func(args, sys.stdout)
-    except (InputError, UnknownMaterialError, ValueError) as exc:
+    except (InputError, UnknownMaterialError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (BracketError, QuadratureError, SumConvergenceError) as exc:
+    except (BracketError, QuadratureError, SumConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dielectric import DielectricModel
-from .quadrature import QuadratureError, _distinct, integrate_adaptive
+from .quadrature import QuadratureError, integrate_adaptive
 from .quantities import (
     Geometry,
     matsubara_frequency,
@@ -53,8 +53,8 @@ class QuadratureSpec:
     min_terms: int = 5
 
     def __post_init__(self) -> None:
-        if not self.integral_rel_tol > 0 or not self.sum_rel_tol > 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.integral_rel_tol < math.inf and 0 < self.sum_rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_terms < 1 or self.min_terms < 1:
             raise ValueError("term counts must be >= 1")
 
@@ -163,8 +163,10 @@ class _Workspace:
 
 
 def _reflections(eps, p, pp, s, x, tm, te):
-    """(TM, TE) reflections of one interface into tm and te, computed as in
-    reflection_tm/reflection_te; pp = p*p, s, x scratch; eps = inf gives 1."""
+    """(TM, TE) reflections of one interface into tm and te; pp = p*p, s, x
+    scratch; eps = inf gives 1.  TM is computed as in reflection_tm, TE as
+    (eps-1)/(s+p)^2, equal to reflection_te's (s-p)/(s+p) without its
+    cancellation as eps -> 1."""
     if np.all(np.isinf(eps)):
         return 1.0, 1.0
     em1 = eps - 1.0
@@ -173,7 +175,7 @@ def _reflections(eps, p, pp, s, x, tm, te):
     np.subtract(p, np.divide(1.0, te, out=tm), out=tm)
     np.multiply(em1, tm, out=tm)
     np.divide(tm, np.add(np.multiply(eps, p, out=x), s, out=x), out=tm)
-    np.divide(np.subtract(s, p, out=s), te, out=te)
+    np.divide(em1, np.multiply(te, te, out=te), out=te)
     return tm, te
 
 
@@ -245,30 +247,28 @@ def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
     eps3 = np.asarray(model3.epsilon(zeta), dtype=float)
     same = (eps1 == eps3).all()  # then one interface serves both sides
     y_max = spec.y_max(lower)
+    # the first breaks below y_max, then y_max and NaN padding; every mode
+    # has all of them unless the tolerances are loose
     starts = lower[:, None] + _BREAK_OFFSETS
-    n_starts = (starts < y_max[:, None]).sum(axis=1)
-    values = np.empty(ms.size)
-    errors = np.empty(ms.size)
-    failed = np.zeros(ms.size, dtype=bool)
-    for k in _distinct(n_starts):  # one group unless the tolerances are loose
-        rows = np.flatnonzero(n_starts == k)
-        args = (lower[rows], eps1[rows]) + (() if same else (eps3[rows],))
+    k = (starts < y_max[:, None]).sum(axis=1)
+    breaks = np.append(starts, y_max[:, None], axis=1)[:, :k.max() + 1]
+    breaks[np.arange(breaks.shape[1]) > k[:, None]] = np.nan
+    breaks[np.arange(ms.size), k] = y_max
+    args = (lower, eps1) + (() if same else (eps3,))
 
-        def f(y, args=args):
-            live = ~np.isnan(y[:, 0])
-            if live.all():
-                return _mode_kernel(y, work, free_energy, *args)
-            out = np.full(y.shape, np.nan)
-            out[live] = _mode_kernel(y[live], work, free_energy, *(a[live] for a in args))
-            return out
+    def f(y):
+        live = ~np.isnan(y[:, 0])
+        if live.all():
+            return _mode_kernel(y, work, free_energy, *args)
+        out = np.full(y.shape, np.nan)
+        out[live] = _mode_kernel(y[live], work, free_energy, *(a[live] for a in args))
+        return out
 
-        breaks = np.concatenate([starts[rows, :k], y_max[rows, None]], axis=1)
-        try:
-            values[rows], errors[rows] = integrate(
-                f, breaks, rel_tol=spec.integral_rel_tol, abs_tol=floor)
-        except QuadratureError as exc:
-            values[rows], errors[rows], failed[rows] = exc.estimate, exc.error, exc.failed
-    return values, errors, failed
+    try:
+        values, errors = integrate(f, breaks, rel_tol=spec.integral_rel_tol, abs_tol=floor)
+    except QuadratureError as exc:
+        return exc.estimate, exc.error, exc.failed
+    return values, errors, np.zeros(ms.size, dtype=bool)
 
 
 def _mode_error(m: int, geom: Geometry, estimate: float, error: float) -> QuadratureError:

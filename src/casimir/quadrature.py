@@ -4,16 +4,14 @@ The integrands in this package are smooth and exponentially decaying, so a
 15-point Kronrod rule with panel bisection certifies very tight tolerances
 in a handful of refinement rounds.
 
-One call integrates a batch of integrals, one row of breaks each (a 1-D
-``breaks`` is the one-row case).  The integrand sees every row at once: it
-receives an array of nodes with one row per integral and must evaluate
-elementwise, which keeps the cost of a refinement round at a few numpy
-calls for the whole batch instead of a few per integral.  Each row keeps
-its own panels, error budget and certificate, and makes the bisection
-decisions it would make alone: its panels are bisected in the same order,
-its Kronrod sums are taken with the same matrix shape, and its total is
-summed the way ``np.sum`` sums that row, so a batched integral equals the
-single one bit for bit.
+One call integrates a batch of integrals, one row of breaks each, and the
+integrand evaluates every row at once, so a refinement round costs a few
+numpy calls for the whole batch.  Rows may be ragged.  Each row keeps its
+own panels, error budget and certificate, and its result is independent
+of the batch by construction: a panel's sums reduce its own 15 values, a
+row's panels stay in the order of its own bisections, and its totals add
+them from the left, where the zero padding of shorter rows changes
+nothing.  A batched integral equals the single one bit for bit.
 """
 
 from __future__ import annotations
@@ -64,32 +62,18 @@ class QuadratureError(RuntimeError):
         self.failed = failed
 
 
-def _distinct(count):
-    """Sorted distinct values of a nonnegative integer array.
-
-    Same as ``np.unique``, which on its first call loads ``numpy.ma``.
-    """
-    return np.flatnonzero(np.bincount(count))
+def _row_sums(a):
+    """Sum of each row, added column by column from the left."""
+    return np.add.accumulate(a, axis=1)[:, -1]
 
 
-def _row_sums(a, count):
-    """Sum of the first count[i] entries of each row, as ``np.sum`` of that row."""
-    out = np.empty(count.size)
-    for n in _distinct(count):
-        sel = count == n
-        out[sel] = a[sel, :n].sum(axis=1)
-    return out
-
-
-def _panel_rule(f, n_rows, rows, lo, hi, count):
+def _panel_rule(f, n_rows, rows, lo, hi):
     """Kronrod values and |K-G| error estimates of a batch of panels.
 
-    Row i holds count[i] panels of integral rows[i], NaN-padded to a common
-    width.  The integrand gets one row per integral of the batch, NaN for
-    the integrals with no panel in this round.  The rule is applied to the
-    rows of each panel count as one (count, 15) matrix per row, the shape a
-    single integral would use, so each row's sums do not depend on the
-    batch around it.
+    Row i holds the panels of integral rows[i], NaN-padded; an empty slot
+    gives 0.  The integrand gets one row per integral of the batch, NaN for
+    those with no panel here.  einsum, unlike BLAS, reduces each panel's 15
+    values the same way whatever the shape around them.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
@@ -99,14 +83,10 @@ def _panel_rule(f, n_rows, rows, lo, hi, count):
         x_all[rows] = x
         x = x_all
     fx = np.asarray(f(x), dtype=float)[rows].reshape(lo.shape + (15,))
-    k = np.zeros(lo.shape)
-    g = np.zeros(lo.shape)
-    for n in _distinct(count):
-        sel = count == n
-        part = fx[sel, :n]
-        k[sel, :n] = h[sel, :n] * (part @ _WEIGHTS_K)
-        g[sel, :n] = h[sel, :n] * (part @ _WEIGHTS_G)
-    return k, np.abs(k - g)
+    k = h * np.einsum("...n,n->...", fx, _WEIGHTS_K)
+    g = h * np.einsum("...n,n->...", fx, _WEIGHTS_G)
+    empty = np.isnan(h)
+    return np.where(empty, 0.0, k), np.where(empty, 0.0, np.abs(k - g))
 
 
 def integrate_adaptive(
@@ -119,22 +99,24 @@ def integrate_adaptive(
     """Integrate ``f`` over [breaks[0], breaks[-1]]; returns (value, error).
 
     ``breaks`` seeds the initial panel layout; a 2-D array integrates one
-    row per integral and returns arrays.  ``f`` maps an array of nodes with
-    one row per integral to values of the same shape; rows with nothing to
-    evaluate in a round are NaN, and their values are ignored.  ``f`` may
-    return a view of storage that its next call overwrites: each value is
-    copied out before ``f`` is called again.  Panels
-    carrying more than their share of an integral's error budget are
-    bisected until its summed Kronrod-Gauss estimate certifies ``rel_tol``
-    (or ``abs_tol``, a scalar or one value per row, if larger).  Integrals
-    not certified within ``max_panels`` raise QuadratureError once the
-    whole batch is done.
+    row per integral, each ending at its last number before any NaN
+    padding, and returns arrays that do not depend on the batch's shape.
+    ``f`` maps an array of nodes with one row per integral to values of the
+    same shape; nodes with nothing to evaluate are NaN and their values are
+    ignored.  ``f`` may return a view of storage that its next call
+    overwrites.  Panels carrying more than their share of an integral's
+    error budget are bisected until its summed Kronrod-Gauss estimate
+    certifies ``rel_tol`` (or ``abs_tol``, a scalar or one value per row, if
+    larger).  Integrals not certified within ``max_panels`` raise
+    QuadratureError once the whole batch is done.
     """
     pts = np.asarray(breaks, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    if pts.ndim != 2 or pts.shape[1] < 2 or np.any(np.diff(pts, axis=1) <= 0):
-        raise ValueError("breaks must be strictly increasing sequences")
+    pad = np.isnan(pts)
+    if (pts.ndim != 2 or pts.shape[1] < 2 or pad[:, :2].any()
+            or (pad[:, :-1] & ~pad[:, 1:]).any() or np.any(np.diff(pts, axis=1) <= 0)):
+        raise ValueError("breaks must be strictly increasing sequences, NaN-padded at the end")
     n = pts.shape[0]
     floor = np.broadcast_to(np.asarray(abs_tol, dtype=float), (n,))
     value = np.empty(n)
@@ -145,11 +127,11 @@ def integrate_adaptive(
 
     rows = np.arange(n)
     lo, hi = pts[:, :-1], pts[:, 1:]
-    count = np.full(n, lo.shape[1])
-    val, err = _panel_rule(f, n, rows, lo, hi, count)
+    count = (~pad[:, 1:]).sum(axis=1)
+    val, err = _panel_rule(f, n, rows, lo, hi)
     for rounds in range(_MAX_ROUNDS + 1):
-        total = _row_sums(val, count)
-        total_err = _row_sums(err, count)
+        total = _row_sums(val)
+        total_err = _row_sums(err)
         target = np.maximum(rel_tol * np.abs(total), floor[rows])
         done = total_err <= target
         # a NaN error never certifies, however the panels are cut
@@ -167,37 +149,33 @@ def integrate_adaptive(
         rows, lo, hi, val, err, count, target = (
             a[live] for a in (rows, lo, hi, val, err, count, target))
 
-        valid = np.arange(lo.shape[1]) < count[:, None]
-        bad = valid & (err > (target / (2.0 * count))[:, None])
+        # an empty slot has error 0 and a live row a positive total error,
+        # so neither test below can pick an empty slot
+        bad = err > (target / (2.0 * count))[:, None]
         none = ~bad.any(axis=1)
         if none.any():
-            e = np.where(valid[none], err[none], -np.inf)
-            bad[none] = e == e.max(axis=1, keepdims=True)
+            bad[none] = err[none] == err[none].max(axis=1, keepdims=True)
         n_bad = bad.sum(axis=1)
-        kept = valid & ~bad
-        # bisected panels go to the end of their row: left halves, then right
-        rk, ck = np.nonzero(kept)
+        # the left half of a bisected panel takes its slot, the right half
+        # goes to the end of the row
         rb, cb = np.nonzero(bad)
         j = (np.cumsum(bad, axis=1) - 1)[rb, cb]
+        right = j + n_bad[rb]
         mid = 0.5 * (lo[rb, cb] + hi[rb, cb])
         new_lo = np.full((rows.size, 2 * n_bad.max()), np.nan)
         new_hi = new_lo.copy()
         new_lo[rb, j], new_hi[rb, j] = lo[rb, cb], mid
-        new_lo[rb, j + n_bad[rb]], new_hi[rb, j + n_bad[rb]] = mid, hi[rb, cb]
-        new_val, new_err = _panel_rule(f, n, rows, new_lo, new_hi, 2 * n_bad)
+        new_lo[rb, right], new_hi[rb, right] = mid, hi[rb, cb]
+        new_val, new_err = _panel_rule(f, n, rows, new_lo, new_hi)
 
-        pos_kept = (np.cumsum(kept, axis=1) - 1)[rk, ck]
-        left = count[rb] - n_bad[rb] + j
-        right = count[rb] + j
-        width = (count + n_bad).max()
-        merged = []
+        grow = (count + n_bad).max() - lo.shape[1]
+        if grow > 0:  # room for the right halves
+            nan, zero = np.full((rows.size, grow), np.nan), np.zeros((rows.size, grow))
+            lo, hi, val, err = (np.concatenate(pair, axis=1) for pair in (
+                (lo, nan), (hi, nan), (val, zero), (err, zero)))
         for old, new in ((lo, new_lo), (hi, new_hi), (val, new_val), (err, new_err)):
-            row = np.zeros((rows.size, width))
-            row[rk, pos_kept] = old[rk, ck]
-            row[rb, left] = new[rb, j]
-            row[rb, right] = new[rb, j + n_bad[rb]]
-            merged.append(row)
-        lo, hi, val, err = merged
+            old[rb, cb] = new[rb, j]
+            old[rb, count[rb] + j] = new[rb, right]
         count = count + n_bad
 
     if failed.any():

@@ -20,13 +20,19 @@ from casimir.cli import (
     main,
 )
 from casimir.dielectric import (
+    BlochGruneisenParams,
     DrudeParams,
+    MaterialDatabase,
+    PermittivityTable,
+    TabulatedModel,
+    bloch_gruneisen_nu,
     drude_epsilon,
     kramers_kronig_transform,
     read_optical_csv,
 )
+from casimir.lifshitz import casimir_pressure
 from casimir.quadrature import integrate_adaptive
-from casimir.quantities import CODATA
+from casimir.quantities import CODATA, Geometry
 
 
 def run_cli(capsys, *argv):
@@ -347,6 +353,29 @@ class TestUsage:
         _, out_175, _ = run_cli(capsys, *argv)
         assert out_200 != out_175
 
+    @pytest.mark.parametrize("argv, names", [
+        (["pressure", "--int-tol", "-1"], "--int-tol"),
+        (["pressure", "--int-tol", "inf"], "--int-tol"),
+        (["sweep", "--sum-tol", "0"], "--sum-tol"),
+        (["pressure", "--a", "nan"], "nan"),
+        (["pressure", "--nu-model", "bloch-gruneisen", "--theta", "-5"], "--theta"),
+        (["entropy", "--pair", "vacuum,Au", "--T", "2", "--fd-step", "5"], "--fd-step"),
+        (["pressure", "--pair", "ideal,ideal", "--nu-model", "bloch-gruneisen"], "Drude"),
+        (["entropy", "--pair", "vacuum,ideal", "--nu-model", "bloch-gruneisen"], "Drude"),
+    ])
+    def test_bad_values_exit_3(self, capsys, argv, names):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and names in err and out == ""
+
+    def test_value_error_in_the_numerics_exits_1(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("forced inside the sum")
+        monkeypatch.setattr(casimir.lifshitz, "integrate_adaptive", broken)
+        code, out, err = run_cli(capsys, "pressure", "--a", "1", "--T", "300")
+        assert code == EXIT_COMPUTE
+        assert err == "error: forced inside the sum\n"
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["pressure", "--help"])
@@ -433,6 +462,25 @@ class TestTabulatedInput:
         p_tab = float(parse_csv(out)[0]["pressure_mPa"])
         p_drude = float(parse_csv(out_ref)[0]["pressure_mPa"])
         assert p_tab == pytest.approx(p_drude, rel=1e-3)
+
+    def test_bloch_gruneisen_moves_the_drude_continuation(self, tmp_path, capsys):
+        # the table starts at 1 eV, above the first Matsubara frequencies at
+        # 300 K (0.16 eV apart), so those modes use its Drude continuation
+        au = MaterialDatabase.builtin().get("Au")
+        path = tmp_path / "eps.csv"
+        PermittivityTable(np.logspace(0, 3, 120),
+                          drude_epsilon(au, np.logspace(0, 3, 120))).to_csv(path)
+        argv = ("pressure", "--pair", "Au,Au", "--eps1", str(path), "--eps3", str(path),
+                "--a", "2", "--T", "300", "--format", "csv")
+        code, out_bg, _ = run_cli(capsys, *argv, "--nu-model", "bloch-gruneisen")
+        assert code == EXIT_OK
+        _, out_fixed, _ = run_cli(capsys, *argv, "--nu-model", "fixed")
+        assert out_bg != out_fixed
+        nu = bloch_gruneisen_nu(BlochGruneisenParams(), 300.0)
+        model = TabulatedModel(PermittivityTable.from_csv(path),
+                               low_freq=DrudeParams(au.omega_p_eV, nu, "Au"))
+        want = casimir_pressure(Geometry(2.0, 300.0), model, model).pressure_mPa
+        assert float(parse_csv(out_bg)[0]["pressure_mPa"]) == pytest.approx(want, rel=1e-11)
 
 
 def test_cli_runs_on_numpy_alone(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import zeta as scipy_zeta
 
@@ -22,6 +22,7 @@ from casimir.lifshitz import (
     _BLOCK_CAP,
     _Workspace,
     _mode_kernel,
+    _reflections,
     SumConvergenceError,
     casimir_pressure,
     lifshitz_variables,
@@ -412,7 +413,8 @@ TAB = TabulatedModel(PermittivityTable(TABLE_ZETA_EV, drude_epsilon(DB.get("Al")
 def reference_kernel(y, A, eps1, eps3, free_energy):
     """The pressure integrand y^2 * [x_TM/(1-x_TM) + x_TE/(1-x_TE)] and the
     free-energy integrand y * [ln(1-x_TM) + ln(1-x_TE)] from the public
-    reflection_*, one expression per array, in the kernel's operation order."""
+    reflection_tm and TE as (eps-1)/(s+p)^2, one expression per array, in
+    the kernel's operation order."""
     p = y / A[:, None]
 
     def reflections(eps):
@@ -420,7 +422,7 @@ def reference_kernel(y, A, eps1, eps3, free_energy):
         if np.all(np.isinf(eps)):
             return 1.0, 1.0
         s = np.sqrt(eps - 1.0 + p * p)
-        return reflection_tm(eps, s, p), reflection_te(s, p)
+        return reflection_tm(eps, s, p), (eps - 1.0) / ((s + p) * (s + p))
 
     (tm1, te1), (tm3, te3) = reflections(eps1), reflections(eps3)
     e2y = np.exp(-2.0 * y)
@@ -517,6 +519,21 @@ class TestModeKernel:
         with pytest.raises(ValueError, match="below 1"):
             _mode_kernel(y, _Workspace(1), False, A, np.array([-3.0]))
 
+    def test_te_equals_public_reflection_te(self):
+        # TE lies in [0, 1); the public (s-p)/(s+p) keeps only absolute
+        # precision as eps -> 1, which is why the kernel does not use it
+        em1 = np.geomspace(1e-3, 1e6, 40)[:, None]
+        p = np.broadcast_to(np.geomspace(1.0, 1e3, 50), (40, 50)).copy()
+        s, x, tm, te = (np.empty_like(p) for _ in range(4))
+        _, te = _reflections(1.0 + em1, p, p * p, s, x, tm, te)
+        public = reflection_te(np.sqrt((1.0 + em1) - 1.0 + p * p), p)
+        assert np.abs(te - public).max() <= 1e-14
+        # near vacuum the kernel keeps its relative precision:
+        # TE = (eps-1)/(4 p^2) to first order in eps-1
+        eps = np.array([[1.0 + 1e-12]])
+        _, te = _reflections(eps, p[:1], p[:1] ** 2, s[:1], x[:1], tm[:1], te[:1])
+        assert te == pytest.approx((eps - 1.0) / (4.0 * p[:1] ** 2), rel=1e-11, abs=0.0)
+
     def test_tabulated_pair_symmetry_is_exact(self):
         geom = Geometry(0.4, 3.0)
         res_13 = casimir_pressure(geom, TAB, AU)
@@ -525,6 +542,18 @@ class TestModeKernel:
         assert res_13.pressure_mPa == res_31.pressure_mPa
         assert np.array_equal(res_13.terms_mPa, res_31.terms_mPa)
 
+
+# Tables on which (s-p)/(s+p) cancelled: eps - 1 about 1e-12 throughout, and
+# eps falling to 1 inside the window.  The TE integrand was rounding noise
+# there, and mode integrals against Au never certified.
+NEAR_ZETA_EV = np.logspace(-4, 2, 7)
+NEAR_VACUUM = TabulatedModel(PermittivityTable(NEAR_ZETA_EV, np.full(7, 1.0 + 1e-12)),
+                             low_freq=DB.get("Au"))
+FALLS_TO_ONE = TabulatedModel(
+    PermittivityTable(NEAR_ZETA_EV, np.array([2.0, 1.8, 1.5, 1.2, 1.0, 1.0, 1.0])),
+    low_freq=DB.get("Au"))
+
+NEAR_TABLES = {"near-vacuum": NEAR_VACUUM, "falls-to-one": FALLS_TO_ONE}
 
 ROBUST_MODELS = {"Au": AU, "Cu": CU, "Al": DrudeModel(DB.get("Al")), "ideal": IdealMetal(),
                  "vacuum": Vacuum(), "tabulated": TAB}
@@ -547,3 +576,20 @@ class TestRobustness:
         assert math.isfinite(res.pressure_mPa) and math.isfinite(res.zero_mode_mPa)
         assert np.isfinite(res.terms_mPa).all()
         assert res.n_terms_used <= 2000
+
+    @settings(max_examples=40, deadline=None)
+    @given(a_um=st.floats(math.log(0.05), math.log(1000.0)).map(math.exp),
+           T_K=st.floats(0.0, math.log(1000.0)).map(math.exp),
+           table=st.sampled_from(sorted(NEAR_TABLES)),
+           other=st.sampled_from(["Au", "Cu", "same"]))
+    @example(a_um=1.0969, T_K=18.62, table="near-vacuum", other="Au")
+    @example(a_um=11.5555, T_K=1.21, table="near-vacuum", other="Au")
+    @example(a_um=0.161, T_K=12.045, table="falls-to-one", other="Au")
+    @example(a_um=0.8691, T_K=1.964, table="falls-to-one", other="Au")
+    def test_near_vacuum_tables_converge(self, a_um, T_K, table, other):
+        model = NEAR_TABLES[table]
+        res = casimir_pressure(Geometry(a_um, T_K), model,
+                               model if other == "same" else ROBUST_MODELS[other],
+                               QuadratureSpec(max_terms=2000))
+        assert res.converged
+        assert np.isfinite(res.terms_mPa).all()

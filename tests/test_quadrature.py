@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from casimir.quadrature import (
@@ -129,3 +130,84 @@ def test_integrand_may_reuse_its_output_buffer():
     want = integrate_adaptive(fresh, breaks, rel_tol=1e-12)
     assert len(calls) > 2
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def ragged(rows):
+    """2-D breaks from rows of different lengths, NaN-padded at the end."""
+    out = np.full((len(rows), max(len(r) for r in rows)), np.nan)
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+    return out
+
+
+def test_ragged_rows_equal_single_integrals():
+    centres = [0.3, 3.0, 7.77, 9.9]
+    rows = [[0.0, 10.0], [0.0, 2.0, 5.0, 10.0], [0.0, 5.0, 7.0, 8.0, 9.0, 10.0], [0.0, 9.5]]
+    val, err = integrate_adaptive(peaks(centres), ragged(rows), rel_tol=1e-12)
+    for i, c in enumerate(centres):
+        assert (val[i], err[i]) == integrate_adaptive(peaks([c]), rows[i], rel_tol=1e-12)
+    assert val[3] == pytest.approx(
+        quad(lambda x: 1.0 / (1.0 + (x - 9.9) ** 2 * 400.0), 0.0, 9.5, epsabs=0.0,
+             epsrel=1e-13, limit=500)[0], rel=1e-11)
+
+
+@pytest.mark.parametrize("row", [[np.nan, 1.0, 2.0], [0.0, np.nan, 2.0], [0.0, np.nan, 2.0, np.nan],
+                                 [0.0, 1.0, np.nan, 3.0]],
+                         ids=["nan-first", "nan-second", "nan-second-padded", "number-after-nan"])
+def test_malformed_padding_is_rejected(row):
+    breaks = np.array([[0.0, 1.0, 2.0, 3.0][:len(row)], row])
+    with pytest.raises(ValueError, match="NaN"):
+        integrate_adaptive(lambda x: x, breaks)
+
+
+def test_row_growing_past_the_initial_width_equals_single_integral():
+    # the sharp peak needs far more panels than the 3 slots every row starts with
+    nodes = []
+
+    def sharp(x):
+        nodes.append(np.count_nonzero(~np.isnan(x)))
+        return 1.0 / (1.0 + (x - 0.5) ** 2 * 1e8)
+
+    single = integrate_adaptive(sharp, [0.0, 1.0], rel_tol=1e-12)
+    assert sum(nodes) // 15 > 20
+
+    def batch(x):
+        out = peaks([3.0, 0.5, 7.0])(x)
+        out[1] = sharp(x[1])
+        return out
+
+    breaks = ragged([[0.0, 2.0, 5.0, 10.0], [0.0, 1.0], [0.0, 2.0, 5.0, 10.0]])
+    val, err = integrate_adaptive(batch, breaks, rel_tol=1e-12)
+    assert (val[1], err[1]) == single
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-2.0, 12.0), st.floats(1.0, 1e8),
+                          st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
+                          st.sampled_from([0.0, 1e-14, 1e-9])),
+                min_size=1, max_size=8),
+       st.randoms(use_true_random=False))
+def test_row_result_is_independent_of_the_batch(specs, rnd):
+    """Permuting a batch or taking a subset leaves every row's (value, error)
+    bit-identical: rows are ragged, peaks of any sharpness, floors differ."""
+    centre = np.array([s[0] for s in specs])
+    sharp = np.array([s[1] for s in specs])
+    floor = np.array([s[3] for s in specs])
+    breaks = ragged([np.cumsum([0.0] + s[2]) * 10.0 / sum(s[2]) for s in specs])
+
+    def run(idx):
+        c, k = centre[idx, None], sharp[idx, None]
+        try:
+            return integrate_adaptive(lambda x: 1.0 / (1.0 + k * (x - c) ** 2),
+                                      breaks[idx], rel_tol=1e-12, abs_tol=floor[idx],
+                                      max_panels=64)
+        except QuadratureError as exc:
+            return exc.estimate, exc.error
+
+    full = run(np.arange(len(specs)))
+    perm = np.array(rnd.sample(range(len(specs)), len(specs)))
+    subset = perm[:rnd.randint(1, len(specs))]
+    for idx in (perm, subset):
+        val, err = run(idx)
+        assert full[0][idx].tobytes() == val.tobytes()
+        assert full[1][idx].tobytes() == err.tobytes()
