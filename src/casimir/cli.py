@@ -145,8 +145,13 @@ def _side_model(label: str, db: MaterialDatabase, bg: BlochGruneisenParams | Non
             raise InputError(f"cannot load permittivity table {eps_path}: {exc}") from exc
 
     def model(T_K):
-        drude = params if bg is None else DrudeParams(
-            params.omega_p_eV, bloch_gruneisen_nu(bg, T_K), params.label)
+        drude = params
+        if bg is not None:
+            try:
+                nu = bloch_gruneisen_nu(bg, T_K)
+            except ValueError as exc:  # nu(T) underflows to 0
+                raise InputError(f"--T: {exc}") from None
+            drude = DrudeParams(params.omega_p_eV, nu, params.label)
         return DrudeModel(drude) if table is None else TabulatedModel(table, low_freq=drude)
     return model
 

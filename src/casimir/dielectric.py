@@ -166,7 +166,8 @@ def bloch_gruneisen_nu(params: BlochGruneisenParams, T_K: float) -> float:
     nu(T) = prefactor * (T/theta)^5 * int_0^{theta/T} x^5 e^x/(e^x-1)^2 dx,
     evaluated by adaptive Gauss-Kronrod quadrature of the sinh form to 1e-12
     relative.  nu -> 0 as T -> 0 (as T^5); a physical sample additionally
-    keeps a finite impurity floor, which this model deliberately ignores.
+    keeps a finite impurity floor, which this model deliberately ignores, so
+    a temperature at which nu underflows to 0 raises ValueError.
     """
     if T_K <= 0:
         raise ValueError(f"temperature must be positive, got {T_K}")
@@ -175,7 +176,10 @@ def bloch_gruneisen_nu(params: BlochGruneisenParams, T_K: float) -> float:
     cut = min(upper, 200.0)
     breaks = np.append(_BG_BREAKS[_BG_BREAKS < cut], cut)
     val, _ = integrate_adaptive(_bg_integrand, breaks, rel_tol=1e-12)
-    return params.prefactor_eV * (T_K / params.theta_K) ** 5 * val
+    nu = params.prefactor_eV * (T_K / params.theta_K) ** 5 * val
+    if nu == 0.0:
+        raise ValueError(f"relaxation frequency nu(T) underflows to 0 at T = {T_K} K")
+    return nu
 
 
 @dataclass(frozen=True)

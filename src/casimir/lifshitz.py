@@ -2,8 +2,9 @@
 over TE/TM reflection products, with the analytic static (m=0) term.
 
 The modes are integrated in blocks: one kernel evaluates the pressure or
-free-energy integrand of a whole block on a (mode x node) array, and one
-batched adaptive quadrature certifies every mode of the block separately.
+free-energy integrand of a whole block on a (mode x node) array.  Pressure
+modes with A >= 2 take a Gauss-Laguerre pair (24 nodes, 16 for the error),
+all others one batched adaptive quadrature; each mode is certified alone.
 
 All mode arithmetic is dimensionless; SI conversion happens once at the
 end through :func:`casimir.quantities.pressure_to_si`.
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.laguerre import laggauss
 
 from .dielectric import DielectricModel
 from .quadrature import QuadratureError, integrate_adaptive
@@ -224,6 +226,15 @@ def _mode_kernel(y, work: _Workspace, free_energy: bool, A, eps1, eps3=None):
 # First breaks of every mode integral, as offsets from its lower limit.
 _BREAK_OFFSETS = np.array([0.0, 0.75, 2.0, 4.0, 7.0, 11.0, 16.0])
 
+# Gauss-Laguerre pair for pressure modes with A >= _GL_MIN: y = A + t/2 maps
+# a mode integral to 1/2 int_0^inf e^{-t} [e^t f] dt, so the weights carry
+# 1/2 e^t.  One row of 40 nodes holds both rules; each weighs the other's by 0.
+_GL_MIN = 2.0
+(_T24, _W24), (_T16, _W16) = laggauss(24), laggauss(16)
+_GL_Y = 0.5 * np.concatenate([_T24, _T16])
+_GL_W24 = np.concatenate([0.5 * _W24 * np.exp(_T24), np.zeros(16)])
+_GL_W16 = np.concatenate([np.zeros(24), 0.5 * _W16 * np.exp(_T16)])
+
 # Largest number of modes evaluated in one block.  The block's arrays grow
 # with it; past about a hundred modes the per-call overhead is already
 # amortised and only the peak memory keeps growing.
@@ -235,10 +246,11 @@ def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
                 free_energy: bool, integrate, work: _Workspace):
     """Mode integrals of the Matsubara indices ``ms`` (>= 1) in one batch.
 
-    Each integral is certified to max(integral_rel_tol * |I_m|, floor) by
-    ``integrate`` (the module's ``integrate_adaptive``), the kernel working
-    in ``work``.  Returns (values, errors, failed); a failed mode holds its
-    uncertified estimate.
+    Each integral is certified to max(integral_rel_tol * |I_m|, floor), the
+    kernel working in ``work``: a pressure mode with A >= _GL_MIN by
+    |GL24 - GL16| (value GL24), free-energy modes and the rest by
+    ``integrate`` (the module's ``integrate_adaptive``).  Returns (values,
+    errors, failed); a failed mode holds its uncertified estimate.
     """
     gamma = reduced_temperature(geom)
     lower = ms * gamma
@@ -246,6 +258,21 @@ def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
     eps1 = np.asarray(model1.epsilon(zeta), dtype=float)
     eps3 = np.asarray(model3.epsilon(zeta), dtype=float)
     same = (eps1 == eps3).all()  # then one interface serves both sides
+    args = (lower, eps1) + (() if same else (eps3,))
+    values, errors, failed = np.empty(ms.size), np.empty(ms.size), np.zeros(ms.size, bool)
+    # free energies stay adaptive: entropy differences two, and GL's ulps in F would show
+    todo = (lower < _GL_MIN) | free_energy
+    if not todo.all():
+        gl = ~todo
+        fx = _mode_kernel(lower[gl, None] + _GL_Y, work, False, *(a[gl] for a in args))
+        value = np.einsum("...n,n->...", fx, _GL_W24)  # per row, unlike BLAS
+        error = np.abs(value - np.einsum("...n,n->...", fx, _GL_W16))
+        values[gl], errors[gl] = value, error
+        todo[gl] = ~(error <= np.maximum(spec.integral_rel_tol * np.abs(value), floor))
+    if not todo.any():
+        return values, errors, failed
+    args = tuple(a[todo] for a in args)
+    lower = args[0]
     y_max = spec.y_max(lower)
     # the first breaks below y_max, then y_max and NaN padding; every mode
     # has all of them unless the tolerances are loose
@@ -253,8 +280,7 @@ def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
     k = (starts < y_max[:, None]).sum(axis=1)
     breaks = np.append(starts, y_max[:, None], axis=1)[:, :k.max() + 1]
     breaks[np.arange(breaks.shape[1]) > k[:, None]] = np.nan
-    breaks[np.arange(ms.size), k] = y_max
-    args = (lower, eps1) + (() if same else (eps3,))
+    breaks[np.arange(lower.size), k] = y_max
 
     def f(y):
         live = ~np.isnan(y[:, 0])
@@ -265,10 +291,11 @@ def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
         return out
 
     try:
-        values, errors = integrate(f, breaks, rel_tol=spec.integral_rel_tol, abs_tol=floor)
+        values[todo], errors[todo] = integrate(f, breaks, rel_tol=spec.integral_rel_tol,
+                                               abs_tol=floor)
     except QuadratureError as exc:
-        return exc.estimate, exc.error, exc.failed
-    return values, errors, np.zeros(ms.size, dtype=bool)
+        values[todo], errors[todo], failed[todo] = exc.estimate, exc.error, exc.failed
+    return values, errors, failed
 
 
 def _mode_error(m: int, geom: Geometry, estimate: float, error: float) -> QuadratureError:
@@ -281,12 +308,13 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
                    model3: DielectricModel, spec: QuadratureSpec | None = None) -> float:
     """Dimensionless m-th mode integral over y in [m*gamma, inf), m >= 1.
 
-    The permittivities are frozen at zeta_m across the y-integral.  The
-    semi-infinite range is truncated at ``spec.y_max`` and integrated
-    adaptively to ``spec.integral_rel_tol``; a QuadratureError carrying the
-    partial estimate escapes if the certificate cannot be met.  This is a
-    one-mode block of the sum driver, so it equals the term the sum uses
-    wherever the sum's floor does not bind.
+    The permittivities are frozen at zeta_m across the y-integral.  With
+    m*gamma >= 2 it is a 24-node Gauss-Laguerre value if its distance from
+    the 16-node one meets ``spec.integral_rel_tol``; else the range is cut at
+    ``spec.y_max`` and integrated adaptively.  A QuadratureError carrying the
+    partial estimate escapes if no certificate is met.  This is a one-mode
+    block of the sum driver, so it equals the term the sum uses wherever the
+    sum's floor does not bind.
     """
     if m < 1:
         raise ValueError("the static mode is analytic; matsubara_term needs m >= 1")

@@ -368,6 +368,16 @@ class TestUsage:
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and names in err and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["pressure", "--T", "1e-70", "--a", "1"],
+        ["entropy", "--T", "1e-70", "--a", "1", "--fd-step", "1e-71"],
+    ], ids=["pressure", "entropy"])
+    def test_underflowing_bloch_gruneisen_nu_exits_3(self, capsys, argv):
+        # nu(T) ~ T^5 underflows to 0 below about 1e-63 K
+        code, out, err = run_cli(capsys, *argv, "--nu-model", "bloch-gruneisen")
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: --T: ") and "Traceback" not in err
+
     def test_value_error_in_the_numerics_exits_1(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("forced inside the sum")

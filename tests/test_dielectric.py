@@ -170,6 +170,12 @@ class TestBlochGruneisen:
         with pytest.raises(ValueError):
             bloch_gruneisen_nu(BlochGruneisenParams(), 0.0)
 
+    def test_underflow_names_the_temperature(self):
+        # nu ~ T^5 leaves the double range below about 1e-63 K
+        assert bloch_gruneisen_nu(BlochGruneisenParams(), 1e-60) > 0.0
+        with pytest.raises(ValueError, match="T = 1e-70 K"):
+            bloch_gruneisen_nu(BlochGruneisenParams(), 1e-70)
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             BlochGruneisenParams(theta_K=-1.0)

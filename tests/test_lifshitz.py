@@ -20,7 +20,10 @@ from casimir.lifshitz import (
     PressureResult,
     QuadratureSpec,
     _BLOCK_CAP,
+    _BREAK_OFFSETS,
+    _GL_MIN,
     _Workspace,
+    _mode_block,
     _mode_kernel,
     _reflections,
     SumConvergenceError,
@@ -32,7 +35,7 @@ from casimir.lifshitz import (
     zero_mode_pressure,
     zeta3,
 )
-from casimir.quadrature import QuadratureError
+from casimir.quadrature import QuadratureError, integrate_adaptive
 from casimir.quantities import (
     CODATA,
     Geometry,
@@ -40,6 +43,7 @@ from casimir.quantities import (
     pressure_to_si,
     reduced_temperature,
 )
+from casimir.thermo import free_energy
 
 DB = MaterialDatabase.builtin()
 AU = DrudeModel(DB.get("Au"))
@@ -541,6 +545,93 @@ class TestModeKernel:
         assert res_13.n_terms_used == res_31.n_terms_used > _BLOCK_CAP
         assert res_13.pressure_mPa == res_31.pressure_mPa
         assert np.array_equal(res_13.terms_mPa, res_31.terms_mPa)
+
+
+def block(ms, geom, pair, spec=None, free_energy=False):
+    """(values, errors, failed) of one _mode_block with floor 0, and the
+    number of modes that reached the adaptive quadrature."""
+    adaptive = []
+
+    def integrate(f, breaks, **kwargs):
+        adaptive.append(len(breaks))
+        return integrate_adaptive(f, breaks, **kwargs)
+    out = _mode_block(np.asarray(ms), geom, *pair, spec or QuadratureSpec(), 0.0, free_energy,
+                      integrate, _Workspace(len(ms)))
+    return out, sum(adaptive)
+
+
+def adaptive_mode(m, geom, pair, spec=None, free_energy=False):
+    """Mode integral by integrate_adaptive alone, on the kernel closure, the
+    breaks and the inputs _mode_block gives it."""
+    spec = spec or QuadratureSpec()
+    A = np.array([m]) * reduced_temperature(geom)
+    zeta = np.array([m]) * matsubara_frequency(1, geom.T_K)
+    eps1, eps3 = (np.asarray(model.epsilon(zeta), dtype=float) for model in pair)
+    y_max = spec.y_max(A)[0]
+    starts = A[0] + _BREAK_OFFSETS
+    work = _Workspace(1)
+    return integrate_adaptive(lambda y: _mode_kernel(y, work, free_energy, A, eps1, eps3),
+                              np.append(starts[starts < y_max], y_max),
+                              rel_tol=spec.integral_rel_tol)
+
+
+def modes_at(geom, lowers):
+    """Matsubara indices whose lower limits m*gamma are nearest ``lowers``
+    from above."""
+    return np.ceil(np.asarray(lowers) / reduced_temperature(geom)).astype(int)
+
+
+GL_PAIRS = {"similar": (AU, AU), "dissimilar": (AU, CU), "drude-ideal": (AU, IdealMetal()),
+            "tabulated": (TAB, CU)}
+
+
+class TestLaguerreModes:
+    @pytest.mark.parametrize("pair", sorted(GL_PAIRS))
+    def test_agrees_with_adaptive_quadrature(self, pair):
+        geom = Geometry(1.0, 300.0)
+        ms = modes_at(geom, [2.0, 2.5, 3.7, 6.0, 11.0, 25.0, 60.0, 140.0, 300.0])
+        assert ms[0] * reduced_temperature(geom) >= _GL_MIN
+        (values, errors, failed), adaptive = block(ms, geom, GL_PAIRS[pair])
+        assert adaptive == 0 and not failed.any()
+        for m, value, error in zip(ms, values, errors):
+            ref, _ = adaptive_mode(m, geom, GL_PAIRS[pair])
+            assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
+            assert error <= 1e-12 * value
+
+    @pytest.mark.parametrize("pair", ["similar", "dissimilar"])
+    def test_missed_target_falls_back_to_the_adaptive_value(self, pair):
+        # GL16 is good to about 4e-14 relative at lower limits near 2
+        geom = Geometry(1.0, 3.0)
+        spec = QuadratureSpec(integral_rel_tol=1e-14)
+        ms = modes_at(geom, [2.0, 2.05, 2.1])
+        (values, _, failed), adaptive = block(ms, geom, GL_PAIRS[pair], spec)
+        assert adaptive == ms.size and not failed.any()
+        for m, value in zip(ms, values):
+            assert value == adaptive_mode(m, geom, GL_PAIRS[pair], spec)[0]
+
+    @pytest.mark.parametrize("pair", sorted(GL_PAIRS))
+    def test_value_is_independent_of_the_block(self, pair):
+        geom = Geometry(0.5, 2.0)  # lower limits 2.0 to 2.35 across the block
+        ms = modes_at(geom, [_GL_MIN])[0] + np.arange(_BLOCK_CAP)
+        (values, errors, _), adaptive = block(ms, geom, GL_PAIRS[pair])
+        assert adaptive == 0
+        for i in (0, 1, 63, 127):
+            (one, one_error, _), _ = block(ms[i:i + 1], geom, GL_PAIRS[pair])
+            assert one[0] == values[i] and one_error[0] == errors[i]
+
+    @pytest.mark.parametrize("pair", sorted(GL_PAIRS))
+    def test_free_energy_stays_adaptive(self, pair, monkeypatch):
+        geom = Geometry(1.0, 300.0)
+        ms = modes_at(geom, [0.5, 2.0, 6.0, 60.0])
+        (values, _, _), adaptive = block(ms, geom, GL_PAIRS[pair], free_energy=True)
+        assert adaptive == ms.size
+        for m, value in zip(ms, values):
+            assert value == adaptive_mode(m, geom, GL_PAIRS[pair], free_energy=True)[0]
+        # about 1,300 terms, four fifths of them with lower limits above 2
+        default = free_energy(Geometry(0.7, 4.0), *GL_PAIRS[pair])
+        monkeypatch.setattr("casimir.lifshitz._GL_MIN", math.inf)  # adaptive only
+        assert same_bits(default.terms_J_per_m2,
+                         free_energy(Geometry(0.7, 4.0), *GL_PAIRS[pair]).terms_J_per_m2)
 
 
 # Tables on which (s-p)/(s+p) cancelled: eps - 1 about 1e-12 throughout, and

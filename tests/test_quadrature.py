@@ -66,7 +66,7 @@ def test_absolute_floor():
     # tiny integral against an absolute floor converges immediately
     val, err = integrate_adaptive(lambda x: 1e-30 * np.ones_like(x),
                                   [0.0, 1.0], rel_tol=1e-12, abs_tol=1e-20)
-    assert val == pytest.approx(1e-30, rel=1e-12)
+    assert val == pytest.approx(1e-30, rel=1e-12, abs=0.0)
 
 
 def peaks(centres):
@@ -93,7 +93,7 @@ def test_batch_absolute_floor_per_row():
     breaks = np.array([[0.0, 1.0], [0.0, 1.0]])
     val, _ = integrate_adaptive(lambda x: 1e-30 * np.ones_like(x), breaks,
                                 rel_tol=1e-12, abs_tol=np.array([1e-20, 0.0]))
-    assert val == pytest.approx([1e-30, 1e-30], rel=1e-12)
+    assert val == pytest.approx([1e-30, 1e-30], rel=1e-12, abs=0.0)
 
 
 def test_batch_failure_marks_rows_and_keeps_the_rest():
