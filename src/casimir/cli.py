@@ -259,8 +259,11 @@ def cmd_table(args: argparse.Namespace, stream) -> int:
     fixture = golden.TABLES[args.table_id]
     db = _database(args)
     spec = _build_spec(args, sum_tol=1e-8)
-    short_tol = float(args.tol_short if args.tol_short is not None else 0.05)
-    long_tol = float(args.tol_long if args.tol_long is not None else 0.02)
+    short_tol = args.tol_short if args.tol_short is not None else 0.05
+    long_tol = args.tol_long if args.tol_long is not None else 0.02
+    for flag, tol in (("--tol-short", short_tol), ("--tol-long", long_tol)):
+        if not 0 <= tol < math.inf:
+            raise InputError(f"{flag} must be finite and >= 0, got {tol}")
     sides = [_side_model(label, db, None) for label in fixture.pair]
     cells = list(_pressures(golden.SEPARATIONS_UM, golden.TEMPERATURES_K,
                             lambda T: [side(T) for side in sides], spec))

@@ -55,10 +55,12 @@ class DrudeParams:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not self.omega_p_eV > 0:
-            raise ValueError(f"plasma frequency must be positive, got {self.omega_p_eV}")
-        if not self.nu_eV > 0:
-            raise ValueError(f"relaxation frequency must be positive, got {self.nu_eV}")
+        if not 0 < self.omega_p_eV < math.inf:
+            raise ValueError(f"plasma frequency must be positive and finite, "
+                             f"got {self.omega_p_eV}")
+        if not 0 < self.nu_eV < math.inf:
+            raise ValueError(f"relaxation frequency must be positive and finite, "
+                             f"got {self.nu_eV}")
 
 
 def drude_epsilon(params: DrudeParams, zeta_eV):
@@ -122,8 +124,8 @@ class MaterialDatabase:
                     nu_eV=float(item["nu_eV"]),
                     label=str(item["label"]),
                 )
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: malformed material entry {item!r}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: malformed material entry {item!r} ({exc})") from exc
             entries[p.label.lower()] = p
         return cls(entries.values())
 
@@ -143,10 +145,10 @@ class BlochGruneisenParams:
     prefactor_eV: float = 0.0847
 
     def __post_init__(self) -> None:
-        if not self.theta_K > 0:
-            raise ValueError(f"theta must be positive, got {self.theta_K}")
-        if not self.prefactor_eV > 0:
-            raise ValueError(f"prefactor must be positive, got {self.prefactor_eV}")
+        if not 0 < self.theta_K < math.inf:
+            raise ValueError(f"theta must be positive and finite, got {self.theta_K}")
+        if not 0 < self.prefactor_eV < math.inf:
+            raise ValueError(f"prefactor must be positive and finite, got {self.prefactor_eV}")
 
 
 def _bg_integrand(x):

@@ -80,7 +80,6 @@ class PressureResult:
     terms_mPa: np.ndarray
     n_terms_used: int
     converged: bool
-    max_zeta_eV: float
 
     @property
     def zero_mode_share(self) -> float:
@@ -327,15 +326,8 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
     return float(values[0])
 
 
-def _summed_modes(
-    geom: Geometry,
-    model1: DielectricModel,
-    model3: DielectricModel,
-    spec: QuadratureSpec,
-    zero_coeff: float,
-    free_energy: bool,
-    integrate,
-):
+def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
+                  spec: QuadratureSpec, free_energy: bool, integrate, unit: float, result):
     """Primed Matsubara sum driver shared by pressure and free energy.
 
     Modes are integrated in blocks of min_terms, then twice as many each
@@ -347,17 +339,25 @@ def _summed_modes(
 
     The block values are then accumulated in increasing m with Neumaier
     compensation.  The sum stops at the first m >= min_terms where the term
-    and its estimated geometric tail |t_m| * r/(1-r), r = e^{-2*gamma},
+    and its estimated geometric tail |t_m| * r/(1-r), r = e^{-2*gamma}
+    (1-r computed by expm1, so it stays positive however small gamma is),
     both fall below sum_rel_tol relative to the accumulated total; the tail
     estimate keeps the truncation bias itself at the tolerance level, which
     matters for temperature derivatives downstream.  Modes past the stop
     are discarded, whether or not their integrals were certified.
 
-    Returns (total, terms, n_terms, converged, max_zeta_eV).
+    Returns ``result(total, static term, terms, n_terms_used, converged)``,
+    the sums times ``unit``; a vacuum side gives an unscaled all-zero
+    result.  Raises SumConvergenceError carrying that result if max_terms
+    is hit first, and a QuadratureError for a mode that is not certified.
     """
+    if model1.is_vacuum or model3.is_vacuum:
+        return result(0.0, 0.0, np.zeros(0), 0, True)
+    # closed-form static TM mode with half weight; the log integrand of F is negative
+    zero_coeff = -zeta3() / 8.0 if free_energy else zeta3() / 8.0
     gamma = reduced_temperature(geom)
     r = math.exp(-2.0 * gamma)
-    tail_factor = r / (1.0 - r)
+    tail_factor = r / -math.expm1(-2.0 * gamma)
     acc = zero_coeff
     comp = 0.0
     terms: list[float] = []
@@ -387,8 +387,14 @@ def _summed_modes(
                     converged = True
                     break
         size = min(2 * size, _BLOCK_CAP)
-    zeta = matsubara_frequency(len(terms), geom.T_K)
-    return acc + comp, np.asarray(terms), len(terms), converged, zeta
+    out = result((acc + comp) * unit, zero_coeff * unit, np.asarray(terms) * unit,
+                 len(terms), converged)
+    if not converged:
+        what = "free-energy" if free_energy else "frequency"
+        raise SumConvergenceError(
+            f"{what} sum not converged after {len(terms)} terms "
+            f"(a={geom.a_um} um, T={geom.T_K} K)", out)
+    return out
 
 
 def casimir_pressure(geom: Geometry, model1: DielectricModel,
@@ -401,23 +407,5 @@ def casimir_pressure(geom: Geometry, model1: DielectricModel,
     SumConvergenceError (carrying the partial result) if max_terms is hit
     before the stop rule fires.
     """
-    spec = spec or QuadratureSpec()
-    if model1.is_vacuum or model3.is_vacuum:
-        return PressureResult(0.0, 0.0, np.zeros(0), 0, True, 0.0)
-    zero_coeff = zeta3() / 8.0
-    total, terms, n_used, converged, max_zeta = _summed_modes(
-        geom, model1, model3, spec, zero_coeff, False, integrate_adaptive)
-    si = pressure_to_si(1.0, geom)
-    result = PressureResult(
-        pressure_mPa=-total * si,
-        zero_mode_mPa=-zero_coeff * si,
-        terms_mPa=-terms * si,
-        n_terms_used=n_used,
-        converged=converged,
-        max_zeta_eV=max_zeta,
-    )
-    if not converged:
-        raise SumConvergenceError(
-            f"frequency sum not converged after {n_used} terms "
-            f"(a={geom.a_um} um, T={geom.T_K} K)", result)
-    return result
+    return _summed_modes(geom, model1, model3, spec or QuadratureSpec(), False,
+                         integrate_adaptive, -pressure_to_si(1.0, geom), PressureResult)

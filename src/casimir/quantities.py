@@ -53,7 +53,8 @@ class Geometry:
 
     Both must be strictly positive.  Zero temperature is represented by a
     small positive value such as 1 K, which is numerically indistinguishable
-    from T=0 at micrometre separations.
+    from T=0 at micrometre separations.  A pair whose reduced temperature or
+    a^3 in m^3 underflows to 0 is rejected, as no unit conversion holds there.
     """
 
     a_um: float
@@ -64,6 +65,9 @@ class Geometry:
             raise ValueError(f"gap width must be positive, got {self.a_um}")
         if not self.T_K > 0:
             raise ValueError(f"temperature must be positive, got {self.T_K}")
+        a_m = self.a_um * 1e-6
+        if reduced_temperature(self) == 0.0 or a_m * a_m * a_m == 0.0:
+            raise ValueError(f"a={self.a_um} um, T={self.T_K} K: a*T or a^3 underflows to 0")
 
 
 def matsubara_frequency(m: int, T_K: float) -> float:

@@ -22,7 +22,6 @@ import numpy as np
 from .dielectric import DielectricModel
 from .lifshitz import (
     QuadratureSpec,
-    SumConvergenceError,
     _summed_modes,
     casimir_pressure,
     zeta3,
@@ -107,26 +106,11 @@ def free_energy(geom: Geometry, model1: DielectricModel, model3: DielectricModel
     Raises SumConvergenceError (carrying the partial result) when max_terms
     is exhausted first.
     """
-    spec = spec or QuadratureSpec()
-    if model1.is_vacuum or model3.is_vacuum:
-        return FreeEnergyResult(0.0, 0.0, np.zeros(0), 0, True)
-    zero_coeff = -zeta3() / 8.0  # (1/2) * int_0^inf y ln(1-e^{-2y}) dy
-    total, terms, n_used, converged, _ = _summed_modes(
-        geom, model1, model3, spec, zero_coeff, True, integrate_adaptive)
     a_m = geom.a_um * 1e-6
-    si = CODATA.k_B_J_per_K * geom.T_K / (2.0 * math.pi * a_m**2)
-    result = FreeEnergyResult(
-        free_energy_J_per_m2=total * si,
-        zero_mode_J_per_m2=zero_coeff * si,
-        terms_J_per_m2=terms * si,
-        n_terms_used=n_used,
-        converged=converged,
-    )
-    if not converged:
-        raise SumConvergenceError(
-            f"free-energy sum not converged after {n_used} terms "
-            f"(a={geom.a_um} um, T={geom.T_K} K)", result)
-    return result
+    return _summed_modes(geom, model1, model3, spec or QuadratureSpec(), True,
+                         integrate_adaptive,
+                         CODATA.k_B_J_per_K * geom.T_K / (2.0 * math.pi * a_m**2),
+                         FreeEnergyResult)
 
 
 def entropy(geom: Geometry, model1: DielectricModel, model3: DielectricModel,

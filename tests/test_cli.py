@@ -362,6 +362,10 @@ class TestUsage:
         (["entropy", "--pair", "vacuum,Au", "--T", "2", "--fd-step", "5"], "--fd-step"),
         (["pressure", "--pair", "ideal,ideal", "--nu-model", "bloch-gruneisen"], "Drude"),
         (["entropy", "--pair", "vacuum,ideal", "--nu-model", "bloch-gruneisen"], "Drude"),
+        (["pressure", "--nu-model", "bloch-gruneisen", "--theta", "inf"], "--theta"),
+        (["table", "1", "--tol-short", "inf"], "--tol-short"),
+        (["table", "1", "--tol-short", "nan"], "--tol-short"),
+        (["table", "1", "--tol-long", "-1"], "--tol-long"),
     ])
     def test_bad_values_exit_3(self, capsys, argv, names):
         code, out, err = run_cli(capsys, *argv)
@@ -377,6 +381,21 @@ class TestUsage:
         code, out, err = run_cli(capsys, *argv, "--nu-model", "bloch-gruneisen")
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error: --T: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["omega_p_eV", "nu_eV"])
+    def test_infinite_material_parameter_exits_3(self, tmp_path, capsys, key):
+        path = tmp_path / "materials.json"
+        entry = {"label": "X", "omega_p_eV": 9.0, "nu_eV": 0.035, key: float("inf")}
+        path.write_text(json.dumps([entry]))  # written as Infinity
+        code, out, err = run_cli(capsys, "pressure", "--pair", "X,X",
+                                 "--materials", str(path))
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_underflowing_geometry_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "pressure", "--a", "1e-300", "--T", "300")
+        assert code == EXIT_COMPUTE and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_value_error_in_the_numerics_exits_1(self, capsys, monkeypatch):
         def broken(*args, **kwargs):

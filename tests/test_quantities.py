@@ -37,6 +37,12 @@ class TestGeometry:
         with pytest.raises(ValueError):
             Geometry(a_um=1.0, T_K=-1.0)
 
+    @pytest.mark.parametrize("a_um, T_K", [(1e-300, 300.0), (1e-323, 1.0)])
+    def test_underflowing_scales_rejected(self, a_um, T_K):
+        # a^3 in m^3, and at 1e-323 also gamma, underflow to 0
+        with pytest.raises(ValueError, match=f"a={a_um} um, T={T_K} K"):
+            Geometry(a_um, T_K)
+
 
 class TestReducedTemperature:
     def test_room_temperature_micron_gap(self):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from casimir.dielectric import DrudeModel, IdealMetal, MaterialDatabase, Vacuum
-from casimir.lifshitz import QuadratureSpec, casimir_pressure, zeta3
+from casimir.lifshitz import QuadratureSpec, SumConvergenceError, casimir_pressure, zeta3
 from casimir.quantities import CODATA, Geometry
 from casimir.thermo import (
     BracketError,
+    FreeEnergyResult,
     crossover_separation,
     entropy,
     free_energy,
@@ -23,8 +24,18 @@ TIGHT = QuadratureSpec(sum_rel_tol=1e-10)
 class TestFreeEnergy:
     def test_vacuum(self):
         res = free_energy(Geometry(1.0, 300.0), Vacuum(), AU)
-        assert res.free_energy_J_per_m2 == 0.0
+        assert math.copysign(1.0, res.free_energy_J_per_m2) == 1.0
+        assert res.free_energy_J_per_m2 == res.zero_mode_J_per_m2 == 0.0
         assert res.converged
+
+    def test_max_terms_raises_with_partial(self):
+        with pytest.raises(SumConvergenceError) as excinfo:
+            free_energy(Geometry(1.0, 1.0), AU, AU, QuadratureSpec(max_terms=40))
+        partial = excinfo.value.partial
+        assert isinstance(partial, FreeEnergyResult)
+        assert partial.n_terms_used == partial.terms_J_per_m2.size == 40
+        assert not partial.converged
+        assert str(excinfo.value).startswith("free-energy sum not converged after 40 terms")
 
     def test_static_piece_closed_form(self):
         # -k_B T zeta(3)/(16 pi a^2) at a=1 um, T=300 K
