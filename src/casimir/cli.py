@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -39,7 +40,7 @@ from .dielectric import (
 from .lifshitz import QuadratureSpec, SumConvergenceError, casimir_pressure
 from .quadrature import QuadratureError
 from .quantities import CODATA, Geometry
-from .thermo import BracketError, entropy, nernst_check
+from .thermo import _ENTROPY_SPEC, BracketError, entropy, nernst_check
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -103,13 +104,11 @@ def _apply_config(args: argparse.Namespace) -> None:
             setattr(args, key, value)
 
 
-def _build_spec(args: argparse.Namespace, sum_tol: float) -> QuadratureSpec:
-    """The tolerances given, else 1e-12 and the command's default ``sum_tol``."""
+def _build_spec(args: argparse.Namespace, default: QuadratureSpec) -> QuadratureSpec:
+    """The command's ``default`` spec with the tolerances given."""
+    given = {"integral_rel_tol": args.int_tol, "sum_rel_tol": args.sum_tol}
     try:
-        return QuadratureSpec(
-            integral_rel_tol=float(args.int_tol if args.int_tol is not None else 1e-12),
-            sum_rel_tol=float(args.sum_tol if args.sum_tol is not None else sum_tol),
-        )
+        return replace(default, **{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise InputError(f"--int-tol/--sum-tol: {exc}") from None
 
@@ -168,7 +167,8 @@ def _pair_models(args: argparse.Namespace, db: MaterialDatabase):
             raise InputError("--nu-model bloch-gruneisen needs a side with Drude "
                              f"parameters, got --pair {pair}")
         try:
-            bg = BlochGruneisenParams(theta_K=args.theta if args.theta is not None else 175.0)
+            bg = BlochGruneisenParams()
+            bg = bg if args.theta is None else replace(bg, theta_K=args.theta)
         except ValueError as exc:
             raise InputError(f"--theta: {exc}") from None
     elif args.theta is not None:
@@ -229,7 +229,7 @@ def _pressures(a_list, t_list, models_at, spec):
 def cmd_pressure(args: argparse.Namespace, stream) -> int:
     """``pressure``, and ``sweep``: CSV without the zero_mode_share column."""
     db = _database(args)
-    spec = _build_spec(args, sum_tol=1e-8)
+    spec = _build_spec(args, QuadratureSpec())
     a_list = _float_list(args.a if args.a is not None else "1.0")
     t_list = _float_list(args.T if args.T is not None else "300")
     models_at = _pair_models(args, db)
@@ -258,7 +258,7 @@ def cmd_table(args: argparse.Namespace, stream) -> int:
         raise InputError(f"table id must be 1..6, got {args.table_id}")
     fixture = golden.TABLES[args.table_id]
     db = _database(args)
-    spec = _build_spec(args, sum_tol=1e-8)
+    spec = _build_spec(args, QuadratureSpec())
     short_tol = args.tol_short if args.tol_short is not None else 0.05
     long_tol = args.tol_long if args.tol_long is not None else 0.02
     for flag, tol in (("--tol-short", short_tol), ("--tol-long", long_tol)):
@@ -303,7 +303,7 @@ def cmd_table(args: argparse.Namespace, stream) -> int:
 
 def cmd_entropy(args: argparse.Namespace, stream) -> int:
     db = _database(args)
-    spec = _build_spec(args, sum_tol=1e-10)  # thermo's tighter entropy default
+    spec = _build_spec(args, _ENTROPY_SPEC)
     a_list = _float_list(args.a if args.a is not None else "1.0")
     t_list = _float_list(args.T if args.T is not None else "1,2,4,8")
     step = float(args.fd_step if args.fd_step is not None else 0.5)

@@ -200,10 +200,11 @@ class PermittivityTable:
         e = np.atleast_1d(np.asarray(self.eps, dtype=float))
         if z.size < 2 or e.shape != z.shape:
             raise ValueError("need at least two (zeta, eps) samples of equal length")
-        if np.any(z <= 0) or np.any(np.diff(z) <= 0):
-            raise ValueError("zeta samples must be positive and strictly increasing")
-        if np.any(e < 1.0):
-            raise ValueError("epsilon(i*zeta) must be >= 1 everywhere")
+        # written so that NaN fails each test; diff only sees finite values
+        if not (np.all((z > 0) & (z < np.inf)) and np.all(np.diff(z) > 0)):
+            raise ValueError("zeta samples must be positive, finite and strictly increasing")
+        if not np.all((e >= 1.0) & (e < np.inf)):
+            raise ValueError("epsilon(i*zeta) must be finite and >= 1 everywhere")
         if np.any(np.diff(e) > 1e-9 * e[:-1]):
             raise ValueError("epsilon(i*zeta) must be non-increasing in zeta")
         object.__setattr__(self, "zeta_eV", z)
@@ -384,10 +385,11 @@ def kramers_kronig_transform(
         raise ValueError("empty sample list")
     if w.size < 2 or e2.shape != w.shape:
         raise ValueError("need at least two (omega, eps'') samples of equal length")
-    if np.any(w <= 0) or np.any(np.diff(w) <= 0):
-        raise ValueError("omega samples must be positive and strictly increasing")
-    if np.any(e2 < 0):
-        raise ValueError("eps'' must be nonnegative")
+    # written so that NaN fails each test; diff only sees finite values
+    if not (np.all((w > 0) & (w < np.inf)) and np.all(np.diff(w) > 0)):
+        raise ValueError("omega samples must be positive, finite and strictly increasing")
+    if not np.all((e2 >= 0) & (e2 < np.inf)):
+        raise ValueError("eps'' samples must be finite and nonnegative")
     zeta = np.asarray(zeta_rad_s, dtype=float)
     if np.any(zeta <= 0):
         raise ValueError("zeta must be positive")

@@ -6,12 +6,14 @@ in a handful of refinement rounds.
 
 One call integrates a batch of integrals, one row of breaks each, and the
 integrand evaluates every row at once, so a refinement round costs a few
-numpy calls for the whole batch.  Rows may be ragged.  Each row keeps its
-own panels, error budget and certificate, and its result is independent
-of the batch by construction: a panel's sums reduce its own 15 values, a
-row's panels stay in the order of its own bisections, and its totals add
-them from the left, where the zero padding of shorter rows changes
-nothing.  A batched integral equals the single one bit for bit.
+numpy calls for the whole batch.  Rows may be ragged and stay at their
+index for the whole call: a finished row is masked out of bisection, not
+moved.  Each row keeps its own panels, error budget and certificate, and
+its result is independent of the batch by construction: a panel's sums
+reduce its own 15 values, a row's panels stay in the order of its own
+bisections, and its totals add them from the left, where the zero padding
+of shorter rows changes nothing.  A batched integral equals the single one
+bit for bit.
 """
 
 from __future__ import annotations
@@ -67,22 +69,17 @@ def _row_sums(a):
     return np.add.accumulate(a, axis=1)[:, -1]
 
 
-def _panel_rule(f, n_rows, rows, lo, hi):
+def _panel_rule(f, lo, hi):
     """Kronrod values and |K-G| error estimates of a batch of panels.
 
-    Row i holds the panels of integral rows[i], NaN-padded; an empty slot
-    gives 0.  The integrand gets one row per integral of the batch, NaN for
-    those with no panel here.  einsum, unlike BLAS, reduces each panel's 15
-    values the same way whatever the shape around them.
+    Row i holds panels of integral i, NaN-padded; an empty slot gives 0, and
+    the integrand gets NaN nodes there.  einsum, unlike BLAS, reduces each
+    panel's 15 values the same way whatever the shape around them.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    x = (c[..., None] + h[..., None] * _NODES).reshape(len(rows), -1)
-    if len(rows) < n_rows:
-        x_all = np.full((n_rows, x.shape[1]), np.nan)
-        x_all[rows] = x
-        x = x_all
-    fx = np.asarray(f(x), dtype=float)[rows].reshape(lo.shape + (15,))
+    x = (c[..., None] + h[..., None] * _NODES).reshape(lo.shape[0], -1)
+    fx = np.asarray(f(x), dtype=float).reshape(lo.shape + (15,))
     k = h * np.einsum("...n,n->...", fx, _WEIGHTS_K)
     g = h * np.einsum("...n,n->...", fx, _WEIGHTS_G)
     empty = np.isnan(h)
@@ -107,8 +104,9 @@ def integrate_adaptive(
     overwrites.  Panels carrying more than their share of an integral's
     error budget are bisected until its summed Kronrod-Gauss estimate
     certifies ``rel_tol`` (or ``abs_tol``, a scalar or one value per row, if
-    larger).  Integrals not certified within ``max_panels`` raise
-    QuadratureError once the whole batch is done.
+    larger); a certified or spent row is left as it is.  Integrals not
+    certified within ``max_panels`` raise QuadratureError once the whole
+    batch is done.
     """
     pts = np.asarray(breaks, dtype=float)
     single = pts.ndim == 1
@@ -119,40 +117,24 @@ def integrate_adaptive(
         raise ValueError("breaks must be strictly increasing sequences, NaN-padded at the end")
     n = pts.shape[0]
     floor = np.broadcast_to(np.asarray(abs_tol, dtype=float), (n,))
-    value = np.empty(n)
-    error = np.empty(n)
-    failed = np.zeros(n, dtype=bool)
-    fail_target = np.zeros(n)
-    fail_panels = np.zeros(n, dtype=int)
-
-    rows = np.arange(n)
-    lo, hi = pts[:, :-1], pts[:, 1:]
+    # copies: as views of pts, bisected in place, they would overlap
+    lo, hi = pts[:, :-1].copy(), pts[:, 1:].copy()
     count = (~pad[:, 1:]).sum(axis=1)
-    val, err = _panel_rule(f, n, rows, lo, hi)
+    val, err = _panel_rule(f, lo, hi)
     for rounds in range(_MAX_ROUNDS + 1):
         total = _row_sums(val)
         total_err = _row_sums(err)
-        target = np.maximum(rel_tol * np.abs(total), floor[rows])
+        target = np.maximum(rel_tol * np.abs(total), floor)
         done = total_err <= target
         # a NaN error never certifies, however the panels are cut
-        spent = ~done & ((count >= max_panels) | np.isnan(total_err)
-                         | (rounds == _MAX_ROUNDS))
-        fin = done | spent
-        value[rows[fin]] = total[fin]
-        error[rows[fin]] = total_err[fin]
-        failed[rows[spent]] = True
-        fail_target[rows[spent]] = target[spent]
-        fail_panels[rows[spent]] = count[spent]
-        if fin.all():
+        live = ~done & (count < max_panels) & ~np.isnan(total_err)
+        if rounds == _MAX_ROUNDS or not live.any():
             break
-        live = ~fin
-        rows, lo, hi, val, err, count, target = (
-            a[live] for a in (rows, lo, hi, val, err, count, target))
 
         # an empty slot has error 0 and a live row a positive total error,
         # so neither test below can pick an empty slot
-        bad = err > (target / (2.0 * count))[:, None]
-        none = ~bad.any(axis=1)
+        bad = (err > (target / (2.0 * count))[:, None]) & live[:, None]
+        none = live & ~bad.any(axis=1)
         if none.any():
             bad[none] = err[none] == err[none].max(axis=1, keepdims=True)
         n_bad = bad.sum(axis=1)
@@ -162,15 +144,15 @@ def integrate_adaptive(
         j = (np.cumsum(bad, axis=1) - 1)[rb, cb]
         right = j + n_bad[rb]
         mid = 0.5 * (lo[rb, cb] + hi[rb, cb])
-        new_lo = np.full((rows.size, 2 * n_bad.max()), np.nan)
+        new_lo = np.full((n, 2 * n_bad.max()), np.nan)
         new_hi = new_lo.copy()
         new_lo[rb, j], new_hi[rb, j] = lo[rb, cb], mid
         new_lo[rb, right], new_hi[rb, right] = mid, hi[rb, cb]
-        new_val, new_err = _panel_rule(f, n, rows, new_lo, new_hi)
+        new_val, new_err = _panel_rule(f, new_lo, new_hi)
 
         grow = (count + n_bad).max() - lo.shape[1]
         if grow > 0:  # room for the right halves
-            nan, zero = np.full((rows.size, grow), np.nan), np.zeros((rows.size, grow))
+            nan, zero = np.full((n, grow), np.nan), np.zeros((n, grow))
             lo, hi, val, err = (np.concatenate(pair, axis=1) for pair in (
                 (lo, nan), (hi, nan), (val, zero), (err, zero)))
         for old, new in ((lo, new_lo), (hi, new_hi), (val, new_val), (err, new_err)):
@@ -178,15 +160,16 @@ def integrate_adaptive(
             old[rb, count[rb] + j] = new[rb, right]
         count = count + n_bad
 
+    failed = ~done
     if failed.any():
         i = int(np.flatnonzero(failed)[0])
-        detail = (f"quadrature error {error[i]:.3e} above target {fail_target[i]:.3e} "
-                  f"after {fail_panels[i]} panels")
+        detail = (f"quadrature error {total_err[i]:.3e} above target {target[i]:.3e} "
+                  f"after {count[i]} panels")
         if single:
-            raise QuadratureError(detail, float(value[0]), float(error[0]))
+            raise QuadratureError(detail, float(total[0]), float(total_err[0]))
         raise QuadratureError(
             f"{int(failed.sum())} of {n} integrals not certified; row {i}: {detail}",
-            value, error, failed)
+            total, total_err, failed)
     if single:
-        return float(value[0]), float(error[0])
-    return value, error
+        return float(total[0]), float(total_err[0])
+    return total, total_err

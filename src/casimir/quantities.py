@@ -47,14 +47,21 @@ class PhysicalConstants:
 CODATA = PhysicalConstants()
 
 
+# Largest reduced temperature: mode m's integral starts at m*gamma, its first
+# break 0.75 above, distinct doubles while m*gamma < 2^53 ~ 9e15; thousands of
+# modes fit, and past gamma ~ 400 every mode m >= 1 underflows to 0 anyway.
+_GAMMA_MAX = 1e12
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Gap width (um) and temperature (K) of the plate configuration.
 
     Both must be strictly positive.  Zero temperature is represented by a
     small positive value such as 1 K, which is numerically indistinguishable
-    from T=0 at micrometre separations.  A pair whose reduced temperature or
-    a^3 in m^3 underflows to 0 is rejected, as no unit conversion holds there.
+    from T=0 at micrometre separations.  A pair is rejected where no unit
+    conversion holds (a*T, a^3 in m^3 or the SI pressure or free-energy scale
+    under- or overflows) or its reduced temperature exceeds _GAMMA_MAX.
     """
 
     a_um: float
@@ -66,8 +73,15 @@ class Geometry:
         if not self.T_K > 0:
             raise ValueError(f"temperature must be positive, got {self.T_K}")
         a_m = self.a_um * 1e-6
-        if reduced_temperature(self) == 0.0 or a_m * a_m * a_m == 0.0:
-            raise ValueError(f"a={self.a_um} um, T={self.T_K} K: a*T or a^3 underflows to 0")
+        gamma = reduced_temperature(self)
+        if gamma > _GAMMA_MAX:
+            raise ValueError(f"a={self.a_um} um, T={self.T_K} K: a*T too large "
+                             f"(reduced temperature {gamma:.3g} > {_GAMMA_MAX:g})")
+        # a^3 first: a float divided by 0 raises
+        if not (gamma > 0 and a_m * a_m * a_m > 0 and 0 < pressure_to_si(1.0, self) < math.inf
+                and 0 < CODATA.k_B_J_per_K * self.T_K / (2.0 * math.pi * a_m**2) < math.inf):
+            raise ValueError(f"a={self.a_um} um, T={self.T_K} K: a*T, a^3 or the SI pressure "
+                             "or free-energy scale under- or overflows")
 
 
 def matsubara_frequency(m: int, T_K: float) -> float:

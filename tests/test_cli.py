@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     return rows
+
+
+def spoil(path, column, text):
+    """Overwrite one cell in the middle of a two-column CSV file."""
+    lines = path.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[column] = text
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestPressureCommand:
@@ -328,6 +338,16 @@ class TestKKCommand:
         code, _, err = run_cli(capsys, "kk", str(src), str(tmp_path / "out.csv"))
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("column", [0, 1], ids=["omega_rad_s", "eps_imag"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_sample_exits_3(self, tmp_path, capsys, column, bad):
+        src, dst = tmp_path / "loss.csv", tmp_path / "out.csv"
+        self._write_drude_loss(src, per_decade=5)
+        spoil(src, column, bad)
+        code, out, err = run_cli(capsys, "kk", str(src), str(dst))
+        assert code == EXIT_INPUT and out == "" and not dst.exists()
+        assert err.startswith(f"error: {src}: ") and "finite" in err
+
 
 class TestUsage:
     @pytest.mark.parametrize("argv, names", [
@@ -396,6 +416,19 @@ class TestUsage:
         code, out, err = run_cli(capsys, "pressure", "--a", "1e-300", "--T", "300")
         assert code == EXIT_COMPUTE and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["pressure", "--a", "1e-100", "--T", "1e12"],
+        ["pressure", "--a", "1e300", "--T", "300"],
+        ["pressure", "--a", "1", "--T", "1e300"],
+        ["entropy", "--a", "1e6", "--T", "1e12"],
+    ], ids=["si-scale-overflow", "huge-a", "huge-T", "entropy-huge-aT"])
+    def test_overflowing_geometry_exits_1(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would escape
+            code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_COMPUTE and out == ""
+        assert err.startswith(f"error: a={float(argv[2])} um, T={float(argv[4])} K: ")
 
     def test_value_error_in_the_numerics_exits_1(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -491,6 +524,18 @@ class TestTabulatedInput:
         p_tab = float(parse_csv(out)[0]["pressure_mPa"])
         p_drude = float(parse_csv(out_ref)[0]["pressure_mPa"])
         assert p_tab == pytest.approx(p_drude, rel=1e-3)
+
+    @pytest.mark.parametrize("flag, column", [("--eps1", 0), ("--eps3", 1)],
+                             ids=["eps1-zeta_rad_s", "eps3-eps_izeta"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_table_exits_3(self, tmp_path, capsys, flag, column, bad):
+        z_eV = np.logspace(0, 3, 30)
+        path = tmp_path / "eps.csv"
+        PermittivityTable(z_eV, drude_epsilon(DrudeParams(9.03, 34.5e-3, "Au"), z_eV)).to_csv(path)
+        spoil(path, column, bad)
+        code, out, err = run_cli(capsys, "pressure", flag, str(path))
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: ") and str(path) in err and "finite" in err
 
     def test_bloch_gruneisen_moves_the_drude_continuation(self, tmp_path, capsys):
         # the table starts at 1 eV, above the first Matsubara frequencies at

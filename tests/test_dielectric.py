@@ -219,6 +219,11 @@ class TestKramersKronig:
             kramers_kronig_transform(w[::-1], eps2, 1e14)
         with pytest.raises(ValueError):
             kramers_kronig_transform(w, -eps2, 1e14)
+        for column, bad in ((0, np.nan), (0, np.inf), (1, np.nan), (1, np.inf)):
+            data = np.array([w, eps2])
+            data[column, 3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                kramers_kronig_transform(*data, 1e14)
 
 
 class TestPermittivityTable:
@@ -235,6 +240,10 @@ class TestPermittivityTable:
             PermittivityTable(zeta_eV=np.array([1.0, 2.0]), eps=np.array([0.5, 0.4]))
         with pytest.raises(ValueError):
             PermittivityTable(zeta_eV=np.array([1.0, 2.0]), eps=np.array([2.0, 3.0]))
+        for zeta, eps in (([1.0, np.nan, 3.0], [3.0, 2.0, 1.5]), ([1.0, 2.0, np.inf], [3.0, 2.0, 1.5]),
+                          ([1.0, 2.0, 3.0], [3.0, np.nan, 1.5]), ([1.0, 2.0, 3.0], [np.inf, 2.0, 1.5])):
+            with pytest.raises(ValueError, match="finite"):
+                PermittivityTable(zeta_eV=np.array(zeta), eps=np.array(eps))
 
     def test_interpolation_accuracy(self):
         table = self._drude_table(per_decade=50)

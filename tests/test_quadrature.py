@@ -181,6 +181,23 @@ def test_row_growing_past_the_initial_width_equals_single_integral():
     assert (val[1], err[1]) == single
 
 
+def test_caller_breaks_are_left_unchanged():
+    # panels are bisected in place; row 1's first bisections fit the initial
+    # width, so panels kept as views of the caller's array would write to it
+    breaks = ragged([[0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 10.0]])
+    before = breaks.copy()
+    nodes = []
+
+    def f(x):
+        nodes.append(np.count_nonzero(~np.isnan(x[1])))
+        return np.array([[0.0], [1.0]]) / (1.0 + (x - 3.0) ** 2 * 1e6)
+
+    integrate_adaptive(f, breaks, rel_tol=1e-12)
+    panels = (sum(nodes) // 15 + 1) // 2  # one initial panel, two per bisection
+    assert panels > breaks.shape[1]  # row 1 grew past the initial width
+    assert breaks.dtype == np.float64 and breaks.tobytes() == before.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.floats(-2.0, 12.0), st.floats(1.0, 1e8),
                           st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,6 +42,16 @@ class TestGeometry:
     def test_underflowing_scales_rejected(self, a_um, T_K):
         # a^3 in m^3, and at 1e-323 also gamma, underflow to 0
         with pytest.raises(ValueError, match=f"a={a_um} um, T={T_K} K"):
+            Geometry(a_um, T_K)
+
+    @pytest.mark.parametrize("a_um, T_K, cause", [
+        (1e-100, 1e12, "scale"), (1e100, 3.6e-86, "scale"), (1e300, 300.0, "too large"),
+        (1.0, 1e300, "too large"), (1e6, 3.7e8, "too large"), (math.inf, 1.0, "too large"),
+    ])
+    def test_overflowing_scales_rejected(self, a_um, T_K, cause):
+        # k_B T/(pi a^3) overflows at the first pair and underflows at the
+        # second; the others exceed the reduced-temperature bound 1e12
+        with pytest.raises(ValueError, match=re.escape(f"a={a_um} um, T={T_K} K: ") + f".*{cause}"):
             Geometry(a_um, T_K)
 
 

@@ -22,6 +22,16 @@ TIGHT = QuadratureSpec(sum_rel_tol=1e-10)
 
 
 class TestFreeEnergy:
+    @pytest.mark.parametrize("a_um, T_K", [(1e6, 3.6e8), (1.0, 3.6e14)])
+    def test_static_term_alone_near_the_reduced_temperature_bound(self, a_um, T_K):
+        # gamma ~ 0.99e12, just inside Geometry's bound: every m >= 1 mode
+        # underflows to 0, without an overflow on the way
+        geom = Geometry(a_um, T_K)
+        p = casimir_pressure(geom, AU, IdealMetal())
+        f = free_energy(geom, AU, IdealMetal())
+        assert p.converged and p.pressure_mPa == p.zero_mode_mPa < 0
+        assert f.converged and f.free_energy_J_per_m2 == f.zero_mode_J_per_m2 < 0
+
     def test_vacuum(self):
         res = free_energy(Geometry(1.0, 300.0), Vacuum(), AU)
         assert math.copysign(1.0, res.free_energy_J_per_m2) == 1.0
