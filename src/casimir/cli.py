@@ -40,12 +40,15 @@ from .dielectric import (
 from .lifshitz import QuadratureSpec, SumConvergenceError, casimir_pressure
 from .quadrature import QuadratureError
 from .quantities import CODATA, Geometry
-from .thermo import _ENTROPY_SPEC, BracketError, entropy, nernst_check
+from .thermo import _ENTROPY_SPEC, _ENTROPY_STEP_K, BracketError, entropy, nernst_check
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_TOLERANCE = 2
 EXIT_INPUT = 3
+
+# Most points of a ``kk`` zeta grid, about 25x the largest default grid.
+_GRID_MAX = 10**6
 
 
 class InputError(ValueError):
@@ -71,14 +74,15 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the JSON config file: flags > config > defaults.
+def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
+    """Parse the subcommand's flags again over the JSON config file's values,
+    so flags > config > defaults.
 
     A key names a flag of the subcommand that takes a value; a JSON string
     or number goes through that flag's type and choices.
     """
     if not getattr(args, "config", None):
-        return
+        return args
     try:
         with open(args.config) as fh:
             conf = json.load(fh)
@@ -86,6 +90,7 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise InputError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(conf, dict):
         raise InputError(f"{args.config}: config must be a JSON object")
+    base = argparse.Namespace(command=args.command)
     for key, value in conf.items():
         flag = "--" + key.replace("_", "-")
         action = args.command_parser._option_string_actions.get(flag)
@@ -100,15 +105,14 @@ def _apply_config(args: argparse.Namespace) -> None:
         except ValueError:
             raise InputError(f"{args.config}: invalid value {value!r} "
                              f"for config key {key!r}") from None
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+        setattr(base, key, value)
+    return args.command_parser.parse_args(argv[argv.index(args.command) + 1:], base)
 
 
-def _build_spec(args: argparse.Namespace, default: QuadratureSpec) -> QuadratureSpec:
-    """The command's ``default`` spec with the tolerances given."""
-    given = {"integral_rel_tol": args.int_tol, "sum_rel_tol": args.sum_tol}
+def _build_spec(args: argparse.Namespace) -> QuadratureSpec:
+    """The command's spec with the tolerances of its flags."""
     try:
-        return replace(default, **{k: v for k, v in given.items() if v is not None})
+        return replace(args.spec, integral_rel_tol=args.int_tol, sum_rel_tol=args.sum_tol)
     except ValueError as exc:
         raise InputError(f"--int-tol/--sum-tol: {exc}") from None
 
@@ -157,15 +161,14 @@ def _side_model(label: str, db: MaterialDatabase, bg: BlochGruneisenParams | Non
 
 def _pair_models(args: argparse.Namespace, db: MaterialDatabase):
     """T -> (model1, model3) for ``--pair``, built once per distinct T."""
-    pair = args.pair if args.pair is not None else "Au,Au"
-    labels = [tok.strip() for tok in pair.split(",")]
+    labels = [tok.strip() for tok in args.pair.split(",")]
     if len(labels) != 2 or not all(labels):
-        raise InputError(f"--pair needs two comma-separated labels, got {pair!r}")
+        raise InputError(f"--pair needs two comma-separated labels, got {args.pair!r}")
     bg = None
     if args.nu_model == "bloch-gruneisen":
         if not any(map(_has_drude, labels, (args.eps1, args.eps3))):
             raise InputError("--nu-model bloch-gruneisen needs a side with Drude "
-                             f"parameters, got --pair {pair}")
+                             f"parameters, got --pair {args.pair}")
         try:
             bg = BlochGruneisenParams()
             bg = bg if args.theta is None else replace(bg, theta_K=args.theta)
@@ -229,27 +232,21 @@ def _pressures(a_list, t_list, models_at, spec):
 def cmd_pressure(args: argparse.Namespace, stream) -> int:
     """``pressure``, and ``sweep``: CSV without the zero_mode_share column."""
     db = _database(args)
-    spec = _build_spec(args, QuadratureSpec())
-    a_list = _float_list(args.a if args.a is not None else "1.0")
-    t_list = _float_list(args.T if args.T is not None else "300")
+    spec = _build_spec(args)
+    a_list = _float_list(args.a)
+    t_list = _float_list(args.T)
     models_at = _pair_models(args, db)
 
     def rows():
         for a, T, res in _pressures(a_list, t_list, models_at, spec):
-            row = {
-                "a_um": a,
-                "T_K": T,
-                "pressure_mPa": res.pressure_mPa,
-                "zero_mode_mPa": res.zero_mode_mPa,
-                "zero_mode_share": res.zero_mode_share,
-                "n_terms": res.n_terms_used,
-                "converged": res.converged,
-            }
+            row = {"a_um": a, "T_K": T, "pressure_mPa": res.pressure_mPa,
+                   "zero_mode_mPa": res.zero_mode_mPa, "zero_mode_share": res.zero_mode_share,
+                   "n_terms": res.n_terms_used, "converged": res.converged}
             if args.command == "sweep":
                 del row["zero_mode_share"]
             yield row
 
-    written = _emit_rows(rows(), args.format or "pretty", stream)
+    written = _emit_rows(rows(), args.format, stream)
     return EXIT_OK if all(row["converged"] for row in written) else EXIT_COMPUTE
 
 
@@ -258,12 +255,13 @@ def cmd_table(args: argparse.Namespace, stream) -> int:
         raise InputError(f"table id must be 1..6, got {args.table_id}")
     fixture = golden.TABLES[args.table_id]
     db = _database(args)
-    spec = _build_spec(args, QuadratureSpec())
-    short_tol = args.tol_short if args.tol_short is not None else 0.05
-    long_tol = args.tol_long if args.tol_long is not None else 0.02
-    for flag, tol in (("--tol-short", short_tol), ("--tol-long", long_tol)):
-        if not 0 <= tol < math.inf:
-            raise InputError(f"{flag} must be finite and >= 0, got {tol}")
+    spec = _build_spec(args)
+    tols = {}  # only those given: cell_tolerance owns the defaults
+    for side, tol in (("short", args.tol_short), ("long", args.tol_long)):
+        if tol is not None:
+            if not 0 <= tol < math.inf:
+                raise InputError(f"--tol-{side} must be finite and >= 0, got {tol}")
+            tols[side + "_tol"] = tol
     sides = [_side_model(label, db, None) for label in fixture.pair]
     cells = list(_pressures(golden.SEPARATIONS_UM, golden.TEMPERATURES_K,
                             lambda T: [side(T) for side in sides], spec))
@@ -272,80 +270,62 @@ def cmd_table(args: argparse.Namespace, stream) -> int:
     for a, T, res in cells:
         ref, corrected = fixture.reference(a, T)
         dev = abs(abs(res.pressure_mPa) - ref) / ref
-        tol = golden.cell_tolerance(a, short_tol=short_tol, long_tol=long_tol)
+        tol = golden.cell_tolerance(a, **tols)
         ok = dev <= tol and res.converged
         if not ok:
             offenders.append((a, T, dev, tol))
-        rows.append({
-            "a_um": a,
-            "T_K": T,
-            "computed_mPa": abs(res.pressure_mPa),
-            "reference_mPa": ref,
-            "rel_dev": dev,
-            "tol": tol,
-            "status": "pass" if ok else "FAIL",
-            "note": "typo-corrected reference" if corrected else "",
-        })
-    _emit_rows(rows, args.format or "pretty", stream)
-    pair = "-".join(fixture.pair)
+        rows.append({"a_um": a, "T_K": T, "computed_mPa": abs(res.pressure_mPa),
+                     "reference_mPa": ref, "rel_dev": dev, "tol": tol,
+                     "status": "pass" if ok else "FAIL",
+                     "note": "typo-corrected reference" if corrected else ""})
+    _emit_rows(rows, args.format, stream)
+    head = f"table {args.table_id} ({'-'.join(fixture.pair)})"  # stderr: stdout holds rows only
     if not all(res.converged for _, _, res in cells):
-        stream.write(f"table {args.table_id} ({pair}): computational failure\n")
+        sys.stderr.write(f"{head}: computational failure\n")
         return EXIT_COMPUTE
     if offenders:
-        stream.write(f"table {args.table_id} ({pair}): "
-                     f"{len(offenders)}/{len(rows)} cells out of tolerance\n")
+        sys.stderr.write(f"{head}: {len(offenders)}/{len(rows)} cells out of tolerance\n")
         for a, T, dev, tol in offenders:
-            stream.write(f"  a={a} um T={T} K: dev={dev:.3%} > tol={tol:.0%}\n")
+            sys.stderr.write(f"  a={a} um T={T} K: dev={dev:.3%} > tol={tol:.0%}\n")
         return EXIT_TOLERANCE
-    stream.write(f"table {args.table_id} ({pair}): all {len(rows)} cells within tolerance\n")
+    sys.stderr.write(f"{head}: all {len(rows)} cells within tolerance\n")
     return EXIT_OK
 
 
 def cmd_entropy(args: argparse.Namespace, stream) -> int:
     db = _database(args)
-    spec = _build_spec(args, _ENTROPY_SPEC)
-    a_list = _float_list(args.a if args.a is not None else "1.0")
-    t_list = _float_list(args.T if args.T is not None else "1,2,4,8")
-    step = float(args.fd_step if args.fd_step is not None else 0.5)
+    spec = _build_spec(args)
+    a_list = _float_list(args.a)
+    t_list = _float_list(args.T)
+    step = args.fd_step
     if not 0 < step < min(t_list):
         raise InputError(f"--fd-step must be positive and below every T, got {step}")
+    # the difference sees the models at T -/+ step: nu(T) under bloch-gruneisen
     models_at = _pair_models(args, db)
-    # with the temperature-dependent relaxation model, let the derivative
-    # see nu(T) as well; the default keeps nu frozen across the difference
-    shifted = models_at if (args.nu_model or "fixed") == "bloch-gruneisen" else None
     rows = []
     for a in sorted(a_list):
         for T in sorted(t_list):
-            m1, m3 = models_at(T)
-            res = entropy(Geometry(a, T), m1, m3, spec, fd_step_K=step,
-                          models_at=shifted)
-            row = {
-                "a_um": a,
-                "T_K": T,
-                "entropy_J_per_m2_K": res.entropy_J_per_m2_K,
-                "fd_step_K": res.fd_step_K,
-            }
+            geom, models = Geometry(a, T), models_at(T)
+            res = entropy(geom, *models, spec, fd_step_K=step, models_at=models_at)
+            row = {"a_um": a, "T_K": T, "entropy_J_per_m2_K": res.entropy_J_per_m2_K,
+                   "fd_step_K": res.fd_step_K}
             if args.check_step_halving:
-                half = entropy(Geometry(a, T), m1, m3, spec,
-                               fd_step_K=0.5 * step, models_at=shifted)
+                half = entropy(geom, *models, spec, fd_step_K=step / 2, models_at=models_at)
                 row["entropy_halved_step"] = half.entropy_J_per_m2_K
                 row["richardson"] = (4.0 * half.entropy_J_per_m2_K
                                      - res.entropy_J_per_m2_K) / 3.0
             rows.append(row)
-    _emit_rows(rows, args.format or "pretty", stream)
-    t_min = min(t_list)
-    verdicts_ok = True
-    for a in sorted(a_list):
-        m1, m3 = models_at(t_min)
-        report = nernst_check(Geometry(a, t_min), m1, m3, spec)
-        verdict = "pass" if report.passed else "FAIL"
-        verdicts_ok = verdicts_ok and report.passed
-        stream.write(
-            f"nernst a={a} um: {verdict} "
+    _emit_rows(rows, args.format, stream)
+    t_min, failed = min(t_list), False
+    for a in sorted(a_list):  # stderr: stdout holds rows only
+        report = nernst_check(Geometry(a, t_min), *models_at(t_min), spec)
+        failed = failed or not report.passed
+        sys.stderr.write(
+            f"nernst a={a} um: {'pass' if report.passed else 'FAIL'} "
             f"(|S({_fmt(t_min)}K)|={abs(report.entropies_J_per_m2_K[0]):.3e}, "
             f"threshold |S_NV|/2={report.threshold_J_per_m2_K:.3e}, "
             f"monotone={str(report.monotone).lower()})\n")
-    return EXIT_OK if verdicts_ok else EXIT_TOLERANCE
+    return EXIT_TOLERANCE if failed else EXIT_OK
 
 
 def cmd_kk(args: argparse.Namespace, stream) -> int:
@@ -362,7 +342,10 @@ def cmd_kk(args: argparse.Namespace, stream) -> int:
             raise InputError(f"--grid values out of range: {args.grid!r}")
     else:
         lo, hi, per_decade = float(omega[0]), float(omega[-1]), 60.0
-    n = max(2, int(round(np.log10(hi / lo) * per_decade)) + 1)
+    span = np.log10(hi / lo) * per_decade  # points - 1; inf past the double range
+    if not span + 1 < _GRID_MAX:
+        raise InputError(f"--grid asks for {span + 1:.3g} points, more than {_GRID_MAX:g}")
+    n = max(2, int(round(span)) + 1)
     zeta_grid = np.logspace(np.log10(lo), np.log10(hi), n)
     try:  # the transform checks the samples before it computes anything
         eps = kramers_kronig_transform(omega, eps2, zeta_grid)
@@ -384,51 +367,61 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-temperature Casimir pressure between material half-spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, pair: bool = True, formats: bool = True) -> None:
-        if pair:
-            p.add_argument("--pair", help="two material labels, e.g. Au,Au "
-                           "(also: vacuum, ideal)")
-            p.add_argument("--a", help="comma-separated gap widths in um")
-            p.add_argument("--T", help="comma-separated temperatures in K")
+    def common(p: argparse.ArgumentParser, T: str | None, spec: QuadratureSpec = QuadratureSpec(),
+               formats: bool = True) -> None:
+        """Shared flags; ``T`` is the default --T (None: no pair flags), and
+        ``spec``'s tolerances are the defaults of --int-tol/--sum-tol."""
+        if T is not None:
+            p.add_argument("--pair", default="Au,Au", help="two material labels, "
+                           "also vacuum or ideal (default %(default)s)")
+            p.add_argument("--a", default="1.0",
+                           help="comma-separated gap widths in um (default %(default)s)")
+            p.add_argument("--T", default=T,
+                           help="comma-separated temperatures in K (default %(default)s)")
             p.add_argument("--eps1", help="permittivity table CSV for side 1")
             p.add_argument("--eps3", help="permittivity table CSV for side 3")
-            p.add_argument("--nu-model", dest="nu_model",
+            p.add_argument("--nu-model", dest="nu_model", default="fixed",
                            choices=("fixed", "bloch-gruneisen"),
-                           help="relaxation frequency model (default fixed)")
-            p.add_argument("--theta", type=float,
-                           help="phonon temperature for bloch-gruneisen (default 175 K)")
-        p.add_argument("--int-tol", dest="int_tol", type=float,
-                       help="relative tolerance of the mode integrals (default 1e-12)")
-        p.add_argument("--sum-tol", dest="sum_tol", type=float,
-                       help="relative tolerance of the frequency sum "
-                       "(default 1e-8; entropy 1e-10)")
+                           help="relaxation frequency model (default %(default)s)")
+            p.add_argument("--theta", type=float, help="phonon temperature for "
+                           f"bloch-gruneisen (default {BlochGruneisenParams().theta_K:g} K)")
+        p.add_argument("--int-tol", dest="int_tol", type=float, default=spec.integral_rel_tol,
+                       help="relative tolerance of the mode integrals (default %(default)g)")
+        p.add_argument("--sum-tol", dest="sum_tol", type=float, default=spec.sum_rel_tol,
+                       help="relative tolerance of the frequency sum (default %(default)g)")
         if formats:
-            p.add_argument("--format", choices=("csv", "json", "pretty"),
-                           help="output format (default pretty)")
+            p.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty",
+                           help="output format (default %(default)s)")
         p.add_argument("--materials", help="JSON material database path")
         p.add_argument("--config", help="JSON config file (flags take precedence)")
+        p.set_defaults(spec=spec)
 
     p = sub.add_parser("pressure", help="pressure at given (a, T) points")
-    common(p)
+    common(p, T="300")
     p.set_defaults(func=cmd_pressure)
 
     p = sub.add_parser("sweep", help="pressure over the a x T grid as a CSV stream")
-    common(p, formats=False)
+    common(p, T="300", formats=False)
     p.set_defaults(func=cmd_pressure, format="csv")
 
+    short_tol, long_tol = golden.cell_tolerance.__defaults__
     p = sub.add_parser("table", help="regression against a reference grid")
     p.add_argument("table_id", type=int, help="reference table id (1..6)")
     p.add_argument("--tol-short", dest="tol_short", type=float,
-                   help="relative tolerance for a < 0.5 um (default 0.05)")
+                   help=f"relative tolerance for a < {golden.SHORT_RANGE_UM:g} um "
+                   f"(default {short_tol:g})")
     p.add_argument("--tol-long", dest="tol_long", type=float,
-                   help="relative tolerance for a >= 0.5 um (default 0.02)")
-    common(p, pair=False)
+                   help=f"relative tolerance for a >= {golden.SHORT_RANGE_UM:g} um "
+                   f"(default {long_tol:g})")
+    common(p, T=None)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("entropy", help="entropy rows and zero-temperature check")
-    common(p)
-    p.add_argument("--fd-step", dest="fd_step", type=float,
-                   help="central-difference step in K (default 0.5)")
+    p = sub.add_parser("entropy", help="entropy rows and zero-temperature check",
+                       description="With --nu-model bloch-gruneisen the rows use nu(T); "
+                       "the nernst verdict keeps nu(T_min) on every rung of its ladder.")
+    common(p, T="1,2,4,8", spec=_ENTROPY_SPEC)
+    p.add_argument("--fd-step", dest="fd_step", type=float, default=_ENTROPY_STEP_K,
+                   help="central-difference step in K (default %(default)g)")
     p.add_argument("--check-step-halving", action="store_true",
                    help="also report the halved-step and Richardson values")
     p.set_defaults(func=cmd_entropy)
@@ -447,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        _apply_config(args)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _apply_config(build_parser().parse_args(argv), argv)
         return args.func(args, sys.stdout)
     except (InputError, UnknownMaterialError) as exc:
         print(f"error: {exc}", file=sys.stderr)

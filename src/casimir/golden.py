@@ -19,10 +19,12 @@ __all__ = [
     "TEMPERATURES_K",
     "TABLES",
     "cell_tolerance",
+    "SHORT_RANGE_UM",
 ]
 
 SEPARATIONS_UM = (0.16, 0.2, 0.4, 0.5, 0.7, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 TEMPERATURES_K = (1.0, 300.0, 350.0)
+SHORT_RANGE_UM = 0.5  # cells below this gap take the looser tolerance
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ def cell_tolerance(a_um: float, short_tol: float = 0.05, long_tol: float = 0.02)
     interband structure present in the measured data behind the reference
     values.
     """
-    return short_tol if a_um < 0.5 else long_tol
+    return short_tol if a_um < SHORT_RANGE_UM else long_tol
 
 
 TABLES: dict[int, TableFixture] = {

@@ -18,6 +18,7 @@ __all__ = [
     "reduced_temperature",
     "matsubara_frequency",
     "pressure_to_si",
+    "free_energy_to_si",
 ]
 
 
@@ -79,7 +80,7 @@ class Geometry:
                              f"(reduced temperature {gamma:.3g} > {_GAMMA_MAX:g})")
         # a^3 first: a float divided by 0 raises
         if not (gamma > 0 and a_m * a_m * a_m > 0 and 0 < pressure_to_si(1.0, self) < math.inf
-                and 0 < CODATA.k_B_J_per_K * self.T_K / (2.0 * math.pi * a_m**2) < math.inf):
+                and 0 < free_energy_to_si(1.0, self) < math.inf):
             raise ValueError(f"a={self.a_um} um, T={self.T_K} K: a*T, a^3 or the SI pressure "
                              "or free-energy scale under- or overflows")
 
@@ -119,3 +120,9 @@ def pressure_to_si(coefficient: float, geom: Geometry) -> float:
     a_m = geom.a_um * 1e-6
     factor_mPa = CODATA.k_B_J_per_K * geom.T_K / (math.pi * (a_m * a_m * a_m)) * 1e3
     return coefficient * factor_mPa
+
+
+def free_energy_to_si(coefficient: float, geom: Geometry) -> float:
+    """Convert a dimensionless free-energy coefficient to J/m^2: times k_B*T/(2*pi*a^2)."""
+    a_m = geom.a_um * 1e-6
+    return coefficient * (CODATA.k_B_J_per_K * geom.T_K / (2.0 * math.pi * a_m**2))

@@ -3,10 +3,11 @@ temperature-crossover separation.
 
 The free energy uses the logarithmic mode sum
 
-    F = (k_B T / 2 pi a^2) * sum'_m int_{m*gamma}^inf y dy
+    F = u_F * sum'_m int_{m*gamma}^inf y dy
         [ln(1 - x_TM) + ln(1 - x_TE)],    x = delta1*delta2*e^{-2y},
 
-whose a-derivative reproduces the pressure mode sum exactly; that relation
+with u_F the SI scale of ``quantities.free_energy_to_si``.  Its
+a-derivative reproduces the pressure mode sum exactly; that relation
 is enforced by tests rather than assumed.  The static TM term integrates in
 closed form to -zeta(3)/8 (half weight included), the static TE term
 vanishes for any finite relaxation frequency.
@@ -14,7 +15,6 @@ vanishes for any finite relaxation frequency.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +27,7 @@ from .lifshitz import (
     zeta3,
 )
 from .quadrature import integrate_adaptive
-from .quantities import CODATA, Geometry
+from .quantities import Geometry, free_energy_to_si
 
 __all__ = [
     "FreeEnergyResult",
@@ -44,6 +44,8 @@ __all__ = [
 # summation tolerance is two decades tighter than the pressure default so
 # the truncation bias stays far below the differences being resolved.
 _ENTROPY_SPEC = QuadratureSpec(sum_rel_tol=1e-10)
+# Default central-difference step of ``entropy`` in K.
+_ENTROPY_STEP_K = 0.5
 
 
 @dataclass(frozen=True)
@@ -106,15 +108,12 @@ def free_energy(geom: Geometry, model1: DielectricModel, model3: DielectricModel
     Raises SumConvergenceError (carrying the partial result) when max_terms
     is exhausted first.
     """
-    a_m = geom.a_um * 1e-6
     return _summed_modes(geom, model1, model3, spec or QuadratureSpec(), True,
-                         integrate_adaptive,
-                         CODATA.k_B_J_per_K * geom.T_K / (2.0 * math.pi * a_m**2),
-                         FreeEnergyResult)
+                         integrate_adaptive, free_energy_to_si(1.0, geom), FreeEnergyResult)
 
 
 def entropy(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
-            spec: QuadratureSpec | None = None, fd_step_K: float = 0.5,
+            spec: QuadratureSpec | None = None, fd_step_K: float = _ENTROPY_STEP_K,
             models_at=None) -> EntropyResult:
     """Entropy per unit area, S = -dF/dT, by a central difference in T.
 
@@ -161,11 +160,9 @@ def nernst_check(geom: Geometry, model1: DielectricModel, model3: DielectricMode
         entropy(Geometry(geom.a_um, t), model1, model3, spec,
                 fd_step_K=t / 8.0).entropy_J_per_m2_K
         for t in ladder)
-    # static-mode free energy over T: -k_B zeta(3)/(16 pi a^2)
-    reference = 0.0
+    reference = 0.0  # the static-mode free energy over T
     if not (model1.is_vacuum or model3.is_vacuum):
-        a_m = geom.a_um * 1e-6
-        reference = -CODATA.k_B_J_per_K * zeta3() / (16.0 * math.pi * a_m**2)
+        reference = free_energy_to_si(-zeta3() / 8.0, geom) / geom.T_K
     threshold = 0.5 * abs(reference)
     magnitudes = [abs(s) for s in svals]  # ordered up the ladder
     monotone = all(magnitudes[i] <= magnitudes[i + 1] for i in range(len(magnitudes) - 1))

@@ -20,8 +20,10 @@ from casimir.cli import (
     build_parser,
     main,
 )
+from casimir import golden
 from casimir.dielectric import (
     BlochGruneisenParams,
+    DrudeModel,
     DrudeParams,
     MaterialDatabase,
     PermittivityTable,
@@ -31,9 +33,10 @@ from casimir.dielectric import (
     kramers_kronig_transform,
     read_optical_csv,
 )
-from casimir.lifshitz import casimir_pressure
+from casimir.lifshitz import QuadratureSpec, casimir_pressure
 from casimir.quadrature import integrate_adaptive
 from casimir.quantities import CODATA, Geometry
+from casimir.thermo import _ENTROPY_SPEC, _ENTROPY_STEP_K, nernst_check
 
 
 def run_cli(capsys, *argv):
@@ -178,19 +181,28 @@ class TestSweepCommand:
 
 class TestTableCommand:
     def test_gold_table_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "1", "--format", "csv")
+        code, out, err = run_cli(capsys, "table", "1", "--format", "json")
         assert code == EXIT_OK
-        assert "all 36 cells within tolerance" in out
+        rows = json.loads(out)  # the verdict goes to stderr
+        assert len(rows) == 36 and all(r["status"] == "pass" for r in rows)
+        assert err == "table 1 (Au-Au): all 36 cells within tolerance\n"
 
     def test_tightened_tolerance_fails_with_exit_2(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "1", "--tol-long", "1e-4",
-                               "--tol-short", "1e-4", "--format", "csv")
+        code, out, err = run_cli(capsys, "table", "1", "--tol-long", "1e-4",
+                                 "--tol-short", "1e-4", "--format", "csv")
         assert code == EXIT_TOLERANCE
-        assert "out of tolerance" in out
+        assert "out of tolerance" in err
+        assert {r["tol"] for r in parse_csv(out)} == {"0.0001"}
+
+    def test_one_tolerance_given_keeps_the_other_default(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "1", "--tol-long", "1e-4", "--format", "json")
+        short_default = golden.cell_tolerance(0.16)
+        tols = {(r["a_um"] < golden.SHORT_RANGE_UM, r["tol"]) for r in json.loads(out)}
+        assert code == EXIT_TOLERANCE and tols == {(True, short_default), (False, 1e-4)}
 
     def test_typo_corrected_cell_is_flagged(self, capsys):
         code, out, _ = run_cli(capsys, "table", "2", "--format", "csv")
-        rows = [r for r in parse_csv(out.split("table 2")[0])
+        rows = [r for r in parse_csv(out)
                 if r["a_um"] == "0.2" and r["T_K"] == "350"]
         assert rows and rows[0]["note"] == "typo-corrected reference"
         assert float(rows[0]["reference_mPa"]) == 494.7
@@ -220,26 +232,54 @@ class TestTableCommand:
 
 class TestEntropyCommand:
     def test_vacuum_all_zero_and_nernst_pass(self, capsys):
-        code, out, _ = run_cli(capsys, "entropy", "--pair", "vacuum,vacuum",
-                               "--a", "1", "--T", "1,2,4,8", "--format", "csv")
+        code, out, err = run_cli(capsys, "entropy", "--pair", "vacuum,vacuum",
+                                 "--a", "1", "--T", "1,2,4,8", "--format", "csv")
         assert code == EXIT_OK
-        rows = parse_csv(out.split("nernst")[0])
-        assert all(float(r["entropy_J_per_m2_K"]) == 0.0 for r in rows)
-        assert "nernst a=1.0 um: pass" in out
+        rows = parse_csv(out)  # the verdict goes to stderr
+        assert len(rows) == 4 and all(float(r["entropy_J_per_m2_K"]) == 0.0 for r in rows)
+        assert err.startswith("nernst a=1.0 um: pass")
+
+    def test_json_output_parses(self, capsys):
+        code, out, err = run_cli(capsys, "entropy", "--pair", "vacuum,vacuum",
+                                 "--a", "1,2", "--T", "4", "--format", "json")
+        assert code == EXIT_OK
+        assert [(r["a_um"], r["entropy_J_per_m2_K"]) for r in json.loads(out)] == [
+            (1.0, 0.0), (2.0, 0.0)]
+        assert [line.split(":")[0] for line in err.splitlines()] == [
+            "nernst a=1.0 um", "nernst a=2.0 um"]
 
     def test_nernst_fail_exits_2(self, capsys):
         # unit reflection for every m >= 1 keeps S at the Nernst-violating limit
-        code, out, _ = run_cli(capsys, "entropy", "--pair", "ideal,ideal",
-                               "--a", "2", "--T", "2")
+        code, out, err = run_cli(capsys, "entropy", "--pair", "ideal,ideal",
+                                 "--a", "2", "--T", "2")
         assert code == EXIT_TOLERANCE
-        assert "nernst a=2.0 um: FAIL" in out
+        assert err.startswith("nernst a=2.0 um: FAIL") and "nernst" not in out
+
+    def test_bloch_gruneisen_verdict_keeps_nu_of_lowest_T(self, capsys):
+        # the rows rebuild nu(T) at T -/+ step; the verdict's ladder runs on
+        # the models of the lowest T, as nernst_check takes fixed models
+        code, out, err = run_cli(capsys, "entropy", "--pair", "Au,Au", "--a", "1",
+                                 "--T", "40,30", "--nu-model", "bloch-gruneisen",
+                                 "--format", "json")
+        au = MaterialDatabase.builtin().get("Au")
+        bg_au = DrudeModel(DrudeParams(
+            au.omega_p_eV, bloch_gruneisen_nu(BlochGruneisenParams(), 30.0), au.label))
+        report = nernst_check(Geometry(1.0, 30.0), bg_au, bg_au, _ENTROPY_SPEC)
+        verdict = "pass" if report.passed else "FAIL"
+        assert code == (EXIT_OK if report.passed else EXIT_TOLERANCE)
+        assert err == (
+            f"nernst a=1.0 um: {verdict} "
+            f"(|S(30K)|={abs(report.entropies_J_per_m2_K[0]):.3e}, "
+            f"threshold |S_NV|/2={report.threshold_J_per_m2_K:.3e}, "
+            f"monotone={str(report.monotone).lower()})\n")
+        assert [r["T_K"] for r in json.loads(out)] == [30.0, 40.0]
 
     def test_step_halving_flag(self, capsys):
         code, out, _ = run_cli(capsys, "entropy", "--pair", "vacuum,Au",
                                "--a", "1", "--T", "4", "--format", "csv",
                                "--check-step-halving")
         assert code == EXIT_OK
-        rows = parse_csv(out.split("nernst")[0])
+        rows = parse_csv(out)
         assert "richardson" in rows[0]
 
     def test_step_must_fit_below_temperature(self, capsys):
@@ -325,6 +365,15 @@ class TestKKCommand:
         for b, d in zip(base, doubled):
             # files carry 12 significant digits
             assert d == pytest.approx(2.0 * b, rel=1e-10)
+
+    @pytest.mark.parametrize("grid", ["1,10,1e7", "1,1e6,200000", "1e-300,1e300,1e300"])
+    def test_oversized_grid_exits_3(self, tmp_path, capsys, grid):
+        # rejected before the grid is allocated: 1,10,1e12 would ask for 8 TB
+        src, dst = tmp_path / "abs.csv", tmp_path / "out.csv"
+        self._write_drude_loss(src, per_decade=10)
+        code, out, err = run_cli(capsys, "kk", str(src), str(dst), "--grid", grid)
+        assert code == EXIT_INPUT and out == "" and not dst.exists()
+        assert err.startswith("error: --grid asks for") and "more than 1e+06" in err
 
     def test_empty_input(self, tmp_path, capsys):
         src = tmp_path / "empty.csv"
@@ -444,6 +493,31 @@ class TestUsage:
         assert exc.value.code == 0
         assert "--pair" in capsys.readouterr().out
 
+    SPEC, BG = QuadratureSpec(), BlochGruneisenParams()
+    SHORT_TOL, LONG_TOL = golden.cell_tolerance(0.16), golden.cell_tolerance(4.0)
+    PAIR = {"--pair": "Au,Au", "--a": "1.0", "--nu-model": "fixed",
+            "--theta": f"{BG.theta_K:g} K", "--int-tol": f"{SPEC.integral_rel_tol:g}"}
+
+    @pytest.mark.parametrize("command, defaults", [
+        ("pressure", {**PAIR, "--T": "300", "--sum-tol": f"{SPEC.sum_rel_tol:g}",
+                      "--format": "pretty"}),
+        ("sweep", {**PAIR, "--T": "300", "--sum-tol": f"{SPEC.sum_rel_tol:g}"}),
+        ("table", {"--int-tol": f"{SPEC.integral_rel_tol:g}",
+                   "--sum-tol": f"{SPEC.sum_rel_tol:g}", "--format": "pretty",
+                   "--tol-short": f"{SHORT_TOL:g}", "--tol-long": f"{LONG_TOL:g}"}),
+        ("entropy", {**PAIR, "--T": "1,2,4,8", "--sum-tol": f"{_ENTROPY_SPEC.sum_rel_tol:g}",
+                     "--format": "pretty", "--fd-step": f"{_ENTROPY_STEP_K:g}"}),
+    ])
+    def test_help_shows_each_owners_default(self, capsys, command, defaults):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        options = text.split(" options: ")[1]
+        for flag, value in defaults.items():
+            # the flag's own entry runs from its name up to the next flag
+            entry = options.split(f" {flag} ")[1].split(" --")[0]
+            assert f"(default {value})" in entry, (flag, entry)
+
 
 class TestConfigPrecedence:
     def test_config_supplies_defaults_flags_override(self, tmp_path, capsys):
@@ -460,6 +534,20 @@ class TestConfigPrecedence:
         p_au = float(parse_csv(out_au)[0]["pressure_mPa"])
         assert p_flag == p_au  # flag wins over config
         assert p_conf != p_au  # config applied when flag absent
+
+    def test_entropy_sum_tol_config_beats_default_and_flag_beats_config(
+            self, tmp_path, capsys):
+        argv = ["entropy", "--pair", "Au,Au", "--a", "1", "--T", "30", "--format", "json"]
+        conf = tmp_path / "run.json"
+        conf.write_text(json.dumps({"sum_tol": 1e-4}))
+        fallback = run_cli(capsys, *argv)
+        explicit_fallback = run_cli(capsys, *argv, "--sum-tol", str(_ENTROPY_SPEC.sum_rel_tol))
+        from_conf = run_cli(capsys, *argv, "--config", str(conf))
+        from_flag = run_cli(capsys, *argv, "--sum-tol", "1e-4")
+        flag_over_conf = run_cli(capsys, *argv, "--config", str(conf),
+                                 "--sum-tol", str(_ENTROPY_SPEC.sum_rel_tol))
+        assert from_conf == from_flag and from_conf[1] != fallback[1]
+        assert flag_over_conf == explicit_fallback == fallback
 
     def test_unknown_config_key(self, tmp_path, capsys):
         conf = tmp_path / "run.json"

@@ -8,6 +8,7 @@ from casimir.quantities import (
     CODATA,
     Geometry,
     PhysicalConstants,
+    free_energy_to_si,
     matsubara_frequency,
     pressure_to_si,
     reduced_temperature,
@@ -130,3 +131,20 @@ class TestPressureToSi:
         p300 = pressure_to_si(1.0, Geometry(1.0, 300.0))
         p150 = pressure_to_si(1.0, Geometry(1.0, 150.0))
         assert p300 == pytest.approx(2.0 * p150, rel=1e-14)
+
+
+class TestFreeEnergyToSi:
+    def test_static_free_energy(self):
+        # k_B*T/(2*pi*a^2) * (-zeta(3)/8), hand arithmetic:
+        # 1.380649e-23*300/(2*pi*1e-12) J/m^2 * 0.1502571129 = 9.9051e-11 J/m^2
+        geom = Geometry(1.0, 300.0)
+        assert free_energy_to_si(-0.1502571129, geom) == pytest.approx(-9.9051e-11, rel=1e-4)
+
+    @given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
+    def test_linear_in_coefficient(self, c):
+        geom = Geometry(0.5, 350.0)
+        assert free_energy_to_si(c, geom) == c * free_energy_to_si(1.0, geom)
+
+    def test_inverse_square_scaling(self):
+        f1 = free_energy_to_si(1.0, Geometry(1.0, 300.0))
+        assert free_energy_to_si(1.0, Geometry(2.0, 300.0)) == f1 / 4.0

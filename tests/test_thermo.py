@@ -153,6 +153,13 @@ class TestNernstCheck:
             assert s == entropy(Geometry(1.0, t), AU, AU,
                                 fd_step_K=t / 8.0).entropy_J_per_m2_K
 
+    @pytest.mark.parametrize("model", [AU, Vacuum()], ids=["Au-Au", "vacuum"])
+    def test_reference_is_static_free_energy_over_T(self, model):
+        geom = Geometry(1.0, 300.0)
+        report = nernst_check(geom, model, model)
+        static = free_energy(geom, model, model).zero_mode_J_per_m2
+        assert report.reference_entropy_J_per_m2_K == static / geom.T_K
+
     def test_ideal_metal_violates(self):
         # unit reflection for every m >= 1 and no static TE mode: the
         # entropy keeps the Nernst-violating value S_NV down to T -> 0
