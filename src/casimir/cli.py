@@ -318,7 +318,7 @@ def cmd_entropy(args: argparse.Namespace, stream) -> int:
     _emit_rows(rows, args.format, stream)
     t_min, failed = min(t_list), False
     for a in sorted(a_list):  # stderr: stdout holds rows only
-        report = nernst_check(Geometry(a, t_min), *models_at(t_min), spec)
+        report = nernst_check(Geometry(a, t_min), *models_at(t_min), spec, models_at=models_at)
         failed = failed or not report.passed
         sys.stderr.write(
             f"nernst a={a} um: {'pass' if report.passed else 'FAIL'} "
@@ -416,9 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, T=None)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("entropy", help="entropy rows and zero-temperature check",
-                       description="With --nu-model bloch-gruneisen the rows use nu(T); "
-                       "the nernst verdict keeps nu(T_min) on every rung of its ladder.")
+    p = sub.add_parser("entropy", help="entropy rows and zero-temperature check")
     common(p, T="1,2,4,8", spec=_ENTROPY_SPEC)
     p.add_argument("--fd-step", dest="fd_step", type=float, default=_ENTROPY_STEP_K,
                    help="central-difference step in K (default %(default)g)")

@@ -94,7 +94,8 @@ class UnknownMaterialError(KeyError):
 
 
 class MaterialDatabase:
-    """Immutable, case-insensitive label -> DrudeParams lookup."""
+    """Immutable, case-insensitive label -> DrudeParams lookup; of entries
+    whose labels differ only in case, the last one wins."""
 
     def __init__(self, entries: Iterable[DrudeParams]):
         table = {}
@@ -116,18 +117,17 @@ class MaterialDatabase:
             raw = json.load(fh)
         if not isinstance(raw, list):
             raise ValueError(f"{path}: expected a JSON array of material objects")
-        entries = {p.label.lower(): p for p in _BUILTIN_MATERIALS}
+        parsed = []
         for item in raw:
             try:
-                p = DrudeParams(
+                parsed.append(DrudeParams(
                     omega_p_eV=float(item["omega_p_eV"]),
                     nu_eV=float(item["nu_eV"]),
                     label=str(item["label"]),
-                )
+                ))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: malformed material entry {item!r} ({exc})") from exc
-            entries[p.label.lower()] = p
-        return cls(entries.values())
+        return cls([*_BUILTIN_MATERIALS, *parsed])
 
     def get(self, label: str) -> DrudeParams:
         try:
@@ -242,6 +242,12 @@ class PermittivityTable:
 class DielectricModel:
     """Evaluable permittivity on the imaginary frequency axis.
 
+    ``epsilon`` maps zeta in eV (a scalar or an array) to real values >= 1,
+    as for any passive medium, or to ``inf`` for a perfect reflector; the
+    mode sum raises ValueError for a value below 1.  NaN marks missing data:
+    a mode integral that meets it is not certified, and the sum raises
+    QuadratureError.
+
     ``is_vacuum`` marks the one model whose static mode vanishes entirely;
     every metallic model diverges as zeta -> 0, so its static TM reflection
     saturates to the ideal-metal value.
@@ -269,10 +275,11 @@ class TabulatedModel(DielectricModel):
     """Tabulated permittivity with mandatory Drude continuation below the table.
 
     Measured data never reach the static limit, so below the lowest sample
-    the Drude form takes over.  Above the highest sample a free-electron
-    (zeta_top/zeta)^2 falloff of eps-1 is assumed; whether an evaluation
-    ever needed that extrapolation can be checked against
-    ``table.zeta_max_eV``.
+    the Drude form takes over; ``repr`` shows the relative jump of eps
+    there, |eps_Drude/eps_table - 1| at ``table.zeta_min_eV``.  Above the
+    highest sample a free-electron (zeta_top/zeta)^2 falloff of eps-1 is
+    assumed; whether an evaluation ever needed that extrapolation can be
+    checked against ``table.zeta_max_eV``.
     """
 
     def __init__(self, table: PermittivityTable, low_freq: DrudeParams):
@@ -297,9 +304,10 @@ class TabulatedModel(DielectricModel):
 
     def __repr__(self) -> str:
         t = self.table
+        jump = abs(drude_epsilon(self.low_freq, t.zeta_min_eV) / t.eps[0] - 1.0)
         return (f"TabulatedModel({t.zeta_eV.size} samples, "
                 f"{t.zeta_min_eV:.3g}..{t.zeta_max_eV:.3g} eV, "
-                f"tail={self.low_freq.label or '?'})")
+                f"tail={self.low_freq.label or '?'}, jump={jump:.3g})")
 
 
 class Vacuum(DielectricModel):
@@ -420,17 +428,17 @@ def kramers_kronig_transform(
     log_z = np.log(z)
     k = np.clip(np.searchsorted(t, log_z) - 1, 0, t.size - 2)
     split = (w[0] < z) & (z < w[-1])
-    left_w2, left_c = weighted(t[k], log_z)
-    right_w2, right_c = weighted(log_z, t[k + 1])
     interior = np.empty(z.size)
     for i in range(0, z.size, _KK_BLOCK):
         b = slice(i, i + _KK_BLOCK)
         z2 = (z[b] * z[b])[:, None]
         per_interval = (c / (w2 + z2[:, :, None])).sum(axis=-1)
         rows = np.flatnonzero(split[b])
-        per_interval[rows, k[b][rows]] = (
-            (left_c[b][rows] / (left_w2[b][rows] + z2[rows])).sum(axis=-1)
-            + (right_c[b][rows] / (right_w2[b][rows] + z2[rows])).sum(axis=-1))
+        kr, log_zr, z2r = k[b][rows], log_z[b][rows], z2[rows]
+        left_w2, left_c = weighted(t[kr], log_zr)
+        right_w2, right_c = weighted(log_zr, t[kr + 1])
+        per_interval[rows, kr] = ((left_c / (left_w2 + z2r)).sum(axis=-1)
+                                  + (right_c / (right_w2 + z2r)).sum(axis=-1))
         interior[i:i + _KK_BLOCK] = per_interval.sum(axis=-1)
 
     low_amp = w[0] * e2[0]  # eps'' ~ A/w below the window

@@ -186,8 +186,8 @@ def _mode_kernel(y, work: _Workspace, free_energy: bool, A, eps1, eps3=None):
     Row i of ``y`` holds nodes of mode i, whose lower limit is A[i] = m*gamma
     and whose permittivities at zeta_m are eps1[i] and eps3[i] (inf for an
     ideal metal; no eps3 means eps3 = eps1).  Gives the pressure integrand
-    y^2 * [x_TM/(1-x_TM) + x_TE/(1-x_TE)], x = delta1*delta2*e^{-2y} < 1,
-    or, with ``free_energy``, y * [ln(1-x_TM) + ln(1-x_TE)], in a view into
+    y^2 * [x_TM/(1-x_TM) + x_TE/(1-x_TE)], x = delta1*delta2*e^{-2y}, or,
+    with ``free_energy``, y * [ln(1-x_TM) + ln(1-x_TE)], in a view into
     ``work`` valid until the next call; ``integrate_adaptive`` copies each
     integrand value before it calls the integrand again.
 
@@ -199,16 +199,12 @@ def _mode_kernel(y, work: _Workspace, free_energy: bool, A, eps1, eps3=None):
     np.multiply(p, p, out=pp)
     tm1, te1 = _reflections(eps1[:, None], p, pp, s, x, b1, b2)
     tm3, te3 = (tm1, te1) if eps3 is None else _reflections(eps3[:, None], p, pp, s, x, b3, b4)
-    if not free_energy and np.less_equal(y, 0, out=mask).any():
-        raise ValueError("y must be positive")
     em = np.negative(np.expm1(np.multiply(-2.0, y, out=p), out=pp), out=pp)
     e2y = np.exp(p, out=p)
     total = 0.0
     for d1, d3 in ((tm1, tm3), (te1, te3)):
         prod = np.multiply(d1, d3, out=s)
         np.multiply(prod, e2y, out=x)
-        if not free_energy and np.greater_equal(x, 1.0, out=mask).any():
-            raise ValueError("delta1*delta2*e^{-2y} must stay below 1")
         one_minus = np.add(em, np.multiply(e2y, np.subtract(1.0, prod, out=s), out=s), out=s)
         if free_energy:
             # ln(1-x): log of the assembled 1-x when x is near 1, log1p
@@ -254,8 +250,11 @@ def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
     gamma = reduced_temperature(geom)
     lower = ms * gamma
     zeta = ms * matsubara_frequency(1, geom.T_K)
-    eps1 = np.asarray(model1.epsilon(zeta), dtype=float)
-    eps3 = np.asarray(model3.epsilon(zeta), dtype=float)
+    eps1, eps3 = (np.asarray(model.epsilon(zeta), dtype=float) for model in (model1, model3))
+    for model, eps in ((model1, eps1), (model3, eps3)):
+        i = np.argmax(eps < 1.0)  # NaN is not below 1; such a mode fails to certify
+        if eps[i] < 1.0:
+            raise ValueError(f"{model!r}: epsilon = {eps[i]:.6g} < 1 at zeta = {zeta[i]:.6g} eV")
     same = (eps1 == eps3).all()  # then one interface serves both sides
     args = (lower, eps1) + (() if same else (eps3,))
     values, errors, failed = np.empty(ms.size), np.empty(ms.size), np.zeros(ms.size, bool)

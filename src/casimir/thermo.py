@@ -140,11 +140,13 @@ def entropy(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
 
 
 def nernst_check(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
-                 spec: QuadratureSpec | None = None) -> NernstReport:
+                 spec: QuadratureSpec | None = None, models_at=None) -> NernstReport:
     """Evaluate the entropy toward T -> 0 and test that it vanishes there.
 
     The ladder is T * (1, 2, 4, 8) with T and the separation from ``geom``;
-    each rung is a central difference with step T_rung/8.  The verdict
+    each rung is a central difference with step T_rung/8, passed
+    ``models_at`` as in :func:`entropy`, so that with a temperature-dependent
+    relaxation frequency every rung sees its own.  The verdict
     measures |S(T)| against the Nernst-violating limit S_NV (see
     :class:`NernstReport`): it passes when |S| does not increase down the
     ladder and |S(T)| <= |S_NV|/2.  For a fixed-relaxation Drude pair
@@ -158,7 +160,7 @@ def nernst_check(geom: Geometry, model1: DielectricModel, model3: DielectricMode
     ladder = tuple(geom.T_K * k for k in (1.0, 2.0, 4.0, 8.0))
     svals = tuple(
         entropy(Geometry(geom.a_um, t), model1, model3, spec,
-                fd_step_K=t / 8.0).entropy_J_per_m2_K
+                fd_step_K=t / 8.0, models_at=models_at).entropy_J_per_m2_K
         for t in ladder)
     reference = 0.0  # the static-mode free energy over T
     if not (model1.is_vacuum or model3.is_vacuum):

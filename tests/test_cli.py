@@ -255,16 +255,22 @@ class TestEntropyCommand:
         assert code == EXIT_TOLERANCE
         assert err.startswith("nernst a=2.0 um: FAIL") and "nernst" not in out
 
-    def test_bloch_gruneisen_verdict_keeps_nu_of_lowest_T(self, capsys):
-        # the rows rebuild nu(T) at T -/+ step; the verdict's ladder runs on
-        # the models of the lowest T, as nernst_check takes fixed models
+    def test_bloch_gruneisen_verdict_follows_nu_of_each_rung(self, capsys):
+        # the verdict's ladder, like the rows, rebuilds nu(T) at every T -/+ step
         code, out, err = run_cli(capsys, "entropy", "--pair", "Au,Au", "--a", "1",
                                  "--T", "40,30", "--nu-model", "bloch-gruneisen",
                                  "--format", "json")
         au = MaterialDatabase.builtin().get("Au")
-        bg_au = DrudeModel(DrudeParams(
-            au.omega_p_eV, bloch_gruneisen_nu(BlochGruneisenParams(), 30.0), au.label))
-        report = nernst_check(Geometry(1.0, 30.0), bg_au, bg_au, _ENTROPY_SPEC)
+
+        def models_at(T_K):
+            bg_au = DrudeModel(DrudeParams(
+                au.omega_p_eV, bloch_gruneisen_nu(BlochGruneisenParams(), T_K), au.label))
+            return bg_au, bg_au
+
+        report = nernst_check(Geometry(1.0, 30.0), *models_at(30.0), _ENTROPY_SPEC,
+                              models_at=models_at)
+        fixed_nu = nernst_check(Geometry(1.0, 30.0), *models_at(30.0), _ENTROPY_SPEC)
+        assert report.entropies_J_per_m2_K != fixed_nu.entropies_J_per_m2_K
         verdict = "pass" if report.passed else "FAIL"
         assert code == (EXIT_OK if report.passed else EXIT_TOLERANCE)
         assert err == (

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,22 @@ class TestKramersKronig:
                 kramers_kronig_transform(*data, 1e14)
 
 
+    def test_memory_per_frequency_is_bounded(self):
+        # the split sample intervals are built per block of frequencies;
+        # built for every zeta at once they took about 480 bytes each
+        w, eps2 = self._window(per_decade=30)
+        peaks = []
+        for n in (4_000, 40_000):
+            zeta = np.geomspace(2e11, 1e18, n)
+            tracemalloc.start()
+            try:
+                kramers_kronig_transform(w, eps2, zeta)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 36_000 < 128  # bytes, 16 doubles per frequency
+
+
 class TestPermittivityTable:
     def _drude_table(self, per_decade=50):
         z = np.logspace(-4, 3, int(7 * per_decade))
@@ -266,6 +283,15 @@ class TestPermittivityTable:
     def test_high_frequency_limit(self):
         model = TabulatedModel(self._drude_table(), low_freq=AU)
         assert model.epsilon(1e12) == pytest.approx(1.0, abs=1e-12)
+
+    def test_repr_shows_the_continuation_jump(self):
+        table = self._drude_table(per_decade=5)
+        assert repr(TabulatedModel(table, low_freq=AU)).endswith("tail=Au, jump=0)")
+        cu = DrudeParams(8.97, 29.5e-3, "Cu")
+        z = table.zeta_min_eV
+        jump = abs(drude_epsilon(cu, z) / drude_epsilon(AU, z) - 1.0)
+        assert jump > 0.1  # omega_p^2/nu differs by 15%
+        assert repr(TabulatedModel(table, low_freq=cu)).endswith(f"tail=Cu, jump={jump:.3g})")
 
     def test_csv_round_trip(self, tmp_path):
         table = self._drude_table(per_decade=5)

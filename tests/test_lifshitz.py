@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import zeta as scipy_zeta
 
 from casimir.dielectric import (
+    DielectricModel,
     DrudeModel,
     IdealMetal,
     MaterialDatabase,
@@ -43,7 +44,7 @@ from casimir.quantities import (
     pressure_to_si,
     reduced_temperature,
 )
-from casimir.thermo import free_energy
+from casimir.thermo import entropy, free_energy
 
 DB = MaterialDatabase.builtin()
 AU = DrudeModel(DB.get("Au"))
@@ -519,17 +520,6 @@ class TestModeKernel:
         _mode_kernel(y + 1.0, work, False, A, eps1, eps3)
         assert not np.array_equal(first, kept)
 
-    def test_domain_checks(self):
-        y, A, eps1, eps3 = kernel_inputs(3, 15)
-        y[1, 0] = 0.0
-        with pytest.raises(ValueError, match="positive"):
-            _mode_kernel(y, _Workspace(3), False, A, eps1, eps3)
-        # eps = -3 at p near 3 gives a TM reflection of about 1.7, so x > 1
-        A = np.array([0.01])
-        y = A[:, None] * np.linspace(2.5, 3.5, 15)
-        with pytest.raises(ValueError, match="below 1"):
-            _mode_kernel(y, _Workspace(1), False, A, np.array([-3.0]))
-
     def test_te_equals_public_reflection_te(self):
         # TE lies in [0, 1); the public (s-p)/(s+p) keeps only absolute
         # precision as eps -> 1, which is why the kernel does not use it
@@ -552,6 +542,39 @@ class TestModeKernel:
         assert res_13.n_terms_used == res_31.n_terms_used > _BLOCK_CAP
         assert res_13.pressure_mPa == res_31.pressure_mPa
         assert np.array_equal(res_13.terms_mPa, res_31.terms_mPa)
+
+
+class Constant(DielectricModel):
+    """epsilon(i*zeta) = value at every frequency."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def epsilon(self, zeta_eV):
+        return np.full_like(np.asarray(zeta_eV, dtype=float), self.value)
+
+    def __repr__(self):
+        return f"Constant({self.value})"
+
+
+class TestPermittivityBelowOne:
+    # eps(i zeta) < 1 belongs to no passive medium, so no sum may take it
+    @pytest.mark.parametrize("value", [0.9, 0.0])
+    @pytest.mark.parametrize("sides", ["first", "second", "both", "against-ideal"])
+    @pytest.mark.parametrize("quantity", ["pressure", "free_energy", "matsubara_term", "entropy"])
+    def test_raises_value_error(self, value, sides, quantity):
+        bad = Constant(value)
+        pair = {"first": (bad, AU), "second": (AU, bad), "both": (bad, bad),
+                "against-ideal": (bad, IdealMetal())}[sides]
+        geom = Geometry(1.0, 300.0)
+        evaluate = {"pressure": casimir_pressure, "free_energy": free_energy,
+                    "matsubara_term": lambda *args: matsubara_term(1, *args),
+                    "entropy": entropy}[quantity]
+        # the first mode of the first sum: entropy starts at T - 0.5 K
+        zeta = matsubara_frequency(1, geom.T_K - (0.5 if quantity == "entropy" else 0.0))
+        with pytest.raises(ValueError, match=rf"^Constant\({value}\): epsilon = {value:.6g} < 1 "
+                                             rf"at zeta = {zeta:.6g} eV$"):
+            evaluate(geom, *pair)
 
 
 def block(ms, geom, pair, spec=None, free_energy=False):
