@@ -243,10 +243,10 @@ class DielectricModel:
     """Evaluable permittivity on the imaginary frequency axis.
 
     ``epsilon`` maps zeta in eV (a scalar or an array) to real values >= 1,
-    as for any passive medium, or to ``inf`` for a perfect reflector; the
-    mode sum raises ValueError for a value below 1.  NaN marks missing data:
-    a mode integral that meets it is not certified, and the sum raises
-    QuadratureError.
+    as for any passive medium, or to ``inf`` at frequencies where it
+    reflects perfectly; the mode sum raises ValueError for a value below 1.
+    NaN marks missing data: a mode integral that meets it is not certified,
+    and the sum raises QuadratureError.
 
     ``is_vacuum`` marks the one model whose static mode vanishes entirely;
     every metallic model diverges as zeta -> 0, so its static TM reflection

@@ -13,6 +13,7 @@ end through :func:`casimir.quantities.pressure_to_si`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,9 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive and finite")
         if self.max_terms < 1 or self.min_terms < 1:
             raise ValueError("term counts must be >= 1")
+        if self.min_terms > self.max_terms:  # the stop rule could never fire
+            raise ValueError(f"min_terms ({self.min_terms}) must not exceed "
+                             f"max_terms ({self.max_terms})")
 
     def y_max(self, lower):
         """Truncation point of the semi-infinite y-range.
@@ -165,55 +169,80 @@ class _Workspace:
 
 def _reflections(eps, p, pp, s, x, tm, te):
     """(TM, TE) reflections of one interface into tm and te; pp = p*p, s, x
-    scratch; eps = inf gives 1.  TM is computed as in reflection_tm, TE as
-    (eps-1)/(s+p)^2, equal to reflection_te's (s-p)/(s+p) without its
+    scratch; rows with eps = inf give 1.  TM is computed as in reflection_tm,
+    TE as (eps-1)/(s+p)^2, equal to reflection_te's (s-p)/(s+p) without its
     cancellation as eps -> 1."""
-    if np.all(np.isinf(eps)):
+    ideal = np.isinf(eps)
+    if ideal.all():
         return 1.0, 1.0
-    em1 = eps - 1.0
+    mixed = ideal.any()
+    if mixed:  # computed as vacuum, then set to 1; never inf/inf
+        eps = np.where(ideal, 1.0, eps)
+    em1 = tm  # eps-1 in full: a (rows, 1) operand costs numpy a loop per row
+    np.copyto(em1, eps - 1.0)
     np.sqrt(np.add(em1, pp, out=s), out=s)
     np.add(s, p, out=te)
-    np.subtract(p, np.divide(1.0, te, out=tm), out=tm)
-    np.multiply(em1, tm, out=tm)
-    np.divide(tm, np.add(np.multiply(eps, p, out=x), s, out=x), out=tm)
+    np.add(np.multiply(eps, p, out=x), s, out=x)
+    np.multiply(em1, np.subtract(p, np.divide(1.0, te, out=s), out=s), out=s)
     np.divide(em1, np.multiply(te, te, out=te), out=te)
+    np.divide(s, x, out=tm)
+    if mixed:
+        np.copyto(tm, 1.0, where=ideal)
+        np.copyto(te, 1.0, where=ideal)
     return tm, te
+
+
+# Nodes at y >= _NEAR_ONE_Y > ln(2)/2 have x <= e^{-2y} < 1/2, with room
+# for rounding; a block whose lower limits all reach it has no near-one node.
+_NEAR_ONE_Y = 0.35
+
+
+def _one_minus(prod, e2y, em, out):
+    """1-x = e^{-2y}(1-prod) - expm1(-2y) into ``out``, which may be prod."""
+    return np.subtract(np.multiply(e2y, np.subtract(1.0, prod, out=out), out=out), em, out=out)
 
 
 def _mode_kernel(y, work: _Workspace, free_energy: bool, A, eps1, eps3=None):
     """Integrand of a block of Matsubara modes on a (mode x node) array.
 
-    Row i of ``y`` holds nodes of mode i, whose lower limit is A[i] = m*gamma
-    and whose permittivities at zeta_m are eps1[i] and eps3[i] (inf for an
+    Row i of ``y`` holds nodes y >= A[i] = m*gamma, the lower limit of mode
+    i, whose permittivities at zeta_m are eps1[i] and eps3[i] (inf for an
     ideal metal; no eps3 means eps3 = eps1).  Gives the pressure integrand
     y^2 * [x_TM/(1-x_TM) + x_TE/(1-x_TE)], x = delta1*delta2*e^{-2y}, or,
     with ``free_energy``, y * [ln(1-x_TM) + ln(1-x_TE)], in a view into
     ``work`` valid until the next call; ``integrate_adaptive`` copies each
     integrand value before it calls the integrand again.
 
-    1-x is assembled as (1-e^{-2y}) + e^{-2y}(1-delta1*delta2), a sum of
+    1-x is assembled as e^{-2y}(1-delta1*delta2) - expm1(-2y), a sum of
     nonnegative terms, so no precision is lost when both factors approach 1.
+    The pressure divides by it at every node.  The free energy takes
+    log1p(-x) at every node, and the log of the assembled 1-x instead at the
+    nodes with x > 1/2, where log1p(-x) would inherit the rounding of x.
+    Both deltas lie in [0, 1], so x <= e^{-2y}: only nodes with
+    y < ln(2)/2 ~ 0.347 can take that branch.  A call whose lower limits all
+    reach _NEAR_ONE_Y (most calls of a sum) does not look for such nodes,
+    and a call without any never assembles 1-x.
     """
     p, pp, s, x, b1, b2, b3, b4, mask = work.arrays(y.shape)
     np.divide(y, A[:, None], out=p)
     np.multiply(p, p, out=pp)
     tm1, te1 = _reflections(eps1[:, None], p, pp, s, x, b1, b2)
     tm3, te3 = (tm1, te1) if eps3 is None else _reflections(eps3[:, None], p, pp, s, x, b3, b4)
-    em = np.negative(np.expm1(np.multiply(-2.0, y, out=p), out=pp), out=pp)
-    e2y = np.exp(p, out=p)
+    e2y = np.exp(np.multiply(-2.0, y, out=p), out=pp)
+    em = None if free_energy else np.expm1(p, out=p)  # e^{-2y} - 1, from -2y when needed
+    near = free_energy and A.min() < _NEAR_ONE_Y
     total = 0.0
     for d1, d3 in ((tm1, tm3), (te1, te3)):
         prod = np.multiply(d1, d3, out=s)
         np.multiply(prod, e2y, out=x)
-        one_minus = np.add(em, np.multiply(e2y, np.subtract(1.0, prod, out=s), out=s), out=s)
         if free_energy:
-            # ln(1-x): log of the assembled 1-x when x is near 1, log1p
-            # for small x where that assembly would round away
-            np.greater(x, 0.5, out=mask)
+            near_one = near and np.greater(x, 0.5, out=mask).any()
             np.log1p(np.negative(x, out=x), out=x)
-            np.copyto(x, np.log(one_minus, out=s), where=mask)
+            if near_one:
+                em = np.expm1(p, out=p) if em is None else em
+                np.log(_one_minus(prod, e2y, em, s), out=x, where=mask)
         else:
-            np.divide(x, one_minus, out=x)
+            np.divide(x, _one_minus(prod, e2y, em, s), out=x)
         total = np.add(total, x, out=b1)  # tm1's storage, consumed above
     return np.multiply(y if free_energy else np.multiply(y, y, out=x), total, out=x)
 
@@ -312,8 +341,10 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
     ``spec.y_max`` and integrated adaptively.  A QuadratureError carrying the
     partial estimate escapes if no certificate is met.  This is a one-mode
     block of the sum driver, so it equals the term the sum uses wherever the
-    sum's floor does not bind.
+    sum's floor does not bind.  ``m`` must be an integer; a float raises
+    TypeError.
     """
+    m = operator.index(m)
     if m < 1:
         raise ValueError("the static mode is analytic; matsubara_term needs m >= 1")
     spec = spec or QuadratureSpec()

@@ -9,6 +9,7 @@ across platforms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -89,8 +90,10 @@ def matsubara_frequency(m: int, T_K: float) -> float:
     """m-th Matsubara frequency 2*pi*m*k_B*T in eV; m=0 returns exactly 0.
 
     Written as m times the first frequency so the proportionality in m is
-    exact in floating point as well.
+    exact in floating point as well.  m must be an integer (numpy integers
+    included); a float raises TypeError.
     """
+    m = operator.index(m)
     if m < 0:
         raise ValueError(f"Matsubara index must be >= 0, got {m}")
     if m == 0:

@@ -40,6 +40,7 @@ from casimir.quadrature import QuadratureError, integrate_adaptive
 from casimir.quantities import (
     CODATA,
     Geometry,
+    free_energy_to_si,
     matsubara_frequency,
     pressure_to_si,
     reduced_temperature,
@@ -163,6 +164,15 @@ class TestMatsubaraTerm:
     def test_static_mode_rejected(self):
         with pytest.raises(ValueError):
             matsubara_term(0, Geometry(1.0, 300.0), AU, AU)
+
+    def test_index_must_be_an_integer(self):
+        geom = Geometry(1.0, 300.0)
+        with pytest.raises(TypeError):
+            matsubara_term(2.5, geom, AU, CU)
+        with pytest.raises(TypeError):
+            matsubara_term(3.0, geom, AU, CU)
+        got, ref = matsubara_term(np.int64(3), geom, AU, CU), matsubara_term(3, geom, AU, CU)
+        assert got.hex() == ref.hex()
 
     @pytest.mark.parametrize("m,a_um,T_K", [
         (1, 1.0, 300.0),
@@ -309,6 +319,10 @@ class TestCasimirPressure:
             QuadratureSpec(integral_rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_terms=0)
+        # the stop rule needs min_terms terms, so it could never fire
+        with pytest.raises(ValueError, match=r"min_terms \(5\).*max_terms \(3\)"):
+            QuadratureSpec(max_terms=3)
+        assert QuadratureSpec(min_terms=3, max_terms=3).max_terms == 3
 
 
 class NanAbove(DrudeModel):
@@ -322,6 +336,43 @@ class NanAbove(DrudeModel):
     def epsilon(self, zeta_eV):
         eps = np.asarray(super().epsilon(zeta_eV), dtype=float)
         return np.where(np.asarray(zeta_eV) > self.zeta_eV, np.nan, eps)
+
+
+class IdealBelow(DrudeModel):
+    """Drude model that reflects perfectly (epsilon = inf) below a frequency."""
+
+    def __init__(self, params, zeta_eV):
+        super().__init__(params)
+        self.zeta_eV = zeta_eV
+
+    def epsilon(self, zeta_eV):
+        eps = np.asarray(super().epsilon(zeta_eV), dtype=float)
+        return np.where(np.asarray(zeta_eV) < self.zeta_eV, np.inf, eps)
+
+
+class TestIdealRows:
+    # epsilon = inf is allowed value by value; a block with inf and finite
+    # rows once took inf/inf = NaN and failed to certify mode 1
+    @pytest.mark.parametrize("free", [False, True], ids=["pressure", "free_energy"])
+    def test_terms_equal_the_one_sided_modes(self, free):
+        geom = Geometry(1.0, 30.0)
+        mixed = IdealBelow(DB.get("Au"), 0.02)
+        if free:
+            res = free_energy(geom, mixed, AU)
+            terms, unit = res.terms_J_per_m2, free_energy_to_si(1.0, geom)
+        else:
+            res = casimir_pressure(geom, mixed, AU)
+            terms, unit = res.terms_mPa, -pressure_to_si(1.0, geom)
+        ms = np.arange(1, res.n_terms_used + 1)
+        below = ms * matsubara_frequency(1, geom.T_K) < mixed.zeta_eV
+        assert below.tolist()[:2] == [True, False] and res.converged
+        for pair, rows in (((IdealMetal(), AU), below), ((AU, AU), ~below)):
+            if free:
+                (values, _, failed), _ = block(ms[rows], geom, pair, free_energy=True)
+                assert not failed.any()
+            else:
+                values = np.array([matsubara_term(m, geom, *pair) for m in ms[rows].tolist()])
+            assert same_bits(terms[rows], values * unit)
 
 
 class TestBlockDriver:
@@ -470,6 +521,19 @@ def same_bits(a, b):
 UNIT_AT_Y1 = 2.0 * math.exp(-2) / (1 - math.exp(-2))
 
 
+class Constant(DielectricModel):
+    """epsilon(i*zeta) = value at every frequency."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def epsilon(self, zeta_eV):
+        return np.full_like(np.asarray(zeta_eV, dtype=float), self.value)
+
+    def __repr__(self):
+        return f"Constant({self.value})"
+
+
 class TestModeKernel:
     @pytest.mark.parametrize("free_energy", [False, True])
     @pytest.mark.parametrize("pair, at_y1", [((AU, AU), None), ((AU, CU), None),
@@ -497,6 +561,73 @@ class TestModeKernel:
         assert (x > 0.5).any() and (x <= 0.5).any()
         ref = reference_kernel(y, A, eps1, eps3, True)
         assert same_bits(_mode_kernel(y, _Workspace(10), True, A, eps1), ref)
+
+    # lower limits of blocks around the near-one branch, which only nodes
+    # with y < ln(2)/2 can take; Constant(1.001) reflects too little for any
+    # node to take it however low its mode starts
+    NEAR_ONE_BLOCKS = {
+        "straddling": (np.geomspace(0.01, 3.0, 48), (AU, CU)),
+        "all-above": (np.linspace(0.35, 3.0, 48), (AU, CU)),
+        "no-node-near-one": (np.geomspace(0.01, 3.0, 48), (Constant(1.001), CU)),
+        "all-below": (np.geomspace(0.005, 0.34, 48), (AU, AU)),
+        "edge": (np.linspace(0.3, 0.4, 48), (AU, IdealMetal())),
+        "drude-ideal": (np.geomspace(0.01, 3.0, 48), (AU, IdealMetal())),
+    }
+
+    @staticmethod
+    def near_one_inputs(A, pair, nodes=105):
+        """Nodes from just above each lower limit A out to A + 25, with the
+        permittivities of the modes at A for a = 0.5 um."""
+        zeta = A * CODATA.hbar_c_eV_um / 0.5
+        eps1, eps3 = (np.asarray(m.epsilon(zeta), dtype=float) for m in pair)
+        return A[:, None] + np.geomspace(1e-6, 25.0, nodes), eps1, eps3
+
+    @pytest.mark.parametrize("free_energy", [False, True])
+    def test_near_one_branch_blocks(self, free_energy):
+        work = _Workspace(2)
+        x_max = {}
+        for name, (A, pair) in self.NEAR_ONE_BLOCKS.items():
+            y, eps1, eps3 = self.near_one_inputs(A, pair)
+            ref = reference_kernel(y, A, eps1, eps3, free_energy)
+            fresh = _mode_kernel(y, _Workspace(1), free_energy, A, eps1, eps3)
+            assert same_bits(fresh, ref), name
+            assert same_bits(_mode_kernel(y, work, free_energy, A, eps1, eps3), ref), name
+            if np.array_equal(eps1, eps3):
+                assert same_bits(_mode_kernel(y, work, free_energy, A, eps1), ref), name
+            # the largest x_TM per row (TM reflects more than TE), from the
+            # public reflection_tm
+            p = y / A[:, None]
+            x = np.exp(-2.0 * y)
+            for eps in (eps1, eps3):
+                if np.isfinite(eps).all():
+                    s = np.sqrt(eps[:, None] - 1.0 + p * p)
+                    x = x * reflection_tm(eps[:, None], s, p)
+            x_max[name] = x.max(axis=1)
+        # which rows have nodes on the near-one branch, per block
+        near = {name: rows > 0.5 for name, rows in x_max.items()}
+        assert near["straddling"].any() and not near["straddling"].all()
+        assert not near["all-above"].any() and not near["no-node-near-one"].any()
+        assert near["all-below"][:40].all() and near["drude-ideal"].any()
+        assert near["edge"].any() and not near["edge"].all()
+
+    def test_cold_free_energy_modes_equal_the_reference_quadrature(self):
+        # Au-Cu at 0.5 um and 1 K: modes whose lower limits straddle ln(2)/2
+        geom = Geometry(0.5, 1.0)
+        ms = np.arange(*modes_at(geom, [0.3, 0.4]))
+        (values, errors, failed), _ = block(ms, geom, (AU, CU), free_energy=True)
+        assert not failed.any()
+        spec = QuadratureSpec()
+        A = ms * reduced_temperature(geom)
+        assert A.min() < math.log(2.0) / 2.0 < A.max()
+        zeta = ms * matsubara_frequency(1, geom.T_K)
+        for i, (eps1, eps3) in enumerate(zip(AU.epsilon(zeta), CU.epsilon(zeta))):
+            starts = A[i] + _BREAK_OFFSETS
+            y_max = spec.y_max(A[i])
+            ref = integrate_adaptive(
+                lambda y: reference_kernel(y, A[i:i + 1], np.array([eps1]), np.array([eps3]),
+                                           True),
+                np.append(starts[starts < y_max], y_max), rel_tol=spec.integral_rel_tol)
+            assert (values[i], errors[i]) == ref
 
     @pytest.mark.parametrize("free_energy", [False, True])
     def test_reused_workspace_equals_fresh_one(self, free_energy):
@@ -542,19 +673,6 @@ class TestModeKernel:
         assert res_13.n_terms_used == res_31.n_terms_used > _BLOCK_CAP
         assert res_13.pressure_mPa == res_31.pressure_mPa
         assert np.array_equal(res_13.terms_mPa, res_31.terms_mPa)
-
-
-class Constant(DielectricModel):
-    """epsilon(i*zeta) = value at every frequency."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def epsilon(self, zeta_eV):
-        return np.full_like(np.asarray(zeta_eV, dtype=float), self.value)
-
-    def __repr__(self):
-        return f"Constant({self.value})"
 
 
 class TestPermittivityBelowOne:

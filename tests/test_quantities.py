@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -97,6 +98,15 @@ class TestMatsubaraFrequency:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             matsubara_frequency(-1, 300.0)
+
+    def test_index_must_be_an_integer(self):
+        # a half-integer index names no Matsubara mode
+        with pytest.raises(TypeError):
+            matsubara_frequency(0.5, 300.0)
+        with pytest.raises(TypeError):
+            matsubara_frequency(3.0, 300.0)
+        got, ref = matsubara_frequency(np.int64(3), 300.0), matsubara_frequency(3, 300.0)
+        assert type(got) is float and got.hex() == ref.hex()
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_exactly_linear_in_m(self, m):
