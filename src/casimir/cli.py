@@ -40,7 +40,7 @@ from .dielectric import (
 from .lifshitz import QuadratureSpec, SumConvergenceError, casimir_pressure
 from .quadrature import QuadratureError
 from .quantities import CODATA, Geometry
-from .thermo import _ENTROPY_SPEC, _ENTROPY_STEP_K, BracketError, entropy, nernst_check
+from .thermo import _ENTROPY_SPEC, _ENTROPY_STEP_K, entropy, nernst_check
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -152,7 +152,7 @@ def _side_model(label: str, db: MaterialDatabase, bg: BlochGruneisenParams | Non
         if bg is not None:
             try:
                 nu = bloch_gruneisen_nu(bg, T_K)
-            except ValueError as exc:  # nu(T) underflows to 0
+            except ValueError as exc:  # nu(T) underflows to 0, or (T/theta)^5 overflows
                 raise InputError(f"--T: {exc}") from None
             drude = DrudeParams(params.omega_p_eV, nu, params.label)
         return DrudeModel(drude) if table is None else TabulatedModel(table, low_freq=drude)
@@ -202,8 +202,6 @@ def _emit_rows(rows, fmt: str, stream) -> list[dict]:
             written.append(row)
         return written
     written = list(rows)
-    if not written:
-        return written
     keys = list(written[0].keys())
     if fmt == "json":
         json.dump(written, stream, indent=2, default=_fmt)
@@ -444,7 +442,7 @@ def main(argv=None) -> int:
     except (InputError, UnknownMaterialError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (BracketError, QuadratureError, SumConvergenceError, ValueError) as exc:
+    except (QuadratureError, SumConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

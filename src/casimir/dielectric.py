@@ -34,7 +34,6 @@ __all__ = [
     "Vacuum",
     "IdealMetal",
     "drude_epsilon",
-    "plasma_wavelength_nm",
     "bloch_gruneisen_nu",
     "kramers_kronig_transform",
     "read_optical_csv",
@@ -77,11 +76,6 @@ def drude_epsilon(params: DrudeParams, zeta_eV):
     return float(out) if out.ndim == 0 else out
 
 
-def plasma_wavelength_nm(params: DrudeParams) -> float:
-    """Plasma wavelength 2*pi*hbar*c/omega_p in nm."""
-    return 2.0 * math.pi * CODATA.hbar_c_eV_nm / params.omega_p_eV
-
-
 _BUILTIN_MATERIALS = (
     DrudeParams(omega_p_eV=9.03, nu_eV=34.5e-3, label="Au"),
     DrudeParams(omega_p_eV=8.97, nu_eV=29.5e-3, label="Cu"),
@@ -120,10 +114,14 @@ class MaterialDatabase:
         parsed = []
         for item in raw:
             try:
+                label = item["label"]
+                if not (isinstance(label, str) and label) or any(
+                        isinstance(item[key], bool) for key in ("omega_p_eV", "nu_eV")):
+                    raise ValueError("need a nonempty string label and numbers, not booleans")
                 parsed.append(DrudeParams(
                     omega_p_eV=float(item["omega_p_eV"]),
                     nu_eV=float(item["nu_eV"]),
-                    label=str(item["label"]),
+                    label=label,
                 ))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: malformed material entry {item!r} ({exc})") from exc
@@ -169,16 +167,22 @@ def bloch_gruneisen_nu(params: BlochGruneisenParams, T_K: float) -> float:
     evaluated by adaptive Gauss-Kronrod quadrature of the sinh form to 1e-12
     relative.  nu -> 0 as T -> 0 (as T^5); a physical sample additionally
     keeps a finite impurity floor, which this model deliberately ignores, so
-    a temperature at which nu underflows to 0 raises ValueError.
+    a T at which nu underflows to 0 or (T/theta)^5 overflows raises ValueError.
     """
     if T_K <= 0:
         raise ValueError(f"temperature must be positive, got {T_K}")
+    try:
+        scale = (T_K / params.theta_K) ** 5
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf:
+        raise ValueError(f"(T/theta)^5 overflows at T = {T_K} K, theta = {params.theta_K} K")
     upper = params.theta_K / T_K
     # beyond x ~ 200 the integrand is < 1e-70; capping also avoids sinh overflow
     cut = min(upper, 200.0)
     breaks = np.append(_BG_BREAKS[_BG_BREAKS < cut], cut)
     val, _ = integrate_adaptive(_bg_integrand, breaks, rel_tol=1e-12)
-    nu = params.prefactor_eV * (T_K / params.theta_K) ** 5 * val
+    nu = params.prefactor_eV * scale * val
     if nu == 0.0:
         raise ValueError(f"relaxation frequency nu(T) underflows to 0 at T = {T_K} K")
     return nu
@@ -344,9 +348,10 @@ def _read_two_column_csv(path, expected_header: tuple[str, str]) -> tuple[np.nda
             if not row or all(not c.strip() for c in row):
                 continue
             try:
-                col0.append(float(row[0]))
-                col1.append(float(row[1]))
-            except (ValueError, IndexError):
+                x, y = row  # exactly two fields
+                col0.append(float(x))
+                col1.append(float(y))
+            except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r}") from None
     if not col0:
         raise ValueError(f"{path}: no data rows")
@@ -389,8 +394,6 @@ def kramers_kronig_transform(
     """
     w = np.asarray(omega_rad_s, dtype=float)
     e2 = np.asarray(eps_imag, dtype=float)
-    if w.size == 0:
-        raise ValueError("empty sample list")
     if w.size < 2 or e2.shape != w.shape:
         raise ValueError("need at least two (omega, eps'') samples of equal length")
     # written so that NaN fails each test; diff only sees finite values

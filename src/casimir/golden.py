@@ -31,16 +31,9 @@ SHORT_RANGE_UM = 0.5  # cells below this gap take the looser tolerance
 class TableFixture:
     """One reference grid: |pressure| in mPa for a material pair."""
 
-    table_id: int
     pair: tuple[str, str]
     values_mPa: tuple[tuple[float, float, float], ...]  # rows follow SEPARATIONS_UM
     corrections: Mapping = field(default_factory=lambda: MappingProxyType({}))
-
-    def __post_init__(self) -> None:
-        if len(self.values_mPa) != len(SEPARATIONS_UM):
-            raise ValueError(f"table {self.table_id}: expected {len(SEPARATIONS_UM)} rows")
-        if any(len(row) != len(TEMPERATURES_K) for row in self.values_mPa):
-            raise ValueError(f"table {self.table_id}: expected {len(TEMPERATURES_K)} columns")
 
     def printed(self, a_um: float, T_K: float) -> float:
         """Value exactly as printed in the source tabulation."""
@@ -68,7 +61,6 @@ def cell_tolerance(a_um: float, short_tol: float = 0.05, long_tol: float = 0.02)
 
 TABLES: dict[int, TableFixture] = {
     1: TableFixture(
-        table_id=1,
         pair=("Au", "Au"),
         values_mPa=(
             (1144.0, 1127.0, 1124.0),
@@ -86,7 +78,6 @@ TABLES: dict[int, TableFixture] = {
         ),
     ),
     2: TableFixture(
-        table_id=2,
         pair=("Cu", "Cu"),
         values_mPa=(
             (1141.0, 1123.0, 1120.0),
@@ -106,7 +97,6 @@ TABLES: dict[int, TableFixture] = {
         corrections=MappingProxyType({(0.2, 350.0): 494.7}),
     ),
     3: TableFixture(
-        table_id=3,
         pair=("Al", "Al"),
         values_mPa=(
             (1290.0, 1271.0, 1267.0),
@@ -124,7 +114,6 @@ TABLES: dict[int, TableFixture] = {
         ),
     ),
     4: TableFixture(
-        table_id=4,
         pair=("Au", "Cu"),
         values_mPa=(
             (1143.0, 1125.0, 1122.0),
@@ -142,7 +131,6 @@ TABLES: dict[int, TableFixture] = {
         ),
     ),
     5: TableFixture(
-        table_id=5,
         pair=("Au", "Al"),
         values_mPa=(
             (1213.0, 1195.0, 1191.0),
@@ -160,7 +148,6 @@ TABLES: dict[int, TableFixture] = {
         ),
     ),
     6: TableFixture(
-        table_id=6,
         pair=("Cu", "Al"),
         values_mPa=(
             (1211.0, 1193.0, 1189.0),

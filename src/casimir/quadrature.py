@@ -104,9 +104,9 @@ def integrate_adaptive(
     overwrites.  Panels carrying more than their share of an integral's
     error budget are bisected until its summed Kronrod-Gauss estimate
     certifies ``rel_tol`` (or ``abs_tol``, a scalar or one value per row, if
-    larger); a certified or spent row is left as it is.  Integrals not
-    certified within ``max_panels`` raise QuadratureError once the whole
-    batch is done.
+    larger); a certified or spent row is left as it is.  A NaN tolerance
+    raises ValueError before ``f`` is called.  Integrals not certified
+    within ``max_panels`` raise QuadratureError once the whole batch is done.
     """
     pts = np.asarray(breaks, dtype=float)
     single = pts.ndim == 1
@@ -117,6 +117,8 @@ def integrate_adaptive(
         raise ValueError("breaks must be strictly increasing sequences, NaN-padded at the end")
     n = pts.shape[0]
     floor = np.broadcast_to(np.asarray(abs_tol, dtype=float), (n,))
+    if np.isnan(rel_tol) or np.isnan(abs_tol).any():
+        raise ValueError(f"tolerances must not be NaN, got rel_tol={rel_tol}, abs_tol={abs_tol}")
     # copies: as views of pts, bisected in place, they would overlap
     lo, hi = pts[:, :-1].copy(), pts[:, 1:].copy()
     count = (~pad[:, 1:]).sum(axis=1)
@@ -126,17 +128,14 @@ def integrate_adaptive(
         total_err = _row_sums(err)
         target = np.maximum(rel_tol * np.abs(total), floor)
         done = total_err <= target
-        # a NaN error never certifies, however the panels are cut
-        live = ~done & (count < max_panels) & ~np.isnan(total_err)
+        # a NaN error or target never certifies, however the panels are cut
+        live = ~done & (count < max_panels) & ~np.isnan(total_err + target)
         if rounds == _MAX_ROUNDS or not live.any():
             break
 
-        # an empty slot has error 0 and a live row a positive total error,
-        # so neither test below can pick an empty slot
+        # a live row's panel errors sum past its target, so one of them exceeds
+        # target/(2 count) even after rounding; an empty slot's error 0 never does
         bad = (err > (target / (2.0 * count))[:, None]) & live[:, None]
-        none = live & ~bad.any(axis=1)
-        if none.any():
-            bad[none] = err[none] == err[none].max(axis=1, keepdims=True)
         n_bad = bad.sum(axis=1)
         # the left half of a bisected panel takes its slot, the right half
         # goes to the end of the row

@@ -189,8 +189,8 @@ def crossover_separation(model1: DielectricModel, model3: DielectricModel,
     rising with temperature, by bisection of
     g(a) = |P(a, T_high)| - |P(a, T_low)| on the bracket.
 
-    Raises BracketError carrying the endpoint values when g does not change
-    sign across the bracket.
+    Raises BracketError carrying the endpoint values when g has the same
+    strict sign at both ends.
     """
     if not T_low_K < T_high_K:
         raise ValueError(f"need T_low < T_high, got {T_low_K}, {T_high_K}")
@@ -203,21 +203,16 @@ def crossover_separation(model1: DielectricModel, model3: DielectricModel,
 
     lo, hi = bracket_um
     g_lo, g_hi = g(lo), g(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if (g_lo > 0) == (g_hi > 0):
+    if not (g_lo <= 0.0 <= g_hi or g_hi <= 0.0 <= g_lo):
         raise BracketError(
             f"no sign change on [{lo}, {hi}] um: g({lo})={g_lo:.4g}, g({hi})={g_hi:.4g}",
             g_low=g_lo, g_high=g_hi)
+    rising = g_lo < g_hi  # not the sign of g_hi: a zero may sit at an end
     while hi - lo > resolution_um:
         mid = 0.5 * (lo + hi)
         g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0) == (g_hi > 0):
-            hi, g_hi = mid, g_mid
+        if (g_mid > 0) == rising:
+            hi = mid
         else:
-            lo, g_lo = mid, g_mid
+            lo = mid
     return 0.5 * (lo + hi)

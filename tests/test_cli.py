@@ -393,6 +393,14 @@ class TestKKCommand:
         code, _, err = run_cli(capsys, "kk", str(src), str(tmp_path / "out.csv"))
         assert code == EXIT_INPUT
 
+    def test_extra_field_exits_3(self, tmp_path, capsys):
+        src, dst = tmp_path / "loss.csv", tmp_path / "out.csv"
+        self._write_drude_loss(src, per_decade=5)
+        spoil(src, 1, "5,99")  # a third field on line 6
+        code, out, err = run_cli(capsys, "kk", str(src), str(dst))
+        assert code == EXIT_INPUT and out == "" and not dst.exists()
+        assert err.startswith(f"error: {src}:6: malformed row ")
+
     @pytest.mark.parametrize("column", [0, 1], ids=["omega_rad_s", "eps_imag"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_sample_exits_3(self, tmp_path, capsys, column, bad):
@@ -457,6 +465,20 @@ class TestUsage:
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error: --T: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--theta", "1e-62"],
+        ["--a", "1e-60", "--T", "1e64"],
+        ["--theta", "1e-300"],
+    ], ids=["tiny-theta", "huge-T", "tiny-theta-nan-integrand"])
+    def test_overflowing_bloch_gruneisen_ratio_exits_3(self, capsys, argv):
+        # (T/theta)^5 overflows a double above T/theta ~ 4.5e61
+        argv = ["pressure", "--a", "1", "--T", "300", *argv, "--nu-model", "bloch-gruneisen"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: --T: ") and "theta = " in err and "Traceback" not in err
+
     @pytest.mark.parametrize("key", ["omega_p_eV", "nu_eV"])
     def test_infinite_material_parameter_exits_3(self, tmp_path, capsys, key):
         path = tmp_path / "materials.json"
@@ -466,6 +488,15 @@ class TestUsage:
                                  "--materials", str(path))
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error: ") and str(path) in err
+
+    def test_boolean_or_non_string_label_material_exits_3(self, tmp_path, capsys):
+        # read as float(True) == 1.0 and str(None) == 'None' it used to exit 0
+        path = tmp_path / "materials.json"
+        path.write_text('[{"label": null, "omega_p_eV": true, "nu_eV": 0.03}]')
+        code, out, err = run_cli(capsys, "pressure", "--materials", str(path),
+                                 "--pair", "None,None", "--a", "1", "--T", "300")
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: ") and str(path) in err and "malformed" in err
 
     def test_underflowing_geometry_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "pressure", "--a", "1e-300", "--T", "300")
@@ -630,6 +661,15 @@ class TestTabulatedInput:
         code, out, err = run_cli(capsys, "pressure", flag, str(path))
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error: ") and str(path) in err and "finite" in err
+
+    def test_extra_field_exits_3(self, tmp_path, capsys):
+        z_eV = np.logspace(0, 3, 30)
+        path = tmp_path / "eps.csv"
+        PermittivityTable(z_eV, drude_epsilon(DrudeParams(9.03, 34.5e-3, "Au"), z_eV)).to_csv(path)
+        spoil(path, 1, "2.5,1")
+        code, out, err = run_cli(capsys, "pressure", "--eps1", str(path))
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: ") and f"{path}:6: malformed row" in err
 
     def test_bloch_gruneisen_moves_the_drude_continuation(self, tmp_path, capsys):
         # the table starts at 1 eV, above the first Matsubara frequencies at

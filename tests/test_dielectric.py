@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,6 @@ from casimir.dielectric import (
     bloch_gruneisen_nu,
     drude_epsilon,
     kramers_kronig_transform,
-    plasma_wavelength_nm,
     read_optical_csv,
 )
 from casimir.quantities import CODATA
@@ -75,6 +75,8 @@ class TestDrudeEpsilon:
 
 
 class TestPlasmaWavelength:
+    # each built-in omega_p next to the reference plasma wavelength in nm
+    # it reproduces, 2 pi hbar c/omega_p
     @pytest.mark.parametrize("label,omega_p,reference_nm", [
         ("Au", 9.03, 137.4),
         ("Cu", 8.97, 138.3),
@@ -83,12 +85,6 @@ class TestPlasmaWavelength:
     def test_matches_reference_values(self, label, omega_p, reference_nm):
         params = MaterialDatabase.builtin().get(label)
         assert params.omega_p_eV == omega_p
-        assert plasma_wavelength_nm(params) == pytest.approx(reference_nm, rel=1.5e-3)
-
-    def test_inverse_proportionality(self):
-        a = plasma_wavelength_nm(DrudeParams(4.0, 0.01))
-        b = plasma_wavelength_nm(DrudeParams(8.0, 0.01))
-        assert a == pytest.approx(2.0 * b, rel=1e-14)
 
 
 class TestMaterialDatabase:
@@ -122,6 +118,19 @@ class TestMaterialDatabase:
         path.write_text(json.dumps([{"label": "X"}]))
         with pytest.raises(ValueError):
             MaterialDatabase.from_json(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("omega_p_eV", True), ("nu_eV", True), ("omega_p_eV", False),
+        ("label", True), ("label", False), ("label", None), ("label", 5), ("label", ""),
+    ])
+    def test_from_json_rejects_booleans_and_non_string_labels(self, tmp_path, key, value):
+        # float(True) is 1.0 and str(None) is 'None': neither may pass as data
+        path = tmp_path / "materials.json"
+        entry = {"label": "X", "omega_p_eV": 9.0, "nu_eV": 0.03, key: value}
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(ValueError, match="malformed material entry") as excinfo:
+            MaterialDatabase.from_json(path)
+        assert str(path) in str(excinfo.value) and repr(entry) in str(excinfo.value)
 
 
 class TestBlochGruneisen:
@@ -180,6 +189,22 @@ class TestBlochGruneisen:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             BlochGruneisenParams(theta_K=-1.0)
+
+    @pytest.mark.parametrize("T_K, theta_K", [(300.0, 1e-62), (1e64, 175.0),
+                                              (300.0, 1e-300), (1e300, 1e-10)])
+    def test_overflowing_ratio_names_T_and_theta(self, T_K, theta_K, monkeypatch):
+        # (T/theta)^5 leaves the double range above T/theta ~ 4.5e61; the
+        # last case has T/theta itself infinite
+        def no_integral(*args, **kwargs):
+            raise AssertionError("integrated out of range")
+        monkeypatch.setattr("casimir.dielectric.integrate_adaptive", no_integral)
+        with pytest.raises(ValueError, match=re.escape(f"T = {T_K} K, theta = {theta_K} K")):
+            bloch_gruneisen_nu(BlochGruneisenParams(theta_K=theta_K), T_K)
+
+    def test_largest_ratio_stays_finite(self):
+        # just inside the range nu is finite and positive, without a warning
+        nu = bloch_gruneisen_nu(BlochGruneisenParams(theta_K=1.0), 4.4e61)
+        assert 0.0 < nu < math.inf
 
 
 def _drude_loss(params: DrudeParams, omega_eV):
@@ -317,6 +342,20 @@ class TestPermittivityTable:
         empty.write_text("omega_rad_s,eps_imag\n")
         with pytest.raises(ValueError):
             read_optical_csv(empty)
+
+    def test_csv_reader_skips_blank_rows(self, tmp_path):
+        path = tmp_path / "optical.csv"
+        path.write_text("omega_rad_s,eps_imag\n\n1e12,5.0\n , \n1e13,0.5\n\n")
+        omega, eps2 = read_optical_csv(path)
+        assert omega.tolist() == [1e12, 1e13]
+        assert eps2.tolist() == [5.0, 0.5]
+
+    @pytest.mark.parametrize("row", ["1e12,5.0,99", "1e12,5.0,", "1e12"])
+    def test_csv_reader_needs_exactly_two_fields(self, tmp_path, row):
+        path = tmp_path / "optical.csv"
+        path.write_text(f"omega_rad_s,eps_imag\n1e11,6.0\n{row}\n1e13,0.5\n")
+        with pytest.raises(ValueError, match=f"{path}:3: malformed row"):
+            read_optical_csv(path)
 
 
 class TestModels:

@@ -62,6 +62,40 @@ def test_breaks_validation():
         integrate_adaptive(lambda x: x, [1.0, 0.5])
 
 
+@pytest.mark.parametrize("rel_tol, abs_tol", [
+    (float("nan"), 0.0),
+    (1e-12, float("nan")),
+    (1e-12, np.array([0.0, float("nan")])),
+], ids=["rel_tol", "scalar-abs_tol", "per-row-abs_tol"])
+def test_nan_tolerance_is_rejected_before_f_is_called(rel_tol, abs_tol):
+    # a NaN target could never certify, and no panel would count as carrying
+    # more than its share of it
+    def f(x):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(ValueError, match="NaN"):
+        integrate_adaptive(f, [[0.0, 1.0], [0.0, 2.0]], rel_tol=rel_tol, abs_tol=abs_tol)
+
+
+def test_nan_target_fails_without_further_rounds():
+    # finite values whose panel sums overflow to +inf and -inf: the row total
+    # is NaN, so its target is NaN and it can never certify, and no panel
+    # counts as over budget; the row must fail without another round
+    shapes = []
+
+    def f(x):
+        shapes.append(x.shape)
+        panels = x.reshape(x.shape[0], -1, 15)
+        out = np.zeros_like(panels)
+        # only at the Kronrod-only nodes, so the Gauss sums stay 0
+        out[..., ::2] = 1e308 * np.sign(panels[..., ::2])
+        return out.reshape(x.shape)
+
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(QuadratureError):
+        integrate_adaptive(f, [-10.0, 0.0, 10.0])
+    assert shapes == [(1, 30)]
+
+
 def test_absolute_floor():
     # tiny integral against an absolute floor converges immediately
     val, err = integrate_adaptive(lambda x: 1e-30 * np.ones_like(x),

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -197,3 +198,27 @@ class TestCrossoverSeparation:
     def test_temperature_order_validated(self):
         with pytest.raises(ValueError):
             crossover_separation(AU, AU, 350.0, 300.0)
+
+    @staticmethod
+    def _stub_g(monkeypatch, root_um, slope):
+        """Stub the pressures so that g(a) = slope * (a - root), exactly 0 at
+        the root; the bracket below is (1, 6) um."""
+        def pressure(geom, model1, model3, spec):
+            extra = slope * (geom.a_um - root_um) if geom.T_K == 350.0 else 0.0
+            return SimpleNamespace(pressure_mPa=-(10.0 + extra))
+        monkeypatch.setattr("casimir.thermo.casimir_pressure", pressure)
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0], ids=["rising", "falling"])
+    @pytest.mark.parametrize("root_um", [1.0, 6.0, 3.5], ids=["low-end", "high-end", "midpoint"])
+    def test_exact_zero_at_an_end_or_midpoint_is_found(self, monkeypatch, root_um, slope):
+        self._stub_g(monkeypatch, root_um, slope)
+        a_star = crossover_separation(AU, AU, 300.0, 350.0, bracket_um=(1.0, 6.0),
+                                      resolution_um=0.01)
+        assert abs(a_star - root_um) <= 0.01
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0], ids=["both-negative", "both-positive"])
+    def test_same_strict_sign_at_both_ends_raises(self, monkeypatch, slope):
+        self._stub_g(monkeypatch, 7.0, slope)  # the root lies above the bracket
+        with pytest.raises(BracketError) as excinfo:
+            crossover_separation(AU, AU, 300.0, 350.0, bracket_um=(1.0, 6.0))
+        assert excinfo.value.g_low * slope < 0 and excinfo.value.g_high * slope < 0
