@@ -153,7 +153,7 @@ def _side_model(label: str, db: MaterialDatabase, bg: BlochGruneisenParams | Non
             try:
                 nu = bloch_gruneisen_nu(bg, T_K)
             except ValueError as exc:  # nu(T) underflows to 0, or (T/theta)^5 overflows
-                raise InputError(f"--T: {exc}") from None
+                raise InputError(f"--T/--theta: {exc}") from None
             drude = DrudeParams(params.omega_p_eV, nu, params.label)
         return DrudeModel(drude) if table is None else TabulatedModel(table, low_freq=drude)
     return model

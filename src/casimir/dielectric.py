@@ -115,15 +115,15 @@ class MaterialDatabase:
         for item in raw:
             try:
                 label = item["label"]
-                if not (isinstance(label, str) and label) or any(
-                        isinstance(item[key], bool) for key in ("omega_p_eV", "nu_eV")):
-                    raise ValueError("need a nonempty string label and numbers, not booleans")
-                parsed.append(DrudeParams(
-                    omega_p_eV=float(item["omega_p_eV"]),
-                    nu_eV=float(item["nu_eV"]),
-                    label=label,
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
+                omega_p, nu = item["omega_p_eV"], item["nu_eV"]
+                if not (isinstance(label, str) and label) or not all(
+                        isinstance(v, (int, float)) and not isinstance(v, bool)
+                        for v in (omega_p, nu)):
+                    raise ValueError("need a nonempty string label and JSON numbers, "
+                                     "not booleans or strings")
+                parsed.append(DrudeParams(omega_p_eV=float(omega_p), nu_eV=float(nu),
+                                          label=label))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}: malformed material entry {item!r} ({exc})") from exc
         return cls([*_BUILTIN_MATERIALS, *parsed])
 

@@ -5,6 +5,8 @@ The modes are integrated in blocks: one kernel evaluates the pressure or
 free-energy integrand of a whole block on a (mode x node) array.  Pressure
 modes with A >= 2 take a Gauss-Laguerre pair (24 nodes, 16 for the error),
 all others one batched adaptive quadrature; each mode is certified alone.
+A block ends where a bound that holds for any reflections in [0, 1] shows
+the sum must stop, so a short sum takes one block.
 
 All mode arithmetic is dimensionless; SI conversion happens once at the
 end through :func:`casimir.quantities.pressure_to_si`.
@@ -265,6 +267,34 @@ _GL_W16 = np.concatenate([np.zeros(24), 0.5 * _W16 * np.exp(_T16)])
 _BLOCK_CAP = 128
 
 
+def _log_bound(A: float, free_energy: bool) -> float:
+    """ln of a bound on |t_m| at A = m*gamma > 0.  Both reflections lie in
+    [0, 1], so x <= e^{-2y}, and x/(1-x) and -ln(1-x) are at most
+    e^{-2y}/(1-e^{-2A}) on y >= A: |t_m| <= e^{-2A}(A^2 + A + 1/2)/(1-e^{-2A})
+    for the pressure and e^{-2A}(A + 1/2)/(1-e^{-2A}) for the free energy."""
+    poly = A + 0.5 if free_energy else (A + 1.0) * A + 0.5
+    return math.log(poly) - 2.0 * A - math.log(-math.expm1(-2.0 * A))
+
+
+def _block_size(first: int, gamma: float, log_target: float, free_energy: bool,
+                min_terms: int) -> int:
+    """Modes from ``first`` to the first m >= min_terms with
+    _log_bound(m*gamma) <= ``log_target``, at most _BLOCK_CAP.  The bound
+    falls with A, so a bisection over the block's modes finds that m."""
+    low, high = max(first, min_terms), first + _BLOCK_CAP - 1
+    if low >= high or _log_bound(low * gamma, free_energy) <= log_target:
+        return min(low - first + 1, _BLOCK_CAP)
+    if _log_bound(high * gamma, free_energy) > log_target:
+        return _BLOCK_CAP
+    while high - low > 1:  # the bound misses at low and meets it at high
+        mid = (low + high) // 2
+        if _log_bound(mid * gamma, free_energy) <= log_target:
+            high = mid
+        else:
+            low = mid
+    return high - first + 1
+
+
 def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
                 model3: DielectricModel, spec: QuadratureSpec, floor: float,
                 free_energy: bool, integrate, work: _Workspace):
@@ -360,12 +390,16 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
                   spec: QuadratureSpec, free_energy: bool, integrate, unit: float, result):
     """Primed Matsubara sum driver shared by pressure and free energy.
 
-    Modes are integrated in blocks of min_terms, then twice as many each
-    time, up to _BLOCK_CAP modes; every integral of a block is certified to
-    max(integral_rel_tol * |I_m|, integral_rel_tol * sum_rel_tol * |S|),
+    Modes are integrated in blocks; every integral of a block is certified
+    to max(integral_rel_tol * |I_m|, integral_rel_tol * sum_rel_tol * |S|),
     with S the running sum at the block's start.  Every term has the sign
-    of the static term, so that floor stays below the sum's own tolerance
-    scale; it stops terms that underflow from refining forever.
+    of the static term, so |S| only grows and that floor stays below the
+    sum's own tolerance scale; it stops terms that underflow from refining
+    forever.  A block runs up to the first m >= min_terms at which the
+    unit-reflection bound of _log_bound, times max(1, r/(1-r)), falls to
+    sum_rel_tol * |S|, where the stop rule below is certain to fire, and
+    holds at most _BLOCK_CAP modes: a sum of up to _BLOCK_CAP terms takes
+    one block.  A mode's value depends on its block only through the floor.
 
     The block values are then accumulated in increasing m with Neumaier
     compensation.  The sum stops at the first m >= min_terms where the term
@@ -388,16 +422,18 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     gamma = reduced_temperature(geom)
     r = math.exp(-2.0 * gamma)
     tail_factor = r / -math.expm1(-2.0 * gamma)
+    # ln of the stop rule's threshold on the bound, relative to |S|
+    log_tol = math.log(spec.sum_rel_tol) - math.log(max(1.0, tail_factor))
     acc = zero_coeff
     comp = 0.0
     terms: list[float] = []
     converged = False
-    size = min(spec.min_terms, _BLOCK_CAP)
     work = _Workspace(min(spec.max_terms, _BLOCK_CAP))
     while not converged and len(terms) < spec.max_terms:
-        first = len(terms) + 1
+        first, total = len(terms) + 1, abs(acc + comp)
+        size = _block_size(first, gamma, log_tol + math.log(total), free_energy, spec.min_terms)
         ms = np.arange(first, min(first + size, spec.max_terms + 1))
-        floor = spec.integral_rel_tol * spec.sum_rel_tol * abs(acc + comp)
+        floor = spec.integral_rel_tol * spec.sum_rel_tol * total
         values, errors, failed = _mode_block(
             ms, geom, model1, model3, spec, floor, free_energy, integrate, work)
         for m, t, bad, err in zip(ms.tolist(), values.tolist(), failed.tolist(),
@@ -416,7 +452,6 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
                 if abs(t) <= scale and abs(t) * tail_factor <= scale:
                     converged = True
                     break
-        size = min(2 * size, _BLOCK_CAP)
     out = result((acc + comp) * unit, zero_coeff * unit, np.asarray(terms) * unit,
                  len(terms), converged)
     if not converged:

@@ -463,7 +463,7 @@ class TestUsage:
         # nu(T) ~ T^5 underflows to 0 below about 1e-63 K
         code, out, err = run_cli(capsys, *argv, "--nu-model", "bloch-gruneisen")
         assert code == EXIT_INPUT and out == ""
-        assert err.startswith("error: --T: ") and "Traceback" not in err
+        assert err.startswith("error: --T/--theta: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["--theta", "1e-62"],
@@ -477,7 +477,8 @@ class TestUsage:
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_INPUT and out == ""
-        assert err.startswith("error: --T: ") and "theta = " in err and "Traceback" not in err
+        assert err.startswith("error: --T/--theta: ") and "theta = " in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("key", ["omega_p_eV", "nu_eV"])
     def test_infinite_material_parameter_exits_3(self, tmp_path, capsys, key):
@@ -497,6 +498,14 @@ class TestUsage:
                                  "--pair", "None,None", "--a", "1", "--T", "300")
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error: ") and str(path) in err and "malformed" in err
+
+    def test_numeric_string_material_exits_3(self, tmp_path, capsys):
+        # float("9.03") read the string as the Au plasma energy and exited 0
+        path = tmp_path / "materials.json"
+        path.write_text('[{"label": "X", "omega_p_eV": "9.03", "nu_eV": "0.0345"}]')
+        code, out, err = run_cli(capsys, "pressure", "--materials", str(path), "--pair", "X,X")
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: ") and str(path) in err and "'9.03'" in err
 
     def test_underflowing_geometry_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "pressure", "--a", "1e-300", "--T", "300")

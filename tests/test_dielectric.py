@@ -122,9 +122,11 @@ class TestMaterialDatabase:
     @pytest.mark.parametrize("key, value", [
         ("omega_p_eV", True), ("nu_eV", True), ("omega_p_eV", False),
         ("label", True), ("label", False), ("label", None), ("label", 5), ("label", ""),
+        ("omega_p_eV", "9.03"), ("nu_eV", "0.0345"), ("nu_eV", "inf"), ("omega_p_eV", 10**400),
     ])
     def test_from_json_rejects_booleans_and_non_string_labels(self, tmp_path, key, value):
-        # float(True) is 1.0 and str(None) is 'None': neither may pass as data
+        # float(True) is 1.0, float("9.03") is 9.03 and str(None) is 'None':
+        # none may pass as data; an integer past the double range neither
         path = tmp_path / "materials.json"
         entry = {"label": "X", "omega_p_eV": 9.0, "nu_eV": 0.03, key: value}
         path.write_text(json.dumps([entry]))

@@ -7,13 +7,16 @@ from scipy.integrate import quad
 from scipy.special import zeta as scipy_zeta
 
 from casimir.dielectric import (
+    BlochGruneisenParams,
     DielectricModel,
     DrudeModel,
+    DrudeParams,
     IdealMetal,
     MaterialDatabase,
     PermittivityTable,
     TabulatedModel,
     Vacuum,
+    bloch_gruneisen_nu,
     drude_epsilon,
 )
 from casimir.golden import TABLES, cell_tolerance
@@ -24,6 +27,8 @@ from casimir.lifshitz import (
     _BREAK_OFFSETS,
     _GL_MIN,
     _Workspace,
+    _block_size,
+    _log_bound,
     _mode_block,
     _mode_kernel,
     _reflections,
@@ -376,15 +381,14 @@ class TestIdealRows:
 
 
 class TestBlockDriver:
-    # Blocks hold modes 1-5, 6-15, 16-35, 36-75, 76-155, 156-283, then 128
-    # each; values recorded from the one-mode-at-a-time driver.
+    # Values recorded from the one-mode-at-a-time driver.
     @pytest.mark.parametrize("a_um,T_K,n_terms,pressure_mPa", [
-        (2.5, 300.0, 6, -0.021759861535672498),     # first mode of block 2
-        (0.95, 300.0, 15, -1.2110995379203673),     # last mode of block 2
-        (0.85, 300.0, 16, -1.896084880347681),      # first mode of block 3
-        (1.3, 20.0, 156, -0.40645489235415855),     # first mode of block 6
-        (3.65, 4.0, 283, -0.006959357918267075),    # last mode of block 6
-        (2.5, 4.0, 411, -0.031207448276329198),     # last mode of a capped block
+        (2.5, 300.0, 6, -0.021759861535672498),
+        (0.95, 300.0, 15, -1.2110995379203673),
+        (0.85, 300.0, 16, -1.896084880347681),
+        (1.3, 20.0, 156, -0.40645489235415855),     # in the second block
+        (3.65, 4.0, 283, -0.006959357918267075),
+        (2.5, 4.0, 411, -0.031207448276329198),     # in the fourth block
     ])
     def test_stop_at_block_edges(self, a_um, T_K, n_terms, pressure_mPa):
         res = casimir_pressure(Geometry(a_um, T_K), AU, CU)
@@ -414,7 +418,7 @@ class TestBlockDriver:
         assert excinfo.value.partial.n_terms_used == 50
 
     def test_failure_past_the_stop_is_discarded(self):
-        geom = Geometry(0.85, 300.0)  # stops at m = 16, the first mode of a block
+        geom = Geometry(0.85, 300.0)  # stops at m = 16 in a block of modes 1-19
         ref = casimir_pressure(geom, AU, CU)
         broken = NanAbove(DB.get("Au"), matsubara_frequency(16, geom.T_K) * 1.0001)
         res = casimir_pressure(geom, broken, CU)
@@ -438,11 +442,12 @@ class TestBlockDriver:
         assert np.array_equal(res_13.terms_mPa, res_31.terms_mPa)
 
     def test_matsubara_term_equals_block_value(self):
-        # at 1 K the terms decay slowly, so the floor never binds here
+        # at 1 K the terms decay slowly, so the floor never binds here;
+        # blocks of 128 modes, the last from 3969 to past the stop
         geom = Geometry(1.0, 1.0)
         res = casimir_pressure(geom, AU, CU)
         si = pressure_to_si(1.0, geom)
-        for m in (1, 5, 6, 15, 16, 35, 36, 200, 283, 284, res.n_terms_used):
+        for m in (1, 5, 6, 128, 129, 256, 257, 3968, 3969, res.n_terms_used):
             assert -matsubara_term(m, geom, AU, CU) * si == res.terms_mPa[m - 1]
 
     def test_loose_tolerance_mixes_panel_layouts(self):
@@ -832,3 +837,123 @@ class TestRobustness:
                                QuadratureSpec(max_terms=2000))
         assert res.converged
         assert np.isfinite(res.terms_mPa).all()
+
+
+def unit_reflection_bound(A, free_energy):
+    """Bound on |t_m| at A = m*gamma from x <= e^{-2y}: e^{-2A}(A^2 + A + 1/2)
+    / (1 - e^{-2A}) for the pressure, e^{-2A}(A + 1/2) / (1 - e^{-2A}) for
+    the free energy."""
+    poly = A + 0.5 if free_energy else A * A + A + 0.5
+    return math.exp(-2.0 * A) * poly / -math.expm1(-2.0 * A)
+
+
+def bloch_gruneisen_au(T_K):
+    return DrudeModel(DrudeParams(DB.get("Au").omega_p_eV,
+                                  bloch_gruneisen_nu(BlochGruneisenParams(), T_K), "Au"))
+
+
+BOUND_PAIRS = {"equal": lambda T_K: (AU, AU), "unequal": lambda T_K: (AU, CU),
+               "drude-ideal": lambda T_K: (AU, IdealMetal()),
+               "ideal-ideal": lambda T_K: (IdealMetal(), IdealMetal()),
+               "tabulated": lambda T_K: (TAB, CU), "near-vacuum": lambda T_K: (NEAR_VACUUM, AU),
+               "bloch-gruneisen": lambda T_K: (bloch_gruneisen_au(T_K), CU)}
+
+# (a_um, T_K, pair, free_energy, sum_rel_tol or None for the default)
+SCHEDULE_CELLS = {
+    "warm-equal": (1.0, 300.0, (AU, AU), False, None),
+    "warm-unequal": (0.2, 350.0, (AU, CU), False, None),
+    "five-terms": (10.0, 300.0, (AU, CU), False, None),
+    "underflowing": (88.0, 300.0, (AU, AU), False, None),
+    "drude-ideal": (1.0, 300.0, (AU, IdealMetal()), False, None),
+    "ideal-ideal": (2.0, 77.0, (IdealMetal(), IdealMetal()), False, None),
+    "mixed-ideal": (1.0, 30.0, (IdealBelow(DB.get("Au"), 0.02), AU), False, None),
+    "cold-two-blocks": (1.3, 20.0, (AU, CU), False, None),
+    "cold-four-blocks": (2.5, 4.0, (AU, CU), False, None),
+    "free-warm": (1.0, 300.0, (AU, CU), True, 1e-10),
+    "free-mixed-ideal": (1.0, 30.0, (IdealBelow(DB.get("Au"), 0.02), AU), True, None),
+    "free-cold": (0.7, 8.0, (AU, CU), True, 1e-10),
+}
+
+
+def schedule_sum(cell):
+    """(total, terms, n_terms_used) of one SCHEDULE_CELLS sum."""
+    a_um, T_K, pair, free, sum_rel_tol = SCHEDULE_CELLS[cell]
+    spec = QuadratureSpec() if sum_rel_tol is None else QuadratureSpec(sum_rel_tol=sum_rel_tol)
+    if free:
+        res = free_energy(Geometry(a_um, T_K), *pair, spec)
+        return res.free_energy_J_per_m2, res.terms_J_per_m2, res.n_terms_used
+    res = casimir_pressure(Geometry(a_um, T_K), *pair, spec)
+    return res.pressure_mPa, res.terms_mPa, res.n_terms_used
+
+
+def bound_stop(cell):
+    """First m >= min_terms at which the unit-reflection bound meets the stop
+    rule against the static term alone: bound(m*gamma) * max(1, r/(1-r))
+    <= sum_rel_tol * zeta(3)/8."""
+    a_um, T_K, _, free, sum_rel_tol = SCHEDULE_CELLS[cell]
+    spec = QuadratureSpec() if sum_rel_tol is None else QuadratureSpec(sum_rel_tol=sum_rel_tol)
+    gamma = reduced_temperature(Geometry(a_um, T_K))
+    grow = max(1.0, math.exp(-2.0 * gamma) / -math.expm1(-2.0 * gamma))
+    m = spec.min_terms
+    while unit_reflection_bound(m * gamma, free) * grow > spec.sum_rel_tol * zeta3() / 8.0:
+        m += 1
+    return m
+
+
+class TestBlockSchedule:
+    @settings(max_examples=80, deadline=None)
+    @given(gamma=st.floats(math.log(1e-4), math.log(50.0)).map(math.exp),
+           T_K=st.floats(0.0, math.log(400.0)).map(math.exp),
+           pair=st.sampled_from(sorted(BOUND_PAIRS)), free=st.booleans())
+    def test_unit_reflection_bound_holds(self, gamma, T_K, pair, free):
+        geom = Geometry(gamma * CODATA.hbar_c_eV_um / matsubara_frequency(1, T_K), T_K)
+        gamma = reduced_temperature(geom)
+        lowers = np.array([gamma, 0.01, 0.1, 0.35, 1.0, 2.0, 4.0, 8.0, 12.0, 20.0, 30.0])
+        ms = np.unique(modes_at(geom, lowers))
+        (values, _, failed), _ = block(ms, geom, BOUND_PAIRS[pair](T_K), free_energy=free)
+        assert not failed.all()
+        for m, value, bad in zip(ms.tolist(), values.tolist(), failed.tolist()):
+            bound = unit_reflection_bound(m * gamma, free)
+            assert math.exp(_log_bound(m * gamma, free)) == pytest.approx(bound, rel=1e-12)
+            assert bad or abs(value) <= bound * (1.0 + 1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(first=st.integers(1, 5000),
+           gamma=st.floats(math.log(1e-4), math.log(50.0)).map(math.exp),
+           log_target=st.floats(-60.0, 2.0), free=st.booleans(),
+           min_terms=st.sampled_from([1, 5, 200]))
+    def test_size_reaches_the_first_mode_within_the_bound(self, first, gamma, log_target, free,
+                                                          min_terms):
+        m = max(first, min_terms)  # walk the modes one by one
+        while m < first + _BLOCK_CAP and _log_bound(m * gamma, free) > log_target:
+            m += 1
+        size = _block_size(first, gamma, log_target, free, min_terms)
+        assert size == min(m - first + 1, _BLOCK_CAP)
+
+    @pytest.mark.parametrize("size", [1, 7, _BLOCK_CAP])
+    @pytest.mark.parametrize("cell", sorted(SCHEDULE_CELLS))
+    def test_block_sizes_do_not_change_results(self, cell, size, monkeypatch):
+        total, terms, n_terms = schedule_sum(cell)
+        monkeypatch.setattr("casimir.lifshitz._block_size", lambda *args: size)
+        other_total, other_terms, other_n_terms = schedule_sum(cell)
+        assert other_total == total and other_n_terms == n_terms
+        assert same_bits(other_terms, terms)
+
+    @pytest.mark.parametrize("cell", sorted(SCHEDULE_CELLS))
+    def test_blocks_end_where_the_bound_says(self, cell, monkeypatch):
+        sizes = []
+
+        def counted(ms, *args):
+            sizes.append(ms.size)
+            return _mode_block(ms, *args)
+        monkeypatch.setattr("casimir.lifshitz._mode_block", counted)
+        _, _, n_terms = schedule_sum(cell)
+        stop = bound_stop(cell)
+        assert n_terms <= sum(sizes) <= stop
+        assert sizes[:-1] == [_BLOCK_CAP] * (len(sizes) - 1)
+        if stop <= _BLOCK_CAP:
+            assert sizes == [stop]
+        if n_terms <= _BLOCK_CAP:
+            assert len(sizes) == 1
+        if cell == "five-terms":
+            assert sizes == [5] and n_terms == 5
