@@ -70,7 +70,7 @@ def drude_epsilon(params: DrudeParams, zeta_eV):
     analytic path.
     """
     z = np.asarray(zeta_eV, dtype=float)
-    if np.any(z <= 0):
+    if not np.all(z > 0):  # NaN fails it too
         raise ValueError("zeta must be positive; the static mode is handled analytically")
     out = 1.0 + params.omega_p_eV**2 / (z * (z + params.nu_eV))
     return float(out) if out.ndim == 0 else out
@@ -169,7 +169,7 @@ def bloch_gruneisen_nu(params: BlochGruneisenParams, T_K: float) -> float:
     keeps a finite impurity floor, which this model deliberately ignores, so
     a T at which nu underflows to 0 or (T/theta)^5 overflows raises ValueError.
     """
-    if T_K <= 0:
+    if not T_K > 0:  # NaN fails it too
         raise ValueError(f"temperature must be positive, got {T_K}")
     try:
         scale = (T_K / params.theta_K) ** 5
@@ -181,8 +181,8 @@ def bloch_gruneisen_nu(params: BlochGruneisenParams, T_K: float) -> float:
     # beyond x ~ 200 the integrand is < 1e-70; capping also avoids sinh overflow
     cut = min(upper, 200.0)
     breaks = np.append(_BG_BREAKS[_BG_BREAKS < cut], cut)
-    val, _ = integrate_adaptive(_bg_integrand, breaks, rel_tol=1e-12)
-    nu = params.prefactor_eV * scale * val
+    val, _ = integrate_adaptive(_bg_integrand, breaks[None], rel_tol=1e-12)
+    nu = params.prefactor_eV * scale * float(val[0])
     if nu == 0.0:
         raise ValueError(f"relaxation frequency nu(T) underflows to 0 at T = {T_K} K")
     return nu
@@ -192,8 +192,9 @@ def bloch_gruneisen_nu(params: BlochGruneisenParams, T_K: float) -> float:
 class PermittivityTable:
     """Samples of epsilon(i*zeta) with zeta strictly increasing (internally eV).
 
-    Interpolation is log-log linear in (zeta, eps-1): the permittivity of a
-    metal spans many decades and is power-law-like on the imaginary axis.
+    ``TabulatedModel`` interpolates it log-log linearly in (zeta, eps-1):
+    the permittivity of a metal spans many decades and is power-law-like on
+    the imaginary axis.
     """
 
     zeta_eV: np.ndarray
@@ -221,13 +222,6 @@ class PermittivityTable:
     @property
     def zeta_max_eV(self) -> float:
         return float(self.zeta_eV[-1])
-
-    def interpolate(self, zeta_eV):
-        """Log-log interpolation of eps-1; valid inside the sampled window."""
-        z = np.asarray(zeta_eV, dtype=float)
-        log_eps = np.log(np.maximum(self.eps - 1.0, 1e-300))
-        out = 1.0 + np.exp(np.interp(np.log(z), np.log(self.zeta_eV), log_eps))
-        return float(out) if out.ndim == 0 else out
 
     @classmethod
     def from_csv(cls, path) -> "PermittivityTable":
@@ -289,13 +283,15 @@ class TabulatedModel(DielectricModel):
     def __init__(self, table: PermittivityTable, low_freq: DrudeParams):
         self.table = table
         self.low_freq = low_freq
+        self._log_zeta = np.log(table.zeta_eV)
+        self._log_eps = np.log(np.maximum(table.eps - 1.0, 1e-300))
 
     def epsilon(self, zeta_eV):
         z = np.atleast_1d(np.asarray(zeta_eV, dtype=float))
-        if np.any(z <= 0):
+        if not np.all(z > 0):  # NaN fails it too
             raise ValueError("zeta must be positive")
-        out = self.table.interpolate(np.clip(z, self.table.zeta_min_eV, self.table.zeta_max_eV))
-        out = np.atleast_1d(np.asarray(out, dtype=float))
+        # np.interp holds the end values outside the window; both sides are overwritten
+        out = 1.0 + np.exp(np.interp(np.log(z), self._log_zeta, self._log_eps))
         below = z < self.table.zeta_min_eV
         if below.any():
             out[below] = drude_epsilon(self.low_freq, z[below])
@@ -402,7 +398,7 @@ def kramers_kronig_transform(
     if not np.all((e2 >= 0) & (e2 < np.inf)):
         raise ValueError("eps'' samples must be finite and nonnegative")
     zeta = np.asarray(zeta_rad_s, dtype=float)
-    if np.any(zeta <= 0):
+    if not np.all(zeta > 0):  # NaN fails it too
         raise ValueError("zeta must be positive")
     z = zeta.ravel()
 

@@ -50,7 +50,7 @@ _Y_MAX_PAD = 5.0
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error control for the y-integrals and the frequency sum."""
+    """Error control for the y-integrals and the frequency sum; integer term counts."""
 
     integral_rel_tol: float = 1e-12
     sum_rel_tol: float = 1e-8
@@ -58,6 +58,8 @@ class QuadratureSpec:
     min_terms: int = 5
 
     def __post_init__(self) -> None:
+        for name in ("max_terms", "min_terms"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if not (0 < self.integral_rel_tol < math.inf and 0 < self.sum_rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
         if self.max_terms < 1 or self.min_terms < 1:
@@ -420,10 +422,10 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     # closed-form static TM mode with half weight; the log integrand of F is negative
     zero_coeff = -zeta3() / 8.0 if free_energy else zeta3() / 8.0
     gamma = reduced_temperature(geom)
-    r = math.exp(-2.0 * gamma)
-    tail_factor = r / -math.expm1(-2.0 * gamma)
+    # the stop rule's factor on |t_m|: the term itself, or its geometric tail
+    tail = max(1.0, math.exp(-2.0 * gamma) / -math.expm1(-2.0 * gamma))
     # ln of the stop rule's threshold on the bound, relative to |S|
-    log_tol = math.log(spec.sum_rel_tol) - math.log(max(1.0, tail_factor))
+    log_tol = math.log(spec.sum_rel_tol) - math.log(tail)
     acc = zero_coeff
     comp = 0.0
     terms: list[float] = []
@@ -447,11 +449,9 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
                 comp += (t - new) + acc
             acc = new
             terms.append(t)
-            if m >= spec.min_terms:
-                scale = spec.sum_rel_tol * abs(acc + comp)
-                if abs(t) <= scale and abs(t) * tail_factor <= scale:
-                    converged = True
-                    break
+            if m >= spec.min_terms and abs(t) * tail <= spec.sum_rel_tol * abs(acc + comp):
+                converged = True
+                break
     out = result((acc + comp) * unit, zero_coeff * unit, np.asarray(terms) * unit,
                  len(terms), converged)
     if not converged:

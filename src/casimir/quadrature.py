@@ -12,8 +12,8 @@ moved.  Each row keeps its own panels, error budget and certificate, and
 its result is independent of the batch by construction: a panel's sums
 reduce its own 15 values, a row's panels stay in the order of its own
 bisections, and its totals add them from the left, where the zero padding
-of shorter rows changes nothing.  A batched integral equals the single one
-bit for bit.
+of shorter rows changes nothing.  A row integrated in a batch equals the
+same row integrated alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -47,14 +47,16 @@ _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 _MAX_ROUNDS = 64  # bisection rounds before an integral counts as failed
+_MAX_PANELS = 2048  # panels of one integral past which it is not bisected
 
 
 class QuadratureError(RuntimeError):
     """Error target not certified within budget; carries the partial result.
 
-    For one integral ``estimate`` and ``error`` are floats.  For a batch they
-    are arrays over the rows, and ``failed`` marks the rows that were not
-    certified; the other rows hold their certified values.
+    From ``integrate_adaptive``, ``estimate`` and ``error`` are arrays over
+    the rows, and ``failed`` marks the rows that were not certified; the
+    other rows hold their certified values.  The mode sum raises it for one
+    mode (``lifshitz._mode_error``), with floats and no ``failed``.
     """
 
     def __init__(self, message: str, estimate, error, failed=None):
@@ -88,29 +90,27 @@ def _panel_rule(f, lo, hi):
 
 def integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
-    breaks: Sequence[float] | np.ndarray,
+    breaks: Sequence[Sequence[float]] | np.ndarray,
     rel_tol: float = 1e-12,
     abs_tol=0.0,
-    max_panels: int = 2048,
 ):
-    """Integrate ``f`` over [breaks[0], breaks[-1]]; returns (value, error).
+    """Integrate ``f`` over each row of ``breaks``; returns (values, errors).
 
-    ``breaks`` seeds the initial panel layout; a 2-D array integrates one
-    row per integral, each ending at its last number before any NaN
-    padding, and returns arrays that do not depend on the batch's shape.
-    ``f`` maps an array of nodes with one row per integral to values of the
-    same shape; nodes with nothing to evaluate are NaN and their values are
-    ignored.  ``f`` may return a view of storage that its next call
-    overwrites.  Panels carrying more than their share of an integral's
-    error budget are bisected until its summed Kronrod-Gauss estimate
-    certifies ``rel_tol`` (or ``abs_tol``, a scalar or one value per row, if
-    larger); a certified or spent row is left as it is.  A NaN tolerance
-    raises ValueError before ``f`` is called.  Integrals not certified
-    within ``max_panels`` raise QuadratureError once the whole batch is done.
+    ``breaks`` is a 2-D array, one row of initial panel breaks per
+    integral, each row ending at its last number before any NaN padding;
+    the two returned arrays hold one entry per row and do not depend on the
+    batch's shape.  ``f`` maps an array of nodes with one row per integral
+    to values of the same shape; nodes with nothing to evaluate are NaN and
+    their values are ignored.  ``f`` may return a view of storage that its
+    next call overwrites.  Panels carrying more than their share of an
+    integral's error budget are bisected until its summed Kronrod-Gauss
+    estimate certifies ``rel_tol`` (or ``abs_tol``, a scalar or one value
+    per row, if larger); a certified or spent row is left as it is.  A NaN
+    tolerance raises ValueError before ``f`` is called.  Integrals not
+    certified within _MAX_PANELS panels raise QuadratureError, carrying
+    arrays, once the whole batch is done.
     """
     pts = np.asarray(breaks, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
     pad = np.isnan(pts)
     if (pts.ndim != 2 or pts.shape[1] < 2 or pad[:, :2].any()
             or (pad[:, :-1] & ~pad[:, 1:]).any() or np.any(np.diff(pts, axis=1) <= 0)):
@@ -129,7 +129,7 @@ def integrate_adaptive(
         target = np.maximum(rel_tol * np.abs(total), floor)
         done = total_err <= target
         # a NaN error or target never certifies, however the panels are cut
-        live = ~done & (count < max_panels) & ~np.isnan(total_err + target)
+        live = ~done & (count < _MAX_PANELS) & ~np.isnan(total_err + target)
         if rounds == _MAX_ROUNDS or not live.any():
             break
 
@@ -162,13 +162,8 @@ def integrate_adaptive(
     failed = ~done
     if failed.any():
         i = int(np.flatnonzero(failed)[0])
-        detail = (f"quadrature error {total_err[i]:.3e} above target {target[i]:.3e} "
-                  f"after {count[i]} panels")
-        if single:
-            raise QuadratureError(detail, float(total[0]), float(total_err[0]))
         raise QuadratureError(
-            f"{int(failed.sum())} of {n} integrals not certified; row {i}: {detail}",
+            f"{int(failed.sum())} of {n} integrals not certified; row {i}: quadrature error "
+            f"{total_err[i]:.3e} above target {target[i]:.3e} after {count[i]} panels",
             total, total_err, failed)
-    if single:
-        return float(total[0]), float(total_err[0])
     return total, total_err

@@ -124,17 +124,16 @@ def entropy(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
     temperatures for exploratory runs with a temperature-dependent
     relaxation frequency.
     """
-    if fd_step_K <= 0:
+    if not fd_step_K > 0:  # NaN fails it too
         raise ValueError(f"fd step must be positive, got {fd_step_K}")
     if geom.T_K - fd_step_K <= 0:
         raise ValueError(
             f"T - fd_step must stay positive, got T={geom.T_K}, step={fd_step_K}")
     spec = spec or _ENTROPY_SPEC
     t_lo, t_hi = geom.T_K - fd_step_K, geom.T_K + fd_step_K
-    lo_models = models_at(t_lo) if models_at is not None else (model1, model3)
-    hi_models = models_at(t_hi) if models_at is not None else (model1, model3)
-    f_lo = free_energy(Geometry(geom.a_um, t_lo), *lo_models, spec)
-    f_hi = free_energy(Geometry(geom.a_um, t_hi), *hi_models, spec)
+    models_at = models_at or (lambda T_K: (model1, model3))
+    f_lo = free_energy(Geometry(geom.a_um, t_lo), *models_at(t_lo), spec)
+    f_hi = free_energy(Geometry(geom.a_um, t_hi), *models_at(t_hi), spec)
     s = (f_lo.free_energy_J_per_m2 - f_hi.free_energy_J_per_m2) / (2.0 * fd_step_K)
     return EntropyResult(entropy_J_per_m2_K=s, T_K=geom.T_K, fd_step_K=fd_step_K)
 
@@ -189,11 +188,18 @@ def crossover_separation(model1: DielectricModel, model3: DielectricModel,
     rising with temperature, by bisection of
     g(a) = |P(a, T_high)| - |P(a, T_low)| on the bracket.
 
-    Raises BracketError carrying the endpoint values when g has the same
-    strict sign at both ends.
+    Raises ValueError unless 0 < bracket_um[0] < bracket_um[1] < inf and
+    0 < resolution_um < inf, before any pressure is computed, and
+    BracketError carrying the endpoint values when g has the same strict
+    sign at both ends.
     """
     if not T_low_K < T_high_K:
         raise ValueError(f"need T_low < T_high, got {T_low_K}, {T_high_K}")
+    lo, hi = bracket_um
+    if not 0 < lo < hi < np.inf:
+        raise ValueError(f"bracket_um must satisfy 0 < lo < hi < inf, got {bracket_um}")
+    if not 0 < resolution_um < np.inf:
+        raise ValueError(f"resolution_um must be positive and finite, got {resolution_um}")
     spec = spec or QuadratureSpec()
 
     def g(a_um: float) -> float:
@@ -201,7 +207,6 @@ def crossover_separation(model1: DielectricModel, model3: DielectricModel,
         p_lo = casimir_pressure(Geometry(a_um, T_low_K), model1, model3, spec)
         return abs(p_hi.pressure_mPa) - abs(p_lo.pressure_mPa)
 
-    lo, hi = bracket_um
     g_lo, g_hi = g(lo), g(hi)
     if not (g_lo <= 0.0 <= g_hi or g_hi <= 0.0 <= g_lo):
         raise BracketError(
@@ -210,6 +215,8 @@ def crossover_separation(model1: DielectricModel, model3: DielectricModel,
     rising = g_lo < g_hi  # not the sign of g_hi: a zero may sit at an end
     while hi - lo > resolution_um:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent doubles: finer than any resolution
+            break
         g_mid = g(mid)
         if (g_mid > 0) == rising:
             hi = mid

@@ -119,8 +119,9 @@ class TestPressureCommand:
     def test_quadrature_error_exits_1_without_traceback(self, capsys, monkeypatch):
         def no_refinement(f, breaks, rel_tol, abs_tol):
             # an unreachable target with no room to bisect fails every mode
-            return integrate_adaptive(f, breaks, rel_tol=0.0, abs_tol=0.0, max_panels=1)
+            return integrate_adaptive(f, breaks, rel_tol=0.0, abs_tol=0.0)
         monkeypatch.setattr(casimir.lifshitz, "integrate_adaptive", no_refinement)
+        monkeypatch.setattr("casimir.quadrature._MAX_PANELS", 1)
         code, out, err = run_cli(capsys, "pressure", "--a", "1", "--T", "300")
         assert code == EXIT_COMPUTE
         assert err.startswith("error: ")

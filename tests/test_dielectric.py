@@ -51,6 +51,8 @@ class TestDrudeEpsilon:
             drude_epsilon(AU, 0.0)
         with pytest.raises(ValueError):
             drude_epsilon(AU, np.array([1.0, -2.0]))
+        with pytest.raises(ValueError, match="^zeta must be positive"):
+            drude_epsilon(AU, np.array([1.0, np.nan]))
 
     def test_static_te_condition(self):
         # zeta^2 (eps - 1) = omega_p^2 zeta/(zeta + nu) -> 0 with bound
@@ -181,6 +183,8 @@ class TestBlochGruneisen:
     def test_invalid_temperature(self):
         with pytest.raises(ValueError):
             bloch_gruneisen_nu(BlochGruneisenParams(), 0.0)
+        with pytest.raises(ValueError, match="^temperature must be positive, got nan$"):
+            bloch_gruneisen_nu(BlochGruneisenParams(), math.nan)
 
     def test_underflow_names_the_temperature(self):
         # nu ~ T^5 leaves the double range below about 1e-63 K
@@ -243,6 +247,8 @@ class TestKramersKronig:
         w, eps2 = self._window(per_decade=5)
         with pytest.raises(ValueError):
             kramers_kronig_transform(w, eps2, -1.0)
+        with pytest.raises(ValueError, match="^zeta must be positive$"):
+            kramers_kronig_transform(w, eps2, [1e14, np.nan])
         with pytest.raises(ValueError):
             kramers_kronig_transform(w[::-1], eps2, 1e14)
         with pytest.raises(ValueError):
@@ -295,6 +301,12 @@ class TestPermittivityTable:
         zq = np.logspace(-3.9, 2.9, 300)
         rel = np.abs(model.epsilon(zq) - drude_epsilon(AU, zq)) / drude_epsilon(AU, zq)
         assert rel.max() < 1e-3
+
+    def test_nonpositive_or_nan_zeta_rejected(self):
+        model = TabulatedModel(self._drude_table(), low_freq=AU)
+        for zeta in (0.0, -1.0, np.nan, [1.0, np.nan]):
+            with pytest.raises(ValueError, match="^zeta must be positive$"):
+                model.epsilon(zeta)
 
     def test_drude_tail_below_window(self):
         model = TabulatedModel(self._drude_table(), low_freq=AU)

@@ -329,6 +329,20 @@ class TestCasimirPressure:
             QuadratureSpec(max_terms=3)
         assert QuadratureSpec(min_terms=3, max_terms=3).max_terms == 3
 
+    @pytest.mark.parametrize("counts", [{"max_terms": 50.5}, {"max_terms": math.inf},
+                                        {"min_terms": 2.5}, {"min_terms": 5.0}],
+                             ids=["fractional-max", "infinite-max", "fractional-min",
+                                  "integral-float-min"])
+    def test_term_counts_must_be_integers(self, counts):
+        # an infinite max_terms would let a sum that cannot converge loop forever
+        with pytest.raises(TypeError):
+            QuadratureSpec(**counts)
+
+    def test_numpy_integer_term_counts_are_stored_as_int(self):
+        spec = QuadratureSpec(max_terms=np.int64(40), min_terms=np.int32(3))
+        assert (spec.max_terms, spec.min_terms) == (40, 3)
+        assert type(spec.max_terms) is int and type(spec.min_terms) is int
+
 
 class NanAbove(DrudeModel):
     """Drude model whose permittivity is NaN above a frequency, so every
@@ -628,11 +642,11 @@ class TestModeKernel:
         for i, (eps1, eps3) in enumerate(zip(AU.epsilon(zeta), CU.epsilon(zeta))):
             starts = A[i] + _BREAK_OFFSETS
             y_max = spec.y_max(A[i])
-            ref = integrate_adaptive(
+            ref, ref_error = integrate_adaptive(
                 lambda y: reference_kernel(y, A[i:i + 1], np.array([eps1]), np.array([eps3]),
                                            True),
-                np.append(starts[starts < y_max], y_max), rel_tol=spec.integral_rel_tol)
-            assert (values[i], errors[i]) == ref
+                [np.append(starts[starts < y_max], y_max)], rel_tol=spec.integral_rel_tol)
+            assert (values[i], errors[i]) == (ref[0], ref_error[0])
 
     @pytest.mark.parametrize("free_energy", [False, True])
     def test_reused_workspace_equals_fresh_one(self, free_energy):
@@ -714,8 +728,8 @@ def block(ms, geom, pair, spec=None, free_energy=False):
 
 
 def adaptive_mode(m, geom, pair, spec=None, free_energy=False):
-    """Mode integral by integrate_adaptive alone, on the kernel closure, the
-    breaks and the inputs _mode_block gives it."""
+    """(value, error) of a mode integral by integrate_adaptive alone, on the
+    kernel closure, the breaks and the inputs _mode_block gives it."""
     spec = spec or QuadratureSpec()
     A = np.array([m]) * reduced_temperature(geom)
     zeta = np.array([m]) * matsubara_frequency(1, geom.T_K)
@@ -723,9 +737,10 @@ def adaptive_mode(m, geom, pair, spec=None, free_energy=False):
     y_max = spec.y_max(A)[0]
     starts = A[0] + _BREAK_OFFSETS
     work = _Workspace(1)
-    return integrate_adaptive(lambda y: _mode_kernel(y, work, free_energy, A, eps1, eps3),
-                              np.append(starts[starts < y_max], y_max),
-                              rel_tol=spec.integral_rel_tol)
+    val, err = integrate_adaptive(lambda y: _mode_kernel(y, work, free_energy, A, eps1, eps3),
+                                  [np.append(starts[starts < y_max], y_max)],
+                                  rel_tol=spec.integral_rel_tol)
+    return float(val[0]), float(err[0])
 
 
 def modes_at(geom, lowers):

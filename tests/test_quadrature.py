@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from casimir import quadrature
 from casimir.quadrature import (
     QuadratureError,
     _WEIGHTS_G,
@@ -11,21 +14,26 @@ from casimir.quadrature import (
 )
 
 
+def one(f, row, **kwargs):
+    """(value, error) of one integral over ``row``, a batch of one row."""
+    val, err = integrate_adaptive(f, [row], **kwargs)
+    return float(val[0]), float(err[0])
+
+
 def test_rule_weights_sum_to_interval():
     assert _WEIGHTS_K.sum() == pytest.approx(2.0, abs=1e-14)
     assert _WEIGHTS_G.sum() == pytest.approx(2.0, abs=1e-14)
 
 
 def test_polynomial_exact():
-    val, err = integrate_adaptive(lambda x: x**5, [0.0, 1.0])
+    val, err = one(lambda x: x**5, [0.0, 1.0])
     assert val == pytest.approx(1.0 / 6.0, rel=1e-14)
     assert err < 1e-13
 
 
 def test_exponential_tail_value():
     # int_0^inf y^2 e^{-2y} dy = 1/4; truncation at 40 leaves < 1e-30
-    val, _ = integrate_adaptive(lambda y: y * y * np.exp(-2.0 * y),
-                                [0.0, 1.0, 4.0, 10.0, 40.0])
+    val, _ = one(lambda y: y * y * np.exp(-2.0 * y), [0.0, 1.0, 4.0, 10.0, 40.0])
     assert val == pytest.approx(0.25, rel=1e-12)
 
 
@@ -33,14 +41,14 @@ def test_matches_quadpack_on_peaked_integrand():
     def f(x):
         return 1.0 / (1.0 + (x - 3.0) ** 2 * 400.0)
 
-    val, _ = integrate_adaptive(f, [0.0, 10.0], rel_tol=1e-12)
+    val, _ = one(f, [0.0, 10.0], rel_tol=1e-12)
     ref, _ = quad(lambda x: float(f(np.asarray(x))), 0.0, 10.0,
                   epsabs=0.0, epsrel=1e-13, limit=500)
     assert val == pytest.approx(ref, rel=1e-11)
 
 
 def test_zero_integrand_converges():
-    val, err = integrate_adaptive(lambda x: np.zeros_like(x), [0.0, 5.0])
+    val, err = one(lambda x: np.zeros_like(x), [0.0, 5.0])
     assert val == 0.0
     assert err == 0.0
 
@@ -49,17 +57,21 @@ def test_budget_exhaustion_carries_partial_estimate():
     def needle(x):
         return 1.0 / (1e-12 + (x - 0.5) ** 2)
 
-    with pytest.raises(QuadratureError) as excinfo:
-        integrate_adaptive(needle, [0.0, 1.0], rel_tol=1e-12, max_panels=4)
-    assert excinfo.value.estimate != 0.0
-    assert excinfo.value.error > 0.0
+    with mock.patch.object(quadrature, "_MAX_PANELS", 4), \
+            pytest.raises(QuadratureError) as excinfo:
+        one(needle, [0.0, 1.0], rel_tol=1e-12)
+    assert excinfo.value.estimate[0] != 0.0
+    assert excinfo.value.error[0] > 0.0
 
 
 def test_breaks_validation():
     with pytest.raises(ValueError):
-        integrate_adaptive(lambda x: x, [1.0])
+        integrate_adaptive(lambda x: x, [[1.0]])
     with pytest.raises(ValueError):
-        integrate_adaptive(lambda x: x, [1.0, 0.5])
+        integrate_adaptive(lambda x: x, [[1.0, 0.5]])
+    for not_2d in ([0.0, 1.0], 1.0, [[[0.0, 1.0]]]):
+        with pytest.raises(ValueError, match="breaks"):
+            integrate_adaptive(lambda x: x, not_2d)
 
 
 @pytest.mark.parametrize("rel_tol, abs_tol", [
@@ -92,14 +104,13 @@ def test_nan_target_fails_without_further_rounds():
         return out.reshape(x.shape)
 
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(QuadratureError):
-        integrate_adaptive(f, [-10.0, 0.0, 10.0])
+        integrate_adaptive(f, [[-10.0, 0.0, 10.0]])
     assert shapes == [(1, 30)]
 
 
 def test_absolute_floor():
     # tiny integral against an absolute floor converges immediately
-    val, err = integrate_adaptive(lambda x: 1e-30 * np.ones_like(x),
-                                  [0.0, 1.0], rel_tol=1e-12, abs_tol=1e-20)
+    val, err = one(lambda x: 1e-30 * np.ones_like(x), [0.0, 1.0], rel_tol=1e-12, abs_tol=1e-20)
     assert val == pytest.approx(1e-30, rel=1e-12, abs=0.0)
 
 
@@ -118,7 +129,7 @@ def test_batch_equals_single_integrals():
     val, err = integrate_adaptive(peaks(centres), breaks, rel_tol=1e-12)
     assert val.shape == err.shape == (len(centres),)
     for i, c in enumerate(centres):
-        v1, e1 = integrate_adaptive(peaks([c]), breaks[i], rel_tol=1e-12)
+        v1, e1 = one(peaks([c]), breaks[i], rel_tol=1e-12)
         assert val[i] == v1
         assert err[i] == e1
 
@@ -137,8 +148,9 @@ def test_batch_failure_marks_rows_and_keeps_the_rest():
         return out
 
     breaks = np.array([[0.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(QuadratureError) as excinfo:
-        integrate_adaptive(f, breaks, rel_tol=1e-12, max_panels=4)
+    with mock.patch.object(quadrature, "_MAX_PANELS", 4), \
+            pytest.raises(QuadratureError) as excinfo:
+        integrate_adaptive(f, breaks, rel_tol=1e-12)
     exc = excinfo.value
     assert exc.failed.tolist() == [False, True]
     assert exc.estimate[0] == pytest.approx(np.sin(1.0), rel=1e-12)
@@ -179,7 +191,7 @@ def test_ragged_rows_equal_single_integrals():
     rows = [[0.0, 10.0], [0.0, 2.0, 5.0, 10.0], [0.0, 5.0, 7.0, 8.0, 9.0, 10.0], [0.0, 9.5]]
     val, err = integrate_adaptive(peaks(centres), ragged(rows), rel_tol=1e-12)
     for i, c in enumerate(centres):
-        assert (val[i], err[i]) == integrate_adaptive(peaks([c]), rows[i], rel_tol=1e-12)
+        assert (val[i], err[i]) == one(peaks([c]), rows[i], rel_tol=1e-12)
     assert val[3] == pytest.approx(
         quad(lambda x: 1.0 / (1.0 + (x - 9.9) ** 2 * 400.0), 0.0, 9.5, epsabs=0.0,
              epsrel=1e-13, limit=500)[0], rel=1e-11)
@@ -202,7 +214,7 @@ def test_row_growing_past_the_initial_width_equals_single_integral():
         nodes.append(np.count_nonzero(~np.isnan(x)))
         return 1.0 / (1.0 + (x - 0.5) ** 2 * 1e8)
 
-    single = integrate_adaptive(sharp, [0.0, 1.0], rel_tol=1e-12)
+    single = one(sharp, [0.0, 1.0], rel_tol=1e-12)
     assert sum(nodes) // 15 > 20
 
     def batch(x):
@@ -250,15 +262,17 @@ def test_row_result_is_independent_of_the_batch(specs, rnd):
         c, k = centre[idx, None], sharp[idx, None]
         try:
             return integrate_adaptive(lambda x: 1.0 / (1.0 + k * (x - c) ** 2),
-                                      breaks[idx], rel_tol=1e-12, abs_tol=floor[idx],
-                                      max_panels=64)
+                                      breaks[idx], rel_tol=1e-12, abs_tol=floor[idx])
         except QuadratureError as exc:
             return exc.estimate, exc.error
 
-    full = run(np.arange(len(specs)))
-    perm = np.array(rnd.sample(range(len(specs)), len(specs)))
-    subset = perm[:rnd.randint(1, len(specs))]
-    for idx in (perm, subset):
-        val, err = run(idx)
-        assert full[0][idx].tobytes() == val.tobytes()
-        assert full[1][idx].tobytes() == err.tobytes()
+    # a small panel budget, so that some rows fail; a function-scoped
+    # fixture would trip Hypothesis's health check
+    with mock.patch.object(quadrature, "_MAX_PANELS", 64):
+        full = run(np.arange(len(specs)))
+        perm = np.array(rnd.sample(range(len(specs)), len(specs)))
+        subset = perm[:rnd.randint(1, len(specs))]
+        for idx in (perm, subset):
+            val, err = run(idx)
+            assert full[0][idx].tobytes() == val.tobytes()
+            assert full[1][idx].tobytes() == err.tobytes()

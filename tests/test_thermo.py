@@ -96,6 +96,8 @@ class TestEntropy:
             entropy(Geometry(1.0, 0.4), AU, AU, fd_step_K=0.5)
         with pytest.raises(ValueError):
             entropy(Geometry(1.0, 300.0), AU, AU, fd_step_K=0.0)
+        with pytest.raises(ValueError, match="^fd step must be positive, got nan$"):
+            entropy(Geometry(1.0, 300.0), AU, AU, fd_step_K=math.nan)
 
     def test_step_halving_richardson(self):
         geom = Geometry(1.0, 300.0)
@@ -215,6 +217,32 @@ class TestCrossoverSeparation:
         a_star = crossover_separation(AU, AU, 300.0, 350.0, bracket_um=(1.0, 6.0),
                                       resolution_um=0.01)
         assert abs(a_star - root_um) <= 0.01
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"bracket_um": (6.0, 1.0)}, "bracket_um"),
+        ({"bracket_um": (3.0, 3.0)}, "bracket_um"),
+        ({"bracket_um": (0.0, 6.0)}, "bracket_um"),
+        ({"bracket_um": (1.0, math.inf)}, "bracket_um"),
+        ({"bracket_um": (math.nan, 6.0)}, "bracket_um"),
+        ({"resolution_um": math.nan}, "resolution_um"),
+        ({"resolution_um": 0.0}, "resolution_um"),
+        ({"resolution_um": -0.01}, "resolution_um"),
+        ({"resolution_um": math.inf}, "resolution_um"),
+    ], ids=["reversed", "empty", "zero-low", "infinite-high", "nan-low", "nan-resolution",
+            "zero-resolution", "negative-resolution", "infinite-resolution"])
+    def test_bracket_and_resolution_are_checked_before_any_pressure(
+            self, monkeypatch, kwargs, name):
+        def pressure(*args):
+            raise AssertionError("pressure computed")
+        monkeypatch.setattr("casimir.thermo.casimir_pressure", pressure)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            crossover_separation(AU, AU, 300.0, 350.0, **kwargs)
+
+    def test_resolution_below_the_spacing_of_doubles_terminates(self, monkeypatch):
+        # bisection stops once lo and hi are adjacent doubles
+        self._stub_g(monkeypatch, 2.5, 1.0)
+        a_star = crossover_separation(AU, AU, 300.0, 350.0, resolution_um=1e-300)
+        assert a_star == pytest.approx(2.5, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("slope", [1.0, -1.0], ids=["both-negative", "both-positive"])
     def test_same_strict_sign_at_both_ends_raises(self, monkeypatch, slope):
