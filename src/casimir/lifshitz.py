@@ -3,8 +3,11 @@ over TE/TM reflection products, with the analytic static (m=0) term.
 
 The modes are integrated in blocks: one kernel evaluates the pressure or
 free-energy integrand of a whole block on a (mode x node) array.  Pressure
-modes with A >= 2 take a Gauss-Laguerre pair (24 nodes, 16 for the error),
-all others one batched adaptive quadrature; each mode is certified alone.
+modes take fixed rule pairs, a value and a coarser rule for its error:
+Gauss-Laguerre 24/16 if the lower limit A is at least 2, and below it
+Gauss-Legendre 16/12 on five panels up to A + 4 with a Laguerre 16/12 tail.
+Free-energy modes, and the few pressure modes a pair does not certify, take
+one batched adaptive quadrature; each mode is certified alone.
 A block ends where a bound that holds for any reflections in [0, 1] shows
 the sum must stop, so a short sum takes one block.
 
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
+from numpy.polynomial.legendre import leggauss
 
 from .dielectric import DielectricModel
 from .quadrature import QuadratureError, integrate_adaptive
@@ -160,9 +164,9 @@ class _Workspace:
     ``arrays(shape)`` views it as eight float arrays and a bool array (grown
     if need be) that its next call overwrites."""
 
-    def __init__(self, rows: int):  # room for the first round of `rows` modes
+    def __init__(self, rows: int):  # room for the first call on `rows` modes
         self.size = 0
-        self.arrays((rows, 15 * _BREAK_OFFSETS.size))
+        self.arrays((rows, max(_COMPOSITE_PAIR[0].size, 15 * _BREAK_OFFSETS.size)))
 
     def arrays(self, shape):
         n = shape[0] * shape[1]
@@ -254,14 +258,37 @@ def _mode_kernel(y, work: _Workspace, free_energy: bool, A, eps1, eps3=None):
 # First breaks of every mode integral, as offsets from its lower limit.
 _BREAK_OFFSETS = np.array([0.0, 0.75, 2.0, 4.0, 7.0, 11.0, 16.0])
 
-# Gauss-Laguerre pair for pressure modes with A >= _GL_MIN: y = A + t/2 maps
-# a mode integral to 1/2 int_0^inf e^{-t} [e^t f] dt, so the weights carry
-# 1/2 e^t.  One row of 40 nodes holds both rules; each weighs the other's by 0.
+
+def _rule(n, panels):
+    """n-node rule of a mode integral as (offsets from A, weights):
+    Gauss-Legendre on each panel between the offsets ``panels`` (none if
+    there is one offset), then Gauss-Laguerre past the last.  y = A + panels[-1] + t/2 maps that tail
+    to 1/2 int_0^inf e^{-t} [e^t f] dt, so its weights carry 1/2 e^t.
+    Each node set costs about 1 ms, so none is built that is not used."""
+    t, wt = laggauss(n)
+    y, w = panels[-1] + 0.5 * t, 0.5 * wt * np.exp(t)
+    if panels.size == 1:
+        return y, w
+    (x, wx), h = leggauss(n), 0.5 * np.diff(panels)[:, None]
+    return np.append(panels[:-1, None] + h + h * x, y), np.append(h * wx, w)
+
+
+def _rule_pair(n_value, n_check, panels):
+    """(offsets, value weights, check weights) of one row of nodes holding
+    the n_value- and n_check-node rules, each weighing the other's by 0."""
+    (y1, w1), (y2, w2) = _rule(n_value, panels), _rule(n_check, panels)
+    return (np.concatenate([y1, y2]), np.concatenate([w1, np.zeros(w2.size)]),
+            np.concatenate([np.zeros(w1.size), w2]))
+
+
+# Fixed rule pairs of the pressure modes: Gauss-Laguerre 24/16 from A for
+# A >= _GL_MIN (40 nodes), and below it 16/12-node Gauss-Legendre on five
+# panels next to A, where the integrand bends, with a Laguerre 16/12 pair
+# past A + 4 (168 nodes).  The first rule of a pair gives the value, and its
+# distance from the second the error.
 _GL_MIN = 2.0
-(_T24, _W24), (_T16, _W16) = laggauss(24), laggauss(16)
-_GL_Y = 0.5 * np.concatenate([_T24, _T16])
-_GL_W24 = np.concatenate([0.5 * _W24 * np.exp(_T24), np.zeros(16)])
-_GL_W16 = np.concatenate([np.zeros(24), 0.5 * _W16 * np.exp(_T16)])
+_LAGUERRE_PAIR = _rule_pair(24, 16, np.zeros(1))
+_COMPOSITE_PAIR = _rule_pair(16, 12, np.array([0.0, 0.1, 0.3, 0.75, 2.0, 4.0]))
 
 # Largest number of modes evaluated in one block.  The block's arrays grow
 # with it; past about a hundred modes the per-call overhead is already
@@ -303,10 +330,13 @@ def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
     """Mode integrals of the Matsubara indices ``ms`` (>= 1) in one batch.
 
     Each integral is certified to max(integral_rel_tol * |I_m|, floor), the
-    kernel working in ``work``: a pressure mode with A >= _GL_MIN by
-    |GL24 - GL16| (value GL24), free-energy modes and the rest by
-    ``integrate`` (the module's ``integrate_adaptive``).  Returns (values,
-    errors, failed); a failed mode holds its uncertified estimate.
+    kernel working in ``work``.  A pressure mode takes a fixed rule pair,
+    _LAGUERRE_PAIR if A >= _GL_MIN and _COMPOSITE_PAIR below: one kernel
+    call per pair and block, the value from the pair's first rule and the
+    error from its distance to the second.  Free-energy modes, and pressure
+    modes whose pair misses the target, go to ``integrate`` (the module's
+    ``integrate_adaptive``).  Returns (values, errors, failed); a failed
+    mode holds its uncertified estimate.
     """
     gamma = reduced_temperature(geom)
     lower = ms * gamma
@@ -319,15 +349,17 @@ def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
     same = (eps1 == eps3).all()  # then one interface serves both sides
     args = (lower, eps1) + (() if same else (eps3,))
     values, errors, failed = np.empty(ms.size), np.empty(ms.size), np.zeros(ms.size, bool)
-    # free energies stay adaptive: entropy differences two, and GL's ulps in F would show
-    todo = (lower < _GL_MIN) | free_energy
-    if not todo.all():
-        gl = ~todo
-        fx = _mode_kernel(lower[gl, None] + _GL_Y, work, False, *(a[gl] for a in args))
-        value = np.einsum("...n,n->...", fx, _GL_W24)  # per row, unlike BLAS
-        error = np.abs(value - np.einsum("...n,n->...", fx, _GL_W16))
-        values[gl], errors[gl] = value, error
-        todo[gl] = ~(error <= np.maximum(spec.integral_rel_tol * np.abs(value), floor))
+    # free energies stay adaptive: entropy differences two, and a fixed rule's ulps in F would show
+    pairs = () if free_energy else ((lower >= _GL_MIN, _LAGUERRE_PAIR),
+                                    (lower < _GL_MIN, _COMPOSITE_PAIR))
+    todo = np.full(ms.size, True)
+    for rows, (dy, w_value, w_check) in pairs:
+        if rows.any():
+            fx = _mode_kernel(lower[rows, None] + dy, work, False, *(a[rows] for a in args))
+            value = np.einsum("...n,n->...", fx, w_value)  # per row, unlike BLAS
+            error = np.abs(value - np.einsum("...n,n->...", fx, w_check))
+            values[rows], errors[rows] = value, error
+            todo[rows] = ~(error <= np.maximum(spec.integral_rel_tol * np.abs(value), floor))
     if not todo.any():
         return values, errors, failed
     args = tuple(a[todo] for a in args)
@@ -367,14 +399,15 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
                    model3: DielectricModel, spec: QuadratureSpec | None = None) -> float:
     """Dimensionless m-th mode integral over y in [m*gamma, inf), m >= 1.
 
-    The permittivities are frozen at zeta_m across the y-integral.  With
-    m*gamma >= 2 it is a 24-node Gauss-Laguerre value if its distance from
-    the 16-node one meets ``spec.integral_rel_tol``; else the range is cut at
-    ``spec.y_max`` and integrated adaptively.  A QuadratureError carrying the
-    partial estimate escapes if no certificate is met.  This is a one-mode
-    block of the sum driver, so it equals the term the sum uses wherever the
-    sum's floor does not bind.  ``m`` must be an integer; a float raises
-    TypeError.
+    The permittivities are frozen at zeta_m across the y-integral.  It is
+    the value of a fixed rule pair if the pair's error meets
+    ``spec.integral_rel_tol``: Gauss-Laguerre 24/16 with m*gamma >= 2, and
+    16/12-node Gauss-Legendre panels with a Laguerre tail below.  Else the
+    range is cut at ``spec.y_max`` and integrated adaptively.  A
+    QuadratureError carrying the partial estimate escapes if no certificate
+    is met.  This is a one-mode block of the sum driver, so it equals the
+    term the sum uses wherever the sum's floor does not bind.  ``m`` must be
+    an integer; a float raises TypeError.
     """
     m = operator.index(m)
     if m < 1:

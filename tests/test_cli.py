@@ -34,7 +34,6 @@ from casimir.dielectric import (
     read_optical_csv,
 )
 from casimir.lifshitz import QuadratureSpec, casimir_pressure
-from casimir.quadrature import integrate_adaptive
 from casimir.quantities import CODATA, Geometry
 from casimir.thermo import _ENTROPY_SPEC, _ENTROPY_STEP_K, nernst_check
 
@@ -117,11 +116,10 @@ class TestPressureCommand:
         assert parse_csv(out)[0]["converged"] == "true"
 
     def test_quadrature_error_exits_1_without_traceback(self, capsys, monkeypatch):
-        def no_refinement(f, breaks, rel_tol, abs_tol):
-            # an unreachable target with no room to bisect fails every mode
-            return integrate_adaptive(f, breaks, rel_tol=0.0, abs_tol=0.0)
-        monkeypatch.setattr(casimir.lifshitz, "integrate_adaptive", no_refinement)
-        monkeypatch.setattr("casimir.quadrature._MAX_PANELS", 1)
+        def nan_kernel(y, *args):
+            # NaN fails the fixed rules' certificate and then the adaptive fallback
+            return np.full(y.shape, np.nan)
+        monkeypatch.setattr(casimir.lifshitz, "_mode_kernel", nan_kernel)
         code, out, err = run_cli(capsys, "pressure", "--a", "1", "--T", "300")
         assert code == EXIT_COMPUTE
         assert err.startswith("error: ")
@@ -529,7 +527,7 @@ class TestUsage:
     def test_value_error_in_the_numerics_exits_1(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("forced inside the sum")
-        monkeypatch.setattr(casimir.lifshitz, "integrate_adaptive", broken)
+        monkeypatch.setattr(casimir.lifshitz, "_mode_kernel", broken)
         code, out, err = run_cli(capsys, "pressure", "--a", "1", "--T", "300")
         assert code == EXIT_COMPUTE
         assert err == "error: forced inside the sum\n"

@@ -466,16 +466,30 @@ class TestBlockDriver:
 
     def test_loose_tolerance_mixes_panel_layouts(self):
         # at integral_rel_tol 1e-9 the break at lower + 16 falls inside the
-        # range only for lower limits below ~0.36: modes up to m = 109 start
-        # with 7 panels here, later ones with 6, and blocks straddle the edge
+        # range only for lower limits below ~0.36: free-energy modes up to
+        # m = 109 start with 7 panels here, later ones with 6, and blocks
+        # straddle the edge
         spec = QuadratureSpec(integral_rel_tol=1e-9)
         geom = Geometry(0.3, 4.0)
-        res = casimir_pressure(geom, AU, CU, spec)
-        assert res.n_terms_used == 3080
-        assert res.pressure_mPa == pytest.approx(-112.12918478255027, rel=1e-12)
-        si = pressure_to_si(1.0, geom)
+        res = free_energy(geom, AU, CU, spec)
+        assert res.n_terms_used == 2790
+        assert res.free_energy_J_per_m2 == pytest.approx(-1.2150878738398224e-08, rel=1e-12)
+        unit = free_energy_to_si(1.0, geom)
         for m in (108, 109, 110, 111):
-            assert -matsubara_term(m, geom, AU, CU, spec) * si == res.terms_mPa[m - 1]
+            (values, _, _), _ = block([m], geom, (AU, CU), spec, free_energy=True)
+            assert values[0] * unit == res.terms_J_per_m2[m - 1]
+
+    def test_loose_tolerance_pressure_meets_a_tight_reference(self):
+        # the fixed rule pairs certify far more than a 1e-9 target asks.
+        # The pinned number is the same sum with every mode integrated by
+        # integrate_adaptive at integral_rel_tol 1e-14, so it also checks
+        # the rule pairs against values they did not produce
+        geom = Geometry(0.3, 4.0)
+        res = casimir_pressure(geom, AU, CU, QuadratureSpec(integral_rel_tol=1e-9))
+        ref = casimir_pressure(geom, AU, CU, QuadratureSpec(integral_rel_tol=1e-14))
+        assert res.n_terms_used == 3080
+        assert res.pressure_mPa == pytest.approx(ref.pressure_mPa, rel=1e-12)
+        assert res.pressure_mPa == pytest.approx(-112.12918478281021, rel=1e-12)
 
     def test_underflowing_terms_stop_refining(self):
         # the fifth term underflows to ~1e-316; a purely relative target
@@ -715,32 +729,42 @@ class TestPermittivityBelowOne:
 
 
 def block(ms, geom, pair, spec=None, free_energy=False):
-    """(values, errors, failed) of one _mode_block with floor 0, and the
-    number of modes that reached the adaptive quadrature."""
-    adaptive = []
+    """(values, errors, failed) of one _mode_block with floor 0, and a mask
+    of the modes that reached the adaptive quadrature."""
+    ms = np.asarray(ms)
+    sent = [np.zeros(0)]
 
     def integrate(f, breaks, **kwargs):
-        adaptive.append(len(breaks))
+        sent.append(breaks[:, 0])  # each row starts at its mode's lower limit
         return integrate_adaptive(f, breaks, **kwargs)
-    out = _mode_block(np.asarray(ms), geom, *pair, spec or QuadratureSpec(), 0.0, free_energy,
+    out = _mode_block(ms, geom, *pair, spec or QuadratureSpec(), 0.0, free_energy,
                       integrate, _Workspace(len(ms)))
-    return out, sum(adaptive)
+    return out, np.isin(ms * reduced_temperature(geom), np.concatenate(sent))
+
+
+def adaptive_modes(ms, geom, pair, spec=None, free_energy=False):
+    """(values, errors) of mode integrals by integrate_adaptive alone, on the
+    kernel closure, the breaks and the inputs _mode_block gives it.  The
+    rows do not interact: each equals its mode integrated alone."""
+    spec = spec or QuadratureSpec()
+    ms = np.atleast_1d(ms)
+    A = ms * reduced_temperature(geom)
+    zeta = ms * matsubara_frequency(1, geom.T_K)
+    eps1, eps3 = (np.asarray(model.epsilon(zeta), dtype=float) for model in pair)
+    breaks = np.full((ms.size, _BREAK_OFFSETS.size + 1), np.nan)
+    for row, (start, y_max) in enumerate(zip(A, spec.y_max(A))):
+        starts = start + _BREAK_OFFSETS
+        starts = starts[starts < y_max]
+        breaks[row, :starts.size + 1] = np.append(starts, y_max)
+    work = _Workspace(ms.size)
+    return integrate_adaptive(lambda y: _mode_kernel(y, work, free_energy, A, eps1, eps3),
+                              breaks, rel_tol=spec.integral_rel_tol)
 
 
 def adaptive_mode(m, geom, pair, spec=None, free_energy=False):
-    """(value, error) of a mode integral by integrate_adaptive alone, on the
-    kernel closure, the breaks and the inputs _mode_block gives it."""
-    spec = spec or QuadratureSpec()
-    A = np.array([m]) * reduced_temperature(geom)
-    zeta = np.array([m]) * matsubara_frequency(1, geom.T_K)
-    eps1, eps3 = (np.asarray(model.epsilon(zeta), dtype=float) for model in pair)
-    y_max = spec.y_max(A)[0]
-    starts = A[0] + _BREAK_OFFSETS
-    work = _Workspace(1)
-    val, err = integrate_adaptive(lambda y: _mode_kernel(y, work, free_energy, A, eps1, eps3),
-                                  [np.append(starts[starts < y_max], y_max)],
-                                  rel_tol=spec.integral_rel_tol)
-    return float(val[0]), float(err[0])
+    """(value, error) of one mode integral by integrate_adaptive alone."""
+    value, error = adaptive_modes(m, geom, pair, spec, free_energy)
+    return float(value[0]), float(error[0])
 
 
 def modes_at(geom, lowers):
@@ -760,7 +784,7 @@ class TestLaguerreModes:
         ms = modes_at(geom, [2.0, 2.5, 3.7, 6.0, 11.0, 25.0, 60.0, 140.0, 300.0])
         assert ms[0] * reduced_temperature(geom) >= _GL_MIN
         (values, errors, failed), adaptive = block(ms, geom, GL_PAIRS[pair])
-        assert adaptive == 0 and not failed.any()
+        assert not adaptive.any() and not failed.any()
         for m, value, error in zip(ms, values, errors):
             ref, _ = adaptive_mode(m, geom, GL_PAIRS[pair])
             assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
@@ -773,7 +797,7 @@ class TestLaguerreModes:
         spec = QuadratureSpec(integral_rel_tol=1e-14)
         ms = modes_at(geom, [2.0, 2.05, 2.1])
         (values, _, failed), adaptive = block(ms, geom, GL_PAIRS[pair], spec)
-        assert adaptive == ms.size and not failed.any()
+        assert adaptive.all() and not failed.any()
         for m, value in zip(ms, values):
             assert value == adaptive_mode(m, geom, GL_PAIRS[pair], spec)[0]
 
@@ -782,7 +806,7 @@ class TestLaguerreModes:
         geom = Geometry(0.5, 2.0)  # lower limits 2.0 to 2.35 across the block
         ms = modes_at(geom, [_GL_MIN])[0] + np.arange(_BLOCK_CAP)
         (values, errors, _), adaptive = block(ms, geom, GL_PAIRS[pair])
-        assert adaptive == 0
+        assert not adaptive.any()
         for i in (0, 1, 63, 127):
             (one, one_error, _), _ = block(ms[i:i + 1], geom, GL_PAIRS[pair])
             assert one[0] == values[i] and one_error[0] == errors[i]
@@ -792,7 +816,7 @@ class TestLaguerreModes:
         geom = Geometry(1.0, 300.0)
         ms = modes_at(geom, [0.5, 2.0, 6.0, 60.0])
         (values, _, _), adaptive = block(ms, geom, GL_PAIRS[pair], free_energy=True)
-        assert adaptive == ms.size
+        assert adaptive.all()
         for m, value in zip(ms, values):
             assert value == adaptive_mode(m, geom, GL_PAIRS[pair], free_energy=True)[0]
         # about 1,300 terms, four fifths of them with lower limits above 2
@@ -800,6 +824,96 @@ class TestLaguerreModes:
         monkeypatch.setattr("casimir.lifshitz._GL_MIN", math.inf)  # adaptive only
         assert same_bits(default.terms_J_per_m2,
                          free_energy(Geometry(0.7, 4.0), *GL_PAIRS[pair]).terms_J_per_m2)
+
+
+# Cold cells with many modes below _GL_MIN, where the composite pair serves.
+COMPOSITE_CELLS = {"Au-Au": (0.16, 1.0, (AU, AU)),
+                   "Au-Al": (0.5, 1.0, (AU, DrudeModel(DB.get("Al")))),
+                   "Au-ideal": (1.0, 1.0, (AU, IdealMetal())),
+                   "tabulated": (0.4, 3.0, (TAB, CU))}
+
+
+def composite_modes(cell):
+    """Geometry, pair, every mode with A < _GL_MIN and its (values, errors,
+    failed) in blocks of _BLOCK_CAP, and the mask of modes sent to the
+    adaptive quadrature."""
+    a_um, T_K, pair = COMPOSITE_CELLS[cell]
+    geom = Geometry(a_um, T_K)
+    ms = np.arange(1, modes_at(geom, [_GL_MIN])[0])
+    assert ms[-1] * reduced_temperature(geom) < _GL_MIN <= (ms[-1] + 1) * reduced_temperature(geom)
+    parts = [block(ms[i:i + _BLOCK_CAP], geom, pair) for i in range(0, ms.size, _BLOCK_CAP)]
+    values, errors, failed = (np.concatenate(column) for column in zip(*(out for out, _ in parts)))
+    return geom, pair, ms, (values, errors, failed), np.concatenate([sent for _, sent in parts])
+
+
+class TestCompositeModes:
+    @pytest.mark.parametrize("cell", sorted(COMPOSITE_CELLS))
+    def test_certified_modes_agree_with_a_tight_adaptive_reference(self, cell):
+        geom, pair, ms, (values, errors, failed), adaptive = composite_modes(cell)
+        assert not failed.any() and adaptive.mean() < 0.01
+        certified = ms[~adaptive]
+        ref = np.concatenate([
+            adaptive_modes(certified[i:i + _BLOCK_CAP], geom, pair,
+                           QuadratureSpec(integral_rel_tol=1e-14))[0]
+            for i in range(0, certified.size, _BLOCK_CAP)])
+        assert (np.abs(values[~adaptive] - ref) <= 1e-13 * np.abs(ref)).all()
+        assert (errors <= 1e-12 * values).all()
+
+    def test_rejected_modes_take_the_adaptive_value(self):
+        geom, pair, ms, (values, errors, _), adaptive = composite_modes("Au-Au")
+        assert adaptive.any()
+        for m, value, error in zip(ms[adaptive], values[adaptive], errors[adaptive]):
+            assert (value, error) == adaptive_mode(m, geom, pair)
+
+    @pytest.mark.parametrize("a_um,T_K,pair,ms", [
+        (1.0, 1.0, (AU, CU), [1, 2, 300, 728]),
+        (2.0, 300.0, (AU, IdealMetal()), [1]),
+        (0.4, 3.0, (TAB, AU), [1, 2, 607]),
+    ], ids=["cold-dissimilar", "warm-drude-ideal", "tabulated"])
+    def test_matsubara_term_equals_the_sums_term(self, a_um, T_K, pair, ms):
+        geom = Geometry(a_um, T_K)
+        ms = np.array(ms)
+        assert (ms * reduced_temperature(geom) < _GL_MIN).all()
+        (values, _, _), adaptive = block(ms, geom, pair)
+        assert not adaptive.all()  # the composite pair's own values, and fallbacks
+        terms = casimir_pressure(geom, *pair).terms_mPa
+        si = pressure_to_si(1.0, geom)
+        for m, value in zip(ms.tolist(), values.tolist()):
+            assert -matsubara_term(m, geom, *pair) * si == terms[m - 1] == -value * si
+
+    @pytest.mark.parametrize("pair", sorted(GL_PAIRS))
+    def test_value_is_independent_of_a_mixed_block(self, pair):
+        geom = Geometry(0.5, 2.0)  # lower limits 1.82 to 2.17 across the block
+        ms = modes_at(geom, [_GL_MIN])[0] - _BLOCK_CAP // 2 + np.arange(_BLOCK_CAP)
+        below = ms * reduced_temperature(geom) < _GL_MIN
+        assert below.sum() == _BLOCK_CAP // 2
+        (values, errors, failed), _ = block(ms, geom, GL_PAIRS[pair])
+        assert not failed.any()
+        for i in range(ms.size):
+            (one, one_error, _), _ = block(ms[i:i + 1], geom, GL_PAIRS[pair])
+            assert one[0] == values[i] and one_error[0] == errors[i]
+
+    @pytest.mark.parametrize("a_um,T_K,pair,share", [
+        (0.16, 1.0, (AU, AU), 0.01),
+        (2.0, 300.0, (AU, IdealMetal()), 0.0),
+    ], ids=["cold", "warm"])
+    def test_few_modes_reach_the_adaptive_quadrature(self, a_um, T_K, pair, share, monkeypatch):
+        # counted, not timed: a sum sends the modes its fixed rules miss
+        sent = []
+
+        def counted(f, breaks, **kwargs):
+            sent.append(len(breaks))
+            return integrate_adaptive(f, breaks, **kwargs)
+        monkeypatch.setattr("casimir.lifshitz.integrate_adaptive", counted)
+        geom = Geometry(a_um, T_K)
+        res = casimir_pressure(geom, *pair)
+        below = int((np.arange(1, res.n_terms_used + 1) * reduced_temperature(geom)
+                     < _GL_MIN).sum())
+        assert below >= 1
+        if share:
+            assert sum(sent) < share * below
+        else:
+            assert sum(sent) == 0
 
 
 # Tables on which (s-p)/(s+p) cancelled: eps - 1 about 1e-12 throughout, and
