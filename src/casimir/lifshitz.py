@@ -2,10 +2,10 @@
 over TE/TM reflection products, with the analytic static (m=0) term.
 
 The modes are integrated in blocks: one kernel evaluates the pressure or
-free-energy integrand of a whole block on a (mode x node) array.  Pressure
-modes take fixed rule pairs, a value and a coarser rule for its error:
-Gauss-Laguerre 24/16 if the lower limit A is at least 2, and below it
-Gauss-Legendre 16/12 on five panels up to A + 4 with a Laguerre 16/12 tail.
+free-energy integrand of a whole block at once.  Pressure modes take fixed
+rule pairs, a value and a coarser rule for its error, graded by the lower
+limit A: Gauss-Legendre panels next to A with a Gauss-Laguerre tail for
+small A, pure Gauss-Laguerre rules of fewer nodes as A grows (_RUNGS).
 Free-energy modes, and the few pressure modes a pair does not certify, take
 one batched adaptive quadrature; each mode is certified alone.
 A block ends where a bound that holds for any reflections in [0, 1] shows
@@ -17,6 +17,7 @@ end through :func:`casimir.quantities.pressure_to_si`.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -166,7 +167,7 @@ class _Workspace:
 
     def __init__(self, rows: int):  # room for the first call on `rows` modes
         self.size = 0
-        self.arrays((rows, max(_COMPOSITE_PAIR[0].size, 15 * _BREAK_OFFSETS.size)))
+        self.arrays((rows, max(_RUNGS[0][1][0].size, 15 * _BREAK_OFFSETS.size)))
 
     def arrays(self, shape):
         n = shape[0] * shape[1]
@@ -259,36 +260,47 @@ def _mode_kernel(y, work: _Workspace, free_energy: bool, A, eps1, eps3=None):
 _BREAK_OFFSETS = np.array([0.0, 0.75, 2.0, 4.0, 7.0, 11.0, 16.0])
 
 
-def _rule(n, panels):
-    """n-node rule of a mode integral as (offsets from A, weights):
+@functools.cache
+def _gauss(family, n):
+    """laggauss(n) or leggauss(n), about 0.5 ms each, once per process."""
+    return family(n)
+
+
+def _rule(n_panel, n_tail, panels):
+    """Rule of a mode integral as (offsets from A, weights): n_panel-node
     Gauss-Legendre on each panel between the offsets ``panels`` (none if
-    there is one offset), then Gauss-Laguerre past the last.  y = A + panels[-1] + t/2 maps that tail
-    to 1/2 int_0^inf e^{-t} [e^t f] dt, so its weights carry 1/2 e^t.
-    Each node set costs about 1 ms, so none is built that is not used."""
-    t, wt = laggauss(n)
+    there is one offset), then n_tail-node Gauss-Laguerre past the last, on
+    node sets every rule shares.  y = A + panels[-1] + t/2 maps that tail to
+    1/2 int_0^inf e^{-t} [e^t f] dt, so its weights carry 1/2 e^t."""
+    t, wt = _gauss(laggauss, n_tail)
     y, w = panels[-1] + 0.5 * t, 0.5 * wt * np.exp(t)
     if panels.size == 1:
         return y, w
-    (x, wx), h = leggauss(n), 0.5 * np.diff(panels)[:, None]
+    (x, wx), h = _gauss(leggauss, n_panel), 0.5 * np.diff(panels)[:, None]
     return np.append(panels[:-1, None] + h + h * x, y), np.append(h * wx, w)
 
 
 def _rule_pair(n_value, n_check, panels):
-    """(offsets, value weights, check weights) of one row of nodes holding
-    the n_value- and n_check-node rules, each weighing the other's by 0."""
-    (y1, w1), (y2, w2) = _rule(n_value, panels), _rule(n_check, panels)
-    return (np.concatenate([y1, y2]), np.concatenate([w1, np.zeros(w2.size)]),
-            np.concatenate([np.zeros(w1.size), w2]))
+    """(offsets, weights) of one row of nodes holding two rules, weights[0]
+    with 12-node panels and an n_value-node tail and weights[1] with 8-node
+    panels and an n_check-node tail, each weighing the other's nodes by 0."""
+    (y1, w1), (y2, w2) = _rule(12, n_value, panels), _rule(8, n_check, panels)
+    return np.append(y1, y2), np.array([np.append(w1, 0.0 * w2), np.append(0.0 * w1, w2)])
 
 
-# Fixed rule pairs of the pressure modes: Gauss-Laguerre 24/16 from A for
-# A >= _GL_MIN (40 nodes), and below it 16/12-node Gauss-Legendre on five
-# panels next to A, where the integrand bends, with a Laguerre 16/12 pair
-# past A + 4 (168 nodes).  The first rule of a pair gives the value, and its
-# distance from the second the error.
-_GL_MIN = 2.0
-_LAGUERRE_PAIR = _rule_pair(24, 16, np.zeros(1))
-_COMPOSITE_PAIR = _rule_pair(16, 12, np.array([0.0, 0.1, 0.3, 0.75, 2.0, 4.0]))
+# Fixed rule pairs of the pressure modes as (lowest A, pair), ascending; the
+# first rule gives the value, its distance from the second the error.  Each is
+# the cheapest pair that certified every mode tools/rule_scan.py scans from 3%
+# below its lowest A: fewer Legendre panels as A grows, then Laguerre alone.
+_RUNGS = ((0.0022, _rule_pair(12, 8, np.array([0.0, 0.005, 0.02, 0.07, 0.25, 0.75, 2.0, 4.0]))),
+          (0.0028, _rule_pair(12, 8, np.array([0.0, 0.01, 0.05, 0.2, 0.7, 2.0, 4.0]))),
+          (0.025, _rule_pair(16, 12, np.array([0.0, 0.03, 0.1, 0.3, 0.75, 2.0]))),
+          (0.053, _rule_pair(16, 12, np.array([0.0, 0.1, 0.3, 0.75, 2.0]))),
+          (0.12, _rule_pair(16, 12, np.array([0.0, 0.2, 0.7, 2.0]))),
+          (0.45, _rule_pair(16, 12, np.array([0.0, 0.5, 1.5]))),
+          (1.2, _rule_pair(16, 12, np.array([0.0, 1.0]))),
+          (2.7, _rule_pair(16, 12, np.zeros(1))),
+          (6.4, _rule_pair(12, 8, np.zeros(1))))
 
 # Largest number of modes evaluated in one block.  The block's arrays grow
 # with it; past about a hundred modes the per-call overhead is already
@@ -330,36 +342,39 @@ def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
     """Mode integrals of the Matsubara indices ``ms`` (>= 1) in one batch.
 
     Each integral is certified to max(integral_rel_tol * |I_m|, floor), the
-    kernel working in ``work``.  A pressure mode takes a fixed rule pair,
-    _LAGUERRE_PAIR if A >= _GL_MIN and _COMPOSITE_PAIR below: one kernel
-    call per pair and block, the value from the pair's first rule and the
-    error from its distance to the second.  Free-energy modes, and pressure
-    modes whose pair misses the target, go to ``integrate`` (the module's
-    ``integrate_adaptive``).  Returns (values, errors, failed); a failed
-    mode holds its uncertified estimate.
+    kernel working in ``work``.  A pressure mode takes the pair of the last
+    rung of _RUNGS at or below its A; ``ms`` ascends, so a rung serves a
+    slice of the block, and one kernel call takes every mode's nodes in a
+    row.  Free-energy modes, and pressure modes without a rung or whose pair
+    misses the target, go to ``integrate`` (the module's
+    ``integrate_adaptive``).  A model passed as both sides is evaluated
+    once.  Returns (values, errors, failed); a failed mode holds its
+    uncertified estimate.
     """
     gamma = reduced_temperature(geom)
     lower = ms * gamma
     zeta = ms * matsubara_frequency(1, geom.T_K)
-    eps1, eps3 = (np.asarray(model.epsilon(zeta), dtype=float) for model in (model1, model3))
-    for model, eps in ((model1, eps1), (model3, eps3)):
-        i = np.argmax(eps < 1.0)  # NaN is not below 1; such a mode fails to certify
-        if eps[i] < 1.0:
-            raise ValueError(f"{model!r}: epsilon = {eps[i]:.6g} < 1 at zeta = {zeta[i]:.6g} eV")
-    same = (eps1 == eps3).all()  # then one interface serves both sides
-    args = (lower, eps1) + (() if same else (eps3,))
-    values, errors, failed = np.empty(ms.size), np.empty(ms.size), np.zeros(ms.size, bool)
-    # free energies stay adaptive: entropy differences two, and a fixed rule's ulps in F would show
-    pairs = () if free_energy else ((lower >= _GL_MIN, _LAGUERRE_PAIR),
-                                    (lower < _GL_MIN, _COMPOSITE_PAIR))
-    todo = np.full(ms.size, True)
-    for rows, (dy, w_value, w_check) in pairs:
-        if rows.any():
-            fx = _mode_kernel(lower[rows, None] + dy, work, False, *(a[rows] for a in args))
-            value = np.einsum("...n,n->...", fx, w_value)  # per row, unlike BLAS
-            error = np.abs(value - np.einsum("...n,n->...", fx, w_check))
-            values[rows], errors[rows] = value, error
-            todo[rows] = ~(error <= np.maximum(spec.integral_rel_tol * np.abs(value), floor))
+    models = (model1,) if model3 is model1 else (model1, model3)
+    eps = [np.asarray(model.epsilon(zeta), dtype=float) for model in models]
+    for model, e in zip(models, eps):
+        i = np.argmax(e < 1.0)  # NaN is not below 1; such a mode fails to certify
+        if e[i] < 1.0:
+            raise ValueError(f"{model!r}: epsilon = {e[i]:.6g} < 1 at zeta = {zeta[i]:.6g} eV")
+    args = (lower, *eps) if len(eps) == 2 and (eps[0] != eps[1]).any() else (lower, eps[0])
+    values, errors, failed = np.zeros(ms.size), np.full(ms.size, np.inf), np.zeros(ms.size, bool)
+    # free energies stay adaptive: entropy differences two, and a fixed rule's ulps in F would
+    # show; so do modes below the first rung, where no pair's certificate can be trusted
+    cuts = [*np.searchsorted(lower, [a for a, _ in _RUNGS]).tolist(), ms.size]
+    rungs = [(lo, hi, pair) for lo, hi, (_, pair) in zip(cuts, cuts[1:], _RUNGS) if lo < hi]
+    if rungs and not free_energy:
+        y = np.concatenate([(lower[lo:hi, None] + dy).ravel() for lo, hi, (dy, _) in rungs])
+        rows = np.concatenate([np.repeat(np.arange(lo, hi), dy.size) for lo, hi, (dy, _) in rungs])
+        fx = _mode_kernel(y[:, None], work, False, *(a[rows] for a in args))
+        for lo, hi, (dy, weights) in rungs:  # einsum, unlike BLAS, sums each row alike
+            f, fx = fx[:(hi - lo) * dy.size].reshape(hi - lo, dy.size), fx[(hi - lo) * dy.size:]
+            value, check = np.einsum("rn,kn->kr", f, weights)
+            values[lo:hi], errors[lo:hi] = value, np.abs(value - check)
+    todo = ~(errors <= np.maximum(spec.integral_rel_tol * np.abs(values), floor))
     if not todo.any():
         return values, errors, failed
     args = tuple(a[todo] for a in args)
@@ -400,10 +415,9 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
     """Dimensionless m-th mode integral over y in [m*gamma, inf), m >= 1.
 
     The permittivities are frozen at zeta_m across the y-integral.  It is
-    the value of a fixed rule pair if the pair's error meets
-    ``spec.integral_rel_tol``: Gauss-Laguerre 24/16 with m*gamma >= 2, and
-    16/12-node Gauss-Legendre panels with a Laguerre tail below.  Else the
-    range is cut at ``spec.y_max`` and integrated adaptively.  A
+    the value of the fixed rule pair that _RUNGS gives m*gamma if the pair's
+    error meets ``spec.integral_rel_tol``.  Else the range is cut at
+    ``spec.y_max`` and integrated adaptively.  A
     QuadratureError carrying the partial estimate escapes if no certificate
     is met.  This is a one-mode block of the sum driver, so it equals the
     term the sum uses wherever the sum's floor does not bind.  ``m`` must be

@@ -25,7 +25,7 @@ from casimir.lifshitz import (
     QuadratureSpec,
     _BLOCK_CAP,
     _BREAK_OFFSETS,
-    _GL_MIN,
+    _RUNGS,
     _Workspace,
     _block_size,
     _log_bound,
@@ -455,6 +455,32 @@ class TestBlockDriver:
         assert res_13.pressure_mPa == res_31.pressure_mPa
         assert np.array_equal(res_13.terms_mPa, res_31.terms_mPa)
 
+    @pytest.mark.parametrize("geom,evaluate", [
+        (Geometry(0.5, 2.0), casimir_pressure),  # thousands of terms over many blocks
+        (Geometry(1.3, 20.0), free_energy),      # two blocks
+    ], ids=["pressure", "free-energy"])
+    def test_one_model_on_both_sides_is_evaluated_once(self, geom, evaluate, monkeypatch):
+        calls, blocks = [], []
+
+        class Spy(DrudeModel):
+            def epsilon(self, zeta_eV):
+                calls.append(self)
+                return super().epsilon(zeta_eV)
+
+        def counted(ms, *args):
+            blocks.append(ms.size)
+            return _mode_block(ms, *args)
+        monkeypatch.setattr("casimir.lifshitz._mode_block", counted)
+        spy = Spy(DB.get("Au"))
+        res = evaluate(geom, spy, spy)
+        assert len(blocks) > 1 and calls == [spy] * len(blocks)
+        # equal but distinct objects: two calls per block, the same terms
+        calls.clear(), blocks.clear()
+        twin = evaluate(geom, Spy(DB.get("Au")), Spy(DB.get("Au")))
+        assert len(calls) == 2 * len(blocks) > 2
+        assert all(same_bits(np.asarray(value), np.asarray(vars(twin)[name]))
+                   for name, value in vars(res).items())
+
     def test_matsubara_term_equals_block_value(self):
         # at 1 K the terms decay slowly, so the floor never binds here;
         # blocks of 128 modes, the last from 3969 to past the stop
@@ -773,16 +799,59 @@ def modes_at(geom, lowers):
     return np.ceil(np.asarray(lowers) / reduced_temperature(geom)).astype(int)
 
 
+# Tables on which (s-p)/(s+p) cancelled: eps - 1 about 1e-12 throughout, and
+# eps falling to 1 inside the window.  The TE integrand was rounding noise
+# there, and mode integrals against Au never certified.
+NEAR_ZETA_EV = np.logspace(-4, 2, 7)
+NEAR_VACUUM = TabulatedModel(PermittivityTable(NEAR_ZETA_EV, np.full(7, 1.0 + 1e-12)),
+                             low_freq=DB.get("Au"))
+FALLS_TO_ONE = TabulatedModel(
+    PermittivityTable(NEAR_ZETA_EV, np.array([2.0, 1.8, 1.5, 1.2, 1.0, 1.0, 1.0])),
+    low_freq=DB.get("Au"))
+
+NEAR_TABLES = {"near-vacuum": NEAR_VACUUM, "falls-to-one": FALLS_TO_ONE}
+
 GL_PAIRS = {"similar": (AU, AU), "dissimilar": (AU, CU), "drude-ideal": (AU, IdealMetal()),
             "tabulated": (TAB, CU)}
+RUNG_PAIRS = {**GL_PAIRS, "near-vacuum": (NEAR_VACUUM, AU)}
+
+# Lowest A of every rung (modes below the first take the adaptive
+# quadrature); past LAST_A every sum below has stopped.
+RUNG_A = [a for a, _ in _RUNGS]
+LAST_A = 30.0
+# Modes with A < 2, where every rung has Gauss-Legendre panels: the costly ones.
+LOW_A = 2.0
 
 
-class TestLaguerreModes:
+def rung_edges(geom):
+    """Matsubara indices of the lowest and the highest mode of every rung:
+    the first mode at or above the rung's lowest A and the last mode below
+    the next rung's."""
+    gamma = reduced_temperature(geom)
+    lowest = modes_at(geom, RUNG_A)
+    highest = np.append(modes_at(geom, RUNG_A[1:]) - 1, modes_at(geom, [LAST_A]))
+    assert (highest[:-1] * gamma < RUNG_A[1:]).all() and (lowest <= highest).all()
+    return np.unique(np.concatenate([lowest, highest]))
+
+
+class TestRungs:
+    @pytest.mark.parametrize("pair", sorted(RUNG_PAIRS))
+    @pytest.mark.parametrize("a_um,T_K", [(0.16, 1.0), (2.0, 0.05)])
+    def test_rung_edges_agree_with_a_tight_adaptive_reference(self, pair, a_um, T_K):
+        # every edge is certified by its own rung's pair, not the fallback,
+        # so a wrong rule weight shows here as a fallback or a wrong value
+        geom = Geometry(a_um, T_K)
+        ms = rung_edges(geom)
+        (values, errors, failed), adaptive = block(ms, geom, RUNG_PAIRS[pair])
+        assert not failed.any() and not adaptive.any()
+        ref, _ = adaptive_modes(ms, geom, RUNG_PAIRS[pair], QuadratureSpec(integral_rel_tol=1e-14))
+        assert (np.abs(values - ref) <= 1e-13 * np.abs(ref)).all()
+        assert (errors <= 1e-12 * values).all()
+
     @pytest.mark.parametrize("pair", sorted(GL_PAIRS))
     def test_agrees_with_adaptive_quadrature(self, pair):
         geom = Geometry(1.0, 300.0)
         ms = modes_at(geom, [2.0, 2.5, 3.7, 6.0, 11.0, 25.0, 60.0, 140.0, 300.0])
-        assert ms[0] * reduced_temperature(geom) >= _GL_MIN
         (values, errors, failed), adaptive = block(ms, geom, GL_PAIRS[pair])
         assert not adaptive.any() and not failed.any()
         for m, value, error in zip(ms, values, errors):
@@ -790,26 +859,31 @@ class TestLaguerreModes:
             assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
             assert error <= 1e-12 * value
 
+    @pytest.mark.parametrize("pair", sorted(GL_PAIRS))
+    def test_value_is_independent_of_the_block(self, pair):
+        # one block holding both sides of every rung boundary
+        geom = Geometry(0.5, 1.0)
+        firsts = modes_at(geom, RUNG_A)
+        ms = np.unique(np.concatenate([firsts, firsts[1:] - 1]))
+        assert ms.size <= _BLOCK_CAP
+        rung = np.searchsorted(RUNG_A, ms * reduced_temperature(geom), side="right") - 1
+        assert np.array_equal(np.unique(rung), np.arange(len(RUNG_A)))
+        (values, errors, failed), adaptive = block(ms, geom, GL_PAIRS[pair])
+        assert not failed.any() and not adaptive.any()
+        for i in range(ms.size):
+            (one, one_error, _), _ = block(ms[i:i + 1], geom, GL_PAIRS[pair])
+            assert one[0] == values[i] and one_error[0] == errors[i]
+
     @pytest.mark.parametrize("pair", ["similar", "dissimilar"])
     def test_missed_target_falls_back_to_the_adaptive_value(self, pair):
-        # GL16 is good to about 4e-14 relative at lower limits near 2
+        # the pair of the rung from A = 1.2 misses a 1e-14 target at its low end
         geom = Geometry(1.0, 3.0)
         spec = QuadratureSpec(integral_rel_tol=1e-14)
-        ms = modes_at(geom, [2.0, 2.05, 2.1])
+        ms = modes_at(geom, [1.2, 1.35, 1.5])
         (values, _, failed), adaptive = block(ms, geom, GL_PAIRS[pair], spec)
         assert adaptive.all() and not failed.any()
         for m, value in zip(ms, values):
             assert value == adaptive_mode(m, geom, GL_PAIRS[pair], spec)[0]
-
-    @pytest.mark.parametrize("pair", sorted(GL_PAIRS))
-    def test_value_is_independent_of_the_block(self, pair):
-        geom = Geometry(0.5, 2.0)  # lower limits 2.0 to 2.35 across the block
-        ms = modes_at(geom, [_GL_MIN])[0] + np.arange(_BLOCK_CAP)
-        (values, errors, _), adaptive = block(ms, geom, GL_PAIRS[pair])
-        assert not adaptive.any()
-        for i in (0, 1, 63, 127):
-            (one, one_error, _), _ = block(ms[i:i + 1], geom, GL_PAIRS[pair])
-            assert one[0] == values[i] and one_error[0] == errors[i]
 
     @pytest.mark.parametrize("pair", sorted(GL_PAIRS))
     def test_free_energy_stays_adaptive(self, pair, monkeypatch):
@@ -819,14 +893,15 @@ class TestLaguerreModes:
         assert adaptive.all()
         for m, value in zip(ms, values):
             assert value == adaptive_mode(m, geom, GL_PAIRS[pair], free_energy=True)[0]
-        # about 1,300 terms, four fifths of them with lower limits above 2
+        # about 1,300 terms over every rung; with one rung, a fixed-rule
+        # free energy would change
         default = free_energy(Geometry(0.7, 4.0), *GL_PAIRS[pair])
-        monkeypatch.setattr("casimir.lifshitz._GL_MIN", math.inf)  # adaptive only
+        monkeypatch.setattr("casimir.lifshitz._RUNGS", _RUNGS[:1])
         assert same_bits(default.terms_J_per_m2,
                          free_energy(Geometry(0.7, 4.0), *GL_PAIRS[pair]).terms_J_per_m2)
 
 
-# Cold cells with many modes below _GL_MIN, where the composite pair serves.
+# Cold cells with many modes below LOW_A.
 COMPOSITE_CELLS = {"Au-Au": (0.16, 1.0, (AU, AU)),
                    "Au-Al": (0.5, 1.0, (AU, DrudeModel(DB.get("Al")))),
                    "Au-ideal": (1.0, 1.0, (AU, IdealMetal())),
@@ -834,13 +909,13 @@ COMPOSITE_CELLS = {"Au-Au": (0.16, 1.0, (AU, AU)),
 
 
 def composite_modes(cell):
-    """Geometry, pair, every mode with A < _GL_MIN and its (values, errors,
+    """Geometry, pair, every mode with A < LOW_A and its (values, errors,
     failed) in blocks of _BLOCK_CAP, and the mask of modes sent to the
     adaptive quadrature."""
     a_um, T_K, pair = COMPOSITE_CELLS[cell]
     geom = Geometry(a_um, T_K)
-    ms = np.arange(1, modes_at(geom, [_GL_MIN])[0])
-    assert ms[-1] * reduced_temperature(geom) < _GL_MIN <= (ms[-1] + 1) * reduced_temperature(geom)
+    ms = np.arange(1, modes_at(geom, [LOW_A])[0])
+    assert ms[-1] * reduced_temperature(geom) < LOW_A <= (ms[-1] + 1) * reduced_temperature(geom)
     parts = [block(ms[i:i + _BLOCK_CAP], geom, pair) for i in range(0, ms.size, _BLOCK_CAP)]
     values, errors, failed = (np.concatenate(column) for column in zip(*(out for out, _ in parts)))
     return geom, pair, ms, (values, errors, failed), np.concatenate([sent for _, sent in parts])
@@ -860,7 +935,10 @@ class TestCompositeModes:
         assert (errors <= 1e-12 * values).all()
 
     def test_rejected_modes_take_the_adaptive_value(self):
-        geom, pair, ms, (values, errors, _), adaptive = composite_modes("Au-Au")
+        # the first modes at 0.1 um and 1 K lie below every rung's reach
+        geom, pair = Geometry(0.1, 1.0), (AU, AU)
+        ms = np.arange(1, 9)
+        (values, errors, _), adaptive = block(ms, geom, pair)
         assert adaptive.any()
         for m, value, error in zip(ms[adaptive], values[adaptive], errors[adaptive]):
             assert (value, error) == adaptive_mode(m, geom, pair)
@@ -873,60 +951,44 @@ class TestCompositeModes:
     def test_matsubara_term_equals_the_sums_term(self, a_um, T_K, pair, ms):
         geom = Geometry(a_um, T_K)
         ms = np.array(ms)
-        assert (ms * reduced_temperature(geom) < _GL_MIN).all()
+        assert (ms * reduced_temperature(geom) < LOW_A).all()
         (values, _, _), adaptive = block(ms, geom, pair)
-        assert not adaptive.all()  # the composite pair's own values, and fallbacks
+        assert not adaptive.all()  # the rule pairs' own values, and fallbacks
         terms = casimir_pressure(geom, *pair).terms_mPa
         si = pressure_to_si(1.0, geom)
         for m, value in zip(ms.tolist(), values.tolist()):
             assert -matsubara_term(m, geom, *pair) * si == terms[m - 1] == -value * si
 
-    @pytest.mark.parametrize("pair", sorted(GL_PAIRS))
-    def test_value_is_independent_of_a_mixed_block(self, pair):
-        geom = Geometry(0.5, 2.0)  # lower limits 1.82 to 2.17 across the block
-        ms = modes_at(geom, [_GL_MIN])[0] - _BLOCK_CAP // 2 + np.arange(_BLOCK_CAP)
-        below = ms * reduced_temperature(geom) < _GL_MIN
-        assert below.sum() == _BLOCK_CAP // 2
-        (values, errors, failed), _ = block(ms, geom, GL_PAIRS[pair])
-        assert not failed.any()
-        for i in range(ms.size):
-            (one, one_error, _), _ = block(ms[i:i + 1], geom, GL_PAIRS[pair])
-            assert one[0] == values[i] and one_error[0] == errors[i]
-
-    @pytest.mark.parametrize("a_um,T_K,pair,share", [
-        (0.16, 1.0, (AU, AU), 0.01),
-        (2.0, 300.0, (AU, IdealMetal()), 0.0),
+    @pytest.mark.parametrize("a_um,T_K,pair,share,nodes", [
+        (0.16, 1.0, (AU, AU), 0.01, 45),
+        (2.0, 300.0, (AU, IdealMetal()), 0.0, None),
     ], ids=["cold", "warm"])
-    def test_few_modes_reach_the_adaptive_quadrature(self, a_um, T_K, pair, share, monkeypatch):
-        # counted, not timed: a sum sends the modes its fixed rules miss
-        sent = []
+    def test_few_modes_reach_the_adaptive_quadrature(self, a_um, T_K, pair, share, nodes,
+                                                      monkeypatch):
+        # counted, not timed: a sum sends the modes its fixed rules miss,
+        # and its fixed rules take few kernel nodes per mode
+        sent, kernel_nodes = [], []
 
         def counted(f, breaks, **kwargs):
             sent.append(len(breaks))
             return integrate_adaptive(f, breaks, **kwargs)
+
+        def kernel(y, *args):
+            kernel_nodes.append(y.size)
+            return _mode_kernel(y, *args)
         monkeypatch.setattr("casimir.lifshitz.integrate_adaptive", counted)
+        monkeypatch.setattr("casimir.lifshitz._mode_kernel", kernel)
         geom = Geometry(a_um, T_K)
         res = casimir_pressure(geom, *pair)
         below = int((np.arange(1, res.n_terms_used + 1) * reduced_temperature(geom)
-                     < _GL_MIN).sum())
+                     < LOW_A).sum())
         assert below >= 1
         if share:
             assert sum(sent) < share * below
         else:
             assert sum(sent) == 0
-
-
-# Tables on which (s-p)/(s+p) cancelled: eps - 1 about 1e-12 throughout, and
-# eps falling to 1 inside the window.  The TE integrand was rounding noise
-# there, and mode integrals against Au never certified.
-NEAR_ZETA_EV = np.logspace(-4, 2, 7)
-NEAR_VACUUM = TabulatedModel(PermittivityTable(NEAR_ZETA_EV, np.full(7, 1.0 + 1e-12)),
-                             low_freq=DB.get("Au"))
-FALLS_TO_ONE = TabulatedModel(
-    PermittivityTable(NEAR_ZETA_EV, np.array([2.0, 1.8, 1.5, 1.2, 1.0, 1.0, 1.0])),
-    low_freq=DB.get("Au"))
-
-NEAR_TABLES = {"near-vacuum": NEAR_VACUUM, "falls-to-one": FALLS_TO_ONE}
+        if nodes:
+            assert sum(kernel_nodes) < nodes * res.n_terms_used
 
 ROBUST_MODELS = {"Au": AU, "Cu": CU, "Al": DrudeModel(DB.get("Al")), "ideal": IdealMetal(),
                  "vacuum": Vacuum(), "tabulated": TAB}
