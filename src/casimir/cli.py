@@ -18,7 +18,6 @@ import json
 import math
 import sys
 from dataclasses import replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,14 +25,13 @@ from . import golden
 from .dielectric import (
     BlochGruneisenParams,
     DrudeModel,
-    DrudeParams,
     IdealMetal,
     MaterialDatabase,
+    NuRangeError,
     PermittivityTable,
     TabulatedModel,
     UnknownMaterialError,
     Vacuum,
-    bloch_gruneisen_nu,
     kramers_kronig_transform,
     read_optical_csv,
 )
@@ -126,49 +124,29 @@ def _database(args: argparse.Namespace) -> MaterialDatabase:
     return MaterialDatabase.builtin()
 
 
-def _has_drude(label: str, eps_path) -> bool:
-    """Whether a side has Drude parameters: a material, or a table's continuation."""
-    return bool(eps_path) or label.strip().lower() not in ("vacuum", "ideal")
+def _side_model(label: str, db: MaterialDatabase, bg=None, eps_path=None):
+    """Model of one half-space, a permittivity table read here once.  With
+    ``bg`` the Drude model, also a table's continuation below its window,
+    takes the relaxation frequency nu(T)."""
+    if not eps_path and label.lower() in ("vacuum", "ideal"):
+        return Vacuum() if label.lower() == "vacuum" else IdealMetal()
+    drude = DrudeModel(db.get(label), bg)
+    if not eps_path:
+        return drude
+    try:
+        return TabulatedModel(PermittivityTable.from_csv(eps_path), low_freq=drude)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot load permittivity table {eps_path}: {exc}") from exc
 
 
-def _side_model(label: str, db: MaterialDatabase, bg: BlochGruneisenParams | None,
-                eps_path=None):
-    """T -> model of one half-space; a permittivity table is read here, once.
-    With ``bg`` the Drude parameters, also those of a table's continuation
-    below its window, take the relaxation frequency nu(T)."""
-    if not _has_drude(label, eps_path):
-        fixed = Vacuum() if label.strip().lower() == "vacuum" else IdealMetal()
-        return lambda T_K: fixed
-    params = db.get(label)
-    table = None
-    if eps_path:
-        try:
-            table = PermittivityTable.from_csv(eps_path)
-        except (OSError, ValueError) as exc:
-            raise InputError(f"cannot load permittivity table {eps_path}: {exc}") from exc
-
-    def model(T_K):
-        drude = params
-        if bg is not None:
-            try:
-                nu = bloch_gruneisen_nu(bg, T_K)
-            except ValueError as exc:  # nu(T) underflows to 0, or (T/theta)^5 overflows
-                raise InputError(f"--T/--theta: {exc}") from None
-            drude = DrudeParams(params.omega_p_eV, nu, params.label)
-        return DrudeModel(drude) if table is None else TabulatedModel(table, low_freq=drude)
-    return model
-
-
-def _pair_models(args: argparse.Namespace, db: MaterialDatabase):
-    """T -> (model1, model3) for ``--pair``, built once per distinct T."""
+def _pair_models(args: argparse.Namespace):
+    """(model1, model3) for ``--pair``."""
+    db = _database(args)
     labels = [tok.strip() for tok in args.pair.split(",")]
     if len(labels) != 2 or not all(labels):
         raise InputError(f"--pair needs two comma-separated labels, got {args.pair!r}")
     bg = None
     if args.nu_model == "bloch-gruneisen":
-        if not any(map(_has_drude, labels, (args.eps1, args.eps3))):
-            raise InputError("--nu-model bloch-gruneisen needs a side with Drude "
-                             f"parameters, got --pair {args.pair}")
         try:
             bg = BlochGruneisenParams()
             bg = bg if args.theta is None else replace(bg, theta_K=args.theta)
@@ -176,9 +154,11 @@ def _pair_models(args: argparse.Namespace, db: MaterialDatabase):
             raise InputError(f"--theta: {exc}") from None
     elif args.theta is not None:
         raise InputError("--theta needs --nu-model bloch-gruneisen")
-    side1 = _side_model(labels[0], db, bg, args.eps1)
-    side3 = _side_model(labels[1], db, bg, args.eps3)
-    return lru_cache(maxsize=None)(lambda T_K: (side1(T_K), side3(T_K)))
+    models = _side_model(labels[0], db, bg, args.eps1), _side_model(labels[1], db, bg, args.eps3)
+    if bg is not None and all(isinstance(model, (Vacuum, IdealMetal)) for model in models):
+        raise InputError("--nu-model bloch-gruneisen needs a side with Drude "
+                         f"parameters, got --pair {args.pair}")
+    return models
 
 
 def _fmt(value) -> str:
@@ -215,28 +195,27 @@ def _emit_rows(rows, fmt: str, stream) -> list[dict]:
     return written
 
 
-def _pressures(a_list, t_list, models_at, spec):
-    """(a, T, result) over the sorted a x T grid.  A sum that runs out of
-    terms gives its partial result, whose ``converged`` is false."""
+def _pressures(a_list, t_list, model1, model3, spec):
+    """(a, T, result) over the sorted a x T grid, each side taken at each T
+    once.  A sum that runs out of terms gives its partial result."""
+    sides = {T: (model1.at(T), model3.at(T)) for T in sorted(t_list)}
     for a in sorted(a_list):
         for T in sorted(t_list):
-            m1, m3 = models_at(T)
             try:
-                yield a, T, casimir_pressure(Geometry(a, T), m1, m3, spec)
+                yield a, T, casimir_pressure(Geometry(a, T), *sides[T], spec)
             except SumConvergenceError as exc:
                 yield a, T, exc.partial
 
 
 def cmd_pressure(args: argparse.Namespace, stream) -> int:
     """``pressure``, and ``sweep``: CSV without the zero_mode_share column."""
-    db = _database(args)
     spec = _build_spec(args)
     a_list = _float_list(args.a)
     t_list = _float_list(args.T)
-    models_at = _pair_models(args, db)
+    models = _pair_models(args)
 
     def rows():
-        for a, T, res in _pressures(a_list, t_list, models_at, spec):
+        for a, T, res in _pressures(a_list, t_list, *models, spec):
             row = {"a_um": a, "T_K": T, "pressure_mPa": res.pressure_mPa,
                    "zero_mode_mPa": res.zero_mode_mPa, "zero_mode_share": res.zero_mode_share,
                    "n_terms": res.n_terms_used, "converged": res.converged}
@@ -260,9 +239,8 @@ def cmd_table(args: argparse.Namespace, stream) -> int:
             if not 0 <= tol < math.inf:
                 raise InputError(f"--tol-{side} must be finite and >= 0, got {tol}")
             tols[side + "_tol"] = tol
-    sides = [_side_model(label, db, None) for label in fixture.pair]
-    cells = list(_pressures(golden.SEPARATIONS_UM, golden.TEMPERATURES_K,
-                            lambda T: [side(T) for side in sides], spec))
+    sides = [_side_model(label, db) for label in fixture.pair]
+    cells = list(_pressures(golden.SEPARATIONS_UM, golden.TEMPERATURES_K, *sides, spec))
     rows = []
     offenders = []
     for a, T, res in cells:
@@ -291,24 +269,22 @@ def cmd_table(args: argparse.Namespace, stream) -> int:
 
 
 def cmd_entropy(args: argparse.Namespace, stream) -> int:
-    db = _database(args)
     spec = _build_spec(args)
     a_list = _float_list(args.a)
     t_list = _float_list(args.T)
     step = args.fd_step
     if not 0 < step < min(t_list):
         raise InputError(f"--fd-step must be positive and below every T, got {step}")
-    # the difference sees the models at T -/+ step: nu(T) under bloch-gruneisen
-    models_at = _pair_models(args, db)
+    models = _pair_models(args)  # entropy takes them at T -/+ step
     rows = []
     for a in sorted(a_list):
         for T in sorted(t_list):
-            geom, models = Geometry(a, T), models_at(T)
-            res = entropy(geom, *models, spec, fd_step_K=step, models_at=models_at)
+            geom = Geometry(a, T)
+            res = entropy(geom, *models, spec, fd_step_K=step)
             row = {"a_um": a, "T_K": T, "entropy_J_per_m2_K": res.entropy_J_per_m2_K,
                    "fd_step_K": res.fd_step_K}
             if args.check_step_halving:
-                half = entropy(geom, *models, spec, fd_step_K=step / 2, models_at=models_at)
+                half = entropy(geom, *models, spec, fd_step_K=step / 2)
                 row["entropy_halved_step"] = half.entropy_J_per_m2_K
                 row["richardson"] = (4.0 * half.entropy_J_per_m2_K
                                      - res.entropy_J_per_m2_K) / 3.0
@@ -316,7 +292,7 @@ def cmd_entropy(args: argparse.Namespace, stream) -> int:
     _emit_rows(rows, args.format, stream)
     t_min, failed = min(t_list), False
     for a in sorted(a_list):  # stderr: stdout holds rows only
-        report = nernst_check(Geometry(a, t_min), *models_at(t_min), spec, models_at=models_at)
+        report = nernst_check(Geometry(a, t_min), *models, spec)
         failed = failed or not report.passed
         sys.stderr.write(
             f"nernst a={a} um: {'pass' if report.passed else 'FAIL'} "
@@ -439,8 +415,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:] if argv is None else list(argv)
         args = _apply_config(build_parser().parse_args(argv), argv)
         return args.func(args, sys.stdout)
-    except (InputError, UnknownMaterialError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, UnknownMaterialError, NuRangeError) as exc:
+        # nu(T) may be out of range at a T the library derives, such as T - fd_step
+        flags = "--T/--theta: " if isinstance(exc, NuRangeError) else ""
+        print(f"error: {flags}{exc}", file=sys.stderr)
         return EXIT_INPUT
     except (QuadratureError, SumConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,6 +27,7 @@ __all__ = [
     "MaterialDatabase",
     "UnknownMaterialError",
     "BlochGruneisenParams",
+    "NuRangeError",
     "PermittivityTable",
     "DielectricModel",
     "DrudeModel",
@@ -160,14 +161,18 @@ def _bg_integrand(x):
 _BG_BREAKS = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
 
 
+class NuRangeError(ValueError):
+    """nu(T) underflows to 0, or (T/theta)^5 overflows."""
+
+
 def bloch_gruneisen_nu(params: BlochGruneisenParams, T_K: float) -> float:
     """Temperature-dependent relaxation frequency in eV.
 
     nu(T) = prefactor * (T/theta)^5 * int_0^{theta/T} x^5 e^x/(e^x-1)^2 dx,
     evaluated by adaptive Gauss-Kronrod quadrature of the sinh form to 1e-12
     relative.  nu -> 0 as T -> 0 (as T^5); a physical sample additionally
-    keeps a finite impurity floor, which this model deliberately ignores, so
-    a T at which nu underflows to 0 or (T/theta)^5 overflows raises ValueError.
+    keeps a finite impurity floor, which this model deliberately ignores: a
+    T where nu underflows to 0 or (T/theta)^5 overflows raises NuRangeError.
     """
     if not T_K > 0:  # NaN fails it too
         raise ValueError(f"temperature must be positive, got {T_K}")
@@ -176,7 +181,7 @@ def bloch_gruneisen_nu(params: BlochGruneisenParams, T_K: float) -> float:
     except OverflowError:
         scale = math.inf
     if scale == math.inf:
-        raise ValueError(f"(T/theta)^5 overflows at T = {T_K} K, theta = {params.theta_K} K")
+        raise NuRangeError(f"(T/theta)^5 overflows at T = {T_K} K, theta = {params.theta_K} K")
     upper = params.theta_K / T_K
     # beyond x ~ 200 the integrand is < 1e-70; capping also avoids sinh overflow
     cut = min(upper, 200.0)
@@ -184,7 +189,7 @@ def bloch_gruneisen_nu(params: BlochGruneisenParams, T_K: float) -> float:
     val, _ = integrate_adaptive(_bg_integrand, breaks[None], rel_tol=1e-12)
     nu = params.prefactor_eV * scale * float(val[0])
     if nu == 0.0:
-        raise ValueError(f"relaxation frequency nu(T) underflows to 0 at T = {T_K} K")
+        raise NuRangeError(f"relaxation frequency nu(T) underflows to 0 at T = {T_K} K")
     return nu
 
 
@@ -248,7 +253,8 @@ class DielectricModel:
 
     ``is_vacuum`` marks the one model whose static mode vanishes entirely;
     every metallic model diverges as zeta -> 0, so its static TM reflection
-    saturates to the ideal-metal value.
+    saturates to the ideal-metal value.  The sums evaluate ``at(T_K)``, the
+    model at T_K: the model itself unless a parameter depends on T.
     """
 
     is_vacuum = False
@@ -256,13 +262,27 @@ class DielectricModel:
     def epsilon(self, zeta_eV):
         raise NotImplementedError
 
+    def at(self, T_K: float) -> "DielectricModel":
+        return self
+
 
 class DrudeModel(DielectricModel):
-    def __init__(self, params: DrudeParams):
+    """Drude permittivity of ``params``.  With ``bloch_gruneisen``, ``at(T_K)``
+    is the fixed model with nu = bloch_gruneisen_nu(bloch_gruneisen, T_K);
+    ``epsilon`` of the model itself keeps ``params.nu_eV``."""
+
+    def __init__(self, params: DrudeParams, bloch_gruneisen: BlochGruneisenParams | None = None):
         self.params = params
+        self.bloch_gruneisen = bloch_gruneisen
 
     def epsilon(self, zeta_eV):
         return drude_epsilon(self.params, zeta_eV)
+
+    def at(self, T_K: float) -> "DrudeModel":
+        if self.bloch_gruneisen is None:
+            return self
+        nu = bloch_gruneisen_nu(self.bloch_gruneisen, T_K)
+        return DrudeModel(DrudeParams(self.params.omega_p_eV, nu, self.params.label))
 
     def __repr__(self) -> str:
         p = self.params
@@ -273,14 +293,14 @@ class TabulatedModel(DielectricModel):
     """Tabulated permittivity with mandatory Drude continuation below the table.
 
     Measured data never reach the static limit, so below the lowest sample
-    the Drude form takes over; ``repr`` shows the relative jump of eps
-    there, |eps_Drude/eps_table - 1| at ``table.zeta_min_eV``.  Above the
-    highest sample a free-electron (zeta_top/zeta)^2 falloff of eps-1 is
-    assumed; whether an evaluation ever needed that extrapolation can be
-    checked against ``table.zeta_max_eV``.
+    the Drude model ``low_freq`` takes over (at T_K in ``at(T_K)``); ``repr``
+    shows the jump of eps there, |eps_Drude/eps_table - 1| at
+    ``table.zeta_min_eV``.  Above the highest sample a free-electron
+    (zeta_top/zeta)^2 falloff of eps-1 is assumed; whether an evaluation
+    ever needed that extrapolation can be checked against ``table.zeta_max_eV``.
     """
 
-    def __init__(self, table: PermittivityTable, low_freq: DrudeParams):
+    def __init__(self, table: PermittivityTable, low_freq: DrudeModel):
         self.table = table
         self.low_freq = low_freq
         self._log_zeta = np.log(table.zeta_eV)
@@ -294,7 +314,7 @@ class TabulatedModel(DielectricModel):
         out = 1.0 + np.exp(np.interp(np.log(z), self._log_zeta, self._log_eps))
         below = z < self.table.zeta_min_eV
         if below.any():
-            out[below] = drude_epsilon(self.low_freq, z[below])
+            out[below] = drude_epsilon(self.low_freq.params, z[below])
         above = z > self.table.zeta_max_eV
         if above.any():
             top = self.table.zeta_max_eV
@@ -302,12 +322,16 @@ class TabulatedModel(DielectricModel):
             out[above] = 1.0 + (eps_top - 1.0) * (top / z[above]) ** 2
         return float(out[0]) if np.ndim(zeta_eV) == 0 else out
 
+    def at(self, T_K: float) -> "TabulatedModel":
+        low = self.low_freq.at(T_K)
+        return self if low is self.low_freq else TabulatedModel(self.table, low)
+
     def __repr__(self) -> str:
-        t = self.table
-        jump = abs(drude_epsilon(self.low_freq, t.zeta_min_eV) / t.eps[0] - 1.0)
+        t, p = self.table, self.low_freq.params
+        jump = abs(drude_epsilon(p, t.zeta_min_eV) / t.eps[0] - 1.0)
         return (f"TabulatedModel({t.zeta_eV.size} samples, "
                 f"{t.zeta_min_eV:.3g}..{t.zeta_max_eV:.3g} eV, "
-                f"tail={self.low_freq.label or '?'}, jump={jump:.3g})")
+                f"tail={p.label or '?'}, jump={jump:.3g})")
 
 
 class Vacuum(DielectricModel):

@@ -165,9 +165,7 @@ class _Workspace:
     ``arrays(shape)`` views it as eight float arrays and a bool array (grown
     if need be) that its next call overwrites."""
 
-    def __init__(self, rows: int):  # room for the first call on `rows` modes
-        self.size = 0
-        self.arrays((rows, max(_RUNGS[0][1][0].size, 15 * _BREAK_OFFSETS.size)))
+    size, floats, mask = 0, np.empty(0), np.empty(0, dtype=bool)
 
     def arrays(self, shape):
         n = shape[0] * shape[1]
@@ -410,26 +408,32 @@ def _mode_error(m: int, geom: Geometry, estimate: float, error: float) -> Quadra
         f"(a={geom.a_um} um, T={geom.T_K} K)", estimate, error)
 
 
+def _sides_at(geom: Geometry, model1: DielectricModel, model3: DielectricModel):
+    """Both sides at geom.T_K; a model passed as both sides stays one object."""
+    model1 = model1.at(geom.T_K)
+    return model1, model1 if model3 is model1 else model3.at(geom.T_K)
+
+
 def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
                    model3: DielectricModel, spec: QuadratureSpec | None = None) -> float:
     """Dimensionless m-th mode integral over y in [m*gamma, inf), m >= 1.
 
-    The permittivities are frozen at zeta_m across the y-integral.  It is
-    the value of the fixed rule pair that _RUNGS gives m*gamma if the pair's
-    error meets ``spec.integral_rel_tol``.  Else the range is cut at
-    ``spec.y_max`` and integrated adaptively.  A
-    QuadratureError carrying the partial estimate escapes if no certificate
-    is met.  This is a one-mode block of the sum driver, so it equals the
-    term the sum uses wherever the sum's floor does not bind.  ``m`` must be
-    an integer; a float raises TypeError.
+    Both models are taken at geom.T_K, their permittivities frozen at
+    zeta_m across the y-integral.  It is the value of the fixed rule pair
+    that _RUNGS gives m*gamma if the pair's error meets
+    ``spec.integral_rel_tol``.  Else the range is cut at ``spec.y_max`` and
+    integrated adaptively.  A QuadratureError carrying the partial estimate
+    escapes if no certificate is met.  This is a one-mode block of the sum
+    driver, so it equals the term the sum uses wherever the sum's floor does
+    not bind.  ``m`` must be an integer; a float raises TypeError.
     """
     m = operator.index(m)
     if m < 1:
         raise ValueError("the static mode is analytic; matsubara_term needs m >= 1")
     spec = spec or QuadratureSpec()
     values, errors, failed = _mode_block(
-        np.array([m]), geom, model1, model3, spec, 0.0, False, integrate_adaptive,
-        _Workspace(1))
+        np.array([m]), geom, *_sides_at(geom, model1, model3), spec, 0.0, False,
+        integrate_adaptive, _Workspace())
     if failed[0]:
         raise _mode_error(m, geom, float(values[0]), float(errors[0]))
     return float(values[0])
@@ -459,11 +463,13 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     matters for temperature derivatives downstream.  Modes past the stop
     are discarded, whether or not their integrals were certified.
 
+    Both sides are taken at geom.T_K (``DielectricModel.at``) first.
     Returns ``result(total, static term, terms, n_terms_used, converged)``,
     the sums times ``unit``; a vacuum side gives an unscaled all-zero
     result.  Raises SumConvergenceError carrying that result if max_terms
     is hit first, and a QuadratureError for a mode that is not certified.
     """
+    model1, model3 = _sides_at(geom, model1, model3)
     if model1.is_vacuum or model3.is_vacuum:
         return result(0.0, 0.0, np.zeros(0), 0, True)
     # closed-form static TM mode with half weight; the log integrand of F is negative
@@ -477,7 +483,7 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     comp = 0.0
     terms: list[float] = []
     converged = False
-    work = _Workspace(min(spec.max_terms, _BLOCK_CAP))
+    work = _Workspace()
     while not converged and len(terms) < spec.max_terms:
         first, total = len(terms) + 1, abs(acc + comp)
         size = _block_size(first, gamma, log_tol + math.log(total), free_energy, spec.min_terms)

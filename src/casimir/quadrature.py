@@ -92,7 +92,7 @@ def integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
     breaks: Sequence[Sequence[float]] | np.ndarray,
     rel_tol: float = 1e-12,
-    abs_tol=0.0,
+    abs_tol: float = 0.0,
 ):
     """Integrate ``f`` over each row of ``breaks``; returns (values, errors).
 
@@ -104,8 +104,8 @@ def integrate_adaptive(
     their values are ignored.  ``f`` may return a view of storage that its
     next call overwrites.  Panels carrying more than their share of an
     integral's error budget are bisected until its summed Kronrod-Gauss
-    estimate certifies ``rel_tol`` (or ``abs_tol``, a scalar or one value
-    per row, if larger); a certified or spent row is left as it is.  A NaN
+    estimate certifies ``rel_tol`` (or ``abs_tol``, one floor for every
+    row, if larger); a certified or spent row is left as it is.  A NaN
     tolerance raises ValueError before ``f`` is called.  Integrals not
     certified within _MAX_PANELS panels raise QuadratureError, carrying
     arrays, once the whole batch is done.
@@ -116,8 +116,7 @@ def integrate_adaptive(
             or (pad[:, :-1] & ~pad[:, 1:]).any() or np.any(np.diff(pts, axis=1) <= 0)):
         raise ValueError("breaks must be strictly increasing sequences, NaN-padded at the end")
     n = pts.shape[0]
-    floor = np.broadcast_to(np.asarray(abs_tol, dtype=float), (n,))
-    if np.isnan(rel_tol) or np.isnan(abs_tol).any():
+    if np.isnan(rel_tol) or np.isnan(abs_tol):
         raise ValueError(f"tolerances must not be NaN, got rel_tol={rel_tol}, abs_tol={abs_tol}")
     # copies: as views of pts, bisected in place, they would overlap
     lo, hi = pts[:, :-1].copy(), pts[:, 1:].copy()
@@ -126,7 +125,7 @@ def integrate_adaptive(
     for rounds in range(_MAX_ROUNDS + 1):
         total = _row_sums(val)
         total_err = _row_sums(err)
-        target = np.maximum(rel_tol * np.abs(total), floor)
+        target = np.maximum(rel_tol * np.abs(total), abs_tol)
         done = total_err <= target
         # a NaN error or target never certifies, however the panels are cut
         live = ~done & (count < _MAX_PANELS) & ~np.isnan(total_err + target)

@@ -117,12 +117,11 @@ def entropy(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
             models_at=None) -> EntropyResult:
     """Entropy per unit area, S = -dF/dT, by a central difference in T.
 
-    The step is recorded in the result for reproducibility.  By default the
-    given models (and therefore their relaxation frequencies) are used
-    unchanged on both sides of the difference; pass ``models_at``, a
-    callable T_K -> (model1, model3), to rebuild them at the shifted
-    temperatures for exploratory runs with a temperature-dependent
-    relaxation frequency.
+    The step is recorded in the result for reproducibility.  Each free
+    energy takes the models at its own temperature T -/+ fd_step_K
+    (``DielectricModel.at``), so a relaxation frequency nu(T) enters the
+    difference.  ``models_at``, a callable T_K -> (model1, model3), replaces
+    them there; it is kept for ``perfbench/worker.py``, which passes it.
     """
     if not fd_step_K > 0:  # NaN fails it too
         raise ValueError(f"fd step must be positive, got {fd_step_K}")
@@ -139,16 +138,15 @@ def entropy(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
 
 
 def nernst_check(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
-                 spec: QuadratureSpec | None = None, models_at=None) -> NernstReport:
+                 spec: QuadratureSpec | None = None) -> NernstReport:
     """Evaluate the entropy toward T -> 0 and test that it vanishes there.
 
     The ladder is T * (1, 2, 4, 8) with T and the separation from ``geom``;
-    each rung is a central difference with step T_rung/8, passed
-    ``models_at`` as in :func:`entropy`, so that with a temperature-dependent
-    relaxation frequency every rung sees its own.  The verdict
-    measures |S(T)| against the Nernst-violating limit S_NV (see
-    :class:`NernstReport`): it passes when |S| does not increase down the
-    ladder and |S(T)| <= |S_NV|/2.  For a fixed-relaxation Drude pair
+    each rung is an :func:`entropy` with step T_rung/8, whose free energies
+    take nu(T) at their own temperatures.  The verdict measures |S(T)|
+    against the Nernst-violating limit S_NV (see :class:`NernstReport`): it
+    passes when |S| does not increase down the ladder and
+    |S(T)| <= |S_NV|/2.  For a fixed-relaxation Drude pair
     S/S_NV depends on T/T_c alone, with the turnover temperature
     T_c = nu (hbar c/(omega_p a))^2 / (2 pi k_B) (0.03 K for Au at 1 um):
     about 0.33 at 16 T_c and 0.63 at 130 T_c, so the check passes only with
@@ -158,8 +156,7 @@ def nernst_check(geom: Geometry, model1: DielectricModel, model3: DielectricMode
     spec = spec or _ENTROPY_SPEC
     ladder = tuple(geom.T_K * k for k in (1.0, 2.0, 4.0, 8.0))
     svals = tuple(
-        entropy(Geometry(geom.a_um, t), model1, model3, spec,
-                fd_step_K=t / 8.0, models_at=models_at).entropy_J_per_m2_K
+        entropy(Geometry(geom.a_um, t), model1, model3, spec, fd_step_K=t / 8.0).entropy_J_per_m2_K
         for t in ladder)
     reference = 0.0  # the static-mode free energy over T
     if not (model1.is_vacuum or model3.is_vacuum):
@@ -168,15 +165,9 @@ def nernst_check(geom: Geometry, model1: DielectricModel, model3: DielectricMode
     magnitudes = [abs(s) for s in svals]  # ordered up the ladder
     monotone = all(magnitudes[i] <= magnitudes[i + 1] for i in range(len(magnitudes) - 1))
     passed = monotone and magnitudes[0] <= threshold
-    return NernstReport(
-        a_um=geom.a_um,
-        temperatures_K=ladder,
-        entropies_J_per_m2_K=svals,
-        reference_entropy_J_per_m2_K=reference,
-        threshold_J_per_m2_K=threshold,
-        monotone=monotone,
-        passed=passed,
-    )
+    return NernstReport(a_um=geom.a_um, temperatures_K=ladder, entropies_J_per_m2_K=svals,
+                        reference_entropy_J_per_m2_K=reference, threshold_J_per_m2_K=threshold,
+                        monotone=monotone, passed=passed)
 
 
 def crossover_separation(model1: DielectricModel, model3: DielectricModel,

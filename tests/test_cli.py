@@ -177,6 +177,18 @@ class TestSweepCommand:
         dropped = "\r\n".join(",".join(f[:share] + f[share + 1:]) for f in lines)
         assert len(lines) == 6 and sweep == dropped  # header, 2 x 2 cells, final newline
 
+    def test_sweep_computes_nu_once_per_side_and_temperature(self, capsys, monkeypatch):
+        calls = []
+
+        def spy(params, T_K):
+            calls.append(T_K)
+            return bloch_gruneisen_nu(params, T_K)
+        monkeypatch.setattr(casimir.dielectric, "bloch_gruneisen_nu", spy)
+        code, out, _ = run_cli(capsys, "sweep", "--pair", "Au,Cu", "--a", "1,2,3",
+                               "--T", "350,300", "--nu-model", "bloch-gruneisen")
+        assert code == EXIT_OK and len(parse_csv(out)) == 6
+        assert sorted(calls) == [300.0, 300.0, 350.0, 350.0]
+
 
 class TestTableCommand:
     def test_gold_table_passes(self, capsys):
@@ -259,16 +271,10 @@ class TestEntropyCommand:
         code, out, err = run_cli(capsys, "entropy", "--pair", "Au,Au", "--a", "1",
                                  "--T", "40,30", "--nu-model", "bloch-gruneisen",
                                  "--format", "json")
-        au = MaterialDatabase.builtin().get("Au")
-
-        def models_at(T_K):
-            bg_au = DrudeModel(DrudeParams(
-                au.omega_p_eV, bloch_gruneisen_nu(BlochGruneisenParams(), T_K), au.label))
-            return bg_au, bg_au
-
-        report = nernst_check(Geometry(1.0, 30.0), *models_at(30.0), _ENTROPY_SPEC,
-                              models_at=models_at)
-        fixed_nu = nernst_check(Geometry(1.0, 30.0), *models_at(30.0), _ENTROPY_SPEC)
+        bg_au = DrudeModel(MaterialDatabase.builtin().get("Au"), BlochGruneisenParams())
+        report = nernst_check(Geometry(1.0, 30.0), bg_au, bg_au, _ENTROPY_SPEC)
+        au_30 = bg_au.at(30.0)
+        fixed_nu = nernst_check(Geometry(1.0, 30.0), au_30, au_30, _ENTROPY_SPEC)
         assert report.entropies_J_per_m2_K != fixed_nu.entropies_J_per_m2_K
         verdict = "pass" if report.passed else "FAIL"
         assert code == (EXIT_OK if report.passed else EXIT_TOLERANCE)
@@ -463,6 +469,15 @@ class TestUsage:
         code, out, err = run_cli(capsys, *argv, "--nu-model", "bloch-gruneisen")
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error: --T/--theta: ") and "Traceback" not in err
+
+    def test_underflow_at_t_minus_step_alone_exits_3(self, capsys):
+        # nu(1e-62 K) is a positive subnormal; nu at T - step = 1e-64 K is 0,
+        # a temperature that entropy derives, not one given on the command line
+        assert bloch_gruneisen_nu(BlochGruneisenParams(), 1e-62) > 0.0
+        code, out, err = run_cli(capsys, "entropy", "--a", "1", "--T", "1e-62",
+                                 "--fd-step", "0.99e-62", "--nu-model", "bloch-gruneisen")
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: --T/--theta: ") and "underflows" in err
 
     @pytest.mark.parametrize("argv", [
         ["--theta", "1e-62"],
@@ -692,10 +707,12 @@ class TestTabulatedInput:
         assert code == EXIT_OK
         _, out_fixed, _ = run_cli(capsys, *argv, "--nu-model", "fixed")
         assert out_bg != out_fixed
+        table = PermittivityTable.from_csv(path)
+        model = TabulatedModel(table, DrudeModel(au, BlochGruneisenParams()))
         nu = bloch_gruneisen_nu(BlochGruneisenParams(), 300.0)
-        model = TabulatedModel(PermittivityTable.from_csv(path),
-                               low_freq=DrudeParams(au.omega_p_eV, nu, "Au"))
+        at_300 = TabulatedModel(table, DrudeModel(DrudeParams(au.omega_p_eV, nu, "Au")))
         want = casimir_pressure(Geometry(2.0, 300.0), model, model).pressure_mPa
+        assert want == casimir_pressure(Geometry(2.0, 300.0), at_300, at_300).pressure_mPa
         assert float(parse_csv(out_bg)[0]["pressure_mPa"]) == pytest.approx(want, rel=1e-11)
 
 

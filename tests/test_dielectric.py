@@ -14,6 +14,7 @@ from casimir.dielectric import (
     DrudeParams,
     IdealMetal,
     MaterialDatabase,
+    NuRangeError,
     PermittivityTable,
     TabulatedModel,
     UnknownMaterialError,
@@ -189,7 +190,7 @@ class TestBlochGruneisen:
     def test_underflow_names_the_temperature(self):
         # nu ~ T^5 leaves the double range below about 1e-63 K
         assert bloch_gruneisen_nu(BlochGruneisenParams(), 1e-60) > 0.0
-        with pytest.raises(ValueError, match="T = 1e-70 K"):
+        with pytest.raises(NuRangeError, match="T = 1e-70 K"):
             bloch_gruneisen_nu(BlochGruneisenParams(), 1e-70)
 
     def test_invalid_params(self):
@@ -204,7 +205,7 @@ class TestBlochGruneisen:
         def no_integral(*args, **kwargs):
             raise AssertionError("integrated out of range")
         monkeypatch.setattr("casimir.dielectric.integrate_adaptive", no_integral)
-        with pytest.raises(ValueError, match=re.escape(f"T = {T_K} K, theta = {theta_K} K")):
+        with pytest.raises(NuRangeError, match=re.escape(f"T = {T_K} K, theta = {theta_K} K")):
             bloch_gruneisen_nu(BlochGruneisenParams(theta_K=theta_K), T_K)
 
     def test_largest_ratio_stays_finite(self):
@@ -297,40 +298,40 @@ class TestPermittivityTable:
 
     def test_interpolation_accuracy(self):
         table = self._drude_table(per_decade=50)
-        model = TabulatedModel(table, low_freq=AU)
+        model = TabulatedModel(table, low_freq=DrudeModel(AU))
         zq = np.logspace(-3.9, 2.9, 300)
         rel = np.abs(model.epsilon(zq) - drude_epsilon(AU, zq)) / drude_epsilon(AU, zq)
         assert rel.max() < 1e-3
 
     def test_nonpositive_or_nan_zeta_rejected(self):
-        model = TabulatedModel(self._drude_table(), low_freq=AU)
+        model = TabulatedModel(self._drude_table(), low_freq=DrudeModel(AU))
         for zeta in (0.0, -1.0, np.nan, [1.0, np.nan]):
             with pytest.raises(ValueError, match="^zeta must be positive$"):
                 model.epsilon(zeta)
 
     def test_drude_tail_below_window(self):
-        model = TabulatedModel(self._drude_table(), low_freq=AU)
+        model = TabulatedModel(self._drude_table(), low_freq=DrudeModel(AU))
         assert model.epsilon(1e-6) == drude_epsilon(AU, 1e-6)
 
     def test_free_electron_tail_above_window(self):
         table = self._drude_table()
-        model = TabulatedModel(table, low_freq=AU)
+        model = TabulatedModel(table, low_freq=DrudeModel(AU))
         z = 5e3
         expected = 1.0 + (table.eps[-1] - 1.0) * (table.zeta_max_eV / z) ** 2
         assert model.epsilon(z) == pytest.approx(expected, rel=1e-14)
 
     def test_high_frequency_limit(self):
-        model = TabulatedModel(self._drude_table(), low_freq=AU)
+        model = TabulatedModel(self._drude_table(), low_freq=DrudeModel(AU))
         assert model.epsilon(1e12) == pytest.approx(1.0, abs=1e-12)
 
     def test_repr_shows_the_continuation_jump(self):
         table = self._drude_table(per_decade=5)
-        assert repr(TabulatedModel(table, low_freq=AU)).endswith("tail=Au, jump=0)")
+        assert repr(TabulatedModel(table, DrudeModel(AU))).endswith("tail=Au, jump=0)")
         cu = DrudeParams(8.97, 29.5e-3, "Cu")
         z = table.zeta_min_eV
         jump = abs(drude_epsilon(cu, z) / drude_epsilon(AU, z) - 1.0)
         assert jump > 0.1  # omega_p^2/nu differs by 15%
-        assert repr(TabulatedModel(table, low_freq=cu)).endswith(f"tail=Cu, jump={jump:.3g})")
+        assert repr(TabulatedModel(table, DrudeModel(cu))).endswith(f"tail=Cu, jump={jump:.3g})")
 
     def test_csv_round_trip(self, tmp_path):
         table = self._drude_table(per_decade=5)
@@ -378,13 +379,32 @@ class TestModels:
         assert not DrudeModel(AU).is_vacuum
         assert not IdealMetal().is_vacuum
 
+    TABLE = PermittivityTable(np.logspace(-1, 2, 5), drude_epsilon(AU, np.logspace(-1, 2, 5)))
+
+    def test_at_is_the_model_itself_without_nu_of_T(self):
+        for model in (Vacuum(), IdealMetal(), DrudeModel(AU),
+                      TabulatedModel(self.TABLE, DrudeModel(AU))):
+            assert model.at(300.0) is model
+
+    def test_at_takes_the_bloch_gruneisen_nu_of_T(self):
+        bg = BlochGruneisenParams()
+        model = DrudeModel(AU, bg)
+        at = model.at(300.0)
+        assert at.params == DrudeParams(AU.omega_p_eV, bloch_gruneisen_nu(bg, 300.0), "Au")
+        assert at.at(4.0) is at and model.epsilon(1.0) == drude_epsilon(AU, 1.0)
+        tab = TabulatedModel(self.TABLE, model).at(300.0)
+        assert tab.table is self.TABLE and tab.low_freq.params == at.params
+        assert tab.at(4.0) is tab
+        with pytest.raises(NuRangeError, match="underflows"):
+            model.at(1e-70)
+
     @settings(max_examples=25, deadline=None)
     @given(zeta=st.floats(min_value=1e-6, max_value=1e4))
     def test_monotone_non_increasing_every_model(self, zeta):
         table = PermittivityTable(
             zeta_eV=np.logspace(-4, 3, 100),
             eps=drude_epsilon(AU, np.logspace(-4, 3, 100)))
-        for model in (DrudeModel(AU), TabulatedModel(table, AU)):
+        for model in (DrudeModel(AU), TabulatedModel(table, DrudeModel(AU))):
             lo = model.epsilon(zeta)
             hi = model.epsilon(zeta * 2.0)
             assert 1.0 <= hi <= lo * (1 + 1e-12)

@@ -10,13 +10,11 @@ from casimir.dielectric import (
     BlochGruneisenParams,
     DielectricModel,
     DrudeModel,
-    DrudeParams,
     IdealMetal,
     MaterialDatabase,
     PermittivityTable,
     TabulatedModel,
     Vacuum,
-    bloch_gruneisen_nu,
     drude_epsilon,
 )
 from casimir.golden import TABLES, cell_tolerance
@@ -178,6 +176,14 @@ class TestMatsubaraTerm:
             matsubara_term(3.0, geom, AU, CU)
         got, ref = matsubara_term(np.int64(3), geom, AU, CU), matsubara_term(3, geom, AU, CU)
         assert got.hex() == ref.hex()
+
+    def test_models_are_taken_at_the_temperature(self):
+        bg_au = DrudeModel(DB.get("Au"), BlochGruneisenParams())
+        for T_K in (30.0, 300.0):
+            geom = Geometry(1.0, T_K)
+            got = matsubara_term(1, geom, bg_au, CU)
+            assert got == matsubara_term(1, geom, bg_au.at(T_K), CU)
+            assert got != matsubara_term(1, geom, AU, CU)
 
     @pytest.mark.parametrize("m,a_um,T_K", [
         (1, 1.0, 300.0),
@@ -529,7 +535,7 @@ class TestBlockDriver:
 # A small tabulated model: Drude Al samples over 0.01-100 eV, Au below.
 TABLE_ZETA_EV = np.logspace(-2, 2, 9)
 TAB = TabulatedModel(PermittivityTable(TABLE_ZETA_EV, drude_epsilon(DB.get("Al"), TABLE_ZETA_EV)),
-                     low_freq=DB.get("Au"))
+                     low_freq=DrudeModel(DB.get("Au")))
 
 
 def reference_kernel(y, A, eps1, eps3, free_energy):
@@ -604,12 +610,12 @@ class TestModeKernel:
     def test_bit_identical_to_public_functions(self, pair, at_y1, free_energy):
         y, A, eps1, eps3 = kernel_inputs(40, 105, pair)
         ref = reference_kernel(y, A, eps1, eps3, free_energy)
-        got = _mode_kernel(y, _Workspace(40), free_energy, A, eps1, eps3)
+        got = _mode_kernel(y, _Workspace(), free_energy, A, eps1, eps3)
         assert same_bits(got, ref)
         if np.array_equal(eps1, eps3):  # one interface serves both sides
-            assert same_bits(_mode_kernel(y, _Workspace(40), free_energy, A, eps1), ref)
+            assert same_bits(_mode_kernel(y, _Workspace(), free_energy, A, eps1), ref)
         if at_y1 is not None and not free_energy:
-            one = _mode_kernel(np.ones((1, 1)), _Workspace(1), False, A[:1], eps1[:1], eps3[:1])
+            one = _mode_kernel(np.ones((1, 1)), _Workspace(), False, A[:1], eps1[:1], eps3[:1])
             assert one[0, 0] == pytest.approx(at_y1, rel=1e-14)
 
     def test_log_select_covers_both_branches(self):
@@ -619,7 +625,7 @@ class TestModeKernel:
         x = reflection_tm(eps1[:, None], s, p) ** 2 * np.exp(-2.0 * y)
         assert (x > 0.5).any() and (x <= 0.5).any()
         ref = reference_kernel(y, A, eps1, eps3, True)
-        assert same_bits(_mode_kernel(y, _Workspace(10), True, A, eps1), ref)
+        assert same_bits(_mode_kernel(y, _Workspace(), True, A, eps1), ref)
 
     # lower limits of blocks around the near-one branch, which only nodes
     # with y < ln(2)/2 can take; Constant(1.001) reflects too little for any
@@ -643,12 +649,12 @@ class TestModeKernel:
 
     @pytest.mark.parametrize("free_energy", [False, True])
     def test_near_one_branch_blocks(self, free_energy):
-        work = _Workspace(2)
+        work = _Workspace()
         x_max = {}
         for name, (A, pair) in self.NEAR_ONE_BLOCKS.items():
             y, eps1, eps3 = self.near_one_inputs(A, pair)
             ref = reference_kernel(y, A, eps1, eps3, free_energy)
-            fresh = _mode_kernel(y, _Workspace(1), free_energy, A, eps1, eps3)
+            fresh = _mode_kernel(y, _Workspace(), free_energy, A, eps1, eps3)
             assert same_bits(fresh, ref), name
             assert same_bits(_mode_kernel(y, work, free_energy, A, eps1, eps3), ref), name
             if np.array_equal(eps1, eps3):
@@ -692,18 +698,18 @@ class TestModeKernel:
     def test_reused_workspace_equals_fresh_one(self, free_energy):
         # blocks grow and then shrink in rows and nodes; every value is
         # taken before the next call, as integrate_adaptive takes it
-        work = _Workspace(2)
+        work = _Workspace()
         for rows, nodes, pair in ((3, 15, (AU, CU)), (20, 105, (AU, AU)), (128, 105, (CU, AU)),
                                   (40, 210, (AU, IdealMetal())), (7, 30, (AU, CU)),
                                   (1, 15, (AU, AU))):
             y, A, eps1, eps3 = kernel_inputs(rows, nodes, pair, first=rows)
             shared = _mode_kernel(y, work, free_energy, A, eps1, eps3).copy()
-            fresh = _mode_kernel(y, _Workspace(1), free_energy, A, eps1, eps3)
+            fresh = _mode_kernel(y, _Workspace(), free_energy, A, eps1, eps3)
             assert same_bits(shared, fresh)
             assert same_bits(shared, reference_kernel(y, A, eps1, eps3, free_energy))
 
     def test_returns_a_view_the_next_call_overwrites(self):
-        work = _Workspace(4)
+        work = _Workspace()
         y, A, eps1, eps3 = kernel_inputs(4, 15)
         first = _mode_kernel(y, work, False, A, eps1, eps3)
         kept = first.copy()
@@ -764,7 +770,7 @@ def block(ms, geom, pair, spec=None, free_energy=False):
         sent.append(breaks[:, 0])  # each row starts at its mode's lower limit
         return integrate_adaptive(f, breaks, **kwargs)
     out = _mode_block(ms, geom, *pair, spec or QuadratureSpec(), 0.0, free_energy,
-                      integrate, _Workspace(len(ms)))
+                      integrate, _Workspace())
     return out, np.isin(ms * reduced_temperature(geom), np.concatenate(sent))
 
 
@@ -782,7 +788,7 @@ def adaptive_modes(ms, geom, pair, spec=None, free_energy=False):
         starts = start + _BREAK_OFFSETS
         starts = starts[starts < y_max]
         breaks[row, :starts.size + 1] = np.append(starts, y_max)
-    work = _Workspace(ms.size)
+    work = _Workspace()
     return integrate_adaptive(lambda y: _mode_kernel(y, work, free_energy, A, eps1, eps3),
                               breaks, rel_tol=spec.integral_rel_tol)
 
@@ -804,10 +810,10 @@ def modes_at(geom, lowers):
 # there, and mode integrals against Au never certified.
 NEAR_ZETA_EV = np.logspace(-4, 2, 7)
 NEAR_VACUUM = TabulatedModel(PermittivityTable(NEAR_ZETA_EV, np.full(7, 1.0 + 1e-12)),
-                             low_freq=DB.get("Au"))
+                             low_freq=DrudeModel(DB.get("Au")))
 FALLS_TO_ONE = TabulatedModel(
     PermittivityTable(NEAR_ZETA_EV, np.array([2.0, 1.8, 1.5, 1.2, 1.0, 1.0, 1.0])),
-    low_freq=DB.get("Au"))
+    low_freq=DrudeModel(DB.get("Au")))
 
 NEAR_TABLES = {"near-vacuum": NEAR_VACUUM, "falls-to-one": FALLS_TO_ONE}
 
@@ -1038,16 +1044,10 @@ def unit_reflection_bound(A, free_energy):
     return math.exp(-2.0 * A) * poly / -math.expm1(-2.0 * A)
 
 
-def bloch_gruneisen_au(T_K):
-    return DrudeModel(DrudeParams(DB.get("Au").omega_p_eV,
-                                  bloch_gruneisen_nu(BlochGruneisenParams(), T_K), "Au"))
-
-
-BOUND_PAIRS = {"equal": lambda T_K: (AU, AU), "unequal": lambda T_K: (AU, CU),
-               "drude-ideal": lambda T_K: (AU, IdealMetal()),
-               "ideal-ideal": lambda T_K: (IdealMetal(), IdealMetal()),
-               "tabulated": lambda T_K: (TAB, CU), "near-vacuum": lambda T_K: (NEAR_VACUUM, AU),
-               "bloch-gruneisen": lambda T_K: (bloch_gruneisen_au(T_K), CU)}
+BOUND_PAIRS = {"equal": (AU, AU), "unequal": (AU, CU), "drude-ideal": (AU, IdealMetal()),
+               "ideal-ideal": (IdealMetal(), IdealMetal()), "tabulated": (TAB, CU),
+               "near-vacuum": (NEAR_VACUUM, AU),
+               "bloch-gruneisen": (DrudeModel(DB.get("Au"), BlochGruneisenParams()), CU)}
 
 # (a_um, T_K, pair, free_energy, sum_rel_tol or None for the default)
 SCHEDULE_CELLS = {
@@ -1101,7 +1101,8 @@ class TestBlockSchedule:
         gamma = reduced_temperature(geom)
         lowers = np.array([gamma, 0.01, 0.1, 0.35, 1.0, 2.0, 4.0, 8.0, 12.0, 20.0, 30.0])
         ms = np.unique(modes_at(geom, lowers))
-        (values, _, failed), _ = block(ms, geom, BOUND_PAIRS[pair](T_K), free_energy=free)
+        pair = tuple(model.at(T_K) for model in BOUND_PAIRS[pair])
+        (values, _, failed), _ = block(ms, geom, pair, free_energy=free)
         assert not failed.all()
         for m, value, bad in zip(ms.tolist(), values.tolist(), failed.tolist()):
             bound = unit_reflection_bound(m * gamma, free)

@@ -4,8 +4,9 @@
 ``perfbench/recorded/<workload>-<seed>.json``: within 1e-12 relative, with
 the same number of Matsubara terms.  These tests recompute each cell that
 returned there the way ``perfbench/worker.py`` does, so a change that moves
-a result past that bound fails the test suite first.  The files are only
-read here.
+a result past that bound fails the test suite first; the Bloch-Grueneisen
+entropies also through models that take nu(T) themselves, which must give
+the same bits.  The files are only read here.
 """
 
 import json
@@ -50,12 +51,18 @@ def test_pressures_match_the_record(workload):
 
 def test_entropies_match_the_record():
     bloch_gruneisen = casimir.BlochGruneisenParams()
+    # a model object per label, as for MODELS, that takes nu(T) itself
+    bg_models = {label: casimir.DrudeModel(DB.get(label), bloch_gruneisen)
+                 for label in ("Au", "Cu", "Al")}
     for (labels, a_um, T_K, with_bg), (entropy,) in returned_cells("entropy_ladder"):
-        def models_at(t_K, labels=labels):
-            nu = casimir.bloch_gruneisen_nu(bloch_gruneisen, t_K)
-            return tuple(casimir.DrudeModel(casimir.DrudeParams(MODELS[label].params.omega_p_eV,
-                                                                nu, label))
-                         for label in labels)
-        res = casimir.entropy(casimir.Geometry(a_um, T_K), *map(MODELS.get, labels),
-                              models_at=models_at if with_bg else None)
+        geom = casimir.Geometry(a_um, T_K)
+        res = casimir.entropy(geom, *map(MODELS.get, labels))
+        if with_bg:
+            def models_at(t_K, labels=labels):
+                nu = casimir.bloch_gruneisen_nu(bloch_gruneisen, t_K)
+                return tuple(casimir.DrudeModel(casimir.DrudeParams(
+                    MODELS[label].params.omega_p_eV, nu, label)) for label in labels)
+            res = casimir.entropy(geom, *map(MODELS.get, labels), models_at=models_at)
+            own = casimir.entropy(geom, *map(bg_models.get, labels))
+            assert own.entropy_J_per_m2_K == res.entropy_J_per_m2_K, (labels, a_um, T_K)
         assert close(res.entropy_J_per_m2_K, entropy), (labels, a_um, T_K, with_bg)

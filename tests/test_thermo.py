@@ -1,10 +1,22 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from casimir.dielectric import DrudeModel, IdealMetal, MaterialDatabase, Vacuum
+from casimir.dielectric import (
+    BlochGruneisenParams,
+    DrudeModel,
+    DrudeParams,
+    IdealMetal,
+    MaterialDatabase,
+    PermittivityTable,
+    TabulatedModel,
+    Vacuum,
+    bloch_gruneisen_nu,
+    drude_epsilon,
+)
 from casimir.lifshitz import QuadratureSpec, SumConvergenceError, casimir_pressure, zeta3
 from casimir.quantities import CODATA, Geometry
 from casimir.thermo import (
@@ -18,6 +30,13 @@ from casimir.thermo import (
 
 DB = MaterialDatabase.builtin()
 AU = DrudeModel(DB.get("Au"))
+BG = BlochGruneisenParams()
+BG_AU, BG_CU = (DrudeModel(DB.get(label), BG) for label in ("Au", "Cu"))
+# Al samples from 0.5 eV, so the first Matsubara modes at 300 K (0.16 eV
+# apart) take the Bloch-Grueneisen Au continuation below the window
+TABLE_ZETA_EV = np.logspace(np.log10(0.5), 3, 60)
+BG_TABLE = TabulatedModel(PermittivityTable(TABLE_ZETA_EV,
+                                            drude_epsilon(DB.get("Al"), TABLE_ZETA_EV)), BG_AU)
 
 TIGHT = QuadratureSpec(sum_rel_tol=1e-10)
 
@@ -114,16 +133,10 @@ class TestEntropy:
         assert s < 0
 
     def test_temperature_dependent_relaxation_inside_derivative(self):
-        from casimir.dielectric import BlochGruneisenParams, DrudeParams, bloch_gruneisen_nu
-
-        def models_at(t_K):
-            nu = bloch_gruneisen_nu(BlochGruneisenParams(), t_K)
-            model = DrudeModel(DrudeParams(9.03, nu, "Au"))
-            return model, model
-
         geom = Geometry(2.0, 300.0)
-        fixed = entropy(geom, *models_at(300.0), fd_step_K=5.0)
-        varying = entropy(geom, *models_at(300.0), fd_step_K=5.0, models_at=models_at)
+        au_300 = BG_AU.at(300.0)
+        fixed = entropy(geom, au_300, au_300, fd_step_K=5.0)
+        varying = entropy(geom, BG_AU, BG_AU, fd_step_K=5.0)
         # dnu/dT is a small but nonzero extra contribution
         assert varying.entropy_J_per_m2_K != fixed.entropy_J_per_m2_K
         assert varying.entropy_J_per_m2_K == pytest.approx(
@@ -250,3 +263,44 @@ class TestCrossoverSeparation:
         with pytest.raises(BracketError) as excinfo:
             crossover_separation(AU, AU, 300.0, 350.0, bracket_um=(1.0, 6.0))
         assert excinfo.value.g_low * slope < 0 and excinfo.value.g_high * slope < 0
+
+
+def worker_models_at(*sides):
+    """T -> models, each side rebuilt at nu(T) by hand as perfbench/worker.py
+    does; a side is (label, table or None)."""
+    def models_at(T_K):
+        nu = bloch_gruneisen_nu(BG, T_K)
+        out = []
+        for label, table in sides:
+            drude = DrudeModel(DrudeParams(DB.get(label).omega_p_eV, nu, label))
+            out.append(drude if table is None else TabulatedModel(table, drude))
+        return tuple(out)
+    return models_at
+
+
+class TestModelsAtTemperature:
+    """A model with nu(T) gives, bit for bit, the numbers of the models that a
+    caller rebuilds at each temperature."""
+
+    @pytest.mark.parametrize("pair, sides", [
+        ((BG_AU, BG_AU), [("Au", None), ("Au", None)]),
+        ((BG_AU, BG_CU), [("Au", None), ("Cu", None)]),
+        ((BG_TABLE, BG_AU), [("Au", BG_TABLE.table), ("Au", None)]),
+    ], ids=["drude-same-object", "drude-dissimilar", "tabulated"])
+    def test_entropy_equals_a_models_at_closure(self, pair, sides):
+        geom = Geometry(1.0, 300.0)
+        want = entropy(geom, AU, AU, models_at=worker_models_at(*sides))
+        got = entropy(geom, *pair)
+        assert got.entropy_J_per_m2_K == want.entropy_J_per_m2_K
+        fixed = entropy(geom, *(side.at(300.0) for side in pair))
+        assert got.entropy_J_per_m2_K != fixed.entropy_J_per_m2_K  # dnu/dT entered
+
+    @pytest.mark.parametrize("model", [BG_AU, BG_TABLE], ids=["drude", "tabulated"])
+    @pytest.mark.parametrize("T_K", [30.0, 300.0])
+    def test_sums_equal_the_same_sums_on_the_model_at_T(self, model, T_K):
+        geom, fixed = Geometry(1.0, T_K), model.at(T_K)
+        assert fixed is not model and fixed.at(T_K) is fixed
+        for total in (casimir_pressure, free_energy):
+            got, want = total(geom, model, model), total(geom, fixed, fixed)
+            for field in dataclasses.fields(got):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name))

@@ -38,10 +38,10 @@ DB = MaterialDatabase.builtin()
 AU, CU, AL = (DrudeModel(DB.get(label)) for label in ("Au", "Cu", "Al"))
 TABLE_ZETA_EV = np.logspace(-2, 2, 9)
 TAB = TabulatedModel(PermittivityTable(TABLE_ZETA_EV, drude_epsilon(DB.get("Al"), TABLE_ZETA_EV)),
-                     low_freq=DB.get("Au"))
+                     low_freq=DrudeModel(DB.get("Au")))
 NEAR_ZETA_EV = np.logspace(-4, 2, 7)
 NEAR_VACUUM = TabulatedModel(PermittivityTable(NEAR_ZETA_EV, np.full(7, 1.0 + 1e-12)),
-                             low_freq=DB.get("Au"))
+                             low_freq=DrudeModel(DB.get("Au")))
 PAIRS = {"Au-Au": (AU, AU), "Au-Cu": (AU, CU), "Au-Al": (AU, AL), "Al-Al": (AL, AL),
          "Au-ideal": (AU, IdealMetal()), "ideal-ideal": (IdealMetal(), IdealMetal()),
          "tabulated-Cu": (TAB, CU), "near-vacuum-Au": (NEAR_VACUUM, AU)}
@@ -78,7 +78,7 @@ def reference(A, eps1, eps3):
         starts = start + _BREAK_OFFSETS
         starts = starts[starts < y_max]
         breaks[row, :starts.size + 1] = np.append(starts, y_max)
-    work = _Workspace(A.size)
+    work = _Workspace()
     return integrate_adaptive(lambda y: _mode_kernel(y, work, False, A, eps1, eps3), breaks,
                               rel_tol=spec.integral_rel_tol)[0]
 
@@ -86,7 +86,7 @@ def reference(A, eps1, eps3):
 def fixed(pair_rule, A, eps1, eps3):
     """(value, error) of every mode by one fixed rule pair."""
     dy, weights = pair_rule
-    fx = _mode_kernel(A[:, None] + dy, _Workspace(A.size), False, A, eps1, eps3)
+    fx = _mode_kernel(A[:, None] + dy, _Workspace(), False, A, eps1, eps3)
     value, check = np.einsum("rn,kn->kr", fx, weights)
     return value, np.abs(value - check)
 
