@@ -268,12 +268,16 @@ class DielectricModel:
 
 class DrudeModel(DielectricModel):
     """Drude permittivity of ``params``.  With ``bloch_gruneisen``, ``at(T_K)``
-    is the fixed model with nu = bloch_gruneisen_nu(bloch_gruneisen, T_K);
-    ``epsilon`` of the model itself keeps ``params.nu_eV``."""
+    is the fixed model with nu = bloch_gruneisen_nu(bloch_gruneisen, T_K),
+    remembered for the last _AT_MEMO temperatures it computed; ``epsilon``
+    of the model itself keeps ``params.nu_eV``."""
+
+    _AT_MEMO = 64  # an entropy takes two temperatures, a Nernst ladder eight
 
     def __init__(self, params: DrudeParams, bloch_gruneisen: BlochGruneisenParams | None = None):
         self.params = params
         self.bloch_gruneisen = bloch_gruneisen
+        self._at: dict[float, DrudeModel] = {}
 
     def epsilon(self, zeta_eV):
         return drude_epsilon(self.params, zeta_eV)
@@ -281,8 +285,12 @@ class DrudeModel(DielectricModel):
     def at(self, T_K: float) -> "DrudeModel":
         if self.bloch_gruneisen is None:
             return self
-        nu = bloch_gruneisen_nu(self.bloch_gruneisen, T_K)
-        return DrudeModel(DrudeParams(self.params.omega_p_eV, nu, self.params.label))
+        if T_K not in self._at:
+            if len(self._at) == self._AT_MEMO:
+                del self._at[next(iter(self._at))]  # the oldest
+            nu = bloch_gruneisen_nu(self.bloch_gruneisen, T_K)
+            self._at[T_K] = DrudeModel(DrudeParams(self.params.omega_p_eV, nu, self.params.label))
+        return self._at[T_K]
 
     def __repr__(self) -> str:
         p = self.params

@@ -2,12 +2,12 @@
 over TE/TM reflection products, with the analytic static (m=0) term.
 
 The modes are integrated in blocks: one kernel evaluates the pressure or
-free-energy integrand of a whole block at once.  Pressure modes take fixed
-rule pairs, a value and a coarser rule for its error, graded by the lower
-limit A: Gauss-Legendre panels next to A with a Gauss-Laguerre tail for
-small A, pure Gauss-Laguerre rules of fewer nodes as A grows (_RUNGS).
-Free-energy modes, and the few pressure modes a pair does not certify, take
-one batched adaptive quadrature; each mode is certified alone.
+free-energy integrand of a whole block at once.  Both take fixed rule
+pairs, a value and a coarser rule for its error, graded by the lower limit
+A: Gauss-Legendre panels next to A with a Gauss-Laguerre tail for small A,
+pure Gauss-Laguerre rules of fewer nodes as A grows (_RUNGS).  Modes below
+the first rung, and those a pair does not certify (most free-energy modes
+below A = 0.45), take one batched adaptive quadrature, each certified alone.
 A block ends where a bound that holds for any reflections in [0, 1] shows
 the sum must stop, so a short sum takes one block.
 
@@ -44,7 +44,6 @@ __all__ = [
     "reflection_tm",
     "matsubara_term",
     "zeta3",
-    "zero_mode_pressure",
     "casimir_pressure",
 ]
 
@@ -147,17 +146,6 @@ def reflection_tm(eps, s, p):
 def zeta3() -> float:
     """Riemann zeta(3) (Apery's constant), correctly rounded to double."""
     return 1.2020569031595942
-
-
-def zero_mode_pressure(geom: Geometry) -> float:
-    """Static-mode pressure in mPa: -zeta(3)*k_B*T/(8*pi*a^3).
-
-    Valid for two metallic half-spaces: the static TM reflection saturates
-    to the ideal-metal value while the static TE mode contributes nothing
-    for any finite relaxation frequency.  The half weight of the m=0 term
-    is already included.
-    """
-    return pressure_to_si(-zeta3() / 8.0, geom)
 
 
 class _Workspace:
@@ -286,10 +274,10 @@ def _rule_pair(n_value, n_check, panels):
     return np.append(y1, y2), np.array([np.append(w1, 0.0 * w2), np.append(0.0 * w1, w2)])
 
 
-# Fixed rule pairs of the pressure modes as (lowest A, pair), ascending; the
-# first rule gives the value, its distance from the second the error.  Each is
-# the cheapest pair that certified every mode tools/rule_scan.py scans from 3%
-# below its lowest A: fewer Legendre panels as A grows, then Laguerre alone.
+# Fixed rule pairs as (lowest A, pair), ascending; the first rule gives the
+# value, its distance from the second the error.  Each is the cheapest pair
+# that certified every pressure mode tools/rule_scan.py scans from 3% below
+# its lowest A: fewer Legendre panels as A grows, then Laguerre alone.
 _RUNGS = ((0.0022, _rule_pair(12, 8, np.array([0.0, 0.005, 0.02, 0.07, 0.25, 0.75, 2.0, 4.0]))),
           (0.0028, _rule_pair(12, 8, np.array([0.0, 0.01, 0.05, 0.2, 0.7, 2.0, 4.0]))),
           (0.025, _rule_pair(16, 12, np.array([0.0, 0.03, 0.1, 0.3, 0.75, 2.0]))),
@@ -340,11 +328,11 @@ def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
     """Mode integrals of the Matsubara indices ``ms`` (>= 1) in one batch.
 
     Each integral is certified to max(integral_rel_tol * |I_m|, floor), the
-    kernel working in ``work``.  A pressure mode takes the pair of the last
-    rung of _RUNGS at or below its A; ``ms`` ascends, so a rung serves a
-    slice of the block, and one kernel call takes every mode's nodes in a
-    row.  Free-energy modes, and pressure modes without a rung or whose pair
-    misses the target, go to ``integrate`` (the module's
+    kernel working in ``work``, on the free-energy integrand with
+    ``free_energy``.  A mode takes the pair of the last rung of _RUNGS at
+    or below its A; ``ms`` ascends, so a rung serves a slice of the block,
+    and one kernel call takes every mode's nodes in a row.  Modes without a
+    rung or whose pair misses the target go to ``integrate`` (the module's
     ``integrate_adaptive``).  A model passed as both sides is evaluated
     once.  Returns (values, errors, failed); a failed mode holds its
     uncertified estimate.
@@ -360,14 +348,12 @@ def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
             raise ValueError(f"{model!r}: epsilon = {e[i]:.6g} < 1 at zeta = {zeta[i]:.6g} eV")
     args = (lower, *eps) if len(eps) == 2 and (eps[0] != eps[1]).any() else (lower, eps[0])
     values, errors, failed = np.zeros(ms.size), np.full(ms.size, np.inf), np.zeros(ms.size, bool)
-    # free energies stay adaptive: entropy differences two, and a fixed rule's ulps in F would
-    # show; so do modes below the first rung, where no pair's certificate can be trusted
     cuts = [*np.searchsorted(lower, [a for a, _ in _RUNGS]).tolist(), ms.size]
     rungs = [(lo, hi, pair) for lo, hi, (_, pair) in zip(cuts, cuts[1:], _RUNGS) if lo < hi]
-    if rungs and not free_energy:
+    if rungs:
         y = np.concatenate([(lower[lo:hi, None] + dy).ravel() for lo, hi, (dy, _) in rungs])
         rows = np.concatenate([np.repeat(np.arange(lo, hi), dy.size) for lo, hi, (dy, _) in rungs])
-        fx = _mode_kernel(y[:, None], work, False, *(a[rows] for a in args))
+        fx = _mode_kernel(y[:, None], work, free_energy, *(a[rows] for a in args))
         for lo, hi, (dy, weights) in rungs:  # einsum, unlike BLAS, sums each row alike
             f, fx = fx[:(hi - lo) * dy.size].reshape(hi - lo, dy.size), fx[(hi - lo) * dy.size:]
             value, check = np.einsum("rn,kn->kr", f, weights)

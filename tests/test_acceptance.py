@@ -33,7 +33,6 @@ from casimir.lifshitz import (
     matsubara_term,
     reflection_te,
     reflection_tm,
-    zero_mode_pressure,
     zeta3,
 )
 from casimir.quantities import CODATA, Geometry, reduced_temperature

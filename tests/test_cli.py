@@ -266,6 +266,21 @@ class TestEntropyCommand:
         assert code == EXIT_TOLERANCE
         assert err.startswith("nernst a=2.0 um: FAIL") and "nernst" not in out
 
+    def test_entropy_computes_nu_once_per_side_and_temperature(self, capsys, monkeypatch):
+        # the rows take T -/+ step and every verdict the ladder T (1, 2, 4, 8)
+        # -/+ T/8, for every separation: each model keeps nu(T) per T
+        calls = []
+
+        def spy(params, T_K):
+            calls.append(T_K)
+            return bloch_gruneisen_nu(params, T_K)
+        monkeypatch.setattr(casimir.dielectric, "bloch_gruneisen_nu", spy)
+        code, out, _ = run_cli(capsys, "entropy", "--a", "1,1.5,2,2.5,3", "--T", "300",
+                               "--nu-model", "bloch-gruneisen")
+        assert code == EXIT_TOLERANCE and len(parse_csv(out)) == 5
+        ladder = [t + d * t / 8 for t in (300.0, 600.0, 1200.0, 2400.0) for d in (-1, 1)]
+        assert sorted(calls) == sorted(2 * [299.5, 300.5, *ladder])
+
     def test_bloch_gruneisen_verdict_follows_nu_of_each_rung(self, capsys):
         # the verdict's ladder, like the rows, rebuilds nu(T) at every T -/+ step
         code, out, err = run_cli(capsys, "entropy", "--pair", "Au,Au", "--a", "1",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import casimir.dielectric
 from casimir.dielectric import (
     BlochGruneisenParams,
     DrudeModel,
@@ -392,11 +393,27 @@ class TestModels:
         at = model.at(300.0)
         assert at.params == DrudeParams(AU.omega_p_eV, bloch_gruneisen_nu(bg, 300.0), "Au")
         assert at.at(4.0) is at and model.epsilon(1.0) == drude_epsilon(AU, 1.0)
+        assert model.at(300.0) is at
         tab = TabulatedModel(self.TABLE, model).at(300.0)
         assert tab.table is self.TABLE and tab.low_freq.params == at.params
         assert tab.at(4.0) is tab
         with pytest.raises(NuRangeError, match="underflows"):
             model.at(1e-70)
+
+    def test_at_keeps_a_bounded_number_of_temperatures(self, monkeypatch):
+        calls = []
+
+        def spy(params, T_K):
+            calls.append(T_K)
+            return bloch_gruneisen_nu(params, T_K)
+        monkeypatch.setattr(casimir.dielectric, "bloch_gruneisen_nu", spy)
+        model = DrudeModel(AU, BlochGruneisenParams())
+        temperatures = [300.0 + k for k in range(DrudeModel._AT_MEMO + 1)]
+        first = [model.at(T_K) for T_K in temperatures]
+        assert all(model.at(T_K) is at for T_K, at in zip(temperatures[1:], first[1:]))
+        assert calls == temperatures  # each once while it is remembered
+        assert model.at(300.0) is not first[0] and model.at(300.0).params == first[0].params
+        assert calls == temperatures + [300.0]
 
     @settings(max_examples=25, deadline=None)
     @given(zeta=st.floats(min_value=1e-6, max_value=1e4))

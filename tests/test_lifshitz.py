@@ -36,7 +36,6 @@ from casimir.lifshitz import (
     matsubara_term,
     reflection_te,
     reflection_tm,
-    zero_mode_pressure,
     zeta3,
 )
 from casimir.quadrature import QuadratureError, integrate_adaptive
@@ -144,16 +143,17 @@ class TestZeta3:
 
 class TestZeroModePressure:
     def test_room_temperature_micron(self):
-        assert zero_mode_pressure(Geometry(1.0, 300.0)) == pytest.approx(-0.19810, rel=1e-4)
+        zm = casimir_pressure(Geometry(1.0, 300.0), AU, AU).zero_mode_mPa
+        assert zm == pytest.approx(-0.19810, rel=1e-4)
 
     def test_linear_in_temperature(self):
-        p300 = zero_mode_pressure(Geometry(1.0, 300.0))
-        p3 = zero_mode_pressure(Geometry(1.0, 3.0))
+        p300 = casimir_pressure(Geometry(1.0, 300.0), AU, AU).zero_mode_mPa
+        p3 = casimir_pressure(Geometry(1.0, 3.0), AU, AU).zero_mode_mPa
         assert p3 == pytest.approx(p300 / 100.0, rel=1e-12)
 
     def test_large_gap_below_total(self):
         # static piece alone must stay below the full pressure magnitude
-        zm = abs(zero_mode_pressure(Geometry(4.0, 300.0)))
+        zm = abs(casimir_pressure(Geometry(4.0, 300.0), AU, AU).zero_mode_mPa)
         assert zm == pytest.approx(3.0953e-3, rel=1e-4)
         assert zm < 3.481e-3
 
@@ -675,24 +675,13 @@ class TestModeKernel:
         assert near["all-below"][:40].all() and near["drude-ideal"].any()
         assert near["edge"].any() and not near["edge"].all()
 
-    def test_cold_free_energy_modes_equal_the_reference_quadrature(self):
+    def test_cold_free_energy_modes_meet_a_tight_reference(self):
         # Au-Cu at 0.5 um and 1 K: modes whose lower limits straddle ln(2)/2
         geom = Geometry(0.5, 1.0)
         ms = np.arange(*modes_at(geom, [0.3, 0.4]))
-        (values, errors, failed), _ = block(ms, geom, (AU, CU), free_energy=True)
-        assert not failed.any()
-        spec = QuadratureSpec()
         A = ms * reduced_temperature(geom)
         assert A.min() < math.log(2.0) / 2.0 < A.max()
-        zeta = ms * matsubara_frequency(1, geom.T_K)
-        for i, (eps1, eps3) in enumerate(zip(AU.epsilon(zeta), CU.epsilon(zeta))):
-            starts = A[i] + _BREAK_OFFSETS
-            y_max = spec.y_max(A[i])
-            ref, ref_error = integrate_adaptive(
-                lambda y: reference_kernel(y, A[i:i + 1], np.array([eps1]), np.array([eps3]),
-                                           True),
-                [np.append(starts[starts < y_max], y_max)], rel_tol=spec.integral_rel_tol)
-            assert (values[i], errors[i]) == (ref[0], ref_error[0])
+        assert not check_free_energy_block(ms, geom, (AU, CU)).all()
 
     @pytest.mark.parametrize("free_energy", [False, True])
     def test_reused_workspace_equals_fresh_one(self, free_energy):
@@ -799,6 +788,23 @@ def adaptive_mode(m, geom, pair, spec=None, free_energy=False):
     return float(value[0]), float(error[0])
 
 
+def check_free_energy_block(ms, geom, pair):
+    """Free-energy modes of one block: each that a rung's pair certifies lies
+    within 1e-13 of a tight adaptive reference, each it rejects equals the
+    adaptive quadrature's (value, error) bit for bit.  Returns the mask of
+    the rejected modes."""
+    (values, errors, failed), adaptive = block(ms, geom, pair, free_energy=True)
+    assert not failed.any()
+    ref, _ = adaptive_modes(ms, geom, pair, QuadratureSpec(integral_rel_tol=1e-14),
+                            free_energy=True)
+    fixed = ~adaptive
+    assert (np.abs(values[fixed] - ref[fixed]) <= 1e-13 * np.abs(ref[fixed])).all()
+    assert (errors[fixed] <= 1e-12 * np.abs(values[fixed])).all()
+    for m, value, error in zip(ms[adaptive], values[adaptive], errors[adaptive]):
+        assert (value, error) == adaptive_mode(m, geom, pair, free_energy=True)
+    return adaptive
+
+
 def modes_at(geom, lowers):
     """Matsubara indices whose lower limits m*gamma are nearest ``lowers``
     from above."""
@@ -854,6 +860,14 @@ class TestRungs:
         assert (np.abs(values - ref) <= 1e-13 * np.abs(ref)).all()
         assert (errors <= 1e-12 * values).all()
 
+    @pytest.mark.parametrize("pair", sorted(RUNG_PAIRS))
+    @pytest.mark.parametrize("a_um,T_K", [(0.16, 1.0), (2.0, 0.05)])
+    def test_free_energy_rung_edges_meet_a_tight_reference(self, pair, a_um, T_K):
+        # below A = 0.12 the pairs certify few free-energy modes; those they
+        # reject fall back to the adaptive quadrature
+        geom = Geometry(a_um, T_K)
+        assert not check_free_energy_block(rung_edges(geom), geom, RUNG_PAIRS[pair]).all()
+
     @pytest.mark.parametrize("pair", sorted(GL_PAIRS))
     def test_agrees_with_adaptive_quadrature(self, pair):
         geom = Geometry(1.0, 300.0)
@@ -865,19 +879,21 @@ class TestRungs:
             assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
             assert error <= 1e-12 * value
 
+    @pytest.mark.parametrize("free", [False, True], ids=["pressure", "free-energy"])
     @pytest.mark.parametrize("pair", sorted(GL_PAIRS))
-    def test_value_is_independent_of_the_block(self, pair):
-        # one block holding both sides of every rung boundary
+    def test_value_is_independent_of_the_block(self, pair, free):
+        # one block holding both sides of every rung boundary; free-energy
+        # modes the pairs reject take the adaptive quadrature in either block
         geom = Geometry(0.5, 1.0)
         firsts = modes_at(geom, RUNG_A)
         ms = np.unique(np.concatenate([firsts, firsts[1:] - 1]))
         assert ms.size <= _BLOCK_CAP
         rung = np.searchsorted(RUNG_A, ms * reduced_temperature(geom), side="right") - 1
         assert np.array_equal(np.unique(rung), np.arange(len(RUNG_A)))
-        (values, errors, failed), adaptive = block(ms, geom, GL_PAIRS[pair])
-        assert not failed.any() and not adaptive.any()
+        (values, errors, failed), adaptive = block(ms, geom, GL_PAIRS[pair], free_energy=free)
+        assert not failed.any() and not adaptive.all() and (free or not adaptive.any())
         for i in range(ms.size):
-            (one, one_error, _), _ = block(ms[i:i + 1], geom, GL_PAIRS[pair])
+            (one, one_error, _), _ = block(ms[i:i + 1], geom, GL_PAIRS[pair], free_energy=free)
             assert one[0] == values[i] and one_error[0] == errors[i]
 
     @pytest.mark.parametrize("pair", ["similar", "dissimilar"])
@@ -890,21 +906,6 @@ class TestRungs:
         assert adaptive.all() and not failed.any()
         for m, value in zip(ms, values):
             assert value == adaptive_mode(m, geom, GL_PAIRS[pair], spec)[0]
-
-    @pytest.mark.parametrize("pair", sorted(GL_PAIRS))
-    def test_free_energy_stays_adaptive(self, pair, monkeypatch):
-        geom = Geometry(1.0, 300.0)
-        ms = modes_at(geom, [0.5, 2.0, 6.0, 60.0])
-        (values, _, _), adaptive = block(ms, geom, GL_PAIRS[pair], free_energy=True)
-        assert adaptive.all()
-        for m, value in zip(ms, values):
-            assert value == adaptive_mode(m, geom, GL_PAIRS[pair], free_energy=True)[0]
-        # about 1,300 terms over every rung; with one rung, a fixed-rule
-        # free energy would change
-        default = free_energy(Geometry(0.7, 4.0), *GL_PAIRS[pair])
-        monkeypatch.setattr("casimir.lifshitz._RUNGS", _RUNGS[:1])
-        assert same_bits(default.terms_J_per_m2,
-                         free_energy(Geometry(0.7, 4.0), *GL_PAIRS[pair]).terms_J_per_m2)
 
 
 # Cold cells with many modes below LOW_A.
@@ -965,14 +966,16 @@ class TestCompositeModes:
         for m, value in zip(ms.tolist(), values.tolist()):
             assert -matsubara_term(m, geom, *pair) * si == terms[m - 1] == -value * si
 
-    @pytest.mark.parametrize("a_um,T_K,pair,share,nodes", [
-        (0.16, 1.0, (AU, AU), 0.01, 45),
-        (2.0, 300.0, (AU, IdealMetal()), 0.0, None),
-    ], ids=["cold", "warm"])
-    def test_few_modes_reach_the_adaptive_quadrature(self, a_um, T_K, pair, share, nodes,
+    @pytest.mark.parametrize("a_um,T_K,pair,free,share,nodes", [
+        (0.16, 1.0, (AU, AU), False, 0.01, 45),
+        (2.0, 300.0, (AU, IdealMetal()), False, 0.0, None),
+        (0.16, 1.0, (AU, AU), True, 0.25, 55),
+    ], ids=["cold", "warm", "cold-free-energy"])
+    def test_few_modes_reach_the_adaptive_quadrature(self, a_um, T_K, pair, free, share, nodes,
                                                       monkeypatch):
         # counted, not timed: a sum sends the modes its fixed rules miss,
-        # and its fixed rules take few kernel nodes per mode
+        # and its fixed rules take few kernel nodes per mode; the free energy
+        # sends every mode below A = 0.12 and about 56% of those from 0.12 to 0.45
         sent, kernel_nodes = [], []
 
         def counted(f, breaks, **kwargs):
@@ -982,10 +985,13 @@ class TestCompositeModes:
         def kernel(y, *args):
             kernel_nodes.append(y.size)
             return _mode_kernel(y, *args)
+        # each sum passes its own module's integrate_adaptive to _mode_block
         monkeypatch.setattr("casimir.lifshitz.integrate_adaptive", counted)
+        monkeypatch.setattr("casimir.thermo.integrate_adaptive", counted)
         monkeypatch.setattr("casimir.lifshitz._mode_kernel", kernel)
         geom = Geometry(a_um, T_K)
-        res = casimir_pressure(geom, *pair)
+        res = (free_energy if free else casimir_pressure)(geom, *pair)
+        assert sent or not share  # the spy sees the sum's fallback rows
         below = int((np.arange(1, res.n_terms_used + 1) * reduced_temperature(geom)
                      < LOW_A).sum())
         assert below >= 1

@@ -16,7 +16,10 @@ there that are off by more than 1e-12, so those modes take the adaptive
 quadrature.  The candidates use only the 8-, 12- and 16-node Laguerre and
 8- and 12-node Legendre node sets, because every set costs import time.
 The script prints every reach, the ladder, and per rung and pair kind the
-share of modes certified and the worst certified error.
+share of modes certified and the worst certified error; then that table again
+for the free-energy integrand, graded the same way against its own adaptive
+reference on the pressure ladder (a free-energy mode the pair rejects takes
+the adaptive quadrature).
 
     PYTHONPATH=src python tools/rule_scan.py
 """
@@ -70,7 +73,7 @@ def modes(pair, a_um, lowers):
     return (lowers, *(np.asarray(model.epsilon(zeta), dtype=float) for model in pair))
 
 
-def reference(A, eps1, eps3):
+def reference(A, eps1, eps3, free_energy):
     """Mode integrals by integrate_adaptive at integral_rel_tol 1e-14."""
     spec = QuadratureSpec(integral_rel_tol=1e-14)
     breaks = np.full((A.size, _BREAK_OFFSETS.size + 1), np.nan)
@@ -79,14 +82,14 @@ def reference(A, eps1, eps3):
         starts = starts[starts < y_max]
         breaks[row, :starts.size + 1] = np.append(starts, y_max)
     work = _Workspace()
-    return integrate_adaptive(lambda y: _mode_kernel(y, work, False, A, eps1, eps3), breaks,
-                              rel_tol=spec.integral_rel_tol)[0]
+    return integrate_adaptive(lambda y: _mode_kernel(y, work, free_energy, A, eps1, eps3),
+                              breaks, rel_tol=spec.integral_rel_tol)[0]
 
 
-def fixed(pair_rule, A, eps1, eps3):
+def fixed(pair_rule, A, eps1, eps3, free_energy):
     """(value, error) of every mode by one fixed rule pair."""
     dy, weights = pair_rule
-    fx = _mode_kernel(A[:, None] + dy, _Workspace(), False, A, eps1, eps3)
+    fx = _mode_kernel(A[:, None] + dy, _Workspace(), free_energy, A, eps1, eps3)
     value, check = np.einsum("rn,kn->kr", fx, weights)
     return value, np.abs(value - check)
 
@@ -97,20 +100,38 @@ def two_digits_up(x: float) -> float:
     return round(math.ceil(x / scale) * scale, 12)
 
 
+def print_table(ladder, scan) -> None:
+    """Per rung of ``ladder`` and pair kind, the certified share and the
+    worst certified relative error of ``scan``."""
+    tops = [a for a, _ in ladder[1:]] + [math.inf]
+    print(f"{'':>52}" + "".join(f"{kind:>20}" for kind in PAIRS))
+    for (lo, name), hi in zip(ladder, tops):
+        band = (LOWERS >= lo) & (LOWERS < hi)
+        cells = []
+        for kind in PAIRS if name in scan else ():
+            ok, err = (x.reshape(len(GAPS_UM), -1)[:, band] for x in scan[name][kind])
+            worst = f"{np.nanmax(err):8.1e}" if ok.any() else f"{'-':>8}"
+            cells.append(f"{ok.mean():6.1%} {worst}")
+        print(f"{lo:>6g}: {name:<44}" + "".join(f"{c:>20}" for c in cells))
+
+
 def main() -> None:
     rules = {name: _rule_pair(nv, nc, np.array(panels))
              for name, (nv, nc, panels) in CANDIDATES.items()}
-    scan = {name: {} for name in rules}  # pair kind: (certified, error if certified), per mode
+    # scans[free_energy][pair][pair kind]: (certified, error if certified), per mode
+    scans = {free: {name: {} for name in rules} for free in (False, True)}
     for kind, pair in PAIRS.items():
         for a_um in GAPS_UM:
             A, eps1, eps3 = modes(pair, a_um, LOWERS)
-            ref = reference(A, eps1, eps3)
-            for name, rule in rules.items():
-                value, error = fixed(rule, A, eps1, eps3)
-                ok = error <= 1e-12 * np.abs(value)
-                err = np.where(ok, np.abs(value - ref) / np.abs(ref), np.nan)
-                old = scan[name].get(kind, np.zeros((2, 0)))
-                scan[name][kind] = np.append(old, [ok, err], axis=1)
+            for free, scan in scans.items():
+                ref = reference(A, eps1, eps3, free)
+                for name, rule in rules.items():
+                    value, error = fixed(rule, A, eps1, eps3, free)
+                    ok = error <= 1e-12 * np.abs(value)
+                    err = np.where(ok, np.abs(value - ref) / np.abs(ref), np.nan)
+                    old = scan[name].get(kind, np.zeros((2, 0)))
+                    scan[name][kind] = np.append(old, [ok, err], axis=1)
+    scan = scans[False]
     nodes = {name: rule[0].size for name, rule in rules.items()}
     bad = {name: np.concatenate([~(np.nan_to_num(err, nan=1.0) <= 1e-13)
                                  for _, err in scan[name].values()]) for name in rules}
@@ -128,15 +149,9 @@ def main() -> None:
     print("\nladder (lowest A: pair), then per pair kind the certified share and "
           "the worst certified relative error")
     ladder.insert(0, (0.0, "adaptive quadrature"))
-    tops = [a for a, _ in ladder[1:]] + [math.inf]
-    print(f"{'':>52}" + "".join(f"{kind:>20}" for kind in PAIRS))
-    for (lo, name), hi in zip(ladder, tops):
-        band = (LOWERS >= lo) & (LOWERS < hi)
-        cells = []
-        for kind in PAIRS if name in scan else ():
-            ok, err = (x.reshape(len(GAPS_UM), -1)[:, band] for x in scan[name][kind])
-            cells.append(f"{ok.mean():6.1%} {np.nanmax(err, initial=0.0):8.1e}")
-        print(f"{lo:>6g}: {name:<44}" + "".join(f"{c:>20}" for c in cells))
+    print_table(ladder, scan)
+    print("\nthe same ladder on the free-energy integrand")
+    print_table(ladder, scans[True])
 
 
 if __name__ == "__main__":
