@@ -5,11 +5,14 @@ The modes are integrated in blocks: one kernel evaluates the pressure or
 free-energy integrand of a whole block at once.  Both take fixed rule
 pairs, a value and a coarser rule for its error, graded by the lower limit
 A: Gauss-Legendre panels next to A with a Gauss-Laguerre tail for small A,
-pure Gauss-Laguerre rules of fewer nodes as A grows (_RUNGS).  Modes below
-the first rung, and those a pair does not certify (most free-energy modes
-below A = 0.45), take one batched adaptive quadrature, each certified alone.
-A block ends where a bound that holds for any reflections in [0, 1] shows
-the sum must stop, so a short sum takes one block.
+pure Gauss-Laguerre rules of fewer nodes as A grows (_RUNGS), and below
+them panels scaled by A itself, whose breaks A*2^k close in on the
+near-singularity at y = 0 (_SCALED: below A = 0.0022 for the pressure,
+0.45 for the free energy).  Modes below the scaled panels' floor (2.4e-6
+and 1e-7), and those a pair does not certify, take one batched adaptive
+quadrature, each certified alone.  A block ends where a bound that holds
+for any reflections in [0, 1] shows the sum must stop, so a short sum
+takes one block.
 
 All mode arithmetic is dimensionless; SI conversion happens once at the
 end through :func:`casimir.quantities.pressure_to_si`.
@@ -277,7 +280,9 @@ def _rule_pair(n_value, n_check, panels):
 # Fixed rule pairs as (lowest A, pair), ascending; the first rule gives the
 # value, its distance from the second the error.  Each is the cheapest pair
 # that certified every pressure mode tools/rule_scan.py scans from 3% below
-# its lowest A: fewer Legendre panels as A grows, then Laguerre alone.
+# its lowest A: fewer Legendre panels as A grows, then Laguerre alone.  The
+# pressure takes every rung; the free energy those from its cut in _SCALED,
+# since below A = 0.45 they certify few of its modes.
 _RUNGS = ((0.0022, _rule_pair(12, 8, np.array([0.0, 0.005, 0.02, 0.07, 0.25, 0.75, 2.0, 4.0]))),
           (0.0028, _rule_pair(12, 8, np.array([0.0, 0.01, 0.05, 0.2, 0.7, 2.0, 4.0]))),
           (0.025, _rule_pair(16, 12, np.array([0.0, 0.03, 0.1, 0.3, 0.75, 2.0]))),
@@ -287,6 +292,48 @@ _RUNGS = ((0.0022, _rule_pair(12, 8, np.array([0.0, 0.005, 0.02, 0.07, 0.25, 0.7
           (1.2, _rule_pair(16, 12, np.array([0.0, 1.0]))),
           (2.7, _rule_pair(16, 12, np.zeros(1))),
           (6.4, _rule_pair(12, 8, np.zeros(1))))
+
+# Below the rungs, the A-scaled panels: breaks at the offsets 0, A*2^k for
+# k = 0, 1, ... while below 1, then 1, 2 and 4 from A, 12/8-node Legendre
+# panels and a 12/8-node Laguerre tail, so the panels next to A grow with
+# their distance from the near-singularity at y = 0.  They serve each
+# integrand from its floor up to its cut, both printed by tools/rule_scan.py:
+# the cut is the lowest rung from which the rungs cost fewer kernel nodes
+# (a rejected mode counted with its adaptive nodes), and below the floor the
+# panels missed a scanned mode, or were not scanned.  Keyed by free_energy:
+# (floor, cut); a cut is a rung's lowest A.
+_SCALED = {False: (2.4e-06, 0.0022), True: (1e-07, 0.45)}
+# Per integrand, (lowest A, pair) ascending; the scaled family's pair is None.
+_LADDERS = {free: ((floor, None), *(rung for rung in _RUNGS if rung[0] >= cut))
+            for free, (floor, cut) in _SCALED.items()}
+
+
+@functools.cache
+def _scaled_rule(k):
+    """The A-scaled pair of the modes with k breaks A*2^j below 1 (k is at
+    most 1 - log2 of the lowest floor), as its (offsets, weights) at A = 0
+    and their slopes in A.  Every offset and weight is affine in A, so a
+    mode's pair is the first plus A times the second; the pair of
+    A = 2^-k, which has k such breaks, gives the slopes."""
+    a = 2.0 ** -k
+    (y0, w0), (y1, w1) = (_rule_pair(12, 8, np.concatenate(
+        [[0.0], A * 2.0 ** np.arange(k), [1.0, 2.0, 4.0]])) for A in (0.0, a))
+    return y0, (y1 - y0) / a, w0, (w1 - w0) / a
+
+
+def _scaled_pairs(lower, lo, hi):
+    """(lo, hi, pair) per run of the modes lower[lo:hi] (ascending) that
+    share a panel count, each pair holding a row per mode.  A*2^j first
+    reaches 1 at j = 1 - e, with A = f*2^e and f in [0.5, 1)."""
+    counts = 1 - np.frexp(lower[lo:hi])[1]
+    ends = [lo, *(lo + 1 + np.flatnonzero(counts[1:] != counts[:-1])).tolist(), hi]
+    out = []
+    for start, end in zip(ends, ends[1:]):
+        y0, dy, w0, dw = _scaled_rule(int(counts[start - lo]))
+        A = lower[start:end, None]
+        out.append((start, end, (y0 + A * dy, w0 + A[..., None] * dw)))
+    return out
+
 
 # Largest number of modes evaluated in one block.  The block's arrays grow
 # with it; past about a hundred modes the per-call overhead is already
@@ -329,13 +376,16 @@ def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
 
     Each integral is certified to max(integral_rel_tol * |I_m|, floor), the
     kernel working in ``work``, on the free-energy integrand with
-    ``free_energy``.  A mode takes the pair of the last rung of _RUNGS at
-    or below its A; ``ms`` ascends, so a rung serves a slice of the block,
-    and one kernel call takes every mode's nodes in a row.  Modes without a
-    rung or whose pair misses the target go to ``integrate`` (the module's
-    ``integrate_adaptive``).  A model passed as both sides is evaluated
-    once.  Returns (values, errors, failed); a failed mode holds its
-    uncertified estimate.
+    ``free_energy``.  A mode takes the pair of the last entry of the
+    integrand's ladder (_LADDERS) at or below its A: a rung of _RUNGS, or
+    from the floor to the cut of _SCALED the A-scaled panels, built per run
+    of modes with one panel count.  ``ms`` ascends, so each serves a slice
+    of the block, and one kernel call takes every mode's nodes in a row;
+    einsum, unlike BLAS, sums each row alike, so a value does not depend on
+    its block.  Modes below the floor or whose pair misses the target go to
+    ``integrate`` (the module's ``integrate_adaptive``).  A model passed as
+    both sides is evaluated once.  Returns (values, errors, failed); a
+    failed mode holds its uncertified estimate.
     """
     gamma = reduced_temperature(geom)
     lower = ms * gamma
@@ -348,15 +398,20 @@ def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
             raise ValueError(f"{model!r}: epsilon = {e[i]:.6g} < 1 at zeta = {zeta[i]:.6g} eV")
     args = (lower, *eps) if len(eps) == 2 and (eps[0] != eps[1]).any() else (lower, eps[0])
     values, errors, failed = np.zeros(ms.size), np.full(ms.size, np.inf), np.zeros(ms.size, bool)
-    cuts = [*np.searchsorted(lower, [a for a, _ in _RUNGS]).tolist(), ms.size]
-    rungs = [(lo, hi, pair) for lo, hi, (_, pair) in zip(cuts, cuts[1:], _RUNGS) if lo < hi]
+    ladder = _LADDERS[free_energy]
+    cuts = [*np.searchsorted(lower, [a for a, _ in ladder]).tolist(), ms.size]
+    rungs = [(lo, hi, pair) for lo, hi, (_, pair) in zip(cuts, cuts[1:], ladder) if lo < hi]
+    if rungs and rungs[0][2] is None:
+        rungs[:1] = _scaled_pairs(lower, *rungs[0][:2])
     if rungs:
         y = np.concatenate([(lower[lo:hi, None] + dy).ravel() for lo, hi, (dy, _) in rungs])
-        rows = np.concatenate([np.repeat(np.arange(lo, hi), dy.size) for lo, hi, (dy, _) in rungs])
+        rows = np.concatenate([np.repeat(np.arange(lo, hi), dy.shape[-1])
+                               for lo, hi, (dy, _) in rungs])
         fx = _mode_kernel(y[:, None], work, free_energy, *(a[rows] for a in args))
-        for lo, hi, (dy, weights) in rungs:  # einsum, unlike BLAS, sums each row alike
-            f, fx = fx[:(hi - lo) * dy.size].reshape(hi - lo, dy.size), fx[(hi - lo) * dy.size:]
-            value, check = np.einsum("rn,kn->kr", f, weights)
+        for lo, hi, (dy, weights) in rungs:  # a scaled pair has a row per mode
+            n = dy.shape[-1]
+            f, fx = fx[:(hi - lo) * n].reshape(hi - lo, n), fx[(hi - lo) * n:]
+            value, check = np.einsum("rn,rkn->kr" if dy.ndim == 2 else "rn,kn->kr", f, weights)
             values[lo:hi], errors[lo:hi] = value, np.abs(value - check)
     todo = ~(errors <= np.maximum(spec.integral_rel_tol * np.abs(values), floor))
     if not todo.any():
@@ -406,12 +461,14 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
 
     Both models are taken at geom.T_K, their permittivities frozen at
     zeta_m across the y-integral.  It is the value of the fixed rule pair
-    that _RUNGS gives m*gamma if the pair's error meets
-    ``spec.integral_rel_tol``.  Else the range is cut at ``spec.y_max`` and
-    integrated adaptively.  A QuadratureError carrying the partial estimate
-    escapes if no certificate is met.  This is a one-mode block of the sum
-    driver, so it equals the term the sum uses wherever the sum's floor does
-    not bind.  ``m`` must be an integer; a float raises TypeError.
+    the pressure's ladder gives m*gamma (a rung of _RUNGS, or the A-scaled
+    panels from the floor of _SCALED up to the first rung) if the pair's
+    error meets ``spec.integral_rel_tol``.  Else the range is cut at
+    ``spec.y_max`` and integrated adaptively.  A QuadratureError carrying
+    the partial estimate escapes if no certificate is met.  This is a
+    one-mode block of the sum driver, so it equals the term the sum uses
+    wherever the sum's floor does not bind.  ``m`` must be an integer; a
+    float raises TypeError.
     """
     m = operator.index(m)
     if m < 1:

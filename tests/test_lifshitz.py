@@ -23,7 +23,9 @@ from casimir.lifshitz import (
     QuadratureSpec,
     _BLOCK_CAP,
     _BREAK_OFFSETS,
+    _LADDERS,
     _RUNGS,
+    _SCALED,
     _Workspace,
     _block_size,
     _log_bound,
@@ -681,7 +683,7 @@ class TestModeKernel:
         ms = np.arange(*modes_at(geom, [0.3, 0.4]))
         A = ms * reduced_temperature(geom)
         assert A.min() < math.log(2.0) / 2.0 < A.max()
-        assert not check_free_energy_block(ms, geom, (AU, CU)).all()
+        assert not check_block(ms, geom, (AU, CU), free_energy=True).all()
 
     @pytest.mark.parametrize("free_energy", [False, True])
     def test_reused_workspace_equals_fresh_one(self, free_energy):
@@ -788,20 +790,20 @@ def adaptive_mode(m, geom, pair, spec=None, free_energy=False):
     return float(value[0]), float(error[0])
 
 
-def check_free_energy_block(ms, geom, pair):
-    """Free-energy modes of one block: each that a rung's pair certifies lies
-    within 1e-13 of a tight adaptive reference, each it rejects equals the
-    adaptive quadrature's (value, error) bit for bit.  Returns the mask of
-    the rejected modes."""
-    (values, errors, failed), adaptive = block(ms, geom, pair, free_energy=True)
+def check_block(ms, geom, pair, free_energy):
+    """Modes of one block: each that a fixed pair certifies lies within
+    1e-13 of a tight adaptive reference, each it rejects equals the adaptive
+    quadrature's (value, error) bit for bit.  Returns the mask of the
+    rejected modes."""
+    (values, errors, failed), adaptive = block(ms, geom, pair, free_energy=free_energy)
     assert not failed.any()
     ref, _ = adaptive_modes(ms, geom, pair, QuadratureSpec(integral_rel_tol=1e-14),
-                            free_energy=True)
+                            free_energy=free_energy)
     fixed = ~adaptive
     assert (np.abs(values[fixed] - ref[fixed]) <= 1e-13 * np.abs(ref[fixed])).all()
     assert (errors[fixed] <= 1e-12 * np.abs(values[fixed])).all()
     for m, value, error in zip(ms[adaptive], values[adaptive], errors[adaptive]):
-        assert (value, error) == adaptive_mode(m, geom, pair, free_energy=True)
+        assert (value, error) == adaptive_mode(m, geom, pair, free_energy=free_energy)
     return adaptive
 
 
@@ -863,10 +865,10 @@ class TestRungs:
     @pytest.mark.parametrize("pair", sorted(RUNG_PAIRS))
     @pytest.mark.parametrize("a_um,T_K", [(0.16, 1.0), (2.0, 0.05)])
     def test_free_energy_rung_edges_meet_a_tight_reference(self, pair, a_um, T_K):
-        # below A = 0.12 the pairs certify few free-energy modes; those they
-        # reject fall back to the adaptive quadrature
+        # free-energy modes below the free energy's cut take the A-scaled
+        # panels; those a pair rejects fall back to the adaptive quadrature
         geom = Geometry(a_um, T_K)
-        assert not check_free_energy_block(rung_edges(geom), geom, RUNG_PAIRS[pair]).all()
+        assert not check_block(rung_edges(geom), geom, RUNG_PAIRS[pair], free_energy=True).all()
 
     @pytest.mark.parametrize("pair", sorted(GL_PAIRS))
     def test_agrees_with_adaptive_quadrature(self, pair):
@@ -882,16 +884,24 @@ class TestRungs:
     @pytest.mark.parametrize("free", [False, True], ids=["pressure", "free-energy"])
     @pytest.mark.parametrize("pair", sorted(GL_PAIRS))
     def test_value_is_independent_of_the_block(self, pair, free):
-        # one block holding both sides of every rung boundary; free-energy
-        # modes the pairs reject take the adaptive quadrature in either block
-        geom = Geometry(0.5, 1.0)
-        firsts = modes_at(geom, RUNG_A)
-        ms = np.unique(np.concatenate([firsts, firsts[1:] - 1]))
+        # one block holding both sides of every rung boundary, of both
+        # floors and of every change in the A-scaled panel count (at each
+        # power of two); modes below the floor, and free-energy modes a pair
+        # rejects, take the adaptive quadrature in either block
+        geom = Geometry(0.5, 2e-5)
+        gamma = reduced_temperature(geom)
+        firsts = modes_at(geom, [*RUNG_A, *(f for f, _ in _SCALED.values()),
+                                 *2.0 ** -np.arange(1, 24)])
+        ms = np.unique(np.concatenate([firsts, firsts - 1]))
         assert ms.size <= _BLOCK_CAP
-        rung = np.searchsorted(RUNG_A, ms * reduced_temperature(geom), side="right") - 1
-        assert np.array_equal(np.unique(rung), np.arange(len(RUNG_A)))
+        lows = [a for a, _ in _LADDERS[free]]
+        rung = np.searchsorted(lows, ms * gamma, side="right") - 1
+        assert np.array_equal(np.unique(rung), np.arange(-1, len(lows)))
+        exponents = np.frexp(ms[rung == 0] * gamma)[1]  # one panel count each
+        assert np.unique(exponents).size == np.ptp(np.frexp(_SCALED[free])[1]) + 1
         (values, errors, failed), adaptive = block(ms, geom, GL_PAIRS[pair], free_energy=free)
-        assert not failed.any() and not adaptive.all() and (free or not adaptive.any())
+        assert not failed.any() and adaptive[rung < 0].all()
+        assert not adaptive[rung >= 0].all() and (free or not adaptive[rung >= 0].any())
         for i in range(ms.size):
             (one, one_error, _), _ = block(ms[i:i + 1], geom, GL_PAIRS[pair], free_energy=free)
             assert one[0] == values[i] and one_error[0] == errors[i]
@@ -907,6 +917,32 @@ class TestRungs:
         for m, value in zip(ms, values):
             assert value == adaptive_mode(m, geom, GL_PAIRS[pair], spec)[0]
 
+
+    @pytest.mark.parametrize("a_um", [0.16, 2.0])
+    @pytest.mark.parametrize("free", [False, True], ids=["pressure", "free-energy"])
+    @pytest.mark.parametrize("pair", sorted(GL_PAIRS))
+    def test_scaled_modes_meet_a_tight_reference(self, pair, free, a_um):
+        # from the floor of the A-scaled panels up to the last mode below
+        # the cut, where the integrand's rungs take over
+        floor, cut = _SCALED[free]
+        geom = Geometry(a_um, 0.5 * floor / reduced_temperature(Geometry(a_um, 1.0)))
+        ms = modes_at(geom, np.geomspace(floor, cut, 40))
+        ms[-1] = modes_at(geom, [cut])[0] - 1
+        A = ms * reduced_temperature(geom)
+        assert floor <= A[0] < 1.5 * floor and A[-1] < cut
+        assert not check_block(ms, geom, GL_PAIRS[pair], free).any()
+
+    @pytest.mark.parametrize("free", [False, True], ids=["pressure", "free-energy"])
+    def test_scaled_modes_missing_the_target_fall_back(self, free):
+        # the A-scaled pairs miss a 1e-14 target on these modes
+        floor, cut = _SCALED[free]
+        geom = Geometry(1.0, 0.5 * floor / reduced_temperature(Geometry(1.0, 1.0)))
+        ms = modes_at(geom, np.geomspace(floor, cut, 12))
+        spec = QuadratureSpec(integral_rel_tol=1e-14)
+        (values, errors, failed), adaptive = block(ms, geom, (AU, CU), spec, free_energy=free)
+        assert adaptive.all() and not failed.any()
+        for m, value, error in zip(ms, values, errors):
+            assert (value, error) == adaptive_mode(m, geom, (AU, CU), spec, free_energy=free)
 
 # Cold cells with many modes below LOW_A.
 COMPOSITE_CELLS = {"Au-Au": (0.16, 1.0, (AU, AU)),
@@ -942,11 +978,13 @@ class TestCompositeModes:
         assert (errors <= 1e-12 * values).all()
 
     def test_rejected_modes_take_the_adaptive_value(self):
-        # the first modes at 0.1 um and 1 K lie below every rung's reach
-        geom, pair = Geometry(0.1, 1.0), (AU, AU)
+        # the first modes at 0.1 um and 4 mK lie below the floor of the
+        # pressure's A-scaled panels, the next ones above it
+        geom, pair = Geometry(0.1, 4e-3), (AU, AU)
         ms = np.arange(1, 9)
         (values, errors, _), adaptive = block(ms, geom, pair)
-        assert adaptive.any()
+        assert np.array_equal(adaptive, ms * reduced_temperature(geom) < _SCALED[False][0])
+        assert adaptive.any() and not adaptive.all()
         for m, value, error in zip(ms[adaptive], values[adaptive], errors[adaptive]):
             assert (value, error) == adaptive_mode(m, geom, pair)
 
@@ -967,15 +1005,18 @@ class TestCompositeModes:
             assert -matsubara_term(m, geom, *pair) * si == terms[m - 1] == -value * si
 
     @pytest.mark.parametrize("a_um,T_K,pair,free,share,nodes", [
-        (0.16, 1.0, (AU, AU), False, 0.01, 45),
+        (0.16, 1.0, (AU, AU), False, 0.0, 36),
         (2.0, 300.0, (AU, IdealMetal()), False, 0.0, None),
-        (0.16, 1.0, (AU, AU), True, 0.25, 55),
+        (0.16, 1.0, (AU, AU), True, 0.085, 42),
     ], ids=["cold", "warm", "cold-free-energy"])
     def test_few_modes_reach_the_adaptive_quadrature(self, a_um, T_K, pair, free, share, nodes,
                                                       monkeypatch):
         # counted, not timed: a sum sends the modes its fixed rules miss,
-        # and its fixed rules take few kernel nodes per mode; the free energy
-        # sends every mode below A = 0.12 and about 56% of those from 0.12 to 0.45
+        # and its fixed rules take few kernel nodes per mode (measured: 35.1
+        # for the cold pressure, 41.1 for the free energy).  The cold
+        # pressure sends none, its first modes taking the A-scaled panels;
+        # the free energy sends only the modes the Laguerre 16/12 rung misses
+        # from A = 2.7, 363 of the 4,555 modes below A = 2 (8.0%)
         sent, kernel_nodes = [], []
 
         def counted(f, breaks, **kwargs):
