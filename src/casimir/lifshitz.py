@@ -12,7 +12,8 @@ near-singularity at y = 0 (_SCALED: below A = 0.0022 for the pressure,
 and 1e-7), and those a pair does not certify, take one batched adaptive
 quadrature, each certified alone.  A block ends where a bound that holds
 for any reflections in [0, 1] shows the sum must stop, so a short sum
-takes one block.
+takes one block.  A sum evaluates the permittivities once for all the
+modes that bound lets it reach, and each block takes a slice of them.
 
 All mode arithmetic is dimensionless; SI conversion happens once at the
 end through :func:`casimir.quantities.pressure_to_si`.
@@ -306,6 +307,7 @@ _SCALED = {False: (2.4e-06, 0.0022), True: (1e-07, 0.45)}
 # Per integrand, (lowest A, pair) ascending; the scaled family's pair is None.
 _LADDERS = {free: ((floor, None), *(rung for rung in _RUNGS if rung[0] >= cut))
             for free, (floor, cut) in _SCALED.items()}
+_LADDER_LOWS = {free: np.array([a for a, _ in ladder]) for free, ladder in _LADDERS.items()}
 
 
 @functools.cache
@@ -339,6 +341,8 @@ def _scaled_pairs(lower, lo, hi):
 # with it; past about a hundred modes the per-call overhead is already
 # amortised and only the peak memory keeps growing.
 _BLOCK_CAP = 128
+# Most modes a sum plans at once, at least _BLOCK_CAP (about 1 MB of arrays).
+_PLAN_CAP = 1 << 15
 
 
 def _log_bound(A: float, free_energy: bool) -> float:
@@ -351,15 +355,15 @@ def _log_bound(A: float, free_energy: bool) -> float:
 
 
 def _block_size(first: int, gamma: float, log_target: float, free_energy: bool,
-                min_terms: int) -> int:
+                min_terms: int, cap: int = _BLOCK_CAP) -> int:
     """Modes from ``first`` to the first m >= min_terms with
-    _log_bound(m*gamma) <= ``log_target``, at most _BLOCK_CAP.  The bound
-    falls with A, so a bisection over the block's modes finds that m."""
-    low, high = max(first, min_terms), first + _BLOCK_CAP - 1
+    _log_bound(m*gamma) <= ``log_target``, at most ``cap``.  The bound
+    falls with A, so a bisection over those modes finds that m."""
+    low, high = max(first, min_terms), first + cap - 1
     if low >= high or _log_bound(low * gamma, free_energy) <= log_target:
-        return min(low - first + 1, _BLOCK_CAP)
+        return min(low - first + 1, cap)
     if _log_bound(high * gamma, free_energy) > log_target:
-        return _BLOCK_CAP
+        return cap
     while high - low > 1:  # the bound misses at low and meets it at high
         mid = (low + high) // 2
         if _log_bound(mid * gamma, free_energy) <= log_target:
@@ -369,50 +373,56 @@ def _block_size(first: int, gamma: float, log_target: float, free_energy: bool,
     return high - first + 1
 
 
-def _mode_block(ms: np.ndarray, geom: Geometry, model1: DielectricModel,
-                model3: DielectricModel, spec: QuadratureSpec, floor: float,
+def _plan(ms: np.ndarray, geom: Geometry, model1: DielectricModel, model3: DielectricModel):
+    """Lower limits m*gamma, zeta_m in eV and (model, eps(i zeta_m)) per distinct
+    side of the Matsubara indices ``ms``: one epsilon call per model."""
+    zeta = ms * matsubara_frequency(1, geom.T_K)
+    models = (model1,) if model3 is model1 else (model1, model3)
+    return (ms * reduced_temperature(geom), zeta,
+            [(model, np.asarray(model.epsilon(zeta), dtype=float)) for model in models])
+
+
+def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec, floor: float,
                 free_energy: bool, integrate, work: _Workspace):
-    """Mode integrals of the Matsubara indices ``ms`` (>= 1) in one batch.
+    """Mode integrals of a slice of a _plan, ascending in m >= 1, in one batch.
 
     Each integral is certified to max(integral_rel_tol * |I_m|, floor), the
     kernel working in ``work``, on the free-energy integrand with
     ``free_energy``.  A mode takes the pair of the last entry of the
     integrand's ladder (_LADDERS) at or below its A: a rung of _RUNGS, or
     from the floor to the cut of _SCALED the A-scaled panels, built per run
-    of modes with one panel count.  ``ms`` ascends, so each serves a slice
+    of modes with one panel count.  The modes ascend, so each serves a slice
     of the block, and one kernel call takes every mode's nodes in a row;
     einsum, unlike BLAS, sums each row alike, so a value does not depend on
     its block.  Modes below the floor or whose pair misses the target go to
-    ``integrate`` (the module's ``integrate_adaptive``).  A model passed as
-    both sides is evaluated once.  Returns (values, errors, failed); a
-    failed mode holds its uncertified estimate.
+    ``integrate`` (the module's ``integrate_adaptive``).  Raises ValueError
+    for a permittivity below 1.  Returns (values, errors, failed); a failed
+    mode holds its uncertified estimate.
     """
-    gamma = reduced_temperature(geom)
-    lower = ms * gamma
-    zeta = ms * matsubara_frequency(1, geom.T_K)
-    models = (model1,) if model3 is model1 else (model1, model3)
-    eps = [np.asarray(model.epsilon(zeta), dtype=float) for model in models]
-    for model, e in zip(models, eps):
-        i = np.argmax(e < 1.0)  # NaN is not below 1; such a mode fails to certify
-        if e[i] < 1.0:
+    for model, e in sides:
+        if np.fmin.reduce(e) < 1.0:  # NaN is not below 1; such a mode fails to certify
+            i = np.argmax(e < 1.0)
             raise ValueError(f"{model!r}: epsilon = {e[i]:.6g} < 1 at zeta = {zeta[i]:.6g} eV")
+    eps = [e for _, e in sides]
     args = (lower, *eps) if len(eps) == 2 and (eps[0] != eps[1]).any() else (lower, eps[0])
-    values, errors, failed = np.zeros(ms.size), np.full(ms.size, np.inf), np.zeros(ms.size, bool)
-    ladder = _LADDERS[free_energy]
-    cuts = [*np.searchsorted(lower, [a for a, _ in ladder]).tolist(), ms.size]
-    rungs = [(lo, hi, pair) for lo, hi, (_, pair) in zip(cuts, cuts[1:], ladder) if lo < hi]
+    cuts = [*lower.searchsorted(_LADDER_LOWS[free_energy]).tolist(), lower.size]
+    rungs = [(lo, hi, pair) for lo, hi, (_, pair) in zip(cuts, cuts[1:], _LADDERS[free_energy])
+             if lo < hi]
     if rungs and rungs[0][2] is None:
         rungs[:1] = _scaled_pairs(lower, *rungs[0][:2])
+    start, out = cuts[0], np.empty((2, lower.size))  # value and check of every mode
+    out[0, :start], out[1, :start] = 0.0, np.inf  # below the floor: adaptive
     if rungs:
         y = np.concatenate([(lower[lo:hi, None] + dy).ravel() for lo, hi, (dy, _) in rungs])
-        rows = np.concatenate([np.repeat(np.arange(lo, hi), dy.shape[-1])
-                               for lo, hi, (dy, _) in rungs])
-        fx = _mode_kernel(y[:, None], work, free_energy, *(a[rows] for a in args))
+        counts = np.array([dy.shape[-1] for _, _, (dy, _) in rungs]).repeat(
+            [hi - lo for lo, hi, _ in rungs])
+        fx = _mode_kernel(y[:, None], work, free_energy, *(a[start:].repeat(counts) for a in args))
         for lo, hi, (dy, weights) in rungs:  # a scaled pair has a row per mode
-            n = dy.shape[-1]
-            f, fx = fx[:(hi - lo) * n].reshape(hi - lo, n), fx[(hi - lo) * n:]
-            value, check = np.einsum("rn,rkn->kr" if dy.ndim == 2 else "rn,kn->kr", f, weights)
-            values[lo:hi], errors[lo:hi] = value, np.abs(value - check)
+            k = (hi - lo) * dy.shape[-1]
+            np.einsum("rn,rkn->kr" if dy.ndim == 2 else "rn,kn->kr", fx[:k].reshape(hi - lo, -1),
+                      weights, out=out[:, lo:hi])
+            fx = fx[k:]
+    values, errors, failed = out[0], np.abs(out[0] - out[1]), np.zeros(lower.size, bool)
     todo = ~(errors <= np.maximum(spec.integral_rel_tol * np.abs(values), floor))
     if not todo.any():
         return values, errors, failed
@@ -466,8 +476,8 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
     error meets ``spec.integral_rel_tol``.  Else the range is cut at
     ``spec.y_max`` and integrated adaptively.  A QuadratureError carrying
     the partial estimate escapes if no certificate is met.  This is a
-    one-mode block of the sum driver, so it equals the term the sum uses
-    wherever the sum's floor does not bind.  ``m`` must be an integer; a
+    one-mode plan and block of the sum driver, so it equals the term the sum
+    uses wherever the sum's floor does not bind.  ``m`` must be an integer; a
     float raises TypeError.
     """
     m = operator.index(m)
@@ -475,7 +485,7 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
         raise ValueError("the static mode is analytic; matsubara_term needs m >= 1")
     spec = spec or QuadratureSpec()
     values, errors, failed = _mode_block(
-        np.array([m]), geom, *_sides_at(geom, model1, model3), spec, 0.0, False,
+        *_plan(np.array([m]), geom, *_sides_at(geom, model1, model3)), spec, 0.0, False,
         integrate_adaptive, _Workspace())
     if failed[0]:
         raise _mode_error(m, geom, float(values[0]), float(errors[0]))
@@ -496,6 +506,9 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     sum_rel_tol * |S|, where the stop rule below is certain to fire, and
     holds at most _BLOCK_CAP modes: a sum of up to _BLOCK_CAP terms takes
     one block.  A mode's value depends on its block only through the floor.
+    The first block plans (_plan) the modes up to the m where the bound meets
+    the target at |S| = |static term|, at most _PLAN_CAP and max_terms, so
+    later blocks end there too; one reaching past its plan plans again.
 
     The block values are then accumulated in increasing m with Neumaier
     compensation.  The sum stops at the first m >= min_terms where the term
@@ -525,29 +538,36 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     acc = zero_coeff
     comp = 0.0
     terms: list[float] = []
+    append, min_terms, sum_rel_tol = terms.append, spec.min_terms, spec.sum_rel_tol
     converged = False
     work = _Workspace()
+    start = end = 1  # the plan holds the modes from start to end - 1
     while not converged and len(terms) < spec.max_terms:
         first, total = len(terms) + 1, abs(acc + comp)
-        size = _block_size(first, gamma, log_tol + math.log(total), free_energy, spec.min_terms)
-        ms = np.arange(first, min(first + size, spec.max_terms + 1))
-        floor = spec.integral_rel_tol * spec.sum_rel_tol * total
+        bound = (first, gamma, log_tol + math.log(total), free_energy, min_terms)
+        size = _block_size(*bound)
+        if min(first + size, spec.max_terms + 1) > end:  # past the plan: plan from first
+            n = size if size < _BLOCK_CAP else _block_size(*bound, _PLAN_CAP)
+            start, end = first, min(first + n, spec.max_terms + 1)
+            lower, zeta, sides = _plan(np.arange(start, end), geom, model1, model3)
+        part = slice(first - start, min(first + size, end) - start)
         values, errors, failed = _mode_block(
-            ms, geom, model1, model3, spec, floor, free_energy, integrate, work)
-        for m, t, bad, err in zip(ms.tolist(), values.tolist(), failed.tolist(),
-                                  errors.tolist()):
-            if bad:
-                raise _mode_error(m, geom, t, err)
+            lower[part], zeta[part], [(model, e[part]) for model, e in sides], spec,
+            spec.integral_rel_tol * sum_rel_tol * total, free_energy, integrate, work)
+        n_ok = int(np.argmax(failed)) if failed.any() else failed.size  # before the first failure
+        for m, t in zip(range(first, first + n_ok), values.tolist()):
             new = acc + t
             if abs(acc) >= abs(t):
                 comp += (acc - new) + t
             else:
                 comp += (t - new) + acc
             acc = new
-            terms.append(t)
-            if m >= spec.min_terms and abs(t) * tail <= spec.sum_rel_tol * abs(acc + comp):
+            append(t)
+            if m >= min_terms and abs(t) * tail <= sum_rel_tol * abs(acc + comp):
                 converged = True
                 break
+        if not converged and n_ok < failed.size:  # a failure the stop rule did not discard
+            raise _mode_error(first + n_ok, geom, float(values[n_ok]), float(errors[n_ok]))
     out = result((acc + comp) * unit, zero_coeff * unit, np.asarray(terms) * unit,
                  len(terms), converged)
     if not converged:

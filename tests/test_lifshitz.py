@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from casimir.lifshitz import (
     QuadratureSpec,
     _BLOCK_CAP,
     _BREAK_OFFSETS,
+    _PLAN_CAP,
     _LADDERS,
     _RUNGS,
     _SCALED,
@@ -31,6 +33,7 @@ from casimir.lifshitz import (
     _log_bound,
     _mode_block,
     _mode_kernel,
+    _plan,
     _reflections,
     SumConvergenceError,
     casimir_pressure,
@@ -467,27 +470,30 @@ class TestBlockDriver:
         (Geometry(0.5, 2.0), casimir_pressure),  # thousands of terms over many blocks
         (Geometry(1.3, 20.0), free_energy),      # two blocks
     ], ids=["pressure", "free-energy"])
-    def test_one_model_on_both_sides_is_evaluated_once(self, geom, evaluate, monkeypatch):
-        calls, blocks = [], []
+    def test_one_model_on_both_sides_is_evaluated_once(self, geom, evaluate):
+        # once per plan: one plan for the whole sum, or, with a one-block
+        # chunk, one per block
+        calls = []
 
         class Spy(DrudeModel):
             def epsilon(self, zeta_eV):
                 calls.append(self)
                 return super().epsilon(zeta_eV)
-
-        def counted(ms, *args):
-            blocks.append(ms.size)
-            return _mode_block(ms, *args)
-        monkeypatch.setattr("casimir.lifshitz._mode_block", counted)
-        spy = Spy(DB.get("Au"))
-        res = evaluate(geom, spy, spy)
-        assert len(blocks) > 1 and calls == [spy] * len(blocks)
-        # equal but distinct objects: two calls per block, the same terms
-        calls.clear(), blocks.clear()
-        twin = evaluate(geom, Spy(DB.get("Au")), Spy(DB.get("Au")))
-        assert len(calls) == 2 * len(blocks) > 2
-        assert all(same_bits(np.asarray(value), np.asarray(vars(twin)[name]))
-                   for name, value in vars(res).items())
+        spy, results = Spy(DB.get("Au")), []
+        for plan_cap in (_PLAN_CAP, _BLOCK_CAP):
+            # one object as both sides: one call per plan; equal but distinct
+            # objects: two, the same terms
+            for sides in ((spy, spy), (Spy(DB.get("Au")), Spy(DB.get("Au")))):
+                calls.clear()
+                with plans_and_blocks(plan_cap) as events:
+                    results.append(evaluate(geom, *sides))
+                plans, sizes = blocks_in_plans(events)
+                assert len(sizes) > 1
+                assert len(plans) == (1 if plan_cap == _PLAN_CAP else len(sizes))
+                assert calls == list(dict.fromkeys(sides)) * len(plans)
+        for other in results[1:]:
+            assert all(same_bits(np.asarray(value), np.asarray(vars(other)[name]))
+                       for name, value in vars(results[0]).items())
 
     def test_matsubara_term_equals_block_value(self):
         # at 1 K the terms decay slowly, so the floor never binds here;
@@ -760,7 +766,7 @@ def block(ms, geom, pair, spec=None, free_energy=False):
     def integrate(f, breaks, **kwargs):
         sent.append(breaks[:, 0])  # each row starts at its mode's lower limit
         return integrate_adaptive(f, breaks, **kwargs)
-    out = _mode_block(ms, geom, *pair, spec or QuadratureSpec(), 0.0, free_energy,
+    out = _mode_block(*_plan(ms, geom, *pair), spec or QuadratureSpec(), 0.0, free_energy,
                       integrate, _Workspace())
     return out, np.isin(ms * reduced_temperature(geom), np.concatenate(sent))
 
@@ -1160,14 +1166,14 @@ class TestBlockSchedule:
     @given(first=st.integers(1, 5000),
            gamma=st.floats(math.log(1e-4), math.log(50.0)).map(math.exp),
            log_target=st.floats(-60.0, 2.0), free=st.booleans(),
-           min_terms=st.sampled_from([1, 5, 200]))
+           min_terms=st.sampled_from([1, 5, 200]), cap=st.sampled_from([_BLOCK_CAP, 1000]))
     def test_size_reaches_the_first_mode_within_the_bound(self, first, gamma, log_target, free,
-                                                          min_terms):
+                                                          min_terms, cap):
         m = max(first, min_terms)  # walk the modes one by one
-        while m < first + _BLOCK_CAP and _log_bound(m * gamma, free) > log_target:
+        while m < first + cap and _log_bound(m * gamma, free) > log_target:
             m += 1
-        size = _block_size(first, gamma, log_target, free, min_terms)
-        assert size == min(m - first + 1, _BLOCK_CAP)
+        size = _block_size(first, gamma, log_target, free, min_terms, cap)
+        assert size == min(m - first + 1, cap)
 
     @pytest.mark.parametrize("size", [1, 7, _BLOCK_CAP])
     @pytest.mark.parametrize("cell", sorted(SCHEDULE_CELLS))
@@ -1182,9 +1188,9 @@ class TestBlockSchedule:
     def test_blocks_end_where_the_bound_says(self, cell, monkeypatch):
         sizes = []
 
-        def counted(ms, *args):
-            sizes.append(ms.size)
-            return _mode_block(ms, *args)
+        def counted(lower, *args):
+            sizes.append(lower.size)
+            return _mode_block(lower, *args)
         monkeypatch.setattr("casimir.lifshitz._mode_block", counted)
         _, _, n_terms = schedule_sum(cell)
         stop = bound_stop(cell)
@@ -1196,3 +1202,171 @@ class TestBlockSchedule:
             assert len(sizes) == 1
         if cell == "five-terms":
             assert sizes == [5] and n_terms == 5
+
+
+class Above(DrudeModel):
+    """Au Drude permittivity, replaced by ``value`` above ``zeta_eV`` for each
+    (zeta_eV, value) of ``steps`` in turn."""
+
+    def __init__(self, *steps):
+        super().__init__(DB.get("Au"))
+        self.steps = steps
+
+    def epsilon(self, zeta_eV):
+        eps = np.asarray(super().epsilon(zeta_eV), dtype=float)
+        for zeta, value in self.steps:
+            eps = np.where(np.asarray(zeta_eV) > zeta, value, eps)
+        return eps
+
+    def __repr__(self):
+        return "Above"
+
+
+@contextlib.contextmanager
+def plans_and_blocks(plan_cap=None):
+    """Record in order each _plan's Matsubara indices and lower limits and
+    each block's lower limits; with ``plan_cap``, sums plan at most that
+    many modes at once."""
+    events = []
+
+    def planned(ms, *args):
+        out = _plan(ms, *args)
+        events.append((ms, out[0]))
+        return out
+
+    def counted(lower, *args):
+        events.append((None, lower))
+        return _mode_block(lower, *args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("casimir.lifshitz._plan", planned)
+        patch.setattr("casimir.lifshitz._mode_block", counted)
+        if plan_cap is not None:
+            patch.setattr("casimir.lifshitz._PLAN_CAP", plan_cap)
+        yield events
+
+
+def blocks_in_plans(events):
+    """(plans as (first, last) mode, block sizes) of a recorded sum.  Asserts
+    that the blocks take the modes 1, 2, ... in turn, each a slice of the
+    last plan made before it, and that a plan starts at its block's mode."""
+    first, plans, sizes = 1, [], []
+    for ms, lower in events:
+        if ms is not None:
+            assert ms[0] == first and np.array_equal(ms, np.arange(first, first + ms.size))
+            plans.append((first, int(ms[-1])))
+            planned = lower
+            continue
+        i = first - plans[-1][0]
+        assert 0 <= i and i + lower.size <= planned.size
+        assert np.shares_memory(lower, planned) and same_bits(lower, planned[i:i + lower.size])
+        first += lower.size
+        sizes.append(lower.size)
+    return plans, sizes
+
+
+def outcome(evaluate, geom, pair, spec=None):
+    """The bytes of every field of a sum's result, or the type and message
+    of its error with the partial result if it carries one."""
+    def fields(res):
+        return {name: np.asarray(value).tobytes() for name, value in vars(res).items()}
+    try:
+        return fields(evaluate(geom, *pair, spec))
+    except SumConvergenceError as exc:
+        return type(exc), str(exc), fields(exc.partial)
+    except (QuadratureError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+EVALUATE = {"pressure": casimir_pressure, "free-energy": free_energy}
+
+
+class TestPlans:
+    @settings(max_examples=60, deadline=None)
+    @given(a_um=st.floats(math.log(0.05), math.log(100.0)).map(math.exp),
+           T_K=st.floats(math.log(0.5), math.log(400.0)).map(math.exp),
+           pair=st.sampled_from(sorted(BOUND_PAIRS)), what=st.sampled_from(sorted(EVALUATE)),
+           min_terms=st.sampled_from([1, 5, 200]), extra=st.integers(0, 400),
+           plan_cap=st.sampled_from([_BLOCK_CAP, _BLOCK_CAP + 72, 3 * _BLOCK_CAP]))
+    def test_no_block_reads_past_its_plan(self, a_um, T_K, pair, what, min_terms, extra,
+                                          plan_cap):
+        # with the default cap one plan covers the sum: max_terms is far
+        # below it, and a block that starts later ends no further than the
+        # first; with a cap that binds, blocks re-plan and keep their sizes
+        args = (EVALUATE[what], Geometry(a_um, T_K), BOUND_PAIRS[pair],
+                QuadratureSpec(min_terms=min_terms, max_terms=min_terms + extra))
+        with plans_and_blocks() as events:
+            ref = outcome(*args)
+        plans, sizes = blocks_in_plans(events)
+        assert len(plans) == 1 and plans[0][1] <= min_terms + extra
+        with plans_and_blocks(plan_cap) as events:
+            assert outcome(*args) == ref
+        capped, capped_sizes = blocks_in_plans(events)
+        assert capped_sizes == sizes
+        assert all(last - first < plan_cap for first, last in capped)
+
+    @pytest.mark.parametrize("plan_cap", [_BLOCK_CAP, _BLOCK_CAP + 72], ids=["one-block", "ragged"])
+    @pytest.mark.parametrize("cell", sorted(SCHEDULE_CELLS) + ["tiny-gamma"])
+    def test_replanning_gives_the_same_bits(self, cell, plan_cap):
+        # a chunk of one block plans again at every block; a ragged one
+        # leaves blocks that reach past their plan
+        if cell == "tiny-gamma":  # the bound never stops this sum
+            args = (casimir_pressure, Geometry(1.0, 1e-20), (AU, AU), QuadratureSpec(max_terms=700))
+        else:
+            a_um, T_K, pair, free, tol = SCHEDULE_CELLS[cell]
+            spec = QuadratureSpec() if tol is None else QuadratureSpec(sum_rel_tol=tol)
+            args = (free_energy if free else casimir_pressure, Geometry(a_um, T_K), pair, spec)
+        with plans_and_blocks() as events:
+            ref = outcome(*args)
+        plans, sizes = blocks_in_plans(events)
+        assert len(plans) == 1
+        with plans_and_blocks(plan_cap) as events:
+            assert outcome(*args) == ref
+        replans, replan_sizes = blocks_in_plans(events)
+        assert replan_sizes == sizes and all(last - first < plan_cap for first, last in replans)
+        if plan_cap == _BLOCK_CAP:
+            assert len(replans) == len(sizes)
+        else:  # a block reached past the plan before its own
+            overlaps = [new[0] <= old[1] for old, new in zip(replans, replans[1:])]
+            assert any(overlaps) == (sum(sizes) > plan_cap)
+
+    @pytest.mark.parametrize("what", sorted(EVALUATE))
+    def test_epsilon_below_one_inside_the_sum_raises(self, what):
+        # below 1 from a mode of the second block on: the first block passes
+        geom = Geometry(1.3, 20.0)
+        with plans_and_blocks() as events:
+            EVALUATE[what](geom, AU, AU)
+        (plan,), sizes = blocks_in_plans(events)
+        assert len(sizes) > 1
+        m = sizes[0] + 3
+        zeta = matsubara_frequency(1, geom.T_K)
+        bad = Above((zeta * (m - 0.5), 0.5))
+        with pytest.raises(ValueError, match=rf"^Above: epsilon = 0.5 < 1 at zeta = "
+                                             rf"{zeta * m:.6g} eV$"):
+            EVALUATE[what](geom, bad, AU)
+
+    @pytest.mark.parametrize("what", sorted(EVALUATE))
+    def test_epsilon_below_one_past_the_last_block_is_not_read(self, what):
+        # the plan reaches modes no block integrates; eps below 1 there
+        # changes nothing
+        geom = Geometry(1.3, 20.0)
+        with plans_and_blocks() as events:
+            ref = outcome(EVALUATE[what], geom, (AU, CU))
+        ((_, last),), sizes = blocks_in_plans(events)
+        assert sum(sizes) < last
+        bad = Above((matsubara_frequency(1, geom.T_K) * (sum(sizes) + 0.5), 0.5))
+        assert outcome(EVALUATE[what], geom, (bad, CU)) == ref
+
+    @pytest.mark.parametrize("what", sorted(EVALUATE))
+    def test_nan_inside_the_sum_fails_to_certify(self, what):
+        # NaN from a mode of the second block on; below 1 a few modes later,
+        # in the same block, still raises ValueError behind the NaN
+        geom = Geometry(1.3, 20.0)
+        with plans_and_blocks() as events:
+            EVALUATE[what](geom, AU, AU)
+        _, sizes = blocks_in_plans(events)
+        m, zeta = sizes[0] + 3, matsubara_frequency(1, geom.T_K)
+        with pytest.raises(QuadratureError, match=rf"^mode integral m={m} not certified"):
+            EVALUATE[what](geom, Above((zeta * (m - 0.5), np.nan)), CU)
+        with pytest.raises(ValueError, match=rf"^Above: epsilon = 0.5 < 1 at zeta = "
+                                             rf"{zeta * (m + 2):.6g} eV$"):
+            EVALUATE[what](geom, Above((zeta * (m - 0.5), np.nan), (zeta * (m + 1.5), 0.5)), CU)
