@@ -13,7 +13,10 @@ and 1e-7), and those a pair does not certify, take one batched adaptive
 quadrature, each certified alone.  A block ends where a bound that holds
 for any reflections in [0, 1] shows the sum must stop, so a short sum
 takes one block.  A sum evaluates the permittivities once for all the
-modes that bound lets it reach, and each block takes a slice of them.
+modes that bound lets it reach, and each block takes a slice of them and
+tells the kernel which side is ideal at all, none or some of its modes.
+A long block's values are summed in array passes, a short one's in a loop,
+with the same bits.
 
 All mode arithmetic is dimensionless; SI conversion happens once at the
 end through :func:`casimir.quantities.pressure_to_si`.
@@ -85,6 +88,10 @@ class QuadratureSpec:
         without evaluating any material model.
         """
         return np.maximum(lower, 1.0) + 0.5 * math.log(1.0 / self.integral_rel_tol) + _Y_MAX_PAD
+
+
+# The spec of a call that passes none, built once: building one costs 2 us.
+_DEFAULT_SPEC = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -166,26 +173,44 @@ class _Workspace:
         return (*self.floats[:8 * n].reshape((8,) + shape), self.mask[:n].reshape(shape))
 
 
-def _reflections(eps, p, pp, s, x, tm, te):
-    """(TM, TE) reflections of one interface into tm and te; pp = p*p, s, x
-    scratch; rows with eps = inf give 1.  TM is computed as in reflection_tm,
+# How a side reflects over the modes of a block: as an ideal metal
+# (eps = inf) at every mode, at none, or at some (_kernel_sides).
+_IDEAL, _FINITE, _MIXED = "ideal", "finite", "mixed"
+
+
+def _kernel_sides(*eps):
+    """(kinds, *eps) of the sides with permittivities ``eps`` over the
+    modes of a block, the form _mode_kernel takes them in: the kind of each
+    side, and its permittivities or None for a side ideal at every mode.
+    A NaN mode is not ideal: it gives NaN and fails to certify."""
+    kinds = tuple([_FINITE if np.fmax.reduce(e) < np.inf else
+                   _IDEAL if np.minimum.reduce(e) == np.inf else _MIXED for e in eps])
+    return (kinds, *(None if kind is _IDEAL else e for kind, e in zip(kinds, eps)))
+
+
+def _reflections(kind, eps, p, pp, s, x, tm, te):
+    """(TM, TE) reflections of one interface into tm and te; eps holds a
+    permittivity per row of p, pp = p*p, s and x are scratch.  A side of
+    kind _IDEAL gives 1 and reads nothing; one of kind _MIXED has its rows
+    with eps = inf computed as vacuum and then set to 1, never inf/inf; one
+    of kind _FINITE takes no such step.  TM is computed as in reflection_tm,
     TE as (eps-1)/(s+p)^2, equal to reflection_te's (s-p)/(s+p) without its
     cancellation as eps -> 1."""
-    ideal = np.isinf(eps)
-    if ideal.all():
+    if kind is _IDEAL:
         return 1.0, 1.0
-    mixed = ideal.any()
-    if mixed:  # computed as vacuum, then set to 1; never inf/inf
+    eps = eps[:, None]
+    if kind is _MIXED:
+        ideal = np.isinf(eps)
         eps = np.where(ideal, 1.0, eps)
-    em1 = tm  # eps-1 in full: a (rows, 1) operand costs numpy a loop per row
-    np.copyto(em1, eps - 1.0)
+    # eps-1 in full: a (rows, 1) operand costs numpy a loop per row
+    em1 = np.subtract(eps, 1.0, out=tm)
     np.sqrt(np.add(em1, pp, out=s), out=s)
     np.add(s, p, out=te)
     np.add(np.multiply(eps, p, out=x), s, out=x)
     np.multiply(em1, np.subtract(p, np.divide(1.0, te, out=s), out=s), out=s)
     np.divide(em1, np.multiply(te, te, out=te), out=te)
     np.divide(s, x, out=tm)
-    if mixed:
+    if kind is _MIXED:
         np.copyto(tm, 1.0, where=ideal)
         np.copyto(te, 1.0, where=ideal)
     return tm, te
@@ -201,47 +226,53 @@ def _one_minus(prod, e2y, em, out):
     return np.subtract(np.multiply(e2y, np.subtract(1.0, prod, out=out), out=out), em, out=out)
 
 
-def _mode_kernel(y, work: _Workspace, free_energy: bool, A, eps1, eps3=None):
+def _mode_kernel(y, work: _Workspace, free_energy: bool, kinds, A, eps1, eps3=None):
     """Integrand of a block of Matsubara modes on a (mode x node) array.
 
     Row i of ``y`` holds nodes y >= A[i] = m*gamma, the lower limit of mode
-    i, whose permittivities at zeta_m are eps1[i] and eps3[i] (inf for an
-    ideal metal; no eps3 means eps3 = eps1).  Gives the pressure integrand
+    i (A ascending), whose permittivities at zeta_m are eps1[i] and eps3[i],
+    the sides as _kernel_sides gives them: ``kinds`` holds the kind of each,
+    and a side ideal at every mode may pass None.  One kind and no eps3
+    means that eps1 serves both sides.  Gives the pressure integrand
     y^2 * [x_TM/(1-x_TM) + x_TE/(1-x_TE)], x = delta1*delta2*e^{-2y}, or,
     with ``free_energy``, y * [ln(1-x_TM) + ln(1-x_TE)], in a view into
     ``work`` valid until the next call; ``integrate_adaptive`` copies each
     integrand value before it calls the integrand again.
 
-    1-x is assembled as e^{-2y}(1-delta1*delta2) - expm1(-2y), a sum of
-    nonnegative terms, so no precision is lost when both factors approach 1.
-    The pressure divides by it at every node.  The free energy takes
-    log1p(-x) at every node, and the log of the assembled 1-x instead at the
-    nodes with x > 1/2, where log1p(-x) would inherit the rounding of x.
     Both deltas lie in [0, 1], so x <= e^{-2y}: only nodes with
-    y < ln(2)/2 ~ 0.347 can take that branch.  A call whose lower limits all
-    reach _NEAR_ONE_Y (most calls of a sum) does not look for such nodes,
-    and a call without any never assembles 1-x.
+    y < ln(2)/2 ~ 0.347 can have x > 1/2.  The rows whose lower limit
+    reaches _NEAR_ONE_Y have none, and take 1-x and log1p(-x) as they are.
+    The rows below it, which come first since A ascends, assemble 1-x as
+    e^{-2y}(1-delta1*delta2) - expm1(-2y), a sum of nonnegative terms, so no
+    precision is lost when both factors approach 1: the pressure divides by
+    it at every node of those rows, and the free energy takes its log at
+    their nodes with x > 1/2, where log1p(-x) would inherit the rounding of
+    x.  Each row's value thus depends on its own mode alone.
     """
     p, pp, s, x, b1, b2, b3, b4, mask = work.arrays(y.shape)
     np.divide(y, A[:, None], out=p)
     np.multiply(p, p, out=pp)
-    tm1, te1 = _reflections(eps1[:, None], p, pp, s, x, b1, b2)
-    tm3, te3 = (tm1, te1) if eps3 is None else _reflections(eps3[:, None], p, pp, s, x, b3, b4)
+    tm1, te1 = _reflections(kinds[0], eps1, p, pp, s, x, b1, b2)
+    tm3, te3 = ((tm1, te1) if len(kinds) == 1 else
+                _reflections(kinds[1], eps3, p, pp, s, x, b3, b4))
     e2y = np.exp(np.multiply(-2.0, y, out=p), out=pp)
-    em = None if free_energy else np.expm1(p, out=p)  # e^{-2y} - 1, from -2y when needed
-    near = free_energy and A.min() < _NEAR_ONE_Y
+    k = int(A.searchsorted(_NEAR_ONE_Y))  # rows below it, which come first as A ascends
+    em = np.expm1(p[:k], out=p[:k]) if k and not free_energy else None  # e^{-2y} - 1
+    x_far, s_far = x[k:], s[k:]
     total = 0.0
     for d1, d3 in ((tm1, tm3), (te1, te3)):
         prod = np.multiply(d1, d3, out=s)
         np.multiply(prod, e2y, out=x)
         if free_energy:
-            near_one = near and np.greater(x, 0.5, out=mask).any()
+            near_one = k and np.greater(x[:k], 0.5, out=mask[:k]).any()
             np.log1p(np.negative(x, out=x), out=x)
             if near_one:
-                em = np.expm1(p, out=p) if em is None else em
-                np.log(_one_minus(prod, e2y, em, s), out=x, where=mask)
-        else:
-            np.divide(x, _one_minus(prod, e2y, em, s), out=x)
+                em = np.expm1(p[:k], out=p[:k]) if em is None else em
+                np.log(_one_minus(prod[:k], e2y[:k], em, s[:k]), out=x[:k], where=mask[:k])
+        else:  # 1-x assembled in the first k rows, as it is past them
+            if k:
+                np.divide(x[:k], _one_minus(prod[:k], e2y[:k], em, s[:k]), out=x[:k])
+            np.divide(x_far, np.subtract(1.0, x_far, out=s_far), out=x_far)
         total = np.add(total, x, out=b1)  # tm1's storage, consumed above
     return np.multiply(y if free_energy else np.multiply(y, y, out=x), total, out=x)
 
@@ -341,6 +372,13 @@ def _scaled_pairs(lower, lo, hi):
 # with it; past about a hundred modes the per-call overhead is already
 # amortised and only the peak memory keeps growing.
 _BLOCK_CAP = 128
+# Fewest values of a block summed in array passes (_scan_arrays) rather than
+# one by one (_scan_loop); both give the same bits.  The passes cost about
+# 9 us whatever their length, the loop about 0.17 us per term: 7, 32, 48,
+# 64 and 128 terms took the loop 1.4, 6.2, 8.2, 11.1 and 22.7 us and the
+# passes 8.9, 9.4, 9.2, 9.7 and 10.1 us (one pinned core of a 2-vCPU
+# x86-64 host), so they break even at about 52 terms.
+_ARRAY_SCAN = 48
 # Most modes a sum plans at once, at least _BLOCK_CAP (about 1 MB of arrays).
 _PLAN_CAP = 1 << 15
 
@@ -375,11 +413,15 @@ def _block_size(first: int, gamma: float, log_target: float, free_energy: bool,
 
 def _plan(ms: np.ndarray, geom: Geometry, model1: DielectricModel, model3: DielectricModel):
     """Lower limits m*gamma, zeta_m in eV and (model, eps(i zeta_m)) per distinct
-    side of the Matsubara indices ``ms``: one epsilon call per model."""
+    side of the Matsubara indices ``ms``: one epsilon call per model, and
+    one side where both give equal permittivities, so one interface serves
+    both."""
     zeta = ms * matsubara_frequency(1, geom.T_K)
     models = (model1,) if model3 is model1 else (model1, model3)
-    return (ms * reduced_temperature(geom), zeta,
-            [(model, np.asarray(model.epsilon(zeta), dtype=float)) for model in models])
+    sides = [(model, np.asarray(model.epsilon(zeta), dtype=float)) for model in models]
+    if len(sides) == 2 and np.array_equal(sides[0][1], sides[1][1]):
+        del sides[1]
+    return ms * reduced_temperature(geom), zeta, sides
 
 
 def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec, floor: float,
@@ -395,16 +437,19 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec
     of the block, and one kernel call takes every mode's nodes in a row;
     einsum, unlike BLAS, sums each row alike, so a value does not depend on
     its block.  Modes below the floor or whose pair misses the target go to
-    ``integrate`` (the module's ``integrate_adaptive``).  Raises ValueError
-    for a permittivity below 1.  Returns (values, errors, failed); a failed
-    mode holds its uncertified estimate.
+    ``integrate`` (the module's ``integrate_adaptive``).  Each side is
+    classified over the block's modes (_kernel_sides), so the kernel takes a
+    side ideal at every mode as reflection 1 and one ideal at none without
+    looking for ideal rows.  Raises ValueError for a permittivity below 1.
+    Returns (values, errors, failed); a failed mode holds its uncertified
+    estimate.
     """
     for model, e in sides:
         if np.fmin.reduce(e) < 1.0:  # NaN is not below 1; such a mode fails to certify
             i = np.argmax(e < 1.0)
             raise ValueError(f"{model!r}: epsilon = {e[i]:.6g} < 1 at zeta = {zeta[i]:.6g} eV")
-    eps = [e for _, e in sides]
-    args = (lower, *eps) if len(eps) == 2 and (eps[0] != eps[1]).any() else (lower, eps[0])
+    kinds, *eps = _kernel_sides(*(e for _, e in sides))
+    args = (lower, *eps)
     cuts = [*lower.searchsorted(_LADDER_LOWS[free_energy]).tolist(), lower.size]
     rungs = [(lo, hi, pair) for lo, hi, (_, pair) in zip(cuts, cuts[1:], _LADDERS[free_energy])
              if lo < hi]
@@ -416,7 +461,8 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec
         y = np.concatenate([(lower[lo:hi, None] + dy).ravel() for lo, hi, (dy, _) in rungs])
         counts = np.array([dy.shape[-1] for _, _, (dy, _) in rungs]).repeat(
             [hi - lo for lo, hi, _ in rungs])
-        fx = _mode_kernel(y[:, None], work, free_energy, *(a[start:].repeat(counts) for a in args))
+        fx = _mode_kernel(y[:, None], work, free_energy, kinds,
+                          *(a if a is None else a[start:].repeat(counts) for a in args))
         for lo, hi, (dy, weights) in rungs:  # a scaled pair has a row per mode
             k = (hi - lo) * dy.shape[-1]
             np.einsum("rn,rkn->kr" if dy.ndim == 2 else "rn,kn->kr", fx[:k].reshape(hi - lo, -1),
@@ -426,7 +472,7 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec
     todo = ~(errors <= np.maximum(spec.integral_rel_tol * np.abs(values), floor))
     if not todo.any():
         return values, errors, failed
-    args = tuple(a[todo] for a in args)
+    args = tuple(a if a is None else a[todo] for a in args)
     lower = args[0]
     y_max = spec.y_max(lower)
     # the first breaks below y_max, then y_max and NaN padding; every mode
@@ -440,9 +486,10 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec
     def f(y):
         live = ~np.isnan(y[:, 0])
         if live.all():
-            return _mode_kernel(y, work, free_energy, *args)
+            return _mode_kernel(y, work, free_energy, kinds, *args)
         out = np.full(y.shape, np.nan)
-        out[live] = _mode_kernel(y[live], work, free_energy, *(a[live] for a in args))
+        out[live] = _mode_kernel(y[live], work, free_energy, kinds,
+                                 *(a if a is None else a[live] for a in args))
         return out
 
     try:
@@ -483,13 +530,54 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
     m = operator.index(m)
     if m < 1:
         raise ValueError("the static mode is analytic; matsubara_term needs m >= 1")
-    spec = spec or QuadratureSpec()
+    spec = spec or _DEFAULT_SPEC
     values, errors, failed = _mode_block(
         *_plan(np.array([m]), geom, *_sides_at(geom, model1, model3)), spec, 0.0, False,
         integrate_adaptive, _Workspace())
     if failed[0]:
         raise _mode_error(m, geom, float(values[0]), float(errors[0]))
     return float(values[0])
+
+
+def _scan_loop(values: np.ndarray, acc: float, comp: float, first: int, min_terms: int,
+               tail: float, rel_tol: float):
+    """Neumaier's compensated sum of ``values``, the terms of the modes
+    first, first + 1, ..., onto acc + comp (comp the compensation), up to
+    the first m >= min_terms where the stop rule of _summed_modes fires:
+    |t_m| * tail <= rel_tol * |acc + comp| after t_m is added.  Returns
+    (acc, comp, terms added, whether the rule fired), term by term."""
+    for m, t in enumerate(values.tolist(), first):
+        new = acc + t
+        if abs(acc) >= abs(t):
+            comp += (acc - new) + t
+        else:
+            comp += (t - new) + acc
+        acc = new
+        if m >= min_terms and abs(t) * tail <= rel_tol * abs(acc + comp):
+            return acc, comp, m - first + 1, True
+    return acc, comp, values.size, False
+
+
+def _scan_arrays(values: np.ndarray, acc: float, comp: float, first: int, min_terms: int,
+                 tail: float, rel_tol: float):
+    """_scan_loop in array passes, with its bits.  The running sums come
+    from one sequential accumulate, as the loop adds; each addition's
+    rounding error from TwoSum (Knuth), which is exact, as is the branch of
+    Neumaier's that the loop takes, so the two agree; the compensations from
+    a second accumulate; and the stop rule from one comparison."""
+    run = np.add.accumulate(np.concatenate(([acc], values)))
+    new = run[1:]
+    bb = new - run[:-1]
+    err = (run[:-1] - (new - bb)) + (values - bb)
+    err[0] += comp
+    comps = np.add.accumulate(err, out=err)
+    skip = max(0, min_terms - first)  # the rule fires from m = min_terms
+    if skip < values.size:
+        stop = np.abs(values[skip:]) * tail <= rel_tol * np.abs(new[skip:] + comps[skip:])
+        k = int(stop.argmax())
+        if stop[k]:
+            return float(new[skip + k]), float(comps[skip + k]), skip + k + 1, True
+    return float(new[-1]), float(comps[-1]), values.size, False
 
 
 def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
@@ -510,14 +598,18 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     the target at |S| = |static term|, at most _PLAN_CAP and max_terms, so
     later blocks end there too; one reaching past its plan plans again.
 
-    The block values are then accumulated in increasing m with Neumaier
-    compensation.  The sum stops at the first m >= min_terms where the term
-    and its estimated geometric tail |t_m| * r/(1-r), r = e^{-2*gamma}
-    (1-r computed by expm1, so it stays positive however small gamma is),
-    both fall below sum_rel_tol relative to the accumulated total; the tail
-    estimate keeps the truncation bias itself at the tolerance level, which
-    matters for temperature derivatives downstream.  Modes past the stop
-    are discarded, whether or not their integrals were certified.
+    The values of a block up to its first failed mode are then accumulated
+    in increasing m with Neumaier compensation: one by one (_scan_loop) if
+    there are fewer than _ARRAY_SCAN, else in array passes with the same
+    bits (_scan_arrays).  The sum stops at the first m >= min_terms where
+    the term and its estimated geometric tail |t_m| * r/(1-r),
+    r = e^{-2*gamma} (1-r computed by expm1, so it stays positive however
+    small gamma is), both fall below sum_rel_tol relative to the accumulated
+    total; the tail estimate keeps the truncation bias itself at the
+    tolerance level, which matters for temperature derivatives downstream.
+    Modes past the stop are discarded, whether or not their integrals were
+    certified.  The terms are kept as slices of the block values and joined
+    once at the end.
 
     Both sides are taken at geom.T_K (``DielectricModel.at``) first.
     Returns ``result(total, static term, terms, n_terms_used, converged)``,
@@ -535,15 +627,13 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     tail = max(1.0, math.exp(-2.0 * gamma) / -math.expm1(-2.0 * gamma))
     # ln of the stop rule's threshold on the bound, relative to |S|
     log_tol = math.log(spec.sum_rel_tol) - math.log(tail)
-    acc = zero_coeff
-    comp = 0.0
-    terms: list[float] = []
-    append, min_terms, sum_rel_tol = terms.append, spec.min_terms, spec.sum_rel_tol
-    converged = False
+    acc, comp, n_terms, converged = zero_coeff, 0.0, 0, False
+    terms = []  # a slice of each block's values
+    min_terms, sum_rel_tol = spec.min_terms, spec.sum_rel_tol
     work = _Workspace()
     start = end = 1  # the plan holds the modes from start to end - 1
-    while not converged and len(terms) < spec.max_terms:
-        first, total = len(terms) + 1, abs(acc + comp)
+    while not converged and n_terms < spec.max_terms:
+        first, total = n_terms + 1, abs(acc + comp)
         bound = (first, gamma, log_tol + math.log(total), free_energy, min_terms)
         size = _block_size(*bound)
         if min(first + size, spec.max_terms + 1) > end:  # past the plan: plan from first
@@ -555,25 +645,19 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
             lower[part], zeta[part], [(model, e[part]) for model, e in sides], spec,
             spec.integral_rel_tol * sum_rel_tol * total, free_energy, integrate, work)
         n_ok = int(np.argmax(failed)) if failed.any() else failed.size  # before the first failure
-        for m, t in zip(range(first, first + n_ok), values.tolist()):
-            new = acc + t
-            if abs(acc) >= abs(t):
-                comp += (acc - new) + t
-            else:
-                comp += (t - new) + acc
-            acc = new
-            append(t)
-            if m >= min_terms and abs(t) * tail <= sum_rel_tol * abs(acc + comp):
-                converged = True
-                break
+        scan = _scan_arrays if n_ok >= _ARRAY_SCAN else _scan_loop
+        acc, comp, used, converged = scan(values[:n_ok], acc, comp, first, min_terms, tail,
+                                          sum_rel_tol)
+        terms.append(values[:used])
+        n_terms += used
         if not converged and n_ok < failed.size:  # a failure the stop rule did not discard
             raise _mode_error(first + n_ok, geom, float(values[n_ok]), float(errors[n_ok]))
-    out = result((acc + comp) * unit, zero_coeff * unit, np.asarray(terms) * unit,
-                 len(terms), converged)
+    out = result((acc + comp) * unit, zero_coeff * unit, np.concatenate(terms) * unit,
+                 n_terms, converged)
     if not converged:
         what = "free-energy" if free_energy else "frequency"
         raise SumConvergenceError(
-            f"{what} sum not converged after {len(terms)} terms "
+            f"{what} sum not converged after {n_terms} terms "
             f"(a={geom.a_um} um, T={geom.T_K} K)", out)
     return out
 
@@ -588,5 +672,5 @@ def casimir_pressure(geom: Geometry, model1: DielectricModel,
     SumConvergenceError (carrying the partial result) if max_terms is hit
     before the stop rule fires.
     """
-    return _summed_modes(geom, model1, model3, spec or QuadratureSpec(), False,
+    return _summed_modes(geom, model1, model3, spec or _DEFAULT_SPEC, False,
                          integrate_adaptive, -pressure_to_si(1.0, geom), PressureResult)

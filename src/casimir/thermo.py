@@ -22,6 +22,7 @@ import numpy as np
 from .dielectric import DielectricModel
 from .lifshitz import (
     QuadratureSpec,
+    _DEFAULT_SPEC,
     _summed_modes,
     casimir_pressure,
     zeta3,
@@ -108,7 +109,7 @@ def free_energy(geom: Geometry, model1: DielectricModel, model3: DielectricModel
     Raises SumConvergenceError (carrying the partial result) when max_terms
     is exhausted first.
     """
-    return _summed_modes(geom, model1, model3, spec or QuadratureSpec(), True,
+    return _summed_modes(geom, model1, model3, spec or _DEFAULT_SPEC, True,
                          integrate_adaptive, free_energy_to_si(1.0, geom), FreeEnergyResult)
 
 
@@ -191,7 +192,7 @@ def crossover_separation(model1: DielectricModel, model3: DielectricModel,
         raise ValueError(f"bracket_um must satisfy 0 < lo < hi < inf, got {bracket_um}")
     if not 0 < resolution_um < np.inf:
         raise ValueError(f"resolution_um must be positive and finite, got {resolution_um}")
-    spec = spec or QuadratureSpec()
+    spec = spec or _DEFAULT_SPEC
 
     def g(a_um: float) -> float:
         p_hi = casimir_pressure(Geometry(a_um, T_high_K), model1, model3, spec)

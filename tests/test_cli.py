@@ -116,7 +116,7 @@ class TestPressureCommand:
         assert parse_csv(out)[0]["converged"] == "true"
 
     def test_quadrature_error_exits_1_without_traceback(self, capsys, monkeypatch):
-        def nan_kernel(y, *args):
+        def nan_kernel(y, work, free_energy, kinds, A, *eps):
             # NaN fails the fixed rules' certificate and then the adaptive fallback
             return np.full(y.shape, np.nan)
         monkeypatch.setattr(casimir.lifshitz, "_mode_kernel", nan_kernel)

@@ -22,19 +22,27 @@ from casimir.golden import TABLES, cell_tolerance
 from casimir.lifshitz import (
     PressureResult,
     QuadratureSpec,
+    _ARRAY_SCAN,
     _BLOCK_CAP,
     _BREAK_OFFSETS,
+    _FINITE,
+    _IDEAL,
+    _MIXED,
+    _NEAR_ONE_Y,
     _PLAN_CAP,
     _LADDERS,
     _RUNGS,
     _SCALED,
     _Workspace,
     _block_size,
+    _kernel_sides,
     _log_bound,
     _mode_block,
     _mode_kernel,
     _plan,
     _reflections,
+    _scan_arrays,
+    _scan_loop,
     SumConvergenceError,
     casimir_pressure,
     lifshitz_variables,
@@ -404,6 +412,27 @@ class TestIdealRows:
                 values = np.array([matsubara_term(m, geom, *pair) for m in ms[rows].tolist()])
             assert same_bits(terms[rows], values * unit)
 
+    # a side is classified per block: ideal at every mode of 1 um and 30 K
+    # (136 terms up to 2.2 eV), at none, or at mode 1 only, across the
+    # first block; the sums are pinned from a node-by-node ideal check
+    @pytest.mark.parametrize("zeta_eV, same_as, pressure_mPa, free_J_per_m2", [
+        (1e3, IdealMetal(), -1.2008267912956718, -4.0304340025287447e-10),
+        (0.01, AU, -1.129398405587063, -3.8430438208574623e-10),
+        (0.02, None, -1.1331047201037465, -3.8562145494061425e-10),
+    ], ids=["wholly-below", "wholly-above", "across"])
+    def test_blocks_below_above_and_across_the_threshold(self, zeta_eV, same_as, pressure_mPa,
+                                                         free_J_per_m2):
+        geom = Geometry(1.0, 30.0)
+        side = IdealBelow(DB.get("Au"), zeta_eV)
+        res = casimir_pressure(geom, side, AU), free_energy(geom, side, AU)
+        assert res[0].pressure_mPa == pressure_mPa
+        assert res[1].free_energy_J_per_m2 == free_J_per_m2
+        if same_as is not None:
+            for got, ref in zip(res, (casimir_pressure(geom, same_as, AU),
+                                      free_energy(geom, same_as, AU))):
+                assert all(same_bits(np.asarray(value), np.asarray(vars(got)[name]))
+                           for name, value in vars(ref).items())
+
 
 class TestBlockDriver:
     # Values recorded from the one-mode-at-a-time driver.
@@ -540,6 +569,75 @@ class TestBlockDriver:
         assert res.pressure_mPa == pytest.approx(res.zero_mode_mPa, rel=1e-12)
 
 
+# Magnitudes of the scanned terms: zeros, subnormals and 600 decades of normals.
+MAGNITUDES = st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308),
+                       st.floats(1e-300, 1e300), st.floats(0.5, 2.0))
+
+
+@st.composite
+def term_blocks(draw):
+    """(values, acc, comp, first, min_terms, tail, rel_tol) of one block:
+    terms of one sign, random or decaying geometrically, onto a running sum
+    of either sign whose compensation is below its last unit."""
+    n = draw(st.sampled_from([1, _ARRAY_SCAN - 1, _ARRAY_SCAN, _BLOCK_CAP])
+             | st.integers(1, _BLOCK_CAP))
+    if draw(st.booleans()):
+        values = np.array(draw(st.lists(MAGNITUDES, min_size=n, max_size=n)))
+    else:
+        values = draw(MAGNITUDES) * draw(st.floats(0.0, 1.0)) ** np.arange(n)
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    acc = draw(st.sampled_from([1.0, -1.0])) * draw(MAGNITUDES)
+    comp = acc * draw(st.floats(-1.1e-16, 1.1e-16))
+    first = draw(st.integers(1, 400))
+    min_terms = first + draw(st.integers(-first + 1, n + 5))  # before, inside or after
+    return (sign * values, acc, comp, first, min_terms, draw(st.floats(1.0, 1e6)),
+            draw(st.sampled_from([1e-10, 1e-8, 1e-3, 1.0])))
+
+
+class TestScan:
+    # the array pass sums a block's values with the loop's bits: TwoSum and
+    # Neumaier's ordered branch both give an addition's exact rounding error
+    @settings(max_examples=400, deadline=None)
+    @given(block=term_blocks())
+    @example(block=(np.array([1e300, 1e-300, 3.0]), 1e-300, 0.0, 1, 1, 1.0, 1e-8))
+    @example(block=(np.array([0.0, 5e-324, 0.0, 1e-310]), -0.0, 0.0, 5, 1, 2.0, 1.0))
+    @example(block=(-np.geomspace(1e300, 1e-300, _BLOCK_CAP), -1e-300, 0.0, 1, 200, 1.0, 1e-8))
+    @example(block=(np.array([3.0, 1.0]), 1.0, 0.0, 1, 1, 1.0, 0.75))  # 3 <= 0.75 * 4: a tie
+    def test_array_pass_equals_the_loop(self, block):
+        loop, arrays = _scan_loop(*block), _scan_arrays(*block)
+        assert same_bits(np.array(loop[:2]), np.array(arrays[:2])), (loop, arrays)
+        assert loop[2:] == arrays[2:]
+
+    def test_sum_does_not_depend_on_the_path(self, monkeypatch):
+        # full blocks take the array pass; with _ARRAY_SCAN past _BLOCK_CAP
+        # every block takes the loop.  Also when max_terms is hit inside a
+        # block summed in array passes
+        geom = Geometry(1.0, 2.0)
+        runs = [(casimir_pressure, None), (free_energy, None),
+                (casimir_pressure, QuadratureSpec(max_terms=2000))]
+        arrays = [outcome(evaluate, geom, (AU, CU), spec) for evaluate, spec in runs]
+        monkeypatch.setattr("casimir.lifshitz._ARRAY_SCAN", _BLOCK_CAP + 1)
+        assert [outcome(evaluate, geom, (AU, CU), spec) for evaluate, spec in runs] == arrays
+        assert arrays[2][:2] == (SumConvergenceError, "frequency sum not converged after 2000 "
+                                 "terms (a=1.0 um, T=2.0 K)")
+
+    # Au-Cu at 1 um and 2 K stops at m = 2003, in a block of modes 1921-2048
+    def test_failure_past_the_stop_in_a_long_block_is_discarded(self):
+        geom = Geometry(1.0, 2.0)
+        ref = casimir_pressure(geom, AU, CU)
+        assert ref.n_terms_used == 2003 and 2003 - 1921 >= _ARRAY_SCAN
+        broken = NanAbove(DB.get("Au"), matsubara_frequency(2003, geom.T_K) * 1.0001)
+        res = casimir_pressure(geom, broken, CU)
+        assert same_bits(res.terms_mPa, ref.terms_mPa)
+        assert res.pressure_mPa == ref.pressure_mPa
+
+    def test_failure_inside_a_long_block_raises(self):
+        geom, m = Geometry(1.0, 2.0), 1921 + _ARRAY_SCAN
+        broken = NanAbove(DB.get("Au"), matsubara_frequency(m - 1, geom.T_K) * 1.0001)
+        with pytest.raises(QuadratureError, match=f"m={m} "):
+            casimir_pressure(geom, broken, CU)
+
+
 # A small tabulated model: Drude Al samples over 0.01-100 eV, Au below.
 TABLE_ZETA_EV = np.logspace(-2, 2, 9)
 TAB = TabulatedModel(PermittivityTable(TABLE_ZETA_EV, drude_epsilon(DB.get("Al"), TABLE_ZETA_EV)),
@@ -569,8 +667,9 @@ def reference_kernel(y, A, eps1, eps3, free_energy):
         x = prod * e2y
         if free_energy:
             out = out + np.where(x > 0.5, np.log(em + e2y * (1.0 - prod)), np.log1p(-x))
-        else:
-            out = out + x / (em + e2y * (1.0 - prod))
+        else:  # 1-x as it is where no node of the row can have x > 1/2
+            out = out + np.where(A[:, None] >= _NEAR_ONE_Y, x / (1.0 - x),
+                                 x / (em + e2y * (1.0 - prod)))
     return y * out if free_energy else y * y * out
 
 
@@ -583,6 +682,13 @@ def kernel_inputs(rows, nodes, pair=(AU, CU), T_K=2.0, a_um=0.3, first=1):
     eps1, eps3 = (np.asarray(m.epsilon(zeta), dtype=float) for m in pair)
     y = A[:, None] + np.geomspace(1e-6, 25.0, nodes)
     return y, A, eps1, eps3
+
+
+def run_kernel(y, work, free_energy, A, *eps):
+    """_mode_kernel on one or two sides' permittivities per mode (inf for
+    an ideal metal), classified as a block of the sum classifies them."""
+    kinds, *eps = _kernel_sides(*eps)
+    return _mode_kernel(y, work, free_energy, kinds, A, *eps)
 
 
 def same_bits(a, b):
@@ -618,12 +724,12 @@ class TestModeKernel:
     def test_bit_identical_to_public_functions(self, pair, at_y1, free_energy):
         y, A, eps1, eps3 = kernel_inputs(40, 105, pair)
         ref = reference_kernel(y, A, eps1, eps3, free_energy)
-        got = _mode_kernel(y, _Workspace(), free_energy, A, eps1, eps3)
+        got = run_kernel(y, _Workspace(), free_energy, A, eps1, eps3)
         assert same_bits(got, ref)
         if np.array_equal(eps1, eps3):  # one interface serves both sides
-            assert same_bits(_mode_kernel(y, _Workspace(), free_energy, A, eps1), ref)
+            assert same_bits(run_kernel(y, _Workspace(), free_energy, A, eps1), ref)
         if at_y1 is not None and not free_energy:
-            one = _mode_kernel(np.ones((1, 1)), _Workspace(), False, A[:1], eps1[:1], eps3[:1])
+            one = run_kernel(np.ones((1, 1)), _Workspace(), False, A[:1], eps1[:1], eps3[:1])
             assert one[0, 0] == pytest.approx(at_y1, rel=1e-14)
 
     def test_log_select_covers_both_branches(self):
@@ -633,7 +739,7 @@ class TestModeKernel:
         x = reflection_tm(eps1[:, None], s, p) ** 2 * np.exp(-2.0 * y)
         assert (x > 0.5).any() and (x <= 0.5).any()
         ref = reference_kernel(y, A, eps1, eps3, True)
-        assert same_bits(_mode_kernel(y, _Workspace(), True, A, eps1), ref)
+        assert same_bits(run_kernel(y, _Workspace(), True, A, eps1), ref)
 
     # lower limits of blocks around the near-one branch, which only nodes
     # with y < ln(2)/2 can take; Constant(1.001) reflects too little for any
@@ -662,11 +768,11 @@ class TestModeKernel:
         for name, (A, pair) in self.NEAR_ONE_BLOCKS.items():
             y, eps1, eps3 = self.near_one_inputs(A, pair)
             ref = reference_kernel(y, A, eps1, eps3, free_energy)
-            fresh = _mode_kernel(y, _Workspace(), free_energy, A, eps1, eps3)
+            fresh = run_kernel(y, _Workspace(), free_energy, A, eps1, eps3)
             assert same_bits(fresh, ref), name
-            assert same_bits(_mode_kernel(y, work, free_energy, A, eps1, eps3), ref), name
+            assert same_bits(run_kernel(y, work, free_energy, A, eps1, eps3), ref), name
             if np.array_equal(eps1, eps3):
-                assert same_bits(_mode_kernel(y, work, free_energy, A, eps1), ref), name
+                assert same_bits(run_kernel(y, work, free_energy, A, eps1), ref), name
             # the largest x_TM per row (TM reflects more than TE), from the
             # public reflection_tm
             p = y / A[:, None]
@@ -700,32 +806,41 @@ class TestModeKernel:
                                   (40, 210, (AU, IdealMetal())), (7, 30, (AU, CU)),
                                   (1, 15, (AU, AU))):
             y, A, eps1, eps3 = kernel_inputs(rows, nodes, pair, first=rows)
-            shared = _mode_kernel(y, work, free_energy, A, eps1, eps3).copy()
-            fresh = _mode_kernel(y, _Workspace(), free_energy, A, eps1, eps3)
+            shared = run_kernel(y, work, free_energy, A, eps1, eps3).copy()
+            fresh = run_kernel(y, _Workspace(), free_energy, A, eps1, eps3)
             assert same_bits(shared, fresh)
             assert same_bits(shared, reference_kernel(y, A, eps1, eps3, free_energy))
 
     def test_returns_a_view_the_next_call_overwrites(self):
         work = _Workspace()
         y, A, eps1, eps3 = kernel_inputs(4, 15)
-        first = _mode_kernel(y, work, False, A, eps1, eps3)
+        first = run_kernel(y, work, False, A, eps1, eps3)
         kept = first.copy()
-        _mode_kernel(y + 1.0, work, False, A, eps1, eps3)
+        run_kernel(y + 1.0, work, False, A, eps1, eps3)
         assert not np.array_equal(first, kept)
+
+    def test_sides_are_classified_over_the_block(self):
+        # NaN is not ideal: a NaN mode is computed, gives NaN and fails to
+        # certify
+        kinds, *eps = _kernel_sides(np.full(3, np.inf), np.array([2.0, 3.0]),
+                                    np.array([np.inf, 2.0]), np.array([np.inf, np.nan]),
+                                    np.array([2.0, np.nan]))
+        assert kinds == (_IDEAL, _FINITE, _MIXED, _MIXED, _FINITE)
+        assert eps[0] is None and [e.tolist() for e in eps[1:3]] == [[2.0, 3.0], [np.inf, 2.0]]
 
     def test_te_equals_public_reflection_te(self):
         # TE lies in [0, 1); the public (s-p)/(s+p) keeps only absolute
         # precision as eps -> 1, which is why the kernel does not use it
-        em1 = np.geomspace(1e-3, 1e6, 40)[:, None]
+        em1 = np.geomspace(1e-3, 1e6, 40)
         p = np.broadcast_to(np.geomspace(1.0, 1e3, 50), (40, 50)).copy()
         s, x, tm, te = (np.empty_like(p) for _ in range(4))
-        _, te = _reflections(1.0 + em1, p, p * p, s, x, tm, te)
-        public = reflection_te(np.sqrt((1.0 + em1) - 1.0 + p * p), p)
+        _, te = _reflections(_FINITE, 1.0 + em1, p, p * p, s, x, tm, te)
+        public = reflection_te(np.sqrt((1.0 + em1[:, None]) - 1.0 + p * p), p)
         assert np.abs(te - public).max() <= 1e-14
         # near vacuum the kernel keeps its relative precision:
         # TE = (eps-1)/(4 p^2) to first order in eps-1
-        eps = np.array([[1.0 + 1e-12]])
-        _, te = _reflections(eps, p[:1], p[:1] ** 2, s[:1], x[:1], tm[:1], te[:1])
+        eps = np.array([1.0 + 1e-12])
+        _, te = _reflections(_FINITE, eps, p[:1], p[:1] ** 2, s[:1], x[:1], tm[:1], te[:1])
         assert te == pytest.approx((eps - 1.0) / (4.0 * p[:1] ** 2), rel=1e-11, abs=0.0)
 
     def test_tabulated_pair_symmetry_is_exact(self):
@@ -786,7 +901,7 @@ def adaptive_modes(ms, geom, pair, spec=None, free_energy=False):
         starts = starts[starts < y_max]
         breaks[row, :starts.size + 1] = np.append(starts, y_max)
     work = _Workspace()
-    return integrate_adaptive(lambda y: _mode_kernel(y, work, free_energy, A, eps1, eps3),
+    return integrate_adaptive(lambda y: run_kernel(y, work, free_energy, A, eps1, eps3),
                               breaks, rel_tol=spec.integral_rel_tol)
 
 
@@ -1029,9 +1144,9 @@ class TestCompositeModes:
             sent.append(len(breaks))
             return integrate_adaptive(f, breaks, **kwargs)
 
-        def kernel(y, *args):
+        def kernel(y, work, free_energy, kinds, A, *eps):
             kernel_nodes.append(y.size)
-            return _mode_kernel(y, *args)
+            return _mode_kernel(y, work, free_energy, kinds, A, *eps)
         # each sum passes its own module's integrate_adaptive to _mode_block
         monkeypatch.setattr("casimir.lifshitz.integrate_adaptive", counted)
         monkeypatch.setattr("casimir.thermo.integrate_adaptive", counted)

@@ -46,8 +46,8 @@ import numpy as np
 
 from casimir.dielectric import (DrudeModel, IdealMetal, MaterialDatabase, PermittivityTable,
                                 TabulatedModel, drude_epsilon)
-from casimir.lifshitz import (QuadratureSpec, _BREAK_OFFSETS, _Workspace, _mode_kernel,
-                              _rule_pair, _scaled_pairs)
+from casimir.lifshitz import (QuadratureSpec, _BREAK_OFFSETS, _Workspace, _kernel_sides,
+                              _mode_kernel, _rule_pair, _scaled_pairs)
 from casimir.quadrature import integrate_adaptive
 from casimir.quantities import Geometry, matsubara_frequency, reduced_temperature
 
@@ -88,6 +88,13 @@ def modes(pair, a_um, lowers):
     return (lowers, *(np.asarray(model.epsilon(zeta), dtype=float) for model in pair))
 
 
+def kernel(y, work, free_energy, A, eps1, eps3):
+    """_mode_kernel on modes with permittivities eps1 and eps3 (inf for an
+    ideal metal), whose sides it classifies as a block of the sum does."""
+    kinds, *eps = _kernel_sides(eps1, eps3)
+    return _mode_kernel(y, work, free_energy, kinds, A, *eps)
+
+
 def reference(A, eps1, eps3, free_energy, rel_tol=1e-14):
     """Mode integrals by integrate_adaptive at ``rel_tol``, and the kernel
     nodes it spent on each (NaN slots of a ragged row are not counted)."""
@@ -101,14 +108,14 @@ def reference(A, eps1, eps3, free_energy, rel_tol=1e-14):
 
     def f(y):
         nodes[:] += (~np.isnan(y)).sum(axis=1)
-        return _mode_kernel(y, work, free_energy, A, eps1, eps3)
+        return kernel(y, work, free_energy, A, eps1, eps3)
     return integrate_adaptive(f, breaks, rel_tol=spec.integral_rel_tol)[0], nodes
 
 
 def fixed(pair_rule, A, eps1, eps3, free_energy):
     """(value, error) of every mode by one fixed rule pair."""
     dy, weights = pair_rule
-    fx = _mode_kernel(A[:, None] + dy, _Workspace(), free_energy, A, eps1, eps3)
+    fx = kernel(A[:, None] + dy, _Workspace(), free_energy, A, eps1, eps3)
     value, check = np.einsum("rn,kn->kr", fx, weights)
     return value, np.abs(value - check)
 
@@ -118,8 +125,7 @@ def scaled(A, eps1, eps3, free_energy):
     out = np.zeros((3, A.size))
     for lo, hi, (dy, weights) in _scaled_pairs(A, 0, A.size):
         rows = slice(lo, hi)
-        fx = _mode_kernel(A[rows, None] + dy, _Workspace(), free_energy, A[rows], eps1[rows],
-                          eps3[rows])
+        fx = kernel(A[rows, None] + dy, _Workspace(), free_energy, A[rows], eps1[rows], eps3[rows])
         value, check = np.einsum("rn,rkn->kr", fx, weights)
         out[:, rows] = value, np.abs(value - check), np.full(hi - lo, dy.shape[-1])
     return out
