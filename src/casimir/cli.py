@@ -303,7 +303,7 @@ def cmd_entropy(args: argparse.Namespace, stream) -> int:
 
 
 def cmd_kk(args: argparse.Namespace, stream) -> int:
-    try:
+    try:  # the reader checks the samples before they set the default grid
         omega, eps2 = read_optical_csv(args.input)
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
@@ -321,10 +321,7 @@ def cmd_kk(args: argparse.Namespace, stream) -> int:
         raise InputError(f"--grid asks for {span + 1:.3g} points, more than {_GRID_MAX:g}")
     n = max(2, int(round(span)) + 1)
     zeta_grid = np.logspace(np.log10(lo), np.log10(hi), n)
-    try:  # the transform checks the samples before it computes anything
-        eps = kramers_kronig_transform(omega, eps2, zeta_grid)
-    except ValueError as exc:
-        raise InputError(f"{args.input}: {exc}") from None
+    eps = kramers_kronig_transform(omega, eps2, zeta_grid)
     try:
         PermittivityTable(zeta_grid / CODATA.eV_to_rad_per_s, eps).to_csv(args.output)
     except OSError as exc:

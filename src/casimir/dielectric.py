@@ -71,7 +71,7 @@ def drude_epsilon(params: DrudeParams, zeta_eV):
     analytic path.
     """
     z = np.asarray(zeta_eV, dtype=float)
-    if not np.all(z > 0):  # NaN fails it too
+    if not z.min(initial=np.inf) > 0:  # NaN fails it too
         raise ValueError("zeta must be positive; the static mode is handled analytically")
     out = 1.0 + params.omega_p_eV**2 / (z * (z + params.nu_eV))
     return float(out) if out.ndim == 0 else out
@@ -387,8 +387,13 @@ def _read_two_column_csv(path, expected_header: tuple[str, str]) -> tuple[np.nda
 
 
 def read_optical_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read raw absorption data ``omega_rad_s,eps_imag`` for the KK transform."""
-    return _read_two_column_csv(path, ("omega_rad_s", "eps_imag"))
+    """Read raw absorption data ``omega_rad_s,eps_imag`` for the KK transform,
+    checked as it checks them."""
+    omega, eps2 = _read_two_column_csv(path, ("omega_rad_s", "eps_imag"))
+    try:
+        return _absorption_samples(omega, eps2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
@@ -397,6 +402,19 @@ _GL_NODES, _GL_WEIGHTS = leggauss(8)
 # Frequencies per block of the vectorised KK transform; a block's work
 # arrays hold this many rows of (sample intervals x Gauss nodes).
 _KK_BLOCK = 64
+
+
+def _absorption_samples(omega_rad_s, eps_imag) -> tuple[np.ndarray, np.ndarray]:
+    """Absorption samples as float arrays, checked as the KK transform needs them."""
+    w, e2 = np.asarray(omega_rad_s, dtype=float), np.asarray(eps_imag, dtype=float)
+    if w.size < 2 or e2.shape != w.shape:
+        raise ValueError("need at least two (omega, eps'') samples of equal length")
+    # written so that NaN fails each test; diff only sees finite values
+    if not (np.all((w > 0) & (w < np.inf)) and np.all(np.diff(w) > 0)):
+        raise ValueError("omega samples must be positive, finite and strictly increasing")
+    if not np.all((e2 >= 0) & (e2 < np.inf)):
+        raise ValueError("eps'' samples must be finite and nonnegative")
+    return w, e2
 
 
 def kramers_kronig_transform(
@@ -418,17 +436,9 @@ def kramers_kronig_transform(
 
     ``zeta_rad_s`` may be a scalar (returns a float) or an array of
     frequencies (returns an array of the same shape); the data are checked
-    and interpolated once for all of them.
+    (``_absorption_samples``) and interpolated once for all of them.
     """
-    w = np.asarray(omega_rad_s, dtype=float)
-    e2 = np.asarray(eps_imag, dtype=float)
-    if w.size < 2 or e2.shape != w.shape:
-        raise ValueError("need at least two (omega, eps'') samples of equal length")
-    # written so that NaN fails each test; diff only sees finite values
-    if not (np.all((w > 0) & (w < np.inf)) and np.all(np.diff(w) > 0)):
-        raise ValueError("omega samples must be positive, finite and strictly increasing")
-    if not np.all((e2 >= 0) & (e2 < np.inf)):
-        raise ValueError("eps'' samples must be finite and nonnegative")
+    w, e2 = _absorption_samples(omega_rad_s, eps_imag)
     zeta = np.asarray(zeta_rad_s, dtype=float)
     if not np.all(zeta > 0):  # NaN fails it too
         raise ValueError("zeta must be positive")

@@ -179,13 +179,10 @@ _IDEAL, _FINITE, _MIXED = "ideal", "finite", "mixed"
 
 
 def _kernel_sides(*eps):
-    """(kinds, *eps) of the sides with permittivities ``eps`` over the
-    modes of a block, the form _mode_kernel takes them in: the kind of each
-    side, and its permittivities or None for a side ideal at every mode.
-    A NaN mode is not ideal: it gives NaN and fails to certify."""
-    kinds = tuple([_FINITE if np.fmax.reduce(e) < np.inf else
-                   _IDEAL if np.minimum.reduce(e) == np.inf else _MIXED for e in eps])
-    return (kinds, *(None if kind is _IDEAL else e for kind, e in zip(kinds, eps)))
+    """The kind of each side with permittivities ``eps`` over the modes of a block, as
+    _mode_kernel takes them.  A NaN mode is not ideal: it gives NaN and fails to certify."""
+    return tuple([_FINITE if np.fmax.reduce(e) < np.inf else
+                  _IDEAL if np.minimum.reduce(e) == np.inf else _MIXED for e in eps])
 
 
 def _reflections(kind, eps, p, pp, s, x, tm, te):
@@ -231,9 +228,9 @@ def _mode_kernel(y, work: _Workspace, free_energy: bool, kinds, A, eps1, eps3=No
 
     Row i of ``y`` holds nodes y >= A[i] = m*gamma, the lower limit of mode
     i (A ascending), whose permittivities at zeta_m are eps1[i] and eps3[i],
-    the sides as _kernel_sides gives them: ``kinds`` holds the kind of each,
-    and a side ideal at every mode may pass None.  One kind and no eps3
-    means that eps1 serves both sides.  Gives the pressure integrand
+    and ``kinds`` the kind of each side (_kernel_sides); a side ideal at
+    every mode is not read.  One kind and no eps3 means that eps1 serves
+    both sides.  Gives the pressure integrand
     y^2 * [x_TM/(1-x_TM) + x_TE/(1-x_TE)], x = delta1*delta2*e^{-2y}, or,
     with ``free_energy``, y * [ln(1-x_TM) + ln(1-x_TE)], in a view into
     ``work`` valid until the next call; ``integrate_adaptive`` copies each
@@ -411,17 +408,17 @@ def _block_size(first: int, gamma: float, log_target: float, free_energy: bool,
     return high - first + 1
 
 
-def _plan(ms: np.ndarray, geom: Geometry, model1: DielectricModel, model3: DielectricModel):
-    """Lower limits m*gamma, zeta_m in eV and (model, eps(i zeta_m)) per distinct
-    side of the Matsubara indices ``ms``: one epsilon call per model, and
-    one side where both give equal permittivities, so one interface serves
-    both."""
-    zeta = ms * matsubara_frequency(1, geom.T_K)
+def _plan(ms: np.ndarray, gamma, zeta1, model1: DielectricModel, model3: DielectricModel):
+    """Lower limits m*gamma, zeta_m = m*zeta1 in eV and (model, eps(i zeta_m))
+    per distinct side of the Matsubara indices ``ms``: one epsilon call per
+    model, and one side where both give equal permittivities, so one
+    interface serves both."""
+    zeta = ms * zeta1
     models = (model1,) if model3 is model1 else (model1, model3)
     sides = [(model, np.asarray(model.epsilon(zeta), dtype=float)) for model in models]
-    if len(sides) == 2 and np.array_equal(sides[0][1], sides[1][1]):
+    if len(sides) == 2 and (sides[0][1] == sides[1][1]).all():
         del sides[1]
-    return ms * reduced_temperature(geom), zeta, sides
+    return ms * gamma, zeta, sides
 
 
 def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec, floor: float,
@@ -448,31 +445,36 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec
         if np.fmin.reduce(e) < 1.0:  # NaN is not below 1; such a mode fails to certify
             i = np.argmax(e < 1.0)
             raise ValueError(f"{model!r}: epsilon = {e[i]:.6g} < 1 at zeta = {zeta[i]:.6g} eV")
-    kinds, *eps = _kernel_sides(*(e for _, e in sides))
-    args = (lower, *eps)
+    args = (lower, *(e for _, e in sides))
+    kinds = _kernel_sides(*args[1:])
     cuts = [*lower.searchsorted(_LADDER_LOWS[free_energy]).tolist(), lower.size]
     rungs = [(lo, hi, pair) for lo, hi, (_, pair) in zip(cuts, cuts[1:], _LADDERS[free_energy])
              if lo < hi]
     if rungs and rungs[0][2] is None:
         rungs[:1] = _scaled_pairs(lower, *rungs[0][:2])
     start, out = cuts[0], np.empty((2, lower.size))  # value and check of every mode
-    out[0, :start], out[1, :start] = 0.0, np.inf  # below the floor: adaptive
-    if rungs:
-        y = np.concatenate([(lower[lo:hi, None] + dy).ravel() for lo, hi, (dy, _) in rungs])
-        counts = np.array([dy.shape[-1] for _, _, (dy, _) in rungs]).repeat(
-            [hi - lo for lo, hi, _ in rungs])
-        fx = _mode_kernel(y[:, None], work, free_energy, kinds,
-                          *(a if a is None else a[start:].repeat(counts) for a in args))
+    if start:  # below the floor: adaptive
+        out[0, :start], out[1, :start] = 0.0, np.inf
+    if rungs:  # the node column: each mode's offsets from its A, then A added
+        y = np.empty(sum((hi - lo) * dy.shape[-1] for lo, hi, (dy, _) in rungs))
+        counts, k = np.empty(lower.size - start, int), 0  # nodes per mode
+        for lo, hi, (dy, _) in rungs:
+            y[k:k + (hi - lo) * dy.shape[-1]].reshape(hi - lo, -1)[...] = dy
+            counts[lo - start:hi - start], k = dy.shape[-1], k + (hi - lo) * dy.shape[-1]
+        nodes = [a[start:].repeat(counts) for a in args]
+        y += nodes[0]
+        fx = _mode_kernel(y[:, None], work, free_energy, kinds, *nodes)
         for lo, hi, (dy, weights) in rungs:  # a scaled pair has a row per mode
             k = (hi - lo) * dy.shape[-1]
             np.einsum("rn,rkn->kr" if dy.ndim == 2 else "rn,kn->kr", fx[:k].reshape(hi - lo, -1),
                       weights, out=out[:, lo:hi])
             fx = fx[k:]
-    values, errors, failed = out[0], np.abs(out[0] - out[1]), np.zeros(lower.size, bool)
-    todo = ~(errors <= np.maximum(spec.integral_rel_tol * np.abs(values), floor))
-    if not todo.any():
+    values, errors = out[0], np.abs(out[0] - out[1])
+    failed = ~(errors <= np.maximum(spec.integral_rel_tol * np.abs(values), floor))
+    if not failed.any():
         return values, errors, failed
-    args = tuple(a if a is None else a[todo] for a in args)
+    todo, failed = failed, np.zeros(lower.size, bool)
+    args = tuple(a[todo] for a in args)
     lower = args[0]
     y_max = spec.y_max(lower)
     # the first breaks below y_max, then y_max and NaN padding; every mode
@@ -488,8 +490,7 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec
         if live.all():
             return _mode_kernel(y, work, free_energy, kinds, *args)
         out = np.full(y.shape, np.nan)
-        out[live] = _mode_kernel(y[live], work, free_energy, kinds,
-                                 *(a if a is None else a[live] for a in args))
+        out[live] = _mode_kernel(y[live], work, free_energy, kinds, *(a[live] for a in args))
         return out
 
     try:
@@ -532,8 +533,9 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
         raise ValueError("the static mode is analytic; matsubara_term needs m >= 1")
     spec = spec or _DEFAULT_SPEC
     values, errors, failed = _mode_block(
-        *_plan(np.array([m]), geom, *_sides_at(geom, model1, model3)), spec, 0.0, False,
-        integrate_adaptive, _Workspace())
+        *_plan(np.array([m]), reduced_temperature(geom), matsubara_frequency(1, geom.T_K),
+               *_sides_at(geom, model1, model3)), spec, 0.0, False, integrate_adaptive,
+        _Workspace())
     if failed[0]:
         raise _mode_error(m, geom, float(values[0]), float(errors[0]))
     return float(values[0])
@@ -622,7 +624,7 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
         return result(0.0, 0.0, np.zeros(0), 0, True)
     # closed-form static TM mode with half weight; the log integrand of F is negative
     zero_coeff = -zeta3() / 8.0 if free_energy else zeta3() / 8.0
-    gamma = reduced_temperature(geom)
+    gamma, zeta1 = reduced_temperature(geom), matsubara_frequency(1, geom.T_K)
     # the stop rule's factor on |t_m|: the term itself, or its geometric tail
     tail = max(1.0, math.exp(-2.0 * gamma) / -math.expm1(-2.0 * gamma))
     # ln of the stop rule's threshold on the bound, relative to |S|
@@ -639,12 +641,13 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
         if min(first + size, spec.max_terms + 1) > end:  # past the plan: plan from first
             n = size if size < _BLOCK_CAP else _block_size(*bound, _PLAN_CAP)
             start, end = first, min(first + n, spec.max_terms + 1)
-            lower, zeta, sides = _plan(np.arange(start, end), geom, model1, model3)
+            lower, zeta, sides = _plan(np.arange(start, end), gamma, zeta1, model1, model3)
         part = slice(first - start, min(first + size, end) - start)
         values, errors, failed = _mode_block(
             lower[part], zeta[part], [(model, e[part]) for model, e in sides], spec,
             spec.integral_rel_tol * sum_rel_tol * total, free_energy, integrate, work)
-        n_ok = int(np.argmax(failed)) if failed.any() else failed.size  # before the first failure
+        n_ok = int(failed.argmax())  # the first failed mode, or 0
+        n_ok = n_ok if failed[n_ok] else failed.size  # values before the first failure
         scan = _scan_arrays if n_ok >= _ARRAY_SCAN else _scan_loop
         acc, comp, used, converged = scan(values[:n_ok], acc, comp, first, min_terms, tail,
                                           sum_rel_tol)
@@ -652,8 +655,8 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
         n_terms += used
         if not converged and n_ok < failed.size:  # a failure the stop rule did not discard
             raise _mode_error(first + n_ok, geom, float(values[n_ok]), float(errors[n_ok]))
-    out = result((acc + comp) * unit, zero_coeff * unit, np.concatenate(terms) * unit,
-                 n_terms, converged)
+    terms = terms[0] if len(terms) == 1 else np.concatenate(terms)
+    out = result((acc + comp) * unit, zero_coeff * unit, terms * unit, n_terms, converged)
     if not converged:
         what = "free-energy" if free_energy else "frequency"
         raise SumConvergenceError(

@@ -431,6 +431,20 @@ class TestKKCommand:
         assert code == EXIT_INPUT and out == "" and not dst.exists()
         assert err.startswith(f"error: {src}: ") and "finite" in err
 
+    @pytest.mark.parametrize("grid", [None, "1e14,1e15,3"], ids=["default-grid", "grid"])
+    @pytest.mark.parametrize("first", ["0", "-1e11"])
+    def test_non_positive_first_frequency_exits_3(self, tmp_path, capsys, first, grid):
+        # the samples are checked before the first one sets the default grid
+        src, dst = tmp_path / "loss.csv", tmp_path / "out.csv"
+        self._write_drude_loss(src, per_decade=5)
+        lines = src.read_text().splitlines()
+        lines[1] = f"{first},{lines[1].split(',')[1]}"
+        src.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "kk", str(src), str(dst),
+                                 *(["--grid", grid] if grid else []))
+        assert code == EXIT_INPUT and out == "" and not dst.exists()
+        assert err.startswith(f"error: {src}: omega samples must be positive")
+
 
 class TestUsage:
     @pytest.mark.parametrize("argv, names", [

@@ -687,8 +687,7 @@ def kernel_inputs(rows, nodes, pair=(AU, CU), T_K=2.0, a_um=0.3, first=1):
 def run_kernel(y, work, free_energy, A, *eps):
     """_mode_kernel on one or two sides' permittivities per mode (inf for
     an ideal metal), classified as a block of the sum classifies them."""
-    kinds, *eps = _kernel_sides(*eps)
-    return _mode_kernel(y, work, free_energy, kinds, A, *eps)
+    return _mode_kernel(y, work, free_energy, _kernel_sides(*eps), A, *eps)
 
 
 def same_bits(a, b):
@@ -822,11 +821,9 @@ class TestModeKernel:
     def test_sides_are_classified_over_the_block(self):
         # NaN is not ideal: a NaN mode is computed, gives NaN and fails to
         # certify
-        kinds, *eps = _kernel_sides(np.full(3, np.inf), np.array([2.0, 3.0]),
-                                    np.array([np.inf, 2.0]), np.array([np.inf, np.nan]),
-                                    np.array([2.0, np.nan]))
+        kinds = _kernel_sides(np.full(3, np.inf), np.array([2.0, 3.0]), np.array([np.inf, 2.0]),
+                              np.array([np.inf, np.nan]), np.array([2.0, np.nan]))
         assert kinds == (_IDEAL, _FINITE, _MIXED, _MIXED, _FINITE)
-        assert eps[0] is None and [e.tolist() for e in eps[1:3]] == [[2.0, 3.0], [np.inf, 2.0]]
 
     def test_te_equals_public_reflection_te(self):
         # TE lies in [0, 1); the public (s-p)/(s+p) keeps only absolute
@@ -881,8 +878,8 @@ def block(ms, geom, pair, spec=None, free_energy=False):
     def integrate(f, breaks, **kwargs):
         sent.append(breaks[:, 0])  # each row starts at its mode's lower limit
         return integrate_adaptive(f, breaks, **kwargs)
-    out = _mode_block(*_plan(ms, geom, *pair), spec or QuadratureSpec(), 0.0, free_energy,
-                      integrate, _Workspace())
+    plan = _plan(ms, reduced_temperature(geom), matsubara_frequency(1, geom.T_K), *pair)
+    out = _mode_block(*plan, spec or QuadratureSpec(), 0.0, free_energy, integrate, _Workspace())
     return out, np.isin(ms * reduced_temperature(geom), np.concatenate(sent))
 
 

@@ -6,13 +6,16 @@ the same number of Matsubara terms.  These tests recompute each cell that
 returned there the way ``perfbench/worker.py`` does, so a change that moves
 a result past that bound fails the test suite first; the Bloch-Grueneisen
 entropies also through models that take nu(T) themselves, which must give
-the same bits.  The ``cli_tabulated`` sweeps run in process through
-``casimir.cli.main`` on the recorded ``kk`` tables, written back to CSV, and
-must print what was recorded to 1e-11 relative, one unit in the last printed
-digit.  The files are only read here.
+the same bits.  The ``warm_grid`` cells recorded as a ``QuadratureError``
+are evaluated now and must return a converged, finite, attractive pressure
+no weaker than its static term.  The ``cli_tabulated`` sweeps run in
+process through ``casimir.cli.main`` on the recorded ``kk`` tables, written
+back to CSV, and must print what was recorded to 1e-11 relative, one unit in
+the last printed digit.  The files are only read here.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -41,11 +44,12 @@ def record(workload: str, seed: int) -> dict:
         return json.load(fh)
 
 
-def returned_cells(workload: str, seed: int):
-    """(input, output) of every recorded evaluation that returned."""
+def returned_cells(workload: str, seed: int, returned: bool = True):
+    """(input, output) of every recorded evaluation that returned, or with
+    ``returned`` false of every one that raised."""
     rec = record(workload, seed)
     cells = [(item, out) for item, out in zip(rec["inputs"], rec["outputs"])
-             if not isinstance(out, dict)]
+             if isinstance(out, dict) is not returned]
     assert cells
     return cells
 
@@ -58,6 +62,18 @@ def test_pressures_match_the_record(workload):
             assert res.n_terms_used == n_terms, (seed, labels, a_um, T_K)
             assert close(res.pressure_mPa, pressure), (seed, labels, a_um, T_K)
             assert close(res.zero_mode_mPa, zero_mode), (seed, labels, a_um, T_K)
+
+
+def test_recorded_quadrature_errors_now_converge():
+    # the warm_grid cells recorded as QuadratureError (terms near 1e-319
+    # that a purely relative target could not certify) are evaluated now
+    cells = [cell for seed in SEEDS for cell in returned_cells("warm_grid", seed, returned=False)]
+    assert len(cells) == 23 and all(out == {"error": "QuadratureError"} for _, out in cells)
+    for (labels, a_um, T_K), _ in cells:
+        res = casimir.casimir_pressure(casimir.Geometry(a_um, T_K), *map(MODELS.get, labels))
+        p = res.pressure_mPa
+        assert res.converged and math.isfinite(p) and p < 0, (labels, a_um, T_K)
+        assert abs(p) >= abs(res.zero_mode_mPa), (labels, a_um, T_K)
 
 
 def test_entropies_match_the_record():

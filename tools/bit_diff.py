@@ -1,0 +1,176 @@
+"""Check that two source trees give the same bits on the benchmark's inputs.
+
+    python tools/bit_diff.py OLD_TREE NEW_TREE [--limit N]
+
+Each tree is a checkout of this repository.  For each, a subprocess with that
+tree's ``src`` on ``PYTHONPATH`` evaluates the records below and writes, per
+record, the bytes of the value, of the terms array and ``n_terms_used``, or
+the type and message of the error it raised (with the partial result of a
+``SumConvergenceError``):
+
+- the pressure of every recorded ``cold_sum`` and ``warm_grid`` input;
+- both free energies behind every recorded ``entropy_ladder`` row, at
+  T -/+ the entropy's default step with its default spec, the
+  Bloch-Grueneisen rows through ``DrudeModel(params, BlochGruneisenParams())``;
+- the pressure and the free energy on a small (a, T) grid for every pair
+  kind of ``_models``: one model on both sides or two equal ones, Drude,
+  Bloch-Grueneisen, tabulated, ideal, ideal below a frequency, vacuum.
+
+The recorded inputs are read from this script's own ``perfbench/recorded``
+(seeds 0 and 1), so both trees see the same ones.  The script prints every
+record that differs and exits 1 if any does, or if a record is missing on
+one side.  ``--limit N`` takes only the first N inputs of each recorded file
+and the first N grid cells of each pair kind.
+"""
+
+from __future__ import annotations
+
+import argparse
+import base64
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "recorded"
+SEEDS = (0, 1)
+GRID_A_UM = (20.0, 2.0, 0.2)
+GRID_T_K = (300.0, 3.0)
+
+
+def _models(C):
+    """The models of each pair kind of the grid, built from the package ``C``."""
+    from casimir.dielectric import drude_epsilon
+
+    db = C.MaterialDatabase.builtin()
+    au, cu, al = (C.DrudeModel(db.get(label)) for label in ("Au", "Cu", "Al"))
+    bg = C.BlochGruneisenParams()
+    zeta = np.logspace(-2, 2, 9)
+    tab = C.TabulatedModel(C.PermittivityTable(zeta, drude_epsilon(db.get("Al"), zeta)),
+                           low_freq=C.DrudeModel(db.get("Au")))
+
+    class IdealBelow(C.DrudeModel):
+        """Au that reflects perfectly below 0.05 eV: ideal at some modes."""
+
+        def epsilon(self, zeta_eV):
+            eps = np.asarray(super().epsilon(zeta_eV), dtype=float)
+            return np.where(np.asarray(zeta_eV) < 0.05, np.inf, eps)
+
+    ideal = C.IdealMetal()
+    return {"Au-Au": (au, au), "Au-Au copies": (au, C.DrudeModel(db.get("Au"))),
+            "Au-Cu": (au, cu), "Cu-Al": (cu, al),
+            "Au-Al bg": (C.DrudeModel(db.get("Au"), bg), C.DrudeModel(db.get("Al"), bg)),
+            "tabulated-Cu": (tab, cu), "Au-ideal": (au, ideal), "ideal-ideal": (ideal, ideal),
+            "ideal-below-Au": (IdealBelow(db.get("Au")), au), "vacuum-Au": (C.Vacuum(), au)}
+
+
+def _fields(res) -> dict:
+    """Value (hex), n_terms_used and the terms' bytes (base64) of a result."""
+    value, _, terms, n_terms, _ = vars(res).values()
+    return {"value": float(value).hex(), "n_terms_used": n_terms,
+            "terms": base64.b64encode(np.asarray(terms, dtype=float).tobytes()).decode()}
+
+
+def _evaluate(C, fn, *args) -> dict:
+    """_fields of ``fn(*args)``, or the error it raised, with its partial result."""
+    try:
+        return _fields(fn(*args))
+    except C.SumConvergenceError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}", **_fields(exc.partial)}
+    except (C.QuadratureError, ValueError) as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def records(limit: int | None = None):
+    """(id, fields) of every record, evaluated with the importable casimir."""
+    import casimir as C
+    from casimir.thermo import _ENTROPY_SPEC, _ENTROPY_STEP_K
+
+    db = C.MaterialDatabase.builtin()
+    models = {label: C.DrudeModel(db.get(label)) for label in ("Au", "Cu", "Al")}
+    models["ideal"] = C.IdealMetal()
+    bg = C.BlochGruneisenParams()
+    bg_models = {label: C.DrudeModel(db.get(label), bg) for label in ("Au", "Cu", "Al")}
+    for workload in ("cold_sum", "warm_grid", "entropy_ladder"):
+        for seed in SEEDS:
+            with open(RECORDED / f"{workload}-{seed}.json") as fh:
+                inputs = json.load(fh)["inputs"][:limit]
+            for i, (labels, a_um, T_K, *with_bg) in enumerate(inputs):
+                key = f"{workload}-{seed} #{i} {','.join(labels)} a={a_um!r} T={T_K!r}"
+                if workload != "entropy_ladder":
+                    yield key, _evaluate(C, C.casimir_pressure, C.Geometry(a_um, T_K),
+                                         *map(models.get, labels))
+                    continue
+                pair = tuple(map((bg_models if with_bg[0] else models).get, labels))
+                for t in (T_K - _ENTROPY_STEP_K, T_K + _ENTROPY_STEP_K):
+                    yield f"{key} F at {t!r}", _evaluate(C, C.free_energy, C.Geometry(a_um, t),
+                                                         *pair, _ENTROPY_SPEC)
+    grid = [(a, t) for a in GRID_A_UM for t in GRID_T_K][:limit]
+    for kind, pair in _models(C).items():
+        for a_um, T_K in grid:
+            geom = C.Geometry(a_um, T_K)
+            for name, fn in (("P", C.casimir_pressure), ("F", C.free_energy)):
+                yield f"grid {kind} a={a_um} T={T_K} {name}", _evaluate(C, fn, geom, *pair)
+
+
+def dump(tree: Path, limit: int | None) -> dict:
+    """{id: fields} of every record, evaluated in a subprocess on ``tree``'s src."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, __file__, "--dump"]
+    argv += [] if limit is None else ["--limit", str(limit)]
+    out = subprocess.run(argv, env=env, cwd=tree, capture_output=True, text=True)
+    if out.returncode:
+        sys.exit(f"{tree}: the dump failed:\n{out.stderr}")
+    return dict(json.loads(line) for line in out.stdout.splitlines())
+
+
+def compare(old: dict, new: dict) -> list[str]:
+    """One line per record that is missing on one side or differs."""
+    lines = []
+    for key in [*old, *(k for k in new if k not in old)]:
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        if a is None or b is None:
+            lines.append(f"{key}: only in {'new' if a is None else 'old'}")
+            continue
+        line = [f"{name} {a.get(name)} -> {b.get(name)}" for name in ("error", "n_terms_used")
+                if a.get(name) != b.get(name)]
+        if a.get("value") != b.get("value"):
+            line.append("value " + " -> ".join(repr(float.fromhex(r["value"])) if "value" in r
+                                               else "none" for r in (a, b)))
+        ta, tb = (np.frombuffer(base64.b64decode(r.get("terms", "")), dtype=np.int64)
+                  for r in (a, b))
+        n = min(ta.size, tb.size)
+        if ta.size != tb.size or (ta[:n] != tb[:n]).any():
+            line.append(f"{np.count_nonzero(ta[:n] != tb[:n])} of {n} shared terms differ")
+        lines.append(f"{key}: " + "; ".join(line))
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
+    parser.add_argument("--limit", type=int, default=None,
+                        help="first N inputs of each recorded file and grid pair kind")
+    parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.dump:
+        for key, fields in records(args.limit):
+            print(json.dumps([key, fields]))
+        return 0
+    if len(args.trees) != 2:
+        parser.error("give OLD_TREE and NEW_TREE")
+    old, new = (dump(tree.resolve(), args.limit) for tree in args.trees)
+    lines = compare(old, new)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} of {len(set(old) | set(new))} records differ")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

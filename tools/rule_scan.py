@@ -91,8 +91,7 @@ def modes(pair, a_um, lowers):
 def kernel(y, work, free_energy, A, eps1, eps3):
     """_mode_kernel on modes with permittivities eps1 and eps3 (inf for an
     ideal metal), whose sides it classifies as a block of the sum does."""
-    kinds, *eps = _kernel_sides(eps1, eps3)
-    return _mode_kernel(y, work, free_energy, kinds, A, *eps)
+    return _mode_kernel(y, work, free_energy, _kernel_sides(eps1, eps3), A, eps1, eps3)
 
 
 def reference(A, eps1, eps3, free_energy, rel_tol=1e-14):
