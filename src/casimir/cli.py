@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import gc
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -35,10 +36,16 @@ from .dielectric import (
     kramers_kronig_transform,
     read_optical_csv,
 )
-from .lifshitz import QuadratureSpec, SumConvergenceError, casimir_pressure
+from .lifshitz import (
+    QuadratureSpec,
+    SumConvergenceError,
+    _DEFAULT_SPEC,
+    _ENTROPY_SPEC,
+    _ENTROPY_STEP_K,
+    casimir_pressure,
+)
 from .quadrature import QuadratureError
 from .quantities import CODATA, Geometry
-from .thermo import _ENTROPY_SPEC, _ENTROPY_STEP_K, entropy, nernst_check
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -81,6 +88,8 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
     """
     if not getattr(args, "config", None):
         return args
+    import json
+
     try:
         with open(args.config) as fh:
             conf = json.load(fh)
@@ -184,6 +193,8 @@ def _emit_rows(rows, fmt: str, stream) -> list[dict]:
     written = list(rows)
     keys = list(written[0].keys())
     if fmt == "json":
+        import json
+
         json.dump(written, stream, indent=2, default=_fmt)
         stream.write("\n")
     else:  # pretty
@@ -269,6 +280,8 @@ def cmd_table(args: argparse.Namespace, stream) -> int:
 
 
 def cmd_entropy(args: argparse.Namespace, stream) -> int:
+    from .thermo import entropy, nernst_check  # the one command that needs thermo
+
     spec = _build_spec(args)
     a_list = _float_list(args.a)
     t_list = _float_list(args.T)
@@ -338,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-temperature Casimir pressure between material half-spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, T: str | None, spec: QuadratureSpec = QuadratureSpec(),
+    def common(p: argparse.ArgumentParser, T: str | None, spec: QuadratureSpec = _DEFAULT_SPEC,
                formats: bool = True) -> None:
         """Shared flags; ``T`` is the default --T (None: no pair flags), and
         ``spec``'s tolerances are the defaults of --int-tol/--sum-tol."""
@@ -408,10 +421,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # the command ends the process: frozen, the import heap is skipped by
+        # every collection, the one at shutdown included
+        gc.freeze()
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         args = _apply_config(build_parser().parse_args(argv), argv)
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send the rest to devnull, so the flush
+        # at exit cannot fail again (Python's documented recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_COMPUTE
     except (InputError, UnknownMaterialError, NuRangeError) as exc:
         # nu(T) may be out of range at a T the library derives, such as T - fd_step
         flags = "--T/--theta: " if isinstance(exc, NuRangeError) else ""

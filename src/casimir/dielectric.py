@@ -10,7 +10,6 @@ passive medium is real, at least 1, and non-increasing in frequency.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -108,6 +107,8 @@ class MaterialDatabase:
     def from_json(cls, path) -> "MaterialDatabase":
         """Load a JSON array of {label, omega_p_eV, nu_eV}, merged over the
         built-in entries (file entries win on label collision)."""
+        import json  # here, so a process that reads no database file never loads it
+
         with open(path) as fh:
             raw = json.load(fh)
         if not isinstance(raw, list):

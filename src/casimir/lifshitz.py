@@ -92,6 +92,12 @@ class QuadratureSpec:
 
 # The spec of a call that passes none, built once: building one costs 2 us.
 _DEFAULT_SPEC = QuadratureSpec()
+# Entropy is a small difference of nearly equal free energies; its default
+# summation tolerance is two decades tighter than the pressure default so
+# the truncation bias stays far below the differences being resolved.
+_ENTROPY_SPEC = QuadratureSpec(sum_rel_tol=1e-10)
+# Default central-difference step of ``thermo.entropy`` in K.
+_ENTROPY_STEP_K = 0.5
 
 
 @dataclass(frozen=True)

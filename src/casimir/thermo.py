@@ -20,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dielectric import DielectricModel
-from .lifshitz import (
+from .lifshitz import (  # the entropy defaults live there, beside the pressure's
     QuadratureSpec,
     _DEFAULT_SPEC,
+    _ENTROPY_SPEC,
+    _ENTROPY_STEP_K,
     _summed_modes,
     casimir_pressure,
     zeta3,
@@ -40,13 +42,6 @@ __all__ = [
     "nernst_check",
     "crossover_separation",
 ]
-
-# Entropy is a small difference of nearly equal free energies; its default
-# summation tolerance is two decades tighter than the pressure default so
-# the truncation bias stays far below the differences being resolved.
-_ENTROPY_SPEC = QuadratureSpec(sum_rel_tol=1e-10)
-# Default central-difference step of ``entropy`` in K.
-_ENTROPY_STEP_K = 0.5
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -745,8 +746,15 @@ class TestTabulatedInput:
         assert float(parse_csv(out_bg)[0]["pressure_mPa"]) == pytest.approx(want, rel=1e-11)
 
 
+def _process_env():
+    """The environment of a child that imports this tree's casimir."""
+    src_dir = os.path.dirname(os.path.dirname(casimir.lifshitz.__file__))
+    return dict(os.environ, PYTHONPATH=src_dir)
+
+
 def test_cli_runs_on_numpy_alone(tmp_path):
-    """A tabulated sweep and a kk run load neither scipy nor numpy.ma."""
+    """A tabulated sweep and a kk run load neither scipy nor numpy.ma, and
+    neither thermo nor json."""
     loss = tmp_path / "loss.csv"
     TestKKCommand()._write_drude_loss(loss, per_decade=10)
     script = textwrap.dedent(f"""
@@ -757,12 +765,11 @@ def test_cli_runs_on_numpy_alone(tmp_path):
         assert casimir.cli.main(["sweep", "--pair", "Au,Au", "--eps1", eps, "--eps3", eps,
                                  "--a", "2", "--T", "300"]) == 0
         print(sorted(m for m in sys.modules
-                     if m.startswith("scipy") or m == "numpy.ma" or m.startswith("numpy.ma.")))
+                     if m.startswith("scipy") or m == "numpy.ma" or m.startswith("numpy.ma.")
+                     or m in ("casimir.thermo", "json")))
     """)
-    src_dir = os.path.dirname(os.path.dirname(casimir.lifshitz.__file__))
-    env = dict(os.environ, PYTHONPATH=src_dir)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=_process_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
@@ -786,6 +793,68 @@ def test_package_surface():
     assert set(casimir.__all__) == SURFACE
     assert all(getattr(casimir, name) is not None for name in casimir.__all__)
     assert WORKER <= set(casimir.__all__)
+
+
+def test_import_casimir_loads_no_submodule():
+    script = ("import sys, casimir; print(sorted(m for m in sys.modules "
+              "if m.startswith('casimir.') or m == 'numpy' or m.startswith('numpy.')))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_process_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_package_names_resolve_on_first_use():
+    assert set(casimir.__all__) <= set(dir(casimir))
+    star = {}
+    exec("from casimir import *", star)
+    assert all(star[name] is getattr(casimir, name) for name in casimir.__all__)
+    assert casimir.entropy is casimir.thermo.entropy
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        casimir.no_such_name
+
+
+class TestProcess:
+    """``python -m casimir.cli``, the path the ``casimir`` script takes."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["pressure", "--a", "1,2", "--T", "300,4", "--format", "pretty"], EXIT_OK),
+        (["sweep", "--a", "1,1e300", "--T", "300"], EXIT_COMPUTE),  # a row, then an error
+        (["pressure", "--format", "xml"], EXIT_INPUT),
+    ])
+    def test_output_and_exit_code_match_main(self, capsys, argv, code):
+        in_process = run_cli(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "casimir.cli", *argv],
+                              capture_output=True, env=_process_env(), timeout=120)
+        assert in_process[0] == proc.returncode == code
+        assert proc.stdout == in_process[1].encode()
+        assert proc.stderr == in_process[2].encode()
+
+    def test_only_the_process_command_freezes_the_heap(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["pressure", "--a", "1", "--T", "300"]) == EXIT_OK
+        assert gc.get_freeze_count() == frozen
+        script = ("import gc, sys, casimir.cli; sys.argv[1:] = ['pressure']; "
+                  "casimir.cli.main(); print(gc.get_freeze_count() > 0, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=_process_env(), timeout=120)
+        assert proc.stderr == "True\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_1_without_traceback(self, unbuffered):
+        env = _process_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)  # every write to stdout then fails with EPIPE
+        try:
+            proc = subprocess.run([sys.executable, "-m", "casimir.cli", "sweep",
+                                   "--a", "1,2,3,4,5", "--T", "300,310"],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (EXIT_COMPUTE, b"")
 
 
 def test_parser_exists_for_all_subcommands():

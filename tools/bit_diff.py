@@ -14,7 +14,11 @@ the type and message of the error it raised (with the partial result of a
   Bloch-Grueneisen rows through ``DrudeModel(params, BlochGruneisenParams())``;
 - the pressure and the free energy on a small (a, T) grid for every pair
   kind of ``_models``: one model on both sides or two equal ones, Drude,
-  Bloch-Grueneisen, tabulated, ideal, ideal below a frequency, vacuum.
+  Bloch-Grueneisen, tabulated, ideal, ideal below a frequency, vacuum;
+- every recorded ``cli_tabulated`` invocation, run in order as
+  ``python -m casimir.cli`` on the absorption files that the benchmark's
+  ``Cli`` (``perfbench/worker.py``) writes: its exit code, its stdout and,
+  for ``kk``, the bytes of the table it writes.
 
 The recorded inputs are read from this script's own ``perfbench/recorded``
 (seeds 0 and 1), so both trees see the same ones.  The script prints every
@@ -31,11 +35,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "recorded"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+RECORDED = PERFBENCH / "recorded"
 SEEDS = (0, 1)
 GRID_A_UM = (20.0, 2.0, 0.2)
 GRID_T_K = (300.0, 3.0)
@@ -114,6 +120,30 @@ def records(limit: int | None = None):
             geom = C.Geometry(a_um, T_K)
             for name, fn in (("P", C.casimir_pressure), ("F", C.free_energy)):
                 yield f"grid {kind} a={a_um} T={T_K} {name}", _evaluate(C, fn, geom, *pair)
+    yield from _cli_records(C, limit)
+
+
+def _cli_records(C, limit: int | None):
+    """(id, fields) of the recorded ``cli_tabulated`` invocations, each run as
+    ``python -m casimir.cli`` on the package ``C``'s tree."""
+    sys.path.insert(0, str(PERFBENCH))
+    from worker import Cli
+
+    env = dict(os.environ, PYTHONPATH=str(Path(C.__file__).resolve().parents[1]))
+    for seed in SEEDS:
+        with open(RECORDED / f"cli_tabulated-{seed}.json") as fh:
+            inputs = json.load(fh)["inputs"]
+        with tempfile.TemporaryDirectory() as workdir:
+            cli = Cli(C, os.getcwd(), inputs, workdir)  # writes the absorption files
+            for i, inv in enumerate(inputs["invocations"][:limit]):
+                argv = cli.argv(inv)
+                proc = subprocess.run([sys.executable, "-m", "casimir.cli", *argv],
+                                      env=env, capture_output=True, text=True)
+                fields = {"exit": proc.returncode,
+                          "stdout": proc.stdout.replace(workdir, "WORKDIR")}
+                if inv[0] == "kk":
+                    fields["table"] = base64.b64encode(Path(argv[2]).read_bytes()).decode()
+                yield f"cli_tabulated-{seed} #{i} {' '.join(map(str, inv[:3]))}", fields
 
 
 def dump(tree: Path, limit: int | None) -> dict:
@@ -137,8 +167,9 @@ def compare(old: dict, new: dict) -> list[str]:
         if a is None or b is None:
             lines.append(f"{key}: only in {'new' if a is None else 'old'}")
             continue
-        line = [f"{name} {a.get(name)} -> {b.get(name)}" for name in ("error", "n_terms_used")
-                if a.get(name) != b.get(name)]
+        line = [f"{name} {a.get(name)} -> {b.get(name)}"
+                for name in ("error", "n_terms_used", "exit") if a.get(name) != b.get(name)]
+        line += [f"{name} differs" for name in ("stdout", "table") if a.get(name) != b.get(name)]
         if a.get("value") != b.get("value"):
             line.append("value " + " -> ".join(repr(float.fromhex(r["value"])) if "value" in r
                                                else "none" for r in (a, b)))
