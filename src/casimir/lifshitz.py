@@ -12,9 +12,12 @@ near-singularity at y = 0 (_SCALED: below A = 0.0022 for the pressure,
 and 1e-7), and those a pair does not certify, take one batched adaptive
 quadrature, each certified alone.  A block ends where a bound that holds
 for any reflections in [0, 1] shows the sum must stop, so a short sum
-takes one block.  A sum evaluates the permittivities once for all the
-modes that bound lets it reach, and each block takes a slice of them and
-tells the kernel which side is ideal at all, none or some of its modes.
+takes one block.  That block sizes the sum's kernel workspace; each later
+one takes as many modes as its nodes fill, its bound scaled through the
+last term so that it ends near the stop.  A sum evaluates the
+permittivities once for all the modes the bound lets it reach, and each
+block takes a slice of them and tells the kernel which side is ideal at
+all, none or some of its modes.
 A long block's values are summed in array passes, a short one's in a loop,
 with the same bits.
 
@@ -371,9 +374,8 @@ def _scaled_pairs(lower, lo, hi):
     return out
 
 
-# Largest number of modes evaluated in one block.  The block's arrays grow
-# with it; past about a hundred modes the per-call overhead is already
-# amortised and only the peak memory keeps growing.
+# Most modes in a sum's first block, which sizes the kernel workspace that
+# each later block fills (_summed_modes).
 _BLOCK_CAP = 128
 # Fewest values of a block summed in array passes (_scan_arrays) rather than
 # one by one (_scan_loop); both give the same bits.  The passes cost about
@@ -382,7 +384,8 @@ _BLOCK_CAP = 128
 # passes 8.9, 9.4, 9.2, 9.7 and 10.1 us (one pinned core of a 2-vCPU
 # x86-64 host), so they break even at about 52 terms.
 _ARRAY_SCAN = 48
-# Most modes a sum plans at once, at least _BLOCK_CAP (about 1 MB of arrays).
+# Most modes a sum plans at once and a block holds, at least the largest
+# block (about 1 MB of arrays).
 _PLAN_CAP = 1 << 15
 
 
@@ -412,6 +415,15 @@ def _block_size(first: int, gamma: float, log_target: float, free_energy: bool,
         else:
             low = mid
     return high - first + 1
+
+
+def _nodes(A: float, free_energy: bool) -> int:
+    """Kernel nodes of the pair the integrand's ladder gives a mode at A
+    (_mode_block): a rung's or the A-scaled one's; 0 below the floor."""
+    i = int(_LADDER_LOWS[free_energy].searchsorted(A, "right")) - 1
+    if i < 0:
+        return 0
+    return (_LADDERS[free_energy][i][1] or _scaled_rule(1 - math.frexp(A)[1]))[0].size
 
 
 def _plan(ms: np.ndarray, gamma, zeta1, model1: DielectricModel, model3: DielectricModel):
@@ -599,12 +611,19 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     sum's own tolerance scale; it stops terms that underflow from refining
     forever.  A block runs up to the first m >= min_terms at which the
     unit-reflection bound of _log_bound, times max(1, r/(1-r)), falls to
-    sum_rel_tol * |S|, where the stop rule below is certain to fire, and
-    holds at most _BLOCK_CAP modes: a sum of up to _BLOCK_CAP terms takes
-    one block.  A mode's value depends on its block only through the floor.
-    The first block plans (_plan) the modes up to the m where the bound meets
-    the target at |S| = |static term|, at most _PLAN_CAP and max_terms, so
-    later blocks end there too; one reaching past its plan plans again.
+    sum_rel_tol * |S|, where the stop rule below is certain to fire.  The
+    first block holds at most _BLOCK_CAP modes, so a sum of up to _BLOCK_CAP
+    terms takes one block, and sizes the kernel workspace.  A later block
+    holds as many modes as the workspace holds nodes for at its first mode's
+    rule (_nodes; nodes per mode never rise with A, so it never grows), at
+    least _BLOCK_CAP and at most _PLAN_CAP, and its bound is rescaled through
+    the last term t used: the target rises by shift = ln(bound/|t|) >= 0
+    there, so a long block does not run far past the stop; where it ends
+    early, the next block goes on.  A mode's value depends on its block only
+    through the floor.  The first block plans (_plan) the modes up to the m
+    where the bound meets the target at |S| = |static term|, at most
+    _PLAN_CAP and max_terms, so later blocks end there too; one reaching
+    past its plan plans again, as far as the bound without the shift.
 
     The values of a block up to its first failed mode are then accumulated
     in increasing m with Neumaier compensation: one by one (_scan_loop) if
@@ -640,12 +659,18 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     min_terms, sum_rel_tol = spec.min_terms, spec.sum_rel_tol
     work = _Workspace()
     start = end = 1  # the plan holds the modes from start to end - 1
+    cap, shift = _BLOCK_CAP, 0.0  # the first block's cap and the shift of its bound
     while not converged and n_terms < spec.max_terms:
         first, total = n_terms + 1, abs(acc + comp)
+        if terms:  # a later block: the modes whose nodes fit the workspace, a rescaled bound
+            nodes, last = _nodes(first * gamma, free_energy), abs(float(terms[-1][-1]))
+            cap = min(max(work.size // nodes, _BLOCK_CAP), _PLAN_CAP) if nodes else _BLOCK_CAP
+            # the bound exceeds the last term by e^shift: take it through that term
+            shift = last and max(0.0, _log_bound(n_terms * gamma, free_energy) - math.log(last))
         bound = (first, gamma, log_tol + math.log(total), free_energy, min_terms)
-        size = _block_size(*bound)
+        size = _block_size(first, gamma, bound[2] + shift, free_energy, min_terms, cap)
         if min(first + size, spec.max_terms + 1) > end:  # past the plan: plan from first
-            n = size if size < _BLOCK_CAP else _block_size(*bound, _PLAN_CAP)
+            n = size if size < cap and not shift else _block_size(*bound, _PLAN_CAP)
             start, end = first, min(first + n, spec.max_terms + 1)
             lower, zeta, sides = _plan(np.arange(start, end), gamma, zeta1, model1, model3)
         part = slice(first - start, min(first + size, end) - start)

@@ -53,6 +53,9 @@ CODATA = PhysicalConstants()
 # break 0.75 above, distinct doubles while m*gamma < 2^53 ~ 9e15; thousands of
 # modes fit, and past gamma ~ 400 every mode m >= 1 underflows to 0 anyway.
 _GAMMA_MAX = 1e12
+# Smallest reduced temperature: a sum needs about 10/gamma terms, far past any
+# max_terms, and below about 1e-150 the kernel's (y/gamma)^2 overflows.
+_GAMMA_MIN = 1e-140
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,8 @@ class Geometry:
     small positive value such as 1 K, which is numerically indistinguishable
     from T=0 at micrometre separations.  A pair is rejected where no unit
     conversion holds (a*T, a^3 in m^3 or the SI pressure or free-energy scale
-    under- or overflows) or its reduced temperature exceeds _GAMMA_MAX.
+    under- or overflows) or its reduced temperature lies outside
+    [_GAMMA_MIN, _GAMMA_MAX].
     """
 
     a_um: float
@@ -79,8 +83,11 @@ class Geometry:
         if gamma > _GAMMA_MAX:
             raise ValueError(f"a={self.a_um} um, T={self.T_K} K: a*T too large "
                              f"(reduced temperature {gamma:.3g} > {_GAMMA_MAX:g})")
+        if gamma < _GAMMA_MIN:
+            raise ValueError(f"a={self.a_um} um, T={self.T_K} K: a*T too small "
+                             f"(reduced temperature {gamma:.3g} < {_GAMMA_MIN:g})")
         # a^3 first: a float divided by 0 raises
-        if not (gamma > 0 and a_m * a_m * a_m > 0 and 0 < pressure_to_si(1.0, self) < math.inf
+        if not (a_m * a_m * a_m > 0 and 0 < pressure_to_si(1.0, self) < math.inf
                 and 0 < free_energy_to_si(1.0, self) < math.inf):
             raise ValueError(f"a={self.a_um} um, T={self.T_K} K: a*T, a^3 or the SI pressure "
                              "or free-energy scale under- or overflows")

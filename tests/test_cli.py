@@ -561,7 +561,8 @@ class TestUsage:
         ["pressure", "--a", "1e300", "--T", "300"],
         ["pressure", "--a", "1", "--T", "1e300"],
         ["entropy", "--a", "1e6", "--T", "1e12"],
-    ], ids=["si-scale-overflow", "huge-a", "huge-T", "entropy-huge-aT"])
+        ["pressure", "--a", "1", "--T", "1e-160"],
+    ], ids=["si-scale-overflow", "huge-a", "huge-T", "entropy-huge-aT", "tiny-aT"])
     def test_overflowing_geometry_exits_1(self, capsys, argv):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy overflow warning would escape
@@ -829,6 +830,15 @@ class TestProcess:
         assert in_process[0] == proc.returncode == code
         assert proc.stdout == in_process[1].encode()
         assert proc.stderr == in_process[2].encode()
+
+    def test_tiny_reduced_temperature_exits_1_naming_a_and_t(self):
+        # the kernel once overflowed here: numpy warnings, then an uncertified mode
+        proc = subprocess.run([sys.executable, "-m", "casimir.cli", "pressure", "--a", "1",
+                               "--T", "1e-160"], capture_output=True, text=True,
+                              env=_process_env(), timeout=120)
+        assert proc.returncode == EXIT_COMPUTE and proc.stdout == ""
+        assert proc.stderr.startswith("error: a=1.0 um, T=1e-160 K: a*T too small")
+        assert "Warning" not in proc.stderr
 
     def test_only_the_process_command_freezes_the_heap(self, capsys):
         frozen = gc.get_freeze_count()

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from casimir.dielectric import (
     DrudeModel,
     IdealMetal,
     MaterialDatabase,
+    NuRangeError,
     PermittivityTable,
     TabulatedModel,
     Vacuum,
@@ -54,6 +56,7 @@ from casimir.lifshitz import (
 from casimir.quadrature import QuadratureError, integrate_adaptive
 from casimir.quantities import (
     CODATA,
+    _GAMMA_MIN,
     Geometry,
     free_energy_to_si,
     matsubara_frequency,
@@ -442,7 +445,7 @@ class TestBlockDriver:
         (0.85, 300.0, 16, -1.896084880347681),
         (1.3, 20.0, 156, -0.40645489235415855),     # in the second block
         (3.65, 4.0, 283, -0.006959357918267075),
-        (2.5, 4.0, 411, -0.031207448276329198),     # in the fourth block
+        (2.5, 4.0, 411, -0.031207448276329198),     # in the third block
     ])
     def test_stop_at_block_edges(self, a_um, T_K, n_terms, pressure_mPa):
         res = casimir_pressure(Geometry(a_um, T_K), AU, CU)
@@ -525,12 +528,16 @@ class TestBlockDriver:
                        for name, value in vars(results[0]).items())
 
     def test_matsubara_term_equals_block_value(self):
-        # at 1 K the terms decay slowly, so the floor never binds here;
-        # blocks of 128 modes, the last from 3969 to past the stop
+        # at 1 K the terms decay slowly, so the floor never binds here; the
+        # first and last mode of every block, the last block reaching past
+        # the stop
         geom = Geometry(1.0, 1.0)
         res = casimir_pressure(geom, AU, CU)
         si = pressure_to_si(1.0, geom)
-        for m in (1, 5, 6, 128, 129, 256, 257, 3968, 3969, res.n_terms_used):
+        first = block_firsts(casimir_pressure, geom, (AU, CU))
+        assert first.size > 10 and first[-1] > res.n_terms_used + 1
+        for m in sorted({1, 5, 6, *first[1:-1].tolist(), *(first[1:-1] - 1).tolist(),
+                         res.n_terms_used}):
             assert -matsubara_term(m, geom, AU, CU) * si == res.terms_mPa[m - 1]
 
     def test_loose_tolerance_mixes_panel_layouts(self):
@@ -576,13 +583,20 @@ MAGNITUDES = st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308),
 
 @st.composite
 def term_blocks(draw):
-    """(values, acc, comp, first, min_terms, tail, rel_tol) of one block:
-    terms of one sign, random or decaying geometrically, onto a running sum
-    of either sign whose compensation is below its last unit."""
-    n = draw(st.sampled_from([1, _ARRAY_SCAN - 1, _ARRAY_SCAN, _BLOCK_CAP])
-             | st.integers(1, _BLOCK_CAP))
+    """(values, acc, comp, first, min_terms, tail, rel_tol) of one block of
+    up to 2,048 values, as long as the blocks of a cold sum: terms of one
+    sign, random or decaying geometrically, onto a running sum of either
+    sign whose compensation is below its last unit.  Past _BLOCK_CAP random
+    values are picked from a drawn pool by a drawn seed, which keeps the
+    example within Hypothesis's buffer."""
+    n = draw(st.sampled_from([1, _ARRAY_SCAN - 1, _ARRAY_SCAN, _BLOCK_CAP, 1024])
+             | st.integers(1, 2048))
     if draw(st.booleans()):
-        values = np.array(draw(st.lists(MAGNITUDES, min_size=n, max_size=n)))
+        if n <= _BLOCK_CAP:
+            values = np.array(draw(st.lists(MAGNITUDES, min_size=n, max_size=n)))
+        else:
+            pool = draw(st.lists(MAGNITUDES, min_size=1, max_size=32))
+            values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(pool, n)
     else:
         values = draw(MAGNITUDES) * draw(st.floats(0.0, 1.0)) ** np.arange(n)
     sign = draw(st.sampled_from([1.0, -1.0]))
@@ -603,36 +617,40 @@ class TestScan:
     @example(block=(np.array([0.0, 5e-324, 0.0, 1e-310]), -0.0, 0.0, 5, 1, 2.0, 1.0))
     @example(block=(-np.geomspace(1e300, 1e-300, _BLOCK_CAP), -1e-300, 0.0, 1, 200, 1.0, 1e-8))
     @example(block=(np.array([3.0, 1.0]), 1.0, 0.0, 1, 1, 1.0, 0.75))  # 3 <= 0.75 * 4: a tie
+    # a long cold block: 1,167 slowly decaying terms after a first block
+    @example(block=(-np.geomspace(2e-2, 1e-14, 1167), -0.36, 1e-17, 129, 5, 1.0, 1e-10))
     def test_array_pass_equals_the_loop(self, block):
         loop, arrays = _scan_loop(*block), _scan_arrays(*block)
         assert same_bits(np.array(loop[:2]), np.array(arrays[:2])), (loop, arrays)
         assert loop[2:] == arrays[2:]
 
     def test_sum_does_not_depend_on_the_path(self, monkeypatch):
-        # full blocks take the array pass; with _ARRAY_SCAN past _BLOCK_CAP
-        # every block takes the loop.  Also when max_terms is hit inside a
-        # block summed in array passes
+        # long blocks take the array pass; with _ARRAY_SCAN past _PLAN_CAP,
+        # which caps every block, every block takes the loop.  Also when
+        # max_terms is hit inside a block summed in array passes
         geom = Geometry(1.0, 2.0)
         runs = [(casimir_pressure, None), (free_energy, None),
                 (casimir_pressure, QuadratureSpec(max_terms=2000))]
         arrays = [outcome(evaluate, geom, (AU, CU), spec) for evaluate, spec in runs]
-        monkeypatch.setattr("casimir.lifshitz._ARRAY_SCAN", _BLOCK_CAP + 1)
+        monkeypatch.setattr("casimir.lifshitz._ARRAY_SCAN", _PLAN_CAP + 1)
         assert [outcome(evaluate, geom, (AU, CU), spec) for evaluate, spec in runs] == arrays
         assert arrays[2][:2] == (SumConvergenceError, "frequency sum not converged after 2000 "
                                  "terms (a=1.0 um, T=2.0 K)")
 
-    # Au-Cu at 1 um and 2 K stops at m = 2003, in a block of modes 1921-2048
+    # Au-Cu at 1 um and 2 K stops at m = 2003, in a block of modes 1852-2011
     def test_failure_past_the_stop_in_a_long_block_is_discarded(self):
         geom = Geometry(1.0, 2.0)
         ref = casimir_pressure(geom, AU, CU)
-        assert ref.n_terms_used == 2003 and 2003 - 1921 >= _ARRAY_SCAN
+        first = block_firsts(casimir_pressure, geom, (AU, CU))
+        assert ref.n_terms_used == 2003 and 2003 - first[first <= 2003][-1] >= _ARRAY_SCAN
         broken = NanAbove(DB.get("Au"), matsubara_frequency(2003, geom.T_K) * 1.0001)
         res = casimir_pressure(geom, broken, CU)
         assert same_bits(res.terms_mPa, ref.terms_mPa)
         assert res.pressure_mPa == ref.pressure_mPa
 
     def test_failure_inside_a_long_block_raises(self):
-        geom, m = Geometry(1.0, 2.0), 1921 + _ARRAY_SCAN
+        geom = Geometry(1.0, 2.0)
+        m = block_firsts(casimir_pressure, geom, (AU, CU))[-2] + _ARRAY_SCAN
         broken = NanAbove(DB.get("Au"), matsubara_frequency(m - 1, geom.T_K) * 1.0001)
         with pytest.raises(QuadratureError, match=f"m={m} "):
             casimir_pressure(geom, broken, CU)
@@ -1131,7 +1149,7 @@ class TestCompositeModes:
                                                       monkeypatch):
         # counted, not timed: a sum sends the modes its fixed rules miss,
         # and its fixed rules take few kernel nodes per mode (measured: 35.1
-        # for the cold pressure, 41.1 for the free energy).  The cold
+        # for the cold pressure, 41.2 for the free energy).  The cold
         # pressure sends none, its first modes taking the A-scaled panels;
         # the free energy sends only the modes the Laguerre 16/12 rung misses
         # from A = 2.7, 363 of the 4,555 modes below A = 2 (8.0%)
@@ -1214,6 +1232,47 @@ BOUND_PAIRS = {"equal": (AU, AU), "unequal": (AU, CU), "drude-ideal": (AU, Ideal
                "near-vacuum": (NEAR_VACUUM, AU),
                "bloch-gruneisen": (DrudeModel(DB.get("Au"), BlochGruneisenParams()), CU)}
 
+
+class TestReducedTemperatureLimit:
+    # below _GAMMA_MIN the kernel's (y/gamma)^2 and eps*y/gamma once
+    # overflowed (from gamma ~ 3e-153) and the sum would need ~10/gamma terms
+    @pytest.mark.parametrize("a_um", [1e-3, 1.0, 1e3, 1e9])
+    @pytest.mark.parametrize("pair", sorted(BOUND_PAIRS) + ["vacuum"])
+    def test_refused_below_and_typed_above(self, pair, a_um):
+        T_K = _GAMMA_MIN * CODATA.hbar_c_eV_um / (a_um * matsubara_frequency(1, 1.0))
+        with pytest.raises(ValueError, match=rf"^a={a_um} um, T=.* K: a\*T too small"):
+            Geometry(a_um, T_K * 0.999)
+        geom = Geometry(a_um, T_K * 1.001)
+        sides = (Vacuum(), AU) if pair == "vacuum" else BOUND_PAIRS[pair]
+        raised = {"vacuum": None, "bloch-gruneisen": NuRangeError}.get(pair, SumConvergenceError)
+        for evaluate in EVALUATE.values():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if raised is None:
+                    assert evaluate(geom, *sides, QuadratureSpec(max_terms=20)).n_terms_used == 0
+                    continue
+                with pytest.raises(raised):
+                    evaluate(geom, *sides, QuadratureSpec(max_terms=20))
+
+
+class Above(DrudeModel):
+    """Au Drude permittivity, replaced by ``value`` above ``zeta_eV`` for each
+    (zeta_eV, value) of ``steps`` in turn."""
+
+    def __init__(self, *steps):
+        super().__init__(DB.get("Au"))
+        self.steps = steps
+
+    def epsilon(self, zeta_eV):
+        eps = np.asarray(super().epsilon(zeta_eV), dtype=float)
+        for zeta, value in self.steps:
+            eps = np.where(np.asarray(zeta_eV) > zeta, value, eps)
+        return eps
+
+    def __repr__(self):
+        return "Above"
+
+
 # (a_um, T_K, pair, free_energy, sum_rel_tol or None for the default)
 SCHEDULE_CELLS = {
     "warm-equal": (1.0, 300.0, (AU, AU), False, None),
@@ -1228,6 +1287,10 @@ SCHEDULE_CELLS = {
     "free-warm": (1.0, 300.0, (AU, CU), True, 1e-10),
     "free-mixed-ideal": (1.0, 30.0, (IdealBelow(DB.get("Au"), 0.02), AU), True, None),
     "free-cold": (0.7, 8.0, (AU, CU), True, 1e-10),
+    # ideal above mode 130: the terms after the first block fall slower than
+    # the last one, so the rescaled bound ends the second block early
+    "rising-reflection": (1.3, 20.0, (Above((matsubara_frequency(130, 20.0), 1e30)), CU), False,
+                          None),
 }
 
 
@@ -1298,16 +1361,39 @@ class TestBlockSchedule:
 
     @pytest.mark.parametrize("cell", sorted(SCHEDULE_CELLS))
     def test_blocks_end_where_the_bound_says(self, cell, monkeypatch):
-        sizes = []
+        # the first block holds at most _BLOCK_CAP modes; a later one as many
+        # as the workspace holds nodes for at its first mode's rule, or up to
+        # where the bound, rescaled through the last term, meets the target
+        # against the sum so far
+        blocks = []  # (size, lower limit of the first mode, workspace nodes, values)
 
         def counted(lower, *args):
-            sizes.append(lower.size)
-            return _mode_block(lower, *args)
+            capacity = args[-1].size
+            out = _mode_block(lower, *args)
+            blocks.append((lower.size, float(lower[0]), capacity, out[0]))
+            return out
         monkeypatch.setattr("casimir.lifshitz._mode_block", counted)
         _, _, n_terms = schedule_sum(cell)
         stop = bound_stop(cell)
+        sizes = [size for size, *_ in blocks]
         assert n_terms <= sum(sizes) <= stop
-        assert sizes[:-1] == [_BLOCK_CAP] * (len(sizes) - 1)
+        _, _, _, free, tol = SCHEDULE_CELLS[cell]
+        spec = QuadratureSpec() if tol is None else QuadratureSpec(sum_rel_tol=tol)
+        gamma = blocks[0][1]
+        log_tol = math.log(spec.sum_rel_tol) - math.log(
+            max(1.0, math.exp(-2.0 * gamma) / -math.expm1(-2.0 * gamma)))
+        summed = [-zeta3() / 8.0 if free else zeta3() / 8.0]
+        for i, (size, A, capacity, values) in enumerate(blocks[:-1]):
+            if i == 0:
+                assert size == _BLOCK_CAP
+            else:
+                first, last = len(summed), summed[-1]
+                cap = min(capacity // ladder_nodes(A, free), _PLAN_CAP)
+                shift = max(0.0, _log_bound((first - 1) * gamma, free) - math.log(abs(last)))
+                target = log_tol + math.log(abs(math.fsum(summed))) + shift
+                assert size == cap or size == _block_size(first, gamma, target, free,
+                                                          spec.min_terms, cap) < cap
+            summed += values.tolist()
         if stop <= _BLOCK_CAP:
             assert sizes == [stop]
         if n_terms <= _BLOCK_CAP:
@@ -1315,23 +1401,47 @@ class TestBlockSchedule:
         if cell == "five-terms":
             assert sizes == [5] and n_terms == 5
 
+    @pytest.mark.parametrize("cell", ["cold-two-blocks", "cold-four-blocks", "free-cold"])
+    def test_workspace_does_not_grow_after_the_first_block(self, cell, monkeypatch):
+        sizes, grow = [], _Workspace.arrays  # per block, the nodes after each kernel call
 
-class Above(DrudeModel):
-    """Au Drude permittivity, replaced by ``value`` above ``zeta_eV`` for each
-    (zeta_eV, value) of ``steps`` in turn."""
+        def arrays(self, shape):
+            out = grow(self, shape)
+            sizes[-1].append(self.size)
+            return out
 
-    def __init__(self, *steps):
-        super().__init__(DB.get("Au"))
-        self.steps = steps
+        def counted(lower, *args):
+            sizes.append([])
+            return _mode_block(lower, *args)
+        monkeypatch.setattr("casimir.lifshitz._Workspace.arrays", arrays)
+        monkeypatch.setattr("casimir.lifshitz._mode_block", counted)
+        schedule_sum(cell)
+        assert len(sizes) > 1 and all(sizes)
+        assert {size for block in sizes[1:] for size in block} == {sizes[0][-1]}
 
-    def epsilon(self, zeta_eV):
-        eps = np.asarray(super().epsilon(zeta_eV), dtype=float)
-        for zeta, value in self.steps:
-            eps = np.where(np.asarray(zeta_eV) > zeta, value, eps)
-        return eps
+    @pytest.mark.parametrize("cell", ["cold-four-blocks", "free-cold"])
+    def test_later_blocks_take_fewer_kernel_calls(self, cell, monkeypatch):
+        calls = []
 
-    def __repr__(self):
-        return "Above"
+        def kernel(y, *args):
+            calls.append(y.size)
+            return _mode_kernel(y, *args)
+        monkeypatch.setattr("casimir.lifshitz._mode_kernel", kernel)
+        _, _, n_terms = schedule_sum(cell)
+        # blocks of _BLOCK_CAP modes would take at least one call per 128 terms
+        assert 1 < len(calls) < math.ceil(n_terms / _BLOCK_CAP)
+
+
+def ladder_nodes(A, free_energy):
+    """Kernel nodes of the rule pair a mode at A takes: its rung's, or the
+    A-scaled pair's 20 per panel and 20 for the tail, with k breaks A*2^j
+    below 1 and the breaks 1, 2 and 4: 20k + 80."""
+    (floor, _), *rungs = _LADDERS[free_energy]
+    assert A >= floor
+    for low, (offsets, _) in reversed(rungs):
+        if A >= low:
+            return offsets.size
+    return 20 * sum(1 for j in range(64) if A * 2.0 ** j < 1.0) + 80
 
 
 @contextlib.contextmanager
@@ -1355,6 +1465,13 @@ def plans_and_blocks(plan_cap=None):
         if plan_cap is not None:
             patch.setattr("casimir.lifshitz._PLAN_CAP", plan_cap)
         yield events
+
+
+def block_firsts(evaluate, geom, pair):
+    """The first mode of each block of a sum, then one past its last block."""
+    with plans_and_blocks() as events:
+        evaluate(geom, *pair)
+    return np.cumsum([1, *blocks_in_plans(events)[1]])
 
 
 def blocks_in_plans(events):
@@ -1398,29 +1515,32 @@ class TestPlans:
            T_K=st.floats(math.log(0.5), math.log(400.0)).map(math.exp),
            pair=st.sampled_from(sorted(BOUND_PAIRS)), what=st.sampled_from(sorted(EVALUATE)),
            min_terms=st.sampled_from([1, 5, 200]), extra=st.integers(0, 400),
-           plan_cap=st.sampled_from([_BLOCK_CAP, _BLOCK_CAP + 72, 3 * _BLOCK_CAP]))
+           plan_cap=st.sampled_from([(1, 0), (1, 72), (3, 0)]))
     def test_no_block_reads_past_its_plan(self, a_um, T_K, pair, what, min_terms, extra,
                                           plan_cap):
         # with the default cap one plan covers the sum: max_terms is far
         # below it, and a block that starts later ends no further than the
-        # first; with a cap that binds, blocks re-plan and keep their sizes
+        # first; with a cap that binds (its largest block, times one or
+        # three, plus 0 or 72 modes), blocks re-plan and keep their sizes
         args = (EVALUATE[what], Geometry(a_um, T_K), BOUND_PAIRS[pair],
                 QuadratureSpec(min_terms=min_terms, max_terms=min_terms + extra))
         with plans_and_blocks() as events:
             ref = outcome(*args)
         plans, sizes = blocks_in_plans(events)
         assert len(plans) == 1 and plans[0][1] <= min_terms + extra
+        plan_cap = plan_cap[0] * max(sizes) + plan_cap[1]
         with plans_and_blocks(plan_cap) as events:
             assert outcome(*args) == ref
         capped, capped_sizes = blocks_in_plans(events)
         assert capped_sizes == sizes
         assert all(last - first < plan_cap for first, last in capped)
 
-    @pytest.mark.parametrize("plan_cap", [_BLOCK_CAP, _BLOCK_CAP + 72], ids=["one-block", "ragged"])
+    @pytest.mark.parametrize("extra", [0, 72], ids=["largest-block", "ragged"])
     @pytest.mark.parametrize("cell", sorted(SCHEDULE_CELLS) + ["tiny-gamma"])
-    def test_replanning_gives_the_same_bits(self, cell, plan_cap):
-        # a chunk of one block plans again at every block; a ragged one
-        # leaves blocks that reach past their plan
+    def test_replanning_gives_the_same_bits(self, cell, extra):
+        # a chunk of the largest block plans again at every block that does
+        # not fit in what is left of the last plan, that block included; a
+        # ragged one leaves blocks that reach past their plan
         if cell == "tiny-gamma":  # the bound never stops this sum
             args = (casimir_pressure, Geometry(1.0, 1e-20), (AU, AU), QuadratureSpec(max_terms=700))
         else:
@@ -1431,12 +1551,18 @@ class TestPlans:
             ref = outcome(*args)
         plans, sizes = blocks_in_plans(events)
         assert len(plans) == 1
+        plan_cap = max(sizes) + extra
         with plans_and_blocks(plan_cap) as events:
             assert outcome(*args) == ref
         replans, replan_sizes = blocks_in_plans(events)
         assert replan_sizes == sizes and all(last - first < plan_cap for first, last in replans)
-        if plan_cap == _BLOCK_CAP:
-            assert len(replans) == len(sizes)
+        firsts, ends = np.cumsum([1, *sizes[:-1]]), np.cumsum(sizes)
+        planned = [max(last for first, last in replans if first < start)
+                   for start in firsts[1:]]  # the last mode planned before each later block
+        assert [start in dict(replans) for start in firsts[1:]] == [
+            end > last for end, last in zip(ends[1:], planned)]
+        if not extra:
+            assert firsts[sizes.index(plan_cap)] in dict(replans)
         else:  # a block reached past the plan before its own
             overlaps = [new[0] <= old[1] for old, new in zip(replans, replans[1:])]
             assert any(overlaps) == (sum(sizes) > plan_cap)

@@ -56,6 +56,12 @@ class TestGeometry:
         with pytest.raises(ValueError, match=re.escape(f"a={a_um} um, T={T_K} K: ") + f".*{cause}"):
             Geometry(a_um, T_K)
 
+    @pytest.mark.parametrize("a_um, T_K", [(1.0, 1e-160), (1e9, 1e-150), (1e-3, 1e-138)])
+    def test_tiny_reduced_temperature_rejected(self, a_um, T_K):
+        # gamma below 1e-140 would need about 10/gamma terms
+        with pytest.raises(ValueError, match=re.escape(f"a={a_um} um, T={T_K} K: a*T too small")):
+            Geometry(a_um, T_K)
+
 
 class TestReducedTemperature:
     def test_room_temperature_micron_gap(self):
