@@ -256,9 +256,10 @@ class DielectricModel:
     every metallic model diverges as zeta -> 0, so its static TM reflection
     saturates to the ideal-metal value.  The sums evaluate ``at(T_K)``, the
     model at T_K: the model itself unless a parameter depends on T.
+    ``analytic`` marks an epsilon analytic in zeta > 0: a sum may interpolate in m.
     """
 
-    is_vacuum = False
+    is_vacuum = analytic = False
 
     def epsilon(self, zeta_eV):
         raise NotImplementedError
@@ -274,6 +275,7 @@ class DrudeModel(DielectricModel):
     of the model itself keeps ``params.nu_eV``."""
 
     _AT_MEMO = 64  # an entropy takes two temperatures, a Nernst ladder eight
+    analytic = True
 
     def __init__(self, params: DrudeParams, bloch_gruneisen: BlochGruneisenParams | None = None):
         self.params = params
@@ -355,6 +357,8 @@ class Vacuum(DielectricModel):
 
 class IdealMetal(DielectricModel):
     """Perfect reflector: unit reflection for every mode (oracle model)."""
+
+    analytic = True
 
     def epsilon(self, zeta_eV):
         out = np.full_like(np.asarray(zeta_eV, dtype=float), np.inf)

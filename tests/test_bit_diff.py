@@ -5,7 +5,9 @@ The full dump covers every recorded ``cold_sum``, ``warm_grid``,
 tree.  Here the tool
 runs this tree against itself on the first input of each recorded file and
 grid pair kind, the records of the first two are checked for coverage, and
-``compare`` is shown a moved term, value and error.
+``compare`` is shown a moved term, value and error; with ``--rel``, terms
+and values moved within and past the tolerance, and counts, errors and CLI
+output that must still match exactly.
 """
 
 import importlib.util
@@ -60,3 +62,47 @@ def test_compare_names_each_difference(records):
         f"-> 2.0; 1 of {terms.size} shared terms differ")
     moved[key] = {"error": "QuadratureError: x"}
     assert bit_diff.compare(records, moved)[0].startswith(f"{key}: error None -> QuadratureError")
+
+
+def moved_term(records, key, factor):
+    """A copy of ``records`` with the fourth term of ``key`` scaled by ``factor``."""
+    moved = {k: dict(v) for k, v in records.items()}
+    terms = np.frombuffer(bit_diff.base64.b64decode(moved[key]["terms"]), dtype=float).copy()
+    terms[3] *= factor
+    moved[key]["terms"] = bit_diff.base64.b64encode(terms.tobytes()).decode()
+    return moved
+
+
+def test_rel_lets_values_and_terms_move_by_at_most_tol(records):
+    key = next(key for key in records if key.startswith("cold_sum-0"))
+    moved = moved_term(records, key, 1.0 + 5e-14)
+    moved[key]["value"] = (float.fromhex(records[key]["value"]) * (1.0 + 1e-15)).hex()
+    assert bit_diff.compare(records, moved, rel=1e-13) == []
+    assert len(bit_diff.compare(records, moved)) == 1  # exact without rel
+    value, term = bit_diff.deviations(records, moved)["cold_sum"]
+    assert 0.0 < value < 2e-15 and 4e-14 < term < 6e-14
+    assert bit_diff.deviations(records, moved)["warm_grid"] == (0.0, 0.0)
+    line, = bit_diff.compare(records, moved_term(records, key, 1.0 + 1e-12), rel=1e-13)
+    assert line.endswith("shared terms differ by more than 1e-13")
+    # counts, errors, exit codes and CLI output still match exactly
+    cli = "cli_tabulated-1 #1 kk 1"
+    for k, name, other in ((key, "n_terms_used", 7), (key, "error", "QuadratureError: x"),
+                           (cli, "exit", 1), (cli, "stdout", "x\n")):
+        changed = dict(records[k], **{name: other})
+        line, = bit_diff.compare({k: records[k]}, {k: changed}, rel=1.0)
+        assert line.startswith(f"{k}: {name} ")
+
+
+def test_rel_prints_the_largest_deviation_per_kind(records, monkeypatch, capsys):
+    key = next(key for key in records if key.startswith("entropy_ladder-1"))
+    moved = moved_term(records, key, 1.0 - 5e-14)
+    monkeypatch.setattr(bit_diff, "dump", lambda tree, limit: records if tree.name == "old"
+                        else moved)
+    assert bit_diff.main(["old", "new", "--rel", "1e-13"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"0 of {len(records)} records differ"
+    kinds = {line.split(":")[0]: line for line in out[:-1]}
+    assert len(kinds) == 4 + 10  # the workloads and the grid's pair kinds
+    assert kinds["entropy_ladder"].endswith("0.00e+00 of a value, 5.00e-14 of a term")
+    assert kinds["grid Au-Au"].endswith("0.00e+00 of a value, 0.00e+00 of a term")
+    assert bit_diff.main(["old", "new"]) == 1  # exact by default

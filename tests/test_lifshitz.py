@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import warnings
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import zeta as scipy_zeta
 
+from casimir.chebyshev import _DEGREES, _certify
 from casimir.dielectric import (
     BlochGruneisenParams,
     DielectricModel,
@@ -27,10 +29,12 @@ from casimir.lifshitz import (
     _ARRAY_SCAN,
     _BLOCK_CAP,
     _BREAK_OFFSETS,
+    _DIRECT,
     _FINITE,
     _IDEAL,
     _MIXED,
     _NEAR_ONE_Y,
+    _PANEL_MIN,
     _PLAN_CAP,
     _LADDERS,
     _RUNGS,
@@ -498,24 +502,28 @@ class TestBlockDriver:
         assert res_13.pressure_mPa == res_31.pressure_mPa
         assert np.array_equal(res_13.terms_mPa, res_31.terms_mPa)
 
-    @pytest.mark.parametrize("geom,evaluate", [
-        (Geometry(0.5, 2.0), casimir_pressure),  # thousands of terms over many blocks
-        (Geometry(1.3, 20.0), free_energy),      # two blocks
+    @pytest.mark.parametrize("geom,evaluate,base", [
+        (Geometry(0.5, 2.0), casimir_pressure, "tabulated"),  # thousands of terms, many blocks
+        (Geometry(1.3, 20.0), free_energy, "drude"),          # two blocks
     ], ids=["pressure", "free-energy"])
-    def test_one_model_on_both_sides_is_evaluated_once(self, geom, evaluate):
+    def test_one_model_on_both_sides_is_evaluated_once(self, geom, evaluate, base):
         # once per plan: one plan for the whole sum, or, with a one-block
-        # chunk, one per block
+        # chunk, one per block.  The long sum takes tabulated sides, which
+        # are integrated block by block; Drude sides interpolate past mode
+        # 128 (TestInterpolation::test_samples_take_one_plan_and_block_per_degree)
         calls = []
+        base, args = {"tabulated": (TabulatedModel, (TAB.table, TAB.low_freq)),
+                      "drude": (DrudeModel, (DB.get("Au"),))}[base]
 
-        class Spy(DrudeModel):
+        class Spy(base):
             def epsilon(self, zeta_eV):
                 calls.append(self)
                 return super().epsilon(zeta_eV)
-        spy, results = Spy(DB.get("Au")), []
+        spy, results = Spy(*args), []
         for plan_cap in (_PLAN_CAP, _BLOCK_CAP):
             # one object as both sides: one call per plan; equal but distinct
             # objects: two, the same terms
-            for sides in ((spy, spy), (Spy(DB.get("Au")), Spy(DB.get("Au")))):
+            for sides in ((spy, spy), (Spy(*args), Spy(*args))):
                 calls.clear()
                 with plans_and_blocks(plan_cap) as events:
                     results.append(evaluate(geom, *sides))
@@ -528,17 +536,25 @@ class TestBlockDriver:
                        for name, value in vars(results[0]).items())
 
     def test_matsubara_term_equals_block_value(self):
-        # at 1 K the terms decay slowly, so the floor never binds here; the
-        # first and last mode of every block, the last block reaching past
-        # the stop
+        # at 1 K the terms decay slowly, so the floor never binds here.  The
+        # first block's modes are integrated: matsubara_term gives their
+        # bits.  Past mode 128 every panel is certified, and its terms meet
+        # matsubara_term to 1e-13 at both ends and the middle of each panel
+        # and at the stop
         geom = Geometry(1.0, 1.0)
-        res = casimir_pressure(geom, AU, CU)
+        with certified_panels() as panels:
+            res = casimir_pressure(geom, AU, CU)
+        (asked, got), = panels
+        assert [lo for lo, _ in asked] == sorted(got) and asked[0][0] == _DIRECT + 1
+        assert asked[-1][1] > res.n_terms_used > 10 * _DIRECT
         si = pressure_to_si(1.0, geom)
-        first = block_firsts(casimir_pressure, geom, (AU, CU))
-        assert first.size > 10 and first[-1] > res.n_terms_used + 1
-        for m in sorted({1, 5, 6, *first[1:-1].tolist(), *(first[1:-1] - 1).tolist(),
-                         res.n_terms_used}):
+        for m in (1, 5, 6, _DIRECT - 1, _DIRECT):
             assert -matsubara_term(m, geom, AU, CU) * si == res.terms_mPa[m - 1]
+        ms = {res.n_terms_used, *(m for lo, hi in asked for m in (lo, (lo + hi) // 2, hi)
+                                  if m <= res.n_terms_used)}
+        for m in sorted(ms):
+            direct = -matsubara_term(m, geom, AU, CU) * si
+            assert abs(res.terms_mPa[m - 1] - direct) <= 1e-13 * abs(direct)
 
     def test_loose_tolerance_mixes_panel_layouts(self):
         # at integral_rel_tol 1e-9 the break at lower + 16 falls inside the
@@ -637,19 +653,21 @@ class TestScan:
         assert arrays[2][:2] == (SumConvergenceError, "frequency sum not converged after 2000 "
                                  "terms (a=1.0 um, T=2.0 K)")
 
-    # Au-Cu at 1 um and 2 K stops at m = 2003, in a block of modes 1852-2011
+    # Au-Cu at 1 um and 4 K stops at m = 1002, in a block of modes 662-1018;
+    # it stops too soon to interpolate past mode 128 (failures inside
+    # interpolated sums: TestInterpolation)
     def test_failure_past_the_stop_in_a_long_block_is_discarded(self):
-        geom = Geometry(1.0, 2.0)
+        geom = Geometry(1.0, 4.0)
         ref = casimir_pressure(geom, AU, CU)
         first = block_firsts(casimir_pressure, geom, (AU, CU))
-        assert ref.n_terms_used == 2003 and 2003 - first[first <= 2003][-1] >= _ARRAY_SCAN
-        broken = NanAbove(DB.get("Au"), matsubara_frequency(2003, geom.T_K) * 1.0001)
+        assert ref.n_terms_used == 1002 and 1002 - first[first <= 1002][-1] >= _ARRAY_SCAN
+        broken = NanAbove(DB.get("Au"), matsubara_frequency(1002, geom.T_K) * 1.0001)
         res = casimir_pressure(geom, broken, CU)
         assert same_bits(res.terms_mPa, ref.terms_mPa)
         assert res.pressure_mPa == ref.pressure_mPa
 
     def test_failure_inside_a_long_block_raises(self):
-        geom = Geometry(1.0, 2.0)
+        geom = Geometry(1.0, 4.0)
         m = block_firsts(casimir_pressure, geom, (AU, CU))[-2] + _ARRAY_SCAN
         broken = NanAbove(DB.get("Au"), matsubara_frequency(m - 1, geom.T_K) * 1.0001)
         with pytest.raises(QuadratureError, match=f"m={m} "):
@@ -1138,21 +1156,28 @@ class TestCompositeModes:
         terms = casimir_pressure(geom, *pair).terms_mPa
         si = pressure_to_si(1.0, geom)
         for m, value in zip(ms.tolist(), values.tolist()):
-            assert -matsubara_term(m, geom, *pair) * si == terms[m - 1] == -value * si
+            direct = -matsubara_term(m, geom, *pair) * si
+            assert direct == -value * si
+            if m <= _DIRECT or pair[0] is TAB:  # integrated; else a certified interpolant's
+                assert terms[m - 1] == direct
+            else:
+                assert abs(terms[m - 1] - direct) <= 1e-13 * abs(direct)
 
     @pytest.mark.parametrize("a_um,T_K,pair,free,share,nodes", [
-        (0.16, 1.0, (AU, AU), False, 0.0, 36),
+        (0.16, 1.0, (AU, AU), False, 0.0, 2),
         (2.0, 300.0, (AU, IdealMetal()), False, 0.0, None),
-        (0.16, 1.0, (AU, AU), True, 0.085, 42),
+        (0.16, 1.0, (AU, AU), True, 0.0005, 3),
     ], ids=["cold", "warm", "cold-free-energy"])
     def test_few_modes_reach_the_adaptive_quadrature(self, a_um, T_K, pair, free, share, nodes,
                                                       monkeypatch):
         # counted, not timed: a sum sends the modes its fixed rules miss,
-        # and its fixed rules take few kernel nodes per mode (measured: 35.1
-        # for the cold pressure, 41.2 for the free energy).  The cold
-        # pressure sends none, its first modes taking the A-scaled panels;
-        # the free energy sends only the modes the Laguerre 16/12 rung misses
-        # from A = 2.7, 363 of the 4,555 modes below A = 2 (8.0%)
+        # and takes few kernel nodes per term, since past mode 128 it
+        # integrates only the samples of its interpolants (measured: 1.40
+        # nodes per term for the cold pressure, 2.21 for the free energy,
+        # each with 328 modes integrated for 21,461 and 19,408 terms).  The
+        # cold pressure sends none, its first modes taking the A-scaled
+        # panels; the free energy sends one sample that the Laguerre 16/12
+        # rung misses, of the 4,555 modes below A = 2
         sent, kernel_nodes = [], []
 
         def counted(f, breaks, **kwargs):
@@ -1467,6 +1492,21 @@ def plans_and_blocks(plan_cap=None):
         yield events
 
 
+@contextlib.contextmanager
+def certified_panels():
+    """Record each _certify call of a sum as (the panels it was given, the
+    panels it certified by first mode)."""
+    calls = []
+
+    def spy(panels, *args):
+        out = _certify(panels, *args)
+        calls.append((list(panels), dict(out)))  # the sum drops the panels it does not use
+        return out
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("casimir.chebyshev._certify", spy)
+        yield calls
+
+
 def block_firsts(evaluate, geom, pair):
     """The first mode of each block of a sum, then one past its last block."""
     with plans_and_blocks() as events:
@@ -1608,3 +1648,202 @@ class TestPlans:
         with pytest.raises(ValueError, match=rf"^Above: epsilon = 0.5 < 1 at zeta = "
                                              rf"{zeta * (m + 2):.6g} eV$"):
             EVALUATE[what](geom, Above((zeta * (m - 0.5), np.nan), (zeta * (m + 1.5), 0.5)), CU)
+
+
+def direct_sum(evaluate, geom, pair, spec=None):
+    """(total, terms, n_terms_used) of the sum ``evaluate`` makes with every
+    mode integrated: the block helper over the modes in turn, 512 at a time,
+    scanned with the stop rule from the static term as the driver scans."""
+    spec, free = spec or QuadratureSpec(), evaluate is free_energy
+    pair = tuple(model.at(geom.T_K) for model in pair)
+    gamma = reduced_temperature(geom)
+    tail = max(1.0, math.exp(-2.0 * gamma) / -math.expm1(-2.0 * gamma))
+    acc, comp, first, done, terms = (-1.0 if free else 1.0) * zeta3() / 8.0, 0.0, 1, False, []
+    while not done:
+        (values, _, failed), _ = block(np.arange(first, first + 512), geom, pair, spec, free)
+        assert not failed.any()
+        acc, comp, used, done = _scan_arrays(values, acc, comp, first, spec.min_terms, tail,
+                                             spec.sum_rel_tol)
+        terms.append(values[:used])
+        first += used
+    unit = free_energy_to_si(1.0, geom) if free else -pressure_to_si(1.0, geom)
+    return (acc + comp) * unit, np.concatenate(terms) * unit, first - 1
+
+
+def fields(res):
+    """(total, terms, n_terms_used) of a result."""
+    total, _, terms, n_terms, _ = vars(res).values()
+    return total, terms, n_terms
+
+
+class DipAt(DrudeModel):
+    """Au Drude permittivity, but ``value`` at the one Matsubara mode m of T_K."""
+
+    def __init__(self, m, T_K, value):
+        super().__init__(DB.get("Au"))
+        self.zeta, self.value = matsubara_frequency(m, T_K), value
+
+    def epsilon(self, zeta_eV):
+        eps = np.asarray(super().epsilon(zeta_eV), dtype=float)
+        return np.where(np.isclose(zeta_eV, self.zeta, rtol=1e-12, atol=0.0), self.value, eps)
+
+    def __repr__(self):
+        return "DipAt"
+
+
+INTERPOLATED_PAIRS = {"Au-Au": (AU, AU), "Au-Cu": (AU, CU),
+                      "Al-Al": (DrudeModel(DB.get("Al")), DrudeModel(DB.get("Al"))),
+                      "drude-ideal": (AU, IdealMetal()),
+                      "ideal-ideal": (IdealMetal(), IdealMetal()),
+                      "bloch-gruneisen": (DrudeModel(DB.get("Au"), BlochGruneisenParams()), CU)}
+# Au-Cu at 1 um and 2 K stops at m = 2003, in the last of the panels 129-256,
+# 257-512, 513-1024 and 1025-2171
+COLD = Geometry(1.0, 2.0)
+# The sums a change to the mode sum must leave bit for bit: their totals
+# (hex), term counts and the first 16 hex digits of the SHA-256 of their
+# terms' bytes, from before the sums interpolated.  None of them does: they
+# stop within 128 terms or within _PANEL_MIN modes past mode 128, or they
+# have a tabulated side.
+UNCHANGED_SUMS = {
+    "warm": ("pressure", 0.85, 300.0, "Au-Cu", None, "-0x1.e565d197888d0p+0", 16,
+             "ba0b04ef16c15167"),
+    "two-blocks": ("pressure", 1.3, 20.0, "Au-Cu", None, "-0x1.a035b617d75e7p-2", 156,
+                   "eb4762b375e34a54"),
+    "free-cold": ("free-energy", 0.7, 8.0, "Au-Cu", 1e-10, "-0x1.2e67725486a58p-30", 785,
+                  "3b3ad00e77f5e66d"),
+    "below-the-span": ("pressure", 1.0, 4.0, "Au-Cu", None, "-0x1.2440438ad758fp+0", 1002,
+                       "a4f5c0fea119e595"),
+    "tabulated": ("pressure", 0.5, 2.0, "tabulated-Cu", None, "-0x1.0cd51242a5f7ap+4", 3890,
+                  "c11d7d098601cdd7"),
+    "tabulated-free": ("free-energy", 0.5, 2.0, "tabulated-Cu", None, "-0x1.9392e22ff9673p-29",
+                       3524, "5aa77c601e677c0b"),
+}
+
+
+class TestInterpolation:
+    # past mode 128 a long sum of two analytic sides takes its terms from
+    # certified Chebyshev interpolants in m; they must meet the mode
+    # integrals as a sum that integrates every mode sees them
+    @pytest.mark.parametrize("what", sorted(EVALUATE))
+    @pytest.mark.parametrize("pair", sorted(INTERPOLATED_PAIRS))
+    def test_terms_meet_an_all_direct_sum(self, pair, what):
+        geom = Geometry(0.5, 2.0)
+        with certified_panels() as panels:
+            total, terms, n_terms = fields(EVALUATE[what](geom, *INTERPOLATED_PAIRS[pair]))
+        (asked, got), = panels
+        assert len(asked) >= 4 and sorted(got) == [lo for lo, _ in asked]
+        ref_total, ref_terms, ref_n_terms = direct_sum(EVALUATE[what], geom,
+                                                       INTERPOLATED_PAIRS[pair])
+        assert n_terms == ref_n_terms > _DIRECT + _PANEL_MIN
+        assert same_bits(terms[:_DIRECT], ref_terms[:_DIRECT])
+        assert (np.abs(terms - ref_terms) <= 1e-13 * np.abs(ref_terms)).all()
+        assert abs(total - ref_total) <= 1e-14 * abs(ref_total)
+
+    @pytest.mark.parametrize("cell", sorted(UNCHANGED_SUMS))
+    def test_sums_that_do_not_interpolate_keep_their_bits(self, cell):
+        what, a_um, T_K, pair, tol, total, n_terms, digest = UNCHANGED_SUMS[cell]
+        pair = {"Au-Cu": (AU, CU), "tabulated-Cu": (TAB, CU)}[pair]
+        spec = QuadratureSpec() if tol is None else QuadratureSpec(sum_rel_tol=tol)
+        with certified_panels() as panels:  # no samples taken
+            got = fields(EVALUATE[what](Geometry(a_um, T_K), *pair, spec))
+        assert not panels
+        assert (got[0].hex(), got[2]) == (total, n_terms)
+        assert hashlib.sha256(got[1].tobytes()).hexdigest()[:16] == digest
+
+    def test_nan_past_the_stop_inside_a_panel_falls_back(self):
+        # NaN from mode 2004 on: the last panel's samples meet it, so its
+        # modes are integrated, the failures past the stop discarded
+        with certified_panels() as panels:
+            ref = casimir_pressure(COLD, AU, CU)
+        (asked, got), = panels
+        assert ref.n_terms_used == 2003 and asked[-1][0] == 1025 < 2003 < asked[-1][1]
+        broken = NanAbove(DB.get("Au"), matsubara_frequency(2003, COLD.T_K) * 1.0001)
+        with certified_panels() as panels:
+            res = casimir_pressure(COLD, broken, CU)
+        (_, got), = panels
+        assert sorted(got) == [129, 257, 513] and res.n_terms_used == 2003
+        assert same_bits(res.terms_mPa[:1024], ref.terms_mPa[:1024])
+        (values, _, _), _ = block(np.arange(1025, 2004), COLD, (AU, CU))
+        assert same_bits(res.terms_mPa[1024:], -values * pressure_to_si(1.0, COLD))
+        assert abs(res.pressure_mPa - ref.pressure_mPa) <= 1e-14 * abs(ref.pressure_mPa)
+
+    @pytest.mark.parametrize("what", sorted(EVALUATE))
+    def test_nan_before_the_stop_inside_a_panel_raises(self, what):
+        broken = NanAbove(DB.get("Au"), matsubara_frequency(1499, COLD.T_K) * 1.0001)
+        with pytest.raises(QuadratureError, match=r"^mode integral m=1500 not certified"):
+            EVALUATE[what](COLD, broken, CU)
+
+    @pytest.mark.parametrize("what", sorted(EVALUATE))
+    def test_epsilon_below_one_inside_a_panel_raises(self, what):
+        zeta = matsubara_frequency(1, COLD.T_K)
+        with pytest.raises(ValueError, match=rf"^Above: epsilon = 0.9 < 1 at zeta = "
+                                             rf"{zeta * 1500:.6g} eV$"):
+            EVALUATE[what](COLD, Above((zeta * 1499.5, 0.9)), CU)
+
+    @pytest.mark.parametrize("value,error,message", [
+        (0.9, ValueError, "DipAt: epsilon = 0.9 < 1 at zeta = "),
+        (np.nan, QuadratureError, "mode integral m=1500 not certified"),
+    ], ids=["below-one", "nan"])
+    def test_a_bad_mode_between_samples_still_fails(self, value, error, message):
+        # no sample of the panel 1025-2171 meets mode 1500, so the panel is
+        # certified; its permittivities are checked mode by mode before use
+        with certified_panels() as panels, pytest.raises(error, match=f"^{message}"):
+            casimir_pressure(COLD, DipAt(1500, COLD.T_K, value), CU)
+        (asked, got), = panels
+        assert asked[-1][0] == 1025 and sorted(got) == [lo for lo, _ in asked]
+
+    def test_ideal_below_a_frequency_inside_a_panel_falls_back(self):
+        # ideal up to mode 1500: the panels below are ideal at every sample
+        # and interpolated as against an ideal metal; the panel holding
+        # mode 1500 is ideal at some samples only, so it is integrated
+        side = IdealBelow(DB.get("Au"), matsubara_frequency(1500, COLD.T_K) * 1.0001)
+        with certified_panels() as panels:
+            res = casimir_pressure(COLD, side, CU)
+        (asked, got), = panels
+        assert sorted(got) == [129, 257, 513] and asked[-1][0] == 1025
+        ideal = casimir_pressure(COLD, IdealMetal(), CU)
+        assert same_bits(res.terms_mPa[:1024], ideal.terms_mPa[:1024])
+        ms = np.arange(1025, min(asked[-1][1], res.n_terms_used) + 1)
+        (values, _, _), _ = block(ms, COLD, (side, CU))
+        assert same_bits(res.terms_mPa[1024:ms[-1]], -values * pressure_to_si(1.0, COLD))
+
+    @pytest.mark.parametrize("what", sorted(EVALUATE))
+    def test_values_do_not_depend_on_the_schedule(self, what, monkeypatch):
+        # nor on the block sizes, nor on how far a plan reaches
+        args = (EVALUATE[what], COLD, (AU, CU))
+        ref = outcome(*args)
+        for size in (1, 7, _BLOCK_CAP):
+            monkeypatch.setattr("casimir.lifshitz._block_size", lambda *_, size=size: size)
+            assert outcome(*args) == ref
+        monkeypatch.undo()
+        monkeypatch.setattr("casimir.lifshitz._PLAN_CAP", 200)
+        assert outcome(*args) == ref
+
+    def test_samples_take_one_plan_and_block_per_degree(self):
+        # one model as both sides is evaluated once per plan, the sample
+        # plans included; two equal objects give the same terms
+        calls, plans, blocks = [], [], []
+
+        class Spy(DrudeModel):
+            def epsilon(self, zeta_eV):
+                calls.append(self)
+                return super().epsilon(zeta_eV)
+
+        def planned(ms, *args):
+            plans.append(ms)
+            return _plan(ms, *args)
+
+        def counted(lower, *args):
+            blocks.append(lower)
+            return _mode_block(lower, *args)
+        spy = Spy(DB.get("Au"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("casimir.lifshitz._plan", planned)
+            patch.setattr("casimir.lifshitz._mode_block", counted)
+            res = casimir_pressure(COLD, spy, spy)
+        samples = [ms for ms in plans if (ms != np.round(ms)).any()]
+        assert 1 <= len(samples) <= len(_DEGREES) and len(calls) == len(plans)
+        assert len(blocks) == 1 + len(samples)  # modes 1-128, then the samples
+        other = casimir_pressure(COLD, Spy(DB.get("Au")), Spy(DB.get("Au")))
+        assert all(same_bits(np.asarray(value), np.asarray(vars(other)[name]))
+                   for name, value in vars(res).items())

@@ -1,6 +1,6 @@
 """Check that two source trees give the same bits on the benchmark's inputs.
 
-    python tools/bit_diff.py OLD_TREE NEW_TREE [--limit N]
+    python tools/bit_diff.py OLD_TREE NEW_TREE [--limit N] [--rel TOL]
 
 Each tree is a checkout of this repository.  For each, a subprocess with that
 tree's ``src`` on ``PYTHONPATH`` evaluates the records below and writes, per
@@ -25,6 +25,13 @@ The recorded inputs are read from this script's own ``perfbench/recorded``
 record that differs and exits 1 if any does, or if a record is missing on
 one side.  ``--limit N`` takes only the first N inputs of each recorded file
 and the first N grid cells of each pair kind.
+
+``--rel TOL`` is for a change that moves the last bits of values on
+purpose.  Every ``n_terms_used``, error type and message, exit code, CLI
+stdout and ``kk`` table must still match exactly, but a value or a term may
+move by up to TOL relative to the old one.  The script then also prints
+the largest relative deviation of a value and of a term per record kind:
+each workload, and each pair kind of the grid.
 """
 
 from __future__ import annotations
@@ -157,9 +164,26 @@ def dump(tree: Path, limit: int | None) -> dict:
     return dict(json.loads(line) for line in out.stdout.splitlines())
 
 
-def compare(old: dict, new: dict) -> list[str]:
-    """One line per record that is missing on one side or differs."""
-    lines = []
+def _floats(fields: dict, name: str) -> np.ndarray:
+    """The value or the terms of a record as a float array (empty if absent)."""
+    if name == "value":
+        return np.array([float.fromhex(fields["value"])] if "value" in fields else [])
+    return np.frombuffer(base64.b64decode(fields.get("terms", "")), dtype=float)
+
+
+def _deviation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|b - a| / |a| per element, 0 where the bits agree and inf where a is 0
+    or either is NaN."""
+    same = a.view(np.int64) == b.view(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(same, 0.0, np.nan_to_num(np.abs(b - a) / np.abs(a), nan=np.inf))
+
+
+def compare(old: dict, new: dict, rel: float | None = None) -> list[str]:
+    """One line per record that is missing on one side or differs; with
+    ``rel``, values and terms differ only where they moved by more than rel
+    relative to the old ones."""
+    lines, tol = [], 0.0 if rel is None else rel
     for key in [*old, *(k for k in new if k not in old)]:
         a, b = old.get(key), new.get(key)
         if a == b:
@@ -170,16 +194,38 @@ def compare(old: dict, new: dict) -> list[str]:
         line = [f"{name} {a.get(name)} -> {b.get(name)}"
                 for name in ("error", "n_terms_used", "exit") if a.get(name) != b.get(name)]
         line += [f"{name} differs" for name in ("stdout", "table") if a.get(name) != b.get(name)]
-        if a.get("value") != b.get("value"):
-            line.append("value " + " -> ".join(repr(float.fromhex(r["value"])) if "value" in r
-                                               else "none" for r in (a, b)))
-        ta, tb = (np.frombuffer(base64.b64decode(r.get("terms", "")), dtype=np.int64)
-                  for r in (a, b))
+        (va, ta), (vb, tb) = ((_floats(r, "value"), _floats(r, "terms")) for r in (a, b))
+        if va.size != vb.size or (_deviation(va, vb) > tol).any():
+            line.append("value " + " -> ".join(repr(float(v[0])) if v.size else "none"
+                                               for v in (va, vb)))
         n = min(ta.size, tb.size)
-        if ta.size != tb.size or (ta[:n] != tb[:n]).any():
-            line.append(f"{np.count_nonzero(ta[:n] != tb[:n])} of {n} shared terms differ")
-        lines.append(f"{key}: " + "; ".join(line))
+        moved = np.count_nonzero(_deviation(ta[:n], tb[:n]) > tol)
+        if ta.size != tb.size or moved:
+            line.append(f"{moved} of {n} shared terms differ"
+                        + (f" by more than {rel}" if rel else ""))
+        if line:
+            lines.append(f"{key}: " + "; ".join(line))
     return lines
+
+
+def _kind(key: str) -> str:
+    """The record kind of a key: its workload, or its grid pair kind."""
+    return key.split(" a=")[0] if key.startswith("grid ") else key.split(" #")[0].rsplit("-", 1)[0]
+
+
+def deviations(old: dict, new: dict) -> dict:
+    """{record kind: (largest relative deviation of a value, of a term)} over
+    the records both sides hold, with terms compared up to the shorter."""
+    out = {}
+    for key in old.keys() & new.keys():
+        (va, ta), (vb, tb) = ((_floats(r, "value"), _floats(r, "terms"))
+                              for r in (old[key], new[key]))
+        n = min(ta.size, tb.size)
+        value = _deviation(va, vb).max(initial=0.0) if va.size == vb.size else np.inf
+        term = _deviation(ta[:n], tb[:n]).max(initial=0.0)
+        worst = out.get(_kind(key), (0.0, 0.0))
+        out[_kind(key)] = (max(worst[0], value), max(worst[1], term))
+    return dict(sorted(out.items()))
 
 
 def main(argv=None) -> int:
@@ -187,6 +233,8 @@ def main(argv=None) -> int:
     parser.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
     parser.add_argument("--limit", type=int, default=None,
                         help="first N inputs of each recorded file and grid pair kind")
+    parser.add_argument("--rel", type=float, default=None,
+                        help="let values and terms move by up to this relative amount")
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.dump:
@@ -196,9 +244,13 @@ def main(argv=None) -> int:
     if len(args.trees) != 2:
         parser.error("give OLD_TREE and NEW_TREE")
     old, new = (dump(tree.resolve(), args.limit) for tree in args.trees)
-    lines = compare(old, new)
+    lines = compare(old, new, args.rel)
     for line in lines:
         print(line)
+    if args.rel is not None:
+        for kind, (value, term) in deviations(old, new).items():
+            print(f"{kind}: largest relative deviation {value:.2e} of a value, "
+                  f"{term:.2e} of a term")
     print(f"{len(lines)} of {len(set(old) | set(new))} records differ")
     return 1 if lines else 0
 
