@@ -1,11 +1,7 @@
-"""Matsubara terms past mode 128 from certified Chebyshev interpolants in m.
-
-With both permittivities analytic in zeta > 0 (Drude, ideal), the term
-I_m = I(m*gamma, eps(i m zeta_1)) is analytic in m on the panels here, and
-an interpolant certifies itself from its coefficient tail (Trefethen,
-Approximation Theory and Approximation Practice, SIAM 2013).  The panels
-are sampled at the degrees _DEGREES in turn.
-"""
+"""Matsubara terms past mode 128 from Chebyshev interpolants in m.  With both
+permittivities analytic in zeta > 0, I_m = I(m*gamma, eps(i m zeta_1)) is
+analytic in m, and an interpolant certifies itself from its coefficient tail
+(Trefethen, Approximation Theory and Approximation Practice, SIAM 2013)."""
 
 import functools
 
@@ -13,7 +9,7 @@ import numpy as np
 
 from . import lifshitz
 
-_DEGREES = (16, 32, 64)
+_DEGREES, _SHORTEST = (16, 32, 64), 64  # sample degrees in turn; modes of the shortest panel
 
 
 @functools.cache
@@ -26,28 +22,25 @@ def _chebyshev(n):
     return -np.cos(np.pi * i / n), to_coeffs
 
 
-def _panels(stop: int, gamma: float):
-    """The panels (lo, hi) of the modes 129..stop: [2^k + 1, 2^(k+1)], the
-    last one cut at stop and joined to the one before if under half its
-    length, each short enough for e^{2 gamma (hi-lo)} to be finite."""
-    edges = [*(1 << k for k in range(7, (stop - 1).bit_length())), stop]
-    if len(edges) > 2 and 2 * (stop - edges[-2]) < edges[-2] - edges[-3]:
-        del edges[-2]
+def _panels(end: int, gamma: float):
+    """The panels (lo, hi) from mode 129 toward ``end``, each as long as the
+    modes before it, at most half of those left and at least _SHORTEST."""
+    edges = [128]
+    while (step := min(edges[-1], (end - edges[-1]) // 2)) >= _SHORTEST:
+        edges.append(edges[-1] + step)
     return [(a + 1, b) for a, b in zip(edges, edges[1:]) if gamma * (b - a) < 300.0]
 
 
 def _certify(panels, gamma, zeta1, models, spec, floor: float, free_energy: bool, integrate,
              work):
-    """{lo: (hi, Chebyshev coefficients)} of each panel (lo, hi) certified
-    at a degree of _DEGREES: g(m) = I_m * e^{2 gamma (m-lo)} at the degree's
-    extreme points has its last four coefficients sum to at most
-    max(integral_rel_tol * min|g|, floor), a mode integral's target; the
-    trailing coefficients whose sum is at most 1% of it are dropped.  A
-    degree takes one lifshitz._plan and one lifshitz._mode_block.  A panel
-    leaves at a sample that fails to certify or whose permittivity is NaN,
-    below 1, or inf on a side finite at another sample."""
+    """{lo: (hi, Chebyshev coefficients or None)} of the panels (lo, hi): each
+    degree samples g(m) = I_m * e^{2 gamma (m-lo)} of every live panel in one
+    lifshitz._plan and _mode_block, and certifies those whose last four
+    coefficients sum to at most max(integral_rel_tol * min|g|, floor).  A
+    sample that fails or whose permittivity is NaN, below 1, or inf on a side
+    finite at another sample ends its panel."""
     lo, hi = np.array(panels, dtype=float).reshape(-1, 2).T
-    g, out = None, {}
+    g, out = None, {a: (b, None) for a, b in panels}
     for n in _DEGREES:
         x, to_coeffs = _chebyshev(n)
         x = x if g is None else x[1::2]  # the new points; the last degree's are every other one
@@ -72,10 +65,7 @@ def _certify(panels, gamma, zeta1, models, spec, floor: float, free_energy: bool
         coeffs = np.einsum("pi,ki->pk", g, to_coeffs)
         tol = np.maximum(spec.integral_rel_tol * np.abs(g).min(1), floor)
         done = np.abs(coeffs[:, -4:]).sum(1) <= tol  # never for NaN
-        tails = np.cumsum(np.abs(coeffs[:, ::-1]), axis=1)[:, ::-1]  # sum of |c_j|, j >= k
-        kept = np.maximum(2, (tails > 0.01 * tol[:, None]).sum(1))
-        out.update((int(a), (int(b), c[:k]))
-                   for a, b, c, k in zip(lo[done], hi[done], coeffs[done], kept[done]))
+        out.update((int(a), (int(b), c)) for a, b, c in zip(lo[done], hi[done], coeffs[done]))
         live = ~done & ~np.isnan(g).any(1)
         lo, hi, g = lo[live], hi[live], g[live]
         if not lo.size:
@@ -83,15 +73,11 @@ def _certify(panels, gamma, zeta1, models, spec, floor: float, free_energy: bool
     return out
 
 
-def _interpolated(coeffs, lo: int, hi: int, size: int, gamma: float, work):
-    """The first ``size`` terms of the panel lo..hi certified with ``coeffs``,
-    by Clenshaw's recurrence, in the kernel workspace ``work`` if it is large
-    enough."""
-    j = np.arange(size, dtype=float)
-    scratch = work.floats if work.floats.size >= 3 * size else np.empty(3 * size)
-    t2, b1, b2 = scratch[:3 * size].reshape(3, size)
+def _interpolated(coeffs, lo: int, hi: int, gamma: float):
+    """The terms of the modes lo..hi from their panel's coefficients (Clenshaw)."""
+    j, out = np.arange(hi - lo + 1, dtype=float), np.empty(hi - lo + 1)
+    t2, b1, b2 = np.empty((3, j.size))
     np.subtract(np.multiply(j, 4.0 / (hi - lo), out=t2), 2.0, out=t2)  # 2t, t in [-1, 1]
-    out = np.empty(size)
     b1.fill(coeffs[-1])
     b2.fill(0.0)
     for c in coeffs[-2:0:-1].tolist():  # b_k = c_k + 2t b_{k+1} - b_{k+2}, into b2

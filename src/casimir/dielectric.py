@@ -256,10 +256,16 @@ class DielectricModel:
     every metallic model diverges as zeta -> 0, so its static TM reflection
     saturates to the ideal-metal value.  The sums evaluate ``at(T_K)``, the
     model at T_K: the model itself unless a parameter depends on T.
-    ``analytic`` marks an epsilon analytic in zeta > 0: a sum may interpolate in m.
+    ``analytic`` marks an epsilon analytic in zeta > 0, so a sum may
+    interpolate in m; a subclass that defines ``epsilon`` is not, unless it
+    sets ``analytic`` itself.
     """
 
     is_vacuum = analytic = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.analytic = vars(cls).get("analytic", "epsilon" not in vars(cls) and cls.analytic)
 
     def epsilon(self, zeta_eV):
         raise NotImplementedError

@@ -11,15 +11,17 @@ near-singularity at y = 0 (_SCALED: below A = 0.0022 for the pressure,
 0.45 for the free energy).  Modes below the scaled panels' floor (2.4e-6
 and 1e-7), and those a pair does not certify, take one batched adaptive
 quadrature, each certified alone.  A block ends where a bound that holds
-for any reflections in [0, 1] shows the sum must stop.  The first block
-(at most 128 modes) sizes the sum's kernel workspace, and each later one
-takes as many modes as its nodes fill.  Past mode 128 a long sum of two
-analytic sides (Drude, ideal) integrates only the Chebyshev points of
-dyadic panels in m and takes each term from the panel's certified
-interpolant.  A sum evaluates the permittivities once for the modes the
-bound lets it reach; each block takes a slice of them.  A long block's
-values are summed in array passes, a short one's in a loop, with the same
-bits.
+for any reflections in [0, 1] shows the sum must stop, so a short sum
+takes one block.  That block sizes the sum's kernel workspace; each later
+one takes as many modes as its nodes fill, its bound scaled through the
+last term so that it ends near the stop.  A sum evaluates the
+permittivities once for all the modes the bound lets it reach, and each
+block takes a slice of them and tells the kernel which side is ideal at
+all, none or some of its modes.
+A long block's values are summed in array passes, a short one's in a loop,
+with the same bits.  Past mode 128 a long sum of two analytic sides (Drude,
+ideal) takes most terms from certified Chebyshev interpolants in m
+(casimir.chebyshev), integrating only their sample points.
 
 All mode arithmetic is dimensionless; SI conversion happens once at the
 end through :func:`casimir.quantities.pressure_to_si`.
@@ -387,6 +389,9 @@ _ARRAY_SCAN = 48
 # Most modes a sum plans at once and a block holds, at least the largest
 # block (about 1 MB of arrays).
 _PLAN_CAP = 1 << 15
+# Past mode _DIRECT a sum of two analytic sides interpolates (casimir.chebyshev)
+# if the bound lets it run _PANEL_MIN modes more: the measured break-even.
+_DIRECT, _PANEL_MIN = _BLOCK_CAP, 1024
 
 
 def _log_bound(A: float, free_energy: bool) -> float:
@@ -524,12 +529,6 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec
     return values, errors, failed
 
 
-# Modes 1-128 of a sum are integrated; past them a sum of two analytic sides
-# interpolates (casimir.chebyshev) if the bound lets it run _PANEL_MIN modes
-# more, the measured break-even (README, "Interpolation").
-_DIRECT, _PANEL_MIN = 128, 1024
-
-
 def _mode_error(m: int, geom: Geometry, estimate: float, error: float) -> QuadratureError:
     return QuadratureError(
         f"mode integral m={m} not certified: quadrature error {error:.3e} "
@@ -624,24 +623,25 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     forever.  A block runs up to the first m >= min_terms at which the
     unit-reflection bound of _log_bound, times max(1, r/(1-r)), falls to
     sum_rel_tol * |S|, where the stop rule below is certain to fire.  The
-    first block holds at most _BLOCK_CAP modes and sizes the kernel
-    workspace; a later one as many as the workspace holds nodes for at its
-    first mode's rule (_nodes), at most _PLAN_CAP, its bound rescaled
-    through the last term t used (the target rises by ln(bound/|t|) >= 0)
-    so that it ends near the stop.  A mode's value depends on its block
-    only through the floor.  The first block plans (_plan) the modes up to
-    the bound's stop at |S| = |static term|, at most _PLAN_CAP and
-    max_terms; a block reaching past its plan plans again.
+    first block holds at most _BLOCK_CAP modes, so a sum of up to _BLOCK_CAP
+    terms takes one block, and sizes the kernel workspace.  A later block
+    holds as many modes as the workspace holds nodes for at its first mode's
+    rule (_nodes; nodes per mode never rise with A, so it never grows), at
+    least _BLOCK_CAP and at most _PLAN_CAP, and its bound is rescaled through
+    the last term t used: the target rises by shift = ln(bound/|t|) >= 0
+    there, so a long block does not run far past the stop; where it ends
+    early, the next block goes on.  A mode's value depends on its block only
+    through the floor.  The first block plans (_plan) the modes up to the m
+    where the bound meets the target at |S| = |static term|, at most
+    _PLAN_CAP and max_terms, so later blocks end there too; one reaching
+    past its plan plans again, as far as the bound without the shift.
 
-    With two ``analytic`` sides the blocks end at mode _DIRECT = 128.  If
-    the bound's stop against |S| there (or max_terms) lies _PANEL_MIN or
-    more modes on, chebyshev._certify samples the panels of the modes up to
-    it with the floor of mode 129.  A certified panel is one block, as far
-    as the bound's stop against |S| at its start, its terms from
-    chebyshev._interpolated, if at each of these modes each side's
-    permittivity is at least 1 and ideal at all or none; other modes take
-    blocks that end before the next such panel.  So no value depends on
-    the block schedule.
+    Past mode _DIRECT, with two ``analytic`` sides and the bound's stop
+    there _PANEL_MIN modes on, chebyshev._certify samples the panels up to
+    that stop; blocks end before each panel.  A certified panel is one block
+    of chebyshev._interpolated terms unless the stop, or a permittivity below
+    1, NaN or ideal at some modes only, falls in it.  So a failure past the
+    stop moves no value, and no value depends on the block schedule.
 
     The values of a block up to its first failed mode are then accumulated
     in increasing m with Neumaier compensation: one by one (_scan_loop) if
@@ -677,60 +677,63 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     min_terms, sum_rel_tol = spec.min_terms, spec.sum_rel_tol
     work = _Workspace()
     start = end = 1  # the plan holds the modes from start to end - 1
-    cap, shift = _BLOCK_CAP, 0.0  # the first block's cap and the shift of its bound
-    # certified panels by first mode, sampled when the sum reaches mode _DIRECT + 1
+    cap, shift, fill = _BLOCK_CAP, 0.0, 0  # the first block's cap, its bound's shift, workspace
+    # {first mode: (last mode, coefficients or None)} of the panels; for analytic sides
+    # {_DIRECT + 1: None} until the sum reaches that mode
     panels = {_DIRECT + 1: None} if model1.analytic and model3.analytic else {}
     while not converged and n_terms < spec.max_terms:
         first, total = n_terms + 1, abs(acc + comp)
-        floor = spec.integral_rel_tol * sum_rel_tol * total
-        if panels.get(first, ()) is None:  # the panels up to the bound's stop against |S|
-            reach, target, panels = _DIRECT + _PANEL_MIN, log_tol + math.log(total), {}
-            # that stop is at reach or later: the bound falls with m
-            if spec.max_terms >= reach and (min_terms >= reach or _log_bound(
-                    (reach - 1) * gamma, free_energy) > target):
-                stop = _bound_end(max(first, min_terms), spec.max_terms, gamma, target,
-                                  free_energy)
-                from . import chebyshev  # here: most processes never load it
-                panels = chebyshev._certify(chebyshev._panels(stop, gamma), gamma, zeta1,
-                                            (model1, model3), spec, floor, free_energy,
-                                            integrate, work)
         if terms:  # a later block: the modes whose nodes fit the workspace, a rescaled bound
             nodes, last = _nodes(first * gamma, free_energy), abs(float(terms[-1][-1]))
-            cap = min(max(work.size // nodes, _BLOCK_CAP), _PLAN_CAP) if nodes else _BLOCK_CAP
+            fill = fill or work.size  # the first block's: the samples do not move a block
+            cap = min(max(fill // nodes, _BLOCK_CAP), _PLAN_CAP) if nodes else _BLOCK_CAP
             # the bound exceeds the last term by e^shift: take it through that term
             shift = last and max(0.0, _log_bound(n_terms * gamma, free_energy) - math.log(last))
         bound = (first, gamma, log_tol + math.log(total), free_energy, min_terms)
-        size = _block_size(first, gamma, bound[2] + shift, free_energy, min_terms, cap)
-        panel = panels.get(first)
-        if panel:  # a panel is one block, as far as the bound's stop against |S| here
-            size = _bound_end(max(first, min_terms), panel[0], *bound[1:4]) - first + 1
-        for lo in panels:  # and a block ends before the next one
-            if first < lo < first + size:
-                size = lo - first
+        coeffs = None
+        if terms and panels:  # sampled at mode _DIRECT + 1; then each panel is one block
+            if panels.get(first, ()) is None:  # the panels up to the bound's stop against |S|
+                stop, panels = _bound_end(max(_DIRECT + _PANEL_MIN, min_terms), spec.max_terms,
+                                          *bound[1:4]), {}
+                if stop > _DIRECT + _PANEL_MIN:
+                    from . import chebyshev  # here: most processes never load it
+                    panels = chebyshev._certify(
+                        chebyshev._panels(stop, gamma), gamma, zeta1, (model1, model3), spec,
+                        spec.integral_rel_tol * sum_rel_tol * total, free_energy, integrate, work)
+            hi, coeffs = panels.get(first, (0, None))
+        if coeffs is None:
+            size = _block_size(first, gamma, bound[2] + shift, free_energy, min_terms, cap)
+            if terms and panels:  # a later block ends before the next panel
+                size = min([size, *(lo - first for lo in panels if lo > first)])
+        else:
+            size = hi - first + 1
         if min(first + size, spec.max_terms + 1) > end:  # past the plan: plan from first
             n = size if size < cap and not shift else _block_size(*bound, _PLAN_CAP)
             start, end = first, min(first + max(n, size), spec.max_terms + 1)
             lower, zeta, sides = _plan(np.arange(start, end), gamma, zeta1, model1, model3)
         part = slice(first - start, min(first + size, end) - start)
-        if panel:  # interpolated if each side is >= 1 at every mode, ideal at all or none
+        if coeffs is not None:  # integrated instead if a bad permittivity or the stop is in it
             eps = [e[part] for _, e in sides]
-            if not all((e >= 1.0).all() for e in eps) or _MIXED in _kernel_sides(*eps):
-                del panels[first]
-                continue
-            values = chebyshev._interpolated(panel[1], first, panel[0], size, gamma, work)
-            n_ok = size
-        else:
-            values, errors, failed = _mode_block(
-                lower[part], zeta[part], [(model, e[part]) for model, e in sides], spec,
-                floor, free_energy, integrate, work)
-            n_ok = int(failed.argmax())  # the first failed mode, or 0
-            n_ok = n_ok if failed[n_ok] else failed.size  # values before the first failure
+            if all((e >= 1.0).all() for e in eps) and _MIXED not in _kernel_sides(*eps):
+                values = chebyshev._interpolated(coeffs, first, hi, gamma)
+                scanned = _scan_arrays(values, acc, comp, first, min_terms, tail, sum_rel_tol)
+                if not scanned[3]:
+                    acc, comp, n_terms = *scanned[:2], n_terms + values.size
+                    terms.append(values)
+                    continue
+            panels[first] = hi, None
+            continue
+        values, errors, failed = _mode_block(
+            lower[part], zeta[part], [(model, e[part]) for model, e in sides], spec,
+            spec.integral_rel_tol * sum_rel_tol * total, free_energy, integrate, work)
+        n_ok = int(failed.argmax())  # the first failed mode, or 0
+        n_ok = n_ok if failed[n_ok] else failed.size  # values before the first failure
         scan = _scan_arrays if n_ok >= _ARRAY_SCAN else _scan_loop
         acc, comp, used, converged = scan(values[:n_ok], acc, comp, first, min_terms, tail,
                                           sum_rel_tol)
         terms.append(values[:used])
         n_terms += used
-        if not converged and n_ok < values.size:  # a failure the stop rule did not discard
+        if not converged and n_ok < failed.size:  # a failure the stop rule did not discard
             raise _mode_error(first + n_ok, geom, float(values[n_ok]), float(errors[n_ok]))
     terms = terms[0] if len(terms) == 1 else np.concatenate(terms)
     out = result((acc + comp) * unit, zero_coeff * unit, terms * unit, n_terms, converged)

@@ -372,7 +372,10 @@ class TestCasimirPressure:
 
 class NanAbove(DrudeModel):
     """Drude model whose permittivity is NaN above a frequency, so every
-    mode integral there fails to certify."""
+    mode integral there fails to certify.  Declared analytic, so that a long
+    sum takes the interpolation and its fallback."""
+
+    analytic = True
 
     def __init__(self, params, zeta_eV):
         super().__init__(params)
@@ -384,7 +387,10 @@ class NanAbove(DrudeModel):
 
 
 class IdealBelow(DrudeModel):
-    """Drude model that reflects perfectly (epsilon = inf) below a frequency."""
+    """Drude model that reflects perfectly (epsilon = inf) below a frequency,
+    declared analytic as NanAbove is."""
+
+    analytic = True
 
     def __init__(self, params, zeta_eV):
         super().__init__(params)
@@ -502,28 +508,24 @@ class TestBlockDriver:
         assert res_13.pressure_mPa == res_31.pressure_mPa
         assert np.array_equal(res_13.terms_mPa, res_31.terms_mPa)
 
-    @pytest.mark.parametrize("geom,evaluate,base", [
-        (Geometry(0.5, 2.0), casimir_pressure, "tabulated"),  # thousands of terms, many blocks
-        (Geometry(1.3, 20.0), free_energy, "drude"),          # two blocks
+    @pytest.mark.parametrize("geom,evaluate", [
+        (Geometry(0.5, 2.0), casimir_pressure),  # thousands of terms over many blocks
+        (Geometry(1.3, 20.0), free_energy),      # two blocks
     ], ids=["pressure", "free-energy"])
-    def test_one_model_on_both_sides_is_evaluated_once(self, geom, evaluate, base):
+    def test_one_model_on_both_sides_is_evaluated_once(self, geom, evaluate):
         # once per plan: one plan for the whole sum, or, with a one-block
-        # chunk, one per block.  The long sum takes tabulated sides, which
-        # are integrated block by block; Drude sides interpolate past mode
-        # 128 (TestInterpolation::test_samples_take_one_plan_and_block_per_degree)
+        # chunk, one per block
         calls = []
-        base, args = {"tabulated": (TabulatedModel, (TAB.table, TAB.low_freq)),
-                      "drude": (DrudeModel, (DB.get("Au"),))}[base]
 
-        class Spy(base):
+        class Spy(DrudeModel):
             def epsilon(self, zeta_eV):
                 calls.append(self)
                 return super().epsilon(zeta_eV)
-        spy, results = Spy(*args), []
+        spy, results = Spy(DB.get("Au")), []
         for plan_cap in (_PLAN_CAP, _BLOCK_CAP):
             # one object as both sides: one call per plan; equal but distinct
             # objects: two, the same terms
-            for sides in ((spy, spy), (Spy(*args), Spy(*args))):
+            for sides in ((spy, spy), (Spy(DB.get("Au")), Spy(DB.get("Au")))):
                 calls.clear()
                 with plans_and_blocks(plan_cap) as events:
                     results.append(evaluate(geom, *sides))
@@ -536,25 +538,29 @@ class TestBlockDriver:
                        for name, value in vars(results[0]).items())
 
     def test_matsubara_term_equals_block_value(self):
-        # at 1 K the terms decay slowly, so the floor never binds here.  The
-        # first block's modes are integrated: matsubara_term gives their
-        # bits.  Past mode 128 every panel is certified, and its terms meet
-        # matsubara_term to 1e-13 at both ends and the middle of each panel
-        # and at the stop
+        # at 1 K the terms decay slowly, so the floor never binds here.  An
+        # integrated term has matsubara_term's bits: modes 1-128, and those
+        # from the panel that holds the stop on; a term of a panel before it
+        # comes from the panel's interpolant and meets matsubara_term to
+        # 1e-13.  The first and last mode of every block and panel, the last
+        # block reaching past the stop
         geom = Geometry(1.0, 1.0)
         with certified_panels() as panels:
             res = casimir_pressure(geom, AU, CU)
         (asked, got), = panels
-        assert [lo for lo, _ in asked] == sorted(got) and asked[0][0] == _DIRECT + 1
-        assert asked[-1][1] > res.n_terms_used > 10 * _DIRECT
+        n = res.n_terms_used
+        interpolated = [(lo, hi) for lo, hi in asked if lo in got and hi < n]
+        assert len(interpolated) > 5 and interpolated[0][0] == _DIRECT + 1
+        first = block_firsts(casimir_pressure, geom, (AU, CU))
+        assert first[-1] > n + 1
         si = pressure_to_si(1.0, geom)
-        for m in (1, 5, 6, _DIRECT - 1, _DIRECT):
-            assert -matsubara_term(m, geom, AU, CU) * si == res.terms_mPa[m - 1]
-        ms = {res.n_terms_used, *(m for lo, hi in asked for m in (lo, (lo + hi) // 2, hi)
-                                  if m <= res.n_terms_used)}
-        for m in sorted(ms):
+        for m in sorted({1, 5, 6, *first[1:-1].tolist(), *(first[1:-1] - 1).tolist(), n,
+                         *(m for panel in interpolated for m in panel)}):
             direct = -matsubara_term(m, geom, AU, CU) * si
-            assert abs(res.terms_mPa[m - 1] - direct) <= 1e-13 * abs(direct)
+            if any(lo <= m <= hi for lo, hi in interpolated):
+                assert abs(res.terms_mPa[m - 1] - direct) <= 1e-13 * abs(direct)
+            else:
+                assert res.terms_mPa[m - 1] == direct
 
     def test_loose_tolerance_mixes_panel_layouts(self):
         # at integral_rel_tol 1e-9 the break at lower + 16 falls inside the
@@ -653,21 +659,19 @@ class TestScan:
         assert arrays[2][:2] == (SumConvergenceError, "frequency sum not converged after 2000 "
                                  "terms (a=1.0 um, T=2.0 K)")
 
-    # Au-Cu at 1 um and 4 K stops at m = 1002, in a block of modes 662-1018;
-    # it stops too soon to interpolate past mode 128 (failures inside
-    # interpolated sums: TestInterpolation)
+    # Au-Cu at 1 um and 2 K stops at m = 2003, in a block of modes 1852-2011
     def test_failure_past_the_stop_in_a_long_block_is_discarded(self):
-        geom = Geometry(1.0, 4.0)
+        geom = Geometry(1.0, 2.0)
         ref = casimir_pressure(geom, AU, CU)
         first = block_firsts(casimir_pressure, geom, (AU, CU))
-        assert ref.n_terms_used == 1002 and 1002 - first[first <= 1002][-1] >= _ARRAY_SCAN
-        broken = NanAbove(DB.get("Au"), matsubara_frequency(1002, geom.T_K) * 1.0001)
+        assert ref.n_terms_used == 2003 and 2003 - first[first <= 2003][-1] >= _ARRAY_SCAN
+        broken = NanAbove(DB.get("Au"), matsubara_frequency(2003, geom.T_K) * 1.0001)
         res = casimir_pressure(geom, broken, CU)
         assert same_bits(res.terms_mPa, ref.terms_mPa)
         assert res.pressure_mPa == ref.pressure_mPa
 
     def test_failure_inside_a_long_block_raises(self):
-        geom = Geometry(1.0, 4.0)
+        geom = Geometry(1.0, 2.0)
         m = block_firsts(casimir_pressure, geom, (AU, CU))[-2] + _ARRAY_SCAN
         broken = NanAbove(DB.get("Au"), matsubara_frequency(m - 1, geom.T_K) * 1.0001)
         with pytest.raises(QuadratureError, match=f"m={m} "):
@@ -1164,20 +1168,21 @@ class TestCompositeModes:
                 assert abs(terms[m - 1] - direct) <= 1e-13 * abs(direct)
 
     @pytest.mark.parametrize("a_um,T_K,pair,free,share,nodes", [
-        (0.16, 1.0, (AU, AU), False, 0.0, 2),
+        (0.16, 1.0, (AU, AU), False, 0.0, 7),
         (2.0, 300.0, (AU, IdealMetal()), False, 0.0, None),
-        (0.16, 1.0, (AU, AU), True, 0.0005, 3),
+        (0.16, 1.0, (AU, AU), True, 0.0005, 6),
     ], ids=["cold", "warm", "cold-free-energy"])
     def test_few_modes_reach_the_adaptive_quadrature(self, a_um, T_K, pair, free, share, nodes,
                                                       monkeypatch):
         # counted, not timed: a sum sends the modes its fixed rules miss,
         # and takes few kernel nodes per term, since past mode 128 it
-        # integrates only the samples of its interpolants (measured: 1.40
-        # nodes per term for the cold pressure, 2.21 for the free energy,
-        # each with 328 modes integrated for 21,461 and 19,408 terms).  The
-        # cold pressure sends none, its first modes taking the A-scaled
-        # panels; the free energy sends one sample that the Laguerre 16/12
-        # rung misses, of the 4,555 modes below A = 2
+        # integrates the samples of its interpolants and the panel holding
+        # the stop (measured: 6.33 nodes per term for the cold pressure,
+        # 5.51 for the free energy, with 5,617 and 3,538 modes integrated
+        # for 21,461 and 19,408 terms).  The cold pressure sends none, its
+        # first modes taking the A-scaled panels; the free energy sends one
+        # sample that the Laguerre 16/12 rung misses, of the 4,555 modes
+        # below A = 2
         sent, kernel_nodes = [], []
 
         def counted(f, breaks, **kwargs):
@@ -1282,7 +1287,9 @@ class TestReducedTemperatureLimit:
 
 class Above(DrudeModel):
     """Au Drude permittivity, replaced by ``value`` above ``zeta_eV`` for each
-    (zeta_eV, value) of ``steps`` in turn."""
+    (zeta_eV, value) of ``steps`` in turn, declared analytic as NanAbove is."""
+
+    analytic = True
 
     def __init__(self, *steps):
         super().__init__(DB.get("Au"))
@@ -1495,12 +1502,12 @@ def plans_and_blocks(plan_cap=None):
 @contextlib.contextmanager
 def certified_panels():
     """Record each _certify call of a sum as (the panels it was given, the
-    panels it certified by first mode)."""
+    last mode of each panel it certified by first mode)."""
     calls = []
 
     def spy(panels, *args):
         out = _certify(panels, *args)
-        calls.append((list(panels), dict(out)))  # the sum drops the panels it does not use
+        calls.append((list(panels), {lo: hi for lo, (hi, c) in out.items() if c is not None}))
         return out
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("casimir.chebyshev._certify", spy)
@@ -1517,15 +1524,29 @@ def block_firsts(evaluate, geom, pair):
 def blocks_in_plans(events):
     """(plans as (first, last) mode, block sizes) of a recorded sum.  Asserts
     that the blocks take the modes 1, 2, ... in turn, each a slice of the
-    last plan made before it, and that a plan starts at its block's mode."""
+    last plan made before it, and that a plan starts at its block's mode.
+    The Chebyshev samples of a sum (non-integer modes) and their blocks are
+    skipped, and the modes a sum takes from certified interpolants, which
+    make no block, count as one block where the next plan or block starts
+    past them."""
     first, plans, sizes = 1, [], []
     for ms, lower in events:
+        if ms is not None and (ms != np.round(ms)).any() or ms is None and not np.shares_memory(
+                lower, planned):  # samples: their plan, their block (a copy of some of it)
+            continue
         if ms is not None:
+            if ms[0] > first:
+                sizes.append(int(ms[0]) - first)
+                first = int(ms[0])
             assert ms[0] == first and np.array_equal(ms, np.arange(first, first + ms.size))
             plans.append((first, int(ms[-1])))
             planned = lower
             continue
         i = first - plans[-1][0]
+        if planned[i] < lower[0]:
+            skip = int(planned.searchsorted(lower[0])) - i
+            sizes.append(skip)
+            first, i = first + skip, i + skip
         assert 0 <= i and i + lower.size <= planned.size
         assert np.shares_memory(lower, planned) and same_bits(lower, planned[i:i + lower.size])
         first += lower.size
@@ -1677,7 +1698,10 @@ def fields(res):
 
 
 class DipAt(DrudeModel):
-    """Au Drude permittivity, but ``value`` at the one Matsubara mode m of T_K."""
+    """Au Drude permittivity, but ``value`` at the one Matsubara mode m of T_K,
+    declared analytic as NanAbove is."""
+
+    analytic = True
 
     def __init__(self, m, T_K, value):
         super().__init__(DB.get("Au"))
@@ -1750,22 +1774,23 @@ class TestInterpolation:
         assert (got[0].hex(), got[2]) == (total, n_terms)
         assert hashlib.sha256(got[1].tobytes()).hexdigest()[:16] == digest
 
-    def test_nan_past_the_stop_inside_a_panel_falls_back(self):
-        # NaN from mode 2004 on: the last panel's samples meet it, so its
-        # modes are integrated, the failures past the stop discarded
+    @pytest.mark.parametrize("what", sorted(EVALUATE))
+    def test_nan_past_the_stop_moves_no_bit(self, what):
+        # NaN from the mode after the stop on: the samples of the panel that
+        # holds the stop and of those after it meet it, but that panel is
+        # integrated anyway, and the panels before it keep their samples
         with certified_panels() as panels:
-            ref = casimir_pressure(COLD, AU, CU)
+            ref = EVALUATE[what](COLD, AU, CU)
         (asked, got), = panels
-        assert ref.n_terms_used == 2003 and asked[-1][0] == 1025 < 2003 < asked[-1][1]
-        broken = NanAbove(DB.get("Au"), matsubara_frequency(2003, COLD.T_K) * 1.0001)
+        n = ref.n_terms_used
+        assert sum(hi < n for hi in got.values()) >= 4 and asked[-1][1] > n
+        broken = NanAbove(DB.get("Au"), matsubara_frequency(n, COLD.T_K) * 1.0001)
         with certified_panels() as panels:
-            res = casimir_pressure(COLD, broken, CU)
-        (_, got), = panels
-        assert sorted(got) == [129, 257, 513] and res.n_terms_used == 2003
-        assert same_bits(res.terms_mPa[:1024], ref.terms_mPa[:1024])
-        (values, _, _), _ = block(np.arange(1025, 2004), COLD, (AU, CU))
-        assert same_bits(res.terms_mPa[1024:], -values * pressure_to_si(1.0, COLD))
-        assert abs(res.pressure_mPa - ref.pressure_mPa) <= 1e-14 * abs(ref.pressure_mPa)
+            res = EVALUATE[what](COLD, broken, CU)
+        (_, got_broken), = panels
+        assert got_broken == {lo: hi for lo, hi in got.items() if hi < n}
+        assert all(same_bits(np.asarray(value), np.asarray(vars(res)[name]))
+                   for name, value in vars(ref).items())
 
     @pytest.mark.parametrize("what", sorted(EVALUATE))
     def test_nan_before_the_stop_inside_a_panel_raises(self, what):
@@ -1785,27 +1810,31 @@ class TestInterpolation:
         (np.nan, QuadratureError, "mode integral m=1500 not certified"),
     ], ids=["below-one", "nan"])
     def test_a_bad_mode_between_samples_still_fails(self, value, error, message):
-        # no sample of the panel 1025-2171 meets mode 1500, so the panel is
+        # no sample of the panel 1025-1597 meets mode 1500, so the panel is
         # certified; its permittivities are checked mode by mode before use
         with certified_panels() as panels, pytest.raises(error, match=f"^{message}"):
             casimir_pressure(COLD, DipAt(1500, COLD.T_K, value), CU)
         (asked, got), = panels
-        assert asked[-1][0] == 1025 and sorted(got) == [lo for lo, _ in asked]
+        assert (1025, 1597) in asked and sorted(got) == [lo for lo, _ in asked]
 
     def test_ideal_below_a_frequency_inside_a_panel_falls_back(self):
         # ideal up to mode 1500: the panels below are ideal at every sample
-        # and interpolated as against an ideal metal; the panel holding
-        # mode 1500 is ideal at some samples only, so it is integrated
+        # and interpolated as against an ideal metal; the panel holding mode
+        # 1500 is ideal at some samples only, so it is integrated, and the
+        # panel after it is interpolated again
         side = IdealBelow(DB.get("Au"), matsubara_frequency(1500, COLD.T_K) * 1.0001)
         with certified_panels() as panels:
             res = casimir_pressure(COLD, side, CU)
         (asked, got), = panels
-        assert sorted(got) == [129, 257, 513] and asked[-1][0] == 1025
+        lo, hi = next(panel for panel in asked if panel[0] <= 1500 <= panel[1])
+        assert lo == 1025 and lo not in got and {129, 257, 513, hi + 1} <= set(got)
         ideal = casimir_pressure(COLD, IdealMetal(), CU)
         assert same_bits(res.terms_mPa[:1024], ideal.terms_mPa[:1024])
-        ms = np.arange(1025, min(asked[-1][1], res.n_terms_used) + 1)
-        (values, _, _), _ = block(ms, COLD, (side, CU))
-        assert same_bits(res.terms_mPa[1024:ms[-1]], -values * pressure_to_si(1.0, COLD))
+        (values, _, _), _ = block(np.arange(1025, hi + 1), COLD, (side, CU))
+        assert same_bits(res.terms_mPa[1024:hi], -values * pressure_to_si(1.0, COLD))
+        _, terms, n_terms = direct_sum(casimir_pressure, COLD, (side, CU))
+        assert n_terms == res.n_terms_used
+        assert (np.abs(res.terms_mPa - terms) <= 1e-13 * np.abs(terms)).all()
 
     @pytest.mark.parametrize("what", sorted(EVALUATE))
     def test_values_do_not_depend_on_the_schedule(self, what, monkeypatch):
@@ -1825,6 +1854,8 @@ class TestInterpolation:
         calls, plans, blocks = [], [], []
 
         class Spy(DrudeModel):
+            analytic = True
+
             def epsilon(self, zeta_eV):
                 calls.append(self)
                 return super().epsilon(zeta_eV)
@@ -1843,7 +1874,9 @@ class TestInterpolation:
             res = casimir_pressure(COLD, spy, spy)
         samples = [ms for ms in plans if (ms != np.round(ms)).any()]
         assert 1 <= len(samples) <= len(_DEGREES) and len(calls) == len(plans)
-        assert len(blocks) == 1 + len(samples)  # modes 1-128, then the samples
+        # modes 1-128, the samples, then the blocks of the panel holding the stop
+        assert len(blocks) == 1 + len(samples) + sum(lower[0] > 1000 * reduced_temperature(COLD)
+                                                     for lower in blocks[1 + len(samples):])
         other = casimir_pressure(COLD, Spy(DB.get("Au")), Spy(DB.get("Au")))
         assert all(same_bits(np.asarray(value), np.asarray(vars(other)[name]))
                    for name, value in vars(res).items())
