@@ -380,7 +380,21 @@ class TestModels:
         assert not DrudeModel(AU).is_vacuum
         assert not IdealMetal().is_vacuum
 
-    TABLE = PermittivityTable(np.logspace(-1, 2, 5), drude_epsilon(AU, np.logspace(-1, 2, 5)))
+    def test_a_subclass_that_defines_epsilon_is_analytic_only_if_it_says_so(self):
+        class Stepped(DrudeModel):
+            def epsilon(self, zeta_eV):
+                return super().epsilon(zeta_eV) + (np.asarray(zeta_eV) > 1.0)
+
+        class Declared(Stepped):
+            analytic = True
+
+        class Renamed(DrudeModel):
+            pass
+        assert DrudeModel.analytic and IdealMetal.analytic and Renamed.analytic
+        assert not (Vacuum.analytic or TabulatedModel.analytic or Stepped.analytic)
+        assert Declared.analytic and not type("Again", (Declared,), {"epsilon": Stepped.epsilon}).analytic
+
+    TABLE =PermittivityTable(np.logspace(-1, 2, 5), drude_epsilon(AU, np.logspace(-1, 2, 5)))
 
     def test_at_is_the_model_itself_without_nu_of_T(self):
         for model in (Vacuum(), IdealMetal(), DrudeModel(AU),

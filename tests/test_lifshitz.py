@@ -1774,19 +1774,19 @@ class TestInterpolation:
         assert (got[0].hex(), got[2]) == (total, n_terms)
         assert hashlib.sha256(got[1].tobytes()).hexdigest()[:16] == digest
 
-    @pytest.mark.parametrize("what", sorted(EVALUATE))
-    def test_nan_past_the_stop_moves_no_bit(self, what):
-        # NaN from the mode after the stop on: the samples of the panel that
-        # holds the stop and of those after it meet it, but that panel is
-        # integrated anyway, and the panels before it keep their samples
+    def test_nan_past_the_stop_moves_no_bit(self):
+        # TestScan's failure past the stop, for the free energy: the NaN from
+        # the mode after the stop on meets the samples of the panel that
+        # holds the stop and of those after it, but that panel is integrated
+        # anyway, and the panels before it keep their samples
         with certified_panels() as panels:
-            ref = EVALUATE[what](COLD, AU, CU)
+            ref = free_energy(COLD, AU, CU)
         (asked, got), = panels
         n = ref.n_terms_used
         assert sum(hi < n for hi in got.values()) >= 4 and asked[-1][1] > n
         broken = NanAbove(DB.get("Au"), matsubara_frequency(n, COLD.T_K) * 1.0001)
         with certified_panels() as panels:
-            res = EVALUATE[what](COLD, broken, CU)
+            res = free_energy(COLD, broken, CU)
         (_, got_broken), = panels
         assert got_broken == {lo: hi for lo, hi in got.items() if hi < n}
         assert all(same_bits(np.asarray(value), np.asarray(vars(res)[name]))
