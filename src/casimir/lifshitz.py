@@ -17,7 +17,8 @@ one takes as many modes as its nodes fill, its bound scaled through the
 last term so that it ends near the stop.  A sum evaluates the
 permittivities once for all the modes the bound lets it reach, and each
 block takes a slice of them and tells the kernel which side is ideal at
-all, none or some of its modes.
+all, none or some of its modes.  First-block modes from some m <= min_terms
+on that the bound puts below the block's floor read 0, never integrated.
 A long block's values are summed in array passes, a short one's in a loop,
 with the same bits.  Past mode 128 a long sum of two analytic sides (Drude,
 ideal) takes most terms from certified Chebyshev interpolants in m
@@ -107,7 +108,8 @@ _ENTROPY_STEP_K = 0.5
 
 @dataclass(frozen=True)
 class PressureResult:
-    """Signed pressure (negative = attraction) plus per-mode diagnostics."""
+    """Signed pressure (negative = attraction) plus per-mode diagnostics; a
+    term of ``terms_mPa`` that the bound puts below the sum's floor is 0.0."""
 
     pressure_mPa: float
     zero_mode_mPa: float
@@ -549,21 +551,25 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
     zeta_m across the y-integral.  It is the value of the fixed rule pair
     the pressure's ladder gives m*gamma (a rung of _RUNGS, or the A-scaled
     panels from the floor of _SCALED up to the first rung) if the pair's
-    error meets ``spec.integral_rel_tol``.  Else the range is cut at
-    ``spec.y_max`` and integrated adaptively.  A QuadratureError carrying
-    the partial estimate escapes if no certificate is met.  This is a
-    one-mode plan and block of the sum driver, so it equals a term the sum
-    integrates wherever the sum's floor does not bind; a term the sum takes
-    from a certified interpolant (past m = 128, casimir.chebyshev) meets it to
+    error meets max(``spec.integral_rel_tol`` * |I_m|, floor).  Else the
+    range is cut at ``spec.y_max`` and integrated adaptively.  A
+    QuadratureError carrying the partial estimate escapes if no certificate
+    is met.  The floor, integral_rel_tol * sum_rel_tol * zeta(3)/8, is the
+    sum's first block's, so the value equals the sum's first-block term
+    wherever the unit-reflection bound at m*gamma is above that floor, and
+    the sum reports 0 below it.  A later block's term equals it wherever that
+    block's higher floor does not bind; one the sum takes from a certified
+    interpolant (past m = 128, casimir.chebyshev) meets it to
     integral_rel_tol.  ``m`` must be an integer; a float raises TypeError.
     """
     m = operator.index(m)
     if m < 1:
         raise ValueError("the static mode is analytic; matsubara_term needs m >= 1")
     spec = spec or _DEFAULT_SPEC
+    floor = spec.integral_rel_tol * spec.sum_rel_tol * (zeta3() / 8.0)
     values, errors, failed = _mode_block(
         *_plan(np.array([m]), reduced_temperature(geom), matsubara_frequency(1, geom.T_K),
-               *_sides_at(geom, model1, model3)), spec, 0.0, False, integrate_adaptive,
+               *_sides_at(geom, model1, model3)), spec, floor, False, integrate_adaptive,
         _Workspace())
     if failed[0]:
         raise _mode_error(m, geom, float(values[0]), float(errors[0]))
@@ -635,6 +641,9 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     where the bound meets the target at |S| = |static term|, at most
     _PLAN_CAP and max_terms, so later blocks end there too; one reaching
     past its plan plans again, as far as the bound without the shift.
+    If the bound meets the first block's floor at some m <= min_terms, the
+    modes m..min_terms read 0 (|I_m| <= bound <= floor, a block's
+    certificate) and are not planned; the stop rule fires at min_terms.
 
     Past mode _DIRECT, with two ``analytic`` sides and the bound's stop
     there _PANEL_MIN modes on, chebyshev._certify samples the panels up to
@@ -683,6 +692,7 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     panels = {_DIRECT + 1: None} if model1.analytic and model3.analytic else {}
     while not converged and n_terms < spec.max_terms:
         first, total = n_terms + 1, abs(acc + comp)
+        floor = spec.integral_rel_tol * sum_rel_tol * total
         if terms:  # a later block: the modes whose nodes fit the workspace, a rescaled bound
             nodes, last = _nodes(first * gamma, free_energy), abs(float(terms[-1][-1]))
             fill = fill or work.size  # the first block's: the samples do not move a block
@@ -699,7 +709,7 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
                     from . import chebyshev  # here: most processes never load it
                     panels = chebyshev._certify(
                         chebyshev._panels(stop, gamma), gamma, zeta1, (model1, model3), spec,
-                        spec.integral_rel_tol * sum_rel_tol * total, free_energy, integrate, work)
+                        floor, free_energy, integrate, work)
             hi, coeffs = panels.get(first, (0, None))
         if coeffs is None:
             size = _block_size(first, gamma, bound[2] + shift, free_energy, min_terms, cap)
@@ -707,11 +717,16 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
                 size = min([size, *(lo - first for lo in panels if lo > first)])
         else:
             size = hi - first + 1
-        if min(first + size, spec.max_terms + 1) > end:  # past the plan: plan from first
-            n = size if size < cap and not shift else _block_size(*bound, _PLAN_CAP)
-            start, end = first, min(first + max(n, size), spec.max_terms + 1)
+        live = size  # the modes integrated
+        if not terms and floor and _log_bound(min_terms * gamma, free_energy) <= math.log(floor):
+            # the modes up to min_terms from the first whose bound meets the floor read 0
+            size, live = min_terms, _bound_end(1, min_terms, gamma, math.log(floor),
+                                               free_energy) - 1
+        if min(first + live, spec.max_terms + 1) > end:  # past the plan: plan from first
+            n = live if live < cap and not shift else _block_size(*bound, _PLAN_CAP)
+            start, end = first, min(first + max(n, live), spec.max_terms + 1)
             lower, zeta, sides = _plan(np.arange(start, end), gamma, zeta1, model1, model3)
-        part = slice(first - start, min(first + size, end) - start)
+        part = slice(first - start, min(first + live, end) - start)
         if coeffs is not None:  # integrated instead if a bad permittivity or the stop is in it
             eps = [e[part] for _, e in sides]
             if all((e >= 1.0).all() for e in eps) and _MIXED not in _kernel_sides(*eps):
@@ -723,11 +738,16 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
                     continue
             panels[first] = hi, None
             continue
-        values, errors, failed = _mode_block(
-            lower[part], zeta[part], [(model, e[part]) for model, e in sides], spec,
-            spec.integral_rel_tol * sum_rel_tol * total, free_energy, integrate, work)
-        n_ok = int(failed.argmax())  # the first failed mode, or 0
-        n_ok = n_ok if failed[n_ok] else failed.size  # values before the first failure
+        if live:
+            values, errors, failed = _mode_block(
+                lower[part], zeta[part], [(model, e[part]) for model, e in sides], spec, floor,
+                free_energy, integrate, work)
+            n_ok = int(failed.argmax())  # the first failed mode, or 0
+            n_ok = n_ok if failed[n_ok] else failed.size  # values before the first failure
+        else:  # every mode is below the floor
+            values, failed, n_ok = np.zeros(size), np.empty(0), size
+        if n_ok == live < size:  # then the modes below the floor read 0
+            values, n_ok = np.concatenate((values, np.zeros(size - live))), size
         scan = _scan_arrays if n_ok >= _ARRAY_SCAN else _scan_loop
         acc, comp, used, converged = scan(values[:n_ok], acc, comp, first, min_terms, tail,
                                           sum_rel_tol)

@@ -46,7 +46,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FreeEnergyResult:
-    """Free energy per unit area (J/m^2, negative = binding) and diagnostics."""
+    """Free energy per unit area (J/m^2, negative = binding) and diagnostics; a
+    term of ``terms_J_per_m2`` that the bound puts below the sum's floor is 0.0."""
 
     free_energy_J_per_m2: float
     zero_mode_J_per_m2: float

@@ -5,7 +5,8 @@ The full dump covers every recorded ``cold_sum``, ``warm_grid``,
 tree.  Here the tool
 runs this tree against itself on the first input of each recorded file and
 grid pair kind, the records of the first two are checked for coverage, and
-``compare`` is shown a moved term, value and error; with ``--rel``, terms
+``compare`` is shown a moved term, value and error, and a term that moved
+alone, with its largest change relative to the value; with ``--rel``, terms
 and values moved within and past the tolerance, and counts, errors and CLI
 output that must still match exactly.
 """
@@ -71,6 +72,20 @@ def moved_term(records, key, factor):
     terms[3] *= factor
     moved[key]["terms"] = bit_diff.base64.b64encode(terms.tobytes()).decode()
     return moved
+
+
+def test_terms_alone_moved_print_their_largest_change_of_the_value(records):
+    # a tiny term that now reads 0: the value and n_terms_used match
+    key = next(key for key in records if key.startswith("warm_grid-0"))
+    moved = moved_term(records, key, 0.0)
+    terms = np.frombuffer(bit_diff.base64.b64decode(records[key]["terms"]), dtype=float)
+    change = abs(terms[3]) / abs(float.fromhex(records[key]["value"]))
+    line, = bit_diff.compare(records, moved)
+    assert line == (f"{key}: 1 of {terms.size} shared terms differ; "
+                    f"largest |old - new| {change:.2e} of |value|")
+    moved[key]["n_terms_used"] += 1  # then the counts, not the size of the change
+    line, = bit_diff.compare(records, moved)
+    assert "of |value|" not in line
 
 
 def test_rel_lets_values_and_terms_move_by_at_most_tol(records):

@@ -72,6 +72,8 @@ from casimir.thermo import entropy, free_energy
 DB = MaterialDatabase.builtin()
 AU = DrudeModel(DB.get("Au"))
 CU = DrudeModel(DB.get("Cu"))
+# The floor of a sum's first block at the default spec.
+FIRST_FLOOR = QuadratureSpec().integral_rel_tol * QuadratureSpec().sum_rel_tol * zeta3() / 8.0
 
 
 def ideal_metal_term_oracle(lower: float) -> float:
@@ -237,6 +239,13 @@ class TestMatsubaraTerm:
 
         ref, _ = quad(f, m * gamma, m * gamma + 40.0, epsabs=0.0, epsrel=1e-13, limit=500)
         assert matsubara_term(m, geom, AU, AU) == pytest.approx(ref, rel=1e-10)
+
+    def test_an_underflowing_term_certifies_against_the_sums_floor(self):
+        # about 1e-319: a purely relative target could not certify it
+        geom = Geometry(88.0, 300.0)
+        got = matsubara_term(5, geom, AU, CU)
+        assert 0.0 <= got <= FIRST_FLOOR
+        assert got <= unit_reflection_bound(5 * reduced_temperature(geom), False)
 
     def test_terms_decay_for_large_m(self):
         geom = Geometry(1.0, 300.0)
@@ -1309,8 +1318,9 @@ class Above(DrudeModel):
 SCHEDULE_CELLS = {
     "warm-equal": (1.0, 300.0, (AU, AU), False, None),
     "warm-unequal": (0.2, 350.0, (AU, CU), False, None),
+    # the bound puts modes 4 and 5, and 2 to 5, below the first block's floor
     "five-terms": (10.0, 300.0, (AU, CU), False, None),
-    "underflowing": (88.0, 300.0, (AU, AU), False, None),
+    "one-mode": (20.0, 300.0, (AU, CU), False, None),
     "drude-ideal": (1.0, 300.0, (AU, IdealMetal()), False, None),
     "ideal-ideal": (2.0, 77.0, (IdealMetal(), IdealMetal()), False, None),
     "mixed-ideal": (1.0, 30.0, (IdealBelow(DB.get("Au"), 0.02), AU), False, None),
@@ -1335,6 +1345,18 @@ def schedule_sum(cell):
         return res.free_energy_J_per_m2, res.terms_J_per_m2, res.n_terms_used
     res = casimir_pressure(Geometry(a_um, T_K), *pair, spec)
     return res.pressure_mPa, res.terms_mPa, res.n_terms_used
+
+
+def first_below_the_floor(cell):
+    """The first m <= min_terms whose unit-reflection bound meets the first
+    block's floor, integral_rel_tol * sum_rel_tol * zeta(3)/8, or None: the
+    sum takes it and the modes after it as 0 without integrating them."""
+    a_um, T_K, _, free, sum_rel_tol = SCHEDULE_CELLS[cell]
+    spec = QuadratureSpec() if sum_rel_tol is None else QuadratureSpec(sum_rel_tol=sum_rel_tol)
+    gamma = reduced_temperature(Geometry(a_um, T_K))
+    floor = spec.integral_rel_tol * spec.sum_rel_tol * zeta3() / 8.0
+    return next((m for m in range(1, spec.min_terms + 1)
+                 if unit_reflection_bound(m * gamma, free) <= floor), None)
 
 
 def bound_stop(cell):
@@ -1406,11 +1428,16 @@ class TestBlockSchedule:
             return out
         monkeypatch.setattr("casimir.lifshitz._mode_block", counted)
         _, _, n_terms = schedule_sum(cell)
-        stop = bound_stop(cell)
+        stop, below = bound_stop(cell), first_below_the_floor(cell)
         sizes = [size for size, *_ in blocks]
-        assert n_terms <= sum(sizes) <= stop
         _, _, _, free, tol = SCHEDULE_CELLS[cell]
         spec = QuadratureSpec() if tol is None else QuadratureSpec(sum_rel_tol=tol)
+        # the modes below the floor make no block, and the sum stops at min_terms
+        assert below == {"five-terms": 4, "one-mode": 2}.get(cell)
+        if below:
+            assert sizes == [below - 1] and n_terms == spec.min_terms
+        else:
+            assert n_terms <= sum(sizes) <= stop
         gamma = blocks[0][1]
         log_tol = math.log(spec.sum_rel_tol) - math.log(
             max(1.0, math.exp(-2.0 * gamma) / -math.expm1(-2.0 * gamma)))
@@ -1426,12 +1453,10 @@ class TestBlockSchedule:
                 assert size == cap or size == _block_size(first, gamma, target, free,
                                                           spec.min_terms, cap) < cap
             summed += values.tolist()
-        if stop <= _BLOCK_CAP:
+        if stop <= _BLOCK_CAP and not below:
             assert sizes == [stop]
         if n_terms <= _BLOCK_CAP:
             assert len(sizes) == 1
-        if cell == "five-terms":
-            assert sizes == [5] and n_terms == 5
 
     @pytest.mark.parametrize("cell", ["cold-two-blocks", "cold-four-blocks", "free-cold"])
     def test_workspace_does_not_grow_after_the_first_block(self, cell, monkeypatch):
@@ -1582,12 +1607,16 @@ class TestPlans:
         # with the default cap one plan covers the sum: max_terms is far
         # below it, and a block that starts later ends no further than the
         # first; with a cap that binds (its largest block, times one or
-        # three, plus 0 or 72 modes), blocks re-plan and keep their sizes
+        # three, plus 0 or 72 modes), blocks re-plan and keep their sizes.
+        # A sum whose every mode lies below the first block's floor plans none
         args = (EVALUATE[what], Geometry(a_um, T_K), BOUND_PAIRS[pair],
                 QuadratureSpec(min_terms=min_terms, max_terms=min_terms + extra))
         with plans_and_blocks() as events:
             ref = outcome(*args)
         plans, sizes = blocks_in_plans(events)
+        if not sizes:
+            assert not plans and isinstance(ref, dict)
+            return
         assert len(plans) == 1 and plans[0][1] <= min_terms + extra
         plan_cap = plan_cap[0] * max(sizes) + plan_cap[1]
         with plans_and_blocks(plan_cap) as events:
@@ -1669,6 +1698,46 @@ class TestPlans:
         with pytest.raises(ValueError, match=rf"^Above: epsilon = 0.5 < 1 at zeta = "
                                              rf"{zeta * (m + 2):.6g} eV$"):
             EVALUATE[what](geom, Above((zeta * (m - 0.5), np.nan), (zeta * (m + 1.5), 0.5)), CU)
+
+
+class TestNegligibleModes:
+    # where the unit-reflection bound puts a mode up to min_terms below the
+    # first block's floor, that mode and those after it read 0 and are never
+    # planned, blocked or integrated
+
+    @pytest.mark.parametrize("what", sorted(EVALUATE))
+    def test_a_sum_below_the_floor_makes_no_block(self, what, monkeypatch):
+        # Au-Au at 88 um and 300 K: the bound at m = 1 is below the floor
+        calls = []
+        for name in ("_plan", "_mode_block", "_mode_kernel"):
+            monkeypatch.setattr(f"casimir.lifshitz.{name}",
+                                lambda *args, name=name: calls.append(name))
+        res = EVALUATE[what](Geometry(88.0, 300.0), AU, AU)
+        total, static, terms, n_terms, converged = vars(res).values()
+        assert calls == []
+        assert total.hex() == static.hex()
+        assert terms.size == 5 and (terms == 0.0).all()
+        assert n_terms == 5 and converged
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.floats(math.log(2.0), math.log(500.0)).map(math.exp),
+           T_K=st.floats(0.0, math.log(400.0)).map(math.exp),
+           pair=st.sampled_from(sorted(BOUND_PAIRS)))
+    @example(gamma=8.23, T_K=300.0, pair="unequal")  # modes 4 and 5 read 0
+    @example(gamma=72.4, T_K=300.0, pair="ideal-ideal")  # every mode reads 0
+    def test_zero_terms_lie_below_the_floor(self, gamma, T_K, pair):
+        # a short sum is one block: a term that reads 0 is below the floor,
+        # every other one is matsubara_term's
+        geom = Geometry(gamma * CODATA.hbar_c_eV_um / matsubara_frequency(1, T_K), T_K)
+        res = casimir_pressure(geom, *BOUND_PAIRS[pair])
+        assert res.converged and res.n_terms_used <= _BLOCK_CAP
+        si = pressure_to_si(1.0, geom)
+        for m, term in enumerate(res.terms_mPa.tolist(), 1):
+            direct = matsubara_term(m, geom, *BOUND_PAIRS[pair])
+            if term == 0.0:
+                assert abs(direct) <= FIRST_FLOOR
+            else:
+                assert term == -direct * si
 
 
 def direct_sum(evaluate, geom, pair, spec=None):

@@ -11,7 +11,8 @@ are evaluated now and must return a converged, finite, attractive pressure
 no weaker than its static term.  The ``cli_tabulated`` sweeps run in
 process through ``casimir.cli.main`` on the recorded ``kk`` tables, written
 back to CSV, and must print what was recorded to 1e-11 relative, one unit in
-the last printed digit.  The files are only read here.
+the last printed digit.  The recorded ``warm_grid`` cells that make no mode
+block are counted too.  The files are only read here.
 """
 
 import json
@@ -21,7 +22,9 @@ from pathlib import Path
 import pytest
 
 import casimir
+from casimir import lifshitz
 from casimir.cli import EXIT_OK, main
+from casimir.quantities import reduced_temperature
 
 RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "recorded"
 SEEDS = (0, 1)
@@ -74,6 +77,34 @@ def test_recorded_quadrature_errors_now_converge():
         p = res.pressure_mPa
         assert res.converged and math.isfinite(p) and p < 0, (labels, a_um, T_K)
         assert abs(p) >= abs(res.zero_mode_mPa), (labels, a_um, T_K)
+
+
+def test_warm_grid_cells_below_the_floor_make_no_block(monkeypatch):
+    # a cell makes no block exactly when the unit-reflection bound at m = 1,
+    # e^{-2g}(g^2 + g + 1/2)/(1 - e^{-2g}) at g = gamma, lies below the first
+    # block's floor: every mode it would sum then reads 0
+    blocks = []
+
+    def counted(*args):
+        blocks.append(args[0].size)
+        return mode_block(*args)
+    mode_block = lifshitz._mode_block
+    monkeypatch.setattr(lifshitz, "_mode_block", counted)
+    spec = casimir.QuadratureSpec()
+    floor = spec.integral_rel_tol * spec.sum_rel_tol * casimir.zeta3() / 8.0
+    blockless = {}
+    for seed in SEEDS:
+        made, below = [], []
+        for labels, a_um, T_K in record("warm_grid", seed)["inputs"]:
+            geom = casimir.Geometry(a_um, T_K)
+            before = len(blocks)
+            casimir.casimir_pressure(geom, *map(MODELS.get, labels))
+            made.append(len(blocks) > before)
+            g = reduced_temperature(geom)
+            below.append(math.exp(-2.0 * g) * (g * g + g + 0.5) / -math.expm1(-2.0 * g) <= floor)
+        assert [not m for m in made] == below
+        blockless[seed] = sum(below)
+    assert blockless == {0: 262, 1: 261}
 
 
 def test_entropies_match_the_record():

@@ -18,7 +18,7 @@ from casimir.dielectric import (
     drude_epsilon,
 )
 from casimir.lifshitz import QuadratureSpec, SumConvergenceError, casimir_pressure, zeta3
-from casimir.quantities import CODATA, Geometry
+from casimir.quantities import CODATA, Geometry, free_energy_to_si
 from casimir.thermo import (
     BracketError,
     FreeEnergyResult,
@@ -126,6 +126,23 @@ class TestEntropy:
         # the halved step sits much closer to the extrapolated slope
         assert abs(s_h2 - rich) <= abs(s_h - rich)
         assert s_h == pytest.approx(s_h2, rel=5e-3)
+
+    @pytest.mark.parametrize("a_um", [100.0, 30.0])
+    @pytest.mark.parametrize("pair", ["Au-Au", "Au-Al", "bg-Au-Au", "Au-ideal", "ideal-ideal"])
+    def test_classical_limit_at_large_separation(self, a_um, pair):
+        # where the modes m >= 1 are negligible the entropy is the static
+        # term's, k_B zeta(3)/(16 pi a^2), whatever the metals: the negative
+        # of the Nernst check's reference
+        sides = {"Au-Au": (AU, AU), "Au-Al": (AU, DrudeModel(DB.get("Al"))),
+                 "bg-Au-Au": (BG_AU, BG_AU), "Au-ideal": (AU, IdealMetal()),
+                 "ideal-ideal": (IdealMetal(), IdealMetal())}[pair]
+        geom = Geometry(a_um, 300.0)
+        reference = -free_energy_to_si(-zeta3() / 8.0, geom) / geom.T_K
+        a_m = a_um * 1e-6
+        assert reference == pytest.approx(
+            CODATA.k_B_J_per_K * zeta3() / (16.0 * math.pi * a_m * a_m), rel=1e-14)
+        s = entropy(geom, *sides).entropy_J_per_m2_K
+        assert s == pytest.approx(reference, rel=1e-12)
 
     def test_negative_at_room_temperature(self):
         # the TE mode deficit makes the metallic entropy negative here

@@ -23,8 +23,11 @@ the type and message of the error it raised (with the partial result of a
 The recorded inputs are read from this script's own ``perfbench/recorded``
 (seeds 0 and 1), so both trees see the same ones.  The script prints every
 record that differs and exits 1 if any does, or if a record is missing on
-one side.  ``--limit N`` takes only the first N inputs of each recorded file
-and the first N grid cells of each pair kind.
+one side.  A record whose value and ``n_terms_used`` have the same bits but
+whose terms differ also gets the largest |old - new| of its terms relative
+to |value|, which shows whether terms moved only far below the value's last
+bit.  ``--limit N`` takes only the first N inputs of each recorded file and
+the first N grid cells of each pair kind.
 
 ``--rel TOL`` is for a change that moves the last bits of values on
 purpose.  Every ``n_terms_used``, error type and message, exit code, CLI
@@ -203,6 +206,10 @@ def compare(old: dict, new: dict, rel: float | None = None) -> list[str]:
         if ta.size != tb.size or moved:
             line.append(f"{moved} of {n} shared terms differ"
                         + (f" by more than {rel}" if rel else ""))
+            if rel is None and len(line) == 1 and ta.size == tb.size and va.size:  # only terms
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    largest = np.abs(tb - ta).max() / abs(va[0])
+                line.append(f"largest |old - new| {largest:.2e} of |value|")
         if line:
             lines.append(f"{key}: " + "; ".join(line))
     return lines
