@@ -86,6 +86,9 @@ _BUILTIN_MATERIALS = (
 class UnknownMaterialError(KeyError):
     """Material label not present in the database."""
 
+    def __str__(self) -> str:  # KeyError's would quote the message
+        return str(self.args[0])
+
 
 class MaterialDatabase:
     """Immutable, case-insensitive label -> DrudeParams lookup; of entries
@@ -187,8 +190,8 @@ def bloch_gruneisen_nu(params: BlochGruneisenParams, T_K: float) -> float:
     # beyond x ~ 200 the integrand is < 1e-70; capping also avoids sinh overflow
     cut = min(upper, 200.0)
     breaks = np.append(_BG_BREAKS[_BG_BREAKS < cut], cut)
-    val, _ = integrate_adaptive(_bg_integrand, breaks[None], rel_tol=1e-12)
-    nu = params.prefactor_eV * scale * float(val[0])
+    val, _ = integrate_adaptive(_bg_integrand, breaks, rel_tol=1e-12)
+    nu = params.prefactor_eV * scale * val
     if nu == 0.0:
         raise NuRangeError(f"relaxation frequency nu(T) underflows to 0 at T = {T_K} K")
     return nu

@@ -9,8 +9,8 @@ pure Gauss-Laguerre rules of fewer nodes as A grows (_RUNGS), and below
 them panels scaled by A itself, whose breaks A*2^k close in on the
 near-singularity at y = 0 (_SCALED: below A = 0.0022 for the pressure,
 0.45 for the free energy).  Modes below the scaled panels' floor (2.4e-6
-and 1e-7), and those a pair does not certify, take one batched adaptive
-quadrature, each certified alone.  A block ends where a bound that holds
+and 1e-7), and those a pair does not certify, take the adaptive
+quadrature, one call per mode.  A block ends where a bound that holds
 for any reflections in [0, 1] shows the sum must stop, so a short sum
 takes one block.  That block sizes the sum's kernel workspace; each later
 one takes as many modes as its nodes fill, its bound scaled through the
@@ -246,8 +246,8 @@ def _mode_kernel(y, work: _Workspace, free_energy: bool, kinds, A, eps1, eps3=No
     both sides.  Gives the pressure integrand
     y^2 * [x_TM/(1-x_TM) + x_TE/(1-x_TE)], x = delta1*delta2*e^{-2y}, or,
     with ``free_energy``, y * [ln(1-x_TM) + ln(1-x_TE)], in a view into
-    ``work`` valid until the next call; ``integrate_adaptive`` copies each
-    integrand value before it calls the integrand again.
+    ``work`` valid until the next call; ``integrate_adaptive``, which takes
+    one mode as a one-row ``y``, reduces each call's values before the next.
 
     Both deltas lie in [0, 1], so x <= e^{-2y}: only nodes with
     y < ln(2)/2 ~ 0.347 can have x > 1/2.  The rows whose lower limit
@@ -453,7 +453,7 @@ def _plan(ms: np.ndarray, gamma, zeta1, model1: DielectricModel, model3: Dielect
 
 def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec, floor: float,
                 free_energy: bool, integrate, work: _Workspace):
-    """Mode integrals of a slice of a _plan, ascending in m >= 1, in one batch.
+    """Mode integrals of a slice of a _plan, ascending in m >= 1, in one block.
 
     Each integral is certified to max(integral_rel_tol * |I_m|, floor), the
     kernel working in ``work``, on the free-energy integrand with
@@ -463,11 +463,12 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec
     of modes with one panel count.  The modes ascend, so each serves a slice
     of the block, and one kernel call takes every mode's nodes in a row;
     einsum, unlike BLAS, sums each row alike, so a value does not depend on
-    its block.  Modes below the floor or whose pair misses the target go to
-    ``integrate`` (the module's ``integrate_adaptive``).  Each side is
-    classified over the block's modes (_kernel_sides), so the kernel takes a
-    side ideal at every mode as reflection 1 and one ideal at none without
-    looking for ideal rows.  Raises ValueError for a permittivity below 1.
+    its block.  Each mode below the floor or whose pair misses the target
+    goes to ``integrate`` (the module's ``integrate_adaptive``) alone, on
+    its first breaks below y_max, then y_max.  Each side is classified over
+    the block's modes (_kernel_sides), so the kernel takes a side ideal at
+    every mode as reflection 1 and one ideal at none without looking for
+    ideal rows.  Raises ValueError for a permittivity below 1.
     Returns (values, errors, failed); a failed mode holds its uncertified
     estimate.
     """
@@ -503,31 +504,18 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec
     failed = ~(errors <= np.maximum(spec.integral_rel_tol * np.abs(values), floor))
     if not failed.any():
         return values, errors, failed
-    todo, failed = failed, np.zeros(lower.size, bool)
-    args = tuple(a[todo] for a in args)
-    lower = args[0]
     y_max = spec.y_max(lower)
-    # the first breaks below y_max, then y_max and NaN padding; every mode
-    # has all of them unless the tolerances are loose
-    starts = lower[:, None] + _BREAK_OFFSETS
-    k = (starts < y_max[:, None]).sum(axis=1)
-    breaks = np.append(starts, y_max[:, None], axis=1)[:, :k.max() + 1]
-    breaks[np.arange(breaks.shape[1]) > k[:, None]] = np.nan
-    breaks[np.arange(lower.size), k] = y_max
-
-    def f(y):
-        live = ~np.isnan(y[:, 0])
-        if live.all():
-            return _mode_kernel(y, work, free_energy, kinds, *args)
-        out = np.full(y.shape, np.nan)
-        out[live] = _mode_kernel(y[live], work, free_energy, kinds, *(a[live] for a in args))
-        return out
-
-    try:
-        values[todo], errors[todo] = integrate(f, breaks, rel_tol=spec.integral_rel_tol,
-                                               abs_tol=floor)
-    except QuadratureError as exc:
-        values[todo], errors[todo], failed[todo] = exc.estimate, exc.error, exc.failed
+    for i in np.flatnonzero(failed):
+        starts = lower[i] + _BREAK_OFFSETS
+        row = [a[i:i + 1] for a in args]
+        try:
+            values[i], errors[i] = integrate(
+                lambda y: _mode_kernel(y[None], work, free_energy, kinds, *row)[0],
+                np.append(starts[starts < y_max[i]], y_max[i]),
+                rel_tol=spec.integral_rel_tol, abs_tol=floor)
+            failed[i] = False
+        except QuadratureError as exc:
+            values[i], errors[i] = exc.estimate, exc.error
     return values, errors, failed
 
 

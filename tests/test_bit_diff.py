@@ -1,14 +1,14 @@
 """Smoke test of ``tools/bit_diff.py``, the bit-identity check of two trees.
 
 The full dump covers every recorded ``cold_sum``, ``warm_grid``,
-``entropy_ladder`` and ``cli_tabulated`` input and takes a few seconds per
-tree.  Here the tool
-runs this tree against itself on the first input of each recorded file and
-grid pair kind, the records of the first two are checked for coverage, and
-``compare`` is shown a moved term, value and error, and a term that moved
-alone, with its largest change relative to the value; with ``--rel``, terms
-and values moved within and past the tolerance, and counts, errors and CLI
-output that must still match exactly.
+``entropy_ladder`` and ``cli_tabulated`` input and three cells that reach
+the adaptive quadrature, and takes a few seconds per tree.  Here the tool
+runs this tree against itself on the first input of each recorded file,
+grid pair kind and adaptive cell, the records of the first two are checked
+for coverage, and ``compare`` is shown a moved term, value and error, and a
+term that moved alone, with its largest change relative to the value; with
+``--rel``, terms and values moved within and past the tolerance, and
+counts, errors and CLI output that must still match exactly.
 """
 
 import importlib.util
@@ -25,7 +25,7 @@ _spec.loader.exec_module(bit_diff)
 
 def test_a_tree_against_itself_differs_nowhere(capsys):
     assert bit_diff.main([str(ROOT), str(ROOT), "--limit", "1"]) == 0
-    assert capsys.readouterr().out == "0 of 30 records differ\n"
+    assert capsys.readouterr().out == "0 of 31 records differ\n"
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,9 @@ def test_records_cover_every_kind(records):
     assert records["grid vacuum-Au a=20.0 T=300.0 P"]["n_terms_used"] == 0
     assert records["grid ideal-below-Au a=20.0 T=3.0 F"]["n_terms_used"] > 5
     assert not any("error" in fields for fields in records.values())
+    # the two first adaptive cells, which send modes to the adaptive quadrature
+    assert [key for key in records if key.startswith("adaptive ")] == [
+        "adaptive Au-Au a=0.16 T=10.0 F", "adaptive Au-Au a=0.3 T=5.0 F"]
     kk = records["cli_tabulated-1 #1 kk 1"]
     assert kk["exit"] == 0 and kk["stdout"] == "wrote 421 rows to WORKDIR/eps1.csv\n"
     assert bit_diff.base64.b64decode(kk["table"]).startswith(b"zeta_rad_s,eps_izeta\r\n")
@@ -117,7 +120,7 @@ def test_rel_prints_the_largest_deviation_per_kind(records, monkeypatch, capsys)
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == f"0 of {len(records)} records differ"
     kinds = {line.split(":")[0]: line for line in out[:-1]}
-    assert len(kinds) == 4 + 10  # the workloads and the grid's pair kinds
+    assert len(kinds) == 4 + 10 + 1  # the workloads, the grid's pair kinds, the adaptive cells
     assert kinds["entropy_ladder"].endswith("0.00e+00 of a value, 5.00e-14 of a term")
     assert kinds["grid Au-Au"].endswith("0.00e+00 of a value, 0.00e+00 of a term")
     assert bit_diff.main(["old", "new"]) == 1  # exact by default

@@ -87,10 +87,11 @@ class TestPressureCommand:
         assert float(rows[0]["pressure_mPa"]) == 0.0
 
     def test_unknown_material(self, capsys):
-        code, _, err = run_cli(capsys, "pressure", "--pair", "Xx,Au",
+        # the message as given, without the quotes KeyError's str adds
+        code, _, err = run_cli(capsys, "pressure", "--pair", "Au,Foo",
                                "--a", "1", "--T", "300")
         assert code == EXIT_INPUT
-        assert "unknown material" in err
+        assert err == "error: unknown material 'Foo' (known: Al, Au, Cu)\n"
 
     def test_bad_list(self, capsys):
         code, _, err = run_cli(capsys, "pressure", "--pair", "Au,Au",

@@ -925,7 +925,7 @@ def block(ms, geom, pair, spec=None, free_energy=False):
     sent = [np.zeros(0)]
 
     def integrate(f, breaks, **kwargs):
-        sent.append(breaks[:, 0])  # each row starts at its mode's lower limit
+        sent.append(breaks[:1])  # a mode's breaks start at its lower limit
         return integrate_adaptive(f, breaks, **kwargs)
     plan = _plan(ms, reduced_temperature(geom), matsubara_frequency(1, geom.T_K), *pair)
     out = _mode_block(*plan, spec or QuadratureSpec(), 0.0, free_energy, integrate, _Workspace())
@@ -933,22 +933,22 @@ def block(ms, geom, pair, spec=None, free_energy=False):
 
 
 def adaptive_modes(ms, geom, pair, spec=None, free_energy=False):
-    """(values, errors) of mode integrals by integrate_adaptive alone, on the
-    kernel closure, the breaks and the inputs _mode_block gives it.  The
-    rows do not interact: each equals its mode integrated alone."""
+    """(values, errors) of mode integrals by integrate_adaptive alone, one
+    call per mode on the kernel, the breaks and the inputs _mode_block
+    gives it."""
     spec = spec or QuadratureSpec()
     ms = np.atleast_1d(ms)
     A = ms * reduced_temperature(geom)
     zeta = ms * matsubara_frequency(1, geom.T_K)
     eps1, eps3 = (np.asarray(model.epsilon(zeta), dtype=float) for model in pair)
-    breaks = np.full((ms.size, _BREAK_OFFSETS.size + 1), np.nan)
-    for row, (start, y_max) in enumerate(zip(A, spec.y_max(A))):
-        starts = start + _BREAK_OFFSETS
-        starts = starts[starts < y_max]
-        breaks[row, :starts.size + 1] = np.append(starts, y_max)
-    work = _Workspace()
-    return integrate_adaptive(lambda y: run_kernel(y, work, free_energy, A, eps1, eps3),
-                              breaks, rel_tol=spec.integral_rel_tol)
+    work, out = _Workspace(), np.empty((2, ms.size))
+    for i, y_max in enumerate(spec.y_max(A)):
+        starts = A[i] + _BREAK_OFFSETS
+        row = [a[i:i + 1] for a in (A, eps1, eps3)]
+        out[:, i] = integrate_adaptive(lambda y: run_kernel(y[None], work, free_energy, *row)[0],
+                                       np.append(starts[starts < y_max], y_max),
+                                       rel_tol=spec.integral_rel_tol)
+    return out[0], out[1]
 
 
 def adaptive_mode(m, geom, pair, spec=None, free_energy=False):
@@ -1118,6 +1118,47 @@ COMPOSITE_CELLS = {"Au-Au": (0.16, 1.0, (AU, AU)),
                    "tabulated": (0.4, 3.0, (TAB, CU))}
 
 
+def fallback(ms, geom, floor):
+    """(values, errors, failed) of one Au-Au pressure _mode_block with
+    ``floor``, and the abs_tol of each adaptive call it made."""
+    floors = []
+
+    def integrate(f, breaks, **kwargs):
+        floors.append(kwargs["abs_tol"])
+        return integrate_adaptive(f, breaks, **kwargs)
+    plan = _plan(np.asarray(ms), reduced_temperature(geom), matsubara_frequency(1, geom.T_K),
+                 AU, AU)
+    return _mode_block(*plan, QuadratureSpec(), floor, False, integrate, _Workspace()), floors
+
+
+class TestAdaptiveFallback:
+    # gamma = 2.7e-12: modes 1 and 2 lie below the pressure's scaled floor
+    # (A = 2.4e-6) and take the adaptive rule, one call each; mode 10**6
+    # takes the A-scaled panels
+    GEOM = Geometry(1.0, 1e-9)
+    MS = [1, 2, 10**6]
+
+    def test_each_mode_is_certified_to_the_block_floor(self):
+        (values, errors, failed), floors = fallback(self.MS, self.GEOM, 0.0)
+        floor = 1e-9 * abs(values[0])
+        (_, loose_errors, loose_failed), loose_floors = fallback(self.MS, self.GEOM, floor)
+        assert floors == [0.0, 0.0] and loose_floors == [floor, floor]
+        assert not failed.any() and not loose_failed.any()
+        assert (loose_errors[:2] <= floor).all() and (loose_errors[:2] > errors[:2]).all()
+
+    def test_a_failed_mode_keeps_its_estimate_and_the_rest_their_values(self, monkeypatch):
+        (values, errors, _), _ = fallback(self.MS, self.GEOM, 0.0)
+        # no bisection: a mode's first panels are its budget
+        monkeypatch.setattr("casimir.quadrature._MAX_PANELS", _BREAK_OFFSETS.size)
+        (cut, cut_errors, failed), _ = fallback(self.MS, self.GEOM, 0.0)
+        assert failed.tolist() == [True, True, False]
+        assert (cut[2], cut_errors[2]) == (values[2], errors[2])
+        for i, m in enumerate(self.MS[:2]):
+            with pytest.raises(QuadratureError) as excinfo:
+                adaptive_mode(m, self.GEOM, (AU, AU))
+            assert (cut[i], cut_errors[i]) == (excinfo.value.estimate, excinfo.value.error)
+
+
 def composite_modes(cell):
     """Geometry, pair, every mode with A < LOW_A and its (values, errors,
     failed) in blocks of _BLOCK_CAP, and the mask of modes sent to the
@@ -1195,7 +1236,7 @@ class TestCompositeModes:
         sent, kernel_nodes = [], []
 
         def counted(f, breaks, **kwargs):
-            sent.append(len(breaks))
+            sent.append(1)  # one call per mode
             return integrate_adaptive(f, breaks, **kwargs)
 
         def kernel(y, work, free_energy, kinds, A, *eps):

@@ -15,6 +15,10 @@ the type and message of the error it raised (with the partial result of a
 - the pressure and the free energy on a small (a, T) grid for every pair
   kind of ``_models``: one model on both sides or two equal ones, Drude,
   Bloch-Grueneisen, tabulated, ideal, ideal below a frequency, vacuum;
+- three Au-Au cells whose modes reach the adaptive quadrature, which no
+  recorded input does: the free energy at 0.16 um and 10 K (two modes) and
+  at 0.3 um and 5 K with integral_rel_tol 1e-14 and sum_rel_tol 1e-10 (182
+  modes), and the pressure at 0.1 um and 4 mK, a ``SumConvergenceError``;
 - every recorded ``cli_tabulated`` invocation, run in order as
   ``python -m casimir.cli`` on the absorption files that the benchmark's
   ``Cli`` (``perfbench/worker.py``) writes: its exit code, its stdout and,
@@ -26,8 +30,8 @@ record that differs and exits 1 if any does, or if a record is missing on
 one side.  A record whose value and ``n_terms_used`` have the same bits but
 whose terms differ also gets the largest |old - new| of its terms relative
 to |value|, which shows whether terms moved only far below the value's last
-bit.  ``--limit N`` takes only the first N inputs of each recorded file and
-the first N grid cells of each pair kind.
+bit.  ``--limit N`` takes only the first N inputs of each recorded file, the
+first N grid cells of each pair kind and the first N adaptive cells.
 
 ``--rel TOL`` is for a change that moves the last bits of values on
 purpose.  Every ``n_terms_used``, error type and message, exit code, CLI
@@ -55,6 +59,10 @@ RECORDED = PERFBENCH / "recorded"
 SEEDS = (0, 1)
 GRID_A_UM = (20.0, 2.0, 0.2)
 GRID_T_K = (300.0, 3.0)
+# (quantity, a_um, T_K, spec keywords) of the Au-Au adaptive cells
+ADAPTIVE = (("F", 0.16, 10.0, {}),
+            ("F", 0.3, 5.0, {"integral_rel_tol": 1e-14, "sum_rel_tol": 1e-10}),
+            ("P", 0.1, 0.004, {}))
 
 
 def _models(C):
@@ -124,12 +132,17 @@ def records(limit: int | None = None):
                 for t in (T_K - _ENTROPY_STEP_K, T_K + _ENTROPY_STEP_K):
                     yield f"{key} F at {t!r}", _evaluate(C, C.free_energy, C.Geometry(a_um, t),
                                                          *pair, _ENTROPY_SPEC)
+    fns = {"P": C.casimir_pressure, "F": C.free_energy}
     grid = [(a, t) for a in GRID_A_UM for t in GRID_T_K][:limit]
     for kind, pair in _models(C).items():
         for a_um, T_K in grid:
             geom = C.Geometry(a_um, T_K)
-            for name, fn in (("P", C.casimir_pressure), ("F", C.free_energy)):
+            for name, fn in fns.items():
                 yield f"grid {kind} a={a_um} T={T_K} {name}", _evaluate(C, fn, geom, *pair)
+    for name, a_um, T_K, spec in ADAPTIVE[:limit]:
+        yield (f"adaptive Au-Au a={a_um} T={T_K} {name}",
+               _evaluate(C, fns[name], C.Geometry(a_um, T_K), models["Au"], models["Au"],
+                         C.QuadratureSpec(**spec)))
     yield from _cli_records(C, limit)
 
 
@@ -216,8 +229,11 @@ def compare(old: dict, new: dict, rel: float | None = None) -> list[str]:
 
 
 def _kind(key: str) -> str:
-    """The record kind of a key: its workload, or its grid pair kind."""
-    return key.split(" a=")[0] if key.startswith("grid ") else key.split(" #")[0].rsplit("-", 1)[0]
+    """The record kind of a key: its workload, its grid pair kind, or the
+    adaptive cells."""
+    if key.startswith(("grid ", "adaptive ")):
+        return key.split(" a=")[0]
+    return key.split(" #")[0].rsplit("-", 1)[0]
 
 
 def deviations(old: dict, new: dict) -> dict:

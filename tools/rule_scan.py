@@ -95,20 +95,20 @@ def kernel(y, work, free_energy, A, eps1, eps3):
 
 
 def reference(A, eps1, eps3, free_energy, rel_tol=1e-14):
-    """Mode integrals by integrate_adaptive at ``rel_tol``, and the kernel
-    nodes it spent on each (NaN slots of a ragged row are not counted)."""
+    """Mode integrals by integrate_adaptive at ``rel_tol``, one call per
+    mode, and the kernel nodes it spent on each."""
     spec = QuadratureSpec(integral_rel_tol=rel_tol)
-    breaks = np.full((A.size, _BREAK_OFFSETS.size + 1), np.nan)
-    for row, (start, y_max) in enumerate(zip(A, spec.y_max(A))):
-        starts = start + _BREAK_OFFSETS
-        starts = starts[starts < y_max]
-        breaks[row, :starts.size + 1] = np.append(starts, y_max)
-    work, nodes = _Workspace(), np.zeros(A.size)
+    work, values, nodes = _Workspace(), np.empty(A.size), np.zeros(A.size)
+    for i, y_max in enumerate(spec.y_max(A)):
+        starts = A[i] + _BREAK_OFFSETS
+        row = [a[i:i + 1] for a in (A, eps1, eps3)]
 
-    def f(y):
-        nodes[:] += (~np.isnan(y)).sum(axis=1)
-        return kernel(y, work, free_energy, A, eps1, eps3)
-    return integrate_adaptive(f, breaks, rel_tol=spec.integral_rel_tol)[0], nodes
+        def f(y):
+            nodes[i] += y.size
+            return kernel(y[None], work, free_energy, *row)[0]
+        values[i] = integrate_adaptive(f, np.append(starts[starts < y_max], y_max),
+                                       rel_tol=spec.integral_rel_tol)[0]
+    return values, nodes
 
 
 def fixed(pair_rule, A, eps1, eps3, free_energy):
