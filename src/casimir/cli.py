@@ -8,13 +8,21 @@ check), and ``kk`` (Kramers-Kronig ingestion of absorption data).
 Exit codes: 0 success, 1 computational failure, 2 tolerance failure,
 3 input or usage error.  Input is checked where it enters, so any other
 error raised by the numerics counts as a computational failure.
+
+``main`` builds only the named command's parser, and each command imports
+what it runs: ``golden`` for ``table``, ``lifshitz`` for the commands that
+sum modes and ``thermo`` for ``entropy``.
 """
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    gc.disable()  # no collection during the imports; main enables the collector
+
 import argparse
 import csv
-import gc
 import math
 import os
 import sys
@@ -22,7 +30,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import golden
 from .dielectric import (
     BlochGruneisenParams,
     DrudeModel,
@@ -36,14 +43,6 @@ from .dielectric import (
     kramers_kronig_transform,
     read_optical_csv,
 )
-from .lifshitz import (
-    QuadratureSpec,
-    SumConvergenceError,
-    _DEFAULT_SPEC,
-    _ENTROPY_SPEC,
-    _ENTROPY_STEP_K,
-    casimir_pressure,
-)
 from .quadrature import QuadratureError
 from .quantities import CODATA, Geometry
 
@@ -54,6 +53,8 @@ EXIT_INPUT = 3
 
 # Most points of a ``kk`` zeta grid, about 25x the largest default grid.
 _GRID_MAX = 10**6
+
+COMMANDS = ("pressure", "sweep", "table", "entropy", "kk")
 
 
 class InputError(ValueError):
@@ -116,8 +117,8 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
     return args.command_parser.parse_args(argv[argv.index(args.command) + 1:], base)
 
 
-def _build_spec(args: argparse.Namespace) -> QuadratureSpec:
-    """The command's spec with the tolerances of its flags."""
+def _build_spec(args: argparse.Namespace):
+    """The command's QuadratureSpec with the tolerances of its flags."""
     try:
         return replace(args.spec, integral_rel_tol=args.int_tol, sum_rel_tol=args.sum_tol)
     except ValueError as exc:
@@ -208,13 +209,17 @@ def _emit_rows(rows, fmt: str, stream) -> list[dict]:
 
 def _pressures(a_list, t_list, model1, model3, spec):
     """(a, T, result) over the sorted a x T grid, each side taken at each T
-    once.  A sum that runs out of terms gives its partial result."""
+    once.  A sum that runs out of terms gives its partial result.
+    ``casimir_pressure`` is looked up in lifshitz at each call, so a wrapper
+    installed there sees every sum."""
+    from . import lifshitz
+
     sides = {T: (model1.at(T), model3.at(T)) for T in sorted(t_list)}
     for a in sorted(a_list):
         for T in sorted(t_list):
             try:
-                yield a, T, casimir_pressure(Geometry(a, T), *sides[T], spec)
-            except SumConvergenceError as exc:
+                yield a, T, lifshitz.casimir_pressure(Geometry(a, T), *sides[T], spec)
+            except lifshitz.SumConvergenceError as exc:
                 yield a, T, exc.partial
 
 
@@ -239,6 +244,8 @@ def cmd_pressure(args: argparse.Namespace, stream) -> int:
 
 
 def cmd_table(args: argparse.Namespace, stream) -> int:
+    from . import golden  # the one command that reads the reference grids
+
     if args.table_id not in golden.TABLES:
         raise InputError(f"table id must be 1..6, got {args.table_id}")
     fixture = golden.TABLES[args.table_id]
@@ -343,18 +350,24 @@ def cmd_kk(args: argparse.Namespace, stream) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The subcommand parsers are the one list of what each command accepts,
-    on the command line and in a ``--config`` file."""
+    on the command line and in a ``--config`` file.  With a ``command`` of
+    COMMANDS only its parser is built, and only the modules it needs are
+    imported; without, all of them, for the top-level help."""
     parser = _Parser(
         prog="casimir",
         description="Finite-temperature Casimir pressure between material half-spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
+    wanted = COMMANDS if command is None else (command,)
 
-    def common(p: argparse.ArgumentParser, T: str | None, spec: QuadratureSpec = _DEFAULT_SPEC,
-               formats: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, T: str | None, spec=None, formats: bool = True) -> None:
         """Shared flags; ``T`` is the default --T (None: no pair flags), and
-        ``spec``'s tolerances are the defaults of --int-tol/--sum-tol."""
+        the tolerances of ``spec`` (default: lifshitz's) are the defaults of
+        --int-tol/--sum-tol."""
+        from .lifshitz import _DEFAULT_SPEC
+
+        spec = spec or _DEFAULT_SPEC
         if T is not None:
             p.add_argument("--pair", default="Au,Au", help="two material labels, "
                            "also vacuum or ideal (default %(default)s)")
@@ -380,54 +393,72 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (flags take precedence)")
         p.set_defaults(spec=spec)
 
-    p = sub.add_parser("pressure", help="pressure at given (a, T) points")
-    common(p, T="300")
-    p.set_defaults(func=cmd_pressure)
+    if "pressure" in wanted:
+        p = sub.add_parser("pressure", help="pressure at given (a, T) points")
+        common(p, T="300")
+        p.set_defaults(func=cmd_pressure)
 
-    p = sub.add_parser("sweep", help="pressure over the a x T grid as a CSV stream")
-    common(p, T="300", formats=False)
-    p.set_defaults(func=cmd_pressure, format="csv")
+    if "sweep" in wanted:
+        p = sub.add_parser("sweep", help="pressure over the a x T grid as a CSV stream")
+        common(p, T="300", formats=False)
+        p.set_defaults(func=cmd_pressure, format="csv")
 
-    short_tol, long_tol = golden.cell_tolerance.__defaults__
-    p = sub.add_parser("table", help="regression against a reference grid")
-    p.add_argument("table_id", type=int, help="reference table id (1..6)")
-    p.add_argument("--tol-short", dest="tol_short", type=float,
-                   help=f"relative tolerance for a < {golden.SHORT_RANGE_UM:g} um "
-                   f"(default {short_tol:g})")
-    p.add_argument("--tol-long", dest="tol_long", type=float,
-                   help=f"relative tolerance for a >= {golden.SHORT_RANGE_UM:g} um "
-                   f"(default {long_tol:g})")
-    common(p, T=None)
-    p.set_defaults(func=cmd_table)
+    if "table" in wanted:
+        from . import golden
 
-    p = sub.add_parser("entropy", help="entropy rows and zero-temperature check")
-    common(p, T="1,2,4,8", spec=_ENTROPY_SPEC)
-    p.add_argument("--fd-step", dest="fd_step", type=float, default=_ENTROPY_STEP_K,
-                   help="central-difference step in K (default %(default)g)")
-    p.add_argument("--check-step-halving", action="store_true",
-                   help="also report the halved-step and Richardson values")
-    p.set_defaults(func=cmd_entropy)
+        short_tol, long_tol = golden.cell_tolerance.__defaults__
+        p = sub.add_parser("table", help="regression against a reference grid")
+        p.add_argument("table_id", type=int, help="reference table id (1..6)")
+        p.add_argument("--tol-short", dest="tol_short", type=float,
+                       help=f"relative tolerance for a < {golden.SHORT_RANGE_UM:g} um "
+                       f"(default {short_tol:g})")
+        p.add_argument("--tol-long", dest="tol_long", type=float,
+                       help=f"relative tolerance for a >= {golden.SHORT_RANGE_UM:g} um "
+                       f"(default {long_tol:g})")
+        common(p, T=None)
+        p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("kk", help="Kramers-Kronig transform of absorption data")
-    p.add_argument("input", help="CSV with header omega_rad_s,eps_imag")
-    p.add_argument("output", help="output CSV with header zeta_rad_s,eps_izeta")
-    p.add_argument("--grid", help="zeta grid as lo,hi,per_decade in rad/s "
-                   "(default: the input window at 60/decade)")
-    p.set_defaults(func=cmd_kk)
+    if "entropy" in wanted:
+        from .lifshitz import _ENTROPY_SPEC, _ENTROPY_STEP_K
+
+        p = sub.add_parser("entropy", help="entropy rows and zero-temperature check")
+        common(p, T="1,2,4,8", spec=_ENTROPY_SPEC)
+        p.add_argument("--fd-step", dest="fd_step", type=float, default=_ENTROPY_STEP_K,
+                       help="central-difference step in K (default %(default)g)")
+        p.add_argument("--check-step-halving", action="store_true",
+                       help="also report the halved-step and Richardson values")
+        p.set_defaults(func=cmd_entropy)
+
+    if "kk" in wanted:
+        p = sub.add_parser("kk", help="Kramers-Kronig transform of absorption data")
+        p.add_argument("input", help="CSV with header omega_rad_s,eps_imag")
+        p.add_argument("output", help="output CSV with header zeta_rad_s,eps_izeta")
+        p.add_argument("--grid", help="zeta grid as lo,hi,per_decade in rad/s "
+                       "(default: the input window at 60/decade)")
+        p.set_defaults(func=cmd_kk)
 
     for p in sub.choices.values():  # read by _apply_config
         p.set_defaults(command_parser=p)
     return parser
 
 
+def _sum_errors() -> tuple:
+    """SumConvergenceError if lifshitz, the module that raises it, is loaded."""
+    lifshitz = sys.modules.get(f"{__package__}.lifshitz")
+    return (lifshitz.SumConvergenceError,) if lifshitz else ()
+
+
 def main(argv=None) -> int:
     if argv is None:
         # the command ends the process: frozen, the import heap is skipped by
-        # every collection, the one at shutdown included
+        # every collection, the one at shutdown included; the collector is
+        # off from the start of a ``python -m casimir.cli`` process to here
         gc.freeze()
+        gc.enable()
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
-        args = _apply_config(build_parser().parse_args(argv), argv)
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        args = _apply_config(parser.parse_args(argv), argv)
         code = args.func(args, sys.stdout)
         sys.stdout.flush()
         return code
@@ -441,7 +472,7 @@ def main(argv=None) -> int:
         flags = "--T/--theta: " if isinstance(exc, NuRangeError) else ""
         print(f"error: {flags}{exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (QuadratureError, SumConvergenceError, ValueError) as exc:
+    except (QuadratureError, *_sum_errors(), ValueError) as exc:  # built on an error only
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

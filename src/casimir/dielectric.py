@@ -16,9 +16,8 @@ from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .quadrature import integrate_adaptive
+from .quadrature import GAUSS_LEGENDRE, integrate_adaptive
 from .quantities import CODATA
 
 __all__ = [
@@ -410,7 +409,7 @@ def read_optical_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"{path}: {exc}") from None
 
 
-_GL_NODES, _GL_WEIGHTS = leggauss(8)
+_GL_NODES, _GL_WEIGHTS = GAUSS_LEGENDRE[8]
 
 
 # Frequencies per block of the vectorised KK transform; a block's work

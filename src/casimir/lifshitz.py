@@ -36,11 +36,9 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
 
 from .dielectric import DielectricModel
-from .quadrature import QuadratureError, integrate_adaptive
+from .quadrature import GAUSS_LAGUERRE, GAUSS_LEGENDRE, QuadratureError, integrate_adaptive
 from .quantities import (
     Geometry,
     matsubara_frequency,
@@ -291,23 +289,17 @@ def _mode_kernel(y, work: _Workspace, free_energy: bool, kinds, A, eps1, eps3=No
 _BREAK_OFFSETS = np.array([0.0, 0.75, 2.0, 4.0, 7.0, 11.0, 16.0])
 
 
-@functools.cache
-def _gauss(family, n):
-    """laggauss(n) or leggauss(n), about 0.5 ms each, once per process."""
-    return family(n)
-
-
 def _rule(n_panel, n_tail, panels):
     """Rule of a mode integral as (offsets from A, weights): n_panel-node
     Gauss-Legendre on each panel between the offsets ``panels`` (none if
     there is one offset), then n_tail-node Gauss-Laguerre past the last, on
     node sets every rule shares.  y = A + panels[-1] + t/2 maps that tail to
     1/2 int_0^inf e^{-t} [e^t f] dt, so its weights carry 1/2 e^t."""
-    t, wt = _gauss(laggauss, n_tail)
+    t, wt = GAUSS_LAGUERRE[n_tail]
     y, w = panels[-1] + 0.5 * t, 0.5 * wt * np.exp(t)
     if panels.size == 1:
         return y, w
-    (x, wx), h = _gauss(leggauss, n_panel), 0.5 * np.diff(panels)[:, None]
+    (x, wx), h = GAUSS_LEGENDRE[n_panel], 0.5 * np.diff(panels)[:, None]
     return np.append(panels[:-1, None] + h + h * x, y), np.append(h * wx, w)
 
 
@@ -707,9 +699,11 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
             size = hi - first + 1
         live = size  # the modes integrated
         if not terms and floor and _log_bound(min_terms * gamma, free_energy) <= math.log(floor):
-            # the modes up to min_terms from the first whose bound meets the floor read 0
-            size, live = min_terms, _bound_end(1, min_terms, gamma, math.log(floor),
-                                               free_energy) - 1
+            # the modes up to min_terms from the first whose bound meets the floor read 0;
+            # a walk up from m = 1 finds it, one call per mode it integrates
+            size, live, log_floor = min_terms, 0, math.log(floor)
+            while _log_bound((live + 1) * gamma, free_energy) > log_floor:
+                live += 1
         if min(first + live, spec.max_terms + 1) > end:  # past the plan: plan from first
             n = live if live < cap and not shift else _block_size(*bound, _PLAN_CAP)
             start, end = first, min(first + max(n, live), spec.max_terms + 1)
@@ -735,7 +729,9 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
         else:  # every mode is below the floor
             values, failed, n_ok = np.zeros(size), np.empty(0), size
         if n_ok == live < size:  # then the modes below the floor read 0
-            values, n_ok = np.concatenate((values, np.zeros(size - live))), size
+            padded, n_ok = np.zeros(size), size
+            padded[:live] = values
+            values = padded
         scan = _scan_arrays if n_ok >= _ARRAY_SCAN else _scan_loop
         acc, comp, used, converged = scan(values[:n_ok], acc, comp, first, min_terms, tail,
                                           sum_rel_tol)

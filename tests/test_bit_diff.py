@@ -1,8 +1,9 @@
 """Smoke test of ``tools/bit_diff.py``, the bit-identity check of two trees.
 
 The full dump covers every recorded ``cold_sum``, ``warm_grid``,
-``entropy_ladder`` and ``cli_tabulated`` input and three cells that reach
-the adaptive quadrature, and takes a few seconds per tree.  Here the tool
+``entropy_ladder`` and ``cli_tabulated`` input, three cells that reach the
+adaptive quadrature and the CLI's help and usage errors, and takes a few
+seconds per tree.  Here the tool
 runs this tree against itself on the first input of each recorded file,
 grid pair kind and adaptive cell, the records of the first two are checked
 for coverage, and ``compare`` is shown a moved term, value and error, and a
@@ -25,7 +26,7 @@ _spec.loader.exec_module(bit_diff)
 
 def test_a_tree_against_itself_differs_nowhere(capsys):
     assert bit_diff.main([str(ROOT), str(ROOT), "--limit", "1"]) == 0
-    assert capsys.readouterr().out == "0 of 31 records differ\n"
+    assert capsys.readouterr().out == "0 of 39 records differ\n"
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,12 @@ def test_records_cover_every_kind(records):
     kk = records["cli_tabulated-1 #1 kk 1"]
     assert kk["exit"] == 0 and kk["stdout"] == "wrote 421 rows to WORKDIR/eps1.csv\n"
     assert bit_diff.base64.b64decode(kk["table"]).startswith(b"zeta_rad_s,eps_izeta\r\n")
+    # every help and usage record, with its stderr
+    usage = {key: fields for key, fields in records.items() if key.startswith("usage ")}
+    assert len(usage) == len(bit_diff.USAGE) == 8
+    assert usage["usage casimir kk --help"]["stdout"].startswith("usage: casimir kk [-h]")
+    assert usage["usage casimir sweep --format json"] == {
+        "exit": 3, "stdout": "", "stderr": "error: unrecognized arguments: --format json\n"}
 
 
 def test_compare_names_each_difference(records):
@@ -105,7 +112,8 @@ def test_rel_lets_values_and_terms_move_by_at_most_tol(records):
     # counts, errors, exit codes and CLI output still match exactly
     cli = "cli_tabulated-1 #1 kk 1"
     for k, name, other in ((key, "n_terms_used", 7), (key, "error", "QuadratureError: x"),
-                           (cli, "exit", 1), (cli, "stdout", "x\n")):
+                           (cli, "exit", 1), (cli, "stdout", "x\n"),
+                           ("usage casimir", "stderr", "x\n")):
         changed = dict(records[k], **{name: other})
         line, = bit_diff.compare({k: records[k]}, {k: changed}, rel=1.0)
         assert line.startswith(f"{k}: {name} ")
@@ -120,7 +128,8 @@ def test_rel_prints_the_largest_deviation_per_kind(records, monkeypatch, capsys)
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == f"0 of {len(records)} records differ"
     kinds = {line.split(":")[0]: line for line in out[:-1]}
-    assert len(kinds) == 4 + 10 + 1  # the workloads, the grid's pair kinds, the adaptive cells
+    # the workloads, the grid's pair kinds, the adaptive cells, the usage records
+    assert len(kinds) == 4 + 10 + 1 + 1
     assert kinds["entropy_ladder"].endswith("0.00e+00 of a value, 5.00e-14 of a term")
     assert kinds["grid Au-Au"].endswith("0.00e+00 of a value, 0.00e+00 of a term")
     assert bit_diff.main(["old", "new"]) == 1  # exact by default

@@ -1,3 +1,4 @@
+import ast
 import csv
 import gc
 import io
@@ -754,26 +755,38 @@ def _process_env():
     return dict(os.environ, PYTHONPATH=src_dir)
 
 
-def test_cli_runs_on_numpy_alone(tmp_path):
-    """A tabulated sweep and a kk run load neither scipy nor numpy.ma, and
-    neither thermo nor json."""
-    loss = tmp_path / "loss.csv"
-    TestKKCommand()._write_drude_loss(loss, per_decade=10)
-    script = textwrap.dedent(f"""
+def _loaded_by(script: str) -> list[str]:
+    """The heavy or command-specific modules a fresh process running
+    ``script`` has loaded: scipy, numpy.ma, numpy.polynomial, json and
+    casimir's thermo, golden and lifshitz."""
+    script += textwrap.dedent("""
         import sys
-        import casimir.cli
-        eps = {str(tmp_path / "eps.csv")!r}
-        assert casimir.cli.main(["kk", {str(loss)!r}, eps, "--grid", "1e12,1e17,10"]) == 0
-        assert casimir.cli.main(["sweep", "--pair", "Au,Au", "--eps1", eps, "--eps3", eps,
-                                 "--a", "2", "--T", "300"]) == 0
-        print(sorted(m for m in sys.modules
-                     if m.startswith("scipy") or m == "numpy.ma" or m.startswith("numpy.ma.")
-                     or m in ("casimir.thermo", "json")))
+        heavy = ("scipy", "numpy.ma", "numpy.polynomial", "json",
+                 "casimir.thermo", "casimir.golden", "casimir.lifshitz")
+        print(sorted(m for m in sys.modules if any(m == h or m.startswith(h + ".") for h in heavy)))
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_process_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_runs_on_numpy_alone(tmp_path):
+    """A kk run and a tabulated sweep, each a process of its own, load none
+    of scipy, numpy.ma, numpy.polynomial, thermo, golden and json; kk does
+    not load lifshitz either."""
+    loss, eps = tmp_path / "loss.csv", str(tmp_path / "eps.csv")
+    TestKKCommand()._write_drude_loss(loss, per_decade=10)
+    for argv, loaded in ((["kk", str(loss), eps, "--grid", "1e12,1e17,10"], []),
+                         (["sweep", "--pair", "Au,Au", "--eps1", eps, "--eps3", eps,
+                           "--a", "2", "--T", "300"], ["casimir.lifshitz"])):
+        script = f"import casimir.cli\nassert casimir.cli.main({argv!r}) == 0\n"
+        assert _loaded_by(script) == loaded, argv[0]
+
+
+@pytest.mark.parametrize("module", ["casimir.lifshitz", "casimir.dielectric"])
+def test_the_numerics_load_no_numpy_polynomial(module):
+    assert not any(m.startswith("numpy.polynomial") for m in _loaded_by(f"import {module}\n"))
 
 
 # what README documents as the library surface; perfbench/worker.py reads
@@ -844,12 +857,26 @@ class TestProcess:
     def test_only_the_process_command_freezes_the_heap(self, capsys):
         frozen = gc.get_freeze_count()
         assert main(["pressure", "--a", "1", "--T", "300"]) == EXIT_OK
-        assert gc.get_freeze_count() == frozen
+        assert gc.isenabled() and gc.get_freeze_count() == frozen
         script = ("import gc, sys, casimir.cli; sys.argv[1:] = ['pressure']; "
                   "casimir.cli.main(); print(gc.get_freeze_count() > 0, file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=_process_env(), timeout=120)
         assert proc.stderr == "True\n"
+        # run as __main__, the module turns the collector off for its imports
+        # and main turns it on again
+        script = textwrap.dedent("""
+            import gc, runpy, sys
+            sys.argv[1:] = ["pressure"]
+            try:
+                runpy.run_module("casimir.cli", run_name="__main__")
+            except SystemExit:
+                pass
+            print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=_process_env(), timeout=120)
+        assert proc.stderr == "True True\n"
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_closed_stdout_exits_1_without_traceback(self, unbuffered):

@@ -1,11 +1,16 @@
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import laggauss
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from casimir import quadrature
 from casimir.quadrature import (
+    GAUSS_LAGUERRE,
+    GAUSS_LEGENDRE,
     QuadratureError,
     _WEIGHTS_G,
     _WEIGHTS_K,
@@ -16,6 +21,21 @@ from casimir.quadrature import (
 def test_rule_weights_sum_to_interval():
     assert _WEIGHTS_K.sum() == pytest.approx(2.0, abs=1e-14)
     assert _WEIGHTS_G.sum() == pytest.approx(2.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_gauss_tables_are_numpys_rules(n):
+    for table, rule in ((GAUSS_LEGENDRE, leggauss), (GAUSS_LAGUERRE, laggauss)):
+        assert [a.tobytes() for a in table[n]] == [a.tobytes() for a in rule(n)]
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_gauss_tables_integrate_monomials_exactly(n):
+    # x^k up to k = 2n - 1: 2/(k + 1) or 0 on [-1, 1], and k! under e^{-t}
+    (x, w), (t, wt) = GAUSS_LEGENDRE[n], GAUSS_LAGUERRE[n]
+    for k in range(2 * n):
+        assert abs(math.fsum(w * x**k) - (0.0 if k % 2 else 2.0 / (k + 1))) <= 1e-14
+        assert math.fsum(wt * t**k) == pytest.approx(math.factorial(k), rel=1e-13)
 
 
 def test_polynomial_exact():

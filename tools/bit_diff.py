@@ -22,7 +22,10 @@ the type and message of the error it raised (with the partial result of a
 - every recorded ``cli_tabulated`` invocation, run in order as
   ``python -m casimir.cli`` on the absorption files that the benchmark's
   ``Cli`` (``perfbench/worker.py``) writes: its exit code, its stdout and,
-  for ``kk``, the bytes of the table it writes.
+  for ``kk``, the bytes of the table it writes;
+- the help and usage errors of ``python -m casimir.cli`` (USAGE): the
+  top-level and every command's ``--help``, no command, and an option
+  ``sweep`` does not take, each with its exit code, stdout and stderr.
 
 The recorded inputs are read from this script's own ``perfbench/recorded``
 (seeds 0 and 1), so both trees see the same ones.  The script prints every
@@ -31,14 +34,15 @@ one side.  A record whose value and ``n_terms_used`` have the same bits but
 whose terms differ also gets the largest |old - new| of its terms relative
 to |value|, which shows whether terms moved only far below the value's last
 bit.  ``--limit N`` takes only the first N inputs of each recorded file, the
-first N grid cells of each pair kind and the first N adaptive cells.
+first N grid cells of each pair kind and the first N adaptive cells; the
+usage records are always all run.
 
 ``--rel TOL`` is for a change that moves the last bits of values on
 purpose.  Every ``n_terms_used``, error type and message, exit code, CLI
-stdout and ``kk`` table must still match exactly, but a value or a term may
-move by up to TOL relative to the old one.  The script then also prints
-the largest relative deviation of a value and of a term per record kind:
-each workload, and each pair kind of the grid.
+stdout and stderr and ``kk`` table must still match exactly, but a value
+or a term may move by up to TOL relative to the old one.  The script then
+also prints the largest relative deviation of a value and of a term per
+record kind: each workload, and each pair kind of the grid.
 """
 
 from __future__ import annotations
@@ -63,6 +67,9 @@ GRID_T_K = (300.0, 3.0)
 ADAPTIVE = (("F", 0.16, 10.0, {}),
             ("F", 0.3, 5.0, {"integral_rel_tol": 1e-14, "sum_rel_tol": 1e-10}),
             ("P", 0.1, 0.004, {}))
+# argv of the help and usage records
+USAGE = (["--help"], *([cmd, "--help"] for cmd in ("pressure", "sweep", "table", "entropy", "kk")),
+         [], ["sweep", "--format", "json"])
 
 
 def _models(C):
@@ -147,8 +154,8 @@ def records(limit: int | None = None):
 
 
 def _cli_records(C, limit: int | None):
-    """(id, fields) of the recorded ``cli_tabulated`` invocations, each run as
-    ``python -m casimir.cli`` on the package ``C``'s tree."""
+    """(id, fields) of the recorded ``cli_tabulated`` invocations and of
+    USAGE, each run as ``python -m casimir.cli`` on the package ``C``'s tree."""
     sys.path.insert(0, str(PERFBENCH))
     from worker import Cli
 
@@ -167,6 +174,11 @@ def _cli_records(C, limit: int | None):
                 if inv[0] == "kk":
                     fields["table"] = base64.b64encode(Path(argv[2]).read_bytes()).decode()
                 yield f"cli_tabulated-{seed} #{i} {' '.join(map(str, inv[:3]))}", fields
+    for argv in USAGE:
+        proc = subprocess.run([sys.executable, "-m", "casimir.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        yield (" ".join(["usage casimir", *argv]),
+               {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr})
 
 
 def dump(tree: Path, limit: int | None) -> dict:
@@ -209,7 +221,8 @@ def compare(old: dict, new: dict, rel: float | None = None) -> list[str]:
             continue
         line = [f"{name} {a.get(name)} -> {b.get(name)}"
                 for name in ("error", "n_terms_used", "exit") if a.get(name) != b.get(name)]
-        line += [f"{name} differs" for name in ("stdout", "table") if a.get(name) != b.get(name)]
+        line += [f"{name} differs" for name in ("stdout", "stderr", "table")
+                 if a.get(name) != b.get(name)]
         (va, ta), (vb, tb) = ((_floats(r, "value"), _floats(r, "terms")) for r in (a, b))
         if va.size != vb.size or (_deviation(va, vb) > tol).any():
             line.append("value " + " -> ".join(repr(float(v[0])) if v.size else "none"
@@ -229,8 +242,10 @@ def compare(old: dict, new: dict, rel: float | None = None) -> list[str]:
 
 
 def _kind(key: str) -> str:
-    """The record kind of a key: its workload, its grid pair kind, or the
-    adaptive cells."""
+    """The record kind of a key: its workload, its grid pair kind, the
+    adaptive cells or the usage records."""
+    if key.startswith("usage "):
+        return "usage"
     if key.startswith(("grid ", "adaptive ")):
         return key.split(" a=")[0]
     return key.split(" #")[0].rsplit("-", 1)[0]
