@@ -1,13 +1,11 @@
-"""Matsubara terms past mode 128 from Chebyshev interpolants in m.  With both
-permittivities analytic in zeta > 0, I_m = I(m*gamma, eps(i m zeta_1)) is
-analytic in m, and an interpolant certifies itself from its coefficient tail
-(Trefethen, Approximation Theory and Approximation Practice, SIAM 2013)."""
+"""Chebyshev interpolants in m of the Matsubara terms I_m = I(m*gamma, eps(i m zeta_1)),
+analytic in m where both permittivities are analytic in zeta > 0: fitted to samples from
+the sum driver (casimir.lifshitz), certified by their coefficient tails (Trefethen,
+Approximation Theory and Approximation Practice, SIAM 2013) and evaluated by Clenshaw."""
 
 import functools
 
 import numpy as np
-
-from . import lifshitz
 
 _DEGREES, _SHORTEST = (16, 32, 64), 64  # sample degrees in turn; modes of the shortest panel
 
@@ -22,48 +20,35 @@ def _chebyshev(n):
     return -np.cos(np.pi * i / n), to_coeffs
 
 
-def _panels(end: int, gamma: float):
-    """The panels (lo, hi) from mode 129 toward ``end``, each as long as the
-    modes before it, at most half of those left and at least _SHORTEST."""
-    edges = [128]
+def _panels(start: int, end: int, gamma: float):
+    """The panels (lo, hi) from mode start + 1 toward ``end``, each as long
+    as the modes before it, at most half of those left and at least _SHORTEST."""
+    edges = [start]
     while (step := min(edges[-1], (end - edges[-1]) // 2)) >= _SHORTEST:
         edges.append(edges[-1] + step)
     return [(a + 1, b) for a, b in zip(edges, edges[1:]) if gamma * (b - a) < 300.0]
 
 
-def _certify(panels, gamma, zeta1, models, spec, floor: float, free_energy: bool, integrate,
-             work):
-    """{lo: (hi, Chebyshev coefficients or None)} of the panels (lo, hi): each
-    degree samples g(m) = I_m * e^{2 gamma (m-lo)} of every live panel in one
-    lifshitz._plan and _mode_block, and certifies those whose last four
-    coefficients sum to at most max(integral_rel_tol * min|g|, floor).  A
-    sample that fails or whose permittivity is NaN, below 1, or inf on a side
-    finite at another sample ends its panel."""
+def _certify(panels, gamma: float, sample, rel_tol: float, floor: float):
+    """{lo: (hi, Chebyshev coefficients or None)} of the panels (lo, hi): each degree takes
+    ``sample(ms)``, the mode integrals at a row of points ms per live panel (NaN where a mode
+    fails or its row may not be interpolated), as g(m) = I_m * e^{2 gamma (m-lo)}, and
+    certifies the panels whose last four coefficients sum to at most max(rel_tol * min|g|,
+    floor).  A NaN sample ends its panel."""
     lo, hi = np.array(panels, dtype=float).reshape(-1, 2).T
     g, out = None, {a: (b, None) for a, b in panels}
     for n in _DEGREES:
         x, to_coeffs = _chebyshev(n)
         x = x if g is None else x[1::2]  # the new points; the last degree's are every other one
         ms = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * x
-        lower, zeta, sides = lifshitz._plan(ms.ravel(), gamma, zeta1, *models)
-        ok = np.ones(lo.size, bool)
-        for e in (e.reshape(ms.shape) for _, e in sides):  # NaN fails both tests
-            low = e.min(1)
-            ok &= (low >= 1.0) & ((low == np.inf) | (e.max(1) < np.inf))
-        new, keep = np.full(ms.shape, np.nan), ok.repeat(x.size)
-        if ok.any():
-            values, _, failed = lifshitz._mode_block(
-                lower[keep], zeta[keep], [(model, e[keep]) for model, e in sides], spec, floor,
-                free_energy, integrate, work)
-            new[ok] = np.where(failed, np.nan, values).reshape(-1, x.size)
-        new *= np.exp(np.outer(gamma * (hi - lo), 1.0 + x))  # e^{2 gamma (m-lo)}
+        new = sample(ms) * np.exp(np.outer(gamma * (hi - lo), 1.0 + x))  # e^{2 gamma (m-lo)}
         if g is None:
             g = new
         else:
             g, old = np.empty((lo.size, n + 1)), g
             g[:, ::2], g[:, 1::2] = old, new
         coeffs = np.einsum("pi,ki->pk", g, to_coeffs)
-        tol = np.maximum(spec.integral_rel_tol * np.abs(g).min(1), floor)
+        tol = np.maximum(rel_tol * np.abs(g).min(1), floor)
         done = np.abs(coeffs[:, -4:]).sum(1) <= tol  # never for NaN
         out.update((int(a), (int(b), c)) for a, b, c in zip(lo[done], hi[done], coeffs[done]))
         live = ~done & ~np.isnan(g).any(1)

@@ -208,17 +208,15 @@ def _emit_rows(rows, fmt: str, stream) -> list[dict]:
 
 
 def _pressures(a_list, t_list, model1, model3, spec):
-    """(a, T, result) over the sorted a x T grid, each side taken at each T
-    once.  A sum that runs out of terms gives its partial result.
-    ``casimir_pressure`` is looked up in lifshitz at each call, so a wrapper
-    installed there sees every sum."""
+    """(a, T, result) over the sorted a x T grid; a sum that runs out of terms
+    gives its partial result.  ``casimir_pressure`` is looked up in lifshitz
+    at each call, so a wrapper installed there sees every sum."""
     from . import lifshitz
 
-    sides = {T: (model1.at(T), model3.at(T)) for T in sorted(t_list)}
     for a in sorted(a_list):
         for T in sorted(t_list):
             try:
-                yield a, T, lifshitz.casimir_pressure(Geometry(a, T), *sides[T], spec)
+                yield a, T, lifshitz.casimir_pressure(Geometry(a, T), model1, model3, spec)
             except lifshitz.SumConvergenceError as exc:
                 yield a, T, exc.partial
 

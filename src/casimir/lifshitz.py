@@ -14,15 +14,15 @@ quadrature, one call per mode.  A block ends where a bound that holds
 for any reflections in [0, 1] shows the sum must stop, so a short sum
 takes one block.  That block sizes the sum's kernel workspace; each later
 one takes as many modes as its nodes fill, its bound scaled through the
-last term so that it ends near the stop.  A sum evaluates the
-permittivities once for all the modes the bound lets it reach, and each
-block takes a slice of them and tells the kernel which side is ideal at
-all, none or some of its modes.  First-block modes from some m <= min_terms
-on that the bound puts below the block's floor read 0, never integrated.
-A long block's values are summed in array passes, a short one's in a loop,
-with the same bits.  Past mode 128 a long sum of two analytic sides (Drude,
-ideal) takes most terms from certified Chebyshev interpolants in m
-(casimir.chebyshev), integrating only their sample points.
+last term so that it ends near the stop.  A sum plans the permittivities
+of all the modes the bound lets it reach, each side classified once as
+ideal at all, none or some of them, and each block takes a slice of that
+plan.  First-block modes from some m <= min_terms on that the bound puts
+below the block's floor read 0, never integrated.  A long block's values
+are summed in array passes, a short one's in a loop, with the same bits.
+Past mode 128 a long sum of two analytic sides (Drude, ideal) takes most
+terms from Chebyshev interpolants in m (casimir.chebyshev) of sample
+points it integrates, both screened for bad permittivities (_screen).
 
 All mode arithmetic is dimensionless; SI conversion happens once at the
 end through :func:`casimir.quantities.pressure_to_si`.
@@ -184,14 +184,14 @@ class _Workspace:
         return (*self.floats[:8 * n].reshape((8,) + shape), self.mask[:n].reshape(shape))
 
 
-# How a side reflects over the modes of a block: as an ideal metal
+# How a side reflects over the modes of a plan: as an ideal metal
 # (eps = inf) at every mode, at none, or at some (_kernel_sides).
 _IDEAL, _FINITE, _MIXED = "ideal", "finite", "mixed"
 
 
 def _kernel_sides(*eps):
-    """The kind of each side with permittivities ``eps`` over the modes of a block, as
-    _mode_kernel takes them.  A NaN mode is not ideal: it gives NaN and fails to certify."""
+    """Each side's kind over a plan's modes, as _mode_kernel takes them; a slice keeps it, as
+    _MIXED gives ideal and finite rows their own bits.  A NaN mode is not ideal: it gives NaN."""
     return tuple([_FINITE if np.fmax.reduce(e) < np.inf else
                   _IDEAL if np.minimum.reduce(e) == np.inf else _MIXED for e in eps])
 
@@ -431,20 +431,20 @@ def _nodes(A: float, free_energy: bool) -> int:
 
 
 def _plan(ms: np.ndarray, gamma, zeta1, model1: DielectricModel, model3: DielectricModel):
-    """Lower limits m*gamma, zeta_m = m*zeta1 in eV and (model, eps(i zeta_m))
-    per distinct side of the Matsubara indices ``ms``: one epsilon call per
-    model, and one side where both give equal permittivities, so one
-    interface serves both."""
+    """Lower limits m*gamma, zeta_m = m*zeta1 in eV, (model, eps(i zeta_m))
+    per distinct side of the Matsubara indices ``ms`` and their kinds
+    (_kernel_sides): one epsilon call per model, and one side where both
+    give equal permittivities, so one interface serves both."""
     zeta = ms * zeta1
     models = (model1,) if model3 is model1 else (model1, model3)
     sides = [(model, np.asarray(model.epsilon(zeta), dtype=float)) for model in models]
     if len(sides) == 2 and (sides[0][1] == sides[1][1]).all():
         del sides[1]
-    return ms * gamma, zeta, sides
+    return ms * gamma, zeta, sides, _kernel_sides(*(e for _, e in sides))
 
 
-def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec, floor: float,
-                free_energy: bool, integrate, work: _Workspace):
+def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: QuadratureSpec,
+                floor: float, free_energy: bool, integrate, work: _Workspace):
     """Mode integrals of a slice of a _plan, ascending in m >= 1, in one block.
 
     Each integral is certified to max(integral_rel_tol * |I_m|, floor), the
@@ -457,10 +457,10 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec
     einsum, unlike BLAS, sums each row alike, so a value does not depend on
     its block.  Each mode below the floor or whose pair misses the target
     goes to ``integrate`` (the module's ``integrate_adaptive``) alone, on
-    its first breaks below y_max, then y_max.  Each side is classified over
-    the block's modes (_kernel_sides), so the kernel takes a side ideal at
-    every mode as reflection 1 and one ideal at none without looking for
-    ideal rows.  Raises ValueError for a permittivity below 1.
+    its first breaks below y_max, then y_max.  ``kinds`` classify the sides
+    over their plan (_plan), so the kernel takes a side ideal at every mode
+    as reflection 1 and one ideal at none without looking for ideal rows.
+    Raises ValueError for a permittivity below 1.
     Returns (values, errors, failed); a failed mode holds its uncertified
     estimate.
     """
@@ -469,7 +469,6 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec
             i = np.argmax(e < 1.0)
             raise ValueError(f"{model!r}: epsilon = {e[i]:.6g} < 1 at zeta = {zeta[i]:.6g} eV")
     args = (lower, *(e for _, e in sides))
-    kinds = _kernel_sides(*args[1:])
     cuts = [*lower.searchsorted(_LADDER_LOWS[free_energy]).tolist(), lower.size]
     rungs = [(lo, hi, pair) for lo, hi, (_, pair) in zip(cuts, cuts[1:], _LADDERS[free_energy])
              if lo < hi]
@@ -509,6 +508,29 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec
         except QuadratureError as exc:
             values[i], errors[i] = exc.estimate, exc.error
     return values, errors, failed
+
+
+def _screen(eps):
+    """Rows of ``eps`` (an array per side) to interpolate: eps >= 1, each side inf at all/none."""
+    ok = True
+    for e in eps:
+        low = np.minimum.reduce(e, -1)
+        ok = ok & (low >= 1.0) & ((low == np.inf) | (np.maximum.reduce(e, -1) < np.inf))
+    return ok
+
+
+def _sampled(plan, block, ms):
+    """Mode integrals at ``ms``, Chebyshev points a row per panel, from one _plan (``plan``:
+    gamma, zeta1, both models) and one _mode_block (``block``: its arguments from the spec
+    on) of the rows _screen passes; NaN across the other rows and where a mode fails."""
+    lower, zeta, sides, kinds = _plan(ms.ravel(), *plan)
+    ok, out = _screen([e.reshape(ms.shape) for _, e in sides]), np.full(ms.shape, np.nan)
+    if ok.any():
+        keep = ok.repeat(ms.shape[1])
+        sides = [(model, e[keep]) for model, e in sides]
+        values, _, failed = _mode_block(lower[keep], zeta[keep], sides, kinds, *block)
+        out[ok] = np.where(failed, np.nan, values).reshape(-1, ms.shape[1])
+    return out
 
 
 def _mode_error(m: int, geom: Geometry, estimate: float, error: float) -> QuadratureError:
@@ -617,20 +639,21 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     the last term t used: the target rises by shift = ln(bound/|t|) >= 0
     there, so a long block does not run far past the stop; where it ends
     early, the next block goes on.  A mode's value depends on its block only
-    through the floor.  The first block plans (_plan) the modes up to the m
-    where the bound meets the target at |S| = |static term|, at most
-    _PLAN_CAP and max_terms, so later blocks end there too; one reaching
-    past its plan plans again, as far as the bound without the shift.
-    If the bound meets the first block's floor at some m <= min_terms, the
-    modes m..min_terms read 0 (|I_m| <= bound <= floor, a block's
+    through the floor.  The first block plans (_plan, a kind per side) the
+    modes up to the m where the bound meets the target at |S| = |static
+    term|, at most _PLAN_CAP and max_terms, so later blocks end there too;
+    one reaching past its plan plans again, as far as the bound without the
+    shift.  If the bound meets the first block's floor at some m <= min_terms,
+    the modes m..min_terms read 0 (|I_m| <= bound <= floor, a block's
     certificate) and are not planned; the stop rule fires at min_terms.
 
     Past mode _DIRECT, with two ``analytic`` sides and the bound's stop
-    there _PANEL_MIN modes on, chebyshev._certify samples the panels up to
-    that stop; blocks end before each panel.  A certified panel is one block
-    of chebyshev._interpolated terms unless the stop, or a permittivity below
-    1, NaN or ideal at some modes only, falls in it.  So a failure past the
-    stop moves no value, and no value depends on the block schedule.
+    there _PANEL_MIN modes on, chebyshev._certify fits the panels from
+    _DIRECT to that stop to the samples of _sampled; blocks end before each
+    panel.  A certified panel is one block of chebyshev._interpolated terms
+    unless the stop falls in it or _screen, as for the samples, finds a
+    permittivity below 1, NaN or ideal at some modes only there.  So a
+    failure past the stop moves no value, nor does the block schedule.
 
     The values of a block up to its first failed mode are then accumulated
     in increasing m with Neumaier compensation: one by one (_scan_loop) if
@@ -680,23 +703,21 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
             # the bound exceeds the last term by e^shift: take it through that term
             shift = last and max(0.0, _log_bound(n_terms * gamma, free_energy) - math.log(last))
         bound = (first, gamma, log_tol + math.log(total), free_energy, min_terms)
-        coeffs = None
-        if terms and panels:  # sampled at mode _DIRECT + 1; then each panel is one block
-            if panels.get(first, ()) is None:  # the panels up to the bound's stop against |S|
-                stop, panels = _bound_end(max(_DIRECT + _PANEL_MIN, min_terms), spec.max_terms,
-                                          *bound[1:4]), {}
-                if stop > _DIRECT + _PANEL_MIN:
-                    from . import chebyshev  # here: most processes never load it
-                    panels = chebyshev._certify(
-                        chebyshev._panels(stop, gamma), gamma, zeta1, (model1, model3), spec,
-                        floor, free_energy, integrate, work)
-            hi, coeffs = panels.get(first, (0, None))
+        if panels.get(first, ()) is None:  # at mode _DIRECT + 1: panels to the stop against |S|
+            stop, panels = _bound_end(max(_DIRECT + _PANEL_MIN, min_terms), spec.max_terms,
+                                      *bound[1:4]), {}
+            if stop > _DIRECT + _PANEL_MIN:
+                from . import chebyshev  # here: most processes never load it
+                sample = functools.partial(_sampled, (gamma, zeta1, model1, model3),
+                                           (spec, floor, free_energy, integrate, work))
+                panels = chebyshev._certify(chebyshev._panels(_DIRECT, stop, gamma), gamma,
+                                            sample, spec.integral_rel_tol, floor)
+        hi, coeffs = panels.get(first) or (0, None)  # then each panel is one block
+        size = hi - first + 1  # a certified panel's modes
         if coeffs is None:
             size = _block_size(first, gamma, bound[2] + shift, free_energy, min_terms, cap)
             if terms and panels:  # a later block ends before the next panel
                 size = min([size, *(lo - first for lo in panels if lo > first)])
-        else:
-            size = hi - first + 1
         live = size  # the modes integrated
         if not terms and floor and _log_bound(min_terms * gamma, free_energy) <= math.log(floor):
             # the modes up to min_terms from the first whose bound meets the floor read 0;
@@ -707,11 +728,10 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
         if min(first + live, spec.max_terms + 1) > end:  # past the plan: plan from first
             n = live if live < cap and not shift else _block_size(*bound, _PLAN_CAP)
             start, end = first, min(first + max(n, live), spec.max_terms + 1)
-            lower, zeta, sides = _plan(np.arange(start, end), gamma, zeta1, model1, model3)
+            lower, zeta, sides, kinds = _plan(np.arange(start, end), gamma, zeta1, model1, model3)
         part = slice(first - start, min(first + live, end) - start)
         if coeffs is not None:  # integrated instead if a bad permittivity or the stop is in it
-            eps = [e[part] for _, e in sides]
-            if all((e >= 1.0).all() for e in eps) and _MIXED not in _kernel_sides(*eps):
+            if _screen([e[part] for _, e in sides]):
                 values = chebyshev._interpolated(coeffs, first, hi, gamma)
                 scanned = _scan_arrays(values, acc, comp, first, min_terms, tail, sum_rel_tol)
                 if not scanned[3]:
@@ -722,8 +742,8 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
             continue
         if live:
             values, errors, failed = _mode_block(
-                lower[part], zeta[part], [(model, e[part]) for model, e in sides], spec, floor,
-                free_energy, integrate, work)
+                lower[part], zeta[part], [(model, e[part]) for model, e in sides], kinds, spec,
+                floor, free_energy, integrate, work)
             n_ok = int(failed.argmax())  # the first failed mode, or 0
             n_ok = n_ok if failed[n_ok] else failed.size  # values before the first failure
         else:  # every mode is below the floor

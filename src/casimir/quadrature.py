@@ -8,12 +8,12 @@ the few modes their fixed rules miss, one call per mode.  A refinement
 round bisects every panel carrying more than its share of the error budget
 and evaluates all the new panels in one integrand call.
 
-The Gauss-Legendre and Gauss-Laguerre rules of 8, 12 and 16 nodes that
-the fixed mode rules (casimir.lifshitz) and the Kramers-Kronig transform
-(casimir.dielectric) take live here too: numpy.polynomial's
-``leggauss(n)`` and ``laggauss(n)`` printed to round-trip precision, so no
-module imports numpy.polynomial.  tests/test_quadrature.py pins them to
-numpy's bits and to exact moments.
+The Gauss-Legendre rules of 8 and 12 nodes and the Gauss-Laguerre rules of
+8, 12 and 16 nodes that the fixed mode rules (casimir.lifshitz) and the
+Kramers-Kronig transform (casimir.dielectric) take live here too:
+numpy.polynomial's ``leggauss(n)`` and ``laggauss(n)`` printed to
+round-trip precision, so no module imports numpy.polynomial.
+tests/test_quadrature.py pins them to numpy's bits and to exact moments.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ _LEGENDRE_HALF = {
           0.3678314989981802, 0.1252334085114689),
          (0.04717533638651141, 0.10693932599531907, 0.16007832854334642, 0.20316742672306573,
           0.2334925365383546, 0.2491470458134027)),
-    16: ((0.9894009349916499, 0.9445750230732326, 0.8656312023878318, 0.755404408355003,
-          0.6178762444026438, 0.45801677765722737, 0.2816035507792589, 0.09501250983763744),
-         (0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
-          0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864)),
 }
 _LAGUERRE = {
     8: ((0.17027963230510093, 0.90370177679938, 2.251086629866131, 4.266700170287659,

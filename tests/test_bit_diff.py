@@ -3,13 +3,14 @@
 The full dump covers every recorded ``cold_sum``, ``warm_grid``,
 ``entropy_ladder`` and ``cli_tabulated`` input, three cells that reach the
 adaptive quadrature and the CLI's help and usage errors, and takes a few
-seconds per tree.  Here the tool
-runs this tree against itself on the first input of each recorded file,
-grid pair kind and adaptive cell, the records of the first two are checked
-for coverage, and ``compare`` is shown a moved term, value and error, and a
-term that moved alone, with its largest change relative to the value; with
-``--rel``, terms and values moved within and past the tolerance, and
-counts, errors and CLI output that must still match exactly.
+seconds per tree.  Here the tool runs this tree against itself on the first
+input of each recorded file, grid pair kind and adaptive cell, the records
+of the first two are checked for coverage, the grid cells at 0.2 um and
+3 K are shown to interpolate and to reach the Chebyshev screens, and
+``compare`` is shown a moved term, value and error, and a term that moved
+alone, with its largest change relative to the value; with ``--rel``,
+terms and values moved within and past the tolerance, and counts, errors
+and CLI output that must still match exactly.
 """
 
 import importlib.util
@@ -26,7 +27,7 @@ _spec.loader.exec_module(bit_diff)
 
 def test_a_tree_against_itself_differs_nowhere(capsys):
     assert bit_diff.main([str(ROOT), str(ROOT), "--limit", "1"]) == 0
-    assert capsys.readouterr().out == "0 of 39 records differ\n"
+    assert capsys.readouterr().out == "0 of 43 records differ\n"
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +40,7 @@ def test_records_cover_every_kind(records):
     assert recorded == {f"{w}-{s}" for w in ("cold_sum", "warm_grid", "entropy_ladder",
                                              "cli_tabulated") for s in (0, 1)}
     grid = {key.split(" a=")[0] for key in records if key.startswith("grid ")}
-    assert len(grid) == 10 and {"grid Au-Au copies", "grid Au-Al bg", "grid tabulated-Cu"} < grid
+    assert len(grid) == 12 and {"grid Au-Au copies", "grid Au-Al bg", "grid tabulated-Cu"} < grid
     # the vacuum pair's all-zero result; a grid cell with ideal and finite modes
     assert records["grid vacuum-Au a=20.0 T=300.0 P"]["n_terms_used"] == 0
     assert records["grid ideal-below-Au a=20.0 T=3.0 F"]["n_terms_used"] > 5
@@ -56,6 +57,33 @@ def test_records_cover_every_kind(records):
     assert usage["usage casimir kk --help"]["stdout"].startswith("usage: casimir kk [-h]")
     assert usage["usage casimir sweep --format json"] == {
         "exit": 3, "stdout": "", "stderr": "error: unrecognized arguments: --format json\n"}
+
+
+@pytest.mark.parametrize("name, n_terms", [("P", 5890), ("F", 5331)])
+def test_the_grid_cells_at_0_2_um_and_3_k_interpolate(name, n_terms, monkeypatch):
+    # there the sums run past the first Chebyshev panels, so the two
+    # analytic pair kinds reach the screens: the panel that holds mode 1500
+    # is ideal at some samples and integrated, and the NaN at mode 3000 lies
+    # in a certified panel, which is integrated and fails
+    import casimir
+    from casimir import chebyshev
+
+    certified, certify = [], chebyshev._certify
+
+    def spy(panels, *args):
+        out = certify(panels, *args)
+        certified.append({lo for lo, (_, coeffs) in out.items() if coeffs is not None})
+        return out
+    monkeypatch.setattr(chebyshev, "_certify", spy)
+    fn = {"P": casimir.casimir_pressure, "F": casimir.free_energy}[name]
+    geom, models = casimir.Geometry(0.2, 3.0), bit_diff._models(casimir)
+    assert bit_diff._evaluate(casimir, fn, geom, *models["Au-Au"])["n_terms_used"] == n_terms
+    assert "error" not in bit_diff._evaluate(casimir, fn, geom, *models["ideal-to-1500-Au"])
+    error = bit_diff._evaluate(casimir, fn, geom, *models["nan-at-3000-Au"])["error"]
+    assert error.startswith("QuadratureError: mode integral m=3000 not certified")
+    au, ideal_to, nan_at = certified
+    assert 1025 in au and 1025 not in ideal_to and {129, 257, 513, 2049} <= ideal_to
+    assert nan_at == au
 
 
 def test_compare_names_each_difference(records):
@@ -129,7 +157,7 @@ def test_rel_prints_the_largest_deviation_per_kind(records, monkeypatch, capsys)
     assert out[-1] == f"0 of {len(records)} records differ"
     kinds = {line.split(":")[0]: line for line in out[:-1]}
     # the workloads, the grid's pair kinds, the adaptive cells, the usage records
-    assert len(kinds) == 4 + 10 + 1 + 1
+    assert len(kinds) == 4 + 12 + 1 + 1
     assert kinds["entropy_ladder"].endswith("0.00e+00 of a value, 5.00e-14 of a term")
     assert kinds["grid Au-Au"].endswith("0.00e+00 of a value, 0.00e+00 of a term")
     assert bit_diff.main(["old", "new"]) == 1  # exact by default

@@ -1,6 +1,9 @@
 import contextlib
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import zeta as scipy_zeta
 
-from casimir.chebyshev import _DEGREES, _certify
+from casimir.chebyshev import _DEGREES, _certify, _interpolated
 from casimir.dielectric import (
     BlochGruneisenParams,
     DielectricModel,
@@ -735,7 +738,7 @@ def kernel_inputs(rows, nodes, pair=(AU, CU), T_K=2.0, a_um=0.3, first=1):
 
 def run_kernel(y, work, free_energy, A, *eps):
     """_mode_kernel on one or two sides' permittivities per mode (inf for
-    an ideal metal), classified as a block of the sum classifies them."""
+    an ideal metal), classified as a plan of the sum classifies them."""
     return _mode_kernel(y, work, free_energy, _kernel_sides(*eps), A, *eps)
 
 
@@ -867,12 +870,25 @@ class TestModeKernel:
         run_kernel(y + 1.0, work, False, A, eps1, eps3)
         assert not np.array_equal(first, kept)
 
-    def test_sides_are_classified_over_the_block(self):
+    def test_sides_are_classified_over_the_plan(self):
         # NaN is not ideal: a NaN mode is computed, gives NaN and fails to
         # certify
         kinds = _kernel_sides(np.full(3, np.inf), np.array([2.0, 3.0]), np.array([np.inf, 2.0]),
                               np.array([np.inf, np.nan]), np.array([2.0, np.nan]))
         assert kinds == (_IDEAL, _FINITE, _MIXED, _MIXED, _FINITE)
+
+    @pytest.mark.parametrize("free_energy", [False, True])
+    def test_a_mixed_side_gives_its_ideal_and_finite_rows_their_own_bits(self, free_energy):
+        # a block takes each side's kind over its plan, so a slice of a
+        # _MIXED plan runs as _MIXED even where it is ideal at every mode or
+        # at none; one side serving both, or against a finite side
+        y, A, eps1, eps3 = kernel_inputs(4, 15)
+        for eps in (np.full(4, np.inf), eps1):
+            for others in ((), (eps3,)):
+                own = run_kernel(y, _Workspace(), free_energy, A, eps, *others).copy()
+                kinds = (_MIXED, *_kernel_sides(*others))
+                mixed = _mode_kernel(y, _Workspace(), free_energy, kinds, A, eps, *others)
+                assert same_bits(own, mixed)
 
     def test_te_equals_public_reflection_te(self):
         # TE lies in [0, 1); the public (s-p)/(s+p) keeps only absolute
@@ -1927,6 +1943,18 @@ class TestInterpolation:
         (asked, got), = panels
         assert (1025, 1597) in asked and sorted(got) == [lo for lo, _ in asked]
 
+    def test_an_ideal_mode_between_samples_is_integrated(self):
+        # the panel 1025-1597 is certified, but ideal at mode 1500 alone:
+        # the screen that rejects a partly ideal sample row rejects the
+        # panel, so its terms are integrated
+        side = DipAt(1500, COLD.T_K, np.inf)
+        with certified_panels() as panels:
+            res = casimir_pressure(COLD, side, CU)
+        (asked, got), = panels
+        assert (1025, 1597) in asked and sorted(got) == [lo for lo, _ in asked]
+        (values, _, _), _ = block(np.arange(1025, 1598), COLD, (side, CU))
+        assert same_bits(res.terms_mPa[1024:1597], -values * pressure_to_si(1.0, COLD))
+
     def test_ideal_below_a_frequency_inside_a_panel_falls_back(self):
         # ideal up to mode 1500: the panels below are ideal at every sample
         # and interpolated as against an ideal metal; the panel holding mode
@@ -1990,3 +2018,48 @@ class TestInterpolation:
         other = casimir_pressure(COLD, Spy(DB.get("Au")), Spy(DB.get("Au")))
         assert all(same_bits(np.asarray(value), np.asarray(vars(other)[name]))
                    for name, value in vars(res).items())
+
+    def test_certify_takes_its_samples_from_the_sampler(self):
+        # a smooth panel certifies at degree 16; a NaN sample ends its own
+        # panel alone, and only the panel left is sampled at degree 32
+        gamma, shapes = 0.01, []
+
+        def sample(ms):
+            shapes.append(ms.shape)
+            out = np.exp(-2.0 * gamma * ms) * np.where(ms <= 256, 2.0 + ms / 256, 1.0 / ms)
+            out[(ms[:, 0] > 256) & (ms[:, 0] <= 512), 3] = np.nan
+            return out
+        got = _certify([(129, 256), (257, 512), (513, 1024)], gamma, sample, 1e-12, 0.0)
+        assert shapes == [(3, 17), (1, 16)]
+        assert got[257] == (512, None) and got[129][1].size == 17 and got[513][1].size == 33
+        for lo, hi in ((129, 256), (513, 1024)):
+            m = np.arange(lo, hi + 1)
+            want = np.exp(-2.0 * gamma * m) * (2.0 + m / 256 if hi <= 256 else 1.0 / m)
+            assert np.abs(_interpolated(got[lo][1], lo, hi, gamma) / want - 1.0).max() <= 1e-13
+
+    def test_chebyshev_loads_no_sum(self):
+        src = os.path.dirname(os.path.dirname(_certify.__code__.co_filename))
+        script = "import sys, casimir.chebyshev; print('casimir.lifshitz' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+    @pytest.mark.parametrize("what", sorted(EVALUATE))
+    def test_sides_are_classified_once_per_plan(self, what):
+        # the sample plans included; no block or screen classifies again
+        calls = []
+
+        def planned(ms, *args):
+            calls.append(ms)
+            return _plan(ms, *args)
+
+        def classified(*eps):
+            calls.append(None)
+            return _kernel_sides(*eps)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("casimir.lifshitz._plan", planned)
+            patch.setattr("casimir.lifshitz._kernel_sides", classified)
+            EVALUATE[what](COLD, AU, CU)
+        plans = calls[::2]
+        assert [ms is None for ms in calls] == [False, True] * len(plans)
+        assert any((ms != np.round(ms)).any() for ms in plans) and len(plans) > 1

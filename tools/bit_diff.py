@@ -14,7 +14,9 @@ the type and message of the error it raised (with the partial result of a
   Bloch-Grueneisen rows through ``DrudeModel(params, BlochGruneisenParams())``;
 - the pressure and the free energy on a small (a, T) grid for every pair
   kind of ``_models``: one model on both sides or two equal ones, Drude,
-  Bloch-Grueneisen, tabulated, ideal, ideal below a frequency, vacuum;
+  Bloch-Grueneisen, tabulated, ideal, ideal below a frequency, vacuum, and
+  two analytic sides that the interpolated sums at 0.2 um and 3 K must
+  screen: one ideal up to mode 1500, one NaN at mode 3000 alone;
 - three Au-Au cells whose modes reach the adaptive quadrature, which no
   recorded input does: the free energy at 0.16 um and 10 K (two modes) and
   at 0.3 um and 5 K with integral_rel_tol 1e-14 and sum_rel_tol 1e-10 (182
@@ -75,6 +77,7 @@ USAGE = (["--help"], *([cmd, "--help"] for cmd in ("pressure", "sweep", "table",
 def _models(C):
     """The models of each pair kind of the grid, built from the package ``C``."""
     from casimir.dielectric import drude_epsilon
+    from casimir.quantities import matsubara_frequency
 
     db = C.MaterialDatabase.builtin()
     au, cu, al = (C.DrudeModel(db.get(label)) for label in ("Au", "Cu", "Al"))
@@ -90,12 +93,36 @@ def _models(C):
             eps = np.asarray(super().epsilon(zeta_eV), dtype=float)
             return np.where(np.asarray(zeta_eV) < 0.05, np.inf, eps)
 
+    zeta1 = matsubara_frequency(1, 3.0)  # the first Matsubara frequency at 3 K
+
+    class IdealToMode(C.DrudeModel):
+        """Au that reflects perfectly up to Matsubara mode 1500 at 3 K: the
+        Chebyshev panel that holds that mode is ideal at some samples only."""
+
+        analytic = True
+
+        def epsilon(self, zeta_eV):
+            eps = np.asarray(super().epsilon(zeta_eV), dtype=float)
+            return np.where(np.asarray(zeta_eV) < 1500.5 * zeta1, np.inf, eps)
+
+    class NanAtMode(C.DrudeModel):
+        """Au with NaN at Matsubara mode 3000 at 3 K alone, inside a
+        Chebyshev panel that none of its samples shows bad."""
+
+        analytic = True
+
+        def epsilon(self, zeta_eV):
+            eps = np.asarray(super().epsilon(zeta_eV), dtype=float)
+            return np.where(np.isclose(zeta_eV, 3000 * zeta1, rtol=1e-12, atol=0.0), np.nan, eps)
+
     ideal = C.IdealMetal()
     return {"Au-Au": (au, au), "Au-Au copies": (au, C.DrudeModel(db.get("Au"))),
             "Au-Cu": (au, cu), "Cu-Al": (cu, al),
             "Au-Al bg": (C.DrudeModel(db.get("Au"), bg), C.DrudeModel(db.get("Al"), bg)),
             "tabulated-Cu": (tab, cu), "Au-ideal": (au, ideal), "ideal-ideal": (ideal, ideal),
-            "ideal-below-Au": (IdealBelow(db.get("Au")), au), "vacuum-Au": (C.Vacuum(), au)}
+            "ideal-below-Au": (IdealBelow(db.get("Au")), au), "vacuum-Au": (C.Vacuum(), au),
+            "ideal-to-1500-Au": (IdealToMode(db.get("Au")), au),
+            "nan-at-3000-Au": (NanAtMode(db.get("Au")), au)}
 
 
 def _fields(res) -> dict:
