@@ -20,9 +20,8 @@ _SOURCES = {
                      "MaterialDatabase", "PermittivityTable", "TabulatedModel",
                      "UnknownMaterialError", "Vacuum", "bloch_gruneisen_nu",
                      "kramers_kronig_transform"), "dielectric"),
-    **dict.fromkeys(("QuadratureSpec", "SumConvergenceError", "casimir_pressure", "zeta3"),
-                    "lifshitz"),
-    "QuadratureError": "quadrature",
+    **dict.fromkeys(("QuadratureSpec", "casimir_pressure", "zeta3"), "lifshitz"),
+    **dict.fromkeys(("QuadratureError", "SumConvergenceError"), "quadrature"),
     "CODATA": "quantities",
     "Geometry": "quantities",
     **dict.fromkeys(("BracketError", "crossover_separation", "entropy", "free_energy",

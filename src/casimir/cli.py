@@ -43,7 +43,7 @@ from .dielectric import (
     kramers_kronig_transform,
     read_optical_csv,
 )
-from .quadrature import QuadratureError
+from .quadrature import QuadratureError, SumConvergenceError
 from .quantities import CODATA, Geometry
 
 EXIT_OK = 0
@@ -217,7 +217,7 @@ def _pressures(a_list, t_list, model1, model3, spec):
         for T in sorted(t_list):
             try:
                 yield a, T, lifshitz.casimir_pressure(Geometry(a, T), model1, model3, spec)
-            except lifshitz.SumConvergenceError as exc:
+            except SumConvergenceError as exc:
                 yield a, T, exc.partial
 
 
@@ -440,12 +440,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _sum_errors() -> tuple:
-    """SumConvergenceError if lifshitz, the module that raises it, is loaded."""
-    lifshitz = sys.modules.get(f"{__package__}.lifshitz")
-    return (lifshitz.SumConvergenceError,) if lifshitz else ()
-
-
 def main(argv=None) -> int:
     if argv is None:
         # the command ends the process: frozen, the import heap is skipped by
@@ -470,7 +464,7 @@ def main(argv=None) -> int:
         flags = "--T/--theta: " if isinstance(exc, NuRangeError) else ""
         print(f"error: {flags}{exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (QuadratureError, *_sum_errors(), ValueError) as exc:  # built on an error only
+    except (QuadratureError, SumConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -9,6 +9,7 @@ passive medium is real, at least 1, and non-increasing in frequency.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass
@@ -343,7 +344,11 @@ class TabulatedModel(DielectricModel):
 
     def at(self, T_K: float) -> "TabulatedModel":
         low = self.low_freq.at(T_K)
-        return self if low is self.low_freq else TabulatedModel(self.table, low)
+        if low is self.low_freq:
+            return self
+        out = copy.copy(self)  # shares the table and its log arrays
+        out.low_freq = low
+        return out
 
     def __repr__(self) -> str:
         t, p = self.table, self.low_freq.params

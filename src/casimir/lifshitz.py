@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dielectric import DielectricModel
-from .quadrature import GAUSS_LAGUERRE, GAUSS_LEGENDRE, QuadratureError, integrate_adaptive
+from .quadrature import (GAUSS_LAGUERRE, GAUSS_LEGENDRE, QuadratureError, SumConvergenceError,
+                         integrate_adaptive)
 from .quantities import (
     Geometry,
     matsubara_frequency,
@@ -121,14 +122,6 @@ class PressureResult:
         if self.pressure_mPa == 0.0:
             return 0.0
         return self.zero_mode_mPa / self.pressure_mPa
-
-
-class SumConvergenceError(RuntimeError):
-    """Frequency sum hit max_terms first; ``partial`` holds the result so far."""
-
-    def __init__(self, message: str, partial):
-        super().__init__(message)
-        self.partial = partial
 
 
 def lifshitz_variables(eps1, eps3, p):
@@ -630,9 +623,10 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     sum's own tolerance scale; it stops terms that underflow from refining
     forever.  A block runs up to the first m >= min_terms at which the
     unit-reflection bound of _log_bound, times max(1, r/(1-r)), falls to
-    sum_rel_tol * |S|, where the stop rule below is certain to fire.  The
-    first block holds at most _BLOCK_CAP modes, so a sum of up to _BLOCK_CAP
-    terms takes one block, and sizes the kernel workspace.  A later block
+    sum_rel_tol * |S|, where the stop rule below is certain to fire, and at
+    max_terms at the latest.  The first block holds at most _BLOCK_CAP
+    modes, so a sum of up to _BLOCK_CAP terms takes one block, and sizes
+    the kernel workspace.  A later block
     holds as many modes as the workspace holds nodes for at its first mode's
     rule (_nodes; nodes per mode never rise with A, so it never grows), at
     least _BLOCK_CAP and at most _PLAN_CAP, and its bound is rescaled through
@@ -652,14 +646,18 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     _DIRECT to that stop to the samples of _sampled; blocks end before each
     panel.  A certified panel is one block of chebyshev._interpolated terms
     unless the stop falls in it or _screen, as for the samples, finds a
-    permittivity below 1, NaN or ideal at some modes only there.  So a
-    failure past the stop moves no value, nor does the block schedule.
+    permittivity below 1, NaN or ideal at some modes only there; then it is
+    integrated in blocks.  So a failure past the stop moves no value, nor
+    does the block schedule.
 
-    The values of a block up to its first failed mode are then accumulated
-    in increasing m with Neumaier compensation: one by one (_scan_loop) if
-    there are fewer than _ARRAY_SCAN, else in array passes with the same
-    bits (_scan_arrays).  The sum stops at the first m >= min_terms where
-    the term and its estimated geometric tail |t_m| * r/(1-r),
+    Every block takes one body.  Its values come from a certified panel's
+    interpolant, from _mode_block (the modes past those integrated, below
+    the floor, reading 0) or are all 0; those up to its first failed mode
+    are accumulated in increasing m with Neumaier compensation, one by one
+    (_scan_loop) if there are fewer than _ARRAY_SCAN, else in array passes
+    with the same bits (_scan_arrays), and the terms used are appended.
+    The sum stops at the first m >= min_terms where the term and its
+    estimated geometric tail |t_m| * r/(1-r),
     r = e^{-2*gamma} (1-r computed by expm1, so it stays positive however
     small gamma is), both fall below sum_rel_tol relative to the accumulated
     total; the tail estimate keeps the truncation bias itself at the
@@ -718,46 +716,37 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
             size = _block_size(first, gamma, bound[2] + shift, free_energy, min_terms, cap)
             if terms and panels:  # a later block ends before the next panel
                 size = min([size, *(lo - first for lo in panels if lo > first)])
-        live = size  # the modes integrated
+        size = live = min(size, spec.max_terms - n_terms)  # the block's modes; those integrated
         if not terms and floor and _log_bound(min_terms * gamma, free_energy) <= math.log(floor):
             # the modes up to min_terms from the first whose bound meets the floor read 0;
             # a walk up from m = 1 finds it, one call per mode it integrates
             size, live, log_floor = min_terms, 0, math.log(floor)
             while _log_bound((live + 1) * gamma, free_energy) > log_floor:
                 live += 1
-        if min(first + live, spec.max_terms + 1) > end:  # past the plan: plan from first
+        if first + live > end:  # past the plan: plan from first
             n = live if live < cap and not shift else _block_size(*bound, _PLAN_CAP)
             start, end = first, min(first + max(n, live), spec.max_terms + 1)
             lower, zeta, sides, kinds = _plan(np.arange(start, end), gamma, zeta1, model1, model3)
-        part = slice(first - start, min(first + live, end) - start)
-        if coeffs is not None:  # integrated instead if a bad permittivity or the stop is in it
-            if _screen([e[part] for _, e in sides]):
-                values = chebyshev._interpolated(coeffs, first, hi, gamma)
-                scanned = _scan_arrays(values, acc, comp, first, min_terms, tail, sum_rel_tol)
-                if not scanned[3]:
-                    acc, comp, n_terms = *scanned[:2], n_terms + values.size
-                    terms.append(values)
-                    continue
-            panels[first] = hi, None
-            continue
-        if live:
+        part, n_ok = slice(first - start, first + live - start), size  # values before a failure
+        if coeffs is not None:  # a panel's values come from its interpolant
+            values = chebyshev._interpolated(coeffs, first, hi, gamma)
+        elif live:
             values, errors, failed = _mode_block(
                 lower[part], zeta[part], [(model, e[part]) for model, e in sides], kinds, spec,
                 floor, free_energy, integrate, work)
-            n_ok = int(failed.argmax())  # the first failed mode, or 0
-            n_ok = n_ok if failed[n_ok] else failed.size  # values before the first failure
-        else:  # every mode is below the floor
-            values, failed, n_ok = np.zeros(size), np.empty(0), size
-        if n_ok == live < size:  # then the modes below the floor read 0
-            padded, n_ok = np.zeros(size), size
-            padded[:live] = values
-            values = padded
+            if failed.any():
+                n_ok = int(failed.argmax())
+        if live < size:  # the modes from first + live on are below the floor and read 0
+            values = np.concatenate((values, np.zeros(size - live))) if live else np.zeros(size)
         scan = _scan_arrays if n_ok >= _ARRAY_SCAN else _scan_loop
-        acc, comp, used, converged = scan(values[:n_ok], acc, comp, first, min_terms, tail,
-                                          sum_rel_tol)
+        scanned = scan(values[:n_ok], acc, comp, first, min_terms, tail, sum_rel_tol)
+        if coeffs is not None and (scanned[3] or not _screen([e[part] for _, e in sides])):
+            panels[first] = hi, None  # the stop or a bad permittivity is in it: integrated
+            continue
+        acc, comp, used, converged = scanned
         terms.append(values[:used])
         n_terms += used
-        if not converged and n_ok < failed.size:  # a failure the stop rule did not discard
+        if not converged and n_ok < size:  # a failure the stop rule did not discard
             raise _mode_error(first + n_ok, geom, float(values[n_ok]), float(errors[n_ok]))
     terms = terms[0] if len(terms) == 1 else np.concatenate(terms)
     out = result((acc + comp) * unit, zero_coeff * unit, terms * unit, n_terms, converged)

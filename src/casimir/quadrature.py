@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["GAUSS_LAGUERRE", "GAUSS_LEGENDRE", "QuadratureError", "integrate_adaptive"]
+__all__ = ["GAUSS_LAGUERRE", "GAUSS_LEGENDRE", "QuadratureError", "SumConvergenceError",
+           "integrate_adaptive"]
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1]
 # (QUADPACK abscissae and weights, nonnegative half).
@@ -96,6 +97,16 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error = error
+
+
+class SumConvergenceError(RuntimeError):
+    """Frequency sum hit max_terms first; ``partial`` holds the result so far.
+    Raised by casimir.lifshitz, defined here beside QuadratureError so that
+    a caller catches both without loading the sum."""
+
+    def __init__(self, message: str, partial):
+        super().__init__(message)
+        self.partial = partial
 
 
 def _panel_rule(f, lo, hi):

@@ -4,13 +4,15 @@ The full dump covers every recorded ``cold_sum``, ``warm_grid``,
 ``entropy_ladder`` and ``cli_tabulated`` input, three cells that reach the
 adaptive quadrature and the CLI's help and usage errors, and takes a few
 seconds per tree.  Here the tool runs this tree against itself on the first
-input of each recorded file, grid pair kind and adaptive cell, the records
-of the first two are checked for coverage, the grid cells at 0.2 um and
-3 K are shown to interpolate and to reach the Chebyshev screens, and
-``compare`` is shown a moved term, value and error, and a term that moved
-alone, with its largest change relative to the value; with ``--rel``,
-terms and values moved within and past the tolerance, and counts, errors
-and CLI output that must still match exactly.
+input of each recorded file, grid pair kind, adaptive and re-plan cell,
+the records of the first two are checked for coverage, the grid cells at
+0.2 um and 3 K are shown to interpolate and to reach the Chebyshev
+screens, the re-plan cells to plan more than once, and ``compare`` is
+shown a moved term, value and error, and a term that moved alone, with its
+largest change relative to the value; with ``--rel``, terms and values
+moved within and past the tolerance, and counts, errors and CLI output
+that must still match exactly.  The work counts are shown summed per
+record kind, and a difference in them reported without failing.
 """
 
 import importlib.util
@@ -27,7 +29,11 @@ _spec.loader.exec_module(bit_diff)
 
 def test_a_tree_against_itself_differs_nowhere(capsys):
     assert bit_diff.main([str(ROOT), str(ROOT), "--limit", "1"]) == 0
-    assert capsys.readouterr().out == "0 of 43 records differ\n"
+    *work, last = capsys.readouterr().out.splitlines()
+    assert last == "0 of 44 records differ"
+    kinds = [line.split(":")[0] for line in work]
+    assert {"work cold_sum", "work grid Au-Au", "work replan Au-Au"} <= set(kinds)
+    assert all(line.endswith("; new the same") for line in work)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +54,10 @@ def test_records_cover_every_kind(records):
     # the two first adaptive cells, which send modes to the adaptive quadrature
     assert [key for key in records if key.startswith("adaptive ")] == [
         "adaptive Au-Au a=0.16 T=10.0 F", "adaptive Au-Au a=0.3 T=5.0 F"]
+    # the two converging sums that plan past 32,768 modes
+    assert {key: fields["n_terms_used"] for key, fields in records.items()
+            if key.startswith("replan ")} == {"replan Au-Au a=0.16 T=0.5 P": 42923,
+                                              "replan Au-Al a=0.16 T=0.5 F": 39442}
     kk = records["cli_tabulated-1 #1 kk 1"]
     assert kk["exit"] == 0 and kk["stdout"] == "wrote 421 rows to WORKDIR/eps1.csv\n"
     assert bit_diff.base64.b64decode(kk["table"]).startswith(b"zeta_rad_s,eps_izeta\r\n")
@@ -84,6 +94,37 @@ def test_the_grid_cells_at_0_2_um_and_3_k_interpolate(name, n_terms, monkeypatch
     au, ideal_to, nan_at = certified
     assert 1025 in au and 1025 not in ideal_to and {129, 257, 513, 2049} <= ideal_to
     assert nan_at == au
+
+
+def test_the_replan_cells_plan_more_than_once(monkeypatch):
+    import casimir
+    from casimir import lifshitz
+
+    for name in ("_plan", "_mode_block", "_mode_kernel"):  # the spies go with the test
+        monkeypatch.setattr(lifshitz, name, getattr(lifshitz, name))
+    counts = bit_diff._count_work(lifshitz)
+    db = casimir.MaterialDatabase.builtin()
+    fns = {"P": casimir.casimir_pressure, "F": casimir.free_energy}
+    for name, labels, a_um, T_K in bit_diff.REPLAN:
+        counts[:] = [0] * len(bit_diff.WORK)
+        models = [casimir.DrudeModel(db.get(label)) for label in labels]
+        assert "error" not in bit_diff._evaluate(casimir, fns[name],
+                                                 casimir.Geometry(a_um, T_K), *models)
+        assert counts[0] > 1 and counts[1] > 0, labels  # integer-mode and sample plans
+
+
+def test_work_is_summed_per_kind_and_a_difference_does_not_fail(records, monkeypatch, capsys):
+    old = {"cold_sum-0 #0 x": [1, 2, 3, 4000, 5], "cold_sum-1 #0 x": [1, 0, 1, 1, 1],
+           "grid Au-Au a=20.0 T=3.0 P": [1, 0, 1, 10, 100], "usage casimir": [0] * 5}
+    new = dict(old, **{"grid Au-Au a=20.0 T=3.0 P": [2, 0, 2, 20, 200]})
+    assert bit_diff.work_lines(old, new) == [
+        "work cold_sum: old 2 + 2 plans, 4 blocks, 4,001 rows, 6 kernel nodes; new the same",
+        "work grid Au-Au: old 1 + 0 plans, 1 blocks, 10 rows, 100 kernel nodes; "
+        "new 2 + 0 plans, 2 blocks, 20 rows, 200 kernel nodes (differs)"]
+    monkeypatch.setattr(bit_diff, "dump", lambda tree, limit: (
+        records, old if tree.name == "old" else new))
+    assert bit_diff.main(["old", "new"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2].endswith("(differs)")
 
 
 def test_compare_names_each_difference(records):
@@ -150,14 +191,14 @@ def test_rel_lets_values_and_terms_move_by_at_most_tol(records):
 def test_rel_prints_the_largest_deviation_per_kind(records, monkeypatch, capsys):
     key = next(key for key in records if key.startswith("entropy_ladder-1"))
     moved = moved_term(records, key, 1.0 - 5e-14)
-    monkeypatch.setattr(bit_diff, "dump", lambda tree, limit: records if tree.name == "old"
-                        else moved)
+    monkeypatch.setattr(bit_diff, "dump", lambda tree, limit: (
+        records if tree.name == "old" else moved, {}))
     assert bit_diff.main(["old", "new", "--rel", "1e-13"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == f"0 of {len(records)} records differ"
     kinds = {line.split(":")[0]: line for line in out[:-1]}
     # the workloads, the grid's pair kinds, the adaptive cells, the usage records
-    assert len(kinds) == 4 + 12 + 1 + 1
+    assert len(kinds) == 4 + 12 + 1 + 2 + 1
     assert kinds["entropy_ladder"].endswith("0.00e+00 of a value, 5.00e-14 of a term")
     assert kinds["grid Au-Au"].endswith("0.00e+00 of a value, 0.00e+00 of a term")
     assert bit_diff.main(["old", "new"]) == 1  # exact by default

@@ -819,6 +819,17 @@ def test_import_casimir_loads_no_submodule():
     assert proc.stdout == "[]\n"
 
 
+def test_the_sums_error_resolves_without_loading_the_sum():
+    # the CLI catches it by name, so a kk process never loads lifshitz for it
+    script = ("import casimir\nerror = casimir.SumConvergenceError\n"
+              "assert issubclass(error, RuntimeError)\n")
+    assert _loaded_by(script) == []
+    from casimir import lifshitz, quadrature
+
+    assert casimir.SumConvergenceError is lifshitz.SumConvergenceError
+    assert quadrature.SumConvergenceError is lifshitz.SumConvergenceError
+
+
 def test_package_names_resolve_on_first_use():
     assert set(casimir.__all__) <= set(dir(casimir))
     star = {}

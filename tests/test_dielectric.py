@@ -414,6 +414,16 @@ class TestModels:
         with pytest.raises(NuRangeError, match="underflows"):
             model.at(1e-70)
 
+    def test_a_tabulated_model_at_t_shares_its_tables_log_arrays(self):
+        low = DrudeModel(AU, BlochGruneisenParams())
+        model = TabulatedModel(self.TABLE, low)
+        at = model.at(300.0)
+        assert at._log_zeta is model._log_zeta and at._log_eps is model._log_eps
+        assert at.low_freq is low.at(300.0) and model.low_freq is low
+        zeta = np.logspace(-3, 3, 61)  # below, inside and above the table
+        want = TabulatedModel(self.TABLE, low.at(300.0)).epsilon(zeta)
+        assert at.epsilon(zeta).tobytes() == want.tobytes()
+
     def test_at_keeps_a_bounded_number_of_temperatures(self, monkeypatch):
         calls = []
 

@@ -480,13 +480,24 @@ class TestBlockDriver:
         assert res.pressure_mPa == pytest.approx(-1.981023851906023e-07, rel=1e-12)
 
     @pytest.mark.parametrize("max_terms", [12, 40, 300])
-    def test_max_terms_inside_a_block(self, max_terms):
-        spec = QuadratureSpec(max_terms=max_terms)
+    def test_max_terms_inside_a_block(self, max_terms, monkeypatch):
+        spec, geom = QuadratureSpec(max_terms=max_terms), Geometry(1.0, 1.0)
+        blocks, plans = [], []  # each block's modes; each plan's
+
+        def spy(lower, *args):
+            blocks.append(np.rint(lower / reduced_temperature(geom)).astype(int))
+            return _mode_block(lower, *args)
+        monkeypatch.setattr("casimir.lifshitz._mode_block", spy)
+        monkeypatch.setattr("casimir.lifshitz._plan",
+                            lambda ms, *args: plans.append(ms) or _plan(ms, *args))
         with pytest.raises(SumConvergenceError) as excinfo:
-            casimir_pressure(Geometry(1.0, 1.0), AU, AU, spec)
+            casimir_pressure(geom, AU, AU, spec)
         partial = excinfo.value.partial
         assert partial.n_terms_used == max_terms
         assert partial.terms_mPa.size == max_terms
+        # the blocks are cut at max_terms, and so is the one plan they slice
+        assert np.concatenate(blocks).tolist() == list(range(1, max_terms + 1))
+        assert len(plans) == 1 and plans[0][-1] == max_terms
         assert not partial.converged
         assert str(excinfo.value).startswith("frequency sum not converged")
 

@@ -21,6 +21,9 @@ the type and message of the error it raised (with the partial result of a
   recorded input does: the free energy at 0.16 um and 10 K (two modes) and
   at 0.3 um and 5 K with integral_rel_tol 1e-14 and sum_rel_tol 1e-10 (182
   modes), and the pressure at 0.1 um and 4 mK, a ``SumConvergenceError``;
+- two cells whose converging sums plan again past 32,768 modes, which no
+  recorded input does: the Au-Au pressure and the Au-Al free energy at
+  0.16 um and 0.5 K (42,923 and 39,442 terms);
 - every recorded ``cli_tabulated`` invocation, run in order as
   ``python -m casimir.cli`` on the absorption files that the benchmark's
   ``Cli`` (``perfbench/worker.py``) writes: its exit code, its stdout and,
@@ -36,8 +39,16 @@ one side.  A record whose value and ``n_terms_used`` have the same bits but
 whose terms differ also gets the largest |old - new| of its terms relative
 to |value|, which shows whether terms moved only far below the value's last
 bit.  ``--limit N`` takes only the first N inputs of each recorded file, the
-first N grid cells of each pair kind and the first N adaptive cells; the
-usage records are always all run.
+first N grid cells of each pair kind and the first N adaptive and re-plan
+cells; the usage records are always all run.
+
+The script also prints, per record kind that did any, the work each tree
+did: integer-mode plans + sample plans (``_plan`` calls on Matsubara
+indices and on Chebyshev points), ``_mode_block`` calls, the modes
+(rows) they integrated and the kernel nodes (``_mode_kernel``'s nodes,
+the adaptive quadrature's included), counted by spies in the dump
+subprocess.  A tree that does other work is reported, not failed, since
+a change may move the work on purpose.
 
 ``--rel TOL`` is for a change that moves the last bits of values on
 purpose.  Every ``n_terms_used``, error type and message, exit code, CLI
@@ -69,6 +80,10 @@ GRID_T_K = (300.0, 3.0)
 ADAPTIVE = (("F", 0.16, 10.0, {}),
             ("F", 0.3, 5.0, {"integral_rel_tol": 1e-14, "sum_rel_tol": 1e-10}),
             ("P", 0.1, 0.004, {}))
+# (quantity, sides, a_um, T_K) of the cells that plan again past _PLAN_CAP modes
+REPLAN = (("P", ("Au", "Au"), 0.16, 0.5), ("F", ("Au", "Al"), 0.16, 0.5))
+# the work counted per record (_count_work)
+WORK = ("integer-mode plans", "sample plans", "_mode_block calls", "rows", "kernel nodes")
 # argv of the help and usage records
 USAGE = (["--help"], *([cmd, "--help"] for cmd in ("pressure", "sweep", "table", "entropy", "kk")),
          [], ["sweep", "--format", "json"])
@@ -177,7 +192,32 @@ def records(limit: int | None = None):
         yield (f"adaptive Au-Au a={a_um} T={T_K} {name}",
                _evaluate(C, fns[name], C.Geometry(a_um, T_K), models["Au"], models["Au"],
                          C.QuadratureSpec(**spec)))
+    for name, labels, a_um, T_K in REPLAN[:limit]:
+        yield (f"replan {'-'.join(labels)} a={a_um} T={T_K} {name}",
+               _evaluate(C, fns[name], C.Geometry(a_um, T_K), *map(models.get, labels)))
     yield from _cli_records(C, limit)
+
+
+def _count_work(lifshitz) -> list:
+    """Wrap the module ``lifshitz``'s _plan, _mode_block and _mode_kernel so
+    that each call adds its work to the list returned, ordered as WORK."""
+    counts = [0] * len(WORK)
+    plan, block, kernel = lifshitz._plan, lifshitz._mode_block, lifshitz._mode_kernel
+
+    def _plan(ms, *args):
+        counts[0 if ms.dtype.kind in "iu" else 1] += 1  # Chebyshev points are floats
+        return plan(ms, *args)
+
+    def _mode_block(lower, *args):
+        counts[2] += 1
+        counts[3] += lower.size
+        return block(lower, *args)
+
+    def _mode_kernel(y, *args):
+        counts[4] += y.size
+        return kernel(y, *args)
+    lifshitz._plan, lifshitz._mode_block, lifshitz._mode_kernel = _plan, _mode_block, _mode_kernel
+    return counts
 
 
 def _cli_records(C, limit: int | None):
@@ -208,15 +248,17 @@ def _cli_records(C, limit: int | None):
                {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr})
 
 
-def dump(tree: Path, limit: int | None) -> dict:
-    """{id: fields} of every record, evaluated in a subprocess on ``tree``'s src."""
+def dump(tree: Path, limit: int | None) -> tuple[dict, dict]:
+    """{id: fields} and {id: work counts} of every record, evaluated in a
+    subprocess on ``tree``'s src."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, __file__, "--dump"]
     argv += [] if limit is None else ["--limit", str(limit)]
     out = subprocess.run(argv, env=env, cwd=tree, capture_output=True, text=True)
     if out.returncode:
         sys.exit(f"{tree}: the dump failed:\n{out.stderr}")
-    return dict(json.loads(line) for line in out.stdout.splitlines())
+    rows = [json.loads(line) for line in out.stdout.splitlines()]
+    return {key: fields for key, fields, _ in rows}, {key: work for key, _, work in rows}
 
 
 def _floats(fields: dict, name: str) -> np.ndarray:
@@ -270,10 +312,10 @@ def compare(old: dict, new: dict, rel: float | None = None) -> list[str]:
 
 def _kind(key: str) -> str:
     """The record kind of a key: its workload, its grid pair kind, the
-    adaptive cells or the usage records."""
+    adaptive cells, a re-plan cell's sides or the usage records."""
     if key.startswith("usage "):
         return "usage"
-    if key.startswith(("grid ", "adaptive ")):
+    if key.startswith(("grid ", "adaptive ", "replan ")):
         return key.split(" a=")[0]
     return key.split(" #")[0].rsplit("-", 1)[0]
 
@@ -293,6 +335,24 @@ def deviations(old: dict, new: dict) -> dict:
     return dict(sorted(out.items()))
 
 
+def work_lines(old: dict, new: dict) -> list[str]:
+    """One line per record kind with any work: both trees' WORK counts,
+    summed over its records, marked where they differ."""
+    kinds = {}
+    for side, counts in enumerate((old, new)):
+        for key, c in counts.items():
+            total = kinds.setdefault(_kind(key), [[0] * len(WORK), [0] * len(WORK)])[side]
+            total[:] = [a + b for a, b in zip(total, c)]
+    lines = []
+    for kind, (a, b) in sorted(kinds.items()):
+        if any(a) or any(b):
+            text = ["{:,} + {:,} plans, {:,} blocks, {:,} rows, {:,} kernel nodes".format(*c)
+                    for c in (a, b)]
+            lines.append(f"work {kind}: old {text[0]}; new "
+                         + ("the same" if a == b else f"{text[1]} (differs)"))
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="*", type=Path, help="OLD_TREE NEW_TREE")
@@ -303,12 +363,16 @@ def main(argv=None) -> int:
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.dump:
+        from casimir import lifshitz
+
+        counts = _count_work(lifshitz)
         for key, fields in records(args.limit):
-            print(json.dumps([key, fields]))
+            print(json.dumps([key, fields, counts]))
+            counts[:] = [0] * len(WORK)
         return 0
     if len(args.trees) != 2:
         parser.error("give OLD_TREE and NEW_TREE")
-    old, new = (dump(tree.resolve(), args.limit) for tree in args.trees)
+    (old, old_work), (new, new_work) = (dump(tree.resolve(), args.limit) for tree in args.trees)
     lines = compare(old, new, args.rel)
     for line in lines:
         print(line)
@@ -316,6 +380,8 @@ def main(argv=None) -> int:
         for kind, (value, term) in deviations(old, new).items():
             print(f"{kind}: largest relative deviation {value:.2e} of a value, "
                   f"{term:.2e} of a term")
+    for line in work_lines(old_work, new_work):
+        print(line)
     print(f"{len(lines)} of {len(set(old) | set(new))} records differ")
     return 1 if lines else 0
 
