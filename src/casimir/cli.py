@@ -138,7 +138,10 @@ def _side_model(label: str, db: MaterialDatabase, bg=None, eps_path=None):
     """Model of one half-space, a permittivity table read here once.  With
     ``bg`` the Drude model, also a table's continuation below its window,
     takes the relaxation frequency nu(T)."""
-    if not eps_path and label.lower() in ("vacuum", "ideal"):
+    if label.lower() in ("vacuum", "ideal"):
+        if eps_path:
+            raise InputError(f"{eps_path}: a permittivity table needs a Drude material label "
+                             f"for its continuation below the table, got {label!r}")
         return Vacuum() if label.lower() == "vacuum" else IdealMetal()
     drude = DrudeModel(db.get(label), bg)
     if not eps_path:

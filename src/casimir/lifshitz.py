@@ -17,9 +17,9 @@ one takes as many modes as its nodes fill, its bound scaled through the
 last term so that it ends near the stop.  A sum plans the permittivities
 of all the modes the bound lets it reach, each side classified once as
 ideal at all, none or some of them, and each block takes a slice of that
-plan.  First-block modes from some m <= min_terms on that the bound puts
-below the block's floor read 0, never integrated.  A long block's values
-are summed in array passes, a short one's in a loop, with the same bits.
+plan.  A sum whose bound puts mode 1 below its first floor reads 0 up to
+min_terms, never integrated.  A long block's values are summed in array
+passes, a short one's in a loop, with the same bits.
 Past mode 128 a long sum of two analytic sides (Drude, ideal) takes most
 terms from Chebyshev interpolants in m (casimir.chebyshev) of sample
 points it integrates, both screened for bad permittivities (_screen).
@@ -108,7 +108,7 @@ _ENTROPY_STEP_K = 0.5
 @dataclass(frozen=True)
 class PressureResult:
     """Signed pressure (negative = attraction) plus per-mode diagnostics; a
-    term of ``terms_mPa`` that the bound puts below the sum's floor is 0.0."""
+    sum whose bound puts mode 1 below its floor has terms of 0.0."""
 
     pressure_mPa: float
     zero_mode_mPa: float
@@ -373,12 +373,12 @@ _BLOCK_CAP = 128
 # passes 8.9, 9.4, 9.2, 9.7 and 10.1 us (one pinned core of a 2-vCPU
 # x86-64 host), so they break even at about 52 terms.
 _ARRAY_SCAN = 48
-# Most modes a sum plans at once and a block holds, at least the largest
-# block (about 1 MB of arrays).
+# Most modes a sum plans at once, at least the largest block (about 1 MB of
+# arrays).
 _PLAN_CAP = 1 << 15
-# Past mode _DIRECT a sum of two analytic sides interpolates (casimir.chebyshev)
+# Past mode _BLOCK_CAP a sum of two analytic sides interpolates (casimir.chebyshev)
 # if the bound lets it run _PANEL_MIN modes more: the measured break-even.
-_DIRECT, _PANEL_MIN = _BLOCK_CAP, 1024
+_PANEL_MIN = 1024
 
 
 def _log_bound(A: float, free_energy: bool) -> float:
@@ -550,12 +550,12 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
     range is cut at ``spec.y_max`` and integrated adaptively.  A
     QuadratureError carrying the partial estimate escapes if no certificate
     is met.  The floor, integral_rel_tol * sum_rel_tol * zeta(3)/8, is the
-    sum's first block's, so the value equals the sum's first-block term
-    wherever the unit-reflection bound at m*gamma is above that floor, and
-    the sum reports 0 below it.  A later block's term equals it wherever that
-    block's higher floor does not bind; one the sum takes from a certified
-    interpolant (past m = 128, casimir.chebyshev) meets it to
-    integral_rel_tol.  ``m`` must be an integer; a float raises TypeError.
+    sum's first block's, so the value equals the sum's first-block term,
+    unless the bound puts mode 1 below that floor and the sum reports 0.  A
+    later block's term equals it wherever that block's higher floor does not
+    bind; one the sum takes from a certified interpolant (past m = 128,
+    casimir.chebyshev) meets it to integral_rel_tol.  ``m`` must be an
+    integer; a float raises TypeError.
     """
     m = operator.index(m)
     if m < 1:
@@ -626,24 +626,24 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     sum_rel_tol * |S|, where the stop rule below is certain to fire, and at
     max_terms at the latest.  The first block holds at most _BLOCK_CAP
     modes, so a sum of up to _BLOCK_CAP terms takes one block, and sizes
-    the kernel workspace.  A later block
-    holds as many modes as the workspace holds nodes for at its first mode's
-    rule (_nodes; nodes per mode never rise with A, so it never grows), at
-    least _BLOCK_CAP and at most _PLAN_CAP, and its bound is rescaled through
-    the last term t used: the target rises by shift = ln(bound/|t|) >= 0
-    there, so a long block does not run far past the stop; where it ends
-    early, the next block goes on.  A mode's value depends on its block only
-    through the floor.  The first block plans (_plan, a kind per side) the
-    modes up to the m where the bound meets the target at |S| = |static
-    term|, at most _PLAN_CAP and max_terms, so later blocks end there too;
-    one reaching past its plan plans again, as far as the bound without the
-    shift.  If the bound meets the first block's floor at some m <= min_terms,
-    the modes m..min_terms read 0 (|I_m| <= bound <= floor, a block's
-    certificate) and are not planned; the stop rule fires at min_terms.
+    the kernel workspace.  A later block holds as many modes as the
+    workspace holds nodes for at its first mode's rule (_nodes; nodes per
+    mode never rise with A, so it never grows), at least _BLOCK_CAP, and its
+    bound is rescaled through the last term t used: the target rises by
+    shift = ln(bound/|t|) >= 0 there, so a long block does not run far past
+    the stop; where it ends early, the next block goes on.  A mode's value
+    depends on its block only through the floor.  The first block plans
+    (_plan, a kind per side) the modes up to the m where the bound meets the
+    target at |S| = |static term|, at most _PLAN_CAP and max_terms, so later
+    blocks end there too; one reaching past its plan plans again, as far as
+    the bound without the shift.  If the bound at m = 1 is at or below the
+    first block's floor, every mode is (|I_m| <= bound <= floor, a block's
+    certificate): the modes 1..min_terms read 0, with no plan or block, and
+    the stop rule fires at min_terms.
 
-    Past mode _DIRECT, with two ``analytic`` sides and the bound's stop
+    Past mode _BLOCK_CAP, with two ``analytic`` sides and the bound's stop
     there _PANEL_MIN modes on, chebyshev._certify fits the panels from
-    _DIRECT to that stop to the samples of _sampled; blocks end before each
+    _BLOCK_CAP to that stop to the samples of _sampled; blocks end before each
     panel.  A certified panel is one block of chebyshev._interpolated terms
     unless the stop falls in it or _screen, as for the samples, finds a
     permittivity below 1, NaN or ideal at some modes only there; then it is
@@ -651,8 +651,7 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     does the block schedule.
 
     Every block takes one body.  Its values come from a certified panel's
-    interpolant, from _mode_block (the modes past those integrated, below
-    the floor, reading 0) or are all 0; those up to its first failed mode
+    interpolant or from _mode_block; those up to its first failed mode
     are accumulated in increasing m with Neumaier compensation, one by one
     (_scan_loop) if there are fewer than _ARRAY_SCAN, else in array passes
     with the same bits (_scan_arrays), and the terms used are appended.
@@ -685,30 +684,33 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     acc, comp, n_terms, converged = zero_coeff, 0.0, 0, False
     terms = []  # a slice of each block's values
     min_terms, sum_rel_tol = spec.min_terms, spec.sum_rel_tol
+    floor = spec.integral_rel_tol * sum_rel_tol * abs(zero_coeff)  # the first block's
+    if floor and _log_bound(gamma, free_energy) <= math.log(floor):  # so is every mode's bound
+        n_terms, converged, terms = min_terms, True, [np.zeros(min_terms)]
     work = _Workspace()
     start = end = 1  # the plan holds the modes from start to end - 1
     cap, shift, fill = _BLOCK_CAP, 0.0, 0  # the first block's cap, its bound's shift, workspace
     # {first mode: (last mode, coefficients or None)} of the panels; for analytic sides
-    # {_DIRECT + 1: None} until the sum reaches that mode
-    panels = {_DIRECT + 1: None} if model1.analytic and model3.analytic else {}
+    # {_BLOCK_CAP + 1: None} until the sum reaches that mode
+    panels = {_BLOCK_CAP + 1: None} if model1.analytic and model3.analytic else {}
     while not converged and n_terms < spec.max_terms:
         first, total = n_terms + 1, abs(acc + comp)
         floor = spec.integral_rel_tol * sum_rel_tol * total
         if terms:  # a later block: the modes whose nodes fit the workspace, a rescaled bound
             nodes, last = _nodes(first * gamma, free_energy), abs(float(terms[-1][-1]))
             fill = fill or work.size  # the first block's: the samples do not move a block
-            cap = min(max(fill // nodes, _BLOCK_CAP), _PLAN_CAP) if nodes else _BLOCK_CAP
+            cap = max(fill // nodes, _BLOCK_CAP) if nodes else _BLOCK_CAP
             # the bound exceeds the last term by e^shift: take it through that term
             shift = last and max(0.0, _log_bound(n_terms * gamma, free_energy) - math.log(last))
         bound = (first, gamma, log_tol + math.log(total), free_energy, min_terms)
-        if panels.get(first, ()) is None:  # at mode _DIRECT + 1: panels to the stop against |S|
-            stop, panels = _bound_end(max(_DIRECT + _PANEL_MIN, min_terms), spec.max_terms,
+        if panels.get(first, ()) is None:  # at mode _BLOCK_CAP + 1: panels to the stop
+            stop, panels = _bound_end(max(_BLOCK_CAP + _PANEL_MIN, min_terms), spec.max_terms,
                                       *bound[1:4]), {}
-            if stop > _DIRECT + _PANEL_MIN:
+            if stop > _BLOCK_CAP + _PANEL_MIN:
                 from . import chebyshev  # here: most processes never load it
                 sample = functools.partial(_sampled, (gamma, zeta1, model1, model3),
                                            (spec, floor, free_energy, integrate, work))
-                panels = chebyshev._certify(chebyshev._panels(_DIRECT, stop, gamma), gamma,
+                panels = chebyshev._certify(chebyshev._panels(_BLOCK_CAP, stop, gamma), gamma,
                                             sample, spec.integral_rel_tol, floor)
         hi, coeffs = panels.get(first) or (0, None)  # then each panel is one block
         size = hi - first + 1  # a certified panel's modes
@@ -716,28 +718,20 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
             size = _block_size(first, gamma, bound[2] + shift, free_energy, min_terms, cap)
             if terms and panels:  # a later block ends before the next panel
                 size = min([size, *(lo - first for lo in panels if lo > first)])
-        size = live = min(size, spec.max_terms - n_terms)  # the block's modes; those integrated
-        if not terms and floor and _log_bound(min_terms * gamma, free_energy) <= math.log(floor):
-            # the modes up to min_terms from the first whose bound meets the floor read 0;
-            # a walk up from m = 1 finds it, one call per mode it integrates
-            size, live, log_floor = min_terms, 0, math.log(floor)
-            while _log_bound((live + 1) * gamma, free_energy) > log_floor:
-                live += 1
-        if first + live > end:  # past the plan: plan from first
-            n = live if live < cap and not shift else _block_size(*bound, _PLAN_CAP)
-            start, end = first, min(first + max(n, live), spec.max_terms + 1)
+        size = min(size, spec.max_terms - n_terms)  # the block's modes
+        if first + size > end:  # past the plan: plan from first
+            n = size if size < cap and not shift else _block_size(*bound, _PLAN_CAP)
+            start, end = first, min(first + max(n, size), spec.max_terms + 1)
             lower, zeta, sides, kinds = _plan(np.arange(start, end), gamma, zeta1, model1, model3)
-        part, n_ok = slice(first - start, first + live - start), size  # values before a failure
+        part, n_ok = slice(first - start, first + size - start), size  # values before a failure
         if coeffs is not None:  # a panel's values come from its interpolant
             values = chebyshev._interpolated(coeffs, first, hi, gamma)
-        elif live:
+        else:
             values, errors, failed = _mode_block(
                 lower[part], zeta[part], [(model, e[part]) for model, e in sides], kinds, spec,
                 floor, free_energy, integrate, work)
             if failed.any():
                 n_ok = int(failed.argmax())
-        if live < size:  # the modes from first + live on are below the floor and read 0
-            values = np.concatenate((values, np.zeros(size - live))) if live else np.zeros(size)
         scan = _scan_arrays if n_ok >= _ARRAY_SCAN else _scan_loop
         scanned = scan(values[:n_ok], acc, comp, first, min_terms, tail, sum_rel_tol)
         if coeffs is not None and (scanned[3] or not _screen([e[part] for _, e in sides])):

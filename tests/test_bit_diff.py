@@ -4,10 +4,11 @@ The full dump covers every recorded ``cold_sum``, ``warm_grid``,
 ``entropy_ladder`` and ``cli_tabulated`` input, three cells that reach the
 adaptive quadrature and the CLI's help and usage errors, and takes a few
 seconds per tree.  Here the tool runs this tree against itself on the first
-input of each recorded file, grid pair kind, adaptive and re-plan cell,
-the records of the first two are checked for coverage, the grid cells at
-0.2 um and 3 K are shown to interpolate and to reach the Chebyshev
-screens, the re-plan cells to plan more than once, and ``compare`` is
+input of each recorded file, grid pair kind, adaptive, re-plan and panel
+cell, the records of the first two are checked for coverage, the grid
+cells at 0.2 um and 3 K are shown to interpolate and to reach the
+Chebyshev screens, the re-plan cells to plan more than once, the panel
+cells to integrate their certified first panel, and ``compare`` is
 shown a moved term, value and error, and a term that moved alone, with its
 largest change relative to the value; with ``--rel``, terms and values
 moved within and past the tolerance, and counts, errors and CLI output
@@ -30,7 +31,7 @@ _spec.loader.exec_module(bit_diff)
 def test_a_tree_against_itself_differs_nowhere(capsys):
     assert bit_diff.main([str(ROOT), str(ROOT), "--limit", "1"]) == 0
     *work, last = capsys.readouterr().out.splitlines()
-    assert last == "0 of 44 records differ"
+    assert last == "0 of 45 records differ"
     kinds = [line.split(":")[0] for line in work]
     assert {"work cold_sum", "work grid Au-Au", "work replan Au-Au"} <= set(kinds)
     assert all(line.endswith("; new the same") for line in work)
@@ -58,6 +59,10 @@ def test_records_cover_every_kind(records):
     assert {key: fields["n_terms_used"] for key, fields in records.items()
             if key.startswith("replan ")} == {"replan Au-Au a=0.16 T=0.5 P": 42923,
                                               "replan Au-Al a=0.16 T=0.5 F": 39442}
+    # the two sums that stop inside their first Chebyshev panel
+    assert {key: fields["n_terms_used"] for key, fields in records.items()
+            if key.startswith("panel ")} == {"panel weak-weak a=1.0 T=1.0 P": 210,
+                                             "panel weak-weak a=1.0 T=1.0 F": 193}
     kk = records["cli_tabulated-1 #1 kk 1"]
     assert kk["exit"] == 0 and kk["stdout"] == "wrote 421 rows to WORKDIR/eps1.csv\n"
     assert bit_diff.base64.b64decode(kk["table"]).startswith(b"zeta_rad_s,eps_izeta\r\n")
@@ -111,6 +116,42 @@ def test_the_replan_cells_plan_more_than_once(monkeypatch):
         assert "error" not in bit_diff._evaluate(casimir, fns[name],
                                                  casimir.Geometry(a_um, T_K), *models)
         assert counts[0] > 1 and counts[1] > 0, labels  # integer-mode and sample plans
+
+
+@pytest.mark.parametrize("name, kind", bit_diff.PANEL)
+def test_the_panel_cells_integrate_their_certified_first_panel(name, kind, monkeypatch, deadline):
+    # the panel 129-256 is certified; the weak metal's sums stop inside it
+    # and the screen rejects the panel ideal at mode 150, so both integrate it
+    import casimir
+    from casimir import chebyshev, lifshitz
+
+    certified, certify = [], chebyshev._certify
+
+    def spy(panels, *args):
+        out = certify(panels, *args)
+        certified.append({lo for lo, (_, coeffs) in out.items() if coeffs is not None})
+        return out
+    screened, screen = [], lifshitz._screen
+
+    def panel_screen(eps):
+        out = screen(eps)
+        if eps[0].ndim == 1:  # a certified panel's modes, not sample rows
+            screened.append(bool(out))
+        return out
+    monkeypatch.setattr(chebyshev, "_certify", spy)
+    monkeypatch.setattr(lifshitz, "_screen", panel_screen)
+    fn = {"P": casimir.casimir_pressure, "F": casimir.free_energy}[name]
+    with deadline(30):
+        fields = bit_diff._evaluate(casimir, fn, casimir.Geometry(1.0, 1.0),
+                                    *bit_diff._panel_pairs(casimir)[kind])
+    n_terms = {("P", "weak-weak"): 210, ("F", "weak-weak"): 193}.get((name, kind), 4007)
+    assert "error" not in fields and fields["n_terms_used"] == n_terms
+    (got,) = certified
+    assert 129 in got
+    if kind == "weak-weak":
+        assert n_terms <= 256 and screened == []  # the stop, before any screen
+    else:
+        assert screened[0] is False
 
 
 def test_work_is_summed_per_kind_and_a_difference_does_not_fail(records, monkeypatch, capsys):
@@ -197,8 +238,9 @@ def test_rel_prints_the_largest_deviation_per_kind(records, monkeypatch, capsys)
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == f"0 of {len(records)} records differ"
     kinds = {line.split(":")[0]: line for line in out[:-1]}
-    # the workloads, the grid's pair kinds, the adaptive cells, the usage records
-    assert len(kinds) == 4 + 12 + 1 + 2 + 1
+    # the workloads, the grid's pair kinds, the adaptive cells, the re-plan
+    # cells' sides, the panel cells' pair, the usage records
+    assert len(kinds) == 4 + 12 + 1 + 2 + 1 + 1
     assert kinds["entropy_ladder"].endswith("0.00e+00 of a value, 5.00e-14 of a term")
     assert kinds["grid Au-Au"].endswith("0.00e+00 of a value, 0.00e+00 of a term")
     assert bit_diff.main(["old", "new"]) == 1  # exact by default

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,6 +119,15 @@ class TestPressureCommand:
         assert code == EXIT_OK
         assert parse_csv(out)[0]["converged"] == "true"
 
+    def test_a_sum_out_of_terms_prints_its_partial_row_and_exits_1(self, capsys):
+        # e^{-2 gamma} rounds to 1: the sum runs out of terms before it stops
+        code, out, err = run_cli(capsys, "pressure", "--a", "1", "--T", "1e-20",
+                                 "--format", "csv")
+        (row,) = parse_csv(out)
+        assert code == EXIT_COMPUTE and err == ""
+        assert row["converged"] == "false"
+        assert int(row["n_terms"]) == QuadratureSpec().max_terms
+
     def test_quadrature_error_exits_1_without_traceback(self, capsys, monkeypatch):
         def nan_kernel(y, work, free_energy, kinds, A, *eps):
             # NaN fails the fixed rules' certificate and then the adaptive fallback
@@ -220,6 +230,23 @@ class TestTableCommand:
                 if r["a_um"] == "0.2" and r["T_K"] == "350"]
         assert rows and rows[0]["note"] == "typo-corrected reference"
         assert float(rows[0]["reference_mPa"]) == 494.7
+
+    def test_computational_failure_exits_1(self, capsys, monkeypatch):
+        # a cell whose sum runs out of terms: every row is printed, then one line
+        real = casimir.lifshitz.casimir_pressure
+
+        def out_of_terms(geom, *args):
+            res = real(geom, *args)
+            if geom.T_K == golden.TEMPERATURES_K[0]:
+                raise casimir.SumConvergenceError("forced", replace(res, converged=False))
+            return res
+        monkeypatch.setattr(casimir.lifshitz, "casimir_pressure", out_of_terms)
+        code, out, err = run_cli(capsys, "table", "1", "--format", "csv")
+        rows = parse_csv(out)
+        assert code == EXIT_COMPUTE and len(rows) == 36
+        assert {r["status"] for r in rows if r["T_K"] == f"{golden.TEMPERATURES_K[0]:g}"} == {
+            "FAIL"}
+        assert err == "table 1 (Au-Au): computational failure\n"
 
     def test_invalid_table_id(self, capsys):
         code, _, err = run_cli(capsys, "table", "9")
@@ -404,6 +431,37 @@ class TestKKCommand:
         assert code == EXIT_INPUT and out == "" and not dst.exists()
         assert err.startswith("error: --grid asks for") and "more than 1e+06" in err
 
+    def test_default_grid_is_the_input_window_at_60_per_decade(self, tmp_path, capsys):
+        src, dst = tmp_path / "loss.csv", tmp_path / "out.csv"
+        self._write_drude_loss(src, per_decade=10)  # 1.5e11 to 1.5e18 rad/s
+        code, out, _ = run_cli(capsys, "kk", str(src), str(dst))
+        assert code == EXIT_OK and out == f"wrote 421 rows to {dst}\n"
+        zeta = np.loadtxt(dst, delimiter=",", skiprows=1)[:, 0]
+        assert zeta.size == 421
+        assert zeta[[0, -1]] == pytest.approx([1.5e11, 1.5e18], rel=1e-11)
+        assert np.diff(np.log10(zeta)) == pytest.approx(np.full(420, 1 / 60), rel=1e-9)
+
+    @pytest.mark.parametrize("grid, message", [
+        ("1e12,1e15", "--grid needs lo,hi,per_decade, got '1e12,1e15'"),
+        ("1e12,1e15,x", "--grid needs lo,hi,per_decade, got '1e12,1e15,x'"),
+        ("1e15,1e12,10", "--grid values out of range: '1e15,1e12,10'"),
+        ("0,1e12,10", "--grid values out of range: '0,1e12,10'"),
+        ("1e12,1e15,-1", "--grid values out of range: '1e12,1e15,-1'"),
+    ], ids=["two-values", "text", "descending", "zero", "negative-density"])
+    def test_malformed_or_out_of_range_grid_exits_3(self, tmp_path, capsys, grid, message):
+        src, dst = tmp_path / "loss.csv", tmp_path / "out.csv"
+        self._write_drude_loss(src, per_decade=5)
+        code, out, err = run_cli(capsys, "kk", str(src), str(dst), "--grid", grid)
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+        assert not dst.exists()
+
+    def test_unwritable_output_exits_3(self, tmp_path, capsys):
+        src, dst = tmp_path / "loss.csv", tmp_path / "missing" / "out.csv"
+        self._write_drude_loss(src, per_decade=5)
+        code, out, err = run_cli(capsys, "kk", str(src), str(dst))
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith(f"error: cannot write {dst}: ") and "No such file" in err
+
     def test_empty_input(self, tmp_path, capsys):
         src = tmp_path / "empty.csv"
         src.write_text("omega_rad_s,eps_imag\n")
@@ -464,6 +522,31 @@ class TestUsage:
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and names in err and out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pressure", "--a", ""], "expected at least one number in ''"),
+        (["pressure", "--a", " , "], "expected at least one number in ' , '"),
+        (["sweep", "--a", "1,x"], "expected a comma-separated list of numbers, got '1,x'"),
+        (["entropy", "--T", "x"], "expected a comma-separated list of numbers, got 'x'"),
+        (["pressure", "--pair", "Au"], "--pair needs two comma-separated labels, got 'Au'"),
+        (["sweep", "--pair", "Au,"], "--pair needs two comma-separated labels, got 'Au,'"),
+    ], ids=["empty-a", "blank-a", "text-in-a", "text-T", "one-label", "empty-label"])
+    def test_bad_lists_exit_3_with_their_message(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (EXIT_INPUT, "", f"error: {message}\n")
+
+    def test_unreadable_or_non_object_config_exits_3(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(capsys, "pressure", "--config", str(missing))
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith(f"error: cannot read config {missing}: ") and "No such file" in err
+        broken = tmp_path / "broken.json"
+        broken.write_text("{")
+        code, out, err = run_cli(capsys, "pressure", "--config", str(broken))
+        assert code == EXIT_INPUT and err.startswith(f"error: cannot read config {broken}: ")
+        listed = tmp_path / "list.json"
+        listed.write_text(json.dumps([{"a": 2.0}]))
+        assert run_cli(capsys, "pressure", "--config", str(listed)) == (
+            EXIT_INPUT, "", f"error: {listed}: config must be a JSON object\n")
 
     def test_theta_with_bloch_gruneisen_is_used(self, capsys):
         argv = ("pressure", "--a", "2", "--T", "300", "--format", "csv",
@@ -726,6 +809,17 @@ class TestTabulatedInput:
         code, out, err = run_cli(capsys, "pressure", "--eps1", str(path))
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error: ") and f"{path}:6: malformed row" in err
+
+    @pytest.mark.parametrize("pair, flag", [("Au,ideal", "--eps3"), ("vacuum,Au", "--eps1")])
+    def test_a_table_side_needs_a_drude_label(self, tmp_path, capsys, pair, flag):
+        # the table's continuation below its window is the label's Drude model
+        z_eV = np.logspace(0, 3, 30)
+        path = tmp_path / "t.csv"
+        PermittivityTable(z_eV, drude_epsilon(DrudeParams(9.03, 34.5e-3, "Au"), z_eV)).to_csv(path)
+        label = pair.split(",")[0 if flag == "--eps1" else 1]
+        assert run_cli(capsys, "pressure", "--pair", pair, flag, str(path)) == (
+            EXIT_INPUT, "", f"error: {path}: a permittivity table needs a Drude material label "
+                            f"for its continuation below the table, got {label!r}\n")
 
     def test_bloch_gruneisen_moves_the_drude_continuation(self, tmp_path, capsys):
         # the table starts at 1 eV, above the first Matsubara frequencies at

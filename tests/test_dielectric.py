@@ -117,6 +117,18 @@ class TestMaterialDatabase:
         assert db.get("Au").omega_p_eV == 9.10  # file overrides builtin
         assert db.get("Cu").omega_p_eV == 8.97  # builtin kept
 
+    def test_an_empty_label_is_rejected(self):
+        with pytest.raises(ValueError, match="^database entries need a nonempty label$"):
+            MaterialDatabase([AU, DrudeParams(7.0, 0.02)])
+
+    @pytest.mark.parametrize("raw", [{"label": "X", "omega_p_eV": 7.0, "nu_eV": 0.02}, "Au", 3])
+    def test_from_json_needs_an_array(self, tmp_path, raw):
+        path = tmp_path / "materials.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected a JSON array "
+                                             "of material objects$"):
+            MaterialDatabase.from_json(path)
+
     def test_from_json_malformed(self, tmp_path):
         path = tmp_path / "materials.json"
         path.write_text(json.dumps([{"label": "X"}]))
@@ -197,6 +209,10 @@ class TestBlochGruneisen:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             BlochGruneisenParams(theta_K=-1.0)
+        for bad in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^prefactor must be positive and finite, "
+                                                 f"got {bad}$"):
+                BlochGruneisenParams(prefactor_eV=bad)
 
     @pytest.mark.parametrize("T_K, theta_K", [(300.0, 1e-62), (1e64, 175.0),
                                               (300.0, 1e-300), (1e300, 1e-10)])
@@ -358,6 +374,14 @@ class TestPermittivityTable:
         empty.write_text("omega_rad_s,eps_imag\n")
         with pytest.raises(ValueError):
             read_optical_csv(empty)
+
+    def test_an_empty_csv_file_names_itself(self, tmp_path):
+        # no header line at all, for both readers
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        for read in (read_optical_csv, PermittivityTable.from_csv):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty file$"):
+                read(path)
 
     def test_csv_reader_skips_blank_rows(self, tmp_path):
         path = tmp_path / "optical.csv"

@@ -17,6 +17,7 @@ from casimir.dielectric import (
     BlochGruneisenParams,
     DielectricModel,
     DrudeModel,
+    DrudeParams,
     IdealMetal,
     MaterialDatabase,
     NuRangeError,
@@ -32,7 +33,6 @@ from casimir.lifshitz import (
     _ARRAY_SCAN,
     _BLOCK_CAP,
     _BREAK_OFFSETS,
-    _DIRECT,
     _FINITE,
     _IDEAL,
     _MIXED,
@@ -573,7 +573,7 @@ class TestBlockDriver:
         (asked, got), = panels
         n = res.n_terms_used
         interpolated = [(lo, hi) for lo, hi in asked if lo in got and hi < n]
-        assert len(interpolated) > 5 and interpolated[0][0] == _DIRECT + 1
+        assert len(interpolated) > 5 and interpolated[0][0] == _BLOCK_CAP + 1
         first = block_firsts(casimir_pressure, geom, (AU, CU))
         assert first[-1] > n + 1
         si = pressure_to_si(1.0, geom)
@@ -1239,7 +1239,7 @@ class TestCompositeModes:
         for m, value in zip(ms.tolist(), values.tolist()):
             direct = -matsubara_term(m, geom, *pair) * si
             assert direct == -value * si
-            if m <= _DIRECT or pair[0] is TAB:  # integrated; else a certified interpolant's
+            if m <= _BLOCK_CAP or pair[0] is TAB:  # integrated; else a certified interpolant's
                 assert terms[m - 1] == direct
             else:
                 assert abs(terms[m - 1] - direct) <= 1e-13 * abs(direct)
@@ -1386,7 +1386,8 @@ class Above(DrudeModel):
 SCHEDULE_CELLS = {
     "warm-equal": (1.0, 300.0, (AU, AU), False, None),
     "warm-unequal": (0.2, 350.0, (AU, CU), False, None),
-    # the bound puts modes 4 and 5, and 2 to 5, below the first block's floor
+    # the bound puts modes 4 and 5, and 2 to 5, below the first block's floor,
+    # but not mode 1: each sum integrates its whole first block
     "five-terms": (10.0, 300.0, (AU, CU), False, None),
     "one-mode": (20.0, 300.0, (AU, CU), False, None),
     "drude-ideal": (1.0, 300.0, (AU, IdealMetal()), False, None),
@@ -1413,18 +1414,6 @@ def schedule_sum(cell):
         return res.free_energy_J_per_m2, res.terms_J_per_m2, res.n_terms_used
     res = casimir_pressure(Geometry(a_um, T_K), *pair, spec)
     return res.pressure_mPa, res.terms_mPa, res.n_terms_used
-
-
-def first_below_the_floor(cell):
-    """The first m <= min_terms whose unit-reflection bound meets the first
-    block's floor, integral_rel_tol * sum_rel_tol * zeta(3)/8, or None: the
-    sum takes it and the modes after it as 0 without integrating them."""
-    a_um, T_K, _, free, sum_rel_tol = SCHEDULE_CELLS[cell]
-    spec = QuadratureSpec() if sum_rel_tol is None else QuadratureSpec(sum_rel_tol=sum_rel_tol)
-    gamma = reduced_temperature(Geometry(a_um, T_K))
-    floor = spec.integral_rel_tol * spec.sum_rel_tol * zeta3() / 8.0
-    return next((m for m in range(1, spec.min_terms + 1)
-                 if unit_reflection_bound(m * gamma, free) <= floor), None)
 
 
 def bound_stop(cell):
@@ -1496,16 +1485,10 @@ class TestBlockSchedule:
             return out
         monkeypatch.setattr("casimir.lifshitz._mode_block", counted)
         _, _, n_terms = schedule_sum(cell)
-        stop, below = bound_stop(cell), first_below_the_floor(cell)
-        sizes = [size for size, *_ in blocks]
+        stop, sizes = bound_stop(cell), [size for size, *_ in blocks]
         _, _, _, free, tol = SCHEDULE_CELLS[cell]
         spec = QuadratureSpec() if tol is None else QuadratureSpec(sum_rel_tol=tol)
-        # the modes below the floor make no block, and the sum stops at min_terms
-        assert below == {"five-terms": 4, "one-mode": 2}.get(cell)
-        if below:
-            assert sizes == [below - 1] and n_terms == spec.min_terms
-        else:
-            assert n_terms <= sum(sizes) <= stop
+        assert n_terms <= sum(sizes) <= stop
         gamma = blocks[0][1]
         log_tol = math.log(spec.sum_rel_tol) - math.log(
             max(1.0, math.exp(-2.0 * gamma) / -math.expm1(-2.0 * gamma)))
@@ -1515,13 +1498,13 @@ class TestBlockSchedule:
                 assert size == _BLOCK_CAP
             else:
                 first, last = len(summed), summed[-1]
-                cap = min(capacity // ladder_nodes(A, free), _PLAN_CAP)
+                cap = capacity // ladder_nodes(A, free)
                 shift = max(0.0, _log_bound((first - 1) * gamma, free) - math.log(abs(last)))
                 target = log_tol + math.log(abs(math.fsum(summed))) + shift
                 assert size == cap or size == _block_size(first, gamma, target, free,
                                                           spec.min_terms, cap) < cap
             summed += values.tolist()
-        if stop <= _BLOCK_CAP and not below:
+        if stop <= _BLOCK_CAP:
             assert sizes == [stop]
         if n_terms <= _BLOCK_CAP:
             assert len(sizes) == 1
@@ -1769,9 +1752,9 @@ class TestPlans:
 
 
 class TestNegligibleModes:
-    # where the unit-reflection bound puts a mode up to min_terms below the
-    # first block's floor, that mode and those after it read 0 and are never
-    # planned, blocked or integrated
+    # where the unit-reflection bound puts mode 1 below the first block's
+    # floor, every mode up to min_terms reads 0 and none is planned, blocked
+    # or integrated; any other sum integrates its whole first block
 
     @pytest.mark.parametrize("what", sorted(EVALUATE))
     def test_a_sum_below_the_floor_makes_no_block(self, what, monkeypatch):
@@ -1791,19 +1774,20 @@ class TestNegligibleModes:
     @given(gamma=st.floats(math.log(2.0), math.log(500.0)).map(math.exp),
            T_K=st.floats(0.0, math.log(400.0)).map(math.exp),
            pair=st.sampled_from(sorted(BOUND_PAIRS)))
-    @example(gamma=8.23, T_K=300.0, pair="unequal")  # modes 4 and 5 read 0
+    @example(gamma=8.23, T_K=300.0, pair="unequal")  # modes 4 and 5 lie below the floor
     @example(gamma=72.4, T_K=300.0, pair="ideal-ideal")  # every mode reads 0
     def test_zero_terms_lie_below_the_floor(self, gamma, T_K, pair):
-        # a short sum is one block: a term that reads 0 is below the floor,
-        # every other one is matsubara_term's
+        # a short sum is one block: every term reads 0 if the bound puts mode
+        # 1 below the floor, and every term is matsubara_term's otherwise
         geom = Geometry(gamma * CODATA.hbar_c_eV_um / matsubara_frequency(1, T_K), T_K)
         res = casimir_pressure(geom, *BOUND_PAIRS[pair])
         assert res.converged and res.n_terms_used <= _BLOCK_CAP
+        blockless = _log_bound(reduced_temperature(geom), False) <= math.log(FIRST_FLOOR)
         si = pressure_to_si(1.0, geom)
         for m, term in enumerate(res.terms_mPa.tolist(), 1):
             direct = matsubara_term(m, geom, *BOUND_PAIRS[pair])
-            if term == 0.0:
-                assert abs(direct) <= FIRST_FLOOR
+            if blockless:
+                assert term == 0.0 and abs(direct) <= FIRST_FLOOR
             else:
                 assert term == -direct * si
 
@@ -1895,8 +1879,8 @@ class TestInterpolation:
         assert len(asked) >= 4 and sorted(got) == [lo for lo, _ in asked]
         ref_total, ref_terms, ref_n_terms = direct_sum(EVALUATE[what], geom,
                                                        INTERPOLATED_PAIRS[pair])
-        assert n_terms == ref_n_terms > _DIRECT + _PANEL_MIN
-        assert same_bits(terms[:_DIRECT], ref_terms[:_DIRECT])
+        assert n_terms == ref_n_terms > _BLOCK_CAP + _PANEL_MIN
+        assert same_bits(terms[:_BLOCK_CAP], ref_terms[:_BLOCK_CAP])
         assert (np.abs(terms - ref_terms) <= 1e-13 * np.abs(ref_terms)).all()
         assert abs(total - ref_total) <= 1e-14 * abs(ref_total)
 
@@ -1965,6 +1949,36 @@ class TestInterpolation:
         assert (1025, 1597) in asked and sorted(got) == [lo for lo, _ in asked]
         (values, _, _), _ = block(np.arange(1025, 1598), COLD, (side, CU))
         assert same_bits(res.terms_mPa[1024:1597], -values * pressure_to_si(1.0, COLD))
+
+    @pytest.mark.parametrize("what,n_terms", [("pressure", 210), ("free-energy", 193)])
+    def test_a_stop_inside_the_first_panel_is_integrated(self, what, n_terms, deadline):
+        # a weak Drude metal stops inside the certified panel 129-256, so that
+        # panel is integrated in blocks and the sum is a direct one; terms
+        # move only below the floor, integral_rel_tol * sum_rel_tol * |S|
+        pair = (DrudeModel(DrudeParams(0.0005, 0.05, "weak")),) * 2
+        geom = Geometry(1.0, 1.0)
+        with deadline(30), certified_panels() as panels:
+            total, terms, got_n_terms = fields(EVALUATE[what](geom, *pair))
+        (asked, got), = panels
+        assert asked[0] == (129, 256) and got[129] == 256
+        ref_total, ref_terms, ref_n_terms = direct_sum(EVALUATE[what], geom, pair)
+        assert got_n_terms == ref_n_terms == n_terms
+        assert total == ref_total
+        assert np.abs(terms - ref_terms).max() <= 1e-20 * abs(total)
+
+    def test_a_rejected_first_panel_is_integrated(self, deadline):
+        # the panel 129-256 is certified, but ideal at mode 150 alone, so
+        # the screen rejects it and its modes are integrated; the panels
+        # after it are interpolated
+        geom = Geometry(1.0, 1.0)
+        side = DipAt(150, geom.T_K, np.inf)
+        with deadline(30), certified_panels() as panels:
+            res = casimir_pressure(geom, side, CU)
+        (asked, got), = panels
+        assert asked[0] == (129, 256) and sorted(got) == [lo for lo, _ in asked]
+        assert res.n_terms_used == 4007
+        (values, _, _), _ = block(np.arange(129, 257), geom, (side, CU))
+        assert same_bits(res.terms_mPa[128:256], -values * pressure_to_si(1.0, geom))
 
     def test_ideal_below_a_frequency_inside_a_panel_falls_back(self):
         # ideal up to mode 1500: the panels below are ideal at every sample

@@ -24,6 +24,11 @@ the type and message of the error it raised (with the partial result of a
 - two cells whose converging sums plan again past 32,768 modes, which no
   recorded input does: the Au-Au pressure and the Au-Al free energy at
   0.16 um and 0.5 K (42,923 and 39,442 terms);
+- three sums at 1 um and 1 K whose first Chebyshev panel, modes 129-256,
+  is certified but integrated, which no recorded input does: the pressure
+  and the free energy of a weak Drude metal (omega_p 0.0005 eV, nu
+  0.05 eV) on both sides stop inside it, and the pressure of an analytic
+  Au side ideal at mode 150 alone against Cu fails the screen there;
 - every recorded ``cli_tabulated`` invocation, run in order as
   ``python -m casimir.cli`` on the absorption files that the benchmark's
   ``Cli`` (``perfbench/worker.py``) writes: its exit code, its stdout and,
@@ -39,8 +44,8 @@ one side.  A record whose value and ``n_terms_used`` have the same bits but
 whose terms differ also gets the largest |old - new| of its terms relative
 to |value|, which shows whether terms moved only far below the value's last
 bit.  ``--limit N`` takes only the first N inputs of each recorded file, the
-first N grid cells of each pair kind and the first N adaptive and re-plan
-cells; the usage records are always all run.
+first N grid cells of each pair kind and the first N adaptive, re-plan
+and panel cells; the usage records are always all run.
 
 The script also prints, per record kind that did any, the work each tree
 did: integer-mode plans + sample plans (``_plan`` calls on Matsubara
@@ -82,6 +87,9 @@ ADAPTIVE = (("F", 0.16, 10.0, {}),
             ("P", 0.1, 0.004, {}))
 # (quantity, sides, a_um, T_K) of the cells that plan again past _PLAN_CAP modes
 REPLAN = (("P", ("Au", "Au"), 0.16, 0.5), ("F", ("Au", "Al"), 0.16, 0.5))
+# (quantity, pair kind of _panel_pairs) of the cells at 1 um and 1 K that integrate
+# their certified panel 129-256
+PANEL = (("P", "weak-weak"), ("F", "weak-weak"), ("P", "ideal-at-150-Cu"))
 # the work counted per record (_count_work)
 WORK = ("integer-mode plans", "sample plans", "_mode_block calls", "rows", "kernel nodes")
 # argv of the help and usage records
@@ -140,6 +148,26 @@ def _models(C):
             "nan-at-3000-Au": (NanAtMode(db.get("Au")), au)}
 
 
+def _panel_pairs(C):
+    """The pairs of PANEL: a weak Drude metal on both sides, whose sums at
+    1 um and 1 K stop inside the panel 129-256, and an analytic Au side
+    ideal at mode 150 at 1 K alone, which the screen rejects there."""
+    from casimir.quantities import matsubara_frequency
+
+    db, zeta = C.MaterialDatabase.builtin(), matsubara_frequency(150, 1.0)
+
+    class IdealAtMode(C.DrudeModel):
+        analytic = True
+
+        def epsilon(self, zeta_eV):
+            eps = np.asarray(super().epsilon(zeta_eV), dtype=float)
+            return np.where(np.isclose(zeta_eV, zeta, rtol=1e-12, atol=0.0), np.inf, eps)
+
+    weak = C.DrudeModel(C.DrudeParams(0.0005, 0.05, "weak"))
+    return {"weak-weak": (weak, weak),
+            "ideal-at-150-Cu": (IdealAtMode(db.get("Au")), C.DrudeModel(db.get("Cu")))}
+
+
 def _fields(res) -> dict:
     """Value (hex), n_terms_used and the terms' bytes (base64) of a result."""
     value, _, terms, n_terms, _ = vars(res).values()
@@ -195,6 +223,10 @@ def records(limit: int | None = None):
     for name, labels, a_um, T_K in REPLAN[:limit]:
         yield (f"replan {'-'.join(labels)} a={a_um} T={T_K} {name}",
                _evaluate(C, fns[name], C.Geometry(a_um, T_K), *map(models.get, labels)))
+    pairs = _panel_pairs(C)
+    for name, kind in PANEL[:limit]:
+        yield (f"panel {kind} a=1.0 T=1.0 {name}",
+               _evaluate(C, fns[name], C.Geometry(1.0, 1.0), *pairs[kind]))
     yield from _cli_records(C, limit)
 
 
@@ -312,10 +344,11 @@ def compare(old: dict, new: dict, rel: float | None = None) -> list[str]:
 
 def _kind(key: str) -> str:
     """The record kind of a key: its workload, its grid pair kind, the
-    adaptive cells, a re-plan cell's sides or the usage records."""
+    adaptive cells, a re-plan cell's sides, a panel cell's pair or the usage
+    records."""
     if key.startswith("usage "):
         return "usage"
-    if key.startswith(("grid ", "adaptive ", "replan ")):
+    if key.startswith(("grid ", "adaptive ", "replan ", "panel ")):
         return key.split(" a=")[0]
     return key.split(" #")[0].rsplit("-", 1)[0]
 
