@@ -31,6 +31,7 @@ end through :func:`casimir.quantities.pressure_to_si`.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -46,6 +47,11 @@ from .quantities import (
     pressure_to_si,
     reduced_temperature,
 )
+
+try:  # the C function behind np.einsum, whose dispatch costs as much again on a short block
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    _einsum = np.einsum
 
 __all__ = [
     "QuadratureSpec",
@@ -165,16 +171,17 @@ def zeta3() -> float:
 
 class _Workspace:
     """Scratch storage of the mode kernel, reused by every block of one sum.
-    ``arrays(shape)`` views it as eight float arrays and a bool array (grown
-    if need be) that its next call overwrites."""
+    ``arrays(shape)`` views it as eight float arrays of that shape, stacked,
+    and ``mask`` has a bool for each element of two of them (grown if need
+    be); the next call overwrites them."""
 
     size, floats, mask = 0, np.empty(0), np.empty(0, dtype=bool)
 
     def arrays(self, shape):
         n = shape[0] * shape[1]
         if self.size < n:
-            self.size, self.floats, self.mask = n, np.empty(8 * n), np.empty(n, dtype=bool)
-        return (*self.floats[:8 * n].reshape((8,) + shape), self.mask[:n].reshape(shape))
+            self.size, self.floats, self.mask = n, np.empty(8 * n), np.empty(2 * n, dtype=bool)
+        return self.floats[:8 * n].reshape((8,) + shape)  # unpacking it would cost 1 us
 
 
 # How a side reflects over the modes of a plan: as an ideal metal
@@ -185,36 +192,45 @@ _IDEAL, _FINITE, _MIXED = "ideal", "finite", "mixed"
 def _kernel_sides(*eps):
     """Each side's kind over a plan's modes, as _mode_kernel takes them; a slice keeps it, as
     _MIXED gives ideal and finite rows their own bits.  A NaN mode is not ideal: it gives NaN."""
-    return tuple([_FINITE if np.fmax.reduce(e) < np.inf else
-                  _IDEAL if np.minimum.reduce(e) == np.inf else _MIXED for e in eps])
+    kinds = []
+    for e in eps:
+        n = np.count_nonzero(e == np.inf)  # a reduction, such as max(), costs more
+        kinds.append(_FINITE if not n else _IDEAL if n == e.size else _MIXED)
+    return tuple(kinds)
 
 
-def _reflections(kind, eps, p, pp, s, x, tm, te):
-    """(TM, TE) reflections of one interface into tm and te; eps holds a
-    permittivity per row of p, pp = p*p, s and x are scratch.  A side of
-    kind _IDEAL gives 1 and reads nothing; one of kind _MIXED has its rows
-    with eps = inf computed as vacuum and then set to 1, never inf/inf; one
-    of kind _FINITE takes no such step.  TM is computed as in reflection_tm,
-    TE as (eps-1)/(s+p)^2, equal to reflection_te's (s-p)/(s+p) without its
-    cancellation as eps -> 1."""
+# The constant operands of the kernel's ufuncs (_reflections).
+_ZERO, _ONE, _MINUS_TWO = np.array(0.0), np.array(1.0), np.array(-2.0)
+
+
+def _reflections(kind, eps, p, pp, s, x, out):
+    """(TM, TE) reflections of one interface into out[0] and out[1]; eps
+    holds a permittivity per row of p, pp = p*p, s and x are scratch.  A
+    side of kind _IDEAL gives 1 and reads nothing; one of kind _MIXED has
+    its rows with eps = inf computed as vacuum and then set to 1, never
+    inf/inf; one of kind _FINITE takes no such step.  TM is computed as in
+    reflection_tm, TE as (eps-1)/(s+p)^2, equal to reflection_te's
+    (s-p)/(s+p) without its cancellation as eps -> 1."""
     if kind is _IDEAL:
-        return 1.0, 1.0
+        return 1.0
+    tm, te = out[0], out[1]
     eps = eps[:, None]
     if kind is _MIXED:
         ideal = np.isinf(eps)
         eps = np.where(ideal, 1.0, eps)
-    # eps-1 in full: a (rows, 1) operand costs numpy a loop per row
-    em1 = np.subtract(eps, 1.0, out=tm)
-    np.sqrt(np.add(em1, pp, out=s), out=s)
-    np.add(s, p, out=te)
-    np.add(np.multiply(eps, p, out=x), s, out=x)
-    np.multiply(em1, np.subtract(p, np.divide(1.0, te, out=s), out=s), out=s)
-    np.divide(em1, np.multiply(te, te, out=te), out=te)
-    np.divide(s, x, out=tm)
+    # eps-1 in full: a (rows, 1) operand costs numpy a loop per row; every
+    # ufunc here and in _mode_kernel takes its out positionally, the cheaper
+    # way, and a constant operand as a 0-d array, which it need not convert
+    em1 = np.subtract(eps, _ONE, tm)
+    np.sqrt(np.add(em1, pp, s), s)
+    np.add(s, p, te)
+    np.add(np.multiply(eps, p, x), s, x)
+    np.multiply(em1, np.subtract(p, np.divide(_ONE, te, s), s), s)
+    np.divide(em1, np.multiply(te, te, te), te)
+    np.divide(s, x, tm)
     if kind is _MIXED:
-        np.copyto(tm, 1.0, where=ideal)
-        np.copyto(te, 1.0, where=ideal)
-    return tm, te
+        np.copyto(out, 1.0, where=ideal)
+    return out
 
 
 # Nodes at y >= _NEAR_ONE_Y > ln(2)/2 have x <= e^{-2y} < 1/2, with room
@@ -224,7 +240,7 @@ _NEAR_ONE_Y = 0.35
 
 def _one_minus(prod, e2y, em, out):
     """1-x = e^{-2y}(1-prod) - expm1(-2y) into ``out``, which may be prod."""
-    return np.subtract(np.multiply(e2y, np.subtract(1.0, prod, out=out), out=out), em, out=out)
+    return np.subtract(np.multiply(e2y, np.subtract(_ONE, prod, out), out), em, out)
 
 
 def _mode_kernel(y, work: _Workspace, free_energy: bool, kinds, A, eps1, eps3=None):
@@ -250,32 +266,35 @@ def _mode_kernel(y, work: _Workspace, free_energy: bool, kinds, A, eps1, eps3=No
     their nodes with x > 1/2, where log1p(-x) would inherit the rounding of
     x.  Each row's value thus depends on its own mode alone.
     """
-    p, pp, s, x, b1, b2, b3, b4, mask = work.arrays(y.shape)
-    np.divide(y, A[:, None], out=p)
-    np.multiply(p, p, out=pp)
-    tm1, te1 = _reflections(kinds[0], eps1, p, pp, s, x, b1, b2)
-    tm3, te3 = ((tm1, te1) if len(kinds) == 1 else
-                _reflections(kinds[1], eps3, p, pp, s, x, b3, b4))
-    e2y = np.exp(np.multiply(-2.0, y, out=p), out=pp)
-    k = int(A.searchsorted(_NEAR_ONE_Y))  # rows below it, which come first as A ascends
-    em = np.expm1(p[:k], out=p[:k]) if k and not free_energy else None  # e^{-2y} - 1
-    x_far, s_far = x[k:], s[k:]
-    total = 0.0
-    for d1, d3 in ((tm1, tm3), (te1, te3)):
-        prod = np.multiply(d1, d3, out=s)
-        np.multiply(prod, e2y, out=x)
-        if free_energy:
-            near_one = k and np.greater(x[:k], 0.5, out=mask[:k]).any()
-            np.log1p(np.negative(x, out=x), out=x)
-            if near_one:
-                em = np.expm1(p[:k], out=p[:k]) if em is None else em
-                np.log(_one_minus(prod[:k], e2y[:k], em, s[:k]), out=x[:k], where=mask[:k])
-        else:  # 1-x assembled in the first k rows, as it is past them
-            if k:
-                np.divide(x[:k], _one_minus(prod[:k], e2y[:k], em, s[:k]), out=x[:k])
-            np.divide(x_far, np.subtract(1.0, x_far, out=s_far), out=x_far)
-        total = np.add(total, x, out=b1)  # tm1's storage, consumed above
-    return np.multiply(y if free_energy else np.multiply(y, y, out=x), total, out=x)
+    f = work.arrays(y.shape)
+    p, pp = f[0], f[1]
+    np.divide(y, A[:, None], p)
+    np.multiply(p, p, pp)
+    # TM and TE side by side in one (2,) + y.shape array, or 1 for an ideal side
+    d1 = _reflections(kinds[0], eps1, p, pp, f[2], f[3], f[4:6])
+    d3 = d1 if len(kinds) == 1 else _reflections(kinds[1], eps3, p, pp, f[2], f[3], f[6:8])
+    e2y = np.exp(np.multiply(_MINUS_TWO, y, p), pp)
+    # the rows below _NEAR_ONE_Y, which come first as A ascends
+    k = 0 if A[0] >= _NEAR_ONE_Y else int(A.searchsorted(_NEAR_ONE_Y))
+    em = np.expm1(p[:k], p[:k]) if k and not free_energy else None  # e^{-2y} - 1
+    prod = np.multiply(d1, d3, f[2:4])
+    x = np.multiply(prod, e2y, f[4:6])
+    if k:
+        near_x, near_prod = x[:, :k], prod[:, :k]
+    if free_energy:
+        mask = work.mask[:near_x.size].reshape(near_x.shape) if k else None
+        near_one = k and np.count_nonzero(np.greater(near_x, 0.5, mask))
+        np.log1p(np.negative(x, x), x)
+        if near_one:
+            em = np.expm1(p[:k], p[:k])
+            np.log(_one_minus(near_prod, e2y[:k], em, near_prod), out=near_x, where=mask)
+    else:  # 1-x assembled in the first k rows, as it is past them
+        far_x, far_prod = (x[:, k:], prod[:, k:]) if k else (x, prod)
+        if k:
+            np.divide(near_x, _one_minus(near_prod, e2y[:k], em, near_prod), near_x)
+        np.divide(far_x, np.subtract(_ONE, far_x, far_prod), far_x)
+    total = np.add(np.add(_ZERO, x[0], f[2]), x[1], f[2])  # 0.0 + x: -0.0 reads 0.0
+    return np.multiply(y if free_energy else np.multiply(y, y, f[3]), total, f[3])
 
 
 # First breaks of every mode integral, as offsets from its lower limit.
@@ -392,17 +411,22 @@ def _log_bound(A: float, free_energy: bool) -> float:
 
 def _bound_end(low: int, high: int, gamma: float, log_target: float, free_energy: bool) -> int:
     """The first m in [low, high] with _log_bound(m*gamma) <= ``log_target``,
-    else high.  The bound falls with A, so a bisection finds it."""
-    if low >= high or _log_bound(low * gamma, free_energy) <= log_target:
+    else high.  The bound falls with A, nearly linearly once A passes 1, so
+    the search steps to where the line through its bracket's ends meets the
+    target, rounded up, and bisects after a step that did not halve it."""
+    if low >= high or (at_low := _log_bound(low * gamma, free_energy)) <= log_target:
         return min(low, high)
-    if _log_bound(high * gamma, free_energy) > log_target:
+    if (at_high := _log_bound(high * gamma, free_energy)) > log_target:
         return high
-    while high - low > 1:  # the bound misses at low and meets it at high
-        mid = (low + high) // 2
-        if _log_bound(mid * gamma, free_energy) <= log_target:
-            high = mid
+    bisect = False
+    while (width := high - low) > 1:  # the bound misses at low and meets it at high
+        mid = (low + high) // 2 if bisect else min(max(low + math.ceil(
+            (at_low - log_target) / (at_low - at_high) * width), low + 1), high - 1)
+        if (at_mid := _log_bound(mid * gamma, free_energy)) <= log_target:
+            high, at_high = mid, at_mid
         else:
-            low = mid
+            low, at_low = mid, at_mid
+        bisect = not bisect and 2 * (high - low) > width
     return high
 
 
@@ -431,7 +455,7 @@ def _plan(ms: np.ndarray, gamma, zeta1, model1: DielectricModel, model3: Dielect
     zeta = ms * zeta1
     models = (model1,) if model3 is model1 else (model1, model3)
     sides = [(model, np.asarray(model.epsilon(zeta), dtype=float)) for model in models]
-    if len(sides) == 2 and (sides[0][1] == sides[1][1]).all():
+    if len(sides) == 2 and not np.count_nonzero(sides[0][1] != sides[1][1]):
         del sides[1]
     return ms * gamma, zeta, sides, _kernel_sides(*(e for _, e in sides))
 
@@ -457,11 +481,11 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: Quadrat
     Returns (values, errors, failed); a failed mode holds its uncertified
     estimate.
     """
-    for model, e in sides:
-        if np.fmin.reduce(e) < 1.0:  # NaN is not below 1; such a mode fails to certify
-            i = np.argmax(e < 1.0)
+    for (model, e), kind in zip(sides, kinds):  # NaN is not below 1: such a mode fails to certify
+        below = kind is not _IDEAL and e < 1.0  # an ideal side is inf at every mode
+        if np.count_nonzero(below):  # a reduction, such as any(), costs three times as much
+            i = below.argmax()
             raise ValueError(f"{model!r}: epsilon = {e[i]:.6g} < 1 at zeta = {zeta[i]:.6g} eV")
-    args = (lower, *(e for _, e in sides))
     cuts = [*lower.searchsorted(_LADDER_LOWS[free_energy]).tolist(), lower.size]
     rungs = [(lo, hi, pair) for lo, hi, (_, pair) in zip(cuts, cuts[1:], _LADDERS[free_energy])
              if lo < hi]
@@ -471,24 +495,28 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: Quadrat
     if start:  # below the floor: adaptive
         out[0, :start], out[1, :start] = 0.0, np.inf
     if rungs:  # the node column: each mode's offsets from its A, then A added
-        y = np.empty(sum((hi - lo) * dy.shape[-1] for lo, hi, (dy, _) in rungs))
-        counts, k = np.empty(lower.size - start, int), 0  # nodes per mode
-        for lo, hi, (dy, _) in rungs:
-            y[k:k + (hi - lo) * dy.shape[-1]].reshape(hi - lo, -1)[...] = dy
-            counts[lo - start:hi - start], k = dy.shape[-1], k + (hi - lo) * dy.shape[-1]
-        nodes = [a[start:].repeat(counts) for a in args]
+        # where each rung's nodes start and end in the column
+        ends = [0, *itertools.accumulate((hi - lo) * dy.shape[-1] for lo, hi, (dy, _) in rungs)]
+        y, counts = np.empty(ends[-1]), np.empty(lower.size - start, int)  # nodes per mode
+        for (lo, hi, (dy, _)), k, end in zip(rungs, ends, ends[1:]):
+            y[k:end].reshape(hi - lo, -1)[...] = dy
+            counts[lo - start:hi - start] = dy.shape[-1]
+        nodes = [lower[start:].repeat(counts),  # a side ideal at every mode is not read
+                 *(e if kind is _IDEAL else e[start:].repeat(counts)
+                   for (_, e), kind in zip(sides, kinds))]
         y += nodes[0]
         fx = _mode_kernel(y[:, None], work, free_energy, kinds, *nodes)
-        for lo, hi, (dy, weights) in rungs:  # a scaled pair has a row per mode
-            k = (hi - lo) * dy.shape[-1]
-            np.einsum("rn,rkn->kr" if dy.ndim == 2 else "rn,kn->kr", fx[:k].reshape(hi - lo, -1),
-                      weights, out=out[:, lo:hi])
-            fx = fx[k:]
-    values, errors = out[0], np.abs(out[0] - out[1])
-    failed = ~(errors <= np.maximum(spec.integral_rel_tol * np.abs(values), floor))
-    if not failed.any():
+        for (lo, hi, (dy, weights)), k, end in zip(rungs, ends, ends[1:]):
+            _einsum("rn,rkn->kr" if dy.ndim == 2 else "rn,kn->kr",  # a scaled pair: a row per mode
+                    fx[k:end].reshape(hi - lo, -1), weights, out=out[:, lo:hi])
+    values, errors = out[0], out[1]  # the check's row becomes |value - check|
+    np.abs(np.subtract(values, errors, errors), errors)
+    tol = np.abs(values)
+    np.maximum(np.multiply(tol, spec.integral_rel_tol, tol), floor, out=tol)
+    failed = ~(errors <= tol)  # NaN fails
+    if not np.count_nonzero(failed):
         return values, errors, failed
-    y_max = spec.y_max(lower)
+    y_max, args = spec.y_max(lower), (lower, *(e for _, e in sides))
     for i in np.flatnonzero(failed):
         starts = lower[i] + _BREAK_OFFSETS
         row = [a[i:i + 1] for a in args]
@@ -730,7 +758,7 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
             values, errors, failed = _mode_block(
                 lower[part], zeta[part], [(model, e[part]) for model, e in sides], kinds, spec,
                 floor, free_energy, integrate, work)
-            if failed.any():
+            if np.count_nonzero(failed):
                 n_ok = int(failed.argmax())
         scan = _scan_arrays if n_ok >= _ARRAY_SCAN else _scan_loop
         scanned = scan(values[:n_ok], acc, comp, first, min_terms, tail, sum_rel_tol)

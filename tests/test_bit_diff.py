@@ -13,7 +13,8 @@ shown a moved term, value and error, and a term that moved alone, with its
 largest change relative to the value; with ``--rel``, terms and values
 moved within and past the tolerance, and counts, errors and CLI output
 that must still match exactly.  The work counts are shown summed per
-record kind, and a difference in them reported without failing.
+record kind, and a difference in them reported without failing.  The
+split of one kind's time runs in this process on two inputs.
 """
 
 import importlib.util
@@ -244,3 +245,30 @@ def test_rel_prints_the_largest_deviation_per_kind(records, monkeypatch, capsys)
     assert kinds["entropy_ladder"].endswith("0.00e+00 of a value, 5.00e-14 of a term")
     assert kinds["grid Au-Au"].endswith("0.00e+00 of a value, 0.00e+00 of a term")
     assert bit_diff.main(["old", "new"]) == 1  # exact by default
+
+
+def test_split_times_the_parts_of_one_kind_in_this_process(capsys):
+    # the first two seed-0 warm_grid inputs, one pass: the timers count the
+    # calls the work spies count, and both are gone afterwards
+    from casimir import chebyshev, lifshitz
+
+    before = {(module, name): getattr(module, name) for module, name in (
+        (lifshitz, "_plan"), (lifshitz, "_mode_block"), (lifshitz, "_mode_kernel"),
+        (lifshitz, "_scan_loop"), (chebyshev, "_certify"))}
+    assert bit_diff.main(["--split", "warm_grid-0", "--limit", "2", "--passes", "1"]) == 0
+    head, parts, passes, work = capsys.readouterr().out.splitlines()
+    assert head == "split warm_grid-0: 2 records, best of 1 passes, ms (calls)"
+    *timed, rest = parts.split("; ")
+    assert [part.rsplit(" ", 2)[0] for part in timed] == [part for part, *_ in bit_diff.SPLIT]
+    assert rest.startswith("rest ") and passes.startswith("timed pass ")
+    calls = {part.rsplit(" ", 2)[0]: int(part.rsplit("(", 1)[1].rstrip(")")) for part in timed}
+    plans, samples, blocks, *_ = (int(w.replace(",", "")) for w in work.split()
+                                  if w.replace(",", "").isdigit())
+    assert calls["plan"] == plans + samples and calls["block set-up"] == calls["kernel"] == blocks
+    assert {key: getattr(*key) for key in before} == before
+    assert bit_diff._selected("warm_grid-0 #1 Au,ideal a=22.3 T=153.9", "warm_grid-0 #1")
+    assert not bit_diff._selected("warm_grid-0 #12 Au,ideal a=2.3 T=53.9", "warm_grid-0 #1")
+    assert bit_diff._selected("warm_grid-1 #0 x", "warm_grid")
+    assert not bit_diff._selected("grid Au-Au copies a=20.0 T=3.0 P", "grid Au-Au")
+    with pytest.raises(SystemExit, match="no record of kind 'nothing'"):
+        bit_diff.main(["--split", "nothing", "--limit", "1", "--passes", "1"])

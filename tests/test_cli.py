@@ -1,8 +1,10 @@
 import ast
+import contextlib
 import csv
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import casimir
 import casimir.lifshitz
@@ -1004,3 +1007,38 @@ def test_parser_exists_for_all_subcommands():
     parser = build_parser()
     for cmd in ("pressure", "sweep", "table", "entropy", "kk"):
         assert cmd in parser.format_help()
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+LABELS = ("Au", "Cu", "Al", "vacuum", "ideal")
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["pressure", "entropy"]), a=_log_uniform(1e-4, 1e5),
+       T=_log_uniform(1e-6, 1e7), pair=st.tuples(*[st.sampled_from(LABELS)] * 2),
+       int_tol=_log_uniform(1e-16, 3.0), sum_tol=_log_uniform(1e-16, 3.0),
+       bloch_gruneisen=st.booleans(), theta=st.none() | _log_uniform(1e-3, 1e5),
+       fd_step=st.none() | _log_uniform(1e-6, 1e3))
+def test_every_input_in_the_domain_exits_with_a_documented_code(
+        command, a, T, pair, int_tol, sum_tol, bloch_gruneisen, theta, fd_step):
+    # a > 0 and T > 0 with any pair and tolerance: a result or a typed error,
+    # never a traceback or a warning; a warning raised as an error would be
+    # caught by main and hidden as exit 1, so warnings are recorded instead
+    argv = [command, "--pair", ",".join(pair), "--a", repr(a), "--T", repr(T),
+            "--int-tol", repr(int_tol), "--sum-tol", repr(sum_tol)]
+    argv += ["--nu-model", "bloch-gruneisen"] if bloch_gruneisen else []
+    argv += [] if theta is None else ["--theta", repr(theta)]
+    argv += [] if fd_step is None or command != "entropy" else ["--fd-step", repr(fd_step)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_COMPUTE, EXIT_TOLERANCE, EXIT_INPUT), argv
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_INPUT:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+    assert [str(w.message) for w in caught] == [], argv

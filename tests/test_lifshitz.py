@@ -44,6 +44,7 @@ from casimir.lifshitz import (
     _SCALED,
     _Workspace,
     _block_size,
+    _bound_end,
     _kernel_sides,
     _log_bound,
     _mode_block,
@@ -473,6 +474,24 @@ class TestBlockDriver:
         res = casimir_pressure(Geometry(a_um, T_K), AU, CU)
         assert res.n_terms_used == n_terms
         assert res.pressure_mPa == pytest.approx(pressure_mPa, rel=1e-12)
+
+    @pytest.mark.parametrize("a_um,T_K,n_terms,calls", [
+        (5.0, 300.0, 5, 1),     # the median cell of a warm grid
+        (1.16, 166.0, 22, 1),
+        (88.0, 300.0, 5, 0),    # the bound puts mode 1 below the floor
+    ])
+    def test_a_short_sum_makes_one_plan_block_and_kernel_call(self, a_um, T_K, n_terms, calls,
+                                                              monkeypatch):
+        from casimir import lifshitz
+
+        counts = dict.fromkeys(("_plan", "_mode_block", "_mode_kernel"), 0)
+        for name in counts:
+            def spy(*args, name=name, fn=getattr(lifshitz, name)):
+                counts[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(lifshitz, name, spy)
+        assert casimir_pressure(Geometry(a_um, T_K), AU, AU).n_terms_used == n_terms
+        assert counts == dict.fromkeys(counts, calls)
 
     def test_stop_at_first_mode(self):
         res = casimir_pressure(Geometry(100.0, 300.0), AU, AU, QuadratureSpec(min_terms=1))
@@ -906,14 +925,14 @@ class TestModeKernel:
         # precision as eps -> 1, which is why the kernel does not use it
         em1 = np.geomspace(1e-3, 1e6, 40)
         p = np.broadcast_to(np.geomspace(1.0, 1e3, 50), (40, 50)).copy()
-        s, x, tm, te = (np.empty_like(p) for _ in range(4))
-        _, te = _reflections(_FINITE, 1.0 + em1, p, p * p, s, x, tm, te)
+        s, x, out = np.empty_like(p), np.empty_like(p), np.empty((2, *p.shape))
+        _, te = _reflections(_FINITE, 1.0 + em1, p, p * p, s, x, out)
         public = reflection_te(np.sqrt((1.0 + em1[:, None]) - 1.0 + p * p), p)
         assert np.abs(te - public).max() <= 1e-14
         # near vacuum the kernel keeps its relative precision:
         # TE = (eps-1)/(4 p^2) to first order in eps-1
         eps = np.array([1.0 + 1e-12])
-        _, te = _reflections(_FINITE, eps, p[:1], p[:1] ** 2, s[:1], x[:1], tm[:1], te[:1])
+        _, te = _reflections(_FINITE, eps, p[:1], p[:1] ** 2, s[:1], x[:1], out[:, :1])
         assert te == pytest.approx((eps - 1.0) / (4.0 * p[:1] ** 2), rel=1e-11, abs=0.0)
 
     def test_tabulated_pair_symmetry_is_exact(self):
@@ -1452,14 +1471,37 @@ class TestBlockSchedule:
     @given(first=st.integers(1, 5000),
            gamma=st.floats(math.log(1e-4), math.log(50.0)).map(math.exp),
            log_target=st.floats(-60.0, 2.0), free=st.booleans(),
-           min_terms=st.sampled_from([1, 5, 200]), cap=st.sampled_from([_BLOCK_CAP, 1000]))
+           min_terms=st.sampled_from([1, 5, 200]),
+           cap=st.sampled_from([_BLOCK_CAP, 1000, 30_000]))
     def test_size_reaches_the_first_mode_within_the_bound(self, first, gamma, log_target, free,
                                                           min_terms, cap):
+        # the search steps along secants, which the bound's curvature at small
+        # A slows down over a wide bracket; the walk is the reference
         m = max(first, min_terms)  # walk the modes one by one
         while m < first + cap and _log_bound(m * gamma, free) > log_target:
             m += 1
         size = _block_size(first, gamma, log_target, free, min_terms, cap)
         assert size == min(m - first + 1, cap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(low=st.integers(1, 2000),
+           width=st.floats(0.0, math.log(300_000)).map(lambda u: int(math.exp(u))),
+           gamma=st.floats(math.log(1e-8), math.log(1e3)).map(math.exp),
+           at=st.floats(0.0, 1.0), free=st.booleans())
+    def test_bound_end_is_where_a_bisection_ends(self, low, width, gamma, at, free):
+        # targets the bound meets inside the bracket, where the search steps
+        high = low + width
+        log_target = _log_bound((low + at * width) * gamma, free)
+        if low >= high or _log_bound(low * gamma, free) <= log_target:
+            want = min(low, high)
+        elif _log_bound(high * gamma, free) > log_target:
+            want = high
+        else:
+            lo, want = low, high
+            while want - lo > 1:
+                mid = (lo + want) // 2
+                lo, want = (lo, mid) if _log_bound(mid * gamma, free) <= log_target else (mid, want)
+        assert _bound_end(low, high, gamma, log_target, free) == want
 
     @pytest.mark.parametrize("size", [1, 7, _BLOCK_CAP])
     @pytest.mark.parametrize("cell", sorted(SCHEDULE_CELLS))

@@ -8,12 +8,14 @@ with ``math.fsum`` and converts to SI once.  It shares only the integrand
 with the fast path: no rule ladder, block, plan, screen, interpolant, floor,
 bound or stop rule.  Past N the unit-reflection bound puts the tail below
 1e-17 of the static term.  The fast path runs at QuadratureSpec(1e-13,
-1e-13) and must meet the reference to 4e-13 of its value.
+1e-13) and must meet the reference to 4e-13 of its value, also where a sum
+plans its modes again (_PLAN_CAP cut to 200).
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from casimir.dielectric import (
@@ -86,6 +88,30 @@ def reference_sum(geom, pair, free):
 def test_the_sums_meet_a_plain_reference(gamma, T_K, pair, what):
     geom = Geometry(gamma * CODATA.hbar_c_eV_um / matsubara_frequency(1, T_K), T_K)
     res = EVALUATE[what](geom, *PAIRS[pair], SPEC)
+    fast = res.pressure_mPa if what == "pressure" else res.free_energy_J_per_m2
+    ref = reference_sum(geom, PAIRS[pair], what == "free-energy")
+    assert abs(fast - ref) <= REL * abs(ref), (fast, ref, abs(fast - ref) / abs(ref))
+
+
+@pytest.mark.parametrize("pair, what", [("Au-Cu", "free-energy"), ("Au-Cu", "pressure"),
+                                        ("tabulated-Cu", "pressure")])
+def test_sums_that_plan_again_meet_the_reference(pair, what, monkeypatch):
+    # at 1 um and 1 K with at most 200 modes a plan: Au-Cu plans again for
+    # the screens of its Chebyshev panels and for the panel that holds its
+    # stop, where the terms lie below 1e-13 of the sum; the tabulated side
+    # interpolates nothing, so the modes it plans again carry weight
+    import casimir.lifshitz as lifshitz
+
+    plans, plan = [], lifshitz._plan
+
+    def counted(ms, *args):
+        plans.append(ms.dtype.kind)  # a Chebyshev sample plan takes float modes
+        return plan(ms, *args)
+    monkeypatch.setattr(lifshitz, "_PLAN_CAP", 200)
+    monkeypatch.setattr(lifshitz, "_plan", counted)
+    geom = Geometry(1.0, 1.0)
+    res = EVALUATE[what](geom, *PAIRS[pair], SPEC)
+    assert plans.count("i") > 1
     fast = res.pressure_mPa if what == "pressure" else res.free_energy_J_per_m2
     ref = reference_sum(geom, PAIRS[pair], what == "free-energy")
     assert abs(fast - ref) <= REL * abs(ref), (fast, ref, abs(fast - ref) / abs(ref))

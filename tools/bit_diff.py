@@ -1,6 +1,7 @@
 """Check that two source trees give the same bits on the benchmark's inputs.
 
     python tools/bit_diff.py OLD_TREE NEW_TREE [--limit N] [--rel TOL]
+    python tools/bit_diff.py [TREE ...] --split KIND [--passes N] [--limit N]
 
 Each tree is a checkout of this repository.  For each, a subprocess with that
 tree's ``src`` on ``PYTHONPATH`` evaluates the records below and writes, per
@@ -55,6 +56,21 @@ the adaptive quadrature's included), counted by spies in the dump
 subprocess.  A tree that does other work is reported, not failed, since
 a change may move the work on purpose.
 
+``--split KIND`` times where the sums of one record kind spend their time,
+on each TREE in a subprocess of its own, or without a TREE in this process
+on the importable casimir.  KIND is a record kind as the work lines name it
+(``warm_grid``, ``grid Au-Au``), a recorded file (``warm_grid-0``), a record
+(``warm_grid-0 #234``) or a record's id; the CLI records are left out.  The
+records' calls, their arguments built beforehand, are replayed in turn,
+``--passes`` times (9 by default) with timers and the work spies and as
+often without them.  It prints, in ms and with the calls, the self time of
+the plans (``_plan``), the block set-up (``_mode_block`` less the kernel),
+the kernel (``_mode_kernel``), the Chebyshev work (``chebyshev._certify``
+less its samples, and ``_interpolated``) and the scans (``_scan_loop``,
+``_scan_arrays``), and the rest of the pass (the sum driver, its bounds and
+results), all from the fastest timed pass; then that pass and the fastest
+untimed one, whose difference is the timers' own cost, and the work counts.
+
 ``--rel TOL`` is for a change that moves the last bits of values on
 purpose.  Every ``n_terms_used``, error type and message, exit code, CLI
 stdout and stderr and ``kk`` table must still match exactly, but a value
@@ -68,10 +84,12 @@ from __future__ import annotations
 import argparse
 import base64
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +110,11 @@ REPLAN = (("P", ("Au", "Au"), 0.16, 0.5), ("F", ("Au", "Al"), 0.16, 0.5))
 PANEL = (("P", "weak-weak"), ("F", "weak-weak"), ("P", "ideal-at-150-Cu"))
 # the work counted per record (_count_work)
 WORK = ("integer-mode plans", "sample plans", "_mode_block calls", "rows", "kernel nodes")
+# the parts of a split (--split), each the self time of the functions named
+SPLIT = (("plan", "lifshitz._plan"), ("block set-up", "lifshitz._mode_block"),
+         ("kernel", "lifshitz._mode_kernel"),
+         ("Chebyshev", "chebyshev._certify", "chebyshev._interpolated"),
+         ("scans", "lifshitz._scan_loop", "lifshitz._scan_arrays"))
 # argv of the help and usage records
 USAGE = (["--help"], *([cmd, "--help"] for cmd in ("pressure", "sweep", "table", "entropy", "kk")),
          [], ["sweep", "--format", "json"])
@@ -185,8 +208,9 @@ def _evaluate(C, fn, *args) -> dict:
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def records(limit: int | None = None):
-    """(id, fields) of every record, evaluated with the importable casimir."""
+def cases(limit: int | None = None):
+    """(id, function, arguments) of every record that runs in this process, on
+    the importable casimir: all but the CLI's."""
     import casimir as C
     from casimir.thermo import _ENTROPY_SPEC, _ENTROPY_STEP_K
 
@@ -202,31 +226,37 @@ def records(limit: int | None = None):
             for i, (labels, a_um, T_K, *with_bg) in enumerate(inputs):
                 key = f"{workload}-{seed} #{i} {','.join(labels)} a={a_um!r} T={T_K!r}"
                 if workload != "entropy_ladder":
-                    yield key, _evaluate(C, C.casimir_pressure, C.Geometry(a_um, T_K),
-                                         *map(models.get, labels))
+                    yield key, C.casimir_pressure, (C.Geometry(a_um, T_K),
+                                                    *map(models.get, labels))
                     continue
                 pair = tuple(map((bg_models if with_bg[0] else models).get, labels))
                 for t in (T_K - _ENTROPY_STEP_K, T_K + _ENTROPY_STEP_K):
-                    yield f"{key} F at {t!r}", _evaluate(C, C.free_energy, C.Geometry(a_um, t),
-                                                         *pair, _ENTROPY_SPEC)
+                    yield f"{key} F at {t!r}", C.free_energy, (C.Geometry(a_um, t), *pair,
+                                                               _ENTROPY_SPEC)
     fns = {"P": C.casimir_pressure, "F": C.free_energy}
     grid = [(a, t) for a in GRID_A_UM for t in GRID_T_K][:limit]
     for kind, pair in _models(C).items():
         for a_um, T_K in grid:
             geom = C.Geometry(a_um, T_K)
             for name, fn in fns.items():
-                yield f"grid {kind} a={a_um} T={T_K} {name}", _evaluate(C, fn, geom, *pair)
+                yield f"grid {kind} a={a_um} T={T_K} {name}", fn, (geom, *pair)
     for name, a_um, T_K, spec in ADAPTIVE[:limit]:
-        yield (f"adaptive Au-Au a={a_um} T={T_K} {name}",
-               _evaluate(C, fns[name], C.Geometry(a_um, T_K), models["Au"], models["Au"],
-                         C.QuadratureSpec(**spec)))
+        yield (f"adaptive Au-Au a={a_um} T={T_K} {name}", fns[name],
+               (C.Geometry(a_um, T_K), models["Au"], models["Au"], C.QuadratureSpec(**spec)))
     for name, labels, a_um, T_K in REPLAN[:limit]:
-        yield (f"replan {'-'.join(labels)} a={a_um} T={T_K} {name}",
-               _evaluate(C, fns[name], C.Geometry(a_um, T_K), *map(models.get, labels)))
+        yield (f"replan {'-'.join(labels)} a={a_um} T={T_K} {name}", fns[name],
+               (C.Geometry(a_um, T_K), *map(models.get, labels)))
     pairs = _panel_pairs(C)
     for name, kind in PANEL[:limit]:
-        yield (f"panel {kind} a=1.0 T=1.0 {name}",
-               _evaluate(C, fns[name], C.Geometry(1.0, 1.0), *pairs[kind]))
+        yield f"panel {kind} a=1.0 T=1.0 {name}", fns[name], (C.Geometry(1.0, 1.0), *pairs[kind])
+
+
+def records(limit: int | None = None):
+    """(id, fields) of every record, evaluated with the importable casimir."""
+    import casimir as C
+
+    for key, fn, args in cases(limit):
+        yield key, _evaluate(C, fn, *args)
     yield from _cli_records(C, limit)
 
 
@@ -250,6 +280,84 @@ def _count_work(lifshitz) -> list:
         return kernel(y, *args)
     lifshitz._plan, lifshitz._mode_block, lifshitz._mode_kernel = _plan, _mode_block, _mode_kernel
     return counts
+
+
+def _timers(modules: dict) -> dict:
+    """Wrap each function of SPLIT in ``modules`` ({name: module}) so that
+    every call adds its own time, less that of the timed calls inside it,
+    and 1 to its part's [seconds, calls] in the dict returned."""
+    spent, inner = {part: [0.0, 0] for part, *_ in SPLIT}, []  # inner: per open call
+
+    def timed(fn, tally):
+        def wrapper(*args, **kwargs):
+            inner.append(0.0)
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                dt = time.perf_counter() - t0
+                tally[0] += dt - inner.pop()
+                tally[1] += 1
+                if inner:
+                    inner[-1] += dt
+        return wrapper
+    for part, *names in SPLIT:
+        for module, name in (name.split(".") for name in names):
+            setattr(modules[module], name, timed(getattr(modules[module], name), spent[part]))
+    return spent
+
+
+def _selected(key: str, kind: str) -> bool:
+    """Whether the record ``key`` is of ``kind``: its record kind (_kind),
+    its recorded file (as ``warm_grid-0``), its id, or its file and number
+    (as ``warm_grid-0 #234``)."""
+    head, _, number = key.partition(" #")
+    return kind in (_kind(key), head, key) or (
+        bool(number) and kind == f"{head} #{number.split()[0]}")
+
+
+def split(kind: str, limit: int | None, passes: int) -> list[str]:
+    """Lines of the split of the records of ``kind`` (_selected) that run in
+    this process: their calls replayed in turn, best of ``passes`` timed
+    passes, each after an untimed one.  A timed pass has the timers of
+    _timers and the spies of _count_work; its parts, the rest of it and the
+    fastest untimed pass are printed in ms."""
+    import casimir as C
+    from casimir import chebyshev, lifshitz
+
+    calls = [(fn, args) for key, fn, args in cases(limit) if _selected(key, kind)]
+    if not calls:
+        sys.exit(f"no record of kind {kind!r}")
+    modules = {"lifshitz": lifshitz, "chebyshev": chebyshev}
+    saved = {(modules[module], name): getattr(modules[module], name)  # the timers and spies
+             for _, *names in SPLIT for module, name in (name.split(".") for name in names)}
+
+    def replay() -> float:
+        t0 = time.perf_counter()
+        for fn, args in calls:
+            try:
+                fn(*args)
+            except (C.QuadratureError, C.SumConvergenceError, ValueError):
+                pass  # warm_grid's underflow cells raise, as in the benchmark
+        return time.perf_counter() - t0
+    untimed, best = math.inf, None
+    for _ in range(passes):
+        untimed = min(untimed, replay())
+        spent, counts = _timers(modules), _count_work(lifshitz)
+        try:
+            total = replay()
+        finally:
+            for (module, name), fn in saved.items():
+                setattr(module, name, fn)
+        if best is None or total < best[0]:
+            best = total, spent, counts
+    total, spent, counts = best
+    parts = "; ".join(f"{part} {1e3 * s:.4g} ({n:,})" for part, (s, n) in spent.items())
+    rest = 1e3 * (total - sum(s for s, _ in spent.values()))
+    return [f"split {kind}: {len(calls)} records, best of {passes} passes, ms (calls)",
+            f"{parts}; rest {rest:.4g}",
+            f"timed pass {1e3 * total:.4g}, untimed pass {1e3 * untimed:.4g}",
+            "work: {:,} + {:,} plans, {:,} blocks, {:,} rows, {:,} kernel nodes".format(*counts)]
 
 
 def _cli_records(C, limit: int | None):
@@ -393,8 +501,22 @@ def main(argv=None) -> int:
                         help="first N inputs of each recorded file and grid pair kind")
     parser.add_argument("--rel", type=float, default=None,
                         help="let values and terms move by up to this relative amount")
+    parser.add_argument("--split", metavar="KIND", default=None,
+                        help="time the parts of one record kind's sums on each tree")
+    parser.add_argument("--passes", type=int, default=9, help="passes of --split")
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.split is not None:
+        argv = ["--split", args.split, "--passes", str(args.passes)]
+        argv += [] if args.limit is None else ["--limit", str(args.limit)]
+        for tree in args.trees:
+            print(f"{tree}:", flush=True)
+            env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"),
+                       PYTHONDONTWRITEBYTECODE="1")
+            subprocess.run([sys.executable, __file__, *argv], env=env, check=True)
+        if not args.trees:
+            print("\n".join(split(args.split, args.limit, args.passes)))
+        return 0
     if args.dump:
         from casimir import lifshitz
 
