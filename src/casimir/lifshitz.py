@@ -19,7 +19,8 @@ of all the modes the bound lets it reach, each side classified once as
 ideal at all, none or some of them, and each block takes a slice of that
 plan.  A sum whose bound puts mode 1 below its first floor reads 0 up to
 min_terms, never integrated.  A long block's values are summed in array
-passes, a short one's in a loop, with the same bits.
+passes, a short one's in a loop, with the same bits.  A sum (_sum_steps)
+asks for each block it integrates; _summed_modes answers with _mode_block.
 Past mode 128 a long sum of two analytic sides (Drude, ideal) takes most
 terms from Chebyshev interpolants in m (casimir.chebyshev) of sample
 points it integrates, both screened for bad permittivities (_screen).
@@ -179,8 +180,10 @@ class _Workspace:
 
     def arrays(self, shape):
         n = shape[0] * shape[1]
-        if self.size < n:
-            self.size, self.floats, self.mask = n, np.empty(8 * n), np.empty(2 * n, dtype=bool)
+        if self.size < n:  # a large one on a 64-byte cache line: split stores cost more
+            floats = np.empty(8 * n + 7)
+            start = -floats.ctypes.data % 64 // 8 if n > 4096 else 0
+            self.size, self.floats, self.mask = n, floats[start:], np.empty(2 * n, dtype=bool)
         return self.floats[:8 * n].reshape((8,) + shape)  # unpacking it would cost 1 us
 
 
@@ -438,15 +441,6 @@ def _block_size(first: int, gamma: float, log_target: float, free_energy: bool,
                       free_energy) - first + 1
 
 
-def _nodes(A: float, free_energy: bool) -> int:
-    """Kernel nodes of the pair the integrand's ladder gives a mode at A
-    (_mode_block): a rung's or the A-scaled one's; 0 below the floor."""
-    i = int(_LADDER_LOWS[free_energy].searchsorted(A, "right")) - 1
-    if i < 0:
-        return 0
-    return (_LADDERS[free_energy][i][1] or _scaled_rule(1 - math.frexp(A)[1]))[0].size
-
-
 def _plan(ms: np.ndarray, gamma, zeta1, model1: DielectricModel, model3: DielectricModel):
     """Lower limits m*gamma, zeta_m = m*zeta1 in eV, (model, eps(i zeta_m))
     per distinct side of the Matsubara indices ``ms`` and their kinds
@@ -562,8 +556,8 @@ def _mode_error(m: int, geom: Geometry, estimate: float, error: float) -> Quadra
 
 def _sides_at(geom: Geometry, model1: DielectricModel, model3: DielectricModel):
     """Both sides at geom.T_K; a model passed as both sides stays one object."""
-    model1 = model1.at(geom.T_K)
-    return model1, model1 if model3 is model1 else model3.at(geom.T_K)
+    side1 = model1.at(geom.T_K)  # TabulatedModel.at may return a new object per call
+    return side1, side1 if model3 is model1 else model3.at(geom.T_K)
 
 
 def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
@@ -640,58 +634,56 @@ def _scan_arrays(values: np.ndarray, acc: float, comp: float, first: int, min_te
     return float(new[-1]), float(comps[-1]), values.size, False
 
 
-def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
-                  spec: QuadratureSpec, free_energy: bool, integrate, unit: float, result):
-    """Primed Matsubara sum driver shared by pressure and free energy.
+def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
+               spec: QuadratureSpec, free_energy: bool, integrate, work, unit: float, result):
+    """Primed Matsubara sum of the pressure or the free energy, a generator
+    holding one sum's state: for each block it integrates, the first one
+    included, it yields the block's slice of the plan and its floor, (lower,
+    zeta, sides, kinds, floor), and takes back _mode_block's answer.
 
-    Modes are integrated in blocks; every integral of a block is certified
-    to max(integral_rel_tol * |I_m|, integral_rel_tol * sum_rel_tol * |S|),
-    with S the running sum at the block's start.  Every term has the sign
-    of the static term, so |S| only grows and that floor stays below the
-    sum's own tolerance scale; it stops terms that underflow from refining
-    forever.  A block runs up to the first m >= min_terms at which the
-    unit-reflection bound of _log_bound, times max(1, r/(1-r)), falls to
-    sum_rel_tol * |S|, where the stop rule below is certain to fire, and at
-    max_terms at the latest.  The first block holds at most _BLOCK_CAP
-    modes, so a sum of up to _BLOCK_CAP terms takes one block, and sizes
-    the kernel workspace.  A later block holds as many modes as the
-    workspace holds nodes for at its first mode's rule (_nodes; nodes per
-    mode never rise with A, so it never grows), at least _BLOCK_CAP, and its
-    bound is rescaled through the last term t used: the target rises by
-    shift = ln(bound/|t|) >= 0 there, so a long block does not run far past
-    the stop; where it ends early, the next block goes on.  A mode's value
-    depends on its block only through the floor.  The first block plans
-    (_plan, a kind per side) the modes up to the m where the bound meets the
-    target at |S| = |static term|, at most _PLAN_CAP and max_terms, so later
-    blocks end there too; one reaching past its plan plans again, as far as
-    the bound without the shift.  If the bound at m = 1 is at or below the
-    first block's floor, every mode is (|I_m| <= bound <= floor, a block's
-    certificate): the modes 1..min_terms read 0, with no plan or block, and
-    the stop rule fires at min_terms.
+    Every integral of a block is certified to max(integral_rel_tol * |I_m|,
+    integral_rel_tol * sum_rel_tol * |S|), with S the running sum at the
+    block's start.  Every term has the sign of the static term, so |S| only
+    grows and that floor stays below the sum's own tolerance scale; it stops
+    terms that underflow from refining forever.  A block runs up to the first
+    m >= min_terms at which the unit-reflection bound of _log_bound, times
+    max(1, r/(1-r)), falls to sum_rel_tol * |S|, where the stop rule below
+    is certain to fire, and at max_terms at the latest.  The first block
+    holds at most _BLOCK_CAP modes, so a sum of up to _BLOCK_CAP terms takes
+    one block, and sizes the kernel workspace ``work``.  A later block holds
+    as many modes as ``work`` holds nodes for at its first mode's rule
+    (nodes per mode never rise with A, so it never grows), at least
+    _BLOCK_CAP, and its bound is rescaled through the last term t used: the
+    target rises by shift = ln(bound/|t|) >= 0 there, so a long block does
+    not run far past the stop.  A mode's value depends on its block only
+    through the floor.  The first block plans (_plan, a kind per side) the
+    modes up to the m where the bound meets the target at |S| = |static
+    term|, at most _PLAN_CAP and max_terms, so later blocks end there too;
+    one reaching past its plan plans again, as far as the bound without the
+    shift.  If the bound at m = 1 is at or below the first block's floor, so
+    is every mode's (|I_m| <= bound <= floor, a block's certificate): modes
+    1..min_terms read 0, with no plan or block, and the sum stops there.
 
     Past mode _BLOCK_CAP, with two ``analytic`` sides and the bound's stop
     there _PANEL_MIN modes on, chebyshev._certify fits the panels from
-    _BLOCK_CAP to that stop to the samples of _sampled; blocks end before each
-    panel.  A certified panel is one block of chebyshev._interpolated terms
-    unless the stop falls in it or _screen, as for the samples, finds a
-    permittivity below 1, NaN or ideal at some modes only there; then it is
-    integrated in blocks.  So a failure past the stop moves no value, nor
-    does the block schedule.
+    _BLOCK_CAP to that stop to the samples of _sampled, which calls
+    _mode_block in ``work``; blocks end before each panel.  A certified
+    panel is one block of chebyshev._interpolated terms unless the stop falls
+    in it or _screen, as for the samples, finds a permittivity below 1, NaN
+    or ideal at some modes only there; then it is integrated in blocks.  So
+    a failure past the stop moves no value, nor does the block schedule.
 
-    Every block takes one body.  Its values come from a certified panel's
-    interpolant or from _mode_block; those up to its first failed mode
-    are accumulated in increasing m with Neumaier compensation, one by one
-    (_scan_loop) if there are fewer than _ARRAY_SCAN, else in array passes
-    with the same bits (_scan_arrays), and the terms used are appended.
-    The sum stops at the first m >= min_terms where the term and its
-    estimated geometric tail |t_m| * r/(1-r),
-    r = e^{-2*gamma} (1-r computed by expm1, so it stays positive however
-    small gamma is), both fall below sum_rel_tol relative to the accumulated
-    total; the tail estimate keeps the truncation bias itself at the
-    tolerance level, which matters for temperature derivatives downstream.
-    Modes past the stop are discarded, whether or not their integrals were
-    certified.  The terms are kept as slices of the block values and joined
-    once at the end.
+    Every block takes one body: its values, from a certified panel's
+    interpolant or its request, are accumulated up to its first failed mode
+    in increasing m with Neumaier compensation, one by one (_scan_loop) if
+    there are fewer than _ARRAY_SCAN, else in array passes with the same
+    bits (_scan_arrays).  The sum stops at the first m >= min_terms where the
+    term and its estimated geometric tail |t_m| * r/(1-r), r = e^{-2*gamma}
+    (1-r by expm1, positive however small gamma is), both fall below
+    sum_rel_tol relative to the accumulated total; the tail estimate keeps
+    the truncation bias itself at the tolerance level, which matters for
+    temperature derivatives downstream.  Modes past the stop are discarded,
+    whether or not their integrals were certified.
 
     Both sides are taken at geom.T_K (``DielectricModel.at``) first.
     Returns ``result(total, static term, terms, n_terms_used, converged)``,
@@ -715,7 +707,6 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     floor = spec.integral_rel_tol * sum_rel_tol * abs(zero_coeff)  # the first block's
     if floor and _log_bound(gamma, free_energy) <= math.log(floor):  # so is every mode's bound
         n_terms, converged, terms = min_terms, True, [np.zeros(min_terms)]
-    work = _Workspace()
     start = end = 1  # the plan holds the modes from start to end - 1
     cap, shift, fill = _BLOCK_CAP, 0.0, 0  # the first block's cap, its bound's shift, workspace
     # {first mode: (last mode, coefficients or None)} of the panels; for analytic sides
@@ -724,16 +715,18 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     while not converged and n_terms < spec.max_terms:
         first, total = n_terms + 1, abs(acc + comp)
         floor = spec.integral_rel_tol * sum_rel_tol * total
+        target = log_tol + math.log(total)  # ln of the bound where the stop rule fires
         if terms:  # a later block: the modes whose nodes fit the workspace, a rescaled bound
-            nodes, last = _nodes(first * gamma, free_energy), abs(float(terms[-1][-1]))
+            A, last, ladder = first * gamma, abs(float(terms[-1][-1])), _LADDERS[free_energy]
+            i = int(_LADDER_LOWS[free_energy].searchsorted(A, "right")) - 1  # -1 below the floor
             fill = fill or work.size  # the first block's: the samples do not move a block
-            cap = max(fill // nodes, _BLOCK_CAP) if nodes else _BLOCK_CAP
+            cap = _BLOCK_CAP if i < 0 else max(  # the nodes of its first mode's pair
+                fill // (ladder[i][1] or _scaled_rule(1 - math.frexp(A)[1]))[0].size, _BLOCK_CAP)
             # the bound exceeds the last term by e^shift: take it through that term
             shift = last and max(0.0, _log_bound(n_terms * gamma, free_energy) - math.log(last))
-        bound = (first, gamma, log_tol + math.log(total), free_energy, min_terms)
         if panels.get(first, ()) is None:  # at mode _BLOCK_CAP + 1: panels to the stop
             stop, panels = _bound_end(max(_BLOCK_CAP + _PANEL_MIN, min_terms), spec.max_terms,
-                                      *bound[1:4]), {}
+                                      gamma, target, free_energy), {}
             if stop > _BLOCK_CAP + _PANEL_MIN:
                 from . import chebyshev  # here: most processes never load it
                 sample = functools.partial(_sampled, (gamma, zeta1, model1, model3),
@@ -743,21 +736,21 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
         hi, coeffs = panels.get(first) or (0, None)  # then each panel is one block
         size = hi - first + 1  # a certified panel's modes
         if coeffs is None:
-            size = _block_size(first, gamma, bound[2] + shift, free_energy, min_terms, cap)
+            size = _block_size(first, gamma, target + shift, free_energy, min_terms, cap)
             if terms and panels:  # a later block ends before the next panel
                 size = min([size, *(lo - first for lo in panels if lo > first)])
         size = min(size, spec.max_terms - n_terms)  # the block's modes
         if first + size > end:  # past the plan: plan from first
-            n = size if size < cap and not shift else _block_size(*bound, _PLAN_CAP)
+            n = size if size < cap and not shift else _block_size(
+                first, gamma, target, free_energy, min_terms, _PLAN_CAP)
             start, end = first, min(first + max(n, size), spec.max_terms + 1)
             lower, zeta, sides, kinds = _plan(np.arange(start, end), gamma, zeta1, model1, model3)
         part, n_ok = slice(first - start, first + size - start), size  # values before a failure
         if coeffs is not None:  # a panel's values come from its interpolant
             values = chebyshev._interpolated(coeffs, first, hi, gamma)
-        else:
-            values, errors, failed = _mode_block(
-                lower[part], zeta[part], [(model, e[part]) for model, e in sides], kinds, spec,
-                floor, free_energy, integrate, work)
+        else:  # the request: the block's slice of the plan, and its floor
+            values, errors, failed = yield (
+                lower[part], zeta[part], [(model, e[part]) for model, e in sides], kinds, floor)
             if np.count_nonzero(failed):
                 n_ok = int(failed.argmax())
         scan = _scan_arrays if n_ok >= _ARRAY_SCAN else _scan_loop
@@ -774,10 +767,22 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     out = result((acc + comp) * unit, zero_coeff * unit, terms * unit, n_terms, converged)
     if not converged:
         what = "free-energy" if free_energy else "frequency"
-        raise SumConvergenceError(
-            f"{what} sum not converged after {n_terms} terms "
-            f"(a={geom.a_um} um, T={geom.T_K} K)", out)
+        raise SumConvergenceError(f"{what} sum not converged after {n_terms} terms "
+                                  f"(a={geom.a_um} um, T={geom.T_K} K)", out)
     return out
+
+
+def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
+                  spec: QuadratureSpec, free_energy: bool, integrate, unit: float, result):
+    """_sum_steps' result, each block it asks for answered by _mode_block in one workspace."""
+    work, out = _Workspace(), None
+    steps = _sum_steps(geom, model1, model3, spec, free_energy, integrate, work, unit, result)
+    try:
+        while True:
+            lower, zeta, sides, kinds, floor = steps.send(out)
+            out = _mode_block(lower, zeta, sides, kinds, spec, floor, free_energy, integrate, work)
+    except StopIteration as done:
+        return done.value
 
 
 def casimir_pressure(geom: Geometry, model1: DielectricModel,

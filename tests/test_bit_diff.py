@@ -14,7 +14,8 @@ largest change relative to the value; with ``--rel``, terms and values
 moved within and past the tolerance, and counts, errors and CLI output
 that must still match exactly.  The work counts are shown summed per
 record kind, and a difference in them reported without failing.  The
-split of one kind's time runs in this process on two inputs.
+split of one kind's time runs in this process on two inputs, and on two
+trees in rounds that alternate their order.
 """
 
 import importlib.util
@@ -272,3 +273,30 @@ def test_split_times_the_parts_of_one_kind_in_this_process(capsys):
     assert not bit_diff._selected("grid Au-Au copies a=20.0 T=3.0 P", "grid Au-Au")
     with pytest.raises(SystemExit, match="no record of kind 'nothing'"):
         bit_diff.main(["--split", "nothing", "--limit", "1", "--passes", "1"])
+
+
+def test_split_on_trees_alternates_their_order_by_round(monkeypatch, capsys):
+    # this tree under two names, four passes: two rounds of three, the
+    # second in the other order, each tree in a process of its own
+    trees, order, answer = [str(ROOT), str(ROOT / "tests" / "..")], [], bit_diff._answer
+
+    def spy(child, tree):
+        order.append(str(tree))
+        return answer(child, tree)
+    monkeypatch.setattr(bit_diff, "_answer", spy)
+    assert bit_diff.main([*trees, "--split", "warm_grid-0", "--limit", "2", "--passes", "4"]) == 0
+    head, *lines, ratio = capsys.readouterr().out.splitlines()
+    a, b = trees
+    assert order == [a, b, a, b, b, a]  # the record counts, then the rounds
+    assert head == ("split warm_grid-0: 2 records, median over 2 rounds of the fastest of 3 "
+                    "passes, the trees' order alternating, ms (calls)")
+    assert [line.split(": ")[0] for line in lines] == [a] * 3 + [b] * 3
+    parts, passes, work = (line.split(": ", 1)[1] for line in lines[:3])
+    assert parts.startswith("plan ") and "; rest " in parts and passes.startswith("timed pass ")
+    assert work.startswith("work: 2 + 0 plans, 2 blocks") and lines[5] == f"{b}: {work}"
+    assert ratio.startswith(f"ratio {b} / {a}: ")
+    values = dict(item.rsplit(" ", 1) for item in ratio.split(": ", 1)[1].split("; "))
+    assert list(values) == [part for part, *_ in bit_diff.SPLIT] + [
+        "rest", "timed pass", "untimed pass"]
+    assert values["Chebyshev"] == "-"  # no Chebyshev work: no ratio
+    assert all(0.2 < float(v) < 5.0 for k, v in values.items() if k != "Chebyshev")

@@ -33,6 +33,7 @@ from casimir.lifshitz import (
     _ARRAY_SCAN,
     _BLOCK_CAP,
     _BREAK_OFFSETS,
+    _ENTROPY_SPEC,
     _FINITE,
     _IDEAL,
     _MIXED,
@@ -53,6 +54,7 @@ from casimir.lifshitz import (
     _reflections,
     _scan_arrays,
     _scan_loop,
+    _sum_steps,
     SumConvergenceError,
     casimir_pressure,
     lifshitz_variables,
@@ -71,7 +73,7 @@ from casimir.quantities import (
     pressure_to_si,
     reduced_temperature,
 )
-from casimir.thermo import entropy, free_energy
+from casimir.thermo import FreeEnergyResult, entropy, free_energy
 
 DB = MaterialDatabase.builtin()
 AU = DrudeModel(DB.get("Au"))
@@ -638,6 +640,73 @@ class TestBlockDriver:
         assert res.converged
         assert math.isfinite(res.pressure_mPa)
         assert res.pressure_mPa == pytest.approx(res.zero_mode_mPa, rel=1e-12)
+
+
+def finish(steps, out, spec, free_energy, work):
+    """The result of the sum ``steps`` (_sum_steps), given ``out``, the
+    answer to the request it yielded last, each later request answered as
+    _summed_modes answers it."""
+    try:
+        while True:
+            lower, zeta, sides, kinds, floor = steps.send(out)
+            out = _mode_block(lower, zeta, sides, kinds, spec, floor, free_energy,
+                              integrate_adaptive, work)
+    except StopIteration as done:
+        return done.value
+
+
+AL_BG = DrudeModel(DB.get("Al"), BlochGruneisenParams())
+
+
+class TestBlockRequests:
+    # a sum asks for every block it integrates, its first one included, so
+    # one _mode_block call can serve the first blocks of several sums, as a
+    # grid evaluator would, and each sum keeps the bits it has alone
+
+    @pytest.mark.parametrize("what, cells, pair, spec", [
+        ("pressure", [(5.0, 300.0), (2.0, 318.0)], (AU, AU), QuadratureSpec()),
+        # the two free energies of an entropy at 4 K
+        ("free-energy", [(0.618, 3.5), (0.618, 4.5)], (AL_BG, AL_BG), _ENTROPY_SPEC),
+    ])
+    def test_one_call_answers_the_first_blocks_of_two_sums(self, what, cells, pair, spec,
+                                                           monkeypatch):
+        from casimir import lifshitz
+
+        free, geoms = what == "free-energy", [Geometry(a_um, T_K) for a_um, T_K in cells]
+        alone = [EVALUATE[what](geom, *pair, spec) for geom in geoms]
+        callers = []  # of _mode_block inside the sums: _sampled alone
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return _mode_block(*args)
+        monkeypatch.setattr(lifshitz, "_mode_block", spy)
+        works = [_Workspace() for _ in geoms]
+        steps = [_sum_steps(geom, *pair, spec, free, integrate_adaptive, work,
+                            free_energy_to_si(1.0, geom) if free else -pressure_to_si(1.0, geom),
+                            FreeEnergyResult if free else PressureResult)
+                 for geom, work in zip(geoms, works)]
+        (la, za, sa, kinds, floor), (lb, zb, sb, kb, fb) = (next(s) for s in steps)
+        assert floor == fb == spec.integral_rel_tol * spec.sum_rel_tol * zeta3() / 8.0
+        assert kb == kinds and len(sa) == len(sb) == 1  # one model on both sides: one side
+        # the rows of both merged and sorted by A, which the rule ladder needs,
+        # their values unsorted afterwards
+        lower = np.concatenate([la, lb])
+        order = np.argsort(lower, kind="stable")
+        assert (order[:la.size] != np.arange(la.size)).any()  # the two sums' modes interleave
+        merged = _mode_block(lower[order], np.concatenate([za, zb])[order],
+                             [(sa[0][0], np.concatenate([sa[0][1], sb[0][1]])[order])], kinds,
+                             spec, floor, free, integrate_adaptive, _Workspace())
+        back = np.empty_like(order)
+        back[order] = np.arange(order.size)
+        answers = [tuple(out[back][part] for out in merged)
+                   for part in (slice(0, la.size), slice(la.size, None))]
+        results = [finish(s, answer, spec, free, work)
+                   for s, answer, work in zip(steps, answers, works)]
+        for res, ref in zip(results, alone):
+            assert all(same_bits(np.asarray(value), np.asarray(vars(ref)[name]))
+                       for name, value in vars(res).items())
+        assert set(callers) == ({"_sampled"} if free else set())
+        assert not free or results[0].n_terms_used > _BLOCK_CAP + _PANEL_MIN
 
 
 # Magnitudes of the scanned terms: zeros, subnormals and 600 decades of normals.
@@ -1569,6 +1638,16 @@ class TestBlockSchedule:
         assert len(sizes) > 1 and all(sizes)
         assert {size for block in sizes[1:] for size in block} == {sizes[0][-1]}
 
+    @pytest.mark.parametrize("n", [4097, 13816, 23341])
+    def test_a_large_workspace_starts_on_a_cache_line(self, n):
+        # vector stores that split 64-byte lines slowed long kernel calls by
+        # up to a quarter; the size stays the nodes asked for
+        work = _Workspace()
+        arrays = work.arrays((n, 1))
+        assert arrays.shape == (8, n, 1) and arrays.ctypes.data % 64 == 0
+        assert work.size == n and np.shares_memory(arrays, work.floats)
+        assert work.arrays((n - 1, 1)).ctypes.data == arrays.ctypes.data and work.size == n
+
     @pytest.mark.parametrize("cell", ["cold-four-blocks", "free-cold"])
     def test_later_blocks_take_fewer_kernel_calls(self, cell, monkeypatch):
         calls = []
@@ -1749,6 +1828,29 @@ class TestPlans:
         else:  # a block reached past the plan before its own
             overlaps = [new[0] <= old[1] for old, new in zip(replans, replans[1:])]
             assert any(overlaps) == (sum(sizes) > plan_cap)
+
+    def test_a_tabulated_model_as_both_sides_is_evaluated_once_per_plan(self, monkeypatch):
+        # with a Bloch-Grueneisen continuation each at(T) is a new object;
+        # passed as both sides, the model is still one side
+        from casimir import lifshitz
+
+        def tab():
+            return TabulatedModel(TAB.table, low_freq=DrudeModel(DB.get("Au"),
+                                                                 BlochGruneisenParams()))
+        model, geom = tab(), Geometry(0.5, 300.0)
+        assert model.at(geom.T_K) is not model.at(geom.T_K)
+        calls, plans, epsilon = [], [], TabulatedModel.epsilon
+        monkeypatch.setattr(TabulatedModel, "epsilon",
+                            lambda self, zeta: calls.append(self) or epsilon(self, zeta))
+        monkeypatch.setattr(lifshitz, "_plan", lambda ms, *args: plans.append(ms) or _plan(ms, *args))
+        res = casimir_pressure(geom, model, model)
+        assert len(plans) == len(calls) == 1
+        matsubara_term(3, geom, model, model)
+        assert len(plans) == len(calls) == 2
+        other = casimir_pressure(geom, model, tab())  # two objects: two sides, then one
+        assert len(plans) == 3 and len(calls) == 4
+        assert all(same_bits(np.asarray(value), np.asarray(vars(other)[name]))
+                   for name, value in vars(res).items())
 
     @pytest.mark.parametrize("what", sorted(EVALUATE))
     def test_epsilon_below_one_inside_the_sum_raises(self, what):

@@ -57,8 +57,8 @@ subprocess.  A tree that does other work is reported, not failed, since
 a change may move the work on purpose.
 
 ``--split KIND`` times where the sums of one record kind spend their time,
-on each TREE in a subprocess of its own, or without a TREE in this process
-on the importable casimir.  KIND is a record kind as the work lines name it
+without a TREE in this process on the importable casimir, or on each TREE
+in a subprocess of its own.  KIND is a record kind as the work lines name it
 (``warm_grid``, ``grid Au-Au``), a recorded file (``warm_grid-0``), a record
 (``warm_grid-0 #234``) or a record's id; the CLI records are left out.  The
 records' calls, their arguments built beforehand, are replayed in turn,
@@ -70,6 +70,11 @@ less its samples, and ``_interpolated``) and the scans (``_scan_loop``,
 ``_scan_arrays``), and the rest of the pass (the sum driver, its bounds and
 results), all from the fastest timed pass; then that pass and the fastest
 untimed one, whose difference is the timers' own cost, and the work counts.
+On TREEs the passes run in rounds of three, the trees' order reversed from
+one round to the next, so that a slow phase of the host falls on every
+tree; each figure is then the median over the rounds of a round's fastest
+pass, and a last line gives, per tree after the first, the median over the
+rounds of its ratio to the first tree in the same round.
 
 ``--rel TOL`` is for a change that moves the last bits of values on
 purpose.  Every ``n_terms_used``, error type and message, exit code, CLI
@@ -83,6 +88,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import contextlib
 import json
 import math
 import os
@@ -115,6 +121,8 @@ SPLIT = (("plan", "lifshitz._plan"), ("block set-up", "lifshitz._mode_block"),
          ("kernel", "lifshitz._mode_kernel"),
          ("Chebyshev", "chebyshev._certify", "chebyshev._interpolated"),
          ("scans", "lifshitz._scan_loop", "lifshitz._scan_arrays"))
+# timed passes per round of a split on trees (split_trees)
+ROUND = 3
 # argv of the help and usage records
 USAGE = (["--help"], *([cmd, "--help"] for cmd in ("pressure", "sweep", "table", "entropy", "kk")),
          [], ["sweep", "--format", "json"])
@@ -316,12 +324,14 @@ def _selected(key: str, kind: str) -> bool:
         bool(number) and kind == f"{head} #{number.split()[0]}")
 
 
-def split(kind: str, limit: int | None, passes: int) -> list[str]:
-    """Lines of the split of the records of ``kind`` (_selected) that run in
-    this process: their calls replayed in turn, best of ``passes`` timed
-    passes, each after an untimed one.  A timed pass has the timers of
-    _timers and the spies of _count_work; its parts, the rest of it and the
-    fastest untimed pass are printed in ms."""
+def _replayer(kind: str, limit: int | None):
+    """The number of records of ``kind`` (_selected) that run in this
+    process, and a function of ``passes`` that replays their calls in turn,
+    ``passes`` times with the timers of _timers and the spies of _count_work
+    and as often without, each timed pass after an untimed one.  It returns
+    the fastest timed pass as {"parts": {part: [seconds, calls]}, "rest":
+    seconds, "timed": seconds, "work": counts} with "untimed", the fastest
+    untimed pass; the rest is the timed pass less its parts."""
     import casimir as C
     from casimir import chebyshev, lifshitz
 
@@ -340,24 +350,116 @@ def split(kind: str, limit: int | None, passes: int) -> list[str]:
             except (C.QuadratureError, C.SumConvergenceError, ValueError):
                 pass  # warm_grid's underflow cells raise, as in the benchmark
         return time.perf_counter() - t0
-    untimed, best = math.inf, None
-    for _ in range(passes):
-        untimed = min(untimed, replay())
-        spent, counts = _timers(modules), _count_work(lifshitz)
-        try:
-            total = replay()
-        finally:
-            for (module, name), fn in saved.items():
-                setattr(module, name, fn)
-        if best is None or total < best[0]:
-            best = total, spent, counts
-    total, spent, counts = best
-    parts = "; ".join(f"{part} {1e3 * s:.4g} ({n:,})" for part, (s, n) in spent.items())
-    rest = 1e3 * (total - sum(s for s, _ in spent.values()))
-    return [f"split {kind}: {len(calls)} records, best of {passes} passes, ms (calls)",
-            f"{parts}; rest {rest:.4g}",
-            f"timed pass {1e3 * total:.4g}, untimed pass {1e3 * untimed:.4g}",
-            "work: {:,} + {:,} plans, {:,} blocks, {:,} rows, {:,} kernel nodes".format(*counts)]
+
+    def passes_of(passes: int) -> dict:
+        untimed, best = math.inf, None
+        for _ in range(passes):
+            untimed = min(untimed, replay())
+            spent, counts = _timers(modules), _count_work(lifshitz)
+            try:
+                total = replay()
+            finally:
+                for (module, name), fn in saved.items():
+                    setattr(module, name, fn)
+            if best is None or total < best["timed"]:
+                rest = total - sum(s for s, _ in spent.values())
+                best = {"parts": spent, "rest": rest, "timed": total, "work": counts}
+        return dict(best, untimed=untimed)
+    return len(calls), passes_of
+
+
+def _split_lines(best: dict, head: str = "") -> list[str]:
+    """The parts, passes and work lines of a split (_replayer), in ms, each
+    line after ``head``."""
+    parts = "; ".join(f"{part} {1e3 * s:.4g} ({n:,})" for part, (s, n) in best["parts"].items())
+    return [f"{head}{parts}; rest {1e3 * best['rest']:.4g}",
+            f"{head}timed pass {1e3 * best['timed']:.4g}, "
+            f"untimed pass {1e3 * best['untimed']:.4g}",
+            head + "work: {:,} + {:,} plans, {:,} blocks, {:,} rows, {:,} kernel nodes".format(
+                *best["work"])]
+
+
+def split(kind: str, limit: int | None, passes: int) -> list[str]:
+    """Lines of the split of the records of ``kind`` in this process: the
+    fastest of ``passes`` timed passes (_replayer)."""
+    n, passes_of = _replayer(kind, limit)
+    return [f"split {kind}: {n} records, best of {passes} passes, ms (calls)",
+            *_split_lines(passes_of(passes))]
+
+
+def _rounds(kind: str, limit: int | None):
+    """Serve a split to another process (split_trees): the number of records,
+    then for each number of passes read from stdin the fastest of that many
+    (_replayer), each a line of JSON on stdout."""
+    n, passes_of = _replayer(kind, limit)
+    print(json.dumps({"records": n}), flush=True)
+    for line in sys.stdin:
+        print(json.dumps(passes_of(int(line))), flush=True)
+
+
+def _median_round(rounds: list) -> dict:
+    """The median over ``rounds`` (each a fastest pass, as _replayer returns
+    it) of each part's seconds, of the rest and of both passes, with the
+    calls and the work of the first round."""
+    first = rounds[0]
+    parts = {part: [float(np.median([r["parts"][part][0] for r in rounds])), calls]
+             for part, (_, calls) in first["parts"].items()}
+    return dict(first, parts=parts, **{key: float(np.median([r[key] for r in rounds]))
+                                       for key in ("rest", "timed", "untimed")})
+
+
+def split_trees(trees: list, kind: str, limit: int | None, passes: int) -> list[str]:
+    """Lines of the split of the records of ``kind`` on each tree, in a
+    process of its own that stays up: ``passes`` passes per tree in rounds
+    of ROUND (fewer if ``passes`` is), the trees' order reversed from one
+    round to the next, so a slow phase of the host falls on both.  Per tree,
+    the median over the rounds of each part of a round's fastest timed pass,
+    of its rest and of the round's fastest timed and untimed passes; then,
+    per tree after the first, the median over the rounds of its ratio to the
+    first tree in the same round, which cancels a phase longer than a round."""
+    per_round = min(passes, ROUND)
+    argv = [sys.executable, __file__, "--split", kind, "--dump"]
+    argv += [] if limit is None else ["--limit", str(limit)]
+    with contextlib.ExitStack() as stack:  # each process is waited for, its pipes closed
+        children = [stack.enter_context(subprocess.Popen(
+            argv, env=dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"),
+                           PYTHONDONTWRITEBYTECODE="1"),
+            text=True, stdin=subprocess.PIPE, stdout=subprocess.PIPE)) for tree in trees]
+        records = [json.loads(_answer(child, tree))["records"]
+                   for child, tree in zip(children, trees)]
+        rounds = [[] for _ in trees]
+        for r in range(-(-passes // per_round)):
+            for i in (range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))):
+                children[i].stdin.write(f"{per_round}\n")
+                children[i].stdin.flush()
+                rounds[i].append(json.loads(_answer(children[i], trees[i])))
+    medians = [_median_round(r) for r in rounds]
+    lines = [f"split {kind}: {records[0]} records, median over "
+             f"{len(rounds[0])} rounds of the fastest of {per_round} passes, the trees' order "
+             "alternating, ms (calls)"]
+    for tree, median in zip(trees, medians):
+        lines += _split_lines(median, f"{tree}: ")
+    for tree, own in zip(trees[1:], rounds[1:]):
+        ratios = [f"{part} {_ratio(own, rounds[0], lambda r: r['parts'][part][0])}"
+                  for part in own[0]["parts"]]
+        ratios += [f"{name} {_ratio(own, rounds[0], lambda r: r[key])}" for name, key in (
+            ("rest", "rest"), ("timed pass", "timed"), ("untimed pass", "untimed"))]
+        lines.append(f"ratio {tree} / {trees[0]}: " + "; ".join(ratios))
+    return lines
+
+
+def _answer(child, tree) -> str:
+    """The next line a split process (_rounds) writes, or exit if it wrote none."""
+    line = child.stdout.readline()
+    if not line:
+        sys.exit(f"{tree}: the split failed")
+    return line
+
+
+def _ratio(new: list, old: list, value) -> str:
+    """The median over paired rounds of value(new round) / value(old round)."""
+    pairs = [(value(a), value(b)) for a, b in zip(new, old)]
+    return f"{np.median([a / b for a, b in pairs]):.3f}" if all(b for _, b in pairs) else "-"
 
 
 def _cli_records(C, limit: int | None):
@@ -503,18 +605,16 @@ def main(argv=None) -> int:
                         help="let values and terms move by up to this relative amount")
     parser.add_argument("--split", metavar="KIND", default=None,
                         help="time the parts of one record kind's sums on each tree")
-    parser.add_argument("--passes", type=int, default=9, help="passes of --split")
+    parser.add_argument("--passes", type=int, default=9,
+                        help="passes of --split, on TREEs in alternating rounds of three")
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.split is not None:
-        argv = ["--split", args.split, "--passes", str(args.passes)]
-        argv += [] if args.limit is None else ["--limit", str(args.limit)]
-        for tree in args.trees:
-            print(f"{tree}:", flush=True)
-            env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"),
-                       PYTHONDONTWRITEBYTECODE="1")
-            subprocess.run([sys.executable, __file__, *argv], env=env, check=True)
-        if not args.trees:
+        if args.dump:
+            _rounds(args.split, args.limit)
+        elif args.trees:
+            print("\n".join(split_trees(args.trees, args.split, args.limit, args.passes)))
+        else:
             print("\n".join(split(args.split, args.limit, args.passes)))
         return 0
     if args.dump:
