@@ -18,6 +18,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+try:  # the C function behind np.count_nonzero, whose Python dispatch costs as much again
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
+except ImportError:  # numpy < 2
+    _count_nonzero = np.count_nonzero
+
 from .quadrature import GAUSS_LEGENDRE, integrate_adaptive
 from .quantities import CODATA
 
@@ -62,6 +67,9 @@ class DrudeParams:
                              f"got {self.nu_eV}")
 
 
+_ZERO = np.array(0.0)  # a 0-d operand, which a ufunc need not convert
+
+
 def drude_epsilon(params: DrudeParams, zeta_eV):
     """Drude permittivity 1 + omega_p^2/(zeta*(zeta+nu)) for zeta > 0 (eV).
 
@@ -70,7 +78,7 @@ def drude_epsilon(params: DrudeParams, zeta_eV):
     analytic path.
     """
     z = np.asarray(zeta_eV, dtype=float)
-    if not z.min(initial=np.inf) > 0:  # NaN fails it too
+    if _count_nonzero(np.greater(z, _ZERO)) < z.size:  # NaN fails it too; min() costs twice as much
         raise ValueError("zeta must be positive; the static mode is handled analytically")
     out = 1.0 + params.omega_p_eV**2 / (z * (z + params.nu_eV))
     return float(out) if out.ndim == 0 else out

@@ -12,42 +12,37 @@ near-singularity at y = 0 (_SCALED: below A = 0.0022 for the pressure,
 and 1e-7), and those a pair does not certify, take the adaptive
 quadrature, one call per mode.  A block ends where a bound that holds
 for any reflections in [0, 1] shows the sum must stop, so a short sum
-takes one block.  That block sizes the sum's kernel workspace; each later
-one takes as many modes as its nodes fill, its bound scaled through the
-last term so that it ends near the stop.  A sum plans the permittivities
-of all the modes the bound lets it reach, each side classified once as
-ideal at all, none or some of them, and each block takes a slice of that
-plan.  A sum whose bound puts mode 1 below its first floor reads 0 up to
-min_terms, never integrated.  A long block's values are summed in array
-passes, a short one's in a loop, with the same bits.  A sum (_sum_steps)
-asks for each block it integrates; _summed_modes answers with _mode_block.
+takes one block.  Each later one takes as many modes as fill the nodes of
+that first block's rule pairs, its bound scaled through the last term so
+that it ends near the stop.  A sum plans the permittivities of all the
+modes the bound lets it reach, each side classified once as ideal at all,
+none or some of them, and each block takes a slice of that plan.  A sum
+whose bound puts mode 1 below its first floor reads 0 up to min_terms,
+never integrated.  A long block's values are summed in array passes, a
+short one's in a loop, with the same bits.  A sum (_sum_steps) asks for
+each block it integrates; _summed_modes answers with _mode_block.
 Past mode 128 a long sum of two analytic sides (Drude, ideal) takes most
 terms from Chebyshev interpolants in m (casimir.chebyshev) of sample
 points it integrates, both screened for bad permittivities (_screen).
 
 All mode arithmetic is dimensionless; SI conversion happens once at the
-end through :func:`casimir.quantities.pressure_to_si`.
+end through the SI pressure scale of :class:`casimir.quantities.Geometry`.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dielectric import DielectricModel
+from .dielectric import DielectricModel, _count_nonzero
 from .quadrature import (GAUSS_LAGUERRE, GAUSS_LEGENDRE, QuadratureError, SumConvergenceError,
                          integrate_adaptive)
-from .quantities import (
-    Geometry,
-    matsubara_frequency,
-    pressure_to_si,
-    reduced_temperature,
-)
+from .quantities import Geometry
 
 try:  # the C function behind np.einsum, whose dispatch costs as much again on a short block
     from numpy._core.multiarray import c_einsum as _einsum
@@ -192,45 +187,50 @@ class _Workspace:
 _IDEAL, _FINITE, _MIXED = "ideal", "finite", "mixed"
 
 
+# The constant operands of the ufuncs below (_reflections, _mode_kernel,
+# _kernel_sides, _mode_block): a 0-d array, unlike a float, needs no conversion.
+_ZERO, _ONE, _MINUS_TWO, _INF = np.array(0.0), np.array(1.0), np.array(-2.0), np.array(np.inf)
+
+
 def _kernel_sides(*eps):
     """Each side's kind over a plan's modes, as _mode_kernel takes them; a slice keeps it, as
     _MIXED gives ideal and finite rows their own bits.  A NaN mode is not ideal: it gives NaN."""
     kinds = []
     for e in eps:
-        n = np.count_nonzero(e == np.inf)  # a reduction, such as max(), costs more
+        n = _count_nonzero(np.equal(e, _INF))  # a reduction, such as max(), costs more
         kinds.append(_FINITE if not n else _IDEAL if n == e.size else _MIXED)
     return tuple(kinds)
 
 
-# The constant operands of the kernel's ufuncs (_reflections).
-_ZERO, _ONE, _MINUS_TWO = np.array(0.0), np.array(1.0), np.array(-2.0)
-
-
-def _reflections(kind, eps, p, pp, s, x, out):
+def _reflections(kind, eps, p, pp, pair, out):
     """(TM, TE) reflections of one interface into out[0] and out[1]; eps
-    holds a permittivity per row of p, pp = p*p, s and x are scratch.  A
-    side of kind _IDEAL gives 1 and reads nothing; one of kind _MIXED has
-    its rows with eps = inf computed as vacuum and then set to 1, never
-    inf/inf; one of kind _FINITE takes no such step.  TM is computed as in
-    reflection_tm, TE as (eps-1)/(s+p)^2, equal to reflection_te's
-    (s-p)/(s+p) without its cancellation as eps -> 1."""
+    holds a permittivity per row of p, pp = p*p, and pair, shaped as out, is
+    scratch.  A side of kind _IDEAL gives 1 and reads nothing; one of kind
+    _MIXED has its rows with eps = inf computed as vacuum and then set to 1,
+    never inf/inf; one of kind _FINITE takes no such step.  TM is computed
+    as in reflection_tm, TE as (eps-1)/(s+p)^2, equal to reflection_te's
+    (s-p)/(s+p) without its cancellation as eps -> 1; both numerators are
+    assembled in out and both denominators in pair, so one divide finishes
+    the two."""
     if kind is _IDEAL:
         return 1.0
-    tm, te = out[0], out[1]
+    tm, em1, x, s = out[0], out[1], pair[0], pair[1]
     eps = eps[:, None]
     if kind is _MIXED:
         ideal = np.isinf(eps)
         eps = np.where(ideal, 1.0, eps)
     # eps-1 in full: a (rows, 1) operand costs numpy a loop per row; every
     # ufunc here and in _mode_kernel takes its out positionally, the cheaper
-    # way, and a constant operand as a 0-d array, which it need not convert
-    em1 = np.subtract(eps, _ONE, tm)
+    # way, an in-place one the same view as operand and out, which numpy
+    # need not check for overlap, and a constant operand as a 0-d array,
+    # which it need not convert
+    np.subtract(eps, _ONE, em1)
     np.sqrt(np.add(em1, pp, s), s)
-    np.add(s, p, te)
-    np.add(np.multiply(eps, p, x), s, x)
-    np.multiply(em1, np.subtract(p, np.divide(_ONE, te, s), s), s)
-    np.divide(em1, np.multiply(te, te, te), te)
-    np.divide(s, x, tm)
+    np.add(np.multiply(eps, p, x), s, x)  # eps*p + s
+    np.add(s, p, s)
+    np.multiply(em1, np.subtract(p, np.divide(_ONE, s, tm), tm), tm)  # (eps-1)*(p - 1/(s+p))
+    np.multiply(s, s, s)  # (s+p)^2
+    np.divide(out, pair, out)
     if kind is _MIXED:
         np.copyto(out, 1.0, where=ideal)
     return out
@@ -270,23 +270,22 @@ def _mode_kernel(y, work: _Workspace, free_energy: bool, kinds, A, eps1, eps3=No
     x.  Each row's value thus depends on its own mode alone.
     """
     f = work.arrays(y.shape)
-    p, pp = f[0], f[1]
-    np.divide(y, A[:, None], p)
-    np.multiply(p, p, pp)
+    p, pp, pair = f[0], f[1], f[2:4]
+    np.multiply(np.divide(y, A[:, None], p), p, pp)
     # TM and TE side by side in one (2,) + y.shape array, or 1 for an ideal side
-    d1 = _reflections(kinds[0], eps1, p, pp, f[2], f[3], f[4:6])
-    d3 = d1 if len(kinds) == 1 else _reflections(kinds[1], eps3, p, pp, f[2], f[3], f[6:8])
+    d1 = _reflections(kinds[0], eps1, p, pp, pair, f[4:6])
+    d3 = d1 if len(kinds) == 1 else _reflections(kinds[1], eps3, p, pp, pair, f[6:8])
     e2y = np.exp(np.multiply(_MINUS_TWO, y, p), pp)
     # the rows below _NEAR_ONE_Y, which come first as A ascends
     k = 0 if A[0] >= _NEAR_ONE_Y else int(A.searchsorted(_NEAR_ONE_Y))
     em = np.expm1(p[:k], p[:k]) if k and not free_energy else None  # e^{-2y} - 1
-    prod = np.multiply(d1, d3, f[2:4])
+    prod = np.multiply(d1, d3, pair)
     x = np.multiply(prod, e2y, f[4:6])
     if k:
         near_x, near_prod = x[:, :k], prod[:, :k]
     if free_energy:
         mask = work.mask[:near_x.size].reshape(near_x.shape) if k else None
-        near_one = k and np.count_nonzero(np.greater(near_x, 0.5, mask))
+        near_one = k and _count_nonzero(np.greater(near_x, 0.5, mask))
         np.log1p(np.negative(x, x), x)
         if near_one:
             em = np.expm1(p[:k], p[:k])
@@ -296,7 +295,7 @@ def _mode_kernel(y, work: _Workspace, free_energy: bool, kinds, A, eps1, eps3=No
         if k:
             np.divide(near_x, _one_minus(near_prod, e2y[:k], em, near_prod), near_x)
         np.divide(far_x, np.subtract(_ONE, far_x, far_prod), far_x)
-    total = np.add(np.add(_ZERO, x[0], f[2]), x[1], f[2])  # 0.0 + x: -0.0 reads 0.0
+    total = np.add.reduce(x, 0, None, f[2], False, _ZERO)  # (0.0 + TM) + TE: -0.0 reads 0.0
     return np.multiply(y if free_energy else np.multiply(y, y, f[3]), total, f[3])
 
 
@@ -355,7 +354,8 @@ _SCALED = {False: (2.4e-06, 0.0022), True: (1e-07, 0.45)}
 # Per integrand, (lowest A, pair) ascending; the scaled family's pair is None.
 _LADDERS = {free: ((floor, None), *(rung for rung in _RUNGS if rung[0] >= cut))
             for free, (floor, cut) in _SCALED.items()}
-_LADDER_LOWS = {free: np.array([a for a, _ in ladder]) for free, ladder in _LADDERS.items()}
+# Their lowest A per integrand, for bisect.
+_LADDER_LOWS = {free: tuple(a for a, _ in ladder) for free, ladder in _LADDERS.items()}
 
 
 @functools.cache
@@ -371,22 +371,43 @@ def _scaled_rule(k):
     return y0, (y1 - y0) / a, w0, (w1 - w0) / a
 
 
-def _scaled_pairs(lower, lo, hi):
-    """(lo, hi, pair) per run of the modes lower[lo:hi] (ascending) that
-    share a panel count, each pair holding a row per mode.  A*2^j first
-    reaches 1 at j = 1 - e, with A = f*2^e and f in [0.5, 1)."""
+def _scaled_runs(lower, lo, hi):
+    """(start, end, k) per run of the modes lower[lo:hi] (ascending) that
+    share the panel count k of _scaled_rule.  A*2^j first reaches 1 at
+    j = 1 - e, with A = f*2^e and f in [0.5, 1)."""
     counts = 1 - np.frexp(lower[lo:hi])[1]
     ends = [lo, *(lo + 1 + np.flatnonzero(counts[1:] != counts[:-1])).tolist(), hi]
+    return [(start, end, int(counts[start - lo])) for start, end in zip(ends, ends[1:])]
+
+
+def _scaled_pairs(lower, lo, hi):
+    """(lo, hi, pair) per run of _scaled_runs, each pair holding a row per mode."""
     out = []
-    for start, end in zip(ends, ends[1:]):
-        y0, dy, w0, dw = _scaled_rule(int(counts[start - lo]))
+    for start, end, k in _scaled_runs(lower, lo, hi):
+        y0, dy, w0, dw = _scaled_rule(k)
         A = lower[start:end, None]
         out.append((start, end, (y0 + A * dy, w0 + A[..., None] * dw)))
     return out
 
 
-# Most modes in a sum's first block, which sizes the kernel workspace that
-# each later block fills (_summed_modes).
+def _rungs(lower, free_energy: bool):
+    """(start, runs) of the modes ``lower`` (ascending): lower[:start] lie
+    below the integrand's floor, and each of the others takes the pair of
+    the last entry of its ladder (_LADDERS) at or below its A, a run
+    (lo, hi, pair) of them per entry, the pair None for the A-scaled
+    panels.  Only the entries from the first mode's to the last mode's are
+    looked at."""
+    lows, ladder = _LADDER_LOWS[free_energy], _LADDERS[free_energy]
+    i, j = bisect_right(lows, lower.item(0)), bisect_right(lows, lower.item(-1))
+    cuts = [0] if i else []  # the first mode's entry i - 1 starts at 0; the floor's, if below
+    cuts += [bisect_left(lower, low) for low in lows[i:j]]  # where the entries i..j-1 start
+    cuts.append(lower.size)
+    return cuts[0], [(lo, hi, pair) for (_, pair), lo, hi in
+                     zip(ladder[i - 1 if i else 0:j], cuts, cuts[1:]) if lo < hi]
+
+
+# Most modes in a sum's first block, whose kernel nodes each later block
+# fills (_sum_steps).
 _BLOCK_CAP = 128
 # Fewest values of a block summed in array passes (_scan_arrays) rather than
 # one by one (_scan_loop); both give the same bits.  The passes cost about
@@ -447,11 +468,12 @@ def _plan(ms: np.ndarray, gamma, zeta1, model1: DielectricModel, model3: Dielect
     (_kernel_sides): one epsilon call per model, and one side where both
     give equal permittivities, so one interface serves both."""
     zeta = ms * zeta1
-    models = (model1,) if model3 is model1 else (model1, model3)
-    sides = [(model, np.asarray(model.epsilon(zeta), dtype=float)) for model in models]
-    if len(sides) == 2 and not np.count_nonzero(sides[0][1] != sides[1][1]):
-        del sides[1]
-    return ms * gamma, zeta, sides, _kernel_sides(*(e for _, e in sides))
+    eps = np.asarray(model1.epsilon(zeta), dtype=float)
+    if model3 is not model1:
+        eps3 = np.asarray(model3.epsilon(zeta), dtype=float)
+        if _count_nonzero(np.not_equal(eps, eps3)):
+            return ms * gamma, zeta, [(model1, eps), (model3, eps3)], _kernel_sides(eps, eps3)
+    return ms * gamma, zeta, [(model1, eps)], _kernel_sides(eps)
 
 
 def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: QuadratureSpec,
@@ -476,39 +498,40 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: Quadrat
     estimate.
     """
     for (model, e), kind in zip(sides, kinds):  # NaN is not below 1: such a mode fails to certify
-        below = kind is not _IDEAL and e < 1.0  # an ideal side is inf at every mode
-        if np.count_nonzero(below):  # a reduction, such as any(), costs three times as much
+        # an ideal side is inf at every mode; a reduction, such as any(), costs more
+        if kind is not _IDEAL and _count_nonzero(below := np.less(e, _ONE)):
             i = below.argmax()
             raise ValueError(f"{model!r}: epsilon = {e[i]:.6g} < 1 at zeta = {zeta[i]:.6g} eV")
-    cuts = [*lower.searchsorted(_LADDER_LOWS[free_energy]).tolist(), lower.size]
-    rungs = [(lo, hi, pair) for lo, hi, (_, pair) in zip(cuts, cuts[1:], _LADDERS[free_energy])
-             if lo < hi]
+    start, rungs = _rungs(lower, free_energy)
     if rungs and rungs[0][2] is None:
         rungs[:1] = _scaled_pairs(lower, *rungs[0][:2])
-    start, out = cuts[0], np.empty((2, lower.size))  # value and check of every mode
+    out = np.empty((2, lower.size))  # value and check of every mode
     if start:  # below the floor: adaptive
         out[0, :start], out[1, :start] = 0.0, np.inf
     if rungs:  # the node column: each mode's offsets from its A, then A added
-        # where each rung's nodes start and end in the column
-        ends = [0, *itertools.accumulate((hi - lo) * dy.shape[-1] for lo, hi, (dy, _) in rungs)]
+        ends = [0]  # where each rung's nodes start and end in the column
+        for lo, hi, (dy, _) in rungs:
+            ends.append(ends[-1] + (hi - lo) * dy.shape[-1])
         y, counts = np.empty(ends[-1]), np.empty(lower.size - start, int)  # nodes per mode
         for (lo, hi, (dy, _)), k, end in zip(rungs, ends, ends[1:]):
             y[k:end].reshape(hi - lo, -1)[...] = dy
             counts[lo - start:hi - start] = dy.shape[-1]
-        nodes = [lower[start:].repeat(counts),  # a side ideal at every mode is not read
-                 *(e if kind is _IDEAL else e[start:].repeat(counts)
-                   for (_, e), kind in zip(sides, kinds))]
-        y += nodes[0]
-        fx = _mode_kernel(y[:, None], work, free_energy, kinds, *nodes)
+        A = lower[start:].repeat(counts)  # a side ideal at every mode is not read
+        eps = [e if kind is _IDEAL else e[start:].repeat(counts)
+               for (_, e), kind in zip(sides, kinds)]
+        fx = _mode_kernel(np.add(y, A, y)[:, None], work, free_energy, kinds, A, *eps)
+        rows = out.T  # (value, check) per mode: a rung's rows[lo:hi] cost less than out[:, lo:hi]
         for (lo, hi, (dy, weights)), k, end in zip(rungs, ends, ends[1:]):
-            _einsum("rn,rkn->kr" if dy.ndim == 2 else "rn,kn->kr",  # a scaled pair: a row per mode
-                    fx[k:end].reshape(hi - lo, -1), weights, out=out[:, lo:hi])
-    values, errors = out[0], out[1]  # the check's row becomes |value - check|
-    np.abs(np.subtract(values, errors, errors), errors)
-    tol = np.abs(values)
+            _einsum("rn,rkn->rk" if dy.ndim == 2 else "rn,kn->rk",  # a scaled pair: a row per mode
+                    fx[k:end].reshape(hi - lo, -1), weights, out=rows[lo:hi])
+    values, check = out[0], out[1]
+    np.subtract(values, check, check)
+    magnitudes = np.abs(out)
+    tol, errors = magnitudes[0], magnitudes[1]  # |value| and the error |value - check|
     np.maximum(np.multiply(tol, spec.integral_rel_tol, tol), floor, out=tol)
-    failed = ~(errors <= tol)  # NaN fails
-    if not np.count_nonzero(failed):
+    failed = np.less_equal(errors, tol)
+    np.logical_not(failed, failed)  # NaN fails
+    if not _count_nonzero(failed):
         return values, errors, failed
     y_max, args = spec.y_max(lower), (lower, *(e for _, e in sides))
     for i in np.flatnonzero(failed):
@@ -585,9 +608,8 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
     spec = spec or _DEFAULT_SPEC
     floor = spec.integral_rel_tol * spec.sum_rel_tol * (zeta3() / 8.0)
     values, errors, failed = _mode_block(
-        *_plan(np.array([m]), reduced_temperature(geom), matsubara_frequency(1, geom.T_K),
-               *_sides_at(geom, model1, model3)), spec, floor, False, integrate_adaptive,
-        _Workspace())
+        *_plan(np.array([m]), geom.gamma, geom.zeta1_eV, *_sides_at(geom, model1, model3)),
+        spec, floor, False, integrate_adaptive, _Workspace())
     if failed[0]:
         raise _mode_error(m, geom, float(values[0]), float(errors[0]))
     return float(values[0])
@@ -650,10 +672,12 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
     max(1, r/(1-r)), falls to sum_rel_tol * |S|, where the stop rule below
     is certain to fire, and at max_terms at the latest.  The first block
     holds at most _BLOCK_CAP modes, so a sum of up to _BLOCK_CAP terms takes
-    one block, and sizes the kernel workspace ``work``.  A later block holds
-    as many modes as ``work`` holds nodes for at its first mode's rule
-    (nodes per mode never rise with A, so it never grows), at least
-    _BLOCK_CAP, and its bound is rescaled through the last term t used: the
+    one block.  A later block holds as many modes as the nodes of the first
+    block's rule pairs fill at its first mode's rule, whichever workspace
+    answered that block (the adaptive calls of modes below the floor or not
+    certified are not counted; nodes per mode never rise with A, so no later
+    block's kernel call is larger), at least _BLOCK_CAP, and its bound is
+    rescaled through the last term t used: the
     target rises by shift = ln(bound/|t|) >= 0 there, so a long block does
     not run far past the stop.  A mode's value depends on its block only
     through the floor.  The first block plans (_plan, a kind per side) the
@@ -696,54 +720,60 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
         return result(0.0, 0.0, np.zeros(0), 0, True)
     # closed-form static TM mode with half weight; the log integrand of F is negative
     zero_coeff = -zeta3() / 8.0 if free_energy else zeta3() / 8.0
-    gamma, zeta1 = reduced_temperature(geom), matsubara_frequency(1, geom.T_K)
+    gamma, zeta1 = geom.gamma, geom.zeta1_eV
     # the stop rule's factor on |t_m|: the term itself, or its geometric tail
     tail = max(1.0, math.exp(-2.0 * gamma) / -math.expm1(-2.0 * gamma))
     # ln of the stop rule's threshold on the bound, relative to |S|
     log_tol = math.log(spec.sum_rel_tol) - math.log(tail)
     acc, comp, n_terms, converged = zero_coeff, 0.0, 0, False
     terms = []  # a slice of each block's values
-    min_terms, sum_rel_tol = spec.min_terms, spec.sum_rel_tol
-    floor = spec.integral_rel_tol * sum_rel_tol * abs(zero_coeff)  # the first block's
+    min_terms, max_terms, sum_rel_tol = spec.min_terms, spec.max_terms, spec.sum_rel_tol
+    int_rel_tol = spec.integral_rel_tol
+    floor = int_rel_tol * sum_rel_tol * abs(zero_coeff)  # the first block's
     if floor and _log_bound(gamma, free_energy) <= math.log(floor):  # so is every mode's bound
         n_terms, converged, terms = min_terms, True, [np.zeros(min_terms)]
     start = end = 1  # the plan holds the modes from start to end - 1
-    cap, shift, fill = _BLOCK_CAP, 0.0, 0  # the first block's cap, its bound's shift, workspace
+    cap, shift, fill = _BLOCK_CAP, 0.0, None  # the first block's cap, its bound's shift, nodes
     # {first mode: (last mode, coefficients or None)} of the panels; for analytic sides
     # {_BLOCK_CAP + 1: None} until the sum reaches that mode
     panels = {_BLOCK_CAP + 1: None} if model1.analytic and model3.analytic else {}
-    while not converged and n_terms < spec.max_terms:
+    while not converged and n_terms < max_terms:
         first, total = n_terms + 1, abs(acc + comp)
-        floor = spec.integral_rel_tol * sum_rel_tol * total
+        floor = int_rel_tol * sum_rel_tol * total
         target = log_tol + math.log(total)  # ln of the bound where the stop rule fires
-        if terms:  # a later block: the modes whose nodes fit the workspace, a rescaled bound
+        if terms:  # a later block: the modes whose nodes fill the first's, a rescaled bound
             A, last, ladder = first * gamma, abs(float(terms[-1][-1])), _LADDERS[free_energy]
-            i = int(_LADDER_LOWS[free_energy].searchsorted(A, "right")) - 1  # -1 below the floor
-            fill = fill or work.size  # the first block's: the samples do not move a block
+            i = bisect_right(_LADDER_LOWS[free_energy], A) - 1  # -1 below the floor
+            if fill is None:  # the first block's kernel nodes (modes 1..n_terms of the plan),
+                runs = _rungs(lower[:n_terms], free_energy)[1]  # whoever answered it
+                if runs and runs[0][2] is None:  # the A-scaled rules, a run per panel count
+                    runs[:1] = [(lo, hi, _scaled_rule(k)) for lo, hi, k in
+                                _scaled_runs(lower, *runs[0][:2])]
+                fill = sum((hi - lo) * pair[0].size for lo, hi, pair in runs)
             cap = _BLOCK_CAP if i < 0 else max(  # the nodes of its first mode's pair
                 fill // (ladder[i][1] or _scaled_rule(1 - math.frexp(A)[1]))[0].size, _BLOCK_CAP)
             # the bound exceeds the last term by e^shift: take it through that term
             shift = last and max(0.0, _log_bound(n_terms * gamma, free_energy) - math.log(last))
         if panels.get(first, ()) is None:  # at mode _BLOCK_CAP + 1: panels to the stop
-            stop, panels = _bound_end(max(_BLOCK_CAP + _PANEL_MIN, min_terms), spec.max_terms,
+            stop, panels = _bound_end(max(_BLOCK_CAP + _PANEL_MIN, min_terms), max_terms,
                                       gamma, target, free_energy), {}
             if stop > _BLOCK_CAP + _PANEL_MIN:
                 from . import chebyshev  # here: most processes never load it
                 sample = functools.partial(_sampled, (gamma, zeta1, model1, model3),
                                            (spec, floor, free_energy, integrate, work))
                 panels = chebyshev._certify(chebyshev._panels(_BLOCK_CAP, stop, gamma), gamma,
-                                            sample, spec.integral_rel_tol, floor)
+                                            sample, int_rel_tol, floor)
         hi, coeffs = panels.get(first) or (0, None)  # then each panel is one block
         size = hi - first + 1  # a certified panel's modes
         if coeffs is None:
             size = _block_size(first, gamma, target + shift, free_energy, min_terms, cap)
             if terms and panels:  # a later block ends before the next panel
                 size = min([size, *(lo - first for lo in panels if lo > first)])
-        size = min(size, spec.max_terms - n_terms)  # the block's modes
+        size = min(size, max_terms - n_terms)  # the block's modes
         if first + size > end:  # past the plan: plan from first
             n = size if size < cap and not shift else _block_size(
                 first, gamma, target, free_energy, min_terms, _PLAN_CAP)
-            start, end = first, min(first + max(n, size), spec.max_terms + 1)
+            start, end = first, min(first + max(n, size), max_terms + 1)
             lower, zeta, sides, kinds = _plan(np.arange(start, end), gamma, zeta1, model1, model3)
         part, n_ok = slice(first - start, first + size - start), size  # values before a failure
         if coeffs is not None:  # a panel's values come from its interpolant
@@ -751,7 +781,7 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
         else:  # the request: the block's slice of the plan, and its floor
             values, errors, failed = yield (
                 lower[part], zeta[part], [(model, e[part]) for model, e in sides], kinds, floor)
-            if np.count_nonzero(failed):
+            if _count_nonzero(failed):
                 n_ok = int(failed.argmax())
         scan = _scan_arrays if n_ok >= _ARRAY_SCAN else _scan_loop
         scanned = scan(values[:n_ok], acc, comp, first, min_terms, tail, sum_rel_tol)
@@ -796,4 +826,4 @@ def casimir_pressure(geom: Geometry, model1: DielectricModel,
     before the stop rule fires.
     """
     return _summed_modes(geom, model1, model3, spec or _DEFAULT_SPEC, False,
-                         integrate_adaptive, -pressure_to_si(1.0, geom), PressureResult)
+                         integrate_adaptive, -geom.pressure_scale_mPa, PressureResult)

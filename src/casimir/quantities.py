@@ -68,6 +68,10 @@ class Geometry:
     conversion holds (a*T, a^3 in m^3 or the SI pressure or free-energy scale
     under- or overflows) or its reduced temperature lies outside
     [_GAMMA_MIN, _GAMMA_MAX].
+
+    The validation's scalars are kept, not as fields: ``gamma``, ``zeta1_eV``
+    (the first Matsubara frequency), ``pressure_scale_mPa`` and
+    ``free_energy_scale_J_m2`` (the SI scales of the functions below).
     """
 
     a_um: float
@@ -79,7 +83,9 @@ class Geometry:
         if not self.T_K > 0:
             raise ValueError(f"temperature must be positive, got {self.T_K}")
         a_m = self.a_um * 1e-6
-        gamma = reduced_temperature(self)
+        kept = self.__dict__  # frozen: the kept scalars are entries of the instance dict
+        kept["zeta1_eV"] = matsubara_frequency(1, self.T_K)
+        kept["gamma"] = gamma = reduced_temperature(self)
         if gamma > _GAMMA_MAX:
             raise ValueError(f"a={self.a_um} um, T={self.T_K} K: a*T too large "
                              f"(reduced temperature {gamma:.3g} > {_GAMMA_MAX:g})")
@@ -87,10 +93,11 @@ class Geometry:
             raise ValueError(f"a={self.a_um} um, T={self.T_K} K: a*T too small "
                              f"(reduced temperature {gamma:.3g} < {_GAMMA_MIN:g})")
         # a^3 first: a float divided by 0 raises
-        if not (a_m * a_m * a_m > 0 and 0 < pressure_to_si(1.0, self) < math.inf
-                and 0 < free_energy_to_si(1.0, self) < math.inf):
+        if not (a_m * a_m * a_m > 0 and 0 < (pressure := pressure_to_si(1.0, self)) < math.inf
+                and 0 < (free_energy := free_energy_to_si(1.0, self)) < math.inf):
             raise ValueError(f"a={self.a_um} um, T={self.T_K} K: a*T, a^3 or the SI pressure "
                              "or free-energy scale under- or overflows")
+        kept["pressure_scale_mPa"], kept["free_energy_scale_J_m2"] = pressure, free_energy
 
 
 def matsubara_frequency(m: int, T_K: float) -> float:
@@ -114,10 +121,10 @@ def reduced_temperature(geom: Geometry) -> float:
     Linear in both the gap width and the temperature.  The m-th Matsubara
     mode sits at y = m*gamma on the dimensionless frequency axis, which is
     the lower limit of the corresponding mode integral.  Computed through
-    the first Matsubara frequency so gamma = a*zeta_1/(hbar*c) holds
-    exactly.
+    the first Matsubara frequency, the one ``geom`` keeps, so
+    gamma = a*zeta_1/(hbar*c) holds exactly.
     """
-    return geom.a_um * matsubara_frequency(1, geom.T_K) / CODATA.hbar_c_eV_um
+    return geom.a_um * geom.zeta1_eV / CODATA.hbar_c_eV_um
 
 
 def pressure_to_si(coefficient: float, geom: Geometry) -> float:

@@ -106,7 +106,7 @@ def free_energy(geom: Geometry, model1: DielectricModel, model3: DielectricModel
     is exhausted first.
     """
     return _summed_modes(geom, model1, model3, spec or _DEFAULT_SPEC, True,
-                         integrate_adaptive, free_energy_to_si(1.0, geom), FreeEnergyResult)
+                         integrate_adaptive, geom.free_energy_scale_J_m2, FreeEnergyResult)
 
 
 def entropy(geom: Geometry, model1: DielectricModel, model3: DielectricModel,

@@ -251,11 +251,12 @@ def test_rel_prints_the_largest_deviation_per_kind(records, monkeypatch, capsys)
 def test_split_times_the_parts_of_one_kind_in_this_process(capsys):
     # the first two seed-0 warm_grid inputs, one pass: the timers count the
     # calls the work spies count, and both are gone afterwards
-    from casimir import chebyshev, lifshitz
+    from casimir import chebyshev, lifshitz, thermo
 
     before = {(module, name): getattr(module, name) for module, name in (
         (lifshitz, "_plan"), (lifshitz, "_mode_block"), (lifshitz, "_mode_kernel"),
-        (lifshitz, "_scan_loop"), (chebyshev, "_certify"))}
+        (lifshitz, "_scan_loop"), (chebyshev, "_certify"), (lifshitz, "_summed_modes"),
+        (thermo, "_summed_modes"))}
     assert bit_diff.main(["--split", "warm_grid-0", "--limit", "2", "--passes", "1"]) == 0
     head, parts, passes, work = capsys.readouterr().out.splitlines()
     assert head == "split warm_grid-0: 2 records, best of 1 passes, ms (calls)"
@@ -266,6 +267,7 @@ def test_split_times_the_parts_of_one_kind_in_this_process(capsys):
     plans, samples, blocks, *_ = (int(w.replace(",", "")) for w in work.split()
                                   if w.replace(",", "").isdigit())
     assert calls["plan"] == plans + samples and calls["block set-up"] == calls["kernel"] == blocks
+    assert calls["driver"] == 2  # a pump per sum, its generator timed inside it
     assert {key: getattr(*key) for key in before} == before
     assert bit_diff._selected("warm_grid-0 #1 Au,ideal a=22.3 T=153.9", "warm_grid-0 #1")
     assert not bit_diff._selected("warm_grid-0 #12 Au,ideal a=2.3 T=53.9", "warm_grid-0 #1")

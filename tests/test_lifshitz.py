@@ -52,6 +52,7 @@ from casimir.lifshitz import (
     _mode_kernel,
     _plan,
     _reflections,
+    _rungs,
     _scan_arrays,
     _scan_loop,
     _sum_steps,
@@ -642,15 +643,15 @@ class TestBlockDriver:
         assert res.pressure_mPa == pytest.approx(res.zero_mode_mPa, rel=1e-12)
 
 
-def finish(steps, out, spec, free_energy, work):
+def finish(steps, out, spec, free_energy, work, block=_mode_block):
     """The result of the sum ``steps`` (_sum_steps), given ``out``, the
     answer to the request it yielded last, each later request answered as
-    _summed_modes answers it."""
+    _summed_modes answers it, by ``block``."""
     try:
         while True:
             lower, zeta, sides, kinds, floor = steps.send(out)
-            out = _mode_block(lower, zeta, sides, kinds, spec, floor, free_energy,
-                              integrate_adaptive, work)
+            out = block(lower, zeta, sides, kinds, spec, floor, free_energy,
+                        integrate_adaptive, work)
     except StopIteration as done:
         return done.value
 
@@ -707,6 +708,36 @@ class TestBlockRequests:
                        for name, value in vars(res).items())
         assert set(callers) == ({"_sampled"} if free else set())
         assert not free or results[0].n_terms_used > _BLOCK_CAP + _PANEL_MIN
+
+    @pytest.mark.parametrize("a_um, schedule", [(2.5, [128, 243, 40]), (3.65, [128, 157])])
+    def test_a_first_block_answered_elsewhere_keeps_the_schedule(self, a_um, schedule,
+                                                                 monkeypatch):
+        # a sum's later blocks are sized by the nodes of its own first block,
+        # not by the workspace that answered it: the first request answered
+        # in another workspace, as a grid evaluator would, the sum keeps the
+        # blocks and bits it has alone (in the sum's own, still empty
+        # workspace they were cut at _BLOCK_CAP modes: 128, 128 and 157)
+        from casimir import lifshitz
+
+        geom, spec, sizes = Geometry(a_um, 4.0), QuadratureSpec(), []
+
+        def counted(lower, *args):
+            sizes.append(lower.size)
+            return _mode_block(lower, *args)
+        monkeypatch.setattr(lifshitz, "_mode_block", counted)
+        alone = casimir_pressure(geom, AU, CU)
+        assert sizes == schedule
+        work = _Workspace()
+        steps = _sum_steps(geom, AU, CU, spec, False, integrate_adaptive, work,
+                           -pressure_to_si(1.0, geom), PressureResult)
+        lower, zeta, sides, kinds, floor = next(steps)
+        answer = _mode_block(lower, zeta, sides, kinds, spec, floor, False, integrate_adaptive,
+                             _Workspace())
+        del sizes[:]
+        res = finish(steps, answer, spec, False, work, counted)
+        assert [lower.size, *sizes] == schedule
+        assert all(same_bits(np.asarray(value), np.asarray(vars(alone)[name]))
+                   for name, value in vars(res).items())
 
 
 # Magnitudes of the scanned terms: zeros, subnormals and 600 decades of normals.
@@ -994,14 +1025,14 @@ class TestModeKernel:
         # precision as eps -> 1, which is why the kernel does not use it
         em1 = np.geomspace(1e-3, 1e6, 40)
         p = np.broadcast_to(np.geomspace(1.0, 1e3, 50), (40, 50)).copy()
-        s, x, out = np.empty_like(p), np.empty_like(p), np.empty((2, *p.shape))
-        _, te = _reflections(_FINITE, 1.0 + em1, p, p * p, s, x, out)
+        pair, out = np.empty((2, *p.shape)), np.empty((2, *p.shape))
+        _, te = _reflections(_FINITE, 1.0 + em1, p, p * p, pair, out)
         public = reflection_te(np.sqrt((1.0 + em1[:, None]) - 1.0 + p * p), p)
         assert np.abs(te - public).max() <= 1e-14
         # near vacuum the kernel keeps its relative precision:
         # TE = (eps-1)/(4 p^2) to first order in eps-1
         eps = np.array([1.0 + 1e-12])
-        _, te = _reflections(_FINITE, eps, p[:1], p[:1] ** 2, s[:1], x[:1], out[:, :1])
+        _, te = _reflections(_FINITE, eps, p[:1], p[:1] ** 2, pair[:, :1], out[:, :1])
         assert te == pytest.approx((eps - 1.0) / (4.0 * p[:1] ** 2), rel=1e-11, abs=0.0)
 
     def test_tabulated_pair_symmetry_is_exact(self):
@@ -1187,6 +1218,23 @@ class TestRungs:
         for i in range(ms.size):
             (one, one_error, _), _ = block(ms[i:i + 1], geom, GL_PAIRS[pair], free_energy=free)
             assert one[0] == values[i] and one_error[0] == errors[i]
+        # a crafted plan whose lower limits are exactly every ladder's lows,
+        # both floors among them: an edge takes the entry whose low it
+        # equals, not the one below, in a block of them all as alone
+        edges = np.unique([low for ladder in _LADDERS.values() for low, _ in ladder])
+        assert set(edges) >= {floor for floor, _ in _SCALED.values()}
+        _, zeta, sides, kinds = _plan(edges / gamma, gamma, matsubara_frequency(1, geom.T_K),
+                                      *GL_PAIRS[pair])
+        spec, args = QuadratureSpec(), (0.0, free, integrate_adaptive)
+        values, errors, failed = _mode_block(edges, zeta, sides, kinds, spec, *args, _Workspace())
+        for i, low in enumerate(edges.tolist()):
+            part = slice(i, i + 1)
+            one = _mode_block(edges[part], zeta[part], [(m, e[part]) for m, e in sides], kinds,
+                              spec, *args, _Workspace())
+            assert all(same_bits(a, b[part]) for a, b in zip(one, (values, errors, failed)))
+            if low in lows:
+                start, runs = _rungs(edges[part], free)
+                assert start == 0 and runs[0][2] is _LADDERS[free][lows.index(low)][1]
 
     @pytest.mark.parametrize("pair", ["similar", "dissimilar"])
     def test_missed_target_falls_back_to_the_adaptive_value(self, pair):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -61,6 +62,27 @@ class TestGeometry:
         # gamma below 1e-140 would need about 10/gamma terms
         with pytest.raises(ValueError, match=re.escape(f"a={a_um} um, T={T_K} K: a*T too small")):
             Geometry(a_um, T_K)
+
+
+    @given(a_um=st.floats(-4.0, 6.0).map(lambda e: 10.0**e),
+           T_K=st.floats(-6.0, 6.0).map(lambda e: 10.0**e), factor=st.floats(0.5, 2.0))
+    def test_kept_scalars_have_the_functions_bits(self, a_um, T_K, factor):
+        # the validation's scalars, kept for the sums, equal the module's
+        # functions bit for bit, also on a geometry made by replace; they are
+        # not fields, so equality, hash and repr see a_um and T_K alone
+        geom = Geometry(a_um, T_K)
+        for g in (geom, dataclasses.replace(geom, a_um=a_um * factor),
+                  dataclasses.replace(geom, T_K=T_K * factor)):
+            kept = (g.gamma, g.zeta1_eV, g.pressure_scale_mPa, g.free_energy_scale_J_m2)
+            own = (reduced_temperature(g), matsubara_frequency(1, g.T_K), pressure_to_si(1.0, g),
+                   free_energy_to_si(1.0, g))
+            assert [x.hex() for x in kept] == [x.hex() for x in own]
+            same = Geometry(g.a_um, g.T_K)
+            assert same == g and hash(same) == hash(g)
+            assert repr(g) == f"Geometry(a_um={g.a_um!r}, T_K={g.T_K!r})"
+            assert dataclasses.asdict(g) == {"a_um": g.a_um, "T_K": g.T_K}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            geom.gamma = 1.0
 
 
 class TestReducedTemperature:

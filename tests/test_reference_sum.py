@@ -1,7 +1,9 @@
 """Differential test of the Matsubara sums against a plain reference sum.
 
 The reference integrates every mode m = 1..N, N = ceil(ln(1e17)/(2 gamma)),
-by ``integrate_adaptive`` alone at rel_tol 1e-13, on the breaks A +
+by ``integrate_adaptive`` alone at rel_tol 1e-13 (and abs_tol the smallest
+normal double: past gamma of about 350 a mode's integrand is subnormal,
+where no relative target can be met), on the breaks A +
 _BREAK_OFFSETS below y_max and then y_max, adds the static term +/- zeta(3)/8
 with ``math.fsum`` and converts to SI once.  It shares only the integrand
 (``_mode_kernel``, with its scratch ``_Workspace``) and ``integrate_adaptive``
@@ -68,7 +70,8 @@ def reference_sum(geom, pair, free):
         breaks = A[0] + _BREAK_OFFSETS
         value, _ = integrate_adaptive(
             lambda y: _mode_kernel(y[None], work, free, kinds, A, *eps)[0],
-            np.append(breaks[breaks < y_max], y_max), rel_tol=SPEC.integral_rel_tol)
+            np.append(breaks[breaks < y_max], y_max), rel_tol=SPEC.integral_rel_tol,
+            abs_tol=np.finfo(float).tiny)
         terms.append(value)
     unit = free_energy_to_si(1.0, geom) if free else -pressure_to_si(1.0, geom)
     return math.fsum(terms) * unit
@@ -85,6 +88,7 @@ def reference_sum(geom, pair, free):
 @example(gamma=8.23, T_K=300.0, pair="Au-Cu", what="pressure")
 # the bound at mode 1 lies below the first floor: every term reads 0
 @example(gamma=72.4, T_K=300.0, pair="ideal-ideal", what="free-energy")
+@example(gamma=math.exp(5.90625), T_K=1.0, pair="Au-Au", what="pressure")  # subnormal modes
 def test_the_sums_meet_a_plain_reference(gamma, T_K, pair, what):
     geom = Geometry(gamma * CODATA.hbar_c_eV_um / matsubara_frequency(1, T_K), T_K)
     res = EVALUATE[what](geom, *PAIRS[pair], SPEC)

@@ -66,10 +66,12 @@ records' calls, their arguments built beforehand, are replayed in turn,
 often without them.  It prints, in ms and with the calls, the self time of
 the plans (``_plan``), the block set-up (``_mode_block`` less the kernel),
 the kernel (``_mode_kernel``), the Chebyshev work (``chebyshev._certify``
-less its samples, and ``_interpolated``) and the scans (``_scan_loop``,
-``_scan_arrays``), and the rest of the pass (the sum driver, its bounds and
-results), all from the fastest timed pass; then that pass and the fastest
-untimed one, whose difference is the timers' own cost, and the work counts.
+less its samples, and ``_interpolated``), the scans (``_scan_loop``,
+``_scan_arrays``) and the sum driver (``_summed_modes`` less those parts:
+the pump and the sum's generator, which runs inside it, with its bounds and
+result), and the rest of the pass, what lies outside the sums, all from
+the fastest timed pass; then that pass and the fastest untimed one, whose
+difference is the timers' own cost, and the work counts.
 On TREEs the passes run in rounds of three, the trees' order reversed from
 one round to the next, so that a slow phase of the host falls on every
 tree; each figure is then the median over the rounds of a round's fastest
@@ -116,11 +118,13 @@ REPLAN = (("P", ("Au", "Au"), 0.16, 0.5), ("F", ("Au", "Al"), 0.16, 0.5))
 PANEL = (("P", "weak-weak"), ("F", "weak-weak"), ("P", "ideal-at-150-Cu"))
 # the work counted per record (_count_work)
 WORK = ("integer-mode plans", "sample plans", "_mode_block calls", "rows", "kernel nodes")
-# the parts of a split (--split), each the self time of the functions named
+# the parts of a split (--split), each the self time of the functions named;
+# thermo calls the driver through a name of its own
 SPLIT = (("plan", "lifshitz._plan"), ("block set-up", "lifshitz._mode_block"),
          ("kernel", "lifshitz._mode_kernel"),
          ("Chebyshev", "chebyshev._certify", "chebyshev._interpolated"),
-         ("scans", "lifshitz._scan_loop", "lifshitz._scan_arrays"))
+         ("scans", "lifshitz._scan_loop", "lifshitz._scan_arrays"),
+         ("driver", "lifshitz._summed_modes", "thermo._summed_modes"))
 # timed passes per round of a split on trees (split_trees)
 ROUND = 3
 # argv of the help and usage records
@@ -333,12 +337,12 @@ def _replayer(kind: str, limit: int | None):
     seconds, "timed": seconds, "work": counts} with "untimed", the fastest
     untimed pass; the rest is the timed pass less its parts."""
     import casimir as C
-    from casimir import chebyshev, lifshitz
+    from casimir import chebyshev, lifshitz, thermo
 
     calls = [(fn, args) for key, fn, args in cases(limit) if _selected(key, kind)]
     if not calls:
         sys.exit(f"no record of kind {kind!r}")
-    modules = {"lifshitz": lifshitz, "chebyshev": chebyshev}
+    modules = {"lifshitz": lifshitz, "chebyshev": chebyshev, "thermo": thermo}
     saved = {(modules[module], name): getattr(modules[module], name)  # the timers and spies
              for _, *names in SPLIT for module, name in (name.split(".") for name in names)}
 
