@@ -341,8 +341,8 @@ _RUNGS = ((0.0022, _rule_pair(12, 8, np.array([0.0, 0.005, 0.02, 0.07, 0.25, 0.7
           (2.7, _rule_pair(16, 12, np.zeros(1))),
           (6.4, _rule_pair(12, 8, np.zeros(1))))
 
-# Below the rungs, the A-scaled panels: breaks at the offsets 0, A*2^k for
-# k = 0, 1, ... while below 1, then 1, 2 and 4 from A, 12/8-node Legendre
+# Below the rungs, the A-scaled panels: breaks at the offsets 0, A*2^j for
+# j = 0, 1, ... while below 1, then 1, 2 and 4 from A, 12/8-node Legendre
 # panels and a 12/8-node Laguerre tail, so the panels next to A grow with
 # their distance from the near-singularity at y = 0.  They serve each
 # integrand from its floor up to its cut, both printed by tools/rule_scan.py:
@@ -351,58 +351,45 @@ _RUNGS = ((0.0022, _rule_pair(12, 8, np.array([0.0, 0.005, 0.02, 0.07, 0.25, 0.7
 # panels missed a scanned mode, or were not scanned.  Keyed by free_energy:
 # (floor, cut); a cut is a rung's lowest A.
 _SCALED = {False: (2.4e-06, 0.0022), True: (1e-07, 0.45)}
-# Per integrand, (lowest A, pair) ascending; the scaled family's pair is None.
-_LADDERS = {free: ((floor, None), *(rung for rung in _RUNGS if rung[0] >= cut))
+# Per integrand, (lowest A, pair, kernel nodes per mode) ascending.  First an
+# entry per panel count k of the A-scaled panels, whose modes have k breaks
+# A*2^j below 1: from the floor, then from each A = 2^-k below the cut, its
+# pair k for _scaled_rule(k) (built on first use), with k + 3 panels and a
+# tail of 12 + 8 nodes each.  Then the rungs from the cut.
+_LADDERS = {free: (*((max(floor, 2.0 ** -k), k, 20 * k + 80)
+                     for k in range(1 - math.frexp(floor)[1], 0, -1) if 2.0 ** -k < cut),
+                   *((low, pair, pair[0].size) for low, pair in _RUNGS if low >= cut))
             for free, (floor, cut) in _SCALED.items()}
 # Their lowest A per integrand, for bisect.
-_LADDER_LOWS = {free: tuple(a for a, _ in ladder) for free, ladder in _LADDERS.items()}
+_LADDER_LOWS = {free: tuple(entry[0] for entry in ladder) for free, ladder in _LADDERS.items()}
 
 
 @functools.cache
 def _scaled_rule(k):
-    """The A-scaled pair of the modes with k breaks A*2^j below 1 (k is at
-    most 1 - log2 of the lowest floor), as its (offsets, weights) at A = 0
-    and their slopes in A.  Every offset and weight is affine in A, so a
-    mode's pair is the first plus A times the second; the pair of
-    A = 2^-k, which has k such breaks, gives the slopes."""
+    """The A-scaled pair of the modes with k breaks A*2^j below 1, as its
+    (offsets, weights) at A = 0 and their slopes in A.  Every offset and
+    weight is affine in A, so a mode's pair is the first plus A times the
+    second; the pair of A = 2^-k, which has k such breaks, gives the
+    slopes."""
     a = 2.0 ** -k
     (y0, w0), (y1, w1) = (_rule_pair(12, 8, np.concatenate(
         [[0.0], A * 2.0 ** np.arange(k), [1.0, 2.0, 4.0]])) for A in (0.0, a))
     return y0, (y1 - y0) / a, w0, (w1 - w0) / a
 
 
-def _scaled_runs(lower, lo, hi):
-    """(start, end, k) per run of the modes lower[lo:hi] (ascending) that
-    share the panel count k of _scaled_rule.  A*2^j first reaches 1 at
-    j = 1 - e, with A = f*2^e and f in [0.5, 1)."""
-    counts = 1 - np.frexp(lower[lo:hi])[1]
-    ends = [lo, *(lo + 1 + np.flatnonzero(counts[1:] != counts[:-1])).tolist(), hi]
-    return [(start, end, int(counts[start - lo])) for start, end in zip(ends, ends[1:])]
-
-
-def _scaled_pairs(lower, lo, hi):
-    """(lo, hi, pair) per run of _scaled_runs, each pair holding a row per mode."""
-    out = []
-    for start, end, k in _scaled_runs(lower, lo, hi):
-        y0, dy, w0, dw = _scaled_rule(k)
-        A = lower[start:end, None]
-        out.append((start, end, (y0 + A * dy, w0 + A[..., None] * dw)))
-    return out
-
-
 def _rungs(lower, free_energy: bool):
     """(start, runs) of the modes ``lower`` (ascending): lower[:start] lie
-    below the integrand's floor, and each of the others takes the pair of
-    the last entry of its ladder (_LADDERS) at or below its A, a run
-    (lo, hi, pair) of them per entry, the pair None for the A-scaled
-    panels.  Only the entries from the first mode's to the last mode's are
-    looked at."""
+    below the integrand's floor, and each of the others takes the entry of
+    its ladder (_LADDERS) last at or below its A, a run (lo, hi, pair,
+    nodes) of them per entry: a rung's pair, or the panel count k of the
+    A-scaled panels, whose runs come first.  Only the entries from the
+    first mode's to the last mode's are looked at."""
     lows, ladder = _LADDER_LOWS[free_energy], _LADDERS[free_energy]
     i, j = bisect_right(lows, lower.item(0)), bisect_right(lows, lower.item(-1))
     cuts = [0] if i else []  # the first mode's entry i - 1 starts at 0; the floor's, if below
     cuts += [bisect_left(lower, low) for low in lows[i:j]]  # where the entries i..j-1 start
     cuts.append(lower.size)
-    return cuts[0], [(lo, hi, pair) for (_, pair), lo, hi in
+    return cuts[0], [(lo, hi, pair, n) for (_, pair, n), lo, hi in
                      zip(ladder[i - 1 if i else 0:j], cuts, cuts[1:]) if lo < hi]
 
 
@@ -482,13 +469,13 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: Quadrat
 
     Each integral is certified to max(integral_rel_tol * |I_m|, floor), the
     kernel working in ``work``, on the free-energy integrand with
-    ``free_energy``.  A mode takes the pair of the last entry of the
-    integrand's ladder (_LADDERS) at or below its A: a rung of _RUNGS, or
-    from the floor to the cut of _SCALED the A-scaled panels, built per run
-    of modes with one panel count.  The modes ascend, so each serves a slice
-    of the block, and one kernel call takes every mode's nodes in a row;
-    einsum, unlike BLAS, sums each row alike, so a value does not depend on
-    its block.  Each mode below the floor or whose pair misses the target
+    ``free_energy``.  A mode takes the pair of the entry of the
+    integrand's ladder (_LADDERS) last at or below its A: a rung of _RUNGS,
+    or, from the floor to the cut of _SCALED, the A-scaled panels of its
+    entry's panel count, built per mode.  The modes ascend, so each entry
+    serves a slice of the block, and one kernel call takes every mode's
+    nodes in a row; einsum, unlike BLAS, sums each row alike, so a value
+    does not depend on its block.  Each mode below the floor or whose pair misses the target
     goes to ``integrate`` (the module's ``integrate_adaptive``) alone, on
     its first breaks below y_max, then y_max.  ``kinds`` classify the sides
     over their plan (_plan), so the kernel takes a side ideal at every mode
@@ -503,27 +490,31 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: Quadrat
             i = below.argmax()
             raise ValueError(f"{model!r}: epsilon = {e[i]:.6g} < 1 at zeta = {zeta[i]:.6g} eV")
     start, rungs = _rungs(lower, free_energy)
-    if rungs and rungs[0][2] is None:
-        rungs[:1] = _scaled_pairs(lower, *rungs[0][:2])
+    if rungs and type(rungs[0][2]) is int:  # A-scaled runs, which come first: a pair per mode
+        for r, (lo, hi, count, n) in enumerate(rungs):
+            if type(count) is int:
+                y0, dy, w0, dw = _scaled_rule(count)
+                A = lower[lo:hi, None]
+                rungs[r] = lo, hi, (y0 + A * dy, w0 + A[..., None] * dw), n
     out = np.empty((2, lower.size))  # value and check of every mode
     if start:  # below the floor: adaptive
         out[0, :start], out[1, :start] = 0.0, np.inf
     if rungs:  # the node column: each mode's offsets from its A, then A added
         ends = [0]  # where each rung's nodes start and end in the column
-        for lo, hi, (dy, _) in rungs:
-            ends.append(ends[-1] + (hi - lo) * dy.shape[-1])
+        for lo, hi, _, n in rungs:
+            ends.append(ends[-1] + (hi - lo) * n)
         y, counts = np.empty(ends[-1]), np.empty(lower.size - start, int)  # nodes per mode
-        for (lo, hi, (dy, _)), k, end in zip(rungs, ends, ends[1:]):
-            y[k:end].reshape(hi - lo, -1)[...] = dy
-            counts[lo - start:hi - start] = dy.shape[-1]
+        for (lo, hi, (dy, _), n), k, end in zip(rungs, ends, ends[1:]):
+            y[k:end].reshape(hi - lo, n)[...] = dy
+            counts[lo - start:hi - start] = n
         A = lower[start:].repeat(counts)  # a side ideal at every mode is not read
         eps = [e if kind is _IDEAL else e[start:].repeat(counts)
                for (_, e), kind in zip(sides, kinds)]
         fx = _mode_kernel(np.add(y, A, y)[:, None], work, free_energy, kinds, A, *eps)
         rows = out.T  # (value, check) per mode: a rung's rows[lo:hi] cost less than out[:, lo:hi]
-        for (lo, hi, (dy, weights)), k, end in zip(rungs, ends, ends[1:]):
+        for (lo, hi, (dy, weights), n), k, end in zip(rungs, ends, ends[1:]):
             _einsum("rn,rkn->rk" if dy.ndim == 2 else "rn,kn->rk",  # a scaled pair: a row per mode
-                    fx[k:end].reshape(hi - lo, -1), weights, out=rows[lo:hi])
+                    fx[k:end].reshape(hi - lo, n), weights, out=rows[lo:hi])
     values, check = out[0], out[1]
     np.subtract(values, check, check)
     magnitudes = np.abs(out)
@@ -673,11 +664,13 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
     is certain to fire, and at max_terms at the latest.  The first block
     holds at most _BLOCK_CAP modes, so a sum of up to _BLOCK_CAP terms takes
     one block.  A later block holds as many modes as the nodes of the first
-    block's rule pairs fill at its first mode's rule, whichever workspace
-    answered that block (the adaptive calls of modes below the floor or not
-    certified are not counted; nodes per mode never rise with A, so no later
-    block's kernel call is larger), at least _BLOCK_CAP, and its bound is
-    rescaled through the last term t used: the
+    block's rule pairs fill at its first mode's pair, whichever workspace
+    answered that block, both counted from the nodes per mode of the
+    ladder's entries (_LADDERS: a rung, or one panel count of the A-scaled
+    panels); the adaptive calls of modes below the floor or not certified
+    are not counted, and nodes per mode never rise with A, so no later
+    block's kernel call is larger.  It holds at least _BLOCK_CAP modes, and
+    its bound is rescaled through the last term t used: the
     target rises by shift = ln(bound/|t|) >= 0 there, so a long block does
     not run far past the stop.  A mode's value depends on its block only
     through the floor.  The first block plans (_plan, a kind per side) the
@@ -742,16 +735,13 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
         floor = int_rel_tol * sum_rel_tol * total
         target = log_tol + math.log(total)  # ln of the bound where the stop rule fires
         if terms:  # a later block: the modes whose nodes fill the first's, a rescaled bound
-            A, last, ladder = first * gamma, abs(float(terms[-1][-1])), _LADDERS[free_energy]
-            i = bisect_right(_LADDER_LOWS[free_energy], A) - 1  # -1 below the floor
+            last = abs(float(terms[-1][-1]))
+            i = bisect_right(_LADDER_LOWS[free_energy], first * gamma) - 1  # -1 below the floor
             if fill is None:  # the first block's kernel nodes (modes 1..n_terms of the plan),
-                runs = _rungs(lower[:n_terms], free_energy)[1]  # whoever answered it
-                if runs and runs[0][2] is None:  # the A-scaled rules, a run per panel count
-                    runs[:1] = [(lo, hi, _scaled_rule(k)) for lo, hi, k in
-                                _scaled_runs(lower, *runs[0][:2])]
-                fill = sum((hi - lo) * pair[0].size for lo, hi, pair in runs)
+                fill = sum((hi - lo) * n  # whoever answered it
+                           for lo, hi, _, n in _rungs(lower[:n_terms], free_energy)[1])
             cap = _BLOCK_CAP if i < 0 else max(  # the nodes of its first mode's pair
-                fill // (ladder[i][1] or _scaled_rule(1 - math.frexp(A)[1]))[0].size, _BLOCK_CAP)
+                fill // _LADDERS[free_energy][i][2], _BLOCK_CAP)
             # the bound exceeds the last term by e^shift: take it through that term
             shift = last and max(0.0, _log_bound(n_terms * gamma, free_energy) - math.log(last))
         if panels.get(first, ()) is None:  # at mode _BLOCK_CAP + 1: panels to the stop

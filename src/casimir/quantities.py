@@ -8,6 +8,7 @@ across platforms.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -25,22 +26,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Pinned fundamental constants (CODATA 2018); immutable."""
+    """Pinned fundamental constants (CODATA 2018); immutable.  The derived
+    ones are computed at first access and kept, outside the fields."""
 
     hbar_c_eV_nm: float = 197.3269804      # hbar*c in eV nm
     k_B_eV_per_K: float = 8.617333262e-5   # Boltzmann constant in eV/K
     e_charge_C: float = 1.602176634e-19    # elementary charge (exact)
     hbar_J_s: float = 1.054571817e-34      # hbar in J s
 
-    @property
+    @functools.cached_property
     def hbar_c_eV_um(self) -> float:
         return self.hbar_c_eV_nm * 1e-3
 
-    @property
+    @functools.cached_property
     def k_B_J_per_K(self) -> float:
         return self.k_B_eV_per_K * self.e_charge_C
 
-    @property
+    @functools.cached_property
     def eV_to_rad_per_s(self) -> float:
         """Angular frequency (rad/s) corresponding to 1 eV."""
         return self.e_charge_C / self.hbar_J_s

@@ -53,6 +53,7 @@ from casimir.lifshitz import (
     _plan,
     _reflections,
     _rungs,
+    _scaled_rule,
     _scan_arrays,
     _scan_loop,
     _sum_steps,
@@ -1199,19 +1200,25 @@ class TestRungs:
     def test_value_is_independent_of_the_block(self, pair, free):
         # one block holding both sides of every rung boundary, of both
         # floors and of every change in the A-scaled panel count (at each
-        # power of two); modes below the floor, and free-energy modes a pair
-        # rejects, take the adaptive quadrature in either block
+        # power of two), so of every ladder entry; modes below the floor,
+        # and free-energy modes a pair rejects, take the adaptive quadrature
+        # in either block
         geom = Geometry(0.5, 2e-5)
         gamma = reduced_temperature(geom)
         firsts = modes_at(geom, [*RUNG_A, *(f for f, _ in _SCALED.values()),
                                  *2.0 ** -np.arange(1, 24)])
         ms = np.unique(np.concatenate([firsts, firsts - 1]))
         assert ms.size <= _BLOCK_CAP
-        lows = [a for a, _ in _LADDERS[free]]
+        lows = [entry[0] for entry in _LADDERS[free]]
         rung = np.searchsorted(lows, ms * gamma, side="right") - 1
         assert np.array_equal(np.unique(rung), np.arange(-1, len(lows)))
-        exponents = np.frexp(ms[rung == 0] * gamma)[1]  # one panel count each
-        assert np.unique(exponents).size == np.ptp(np.frexp(_SCALED[free])[1]) + 1
+        # an A-scaled entry per panel count from the floor's to the cut's,
+        # each holding the modes of its count (A*2^j < 1 for j < k)
+        counts = [pair for _, pair, _ in _LADDERS[free] if type(pair) is int]
+        assert len(counts) == np.ptp(np.frexp(_SCALED[free])[1]) + 1
+        scaled = (rung >= 0) & (rung < len(counts))
+        assert np.array_equal(1 - np.frexp(ms[scaled] * gamma)[1],
+                              np.take(counts, rung[scaled]))
         (values, errors, failed), adaptive = block(ms, geom, GL_PAIRS[pair], free_energy=free)
         assert not failed.any() and adaptive[rung < 0].all()
         assert not adaptive[rung >= 0].all() and (free or not adaptive[rung >= 0].any())
@@ -1221,7 +1228,7 @@ class TestRungs:
         # a crafted plan whose lower limits are exactly every ladder's lows,
         # both floors among them: an edge takes the entry whose low it
         # equals, not the one below, in a block of them all as alone
-        edges = np.unique([low for ladder in _LADDERS.values() for low, _ in ladder])
+        edges = np.unique([entry[0] for ladder in _LADDERS.values() for entry in ladder])
         assert set(edges) >= {floor for floor, _ in _SCALED.values()}
         _, zeta, sides, kinds = _plan(edges / gamma, gamma, matsubara_frequency(1, geom.T_K),
                                       *GL_PAIRS[pair])
@@ -1234,7 +1241,22 @@ class TestRungs:
             assert all(same_bits(a, b[part]) for a, b in zip(one, (values, errors, failed)))
             if low in lows:
                 start, runs = _rungs(edges[part], free)
-                assert start == 0 and runs[0][2] is _LADDERS[free][lows.index(low)][1]
+                assert start == 0 and runs == [(0, 1, *_LADDERS[free][lows.index(low)][1:])]
+
+    @pytest.mark.parametrize("free", [False, True], ids=["pressure", "free-energy"])
+    def test_ladder_entries_count_their_pairs_nodes(self, free):
+        # a rung's pair or the A-scaled pair of a panel count, as many nodes
+        # per mode as the entry says; the rungs from the cut follow
+        floor, cut = _SCALED[free]
+        ladder = _LADDERS[free]
+        assert ladder[0][0] == floor and [entry[0] for entry in ladder] == sorted(
+            {entry[0] for entry in ladder})
+        for low, pair, n in ladder:
+            offsets, weights = _scaled_rule(pair)[::2] if type(pair) is int else pair
+            assert offsets.shape == (n,) and weights.shape == (2, n)
+            assert (low < cut) == (type(pair) is int)
+        assert [entry[1:] for entry in ladder if entry[0] >= cut] == [
+            (pair, pair[0].size) for low, pair in _RUNGS if low >= cut]
 
     @pytest.mark.parametrize("pair", ["similar", "dissimilar"])
     def test_missed_target_falls_back_to_the_adaptive_value(self, pair):
@@ -1531,6 +1553,9 @@ SCHEDULE_CELLS = {
     "mixed-ideal": (1.0, 30.0, (IdealBelow(DB.get("Au"), 0.02), AU), False, None),
     "cold-two-blocks": (1.3, 20.0, (AU, CU), False, None),
     "cold-four-blocks": (2.5, 4.0, (AU, CU), False, None),
+    # gamma = 1.1e-3: modes 1 and 2 take the A-scaled panels of 10 and 9
+    # breaks in the first block; a tabulated side is never interpolated
+    "scaled-first": (0.2, 2.0, (TAB, AU), False, None),
     "free-warm": (1.0, 300.0, (AU, CU), True, 1e-10),
     "free-mixed-ideal": (1.0, 30.0, (IdealBelow(DB.get("Au"), 0.02), AU), True, None),
     "free-cold": (0.7, 8.0, (AU, CU), True, 1e-10),
@@ -1713,10 +1738,10 @@ def ladder_nodes(A, free_energy):
     """Kernel nodes of the rule pair a mode at A takes: its rung's, or the
     A-scaled pair's 20 per panel and 20 for the tail, with k breaks A*2^j
     below 1 and the breaks 1, 2 and 4: 20k + 80."""
-    (floor, _), *rungs = _LADDERS[free_energy]
+    floor, cut = _SCALED[free_energy]
     assert A >= floor
-    for low, (offsets, _) in reversed(rungs):
-        if A >= low:
+    for low, (offsets, _) in reversed(_RUNGS):
+        if A >= low >= cut:
             return offsets.size
     return 20 * sum(1 for j in range(64) if A * 2.0 ** j < 1.0) + 80
 
@@ -2280,3 +2305,46 @@ class TestInterpolation:
         plans = calls[::2]
         assert [ms is None for ms in calls] == [False, True] * len(plans)
         assert any((ms != np.round(ms)).any() for ms in plans) and len(plans) > 1
+
+
+# Run in a fresh interpreter by test_numpy_1_fallbacks_give_the_same_bits:
+# casimir imported while numpy lacks the C functions that numpy < 2 does not
+# export, which are then put back (numpy's own count_nonzero calls its C one).
+NUMPY_1_SCRIPT = """
+import hashlib
+import numpy as np
+from numpy._core import multiarray
+saved = {name: vars(multiarray).pop(name) for name in ("c_einsum", "count_nonzero")}
+try:
+    from casimir import dielectric, lifshitz, thermo
+finally:
+    vars(multiarray).update(saved)
+print(lifshitz._einsum is np.einsum, dielectric._count_nonzero is np.count_nonzero)
+au = dielectric.DrudeModel(dielectric.MaterialDatabase.builtin().get("Au"))
+for res in (lifshitz.casimir_pressure(lifshitz.Geometry(0.16, 1.0), au, au),
+            thermo.free_energy(lifshitz.Geometry(1.0, 300.0), au, au)):
+    value, _, terms, n_terms, _ = vars(res).values()
+    print(value.hex(), n_terms, hashlib.sha256(terms.tobytes()).hexdigest())
+"""
+
+
+def fallback_digests(*results):
+    """The lines NUMPY_1_SCRIPT prints for its results."""
+    lines = []
+    for res in results:
+        value, _, terms, n_terms, _ = vars(res).values()
+        lines.append(f"{value.hex()} {n_terms} {hashlib.sha256(terms.tobytes()).hexdigest()}")
+    return lines
+
+
+def test_numpy_1_fallbacks_give_the_same_bits():
+    # np.einsum and np.count_nonzero stand in for the C functions that
+    # numpy < 2 does not export; a sum at 1 K and one at 300 K keep every bit
+    src = os.path.dirname(os.path.dirname(_certify.__code__.co_filename))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_1_SCRIPT], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    bound, *digests = proc.stdout.splitlines()
+    assert bound == "True True"
+    assert digests == fallback_digests(casimir_pressure(Geometry(0.16, 1.0), AU, AU),
+                                       free_energy(Geometry(1.0, 300.0), AU, AU))

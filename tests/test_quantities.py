@@ -33,6 +33,20 @@ class TestConstants:
         assert CODATA.eV_to_rad_per_s == pytest.approx(
             1.602176634e-19 / 1.054571817e-34, rel=1e-12)
 
+    def test_derived_constants_are_kept_outside_the_fields(self):
+        # computed once, with the product's bits; a fresh instance that has
+        # computed them still equals, hashes and converts like one that has not
+        fresh, used = PhysicalConstants(), PhysicalConstants()
+        derived = {"hbar_c_eV_um": used.hbar_c_eV_nm * 1e-3,
+                   "k_B_J_per_K": used.k_B_eV_per_K * used.e_charge_C,
+                   "eV_to_rad_per_s": used.e_charge_C / used.hbar_J_s}
+        for name, value in derived.items():
+            assert getattr(used, name) == value and getattr(used, name) is getattr(used, name)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert dataclasses.asdict(used) == dataclasses.asdict(fresh)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            used.hbar_c_eV_um = 1.0
+
 
 class TestGeometry:
     def test_validation(self):

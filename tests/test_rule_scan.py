@@ -1,7 +1,7 @@
 """Smoke test of ``tools/rule_scan.py``, which derives the fixed rule pairs.
 
 The tool imports internals of ``casimir.lifshitz`` (``_rule_pair``,
-``_scaled_pairs``, ``_mode_kernel``, ``_Workspace``), so a change to them
+``_scaled_rule``, ``_mode_kernel``, ``_Workspace``), so a change to them
 must keep its helpers running.  Its ``fixed`` and ``scaled`` helpers are run
 here against its ``reference`` on a few modes of each integrand; the full
 scan takes minutes and is run by hand.
@@ -31,9 +31,11 @@ def agree(value, error, ref):
 @pytest.mark.parametrize("kind", ["Au-Cu", "Au-ideal", "tabulated-Cu"])
 def test_fixed_and_scaled_pairs_meet_the_reference(kind, free):
     pair = rule_scan.PAIRS[kind]
-    # the lowest rung of the integrand's ladder, and the Laguerre rung from
-    # 6.4, which certify every scanned mode of both integrands
-    for lowest, rule in (_LADDERS[free][1], _LADDERS[free][-1]):
+    # the lowest fixed rung of the integrand's ladder (past its A-scaled
+    # entries, whose pair is a panel count), and the Laguerre rung from 6.4,
+    # which certify every scanned mode of both integrands
+    first = next(entry for entry in _LADDERS[free] if type(entry[1]) is not int)
+    for lowest, rule, _ in (first, _LADDERS[free][-1]):
         A, eps1, eps3 = rule_scan.modes(pair, 1.0, lowest * np.array([1.05, 1.3, 1.6]))
         ref, nodes = rule_scan.reference(A, eps1, eps3, free)
         assert agree(*rule_scan.fixed(rule, A, eps1, eps3, free), ref) and (nodes > 0).all()

@@ -21,9 +21,10 @@ error; then that table again for the free-energy integrand, graded the same
 way against its own adaptive reference on the pressure ladder (a
 free-energy mode the pair rejects takes the adaptive quadrature).
 
-Last it scans the A-scaled panels (``casimir.lifshitz._scaled_pairs``:
-breaks at A*2^k below 1, then 1, 2 and 4 from A) from A = 1e-7 to 2 on both
-integrands.  A band's cost is the mean kernel nodes per mode: the rule's
+Last it scans the A-scaled panels (``casimir.lifshitz._scaled_rule(k)``:
+breaks at A*2^j for the k values of j with A*2^j below 1, then 1, 2 and 4
+from A) from A = 1e-7 to 2 on both integrands, below the floors and past
+the cuts of the ladders, so it groups the modes by k itself.  A band's cost is the mean kernel nodes per mode: the rule's
 nodes, plus, for a mode it does not certify, the nodes the adaptive
 quadrature spends on it at integral_rel_tol 1e-12 (below the first rung the
 ladder is the adaptive quadrature alone).  An integrand's cut is the lowest
@@ -47,7 +48,7 @@ import numpy as np
 from casimir.dielectric import (DrudeModel, IdealMetal, MaterialDatabase, PermittivityTable,
                                 TabulatedModel, drude_epsilon)
 from casimir.lifshitz import (QuadratureSpec, _BREAK_OFFSETS, _Workspace, _kernel_sides,
-                              _mode_kernel, _rule_pair, _scaled_pairs)
+                              _mode_kernel, _rule_pair, _scaled_rule)
 from casimir.quadrature import integrate_adaptive
 from casimir.quantities import Geometry, matsubara_frequency, reduced_temperature
 
@@ -120,13 +121,18 @@ def fixed(pair_rule, A, eps1, eps3, free_energy):
 
 
 def scaled(A, eps1, eps3, free_energy):
-    """(value, error, nodes) of every mode by its A-scaled pair; A ascends."""
-    out = np.zeros((3, A.size))
-    for lo, hi, (dy, weights) in _scaled_pairs(A, 0, A.size):
-        rows = slice(lo, hi)
-        fx = kernel(A[rows, None] + dy, _Workspace(), free_energy, A[rows], eps1[rows], eps3[rows])
+    """(value, error, nodes) of every mode by the A-scaled pair of its panel
+    count k: A*2^j first reaches 1 at j = k = 1 - e, with A = f*2^e and f in
+    [0.5, 1)."""
+    out, counts = np.zeros((3, A.size)), 1 - np.frexp(A)[1]
+    for k in np.unique(counts).tolist():
+        rows = counts == k
+        y0, dy, w0, dw = _scaled_rule(k)
+        lower = A[rows, None]
+        offsets, weights = y0 + lower * dy, w0 + lower[..., None] * dw
+        fx = kernel(lower + offsets, _Workspace(), free_energy, A[rows], eps1[rows], eps3[rows])
         value, check = np.einsum("rn,rkn->kr", fx, weights)
-        out[:, rows] = value, np.abs(value - check), np.full(hi - lo, dy.shape[-1])
+        out[:, rows] = value, np.abs(value - check), np.full(value.size, y0.size)
     return out
 
 
