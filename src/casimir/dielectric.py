@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -265,8 +266,7 @@ class DielectricModel:
 
     ``is_vacuum`` marks the one model whose static mode vanishes entirely;
     every metallic model diverges as zeta -> 0, so its static TM reflection
-    saturates to the ideal-metal value.  The sums evaluate ``at(T_K)``, the
-    model at T_K: the model itself unless a parameter depends on T.
+    saturates to the ideal-metal value.  The sums evaluate ``at(T_K)``.
     ``analytic`` marks an epsilon analytic in zeta > 0, so a sum may
     interpolate in m; a subclass that defines ``epsilon`` is not, unless it
     sets ``analytic`` itself.
@@ -282,35 +282,28 @@ class DielectricModel:
         raise NotImplementedError
 
     def at(self, T_K: float) -> "DielectricModel":
+        """The model at T_K: the model itself unless a parameter depends on T,
+        else one object per model and T_K while it is cached: m.at(T) is m.at(T)."""
         return self
 
 
 class DrudeModel(DielectricModel):
     """Drude permittivity of ``params``.  With ``bloch_gruneisen``, ``at(T_K)``
-    is the fixed model with nu = bloch_gruneisen_nu(bloch_gruneisen, T_K),
-    remembered for the last _AT_MEMO temperatures it computed; ``epsilon``
-    of the model itself keeps ``params.nu_eV``."""
+    is the fixed model with nu = bloch_gruneisen_nu(bloch_gruneisen, T_K):
+    one object per model and T_K while _drude_at caches it, among the 64
+    last used; ``epsilon`` of the model itself keeps ``params.nu_eV``."""
 
-    _AT_MEMO = 64  # an entropy takes two temperatures, a Nernst ladder eight
     analytic = True
 
     def __init__(self, params: DrudeParams, bloch_gruneisen: BlochGruneisenParams | None = None):
         self.params = params
         self.bloch_gruneisen = bloch_gruneisen
-        self._at: dict[float, DrudeModel] = {}
 
     def epsilon(self, zeta_eV):
         return drude_epsilon(self.params, zeta_eV)
 
     def at(self, T_K: float) -> "DrudeModel":
-        if self.bloch_gruneisen is None:
-            return self
-        if T_K not in self._at:
-            if len(self._at) == self._AT_MEMO:
-                del self._at[next(iter(self._at))]  # the oldest
-            nu = bloch_gruneisen_nu(self.bloch_gruneisen, T_K)
-            self._at[T_K] = DrudeModel(DrudeParams(self.params.omega_p_eV, nu, self.params.label))
-        return self._at[T_K]
+        return self if self.bloch_gruneisen is None else _drude_at(self, T_K)
 
     def __repr__(self) -> str:
         p = self.params
@@ -352,11 +345,7 @@ class TabulatedModel(DielectricModel):
 
     def at(self, T_K: float) -> "TabulatedModel":
         low = self.low_freq.at(T_K)
-        if low is self.low_freq:
-            return self
-        out = copy.copy(self)  # shares the table and its log arrays
-        out.low_freq = low
-        return out
+        return self if low is self.low_freq else _tabulated_at(self, low)
 
     def __repr__(self) -> str:
         t, p = self.table, self.low_freq.params
@@ -364,6 +353,20 @@ class TabulatedModel(DielectricModel):
         return (f"TabulatedModel({t.zeta_eV.size} samples, "
                 f"{t.zeta_min_eV:.3g}..{t.zeta_max_eV:.3g} eV, "
                 f"tail={p.label or '?'}, jump={jump:.3g})")
+
+
+# models at T, keyed by the model object: an entropy takes two T, a Nernst ladder eight
+@functools.lru_cache(maxsize=64)
+def _drude_at(model: DrudeModel, T_K: float) -> DrudeModel:
+    nu = bloch_gruneisen_nu(model.bloch_gruneisen, T_K)
+    return DrudeModel(DrudeParams(model.params.omega_p_eV, nu, model.params.label))
+
+
+@functools.lru_cache(maxsize=64)
+def _tabulated_at(model: TabulatedModel, low_freq: DrudeModel) -> TabulatedModel:
+    out = copy.copy(model)  # shares the table and its log arrays
+    out.low_freq = low_freq
+    return out
 
 
 class Vacuum(DielectricModel):

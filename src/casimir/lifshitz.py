@@ -23,7 +23,8 @@ short one's in a loop, with the same bits.  A sum (_sum_steps) asks for
 each block it integrates; _summed_modes answers with _mode_block.
 Past mode 128 a long sum of two analytic sides (Drude, ideal) takes most
 terms from Chebyshev interpolants in m (casimir.chebyshev) of sample
-points it integrates, both screened for bad permittivities (_screen).
+points it integrates, both screened for bad permittivities (_screen); the
+samples make their own _mode_block call (_sampled).
 
 All mode arithmetic is dimensionless; SI conversion happens once at the
 end through the SI pressure scale of :class:`casimir.quantities.Geometry`.
@@ -568,12 +569,6 @@ def _mode_error(m: int, geom: Geometry, estimate: float, error: float) -> Quadra
         f"(a={geom.a_um} um, T={geom.T_K} K)", estimate, error)
 
 
-def _sides_at(geom: Geometry, model1: DielectricModel, model3: DielectricModel):
-    """Both sides at geom.T_K; a model passed as both sides stays one object."""
-    side1 = model1.at(geom.T_K)  # TabulatedModel.at may return a new object per call
-    return side1, side1 if model3 is model1 else model3.at(geom.T_K)
-
-
 def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
                    model3: DielectricModel, spec: QuadratureSpec | None = None) -> float:
     """Dimensionless m-th mode integral over y in [m*gamma, inf), m >= 1.
@@ -599,7 +594,7 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
     spec = spec or _DEFAULT_SPEC
     floor = spec.integral_rel_tol * spec.sum_rel_tol * (zeta3() / 8.0)
     values, errors, failed = _mode_block(
-        *_plan(np.array([m]), geom.gamma, geom.zeta1_eV, *_sides_at(geom, model1, model3)),
+        *_plan(np.array([m]), geom.gamma, geom.zeta1_eV, model1.at(geom.T_K), model3.at(geom.T_K)),
         spec, floor, False, integrate_adaptive, _Workspace())
     if failed[0]:
         raise _mode_error(m, geom, float(values[0]), float(errors[0]))
@@ -708,7 +703,7 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
     result.  Raises SumConvergenceError carrying that result if max_terms
     is hit first, and a QuadratureError for a mode that is not certified.
     """
-    model1, model3 = _sides_at(geom, model1, model3)
+    model1, model3 = model1.at(geom.T_K), model3.at(geom.T_K)
     if model1.is_vacuum or model3.is_vacuum:
         return result(0.0, 0.0, np.zeros(0), 0, True)
     # closed-form static TM mode with half weight; the log integrand of F is negative

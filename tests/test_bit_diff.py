@@ -33,7 +33,7 @@ _spec.loader.exec_module(bit_diff)
 def test_a_tree_against_itself_differs_nowhere(capsys):
     assert bit_diff.main([str(ROOT), str(ROOT), "--limit", "1"]) == 0
     *work, last = capsys.readouterr().out.splitlines()
-    assert last == "0 of 45 records differ"
+    assert last == "0 of 49 records differ"
     kinds = [line.split(":")[0] for line in work]
     assert {"work cold_sum", "work grid Au-Au", "work replan Au-Au"} <= set(kinds)
     assert all(line.endswith("; new the same") for line in work)
@@ -49,7 +49,8 @@ def test_records_cover_every_kind(records):
     assert recorded == {f"{w}-{s}" for w in ("cold_sum", "warm_grid", "entropy_ladder",
                                              "cli_tabulated") for s in (0, 1)}
     grid = {key.split(" a=")[0] for key in records if key.startswith("grid ")}
-    assert len(grid) == 12 and {"grid Au-Au copies", "grid Au-Al bg", "grid tabulated-Cu"} < grid
+    assert len(grid) == 14 and {"grid Au-Au copies", "grid Au-Al bg", "grid Au bg copies",
+                                "grid tabulated-Cu", "grid tabulated-bg both"} < grid
     # the vacuum pair's all-zero result; a grid cell with ideal and finite modes
     assert records["grid vacuum-Au a=20.0 T=300.0 P"]["n_terms_used"] == 0
     assert records["grid ideal-below-Au a=20.0 T=3.0 F"]["n_terms_used"] > 5
@@ -242,7 +243,7 @@ def test_rel_prints_the_largest_deviation_per_kind(records, monkeypatch, capsys)
     kinds = {line.split(":")[0]: line for line in out[:-1]}
     # the workloads, the grid's pair kinds, the adaptive cells, the re-plan
     # cells' sides, the panel cells' pair, the usage records
-    assert len(kinds) == 4 + 12 + 1 + 2 + 1 + 1
+    assert len(kinds) == 4 + 14 + 1 + 2 + 1 + 1
     assert kinds["entropy_ladder"].endswith("0.00e+00 of a value, 5.00e-14 of a term")
     assert kinds["grid Au-Au"].endswith("0.00e+00 of a value, 0.00e+00 of a term")
     assert bit_diff.main(["old", "new"]) == 1  # exact by default

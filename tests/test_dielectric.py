@@ -448,6 +448,13 @@ class TestModels:
         want = TabulatedModel(self.TABLE, low.at(300.0)).epsilon(zeta)
         assert at.epsilon(zeta).tobytes() == want.tobytes()
 
+    def test_at_is_one_object_per_model_and_temperature(self):
+        bg = DrudeModel(AU, BlochGruneisenParams())
+        for model in (DrudeModel(AU), bg, TabulatedModel(self.TABLE, DrudeModel(AU)),
+                      TabulatedModel(self.TABLE, bg), Vacuum(), IdealMetal()):
+            for T_K in (4.0, 300.0):
+                assert model.at(T_K) is model.at(T_K)
+
     def test_at_keeps_a_bounded_number_of_temperatures(self, monkeypatch):
         calls = []
 
@@ -456,7 +463,8 @@ class TestModels:
             return bloch_gruneisen_nu(params, T_K)
         monkeypatch.setattr(casimir.dielectric, "bloch_gruneisen_nu", spy)
         model = DrudeModel(AU, BlochGruneisenParams())
-        temperatures = [300.0 + k for k in range(DrudeModel._AT_MEMO + 1)]
+        bound = casimir.dielectric._drude_at.cache_parameters()["maxsize"]
+        temperatures = [300.0 + k for k in range(bound + 1)]
         first = [model.at(T_K) for T_K in temperatures]
         assert all(model.at(T_K) is at for T_K, at in zip(temperatures[1:], first[1:]))
         assert calls == temperatures  # each once while it is remembered

@@ -1903,15 +1903,15 @@ class TestPlans:
             assert any(overlaps) == (sum(sizes) > plan_cap)
 
     def test_a_tabulated_model_as_both_sides_is_evaluated_once_per_plan(self, monkeypatch):
-        # with a Bloch-Grueneisen continuation each at(T) is a new object;
-        # passed as both sides, the model is still one side
+        # with a Bloch-Grueneisen continuation at(T) is a copy, one per T;
+        # passed as both sides, the model is one side
         from casimir import lifshitz
 
         def tab():
             return TabulatedModel(TAB.table, low_freq=DrudeModel(DB.get("Au"),
                                                                  BlochGruneisenParams()))
         model, geom = tab(), Geometry(0.5, 300.0)
-        assert model.at(geom.T_K) is not model.at(geom.T_K)
+        assert model.at(geom.T_K) is model.at(geom.T_K) is not model
         calls, plans, epsilon = [], [], TabulatedModel.epsilon
         monkeypatch.setattr(TabulatedModel, "epsilon",
                             lambda self, zeta: calls.append(self) or epsilon(self, zeta))

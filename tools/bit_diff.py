@@ -15,9 +15,11 @@ the type and message of the error it raised (with the partial result of a
   Bloch-Grueneisen rows through ``DrudeModel(params, BlochGruneisenParams())``;
 - the pressure and the free energy on a small (a, T) grid for every pair
   kind of ``_models``: one model on both sides or two equal ones, Drude,
-  Bloch-Grueneisen, tabulated, ideal, ideal below a frequency, vacuum, and
-  two analytic sides that the interpolated sums at 0.2 um and 3 K must
-  screen: one ideal up to mode 1500, one NaN at mode 3000 alone;
+  Bloch-Grueneisen (two equal objects too), tabulated, one tabulated model
+  with a Bloch-Grueneisen continuation on both sides, ideal, ideal below a
+  frequency, vacuum, and two analytic sides that the interpolated sums at
+  0.2 um and 3 K must screen: one ideal up to mode 1500, one NaN at mode
+  3000 alone;
 - three Au-Au cells whose modes reach the adaptive quadrature, which no
   recorded input does: the free energy at 0.16 um and 10 K (two modes) and
   at 0.3 um and 5 K with integral_rel_tol 1e-14 and sum_rel_tol 1e-10 (182
@@ -141,8 +143,9 @@ def _models(C):
     au, cu, al = (C.DrudeModel(db.get(label)) for label in ("Au", "Cu", "Al"))
     bg = C.BlochGruneisenParams()
     zeta = np.logspace(-2, 2, 9)
-    tab = C.TabulatedModel(C.PermittivityTable(zeta, drude_epsilon(db.get("Al"), zeta)),
-                           low_freq=C.DrudeModel(db.get("Au")))
+    table = C.PermittivityTable(zeta, drude_epsilon(db.get("Al"), zeta))
+    tab = C.TabulatedModel(table, low_freq=C.DrudeModel(db.get("Au")))
+    tab_bg = C.TabulatedModel(table, low_freq=C.DrudeModel(db.get("Au"), bg))
 
     class IdealBelow(C.DrudeModel):
         """Au that reflects perfectly below 0.05 eV: ideal at some modes."""
@@ -177,7 +180,9 @@ def _models(C):
     return {"Au-Au": (au, au), "Au-Au copies": (au, C.DrudeModel(db.get("Au"))),
             "Au-Cu": (au, cu), "Cu-Al": (cu, al),
             "Au-Al bg": (C.DrudeModel(db.get("Au"), bg), C.DrudeModel(db.get("Al"), bg)),
-            "tabulated-Cu": (tab, cu), "Au-ideal": (au, ideal), "ideal-ideal": (ideal, ideal),
+            "Au bg copies": (C.DrudeModel(db.get("Au"), bg), C.DrudeModel(db.get("Au"), bg)),
+            "tabulated-Cu": (tab, cu), "tabulated-bg both": (tab_bg, tab_bg),
+            "Au-ideal": (au, ideal), "ideal-ideal": (ideal, ideal),
             "ideal-below-Au": (IdealBelow(db.get("Au")), au), "vacuum-Au": (C.Vacuum(), au),
             "ideal-to-1500-Au": (IdealToMode(db.get("Au")), au),
             "nan-at-3000-Au": (NanAtMode(db.get("Au")), au)}
