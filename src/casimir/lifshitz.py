@@ -53,6 +53,7 @@ except ImportError:  # numpy < 2
 __all__ = [
     "QuadratureSpec",
     "PressureResult",
+    "FreeEnergyResult",
     "SumConvergenceError",
     "lifshitz_variables",
     "reflection_te",
@@ -125,6 +126,18 @@ class PressureResult:
         if self.pressure_mPa == 0.0:
             return 0.0
         return self.zero_mode_mPa / self.pressure_mPa
+
+
+@dataclass(frozen=True)
+class FreeEnergyResult:
+    """Free energy per unit area (J/m^2, negative = binding) and diagnostics; a
+    sum whose bound puts mode 1 below its floor has terms of 0.0."""
+
+    free_energy_J_per_m2: float
+    zero_mode_J_per_m2: float
+    terms_J_per_m2: np.ndarray
+    n_terms_used: int
+    converged: bool
 
 
 def lifshitz_variables(eps1, eps3, p):
@@ -465,7 +478,7 @@ def _plan(ms: np.ndarray, gamma, zeta1, model1: DielectricModel, model3: Dielect
 
 
 def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: QuadratureSpec,
-                floor: float, free_energy: bool, integrate, work: _Workspace):
+                floor: float, free_energy: bool, work: _Workspace):
     """Mode integrals of a slice of a _plan, ascending in m >= 1, in one block.
 
     Each integral is certified to max(integral_rel_tol * |I_m|, floor), the
@@ -476,14 +489,13 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: Quadrat
     entry's panel count, built per mode.  The modes ascend, so each entry
     serves a slice of the block, and one kernel call takes every mode's
     nodes in a row; einsum, unlike BLAS, sums each row alike, so a value
-    does not depend on its block.  Each mode below the floor or whose pair misses the target
-    goes to ``integrate`` (the module's ``integrate_adaptive``) alone, on
-    its first breaks below y_max, then y_max.  ``kinds`` classify the sides
-    over their plan (_plan), so the kernel takes a side ideal at every mode
-    as reflection 1 and one ideal at none without looking for ideal rows.
-    Raises ValueError for a permittivity below 1.
-    Returns (values, errors, failed); a failed mode holds its uncertified
-    estimate.
+    does not depend on its block.  Each mode below the floor or whose pair
+    misses the target goes to ``integrate_adaptive`` alone, on its first
+    breaks below y_max, then y_max.  ``kinds`` classify the sides over
+    their plan (_plan), so the kernel takes a side ideal at every mode as
+    reflection 1 and one ideal at none without looking for ideal rows.
+    Raises ValueError for a permittivity below 1.  Returns (values, errors,
+    failed); a failed mode holds its uncertified estimate.
     """
     for (model, e), kind in zip(sides, kinds):  # NaN is not below 1: such a mode fails to certify
         # an ideal side is inf at every mode; a reduction, such as any(), costs more
@@ -530,7 +542,7 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: Quadrat
         starts = lower[i] + _BREAK_OFFSETS
         row = [a[i:i + 1] for a in args]
         try:
-            values[i], errors[i] = integrate(
+            values[i], errors[i] = integrate_adaptive(
                 lambda y: _mode_kernel(y[None], work, free_energy, kinds, *row)[0],
                 np.append(starts[starts < y_max[i]], y_max[i]),
                 rel_tol=spec.integral_rel_tol, abs_tol=floor)
@@ -595,7 +607,7 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
     floor = spec.integral_rel_tol * spec.sum_rel_tol * (zeta3() / 8.0)
     values, errors, failed = _mode_block(
         *_plan(np.array([m]), geom.gamma, geom.zeta1_eV, model1.at(geom.T_K), model3.at(geom.T_K)),
-        spec, floor, False, integrate_adaptive, _Workspace())
+        spec, floor, False, _Workspace())
     if failed[0]:
         raise _mode_error(m, geom, float(values[0]), float(errors[0]))
     return float(values[0])
@@ -643,7 +655,7 @@ def _scan_arrays(values: np.ndarray, acc: float, comp: float, first: int, min_te
 
 
 def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
-               spec: QuadratureSpec, free_energy: bool, integrate, work, unit: float, result):
+               spec: QuadratureSpec, free_energy: bool, work):
     """Primed Matsubara sum of the pressure or the free energy, a generator
     holding one sum's state: for each block it integrates, the first one
     included, it yields the block's slice of the plan and its floor, (lower,
@@ -698,11 +710,13 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
     whether or not their integrals were certified.
 
     Both sides are taken at geom.T_K (``DielectricModel.at``) first.
-    Returns ``result(total, static term, terms, n_terms_used, converged)``,
-    the sums times ``unit``; a vacuum side gives an unscaled all-zero
-    result.  Raises SumConvergenceError carrying that result if max_terms
-    is hit first, and a QuadratureError for a mode that is not certified.
+    Returns a FreeEnergyResult in J/m^2 with ``free_energy``, else a
+    PressureResult in mPa; a vacuum side gives one of +0.0.  Raises
+    SumConvergenceError carrying that result if max_terms is hit first,
+    and a QuadratureError for a mode that is not certified.
     """
+    result, unit = ((FreeEnergyResult, geom.free_energy_scale_J_m2) if free_energy
+                    else (PressureResult, -geom.pressure_scale_mPa))
     model1, model3 = model1.at(geom.T_K), model3.at(geom.T_K)
     if model1.is_vacuum or model3.is_vacuum:
         return result(0.0, 0.0, np.zeros(0), 0, True)
@@ -745,7 +759,7 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
             if stop > _BLOCK_CAP + _PANEL_MIN:
                 from . import chebyshev  # here: most processes never load it
                 sample = functools.partial(_sampled, (gamma, zeta1, model1, model3),
-                                           (spec, floor, free_energy, integrate, work))
+                                           (spec, floor, free_energy, work))
                 panels = chebyshev._certify(chebyshev._panels(_BLOCK_CAP, stop, gamma), gamma,
                                             sample, int_rel_tol, floor)
         hi, coeffs = panels.get(first) or (0, None)  # then each panel is one block
@@ -788,14 +802,14 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
 
 
 def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
-                  spec: QuadratureSpec, free_energy: bool, integrate, unit: float, result):
-    """_sum_steps' result, each block it asks for answered by _mode_block in one workspace."""
-    work, out = _Workspace(), None
-    steps = _sum_steps(geom, model1, model3, spec, free_energy, integrate, work, unit, result)
+                  spec: QuadratureSpec | None, free_energy: bool):
+    """_sum_steps' result under spec or the default, each block answered by one _mode_block call."""
+    work, out, spec = _Workspace(), None, spec or _DEFAULT_SPEC
+    steps = _sum_steps(geom, model1, model3, spec, free_energy, work)
     try:
         while True:
             lower, zeta, sides, kinds, floor = steps.send(out)
-            out = _mode_block(lower, zeta, sides, kinds, spec, floor, free_energy, integrate, work)
+            out = _mode_block(lower, zeta, sides, kinds, spec, floor, free_energy, work)
     except StopIteration as done:
         return done.value
 
@@ -810,5 +824,4 @@ def casimir_pressure(geom: Geometry, model1: DielectricModel,
     SumConvergenceError (carrying the partial result) if max_terms is hit
     before the stop rule fires.
     """
-    return _summed_modes(geom, model1, model3, spec or _DEFAULT_SPEC, False,
-                         integrate_adaptive, -geom.pressure_scale_mPa, PressureResult)
+    return _summed_modes(geom, model1, model3, spec, False)

@@ -21,15 +21,15 @@ import numpy as np
 
 from .dielectric import DielectricModel
 from .lifshitz import (  # the entropy defaults live there, beside the pressure's
+    FreeEnergyResult,
     QuadratureSpec,
-    _DEFAULT_SPEC,
     _ENTROPY_SPEC,
     _ENTROPY_STEP_K,
     _summed_modes,
     casimir_pressure,
     zeta3,
 )
-from .quadrature import integrate_adaptive
+from .quadrature import integrate_adaptive  # unused here: perfbench/tracing.py patches it
 from .quantities import Geometry, free_energy_to_si
 
 __all__ = [
@@ -42,18 +42,6 @@ __all__ = [
     "nernst_check",
     "crossover_separation",
 ]
-
-
-@dataclass(frozen=True)
-class FreeEnergyResult:
-    """Free energy per unit area (J/m^2, negative = binding) and diagnostics; a
-    sum whose bound puts mode 1 below its floor has terms of 0.0."""
-
-    free_energy_J_per_m2: float
-    zero_mode_J_per_m2: float
-    terms_J_per_m2: np.ndarray
-    n_terms_used: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -105,8 +93,7 @@ def free_energy(geom: Geometry, model1: DielectricModel, model3: DielectricModel
     Raises SumConvergenceError (carrying the partial result) when max_terms
     is exhausted first.
     """
-    return _summed_modes(geom, model1, model3, spec or _DEFAULT_SPEC, True,
-                         integrate_adaptive, geom.free_energy_scale_J_m2, FreeEnergyResult)
+    return _summed_modes(geom, model1, model3, spec, True)
 
 
 def entropy(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
@@ -188,7 +175,6 @@ def crossover_separation(model1: DielectricModel, model3: DielectricModel,
         raise ValueError(f"bracket_um must satisfy 0 < lo < hi < inf, got {bracket_um}")
     if not 0 < resolution_um < np.inf:
         raise ValueError(f"resolution_um must be positive and finite, got {resolution_um}")
-    spec = spec or _DEFAULT_SPEC
 
     def g(a_um: float) -> float:
         p_hi = casimir_pressure(Geometry(a_um, T_high_K), model1, model3, spec)

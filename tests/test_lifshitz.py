@@ -75,7 +75,7 @@ from casimir.quantities import (
     pressure_to_si,
     reduced_temperature,
 )
-from casimir.thermo import FreeEnergyResult, entropy, free_energy
+from casimir.thermo import entropy, free_energy
 
 DB = MaterialDatabase.builtin()
 AU = DrudeModel(DB.get("Au"))
@@ -651,8 +651,7 @@ def finish(steps, out, spec, free_energy, work, block=_mode_block):
     try:
         while True:
             lower, zeta, sides, kinds, floor = steps.send(out)
-            out = block(lower, zeta, sides, kinds, spec, floor, free_energy,
-                        integrate_adaptive, work)
+            out = block(lower, zeta, sides, kinds, spec, floor, free_energy, work)
     except StopIteration as done:
         return done.value
 
@@ -683,10 +682,7 @@ class TestBlockRequests:
             return _mode_block(*args)
         monkeypatch.setattr(lifshitz, "_mode_block", spy)
         works = [_Workspace() for _ in geoms]
-        steps = [_sum_steps(geom, *pair, spec, free, integrate_adaptive, work,
-                            free_energy_to_si(1.0, geom) if free else -pressure_to_si(1.0, geom),
-                            FreeEnergyResult if free else PressureResult)
-                 for geom, work in zip(geoms, works)]
+        steps = [_sum_steps(geom, *pair, spec, free, work) for geom, work in zip(geoms, works)]
         (la, za, sa, kinds, floor), (lb, zb, sb, kb, fb) = (next(s) for s in steps)
         assert floor == fb == spec.integral_rel_tol * spec.sum_rel_tol * zeta3() / 8.0
         assert kb == kinds and len(sa) == len(sb) == 1  # one model on both sides: one side
@@ -697,7 +693,7 @@ class TestBlockRequests:
         assert (order[:la.size] != np.arange(la.size)).any()  # the two sums' modes interleave
         merged = _mode_block(lower[order], np.concatenate([za, zb])[order],
                              [(sa[0][0], np.concatenate([sa[0][1], sb[0][1]])[order])], kinds,
-                             spec, floor, free, integrate_adaptive, _Workspace())
+                             spec, floor, free, _Workspace())
         back = np.empty_like(order)
         back[order] = np.arange(order.size)
         answers = [tuple(out[back][part] for out in merged)
@@ -729,11 +725,9 @@ class TestBlockRequests:
         alone = casimir_pressure(geom, AU, CU)
         assert sizes == schedule
         work = _Workspace()
-        steps = _sum_steps(geom, AU, CU, spec, False, integrate_adaptive, work,
-                           -pressure_to_si(1.0, geom), PressureResult)
+        steps = _sum_steps(geom, AU, CU, spec, False, work)
         lower, zeta, sides, kinds, floor = next(steps)
-        answer = _mode_block(lower, zeta, sides, kinds, spec, floor, False, integrate_adaptive,
-                             _Workspace())
+        answer = _mode_block(lower, zeta, sides, kinds, spec, floor, False, _Workspace())
         del sizes[:]
         res = finish(steps, answer, spec, False, work, counted)
         assert [lower.size, *sizes] == schedule
@@ -1065,18 +1059,29 @@ class TestPermittivityBelowOne:
             evaluate(geom, *pair)
 
 
+@contextlib.contextmanager
+def adaptive_calls():
+    """A list of the (breaks, keywords) of each call to the adaptive
+    quadrature that a sum or _mode_block makes while the context is open."""
+    calls = []
+
+    def spy(f, breaks, **kwargs):
+        calls.append((breaks, kwargs))
+        return integrate_adaptive(f, breaks, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("casimir.lifshitz.integrate_adaptive", spy)
+        yield calls
+
+
 def block(ms, geom, pair, spec=None, free_energy=False):
     """(values, errors, failed) of one _mode_block with floor 0, and a mask
     of the modes that reached the adaptive quadrature."""
     ms = np.asarray(ms)
-    sent = [np.zeros(0)]
-
-    def integrate(f, breaks, **kwargs):
-        sent.append(breaks[:1])  # a mode's breaks start at its lower limit
-        return integrate_adaptive(f, breaks, **kwargs)
     plan = _plan(ms, reduced_temperature(geom), matsubara_frequency(1, geom.T_K), *pair)
-    out = _mode_block(*plan, spec or QuadratureSpec(), 0.0, free_energy, integrate, _Workspace())
-    return out, np.isin(ms * reduced_temperature(geom), np.concatenate(sent))
+    with adaptive_calls() as calls:
+        out = _mode_block(*plan, spec or QuadratureSpec(), 0.0, free_energy, _Workspace())
+    sent = [breaks[0] for breaks, _ in calls]  # a mode's breaks start at its lower limit
+    return out, np.isin(ms * reduced_temperature(geom), sent)
 
 
 def adaptive_modes(ms, geom, pair, spec=None, free_energy=False):
@@ -1232,7 +1237,7 @@ class TestRungs:
         assert set(edges) >= {floor for floor, _ in _SCALED.values()}
         _, zeta, sides, kinds = _plan(edges / gamma, gamma, matsubara_frequency(1, geom.T_K),
                                       *GL_PAIRS[pair])
-        spec, args = QuadratureSpec(), (0.0, free, integrate_adaptive)
+        spec, args = QuadratureSpec(), (0.0, free)
         values, errors, failed = _mode_block(edges, zeta, sides, kinds, spec, *args, _Workspace())
         for i, low in enumerate(edges.tolist()):
             part = slice(i, i + 1)
@@ -1306,14 +1311,11 @@ COMPOSITE_CELLS = {"Au-Au": (0.16, 1.0, (AU, AU)),
 def fallback(ms, geom, floor):
     """(values, errors, failed) of one Au-Au pressure _mode_block with
     ``floor``, and the abs_tol of each adaptive call it made."""
-    floors = []
-
-    def integrate(f, breaks, **kwargs):
-        floors.append(kwargs["abs_tol"])
-        return integrate_adaptive(f, breaks, **kwargs)
     plan = _plan(np.asarray(ms), reduced_temperature(geom), matsubara_frequency(1, geom.T_K),
                  AU, AU)
-    return _mode_block(*plan, QuadratureSpec(), floor, False, integrate, _Workspace()), floors
+    with adaptive_calls() as calls:
+        out = _mode_block(*plan, QuadratureSpec(), floor, False, _Workspace())
+    return out, [kwargs["abs_tol"] for _, kwargs in calls]
 
 
 class TestAdaptiveFallback:
@@ -1418,29 +1420,23 @@ class TestCompositeModes:
         # first modes taking the A-scaled panels; the free energy sends one
         # sample that the Laguerre 16/12 rung misses, of the 4,555 modes
         # below A = 2
-        sent, kernel_nodes = [], []
-
-        def counted(f, breaks, **kwargs):
-            sent.append(1)  # one call per mode
-            return integrate_adaptive(f, breaks, **kwargs)
+        kernel_nodes = []
 
         def kernel(y, work, free_energy, kinds, A, *eps):
             kernel_nodes.append(y.size)
             return _mode_kernel(y, work, free_energy, kinds, A, *eps)
-        # each sum passes its own module's integrate_adaptive to _mode_block
-        monkeypatch.setattr("casimir.lifshitz.integrate_adaptive", counted)
-        monkeypatch.setattr("casimir.thermo.integrate_adaptive", counted)
         monkeypatch.setattr("casimir.lifshitz._mode_kernel", kernel)
         geom = Geometry(a_um, T_K)
-        res = (free_energy if free else casimir_pressure)(geom, *pair)
+        with adaptive_calls() as sent:  # one call per mode
+            res = (free_energy if free else casimir_pressure)(geom, *pair)
         assert sent or not share  # the spy sees the sum's fallback rows
         below = int((np.arange(1, res.n_terms_used + 1) * reduced_temperature(geom)
                      < LOW_A).sum())
         assert below >= 1
         if share:
-            assert sum(sent) < share * below
+            assert len(sent) < share * below
         else:
-            assert sum(sent) == 0
+            assert len(sent) == 0
         if nodes:
             assert sum(kernel_nodes) < nodes * res.n_terms_used
 

@@ -4,8 +4,10 @@ The shims patch names of five modules and five classes by name, so a
 refactor that renames one of them breaks ``perfbench/run.py --trace 1``
 without failing anything else.  Here the shims are loaded by path, with no
 bytecode written under ``perfbench``, installed around a Bloch-Grueneisen
-pressure and an entropy, and uninstalled; the spans must show each layer,
-and every callable the shims could have replaced must be back.
+pressure, an entropy and a free energy whose modes reach the adaptive
+quadrature, and uninstalled; the spans must show each layer, that
+fallback under ``lifshitz.integrate``, and every callable the shims could
+have replaced must be back.
 """
 
 import types
@@ -50,10 +52,13 @@ def test_the_shims_trace_every_layer_and_put_everything_back():
         casimir.casimir_pressure(casimir.Geometry(1.0, 300.0), au, au)
         plain = casimir.DrudeModel(au.params)
         casimir.entropy(casimir.Geometry(1.0, 4.0), plain, plain)
+        casimir.free_energy(casimir.Geometry(0.16, 10.0), plain, plain)  # two adaptive modes
     finally:
         tracer.uninstall()
     assert {"lifshitz.sum", "thermo.entropy", "thermo.free_energy", "dielectric.epsilon",
             "dielectric.bg"} <= set(tracer.spans)
+    # a free energy's fallback calls the integrator lifshitz binds, not thermo's
+    assert tracer.spans["lifshitz.integrate"][0] == 2 and "thermo.integrate" not in tracer.spans
     after = callables()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())

@@ -53,8 +53,10 @@ and panel cells; the usage records are always all run.
 The script also prints, per record kind that did any, the work each tree
 did: integer-mode plans + sample plans (``_plan`` calls on Matsubara
 indices and on Chebyshev points), ``_mode_block`` calls, the modes
-(rows) they integrated and the kernel nodes (``_mode_kernel``'s nodes,
-the adaptive quadrature's included), counted by spies in the dump
+(rows) they integrated, the kernel nodes (``_mode_kernel``'s nodes,
+the adaptive quadrature's included) and the adaptive calls (those of
+``integrate_adaptive`` as ``lifshitz`` binds it, and as ``thermo`` does
+in a tree whose free energy passes its own), counted by spies in the dump
 subprocess.  A tree that does other work is reported, not failed, since
 a change may move the work on purpose.
 
@@ -119,7 +121,10 @@ REPLAN = (("P", ("Au", "Au"), 0.16, 0.5), ("F", ("Au", "Al"), 0.16, 0.5))
 # their certified panel 129-256
 PANEL = (("P", "weak-weak"), ("F", "weak-weak"), ("P", "ideal-at-150-Cu"))
 # the work counted per record (_count_work)
-WORK = ("integer-mode plans", "sample plans", "_mode_block calls", "rows", "kernel nodes")
+WORK = ("integer-mode plans", "sample plans", "_mode_block calls", "rows", "kernel nodes",
+        "adaptive calls")
+# the work counts as a line prints them
+WORK_TEXT = "{:,} + {:,} plans, {:,} blocks, {:,} rows, {:,} kernel nodes, {:,} adaptive calls"
 # the parts of a split (--split), each the self time of the functions named;
 # thermo calls the driver through a name of its own
 SPLIT = (("plan", "lifshitz._plan"), ("block set-up", "lifshitz._mode_block"),
@@ -277,9 +282,10 @@ def records(limit: int | None = None):
     yield from _cli_records(C, limit)
 
 
-def _count_work(lifshitz) -> list:
-    """Wrap the module ``lifshitz``'s _plan, _mode_block and _mode_kernel so
-    that each call adds its work to the list returned, ordered as WORK."""
+def _count_work(lifshitz, thermo) -> list:
+    """Wrap the module ``lifshitz``'s _plan, _mode_block, _mode_kernel and
+    integrate_adaptive, and ``thermo``'s integrate_adaptive if it binds one,
+    so that each call adds its work to the list returned, ordered as WORK."""
     counts = [0] * len(WORK)
     plan, block, kernel = lifshitz._plan, lifshitz._mode_block, lifshitz._mode_kernel
 
@@ -296,6 +302,12 @@ def _count_work(lifshitz) -> list:
         counts[4] += y.size
         return kernel(y, *args)
     lifshitz._plan, lifshitz._mode_block, lifshitz._mode_kernel = _plan, _mode_block, _mode_kernel
+    for module in (lifshitz, thermo):
+        if hasattr(module, "integrate_adaptive"):
+            def integrate_adaptive(*args, _integrate=module.integrate_adaptive, **kwargs):
+                counts[5] += 1
+                return _integrate(*args, **kwargs)
+            module.integrate_adaptive = integrate_adaptive
     return counts
 
 
@@ -350,6 +362,8 @@ def _replayer(kind: str, limit: int | None):
     modules = {"lifshitz": lifshitz, "chebyshev": chebyshev, "thermo": thermo}
     saved = {(modules[module], name): getattr(modules[module], name)  # the timers and spies
              for _, *names in SPLIT for module, name in (name.split(".") for name in names)}
+    saved.update({(module, "integrate_adaptive"): module.integrate_adaptive
+                  for module in (lifshitz, thermo) if hasattr(module, "integrate_adaptive")})
 
     def replay() -> float:
         t0 = time.perf_counter()
@@ -364,7 +378,7 @@ def _replayer(kind: str, limit: int | None):
         untimed, best = math.inf, None
         for _ in range(passes):
             untimed = min(untimed, replay())
-            spent, counts = _timers(modules), _count_work(lifshitz)
+            spent, counts = _timers(modules), _count_work(lifshitz, thermo)
             try:
                 total = replay()
             finally:
@@ -384,8 +398,7 @@ def _split_lines(best: dict, head: str = "") -> list[str]:
     return [f"{head}{parts}; rest {1e3 * best['rest']:.4g}",
             f"{head}timed pass {1e3 * best['timed']:.4g}, "
             f"untimed pass {1e3 * best['untimed']:.4g}",
-            head + "work: {:,} + {:,} plans, {:,} blocks, {:,} rows, {:,} kernel nodes".format(
-                *best["work"])]
+            head + "work: " + WORK_TEXT.format(*best["work"])]
 
 
 def split(kind: str, limit: int | None, passes: int) -> list[str]:
@@ -598,8 +611,7 @@ def work_lines(old: dict, new: dict) -> list[str]:
     lines = []
     for kind, (a, b) in sorted(kinds.items()):
         if any(a) or any(b):
-            text = ["{:,} + {:,} plans, {:,} blocks, {:,} rows, {:,} kernel nodes".format(*c)
-                    for c in (a, b)]
+            text = [WORK_TEXT.format(*c) for c in (a, b)]
             lines.append(f"work {kind}: old {text[0]}; new "
                          + ("the same" if a == b else f"{text[1]} (differs)"))
     return lines
@@ -627,9 +639,9 @@ def main(argv=None) -> int:
             print("\n".join(split(args.split, args.limit, args.passes)))
         return 0
     if args.dump:
-        from casimir import lifshitz
+        from casimir import lifshitz, thermo
 
-        counts = _count_work(lifshitz)
+        counts = _count_work(lifshitz, thermo)
         for key, fields in records(args.limit):
             print(json.dumps([key, fields, counts]))
             counts[:] = [0] * len(WORK)
