@@ -436,27 +436,22 @@ def _log_bound(A: float, free_energy: bool) -> float:
 
 def _bound_end(low: int, high: int, gamma: float, log_target: float, free_energy: bool) -> int:
     """The first m in [low, high] with _log_bound(m*gamma) <= ``log_target``,
-    else high.  The bound falls with A, nearly linearly once A passes 1, so
-    the search steps to where the line through its bracket's ends meets the
-    target, rounded up, and bisects after a step that did not halve it."""
-    if low >= high or (at_low := _log_bound(low * gamma, free_energy)) <= log_target:
+    else high, by bisection: the bound never rises with A."""
+    if low >= high or _log_bound(low * gamma, free_energy) <= log_target:
         return min(low, high)
-    if (at_high := _log_bound(high * gamma, free_energy)) > log_target:
+    if _log_bound(high * gamma, free_energy) > log_target:
         return high
-    bisect = False
-    while (width := high - low) > 1:  # the bound misses at low and meets it at high
-        mid = (low + high) // 2 if bisect else min(max(low + math.ceil(
-            (at_low - log_target) / (at_low - at_high) * width), low + 1), high - 1)
-        if (at_mid := _log_bound(mid * gamma, free_energy)) <= log_target:
-            high, at_high = mid, at_mid
+    while high - low > 1:  # the bound misses at low and meets it at high
+        mid = (low + high) // 2
+        if _log_bound(mid * gamma, free_energy) <= log_target:
+            high = mid
         else:
-            low, at_low = mid, at_mid
-        bisect = not bisect and 2 * (high - low) > width
+            low = mid
     return high
 
 
 def _block_size(first: int, gamma: float, log_target: float, free_energy: bool,
-                min_terms: int, cap: int = _BLOCK_CAP) -> int:
+                min_terms: int, cap: int) -> int:
     """Modes from ``first`` to the first m >= min_terms with
     _log_bound(m*gamma) <= ``log_target``, at most ``cap``."""
     return _bound_end(max(first, min_terms), first + cap - 1, gamma, log_target,

@@ -37,10 +37,15 @@ def test_a_tree_against_itself_differs_nowhere(capsys):
     kinds = [line.split(":")[0] for line in work]
     assert {"work cold_sum", "work grid Au-Au", "work replan Au-Au"} <= set(kinds)
     assert all(line.endswith("; new the same") for line in work)
-    # the adaptive calls: some on an adaptive cell, none on a recorded input
-    adaptive = {kind: int(line.split(" adaptive calls")[0].rsplit(" ", 1)[1].replace(",", ""))
+
+    def figure(name):  # the old tree's count of ``name`` per kind
+        return {kind: int(line.split(f" {name}")[0].rsplit(" ", 1)[1].replace(",", ""))
                 for kind, line in zip(kinds, work)}
+    # the adaptive calls: some on an adaptive cell, none on a recorded input
+    adaptive = figure("adaptive calls")
     assert adaptive["work adaptive Au-Au"] > 0 and adaptive["work cold_sum"] == 0
+    # the bound ends the blocks, plans and panels of every sum
+    assert figure("bound evaluations")["work cold_sum"] > 0
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +119,8 @@ def test_the_replan_cells_plan_more_than_once(monkeypatch):
 
     for module, name in ((lifshitz, "_plan"), (lifshitz, "_mode_block"),
                          (lifshitz, "_mode_kernel"), (lifshitz, "integrate_adaptive"),
-                         (thermo, "integrate_adaptive")):  # the spies go with the test
+                         (thermo, "integrate_adaptive"),
+                         (lifshitz, "_log_bound")):  # the spies go with the test
         monkeypatch.setattr(module, name, getattr(module, name))
     counts = bit_diff._count_work(lifshitz, thermo)
     db = casimir.MaterialDatabase.builtin()
@@ -164,14 +170,15 @@ def test_the_panel_cells_integrate_their_certified_first_panel(name, kind, monke
 
 
 def test_work_is_summed_per_kind_and_a_difference_does_not_fail(records, monkeypatch, capsys):
-    old = {"cold_sum-0 #0 x": [1, 2, 3, 4000, 5, 0], "cold_sum-1 #0 x": [1, 0, 1, 1, 1, 0],
-           "grid Au-Au a=20.0 T=3.0 P": [1, 0, 1, 10, 100, 1], "usage casimir": [0] * 6}
-    new = dict(old, **{"grid Au-Au a=20.0 T=3.0 P": [2, 0, 2, 20, 200, 2]})
+    old = {"cold_sum-0 #0 x": [1, 2, 3, 4000, 5, 0, 7], "cold_sum-1 #0 x": [1, 0, 1, 1, 1, 0, 2],
+           "grid Au-Au a=20.0 T=3.0 P": [1, 0, 1, 10, 100, 1, 3], "usage casimir": [0] * 7}
+    new = dict(old, **{"grid Au-Au a=20.0 T=3.0 P": [2, 0, 2, 20, 200, 2, 3]})
     assert bit_diff.work_lines(old, new) == [
-        "work cold_sum: old 2 + 2 plans, 4 blocks, 4,001 rows, 6 kernel nodes, 0 adaptive calls; "
-        "new the same",
-        "work grid Au-Au: old 1 + 0 plans, 1 blocks, 10 rows, 100 kernel nodes, 1 adaptive calls; "
-        "new 2 + 0 plans, 2 blocks, 20 rows, 200 kernel nodes, 2 adaptive calls (differs)"]
+        "work cold_sum: old 2 + 2 plans, 4 blocks, 4,001 rows, 6 kernel nodes, 0 adaptive calls, "
+        "9 bound evaluations; new the same",
+        "work grid Au-Au: old 1 + 0 plans, 1 blocks, 10 rows, 100 kernel nodes, 1 adaptive calls, "
+        "3 bound evaluations; new 2 + 0 plans, 2 blocks, 20 rows, 200 kernel nodes, "
+        "2 adaptive calls, 3 bound evaluations (differs)"]
     monkeypatch.setattr(bit_diff, "dump", lambda tree, limit: (
         records, old if tree.name == "old" else new))
     assert bit_diff.main(["old", "new"]) == 0
@@ -265,7 +272,7 @@ def test_split_times_the_parts_of_one_kind_in_this_process(capsys):
         (lifshitz, "_plan"), (lifshitz, "_mode_block"), (lifshitz, "_mode_kernel"),
         (lifshitz, "_scan_loop"), (chebyshev, "_certify"), (lifshitz, "_summed_modes"),
         (thermo, "_summed_modes"), (lifshitz, "integrate_adaptive"),
-        (thermo, "integrate_adaptive"))}
+        (thermo, "integrate_adaptive"), (lifshitz, "_log_bound"))}
     assert bit_diff.main(["--split", "warm_grid-0", "--limit", "2", "--passes", "1"]) == 0
     head, parts, passes, work = capsys.readouterr().out.splitlines()
     assert head == "split warm_grid-0: 2 records, best of 1 passes, ms (calls)"

@@ -1613,9 +1613,7 @@ class TestBlockSchedule:
            cap=st.sampled_from([_BLOCK_CAP, 1000, 30_000]))
     def test_size_reaches_the_first_mode_within_the_bound(self, first, gamma, log_target, free,
                                                           min_terms, cap):
-        # the search steps along secants, which the bound's curvature at small
-        # A slows down over a wide bracket; the walk is the reference
-        m = max(first, min_terms)  # walk the modes one by one
+        m = max(first, min_terms)  # the reference: walk the modes one by one
         while m < first + cap and _log_bound(m * gamma, free) > log_target:
             m += 1
         size = _block_size(first, gamma, log_target, free, min_terms, cap)
@@ -1626,20 +1624,27 @@ class TestBlockSchedule:
            width=st.floats(0.0, math.log(300_000)).map(lambda u: int(math.exp(u))),
            gamma=st.floats(math.log(1e-8), math.log(1e3)).map(math.exp),
            at=st.floats(0.0, 1.0), free=st.booleans())
+    @example(low=200, width=0, gamma=0.1, at=0.5, free=False)  # brackets no wider than a mode
+    @example(low=200, width=-72, gamma=0.1, at=0.5, free=True)
     def test_bound_end_is_where_a_bisection_ends(self, low, width, gamma, at, free):
-        # targets the bound meets inside the bracket, where the search steps
+        # targets the bound meets inside the bracket: the first mode within
+        # the bound, or the bracket's end if none is
         high = low + width
         log_target = _log_bound((low + at * width) * gamma, free)
-        if low >= high or _log_bound(low * gamma, free) <= log_target:
-            want = min(low, high)
-        elif _log_bound(high * gamma, free) > log_target:
-            want = high
-        else:
-            lo, want = low, high
-            while want - lo > 1:
-                mid = (lo + want) // 2
-                lo, want = (lo, mid) if _log_bound(mid * gamma, free) <= log_target else (mid, want)
-        assert _bound_end(low, high, gamma, log_target, free) == want
+        m = _bound_end(low, high, gamma, log_target, free)
+        if low >= high:
+            assert m == min(low, high)
+            return
+        assert low <= m <= high
+        assert m == high or _log_bound(m * gamma, free) <= log_target
+        assert m == low or _log_bound((m - 1) * gamma, free) > log_target
+
+    @settings(max_examples=500, deadline=None)
+    @given(gamma=st.floats(math.log(1e-140), math.log(1e12)).map(math.exp),
+           m=st.integers(1, 200_000), free=st.booleans())
+    def test_the_bound_never_rises_with_a(self, gamma, m, free):
+        # what a bisection of the bound, and the stop of every block, rest on
+        assert _log_bound((m + 1) * gamma, free) <= _log_bound(m * gamma, free)
 
     @pytest.mark.parametrize("size", [1, 7, _BLOCK_CAP])
     @pytest.mark.parametrize("cell", sorted(SCHEDULE_CELLS))

@@ -56,9 +56,11 @@ indices and on Chebyshev points), ``_mode_block`` calls, the modes
 (rows) they integrated, the kernel nodes (``_mode_kernel``'s nodes,
 the adaptive quadrature's included) and the adaptive calls (those of
 ``integrate_adaptive`` as ``lifshitz`` binds it, and as ``thermo`` does
-in a tree whose free energy passes its own), counted by spies in the dump
-subprocess.  A tree that does other work is reported, not failed, since
-a change may move the work on purpose.
+in a tree whose free energy passes its own) and the bound evaluations
+(calls of ``lifshitz._log_bound``, the unit-reflection bound that ends
+blocks, plans and panels), counted by spies in the dump subprocess.  A
+tree that does other work is reported, not failed, since a change may move
+the work on purpose.
 
 ``--split KIND`` times where the sums of one record kind spend their time,
 without a TREE in this process on the importable casimir, or on each TREE
@@ -122,9 +124,10 @@ REPLAN = (("P", ("Au", "Au"), 0.16, 0.5), ("F", ("Au", "Al"), 0.16, 0.5))
 PANEL = (("P", "weak-weak"), ("F", "weak-weak"), ("P", "ideal-at-150-Cu"))
 # the work counted per record (_count_work)
 WORK = ("integer-mode plans", "sample plans", "_mode_block calls", "rows", "kernel nodes",
-        "adaptive calls")
+        "adaptive calls", "bound evaluations")
 # the work counts as a line prints them
-WORK_TEXT = "{:,} + {:,} plans, {:,} blocks, {:,} rows, {:,} kernel nodes, {:,} adaptive calls"
+WORK_TEXT = ("{:,} + {:,} plans, {:,} blocks, {:,} rows, {:,} kernel nodes, {:,} adaptive calls, "
+             "{:,} bound evaluations")
 # the parts of a split (--split), each the self time of the functions named;
 # thermo calls the driver through a name of its own
 SPLIT = (("plan", "lifshitz._plan"), ("block set-up", "lifshitz._mode_block"),
@@ -283,11 +286,13 @@ def records(limit: int | None = None):
 
 
 def _count_work(lifshitz, thermo) -> list:
-    """Wrap the module ``lifshitz``'s _plan, _mode_block, _mode_kernel and
-    integrate_adaptive, and ``thermo``'s integrate_adaptive if it binds one,
-    so that each call adds its work to the list returned, ordered as WORK."""
+    """Wrap the module ``lifshitz``'s _plan, _mode_block, _mode_kernel,
+    integrate_adaptive and _log_bound, and ``thermo``'s integrate_adaptive if
+    it binds one, so that each call adds its work to the list returned,
+    ordered as WORK."""
     counts = [0] * len(WORK)
     plan, block, kernel = lifshitz._plan, lifshitz._mode_block, lifshitz._mode_kernel
+    log_bound = lifshitz._log_bound
 
     def _plan(ms, *args):
         counts[0 if ms.dtype.kind in "iu" else 1] += 1  # Chebyshev points are floats
@@ -301,7 +306,12 @@ def _count_work(lifshitz, thermo) -> list:
     def _mode_kernel(y, *args):
         counts[4] += y.size
         return kernel(y, *args)
+
+    def _log_bound(*args):
+        counts[6] += 1
+        return log_bound(*args)
     lifshitz._plan, lifshitz._mode_block, lifshitz._mode_kernel = _plan, _mode_block, _mode_kernel
+    lifshitz._log_bound = _log_bound
     for module in (lifshitz, thermo):
         if hasattr(module, "integrate_adaptive"):
             def integrate_adaptive(*args, _integrate=module.integrate_adaptive, **kwargs):
@@ -364,6 +374,7 @@ def _replayer(kind: str, limit: int | None):
              for _, *names in SPLIT for module, name in (name.split(".") for name in names)}
     saved.update({(module, "integrate_adaptive"): module.integrate_adaptive
                   for module in (lifshitz, thermo) if hasattr(module, "integrate_adaptive")})
+    saved[lifshitz, "_log_bound"] = lifshitz._log_bound
 
     def replay() -> float:
         t0 = time.perf_counter()
