@@ -14,8 +14,10 @@ largest change relative to the value; with ``--rel``, terms and values
 moved within and past the tolerance, and counts, errors and CLI output
 that must still match exactly.  The work counts are shown summed per
 record kind, and a difference in them reported without failing.  The
-split of one kind's time runs in this process on two inputs, and on two
-trees in rounds that alternate their order.
+split of one kind's time is replayed in this process on two inputs, with
+the census and every wrap put back after the pass, and runs on this tree
+alone and on two trees in rounds that alternate their order, each tree in
+a process of its own.
 """
 
 import importlib.util
@@ -113,24 +115,21 @@ def test_the_grid_cells_at_0_2_um_and_3_k_interpolate(name, n_terms, monkeypatch
     assert nan_at == au
 
 
-def test_the_replan_cells_plan_more_than_once(monkeypatch):
+def test_the_replan_cells_plan_more_than_once():
     import casimir
-    from casimir import lifshitz, thermo
 
-    for module, name in ((lifshitz, "_plan"), (lifshitz, "_mode_block"),
-                         (lifshitz, "_mode_kernel"), (lifshitz, "integrate_adaptive"),
-                         (thermo, "integrate_adaptive"),
-                         (lifshitz, "_log_bound")):  # the spies go with the test
-        monkeypatch.setattr(module, name, getattr(module, name))
-    counts = bit_diff._count_work(lifshitz, thermo)
+    counts, _, restore = bit_diff.install()
     db = casimir.MaterialDatabase.builtin()
     fns = {"P": casimir.casimir_pressure, "F": casimir.free_energy}
-    for name, labels, a_um, T_K in bit_diff.REPLAN:
-        counts[:] = [0] * len(bit_diff.WORK)
-        models = [casimir.DrudeModel(db.get(label)) for label in labels]
-        assert "error" not in bit_diff._evaluate(casimir, fns[name],
-                                                 casimir.Geometry(a_um, T_K), *models)
-        assert counts[0] > 1 and counts[1] > 0, labels  # integer-mode and sample plans
+    try:
+        for name, labels, a_um, T_K in bit_diff.REPLAN:
+            counts[:] = [0] * len(bit_diff.WORK)
+            models = [casimir.DrudeModel(db.get(label)) for label in labels]
+            assert "error" not in bit_diff._evaluate(casimir, fns[name],
+                                                     casimir.Geometry(a_um, T_K), *models)
+            assert counts[0] > 1 and counts[1] > 0, labels  # integer-mode and sample plans
+    finally:
+        restore()
 
 
 @pytest.mark.parametrize("name, kind", bit_diff.PANEL)
@@ -263,34 +262,46 @@ def test_rel_prints_the_largest_deviation_per_kind(records, monkeypatch, capsys)
     assert bit_diff.main(["old", "new"]) == 1  # exact by default
 
 
-def test_split_times_the_parts_of_one_kind_in_this_process(capsys):
-    # the first two seed-0 warm_grid inputs, one pass: the timers count the
-    # calls the work spies count, and both are gone afterwards
+def test_split_times_the_parts_of_one_kind_in_this_process():
+    # the replayer on the first two seed-0 warm_grid inputs, one pass: the
+    # timers count the calls the census counts, and every wrap is gone
+    # afterwards
     from casimir import chebyshev, lifshitz, thermo
 
     before = {(module, name): getattr(module, name) for module, name in (
         (lifshitz, "_plan"), (lifshitz, "_mode_block"), (lifshitz, "_mode_kernel"),
-        (lifshitz, "_scan_loop"), (chebyshev, "_certify"), (lifshitz, "_summed_modes"),
-        (thermo, "_summed_modes"), (lifshitz, "integrate_adaptive"),
-        (thermo, "integrate_adaptive"), (lifshitz, "_log_bound"))}
-    assert bit_diff.main(["--split", "warm_grid-0", "--limit", "2", "--passes", "1"]) == 0
-    head, parts, passes, work = capsys.readouterr().out.splitlines()
-    assert head == "split warm_grid-0: 2 records, best of 1 passes, ms (calls)"
-    *timed, rest = parts.split("; ")
-    assert [part.rsplit(" ", 2)[0] for part in timed] == [part for part, *_ in bit_diff.SPLIT]
-    assert rest.startswith("rest ") and passes.startswith("timed pass ")
-    calls = {part.rsplit(" ", 2)[0]: int(part.rsplit("(", 1)[1].rstrip(")")) for part in timed}
-    plans, samples, blocks, *_ = (int(w.replace(",", "")) for w in work.split()
-                                  if w.replace(",", "").isdigit())
+        (lifshitz, "_scan_loop"), (lifshitz, "_scan_arrays"), (chebyshev, "_certify"),
+        (chebyshev, "_interpolated"), (lifshitz, "_summed_modes"), (thermo, "_summed_modes"),
+        (lifshitz, "integrate_adaptive"), (thermo, "integrate_adaptive"),
+        (lifshitz, "_log_bound"))}
+    n_records, passes_of = bit_diff._replayer("warm_grid-0", 2)
+    best = passes_of(1)
+    assert n_records == 2 and list(best["parts"]) == list(bit_diff.PARTS) == [
+        "plan", "block set-up", "kernel", "Chebyshev", "scans", "driver"]
+    calls = {part: n for part, (_, n) in best["parts"].items()}
+    plans, samples, blocks, *_ = best["work"]
     assert calls["plan"] == plans + samples and calls["block set-up"] == calls["kernel"] == blocks
     assert calls["driver"] == 2  # a pump per sum, its generator timed inside it
+    assert 0.0 < best["untimed"] and 0.0 < best["rest"] < best["timed"]
     assert {key: getattr(*key) for key in before} == before
     assert bit_diff._selected("warm_grid-0 #1 Au,ideal a=22.3 T=153.9", "warm_grid-0 #1")
     assert not bit_diff._selected("warm_grid-0 #12 Au,ideal a=2.3 T=53.9", "warm_grid-0 #1")
     assert bit_diff._selected("warm_grid-1 #0 x", "warm_grid")
     assert not bit_diff._selected("grid Au-Au copies a=20.0 T=3.0 P", "grid Au-Au")
     with pytest.raises(SystemExit, match="no record of kind 'nothing'"):
-        bit_diff.main(["--split", "nothing", "--limit", "1", "--passes", "1"])
+        bit_diff._replayer("nothing", 1)
+
+
+def test_split_without_a_tree_runs_this_tree_in_a_process_of_its_own(capsys):
+    assert bit_diff.main(["--split", "warm_grid-0", "--limit", "2", "--passes", "1"]) == 0
+    head, parts, passes, work = capsys.readouterr().out.splitlines()  # no ratio line
+    assert head == ("split warm_grid-0: 2 records, median over 1 rounds of the fastest of 1 "
+                    "passes, the trees' order alternating, ms (calls)")
+    assert all(line.startswith(f"{ROOT}: ") for line in (parts, passes, work))
+    *timed, rest = parts.split(": ", 1)[1].split("; ")
+    assert [part.rsplit(" ", 2)[0] for part in timed] == list(bit_diff.PARTS)
+    assert rest.startswith("rest ") and passes.split(": ", 1)[1].startswith("timed pass ")
+    assert work.startswith(f"{ROOT}: work: 2 + 0 plans, 2 blocks, ")
 
 
 def test_split_on_trees_alternates_their_order_by_round(monkeypatch, capsys):
@@ -314,7 +325,7 @@ def test_split_on_trees_alternates_their_order_by_round(monkeypatch, capsys):
     assert work.startswith("work: 2 + 0 plans, 2 blocks") and lines[5] == f"{b}: {work}"
     assert ratio.startswith(f"ratio {b} / {a}: ")
     values = dict(item.rsplit(" ", 1) for item in ratio.split(": ", 1)[1].split("; "))
-    assert list(values) == [part for part, *_ in bit_diff.SPLIT] + [
+    assert list(values) == list(bit_diff.PARTS) + [
         "rest", "timed pass", "untimed pass"]
     assert values["Chebyshev"] == "-"  # no Chebyshev work: no ratio
     assert all(0.2 < float(v) < 5.0 for k, v in values.items() if k != "Chebyshev")

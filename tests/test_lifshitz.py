@@ -668,6 +668,8 @@ class TestBlockRequests:
         ("pressure", [(5.0, 300.0), (2.0, 318.0)], (AU, AU), QuadratureSpec()),
         # the two free energies of an entropy at 4 K
         ("free-energy", [(0.618, 3.5), (0.618, 4.5)], (AL_BG, AL_BG), _ENTROPY_SPEC),
+        # and at 2 K with two sides, each side's permittivities merged
+        ("free-energy", [(1.0, 1.5), (1.0, 2.5)], (AU, DrudeModel(DB.get("Al"))), _ENTROPY_SPEC),
     ])
     def test_one_call_answers_the_first_blocks_of_two_sums(self, what, cells, pair, spec,
                                                            monkeypatch):
@@ -685,14 +687,15 @@ class TestBlockRequests:
         steps = [_sum_steps(geom, *pair, spec, free, work) for geom, work in zip(geoms, works)]
         (la, za, sa, kinds, floor), (lb, zb, sb, kb, fb) = (next(s) for s in steps)
         assert floor == fb == spec.integral_rel_tol * spec.sum_rel_tol * zeta3() / 8.0
-        assert kb == kinds and len(sa) == len(sb) == 1  # one model on both sides: one side
+        assert kb == kinds and len(sa) == len(sb) == len({id(model) for model in pair})
         # the rows of both merged and sorted by A, which the rule ladder needs,
         # their values unsorted afterwards
         lower = np.concatenate([la, lb])
         order = np.argsort(lower, kind="stable")
         assert (order[:la.size] != np.arange(la.size)).any()  # the two sums' modes interleave
         merged = _mode_block(lower[order], np.concatenate([za, zb])[order],
-                             [(sa[0][0], np.concatenate([sa[0][1], sb[0][1]])[order])], kinds,
+                             [(model, np.concatenate([ea, eb])[order])
+                              for (model, ea), (_, eb) in zip(sa, sb)], kinds,
                              spec, floor, free, _Workspace())
         back = np.empty_like(order)
         back[order] = np.arange(order.size)
@@ -2086,10 +2089,17 @@ UNCHANGED_SUMS = {
 class TestInterpolation:
     # past mode 128 a long sum of two analytic sides takes its terms from
     # certified Chebyshev interpolants in m; they must meet the mode
-    # integrals as a sum that integrates every mode sees them
+    # integrals as a sum that integrates every mode sees them, wherever the
+    # panels end: at the bound's stop, or laid to 0.85 or 1.15 times it
+    @pytest.mark.parametrize("end", [1.0, 0.85, 1.15])
     @pytest.mark.parametrize("what", sorted(EVALUATE))
     @pytest.mark.parametrize("pair", sorted(INTERPOLATED_PAIRS))
-    def test_terms_meet_an_all_direct_sum(self, pair, what):
+    def test_terms_meet_an_all_direct_sum(self, pair, what, end, monkeypatch):
+        from casimir import chebyshev
+
+        panels_to = chebyshev._panels
+        monkeypatch.setattr(chebyshev, "_panels", lambda start, stop, gamma: panels_to(
+            start, round(end * stop), gamma))
         geom = Geometry(0.5, 2.0)
         with certified_panels() as panels:
             total, terms, n_terms = fields(EVALUATE[what](geom, *INTERPOLATED_PAIRS[pair]))

@@ -58,31 +58,30 @@ the adaptive quadrature's included) and the adaptive calls (those of
 ``integrate_adaptive`` as ``lifshitz`` binds it, and as ``thermo`` does
 in a tree whose free energy passes its own) and the bound evaluations
 (calls of ``lifshitz._log_bound``, the unit-reflection bound that ends
-blocks, plans and panels), counted by spies in the dump subprocess.  A
-tree that does other work is reported, not failed, since a change may move
-the work on purpose.
+blocks, plans and panels), counted by the wraps of WRAPS (install) in the
+dump subprocess.  A tree that does other work is reported, not failed,
+since a change may move the work on purpose.
 
-``--split KIND`` times where the sums of one record kind spend their time,
-without a TREE in this process on the importable casimir, or on each TREE
-in a subprocess of its own.  KIND is a record kind as the work lines name it
+``--split KIND`` times where the sums of one record kind spend their time
+on each TREE, or without one on this script's own tree, each in a
+subprocess of its own.  KIND is a record kind as the work lines name it
 (``warm_grid``, ``grid Au-Au``), a recorded file (``warm_grid-0``), a record
 (``warm_grid-0 #234``) or a record's id; the CLI records are left out.  The
 records' calls, their arguments built beforehand, are replayed in turn,
-``--passes`` times (9 by default) with timers and the work spies and as
+``--passes`` times (9 by default) with the wraps of WRAPS timed and as
 often without them.  It prints, in ms and with the calls, the self time of
 the plans (``_plan``), the block set-up (``_mode_block`` less the kernel),
 the kernel (``_mode_kernel``), the Chebyshev work (``chebyshev._certify``
 less its samples, and ``_interpolated``), the scans (``_scan_loop``,
 ``_scan_arrays``) and the sum driver (``_summed_modes`` less those parts:
 the pump and the sum's generator, which runs inside it, with its bounds and
-result), and the rest of the pass, what lies outside the sums, all from
-the fastest timed pass; then that pass and the fastest untimed one, whose
-difference is the timers' own cost, and the work counts.
-On TREEs the passes run in rounds of three, the trees' order reversed from
-one round to the next, so that a slow phase of the host falls on every
-tree; each figure is then the median over the rounds of a round's fastest
-pass, and a last line gives, per tree after the first, the median over the
-rounds of its ratio to the first tree in the same round.
+result), and the rest of the pass, what lies outside the sums; then the
+timed pass and the untimed one, whose difference is the timers' own cost,
+and the work counts.  The passes run in rounds of three, the trees' order
+reversed from one round to the next, so that a slow phase of the host falls
+on every tree; each figure is the median over the rounds of a round's
+fastest pass, and a last line gives, per tree after the first, the median
+over the rounds of its ratio to the first tree in the same round.
 
 ``--rel TOL`` is for a change that moves the last bits of values on
 purpose.  Every ``n_terms_used``, error type and message, exit code, CLI
@@ -97,6 +96,7 @@ from __future__ import annotations
 import argparse
 import base64
 import contextlib
+import importlib
 import json
 import math
 import os
@@ -108,7 +108,8 @@ from pathlib import Path
 
 import numpy as np
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent  # this script's own tree
+PERFBENCH = ROOT / "perfbench"
 RECORDED = PERFBENCH / "recorded"
 SEEDS = (0, 1)
 GRID_A_UM = (20.0, 2.0, 0.2)
@@ -122,19 +123,28 @@ REPLAN = (("P", ("Au", "Au"), 0.16, 0.5), ("F", ("Au", "Al"), 0.16, 0.5))
 # (quantity, pair kind of _panel_pairs) of the cells at 1 um and 1 K that integrate
 # their certified panel 129-256
 PANEL = (("P", "weak-weak"), ("F", "weak-weak"), ("P", "ideal-at-150-Cu"))
-# the work counted per record (_count_work)
+# the work counted per record (install)
 WORK = ("integer-mode plans", "sample plans", "_mode_block calls", "rows", "kernel nodes",
         "adaptive calls", "bound evaluations")
 # the work counts as a line prints them
 WORK_TEXT = ("{:,} + {:,} plans, {:,} blocks, {:,} rows, {:,} kernel nodes, {:,} adaptive calls, "
              "{:,} bound evaluations")
-# the parts of a split (--split), each the self time of the functions named;
-# thermo calls the driver through a name of its own
-SPLIT = (("plan", "lifshitz._plan"), ("block set-up", "lifshitz._mode_block"),
-         ("kernel", "lifshitz._mode_kernel"),
-         ("Chebyshev", "chebyshev._certify", "chebyshev._interpolated"),
-         ("scans", "lifshitz._scan_loop", "lifshitz._scan_arrays"),
-         ("driver", "lifshitz._summed_modes", "thermo._summed_modes"))
+# the wrap points (install): per casimir module.function, the WORK figures a
+# call adds ({index in WORK: amount}, from its positional arguments; a plan
+# on floats, Chebyshev points, is a sample plan) and the part of a split
+# (--split) that its self time goes to; thermo calls the driver, and may
+# call the adaptive quadrature, through names of its own
+WRAPS = {"lifshitz._plan": (lambda ms, *_: {0 if ms.dtype.kind in "iu" else 1: 1}, "plan"),
+         "lifshitz._mode_block": (lambda lower, *_: {2: 1, 3: lower.size}, "block set-up"),
+         "lifshitz._mode_kernel": (lambda y, *_: {4: y.size}, "kernel"),
+         "lifshitz.integrate_adaptive": (lambda *_: {5: 1}, None),
+         "thermo.integrate_adaptive": (lambda *_: {5: 1}, None),
+         "lifshitz._log_bound": (lambda *_: {6: 1}, None),
+         "chebyshev._certify": (None, "Chebyshev"), "chebyshev._interpolated": (None, "Chebyshev"),
+         "lifshitz._scan_loop": (None, "scans"), "lifshitz._scan_arrays": (None, "scans"),
+         "lifshitz._summed_modes": (None, "driver"), "thermo._summed_modes": (None, "driver")}
+# the parts of a split, in the order its lines print them
+PARTS = tuple(dict.fromkeys(part for _, part in WRAPS.values() if part))
 # timed passes per round of a split on trees (split_trees)
 ROUND = 3
 # argv of the help and usage records
@@ -285,51 +295,23 @@ def records(limit: int | None = None):
     yield from _cli_records(C, limit)
 
 
-def _count_work(lifshitz, thermo) -> list:
-    """Wrap the module ``lifshitz``'s _plan, _mode_block, _mode_kernel,
-    integrate_adaptive and _log_bound, and ``thermo``'s integrate_adaptive if
-    it binds one, so that each call adds its work to the list returned,
-    ordered as WORK."""
-    counts = [0] * len(WORK)
-    plan, block, kernel = lifshitz._plan, lifshitz._mode_block, lifshitz._mode_kernel
-    log_bound = lifshitz._log_bound
+def install(timed: bool = False):
+    """Wrap once each function of WRAPS that the importable casimir holds:
+    every call adds its WORK figures to the counts, and with ``timed`` its
+    own time, less that of the timed calls inside it, and 1 to its part's
+    [seconds, calls].  Returns the counts (ordered as WORK), the parts
+    ({part: [seconds, calls]}, ordered as PARTS) and a function that puts
+    every wrapped function back."""
+    counts, parts, inner = [0] * len(WORK), {part: [0.0, 0] for part in PARTS}, []
+    saved = []  # (module, name, function) of each wrap
 
-    def _plan(ms, *args):
-        counts[0 if ms.dtype.kind in "iu" else 1] += 1  # Chebyshev points are floats
-        return plan(ms, *args)
-
-    def _mode_block(lower, *args):
-        counts[2] += 1
-        counts[3] += lower.size
-        return block(lower, *args)
-
-    def _mode_kernel(y, *args):
-        counts[4] += y.size
-        return kernel(y, *args)
-
-    def _log_bound(*args):
-        counts[6] += 1
-        return log_bound(*args)
-    lifshitz._plan, lifshitz._mode_block, lifshitz._mode_kernel = _plan, _mode_block, _mode_kernel
-    lifshitz._log_bound = _log_bound
-    for module in (lifshitz, thermo):
-        if hasattr(module, "integrate_adaptive"):
-            def integrate_adaptive(*args, _integrate=module.integrate_adaptive, **kwargs):
-                counts[5] += 1
-                return _integrate(*args, **kwargs)
-            module.integrate_adaptive = integrate_adaptive
-    return counts
-
-
-def _timers(modules: dict) -> dict:
-    """Wrap each function of SPLIT in ``modules`` ({name: module}) so that
-    every call adds its own time, less that of the timed calls inside it,
-    and 1 to its part's [seconds, calls] in the dict returned."""
-    spent, inner = {part: [0.0, 0] for part, *_ in SPLIT}, []  # inner: per open call
-
-    def timed(fn, tally):
+    def wrap(fn, figures, tally):
         def wrapper(*args, **kwargs):
-            inner.append(0.0)
+            for i, n in (figures(*args) if figures else {}).items():
+                counts[i] += n
+            if tally is None:
+                return fn(*args, **kwargs)
+            inner.append(0.0)  # the time of the timed calls inside this one
             t0 = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
@@ -340,10 +322,20 @@ def _timers(modules: dict) -> dict:
                 if inner:
                     inner[-1] += dt
         return wrapper
-    for part, *names in SPLIT:
-        for module, name in (name.split(".") for name in names):
-            setattr(modules[module], name, timed(getattr(modules[module], name), spent[part]))
-    return spent
+    for point, (figures, part) in WRAPS.items():
+        module, name = point.split(".")
+        tally = parts[part] if timed and part else None
+        if not (figures or tally):
+            continue
+        module = importlib.import_module(f"casimir.{module}")
+        if hasattr(module, name):
+            saved.append((module, name, getattr(module, name)))
+            setattr(module, name, wrap(getattr(module, name), figures, tally))
+
+    def restore():
+        for module, name, fn in saved:
+            setattr(module, name, fn)
+    return counts, parts, restore
 
 
 def _selected(key: str, kind: str) -> bool:
@@ -358,23 +350,16 @@ def _selected(key: str, kind: str) -> bool:
 def _replayer(kind: str, limit: int | None):
     """The number of records of ``kind`` (_selected) that run in this
     process, and a function of ``passes`` that replays their calls in turn,
-    ``passes`` times with the timers of _timers and the spies of _count_work
-    and as often without, each timed pass after an untimed one.  It returns
-    the fastest timed pass as {"parts": {part: [seconds, calls]}, "rest":
-    seconds, "timed": seconds, "work": counts} with "untimed", the fastest
-    untimed pass; the rest is the timed pass less its parts."""
+    ``passes`` times with the wraps of install, timed, and as often without,
+    each timed pass after an untimed one.  It returns the fastest timed pass
+    as {"parts": {part: [seconds, calls]}, "rest": seconds, "timed":
+    seconds, "work": counts} with "untimed", the fastest untimed pass; the
+    rest is the timed pass less its parts."""
     import casimir as C
-    from casimir import chebyshev, lifshitz, thermo
 
     calls = [(fn, args) for key, fn, args in cases(limit) if _selected(key, kind)]
     if not calls:
         sys.exit(f"no record of kind {kind!r}")
-    modules = {"lifshitz": lifshitz, "chebyshev": chebyshev, "thermo": thermo}
-    saved = {(modules[module], name): getattr(modules[module], name)  # the timers and spies
-             for _, *names in SPLIT for module, name in (name.split(".") for name in names)}
-    saved.update({(module, "integrate_adaptive"): module.integrate_adaptive
-                  for module in (lifshitz, thermo) if hasattr(module, "integrate_adaptive")})
-    saved[lifshitz, "_log_bound"] = lifshitz._log_bound
 
     def replay() -> float:
         t0 = time.perf_counter()
@@ -389,12 +374,11 @@ def _replayer(kind: str, limit: int | None):
         untimed, best = math.inf, None
         for _ in range(passes):
             untimed = min(untimed, replay())
-            spent, counts = _timers(modules), _count_work(lifshitz, thermo)
+            counts, spent, restore = install(timed=True)
             try:
                 total = replay()
             finally:
-                for (module, name), fn in saved.items():
-                    setattr(module, name, fn)
+                restore()
             if best is None or total < best["timed"]:
                 rest = total - sum(s for s, _ in spent.values())
                 best = {"parts": spent, "rest": rest, "timed": total, "work": counts}
@@ -410,14 +394,6 @@ def _split_lines(best: dict, head: str = "") -> list[str]:
             f"{head}timed pass {1e3 * best['timed']:.4g}, "
             f"untimed pass {1e3 * best['untimed']:.4g}",
             head + "work: " + WORK_TEXT.format(*best["work"])]
-
-
-def split(kind: str, limit: int | None, passes: int) -> list[str]:
-    """Lines of the split of the records of ``kind`` in this process: the
-    fastest of ``passes`` timed passes (_replayer)."""
-    n, passes_of = _replayer(kind, limit)
-    return [f"split {kind}: {n} records, best of {passes} passes, ms (calls)",
-            *_split_lines(passes_of(passes))]
 
 
 def _rounds(kind: str, limit: int | None):
@@ -638,21 +614,18 @@ def main(argv=None) -> int:
     parser.add_argument("--split", metavar="KIND", default=None,
                         help="time the parts of one record kind's sums on each tree")
     parser.add_argument("--passes", type=int, default=9,
-                        help="passes of --split, on TREEs in alternating rounds of three")
+                        help="passes of --split, in rounds of three that alternate the trees")
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.split is not None:
         if args.dump:
             _rounds(args.split, args.limit)
-        elif args.trees:
-            print("\n".join(split_trees(args.trees, args.split, args.limit, args.passes)))
         else:
-            print("\n".join(split(args.split, args.limit, args.passes)))
+            trees = args.trees or [ROOT]
+            print("\n".join(split_trees(trees, args.split, args.limit, args.passes)))
         return 0
     if args.dump:
-        from casimir import lifshitz, thermo
-
-        counts = _count_work(lifshitz, thermo)
+        counts, _, _ = install()
         for key, fields in records(args.limit):
             print(json.dumps([key, fields, counts]))
             counts[:] = [0] * len(WORK)
