@@ -30,18 +30,18 @@ def _panels(start: int, end: int, gamma: float):
 
 
 def _certify(panels, gamma: float, sample, rel_tol: float, floor: float):
-    """{lo: (hi, Chebyshev coefficients or None)} of the panels (lo, hi): each degree takes
-    ``sample(ms)``, the mode integrals at a row of points ms per live panel (NaN where a mode
-    fails or its row may not be interpolated), as g(m) = I_m * e^{2 gamma (m-lo)}, and
-    certifies the panels whose last four coefficients sum to at most max(rel_tol * min|g|,
-    floor).  A NaN sample ends its panel."""
+    """A generator returning {lo: (hi, Chebyshev coefficients or None)} of the panels (lo,
+    hi): each degree takes ``yield from sample(ms)``, the mode integrals at a row of points ms
+    per live panel (NaN where a mode fails or its row may not be interpolated), as g(m) = I_m
+    * e^{2 gamma (m-lo)}, and certifies the panels whose last four coefficients sum to at most
+    max(rel_tol * min|g|, floor).  A NaN sample ends its panel."""
     lo, hi = np.array(panels, dtype=float).reshape(-1, 2).T
     g, out = None, {a: (b, None) for a, b in panels}
     for n in _DEGREES:
         x, to_coeffs = _chebyshev(n)
         x = x if g is None else x[1::2]  # the new points; the last degree's are every other one
         ms = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * x
-        new = sample(ms) * np.exp(np.outer(gamma * (hi - lo), 1.0 + x))  # e^{2 gamma (m-lo)}
+        new = (yield from sample(ms)) * np.exp(np.outer(gamma * (hi - lo), 1.0 + x))
         if g is None:
             g = new
         else:

@@ -24,7 +24,7 @@ each block it integrates; _summed_modes answers with _mode_block.
 Past mode 128 a long sum of two analytic sides (Drude, ideal) takes most
 terms from Chebyshev interpolants in m (casimir.chebyshev) of sample
 points it integrates, both screened for bad permittivities (_screen); the
-samples make their own _mode_block call (_sampled).
+samples of each degree are one more such request (_sampled).
 
 All mode arithmetic is dimensionless; SI conversion happens once at the
 end through the SI pressure scale of :class:`casimir.quantities.Geometry`.
@@ -556,16 +556,16 @@ def _screen(eps):
     return ok
 
 
-def _sampled(plan, block, ms):
+def _sampled(plan, floor, ms):
     """Mode integrals at ``ms``, Chebyshev points a row per panel, from one _plan (``plan``:
-    gamma, zeta1, both models) and one _mode_block (``block``: its arguments from the spec
-    on) of the rows _screen passes; NaN across the other rows and where a mode fails."""
+    gamma, zeta1, both models): a generator that asks, as _sum_steps asks for a block, for
+    the rows _screen passes with ``floor``; NaN across the other rows and where a mode fails."""
     lower, zeta, sides, kinds = _plan(ms.ravel(), *plan)
     ok, out = _screen([e.reshape(ms.shape) for _, e in sides]), np.full(ms.shape, np.nan)
     if ok.any():
         keep = ok.repeat(ms.shape[1])
-        sides = [(model, e[keep]) for model, e in sides]
-        values, _, failed = _mode_block(lower[keep], zeta[keep], sides, kinds, *block)
+        values, _, failed = yield (
+            lower[keep], zeta[keep], [(model, e[keep]) for model, e in sides], kinds, floor)
         out[ok] = np.where(failed, np.nan, values).reshape(-1, ms.shape[1])
     return out
 
@@ -650,11 +650,11 @@ def _scan_arrays(values: np.ndarray, acc: float, comp: float, first: int, min_te
 
 
 def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
-               spec: QuadratureSpec, free_energy: bool, work):
+               spec: QuadratureSpec, free_energy: bool):
     """Primed Matsubara sum of the pressure or the free energy, a generator
-    holding one sum's state: for each block it integrates, the first one
-    included, it yields the block's slice of the plan and its floor, (lower,
-    zeta, sides, kinds, floor), and takes back _mode_block's answer.
+    holding one sum's state: it yields a request, (lower, zeta, sides, kinds,
+    floor), for each block it integrates and each degree of Chebyshev samples
+    (_sampled), and takes back _mode_block's answer.
 
     Every integral of a block is certified to max(integral_rel_tol * |I_m|,
     integral_rel_tol * sum_rel_tol * |S|), with S the running sum at the
@@ -685,12 +685,12 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
 
     Past mode _BLOCK_CAP, with two ``analytic`` sides and the bound's stop
     there _PANEL_MIN modes on, chebyshev._certify fits the panels from
-    _BLOCK_CAP to that stop to the samples of _sampled, which calls
-    _mode_block in ``work``; blocks end before each panel.  A certified
-    panel is one block of chebyshev._interpolated terms unless the stop falls
-    in it or _screen, as for the samples, finds a permittivity below 1, NaN
-    or ideal at some modes only there; then it is integrated in blocks.  So
-    a failure past the stop moves no value, nor does the block schedule.
+    _BLOCK_CAP to that stop to the samples of _sampled; blocks end before
+    each panel.  A certified panel is one block of chebyshev._interpolated
+    terms unless the stop falls in it or _screen, as for the samples, finds
+    a permittivity below 1, NaN or ideal at some modes only there; then it
+    is integrated in blocks.  So a failure past the stop moves no value, nor
+    does the block schedule.
 
     Every block takes one body: its values, from a certified panel's
     interpolant or its request, are accumulated up to its first failed mode
@@ -753,10 +753,9 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
                                       gamma, target, free_energy), {}
             if stop > _BLOCK_CAP + _PANEL_MIN:
                 from . import chebyshev  # here: most processes never load it
-                sample = functools.partial(_sampled, (gamma, zeta1, model1, model3),
-                                           (spec, floor, free_energy, work))
-                panels = chebyshev._certify(chebyshev._panels(_BLOCK_CAP, stop, gamma), gamma,
-                                            sample, int_rel_tol, floor)
+                sample = functools.partial(_sampled, (gamma, zeta1, model1, model3), floor)
+                panels = yield from chebyshev._certify(
+                    chebyshev._panels(_BLOCK_CAP, stop, gamma), gamma, sample, int_rel_tol, floor)
         hi, coeffs = panels.get(first) or (0, None)  # then each panel is one block
         size = hi - first + 1  # a certified panel's modes
         if coeffs is None:
@@ -798,9 +797,9 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
 
 def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
                   spec: QuadratureSpec | None, free_energy: bool):
-    """_sum_steps' result under spec or the default, each block answered by one _mode_block call."""
+    """_sum_steps' result under spec or the default; one _mode_block call answers each request."""
     work, out, spec = _Workspace(), None, spec or _DEFAULT_SPEC
-    steps = _sum_steps(geom, model1, model3, spec, free_energy, work)
+    steps = _sum_steps(geom, model1, model3, spec, free_energy)
     try:
         while True:
             lower, zeta, sides, kinds, floor = steps.send(out)

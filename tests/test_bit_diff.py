@@ -17,7 +17,8 @@ record kind, and a difference in them reported without failing.  The
 split of one kind's time is replayed in this process on two inputs, with
 the census and every wrap put back after the pass, and runs on this tree
 alone and on two trees in rounds that alternate their order, each tree in
-a process of its own.
+a process of its own; a wrapped generator, ``chebyshev._certify``, is
+timed over its own resumes, not the requests it yields.
 """
 
 import importlib.util
@@ -100,7 +101,7 @@ def test_the_grid_cells_at_0_2_um_and_3_k_interpolate(name, n_terms, monkeypatch
     certified, certify = [], chebyshev._certify
 
     def spy(panels, *args):
-        out = certify(panels, *args)
+        out = yield from certify(panels, *args)
         certified.append({lo for lo, (_, coeffs) in out.items() if coeffs is not None})
         return out
     monkeypatch.setattr(chebyshev, "_certify", spy)
@@ -142,7 +143,7 @@ def test_the_panel_cells_integrate_their_certified_first_panel(name, kind, monke
     certified, certify = [], chebyshev._certify
 
     def spy(panels, *args):
-        out = certify(panels, *args)
+        out = yield from certify(panels, *args)
         certified.append({lo for lo, (_, coeffs) in out.items() if coeffs is not None})
         return out
     screened, screen = [], lifshitz._screen
@@ -290,6 +291,37 @@ def test_split_times_the_parts_of_one_kind_in_this_process():
     assert not bit_diff._selected("grid Au-Au copies a=20.0 T=3.0 P", "grid Au-Au")
     with pytest.raises(SystemExit, match="no record of kind 'nothing'"):
         bit_diff._replayer("nothing", 1)
+
+
+def test_split_times_a_generator_by_its_own_resumes(monkeypatch):
+    # chebyshev._certify yields its samples' requests: on a clock that only
+    # its sampler (0.25 per degree) and the pump answering it (1.0 per
+    # request) move, the Chebyshev part is the sampler's time alone
+    import inspect
+    import types
+
+    from casimir import chebyshev
+
+    clock = [0.0]
+    monkeypatch.setattr(bit_diff, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+
+    def sample(ms):
+        clock[0] += 0.25
+        return (yield ms)
+    counts, parts, restore = bit_diff.install(timed=True)
+    try:
+        assert inspect.isgeneratorfunction(chebyshev._certify)
+        steps, out, requests = chebyshev._certify([(513, 1024)], 0.01, sample, 1e-12, 0.0), None, 0
+        try:
+            while True:
+                ms = steps.send(out)
+                clock[0] += 1.0
+                out, requests = np.exp(-0.02 * ms) / ms, requests + 1
+        except StopIteration as done:
+            assert done.value[513][1].size == 33  # certified at degree 32
+    finally:
+        restore()
+    assert requests == 2 and parts["Chebyshev"] == [0.5, 1] and clock[0] == 2.5
 
 
 def test_split_without_a_tree_runs_this_tree_in_a_process_of_its_own(capsys):

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 import casimir.dielectric
 from casimir.dielectric import (
     BlochGruneisenParams,
+    DielectricModel,
     DrudeModel,
     DrudeParams,
     IdealMetal,
@@ -403,6 +404,14 @@ class TestModels:
         assert Vacuum().is_vacuum
         assert not DrudeModel(AU).is_vacuum
         assert not IdealMetal().is_vacuum
+
+    def test_a_drude_model_shows_its_label_and_frequencies(self):
+        assert repr(DrudeModel(AU)) == "DrudeModel(Au: omega_p=9.03 eV, nu=0.0345 eV)"
+        assert repr(DrudeModel(DrudeParams(1.5, 0.02))) == "DrudeModel(?: omega_p=1.5 eV, nu=0.02 eV)"
+
+    def test_the_base_model_has_no_permittivity(self):
+        with pytest.raises(NotImplementedError):
+            DielectricModel().epsilon(1.0)
 
     def test_a_subclass_that_defines_epsilon_is_analytic_only_if_it_says_so(self):
         class Stepped(DrudeModel):

@@ -677,14 +677,14 @@ class TestBlockRequests:
 
         free, geoms = what == "free-energy", [Geometry(a_um, T_K) for a_um, T_K in cells]
         alone = [EVALUATE[what](geom, *pair, spec) for geom in geoms]
-        callers = []  # of _mode_block inside the sums: _sampled alone
+        callers = []  # of _mode_block inside the sums: none, the samples are requests too
 
         def spy(*args):
             callers.append(sys._getframe(1).f_code.co_name)
             return _mode_block(*args)
         monkeypatch.setattr(lifshitz, "_mode_block", spy)
         works = [_Workspace() for _ in geoms]
-        steps = [_sum_steps(geom, *pair, spec, free, work) for geom, work in zip(geoms, works)]
+        steps = [_sum_steps(geom, *pair, spec, free) for geom in geoms]
         (la, za, sa, kinds, floor), (lb, zb, sb, kb, fb) = (next(s) for s in steps)
         assert floor == fb == spec.integral_rel_tol * spec.sum_rel_tol * zeta3() / 8.0
         assert kb == kinds and len(sa) == len(sb) == len({id(model) for model in pair})
@@ -706,7 +706,7 @@ class TestBlockRequests:
         for res, ref in zip(results, alone):
             assert all(same_bits(np.asarray(value), np.asarray(vars(ref)[name]))
                        for name, value in vars(res).items())
-        assert set(callers) == ({"_sampled"} if free else set())
+        assert set(callers) == set()
         assert not free or results[0].n_terms_used > _BLOCK_CAP + _PANEL_MIN
 
     @pytest.mark.parametrize("a_um, schedule", [(2.5, [128, 243, 40]), (3.65, [128, 157])])
@@ -728,7 +728,7 @@ class TestBlockRequests:
         alone = casimir_pressure(geom, AU, CU)
         assert sizes == schedule
         work = _Workspace()
-        steps = _sum_steps(geom, AU, CU, spec, False, work)
+        steps = _sum_steps(geom, AU, CU, spec, False)
         lower, zeta, sides, kinds, floor = next(steps)
         answer = _mode_block(lower, zeta, sides, kinds, spec, floor, False, _Workspace())
         del sizes[:]
@@ -736,6 +736,41 @@ class TestBlockRequests:
         assert [lower.size, *sizes] == schedule
         assert all(same_bits(np.asarray(value), np.asarray(vars(alone)[name]))
                    for name, value in vars(res).items())
+
+    @pytest.mark.parametrize("what, geom, pair, spec", [
+        ("pressure", Geometry(0.16, 1.0), (AU, AU), QuadratureSpec()),
+        ("free-energy", Geometry(1.0, 1.5), (AU, DrudeModel(DB.get("Al"))), _ENTROPY_SPEC),
+    ])
+    def test_halved_requests_keep_the_bits_of_a_long_sum(self, what, geom, pair, spec,
+                                                         monkeypatch):
+        # every mode integral of a sum is a request, the Chebyshev samples'
+        # included: a pump that answers each request of two or more rows
+        # with one _mode_block call per half of its rows keeps every bit,
+        # and no _mode_block call is made inside the sum
+        from casimir import lifshitz
+
+        free, callers, requests = what == "free-energy", [], []
+        alone = EVALUATE[what](geom, *pair, spec)
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return _mode_block(*args)
+
+        def halves(lower, zeta, sides, kinds, *args):
+            requests.append(lower / geom.gamma)  # the modes asked for
+            if lower.size < 2:
+                return _mode_block(lower, zeta, sides, kinds, *args)
+            parts = [_mode_block(lower[i], zeta[i], [(model, e[i]) for model, e in sides],
+                                 kinds, *args)
+                     for i in (slice(0, lower.size // 2), slice(lower.size // 2, None))]
+            return tuple(np.concatenate(half) for half in zip(*parts))
+        monkeypatch.setattr(lifshitz, "_mode_block", spy)
+        res = finish(_sum_steps(geom, *pair, spec, free), None, spec, free, _Workspace(), halves)
+        assert all(same_bits(np.asarray(value), np.asarray(vars(alone)[name]))
+                   for name, value in vars(res).items())
+        assert callers == [] and res.n_terms_used > _BLOCK_CAP + _PANEL_MIN
+        # the Chebyshev samples asked too, at points between the modes
+        assert any((np.abs(ms - np.round(ms)) > 0.01).any() for ms in requests)
 
 
 # Magnitudes of the scanned terms: zeros, subnormals and 600 decades of normals.
@@ -1780,7 +1815,7 @@ def certified_panels():
     calls = []
 
     def spy(panels, *args):
-        out = _certify(panels, *args)
+        out = yield from _certify(panels, *args)
         calls.append((list(panels), {lo: hi for lo, (hi, c) in out.items() if c is not None}))
         return out
     with pytest.MonkeyPatch.context() as patch:
@@ -2277,12 +2312,21 @@ class TestInterpolation:
         # panel alone, and only the panel left is sampled at degree 32
         gamma, shapes = 0.01, []
 
-        def sample(ms):
+        def sample(ms):  # a request for the integrals at ms, as _sampled makes
             shapes.append(ms.shape)
+            return (yield ms)
+
+        def integrals(ms):
             out = np.exp(-2.0 * gamma * ms) * np.where(ms <= 256, 2.0 + ms / 256, 1.0 / ms)
             out[(ms[:, 0] > 256) & (ms[:, 0] <= 512), 3] = np.nan
             return out
-        got = _certify([(129, 256), (257, 512), (513, 1024)], gamma, sample, 1e-12, 0.0)
+        certify = _certify([(129, 256), (257, 512), (513, 1024)], gamma, sample, 1e-12, 0.0)
+        out = None
+        try:  # each request answered with the integrals it asks for
+            while True:
+                out = integrals(certify.send(out))
+        except StopIteration as done:
+            got = done.value
         assert shapes == [(3, 17), (1, 16)]
         assert got[257] == (512, None) and got[129][1].size == 17 and got[513][1].size == 33
         for lo, hi in ((129, 256), (513, 1024)):

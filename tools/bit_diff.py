@@ -72,16 +72,17 @@ records' calls, their arguments built beforehand, are replayed in turn,
 often without them.  It prints, in ms and with the calls, the self time of
 the plans (``_plan``), the block set-up (``_mode_block`` less the kernel),
 the kernel (``_mode_kernel``), the Chebyshev work (``chebyshev._certify``
-less its samples, and ``_interpolated``), the scans (``_scan_loop``,
-``_scan_arrays``) and the sum driver (``_summed_modes`` less those parts:
-the pump and the sum's generator, which runs inside it, with its bounds and
-result), and the rest of the pass, what lies outside the sums; then the
-timed pass and the untimed one, whose difference is the timers' own cost,
-and the work counts.  The passes run in rounds of three, the trees' order
-reversed from one round to the next, so that a slow phase of the host falls
-on every tree; each figure is the median over the rounds of a round's
-fastest pass, and a last line gives, per tree after the first, the median
-over the rounds of its ratio to the first tree in the same round.
+less its samples, whose requests the pump answers where it is a generator,
+and ``_interpolated``), the scans (``_scan_loop``, ``_scan_arrays``) and the
+sum driver (``_summed_modes`` less those parts: the pump and the sum's
+generator, which runs inside it, with its bounds and result), and the rest
+of the pass, what lies outside the sums; then the timed pass and the untimed
+one, whose difference is the timers' own cost, and the work counts.  The
+passes run in rounds of three, the trees' order reversed from one round to
+the next, so that a slow phase of the host falls on every tree; each figure
+is the median over the rounds of a round's fastest pass, and a last line
+gives, per tree after the first, the median over the rounds of its ratio to
+the first tree in the same round.
 
 ``--rel TOL`` is for a change that moves the last bits of values on
 purpose.  Every ``n_terms_used``, error type and message, exit code, CLI
@@ -97,6 +98,7 @@ import argparse
 import base64
 import contextlib
 import importlib
+import inspect
 import json
 import math
 import os
@@ -299,11 +301,24 @@ def install(timed: bool = False):
     """Wrap once each function of WRAPS that the importable casimir holds:
     every call adds its WORK figures to the counts, and with ``timed`` its
     own time, less that of the timed calls inside it, and 1 to its part's
-    [seconds, calls].  Returns the counts (ordered as WORK), the parts
-    ({part: [seconds, calls]}, ordered as PARTS) and a function that puts
-    every wrapped function back."""
+    [seconds, calls]; a generator's own time is that of its creation and its
+    resumes, not of the requests it yields, which its caller answers.
+    Returns the counts (ordered as WORK), the parts ({part: [seconds,
+    calls]}, ordered as PARTS) and a function that puts every wrapped
+    function back."""
     counts, parts, inner = [0] * len(WORK), {part: [0.0, 0] for part in PARTS}, []
     saved = []  # (module, name, function) of each wrap
+
+    def timing(tally, run):
+        inner.append(0.0)  # the time of the timed calls inside this one
+        t0 = time.perf_counter()
+        try:
+            return run()
+        finally:
+            dt = time.perf_counter() - t0
+            tally[0] += dt - inner.pop()
+            if inner:
+                inner[-1] += dt
 
     def wrap(fn, figures, tally):
         def wrapper(*args, **kwargs):
@@ -311,17 +326,17 @@ def install(timed: bool = False):
                 counts[i] += n
             if tally is None:
                 return fn(*args, **kwargs)
-            inner.append(0.0)  # the time of the timed calls inside this one
-            t0 = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                dt = time.perf_counter() - t0
-                tally[0] += dt - inner.pop()
-                tally[1] += 1
-                if inner:
-                    inner[-1] += dt
-        return wrapper
+            tally[1] += 1
+            return timing(tally, lambda: fn(*args, **kwargs))
+
+        def resumes(*args, **kwargs):  # a generator's own resumes, not the requests it yields
+            steps, out = wrapper(*args, **kwargs), None
+            while True:
+                try:
+                    out = yield timing(tally, lambda: steps.send(out))
+                except StopIteration as done:
+                    return done.value
+        return resumes if tally and inspect.isgeneratorfunction(fn) else wrapper
     for point, (figures, part) in WRAPS.items():
         module, name = point.split(".")
         tally = parts[part] if timed and part else None
