@@ -19,12 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-try:  # the C function behind np.count_nonzero, whose Python dispatch costs as much again
-    from numpy._core.multiarray import count_nonzero as _count_nonzero
-except ImportError:  # numpy < 2
-    _count_nonzero = np.count_nonzero
-
-from .quadrature import GAUSS_LEGENDRE, integrate_adaptive
+from .quadrature import GAUSS_LEGENDRE, _count_nonzero, integrate_adaptive
 from .quantities import CODATA
 
 __all__ = [
@@ -60,8 +55,8 @@ class DrudeParams:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not 0 < self.omega_p_eV < math.inf:
-            raise ValueError(f"plasma frequency must be positive and finite, "
+        if not (0 < self.omega_p_eV and self.omega_p_eV * self.omega_p_eV < math.inf):
+            raise ValueError(f"plasma frequency must be positive with a finite square, "
                              f"got {self.omega_p_eV}")
         if not 0 < self.nu_eV < math.inf:
             raise ValueError(f"relaxation frequency must be positive and finite, "

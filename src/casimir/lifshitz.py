@@ -40,15 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dielectric import DielectricModel, _count_nonzero
+from .dielectric import DielectricModel
 from .quadrature import (GAUSS_LAGUERRE, GAUSS_LEGENDRE, QuadratureError, SumConvergenceError,
-                         integrate_adaptive)
+                         _count_nonzero, _einsum, integrate_adaptive)
 from .quantities import Geometry
-
-try:  # the C function behind np.einsum, whose dispatch costs as much again on a short block
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # numpy < 2
-    _einsum = np.einsum
 
 __all__ = [
     "QuadratureSpec",
@@ -80,8 +75,10 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         for name in ("max_terms", "min_terms"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if not (0 < self.integral_rel_tol < math.inf and 0 < self.sum_rel_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if not (0 < self.sum_rel_tol < math.inf and 0 < self.integral_rel_tol < math.inf
+                and 1.0 / self.integral_rel_tol < math.inf):  # y_max takes its log
+            raise ValueError("tolerances must be positive and finite, and so must "
+                             "the reciprocal of integral_rel_tol")
         if self.max_terms < 1 or self.min_terms < 1:
             raise ValueError("term counts must be >= 1")
         if self.min_terms > self.max_terms:  # the stop rule could never fire

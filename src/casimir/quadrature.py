@@ -14,6 +14,8 @@ Kramers-Kronig transform (casimir.dielectric) take live here too:
 numpy.polynomial's ``leggauss(n)`` and ``laggauss(n)`` printed to
 round-trip precision, so no module imports numpy.polynomial.
 tests/test_quadrature.py pins them to numpy's bits and to exact moments.
+numpy's C einsum and count_nonzero are bound here once for the package;
+the public functions stand in where numpy does not export them.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+
+try:  # the C functions behind np.einsum and np.count_nonzero, whose dispatch costs as much again
+    from numpy._core.multiarray import c_einsum as _einsum, count_nonzero as _count_nonzero
+except ImportError:  # numpy < 2, or a later numpy that stops exporting these private names
+    _einsum, _count_nonzero = np.einsum, np.count_nonzero
 
 __all__ = ["GAUSS_LAGUERRE", "GAUSS_LEGENDRE", "QuadratureError", "SumConvergenceError",
            "integrate_adaptive"]

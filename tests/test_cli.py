@@ -622,6 +622,27 @@ class TestUsage:
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error: ") and str(path) in err
 
+    def test_material_whose_plasma_square_overflows_exits_3(self, tmp_path, capsys):
+        # omega_p^2 overflowed in drude_epsilon: every sum ended in a traceback
+        path = tmp_path / "materials.json"
+        path.write_text('[{"label": "Y", "omega_p_eV": 1e300, "nu_eV": 0.01}]')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "pressure", "--materials", str(path),
+                                     "--pair", "Y,Au", "--a", "1", "--T", "300")
+        assert code == EXIT_INPUT and out == "" and [str(w.message) for w in caught] == []
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+    def test_subnormal_integral_tolerance_exits_3(self, capsys):
+        # log(1/1e-320) is inf, which made the adaptive fallback's last break
+        # inf: RuntimeWarnings, then a QuadratureError
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "pressure", "--a", "1", "--T", "300",
+                                     "--int-tol", "1e-320")
+        assert code == EXIT_INPUT and out == "" and [str(w.message) for w in caught] == []
+        assert err.startswith("error: --int-tol/--sum-tol: ") and err.count("\n") == 1
+
     def test_boolean_or_non_string_label_material_exits_3(self, tmp_path, capsys):
         # read as float(True) == 1.0 and str(None) == 'None' it used to exit 0
         path = tmp_path / "materials.json"

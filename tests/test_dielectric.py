@@ -40,6 +40,13 @@ class TestDrudeParams:
         with pytest.raises(ValueError):
             DrudeParams(omega_p_eV=-1.0, nu_eV=0.01)
 
+    def test_plasma_whose_square_overflows_rejected(self):
+        # drude_epsilon squares omega_p, which overflows above sqrt(max float) ~ 1.34e154
+        with pytest.raises(ValueError, match="finite square"):
+            DrudeParams(1e300, 0.01)
+        assert DrudeParams(1e154, 0.01).omega_p_eV == 1e154
+        assert DrudeParams(1e-200, 0.01).omega_p_eV == 1e-200  # its square underflows to 0
+
 
 class TestDrudeEpsilon:
     def test_at_plasma_frequency(self):

@@ -365,6 +365,11 @@ class TestCasimirPressure:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(integral_rel_tol=0.0)
+        # y_max takes log(1/integral_rel_tol), which a subnormal tolerance makes inf
+        with pytest.raises(ValueError, match="reciprocal of integral_rel_tol"):
+            QuadratureSpec(integral_rel_tol=1e-320)
+        assert QuadratureSpec(integral_rel_tol=1e-308).integral_rel_tol == 1e-308
+        assert QuadratureSpec(sum_rel_tol=1e-320).sum_rel_tol == 1e-320
         with pytest.raises(ValueError):
             QuadratureSpec(max_terms=0)
         # the stop rule needs min_terms terms, so it could never fire
@@ -2371,10 +2376,13 @@ import numpy as np
 from numpy._core import multiarray
 saved = {name: vars(multiarray).pop(name) for name in ("c_einsum", "count_nonzero")}
 try:
-    from casimir import dielectric, lifshitz, thermo
+    from casimir import dielectric, lifshitz, quadrature, thermo
 finally:
     vars(multiarray).update(saved)
 print(lifshitz._einsum is np.einsum, dielectric._count_nonzero is np.count_nonzero)
+print(quadrature._einsum is np.einsum, quadrature._count_nonzero is np.count_nonzero,
+      lifshitz._einsum is quadrature._einsum, lifshitz._count_nonzero is quadrature._count_nonzero,
+      dielectric._count_nonzero is quadrature._count_nonzero)
 au = dielectric.DrudeModel(dielectric.MaterialDatabase.builtin().get("Au"))
 for res in (lifshitz.casimir_pressure(lifshitz.Geometry(0.16, 1.0), au, au),
             thermo.free_energy(lifshitz.Geometry(1.0, 300.0), au, au)):
@@ -2394,12 +2402,14 @@ def fallback_digests(*results):
 
 def test_numpy_1_fallbacks_give_the_same_bits():
     # np.einsum and np.count_nonzero stand in for the C functions that
-    # numpy < 2 does not export; a sum at 1 K and one at 300 K keep every bit
+    # numpy < 2 does not export, bound once in quadrature for the modules that
+    # call them; a sum at 1 K and one at 300 K keep every bit
     src = os.path.dirname(os.path.dirname(_certify.__code__.co_filename))
     proc = subprocess.run([sys.executable, "-c", NUMPY_1_SCRIPT], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=300)
     assert proc.returncode == 0, proc.stderr
-    bound, *digests = proc.stdout.splitlines()
+    bound, shared, *digests = proc.stdout.splitlines()
     assert bound == "True True"
+    assert shared == "True True True True True"
     assert digests == fallback_digests(casimir_pressure(Geometry(0.16, 1.0), AU, AU),
                                        free_energy(Geometry(1.0, 300.0), AU, AU))
