@@ -438,6 +438,11 @@ def _absorption_samples(omega_rad_s, eps_imag) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("omega samples must be positive, finite and strictly increasing")
     if not np.all((e2 >= 0) & (e2 < np.inf)):
         raise ValueError("eps'' samples must be finite and nonnegative")
+    with np.errstate(over="ignore", invalid="ignore"):  # the high tail's amplitude, as below
+        if not (w[-1] ** 3 * e2[-1] < np.inf and w[-1] * w[-1] < np.inf):
+            raise ValueError(f"the last sample, omega = {w[-1]:.6g} rad/s and eps'' = "
+                             f"{e2[-1]:.6g}, overflows the transform: omega^2 and "
+                             f"omega^3*eps'' must be finite")
     return w, e2
 
 

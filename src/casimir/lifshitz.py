@@ -14,13 +14,14 @@ quadrature, one call per mode.  A block ends where a bound that holds
 for any reflections in [0, 1] shows the sum must stop, so a short sum
 takes one block.  Each later one takes as many modes as fill the nodes of
 that first block's rule pairs, its bound scaled through the last term so
-that it ends near the stop.  A sum plans the permittivities of all the
-modes the bound lets it reach, each side classified once as ideal at all,
-none or some of them, and each block takes a slice of that plan.  A sum
-whose bound puts mode 1 below its first floor reads 0 up to min_terms,
-never integrated.  A long block's values are summed in array passes, a
-short one's in a loop, with the same bits.  A sum (_sum_steps) asks for
-each block it integrates; _summed_modes answers with _mode_block.
+that it ends near the stop.  A sum plans once: the permittivities of all
+the modes the bound lets it reach, up to max_terms, each side classified
+once as ideal at all, none or some of them, and each block takes a slice
+of that plan.  A sum whose bound puts mode 1 below its first floor reads 0
+up to min_terms, never integrated.  A long block's values are summed in
+array passes, a short one's in a loop, with the same bits.  A sum
+(_sum_steps) asks for each block it integrates; _summed_modes answers with
+_mode_block.
 Past mode 128 a long sum of two analytic sides (Drude, ideal) takes most
 terms from Chebyshev interpolants in m (casimir.chebyshev) of sample
 points it integrates, both screened for bad permittivities (_screen); the
@@ -351,6 +352,9 @@ _RUNGS = ((0.0022, _rule_pair(12, 8, np.array([0.0, 0.005, 0.02, 0.07, 0.25, 0.7
           (1.2, _rule_pair(16, 12, np.array([0.0, 1.0]))),
           (2.7, _rule_pair(16, 12, np.zeros(1))),
           (6.4, _rule_pair(12, 8, np.zeros(1))))
+# Farthest offset y - A of a rung's node; the A-scaled pairs below, whose
+# last break and tails are the first rung's, reach no farther.
+_RULE_REACH = max(float(pair[0].max()) for _, pair in _RUNGS)
 
 # Below the rungs, the A-scaled panels: breaks at the offsets 0, A*2^j for
 # j = 0, 1, ... while below 1, then 1, 2 and 4 from A, 12/8-node Legendre
@@ -414,9 +418,6 @@ _BLOCK_CAP = 128
 # passes 8.9, 9.4, 9.2, 9.7 and 10.1 us (one pinned core of a 2-vCPU
 # x86-64 host), so they break even at about 52 terms.
 _ARRAY_SCAN = 48
-# Most modes a sum plans at once, at least the largest block (about 1 MB of
-# arrays).
-_PLAN_CAP = 1 << 15
 # Past mode _BLOCK_CAP a sum of two analytic sides interpolates (casimir.chebyshev)
 # if the bound lets it run _PANEL_MIN modes more: the measured break-even.
 _PANEL_MIN = 1024
@@ -447,26 +448,42 @@ def _bound_end(low: int, high: int, gamma: float, log_target: float, free_energy
     return high
 
 
-def _block_size(first: int, gamma: float, log_target: float, free_energy: bool,
-                min_terms: int, cap: int) -> int:
-    """Modes from ``first`` to the first m >= min_terms with
-    _log_bound(m*gamma) <= ``log_target``, at most ``cap``."""
-    return _bound_end(max(first, min_terms), first + cap - 1, gamma, log_target,
-                      free_energy) - first + 1
+def _permittivities(model: DielectricModel, zeta: np.ndarray, lowest: float, reach: float):
+    """``model``'s eps(i zeta) as a float array.  Raises TypeError if it is
+    not one per frequency, and ValueError if the first, finite, times y/A
+    overflows at the farthest node, ``reach`` past the lowest A: inf/inf in
+    the reflections."""
+    eps = np.asarray(model.epsilon(zeta), dtype=float)
+    if eps.shape != zeta.shape:
+        raise TypeError(f"{model!r}: epsilon gave shape {eps.shape} for zeta of shape "
+                        f"{zeta.shape}; it must give one permittivity per frequency")
+    e = eps.item(0)
+    if e < math.inf and e * (1.0 + reach / lowest) == math.inf:
+        raise ValueError(f"{model!r}: epsilon = {e:.6g} at zeta = {zeta.item(0):.6g} eV "
+                         f"overflows the reflections")
+    return eps
 
 
-def _plan(ms: np.ndarray, gamma, zeta1, model1: DielectricModel, model3: DielectricModel):
+def _plan(ms: np.ndarray, gamma, zeta1, model1: DielectricModel, model3: DielectricModel,
+          reach: float):
     """Lower limits m*gamma, zeta_m = m*zeta1 in eV, (model, eps(i zeta_m))
     per distinct side of the Matsubara indices ``ms`` and their kinds
-    (_kernel_sides): one epsilon call per model, and one side where both
-    give equal permittivities, so one interface serves both."""
-    zeta = ms * zeta1
-    eps = np.asarray(model1.epsilon(zeta), dtype=float)
+    (_kernel_sides): one epsilon call per model (_permittivities, whose
+    check of the first mode takes ``reach``, _reach), and one side where
+    both give equal permittivities, so one interface serves both."""
+    zeta, lowest = ms * zeta1, ms.item(0) * gamma
+    eps = _permittivities(model1, zeta, lowest, reach)
     if model3 is not model1:
-        eps3 = np.asarray(model3.epsilon(zeta), dtype=float)
+        eps3 = _permittivities(model3, zeta, lowest, reach)
         if _count_nonzero(np.not_equal(eps, eps3)):
             return ms * gamma, zeta, [(model1, eps), (model3, eps3)], _kernel_sides(eps, eps3)
     return ms * gamma, zeta, [(model1, eps)], _kernel_sides(eps)
+
+
+def _reach(spec: QuadratureSpec) -> float:
+    """Farthest offset y - A of a node of a mode integral under ``spec``: a
+    rung's, or the adaptive fallback's y_max - A, largest at A = 0."""
+    return max(_RULE_REACH, 1.0 + 0.5 * math.log(1.0 / spec.integral_rel_tol) + _Y_MAX_PAD)
 
 
 def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: QuadratureSpec,
@@ -555,7 +572,7 @@ def _screen(eps):
 
 def _sampled(plan, floor, ms):
     """Mode integrals at ``ms``, Chebyshev points a row per panel, from one _plan (``plan``:
-    gamma, zeta1, both models): a generator that asks, as _sum_steps asks for a block, for
+    gamma, zeta1, both models, reach): a generator that asks, as _sum_steps asks for a block, for
     the rows _screen passes with ``floor``; NaN across the other rows and where a mode fails."""
     lower, zeta, sides, kinds = _plan(ms.ravel(), *plan)
     ok, out = _screen([e.reshape(ms.shape) for _, e in sides]), np.full(ms.shape, np.nan)
@@ -598,8 +615,8 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
     spec = spec or _DEFAULT_SPEC
     floor = spec.integral_rel_tol * spec.sum_rel_tol * (zeta3() / 8.0)
     values, errors, failed = _mode_block(
-        *_plan(np.array([m]), geom.gamma, geom.zeta1_eV, model1.at(geom.T_K), model3.at(geom.T_K)),
-        spec, floor, False, _Workspace())
+        *_plan(np.array([m]), geom.gamma, geom.zeta1_eV, model1.at(geom.T_K), model3.at(geom.T_K),
+               _reach(spec)), spec, floor, False, _Workspace())
     if failed[0]:
         raise _mode_error(m, geom, float(values[0]), float(errors[0]))
     return float(values[0])
@@ -672,13 +689,14 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
     its bound is rescaled through the last term t used: the
     target rises by shift = ln(bound/|t|) >= 0 there, so a long block does
     not run far past the stop.  A mode's value depends on its block only
-    through the floor.  The first block plans (_plan, a kind per side) the
-    modes up to the m where the bound meets the target at |S| = |static
-    term|, at most _PLAN_CAP and max_terms, so later blocks end there too;
-    one reaching past its plan plans again, as far as the bound without the
-    shift.  If the bound at m = 1 is at or below the first block's floor, so
-    is every mode's (|I_m| <= bound <= floor, a block's certificate): modes
-    1..min_terms read 0, with no plan or block, and the sum stops there.
+    through the floor.  The first block makes the sum's one plan (_plan, a
+    kind per side): the modes up to the first m >= min_terms where the bound
+    meets the target at |S| = |static term|, or max_terms.  |S| only grows
+    and the shift is >= 0, so every later block and panel ends there too; a
+    block that reached past it would raise RuntimeError.  If the bound at
+    m = 1 is at or below the first block's floor, so is every mode's
+    (|I_m| <= bound <= floor, a block's certificate): modes 1..min_terms
+    read 0, with no plan or block, and the sum stops there.
 
     Past mode _BLOCK_CAP, with two ``analytic`` sides and the bound's stop
     there _PANEL_MIN modes on, chebyshev._certify fits the panels from
@@ -726,7 +744,6 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
     floor = int_rel_tol * sum_rel_tol * abs(zero_coeff)  # the first block's
     if floor and _log_bound(gamma, free_energy) <= math.log(floor):  # so is every mode's bound
         n_terms, converged, terms = min_terms, True, [np.zeros(min_terms)]
-    start = end = 1  # the plan holds the modes from start to end - 1
     cap, shift, fill = _BLOCK_CAP, 0.0, None  # the first block's cap, its bound's shift, nodes
     # {first mode: (last mode, coefficients or None)} of the panels; for analytic sides
     # {_BLOCK_CAP + 1: None} until the sum reaches that mode
@@ -750,22 +767,23 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
                                       gamma, target, free_energy), {}
             if stop > _BLOCK_CAP + _PANEL_MIN:
                 from . import chebyshev  # here: most processes never load it
-                sample = functools.partial(_sampled, (gamma, zeta1, model1, model3), floor)
+                sample = functools.partial(_sampled, plan, floor)
                 panels = yield from chebyshev._certify(
                     chebyshev._panels(_BLOCK_CAP, stop, gamma), gamma, sample, int_rel_tol, floor)
         hi, coeffs = panels.get(first) or (0, None)  # then each panel is one block
-        size = hi - first + 1  # a certified panel's modes
-        if coeffs is None:
-            size = _block_size(first, gamma, target + shift, free_energy, min_terms, cap)
+        if coeffs is None:  # a block, to its last mode hi
+            hi = _bound_end(max(first, min_terms), min(first + cap - 1, max_terms), gamma,
+                            target + shift, free_energy)
             if terms and panels:  # a later block ends before the next panel
-                size = min([size, *(lo - first for lo in panels if lo > first)])
-        size = min(size, max_terms - n_terms)  # the block's modes
-        if first + size > end:  # past the plan: plan from first
-            n = size if size < cap and not shift else _block_size(
-                first, gamma, target, free_energy, min_terms, _PLAN_CAP)
-            start, end = first, min(first + max(n, size), max_terms + 1)
-            lower, zeta, sides, kinds = _plan(np.arange(start, end), gamma, zeta1, model1, model3)
-        part, n_ok = slice(first - start, first + size - start), size  # values before a failure
+                hi = min([hi, *(lo - 1 for lo in panels if lo > first)])
+        if not terms:  # the one plan: to the first block's end, or on to the bound's stop
+            planned = hi if hi < cap else _bound_end(max(hi, min_terms), max_terms, gamma,
+                                                      target, free_energy)
+            plan = gamma, zeta1, model1, model3, _reach(spec)  # _plan's arguments past the modes
+            lower, zeta, sides, kinds = _plan(np.arange(1, planned + 1), *plan)
+        elif hi > planned:  # |S| only grows and shift >= 0, so no block ends past the plan
+            raise RuntimeError(f"modes {first}-{hi} reach past the plan's {planned}")
+        part, n_ok = slice(first - 1, hi), hi - first + 1  # values before a failure
         if coeffs is not None:  # a panel's values come from its interpolant
             values = chebyshev._interpolated(coeffs, first, hi, gamma)
         else:  # the request: the block's slice of the plan, and its floor
@@ -781,7 +799,7 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
         acc, comp, used, converged = scanned
         terms.append(values[:used])
         n_terms += used
-        if not converged and n_ok < size:  # a failure the stop rule did not discard
+        if not converged and first + n_ok <= hi:  # a failure the stop rule did not discard
             raise _mode_error(first + n_ok, geom, float(values[n_ok]), float(errors[n_ok]))
     terms = terms[0] if len(terms) == 1 else np.concatenate(terms)
     out = result((acc + comp) * unit, zero_coeff * unit, terms * unit, n_terms, converged)

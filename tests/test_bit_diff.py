@@ -4,10 +4,10 @@ The full dump covers every recorded ``cold_sum``, ``warm_grid``,
 ``entropy_ladder`` and ``cli_tabulated`` input, three cells that reach the
 adaptive quadrature and the CLI's help and usage errors, and takes a few
 seconds per tree.  Here the tool runs this tree against itself on the first
-input of each recorded file, grid pair kind, adaptive, re-plan and panel
+input of each recorded file, grid pair kind, adaptive, long and panel
 cell, the records of the first two are checked for coverage, the grid
 cells at 0.2 um and 3 K are shown to interpolate and to reach the
-Chebyshev screens, the re-plan cells to plan more than once, the panel
+Chebyshev screens, the long cells to plan once, the panel
 cells to integrate their certified first panel, and ``compare`` is
 shown a moved term, value and error, and a term that moved alone, with its
 largest change relative to the value; with ``--rel``, terms and values
@@ -38,7 +38,7 @@ def test_a_tree_against_itself_differs_nowhere(capsys):
     *work, last = capsys.readouterr().out.splitlines()
     assert last == "0 of 49 records differ"
     kinds = [line.split(":")[0] for line in work]
-    assert {"work cold_sum", "work grid Au-Au", "work replan Au-Au"} <= set(kinds)
+    assert {"work cold_sum", "work grid Au-Au", "work long Au-Au"} <= set(kinds)
     assert all(line.endswith("; new the same") for line in work)
 
     def figure(name):  # the old tree's count of ``name`` per kind
@@ -70,10 +70,10 @@ def test_records_cover_every_kind(records):
     # the two first adaptive cells, which send modes to the adaptive quadrature
     assert [key for key in records if key.startswith("adaptive ")] == [
         "adaptive Au-Au a=0.16 T=10.0 F", "adaptive Au-Au a=0.3 T=5.0 F"]
-    # the two converging sums that plan past 32,768 modes
+    # the two converging sums past 32,768 modes
     assert {key: fields["n_terms_used"] for key, fields in records.items()
-            if key.startswith("replan ")} == {"replan Au-Au a=0.16 T=0.5 P": 42923,
-                                              "replan Au-Al a=0.16 T=0.5 F": 39442}
+            if key.startswith("long ")} == {"long Au-Au a=0.16 T=0.5 P": 42923,
+                                            "long Au-Al a=0.16 T=0.5 F": 39442}
     # the two sums that stop inside their first Chebyshev panel
     assert {key: fields["n_terms_used"] for key, fields in records.items()
             if key.startswith("panel ")} == {"panel weak-weak a=1.0 T=1.0 P": 210,
@@ -116,19 +116,19 @@ def test_the_grid_cells_at_0_2_um_and_3_k_interpolate(name, n_terms, monkeypatch
     assert nan_at == au
 
 
-def test_the_replan_cells_plan_more_than_once():
+def test_the_long_cells_plan_once():
     import casimir
 
     counts, _, restore = bit_diff.install()
     db = casimir.MaterialDatabase.builtin()
     fns = {"P": casimir.casimir_pressure, "F": casimir.free_energy}
     try:
-        for name, labels, a_um, T_K in bit_diff.REPLAN:
+        for name, labels, a_um, T_K in bit_diff.LONG:
             counts[:] = [0] * len(bit_diff.WORK)
             models = [casimir.DrudeModel(db.get(label)) for label in labels]
             assert "error" not in bit_diff._evaluate(casimir, fns[name],
                                                      casimir.Geometry(a_um, T_K), *models)
-            assert counts[0] > 1 and counts[1] > 0, labels  # integer-mode and sample plans
+            assert counts[0] == 1 and counts[1] > 0, labels  # integer-mode and sample plans
     finally:
         restore()
 
@@ -255,7 +255,7 @@ def test_rel_prints_the_largest_deviation_per_kind(records, monkeypatch, capsys)
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == f"0 of {len(records)} records differ"
     kinds = {line.split(":")[0]: line for line in out[:-1]}
-    # the workloads, the grid's pair kinds, the adaptive cells, the re-plan
+    # the workloads, the grid's pair kinds, the adaptive cells, the long
     # cells' sides, the panel cells' pair, the usage records
     assert len(kinds) == 4 + 14 + 1 + 2 + 1 + 1
     assert kinds["entropy_ladder"].endswith("0.00e+00 of a value, 5.00e-14 of a term")

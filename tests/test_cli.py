@@ -983,6 +983,52 @@ class TestProcess:
         assert proc.stderr.startswith("error: a=1.0 um, T=1e-160 K: a*T too small")
         assert "Warning" not in proc.stderr
 
+    def test_permittivity_too_large_for_the_reflections_exits_1(self, tmp_path):
+        # eps*y/A overflowed in the reflections: RuntimeWarnings, then "mode
+        # integral m=1 not certified: quadrature error nan"
+        path = tmp_path / "materials.json"
+        path.write_text('[{"label": "Y", "omega_p_eV": 1e150, "nu_eV": 0.0345}]')
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "casimir.cli",
+                               "pressure", "--materials", str(path), "--pair", "Y,Au",
+                               "--a", "0.16", "--T", "1"], capture_output=True, text=True,
+                              env=_process_env(), timeout=120)
+        assert proc.returncode == EXIT_COMPUTE and proc.stdout == ""
+        assert proc.stderr.startswith("error: DrudeModel(Y: omega_p=1e+150 eV, nu=0.0345 eV): "
+                                      "epsilon = 5.27") and proc.stderr.count("\n") == 1
+        assert proc.stderr.endswith(" eV overflows the reflections\n")
+
+    @pytest.mark.parametrize("grid", [[], ["--grid", "1e-10,1e10,2"]], ids=["default", "given"])
+    def test_kk_samples_that_overflow_the_transform_exit_3(self, tmp_path, grid):
+        # samples from 1e-300 to 1e300 rad/s: w^2 and w^3*eps'' overflow at the
+        # last.  A given grid met RuntimeWarnings and exited 1 without naming
+        # the file; the default one exited 3 as if --grid had asked for inf points
+        src = tmp_path / "loss.csv"
+        src.write_text("omega_rad_s,eps_imag\n" + "".join(
+            f"{w:.12g},1\n" for w in np.logspace(-300, 300, 61)))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "casimir.cli",
+                               "kk", str(src), str(tmp_path / "eps.csv"), *grid],
+                              capture_output=True, text=True, env=_process_env(), timeout=120)
+        assert proc.returncode == EXIT_INPUT and proc.stdout == ""
+        assert proc.stderr == (f"error: {src}: the last sample, omega = 1e+300 rad/s and "
+                               "eps'' = 1, overflows the transform: omega^2 and omega^3*eps'' "
+                               "must be finite\n")
+
+    def test_kk_default_grid_below_the_squares_exits_3(self, tmp_path, capsys):
+        # from 1e-300 rad/s the default grid's zeta^2 and omega^2 read 0: the
+        # span of 310 decades, once hi/lo = inf, now reaches the transform
+        src = tmp_path / "loss.csv"
+        src.write_text("omega_rad_s,eps_imag\n" + "".join(
+            f"{w:.12g},1\n" for w in np.logspace(-300, 10, 32)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "kk", str(src), str(tmp_path / "eps.csv"))
+            assert (code, out) == (EXIT_INPUT, "")
+            assert err == (f"error: {src}: omega^2 underflows at the first sample, "
+                           "1e-300 rad/s; give a --grid\n")
+            code, out, _ = run_cli(capsys, "kk", str(src), str(tmp_path / "eps.csv"),
+                                   "--grid", "1e-10,1e10,2")
+        assert code == EXIT_OK and out.startswith("wrote 41 rows")
+
     def test_only_the_process_command_freezes_the_heap(self, capsys):
         frozen = gc.get_freeze_count()
         assert main(["pressure", "--a", "1", "--T", "300"]) == EXIT_OK

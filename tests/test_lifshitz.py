@@ -39,18 +39,18 @@ from casimir.lifshitz import (
     _MIXED,
     _NEAR_ONE_Y,
     _PANEL_MIN,
-    _PLAN_CAP,
     _LADDERS,
+    _RULE_REACH,
     _RUNGS,
     _SCALED,
     _Workspace,
-    _block_size,
     _bound_end,
     _kernel_sides,
     _log_bound,
     _mode_block,
     _mode_kernel,
     _plan,
+    _reach,
     _reflections,
     _rungs,
     _scaled_rule,
@@ -564,8 +564,7 @@ class TestBlockDriver:
         (Geometry(1.3, 20.0), free_energy),      # two blocks
     ], ids=["pressure", "free-energy"])
     def test_one_model_on_both_sides_is_evaluated_once(self, geom, evaluate):
-        # once per plan: one plan for the whole sum, or, with a one-block
-        # chunk, one per block
+        # once: one plan for the whole sum
         calls = []
 
         class Spy(DrudeModel):
@@ -573,17 +572,15 @@ class TestBlockDriver:
                 calls.append(self)
                 return super().epsilon(zeta_eV)
         spy, results = Spy(DB.get("Au")), []
-        for plan_cap in (_PLAN_CAP, _BLOCK_CAP):
-            # one object as both sides: one call per plan; equal but distinct
-            # objects: two, the same terms
-            for sides in ((spy, spy), (Spy(DB.get("Au")), Spy(DB.get("Au")))):
-                calls.clear()
-                with plans_and_blocks(plan_cap) as events:
-                    results.append(evaluate(geom, *sides))
-                plans, sizes = blocks_in_plans(events)
-                assert len(sizes) > 1
-                assert len(plans) == (1 if plan_cap == _PLAN_CAP else len(sizes))
-                assert calls == list(dict.fromkeys(sides)) * len(plans)
+        # one object as both sides: one call; equal but distinct objects: two,
+        # the same terms
+        for sides in ((spy, spy), (Spy(DB.get("Au")), Spy(DB.get("Au")))):
+            calls.clear()
+            with plans_and_blocks() as events:
+                results.append(evaluate(geom, *sides))
+            plans, sizes = blocks_in_plans(events)
+            assert len(sizes) > 1 and len(plans) == 1
+            assert calls == list(dict.fromkeys(sides))
         for other in results[1:]:
             assert all(same_bits(np.asarray(value), np.asarray(vars(other)[name]))
                        for name, value in vars(results[0]).items())
@@ -827,14 +824,14 @@ class TestScan:
         assert loop[2:] == arrays[2:]
 
     def test_sum_does_not_depend_on_the_path(self, monkeypatch):
-        # long blocks take the array pass; with _ARRAY_SCAN past _PLAN_CAP,
-        # which caps every block, every block takes the loop.  Also when
-        # max_terms is hit inside a block summed in array passes
+        # long blocks take the array pass; with _ARRAY_SCAN at inf every
+        # block takes the loop.  Also when max_terms is hit inside a block
+        # summed in array passes
         geom = Geometry(1.0, 2.0)
         runs = [(casimir_pressure, None), (free_energy, None),
                 (casimir_pressure, QuadratureSpec(max_terms=2000))]
         arrays = [outcome(evaluate, geom, (AU, CU), spec) for evaluate, spec in runs]
-        monkeypatch.setattr("casimir.lifshitz._ARRAY_SCAN", _PLAN_CAP + 1)
+        monkeypatch.setattr("casimir.lifshitz._ARRAY_SCAN", math.inf)
         assert [outcome(evaluate, geom, (AU, CU), spec) for evaluate, spec in runs] == arrays
         assert arrays[2][:2] == (SumConvergenceError, "frequency sum not converged after 2000 "
                                  "terms (a=1.0 um, T=2.0 K)")
@@ -1120,9 +1117,11 @@ def block(ms, geom, pair, spec=None, free_energy=False):
     """(values, errors, failed) of one _mode_block with floor 0, and a mask
     of the modes that reached the adaptive quadrature."""
     ms = np.asarray(ms)
-    plan = _plan(ms, reduced_temperature(geom), matsubara_frequency(1, geom.T_K), *pair)
+    spec = spec or QuadratureSpec()
+    plan = _plan(ms, reduced_temperature(geom), matsubara_frequency(1, geom.T_K), *pair,
+                 _reach(spec))
     with adaptive_calls() as calls:
-        out = _mode_block(*plan, spec or QuadratureSpec(), 0.0, free_energy, _Workspace())
+        out = _mode_block(*plan, spec, 0.0, free_energy, _Workspace())
     sent = [breaks[0] for breaks, _ in calls]  # a mode's breaks start at its lower limit
     return out, np.isin(ms * reduced_temperature(geom), sent)
 
@@ -1278,9 +1277,9 @@ class TestRungs:
         # equals, not the one below, in a block of them all as alone
         edges = np.unique([entry[0] for ladder in _LADDERS.values() for entry in ladder])
         assert set(edges) >= {floor for floor, _ in _SCALED.values()}
-        _, zeta, sides, kinds = _plan(edges / gamma, gamma, matsubara_frequency(1, geom.T_K),
-                                      *GL_PAIRS[pair])
         spec, args = QuadratureSpec(), (0.0, free)
+        _, zeta, sides, kinds = _plan(edges / gamma, gamma, matsubara_frequency(1, geom.T_K),
+                                      *GL_PAIRS[pair], _reach(spec))
         values, errors, failed = _mode_block(edges, zeta, sides, kinds, spec, *args, _Workspace())
         for i, low in enumerate(edges.tolist()):
             part = slice(i, i + 1)
@@ -1355,7 +1354,7 @@ def fallback(ms, geom, floor):
     """(values, errors, failed) of one Au-Au pressure _mode_block with
     ``floor``, and the abs_tol of each adaptive call it made."""
     plan = _plan(np.asarray(ms), reduced_temperature(geom), matsubara_frequency(1, geom.T_K),
-                 AU, AU)
+                 AU, AU, _reach(QuadratureSpec()))
     with adaptive_calls() as calls:
         out = _mode_block(*plan, QuadratureSpec(), floor, False, _Workspace())
     return out, [kwargs["abs_tol"] for _, kwargs in calls]
@@ -1659,8 +1658,8 @@ class TestBlockSchedule:
         m = max(first, min_terms)  # the reference: walk the modes one by one
         while m < first + cap and _log_bound(m * gamma, free) > log_target:
             m += 1
-        size = _block_size(first, gamma, log_target, free, min_terms, cap)
-        assert size == min(m - first + 1, cap)
+        end = _bound_end(max(first, min_terms), first + cap - 1, gamma, log_target, free)
+        assert end - first + 1 == min(m - first + 1, cap)
 
     @settings(max_examples=300, deadline=None)
     @given(low=st.integers(1, 2000),
@@ -1693,7 +1692,7 @@ class TestBlockSchedule:
     @pytest.mark.parametrize("cell", sorted(SCHEDULE_CELLS))
     def test_block_sizes_do_not_change_results(self, cell, size, monkeypatch):
         total, terms, n_terms = schedule_sum(cell)
-        monkeypatch.setattr("casimir.lifshitz._block_size", lambda *args: size)
+        blocks_of_at_most(size, monkeypatch)
         other_total, other_terms, other_n_terms = schedule_sum(cell)
         assert other_total == total and other_n_terms == n_terms
         assert same_bits(other_terms, terms)
@@ -1729,8 +1728,8 @@ class TestBlockSchedule:
                 cap = capacity // ladder_nodes(A, free)
                 shift = max(0.0, _log_bound((first - 1) * gamma, free) - math.log(abs(last)))
                 target = log_tol + math.log(abs(math.fsum(summed))) + shift
-                assert size == cap or size == _block_size(first, gamma, target, free,
-                                                          spec.min_terms, cap) < cap
+                end = _bound_end(max(first, spec.min_terms), first + cap - 1, gamma, target, free)
+                assert size == cap or size == end - first + 1 < cap
             summed += values.tolist()
         if stop <= _BLOCK_CAP:
             assert sizes == [stop]
@@ -1790,11 +1789,24 @@ def ladder_nodes(A, free_energy):
     return 20 * sum(1 for j in range(64) if A * 2.0 ** j < 1.0) + 80
 
 
+def blocks_of_at_most(size, monkeypatch):
+    """End the sums' later blocks at most ``size`` modes from the first mode
+    the stop rule may end them at.  The first block, which ends at mode
+    _BLOCK_CAP at the latest and sets how far the plan reaches, and the
+    ends of the plan and of the panels, at max_terms (the default) at the
+    latest, stay as they are."""
+    keep = (_BLOCK_CAP, QuadratureSpec().max_terms)
+
+    def bound_end(low, high, *args):
+        end = _bound_end(low, high, *args)
+        return end if high in keep else min(end, low + size - 1)
+    monkeypatch.setattr("casimir.lifshitz._bound_end", bound_end)
+
+
 @contextlib.contextmanager
-def plans_and_blocks(plan_cap=None):
+def plans_and_blocks():
     """Record in order each _plan's Matsubara indices and lower limits and
-    each block's lower limits; with ``plan_cap``, sums plan at most that
-    many modes at once."""
+    each block's lower limits."""
     events = []
 
     def planned(ms, *args):
@@ -1808,8 +1820,6 @@ def plans_and_blocks(plan_cap=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("casimir.lifshitz._plan", planned)
         patch.setattr("casimir.lifshitz._mode_block", counted)
-        if plan_cap is not None:
-            patch.setattr("casimir.lifshitz._PLAN_CAP", plan_cap)
         yield events
 
 
@@ -1889,15 +1899,11 @@ class TestPlans:
     @given(a_um=st.floats(math.log(0.05), math.log(100.0)).map(math.exp),
            T_K=st.floats(math.log(0.5), math.log(400.0)).map(math.exp),
            pair=st.sampled_from(sorted(BOUND_PAIRS)), what=st.sampled_from(sorted(EVALUATE)),
-           min_terms=st.sampled_from([1, 5, 200]), extra=st.integers(0, 400),
-           plan_cap=st.sampled_from([(1, 0), (1, 72), (3, 0)]))
-    def test_no_block_reads_past_its_plan(self, a_um, T_K, pair, what, min_terms, extra,
-                                          plan_cap):
-        # with the default cap one plan covers the sum: max_terms is far
-        # below it, and a block that starts later ends no further than the
-        # first; with a cap that binds (its largest block, times one or
-        # three, plus 0 or 72 modes), blocks re-plan and keep their sizes.
-        # A sum whose every mode lies below the first block's floor plans none
+           min_terms=st.sampled_from([1, 5, 200]), extra=st.integers(0, 400))
+    def test_no_block_reads_past_its_plan(self, a_um, T_K, pair, what, min_terms, extra):
+        # one plan covers the sum, up to max_terms: a block that starts later
+        # ends no further than the first.  A sum whose every mode lies below
+        # the first block's floor plans none
         args = (EVALUATE[what], Geometry(a_um, T_K), BOUND_PAIRS[pair],
                 QuadratureSpec(min_terms=min_terms, max_terms=min_terms + extra))
         with plans_and_blocks() as events:
@@ -1907,44 +1913,6 @@ class TestPlans:
             assert not plans and isinstance(ref, dict)
             return
         assert len(plans) == 1 and plans[0][1] <= min_terms + extra
-        plan_cap = plan_cap[0] * max(sizes) + plan_cap[1]
-        with plans_and_blocks(plan_cap) as events:
-            assert outcome(*args) == ref
-        capped, capped_sizes = blocks_in_plans(events)
-        assert capped_sizes == sizes
-        assert all(last - first < plan_cap for first, last in capped)
-
-    @pytest.mark.parametrize("extra", [0, 72], ids=["largest-block", "ragged"])
-    @pytest.mark.parametrize("cell", sorted(SCHEDULE_CELLS) + ["tiny-gamma"])
-    def test_replanning_gives_the_same_bits(self, cell, extra):
-        # a chunk of the largest block plans again at every block that does
-        # not fit in what is left of the last plan, that block included; a
-        # ragged one leaves blocks that reach past their plan
-        if cell == "tiny-gamma":  # the bound never stops this sum
-            args = (casimir_pressure, Geometry(1.0, 1e-20), (AU, AU), QuadratureSpec(max_terms=700))
-        else:
-            a_um, T_K, pair, free, tol = SCHEDULE_CELLS[cell]
-            spec = QuadratureSpec() if tol is None else QuadratureSpec(sum_rel_tol=tol)
-            args = (free_energy if free else casimir_pressure, Geometry(a_um, T_K), pair, spec)
-        with plans_and_blocks() as events:
-            ref = outcome(*args)
-        plans, sizes = blocks_in_plans(events)
-        assert len(plans) == 1
-        plan_cap = max(sizes) + extra
-        with plans_and_blocks(plan_cap) as events:
-            assert outcome(*args) == ref
-        replans, replan_sizes = blocks_in_plans(events)
-        assert replan_sizes == sizes and all(last - first < plan_cap for first, last in replans)
-        firsts, ends = np.cumsum([1, *sizes[:-1]]), np.cumsum(sizes)
-        planned = [max(last for first, last in replans if first < start)
-                   for start in firsts[1:]]  # the last mode planned before each later block
-        assert [start in dict(replans) for start in firsts[1:]] == [
-            end > last for end, last in zip(ends[1:], planned)]
-        if not extra:
-            assert firsts[sizes.index(plan_cap)] in dict(replans)
-        else:  # a block reached past the plan before its own
-            overlaps = [new[0] <= old[1] for old, new in zip(replans, replans[1:])]
-            assert any(overlaps) == (sum(sizes) > plan_cap)
 
     def test_a_tabulated_model_as_both_sides_is_evaluated_once_per_plan(self, monkeypatch):
         # with a Bloch-Grueneisen continuation at(T) is a copy, one per T;
@@ -2010,6 +1978,43 @@ class TestPlans:
         with pytest.raises(ValueError, match=rf"^Above: epsilon = 0.5 < 1 at zeta = "
                                              rf"{zeta * (m + 2):.6g} eV$"):
             EVALUATE[what](geom, Above((zeta * (m - 0.5), np.nan), (zeta * (m + 1.5), 0.5)), CU)
+
+    def test_a_block_past_the_plan_raises(self, monkeypatch):
+        # a later block ending where no bound can end it, past the one plan;
+        # a tabulated side makes no Chebyshev panels
+        def bound_end(low, high, *args):
+            return 10**9 if low > _BLOCK_CAP else _bound_end(low, high, *args)
+        monkeypatch.setattr("casimir.lifshitz._bound_end", bound_end)
+        with pytest.raises(RuntimeError, match=r"^modes 129-1000000000 reach past the plan's "
+                                               r"\d+$"):
+            casimir_pressure(Geometry(0.2, 2.0), TAB, AU)
+
+    @pytest.mark.parametrize("evaluate", [casimir_pressure, free_energy, matsubara_term])
+    def test_one_permittivity_for_many_modes_raises_type_error(self, evaluate):
+        # a model whose epsilon gives one float for an array crashed every
+        # sum with an IndexError where it sliced its plan
+        class Flat(DrudeModel):
+            def epsilon(self, zeta_eV):
+                return 2.0
+
+            def __repr__(self):
+                return "Flat"
+        args = (3,) if evaluate is matsubara_term else ()
+        with pytest.raises(TypeError, match=r"^Flat: epsilon gave shape \(\) for zeta of "
+                                            r"shape \(\d+,\); it must give one"):
+            evaluate(*args, Geometry(1.0, 300.0), AU, Flat(DB.get("Au")))
+
+    def test_the_reach_covers_every_node(self):
+        # a plan checks eps*y/A at the first mode against the farthest node
+        # of any rule, A-scaled ones included, or of the adaptive fallback
+        scaled = [_scaled_rule(k) for k in range(1, 25)]
+        assert _RULE_REACH >= max(float((y0 + 2.0 ** -k * dy).max())
+                                  for k, (y0, dy, _, _) in enumerate(scaled, 1))
+        for tol in (1e-12, 1e-30, 1e-300):
+            spec = QuadratureSpec(integral_rel_tol=tol)
+            lower = np.array([1e-140, 0.3, 1.0, 40.0])
+            assert _reach(spec) >= (spec.y_max(lower) - lower).max()
+        assert _reach(QuadratureSpec()) == _RULE_REACH
 
 
 class TestNegligibleModes:
@@ -2269,15 +2274,12 @@ class TestInterpolation:
 
     @pytest.mark.parametrize("what", sorted(EVALUATE))
     def test_values_do_not_depend_on_the_schedule(self, what, monkeypatch):
-        # nor on the block sizes, nor on how far a plan reaches
+        # nor on the sizes of the later blocks
         args = (EVALUATE[what], COLD, (AU, CU))
         ref = outcome(*args)
         for size in (1, 7, _BLOCK_CAP):
-            monkeypatch.setattr("casimir.lifshitz._block_size", lambda *_, size=size: size)
+            blocks_of_at_most(size, monkeypatch)
             assert outcome(*args) == ref
-        monkeypatch.undo()
-        monkeypatch.setattr("casimir.lifshitz._PLAN_CAP", 200)
-        assert outcome(*args) == ref
 
     def test_samples_take_one_plan_and_block_per_degree(self):
         # one model as both sides is evaluated once per plan, the sample

@@ -24,9 +24,9 @@ the type and message of the error it raised (with the partial result of a
   recorded input does: the free energy at 0.16 um and 10 K (two modes) and
   at 0.3 um and 5 K with integral_rel_tol 1e-14 and sum_rel_tol 1e-10 (182
   modes), and the pressure at 0.1 um and 4 mK, a ``SumConvergenceError``;
-- two cells whose converging sums plan again past 32,768 modes, which no
-  recorded input does: the Au-Au pressure and the Au-Al free energy at
-  0.16 um and 0.5 K (42,923 and 39,442 terms);
+- two cells whose converging sums run past 32,768 modes, which no recorded
+  input does: the Au-Au pressure and the Au-Al free energy at 0.16 um and
+  0.5 K (42,923 and 39,442 terms), each on one plan;
 - three sums at 1 um and 1 K whose first Chebyshev panel, modes 129-256,
   is certified but integrated, which no recorded input does: the pressure
   and the free energy of a weak Drude metal (omega_p 0.0005 eV, nu
@@ -47,7 +47,7 @@ one side.  A record whose value and ``n_terms_used`` have the same bits but
 whose terms differ also gets the largest |old - new| of its terms relative
 to |value|, which shows whether terms moved only far below the value's last
 bit.  ``--limit N`` takes only the first N inputs of each recorded file, the
-first N grid cells of each pair kind and the first N adaptive, re-plan
+first N grid cells of each pair kind and the first N adaptive, long
 and panel cells; the usage records are always all run.
 
 The script also prints, per record kind that did any, the work each tree
@@ -120,8 +120,8 @@ GRID_T_K = (300.0, 3.0)
 ADAPTIVE = (("F", 0.16, 10.0, {}),
             ("F", 0.3, 5.0, {"integral_rel_tol": 1e-14, "sum_rel_tol": 1e-10}),
             ("P", 0.1, 0.004, {}))
-# (quantity, sides, a_um, T_K) of the cells that plan again past _PLAN_CAP modes
-REPLAN = (("P", ("Au", "Au"), 0.16, 0.5), ("F", ("Au", "Al"), 0.16, 0.5))
+# (quantity, sides, a_um, T_K) of the converging sums past 32,768 modes
+LONG = (("P", ("Au", "Au"), 0.16, 0.5), ("F", ("Au", "Al"), 0.16, 0.5))
 # (quantity, pair kind of _panel_pairs) of the cells at 1 um and 1 K that integrate
 # their certified panel 129-256
 PANEL = (("P", "weak-weak"), ("F", "weak-weak"), ("P", "ideal-at-150-Cu"))
@@ -280,8 +280,8 @@ def cases(limit: int | None = None):
     for name, a_um, T_K, spec in ADAPTIVE[:limit]:
         yield (f"adaptive Au-Au a={a_um} T={T_K} {name}", fns[name],
                (C.Geometry(a_um, T_K), models["Au"], models["Au"], C.QuadratureSpec(**spec)))
-    for name, labels, a_um, T_K in REPLAN[:limit]:
-        yield (f"replan {'-'.join(labels)} a={a_um} T={T_K} {name}", fns[name],
+    for name, labels, a_um, T_K in LONG[:limit]:
+        yield (f"long {'-'.join(labels)} a={a_um} T={T_K} {name}", fns[name],
                (C.Geometry(a_um, T_K), *map(models.get, labels)))
     pairs = _panel_pairs(C)
     for name, kind in PANEL[:limit]:
@@ -578,11 +578,11 @@ def compare(old: dict, new: dict, rel: float | None = None) -> list[str]:
 
 def _kind(key: str) -> str:
     """The record kind of a key: its workload, its grid pair kind, the
-    adaptive cells, a re-plan cell's sides, a panel cell's pair or the usage
+    adaptive cells, a long cell's sides, a panel cell's pair or the usage
     records."""
     if key.startswith("usage "):
         return "usage"
-    if key.startswith(("grid ", "adaptive ", "replan ", "panel ")):
+    if key.startswith(("grid ", "adaptive ", "long ", "panel ")):
         return key.split(" a=")[0]
     return key.split(" #")[0].rsplit("-", 1)[0]
 
