@@ -1789,13 +1789,13 @@ def ladder_nodes(A, free_energy):
     return 20 * sum(1 for j in range(64) if A * 2.0 ** j < 1.0) + 80
 
 
-def blocks_of_at_most(size, monkeypatch):
+def blocks_of_at_most(size, monkeypatch, max_terms=QuadratureSpec().max_terms):
     """End the sums' later blocks at most ``size`` modes from the first mode
     the stop rule may end them at.  The first block, which ends at mode
     _BLOCK_CAP at the latest and sets how far the plan reaches, and the
-    ends of the plan and of the panels, at max_terms (the default) at the
-    latest, stay as they are."""
-    keep = (_BLOCK_CAP, QuadratureSpec().max_terms)
+    ends of the plan and of the panels, at ``max_terms`` at the latest,
+    stay as they are."""
+    keep = (_BLOCK_CAP, max_terms)
 
     def bound_end(low, high, *args):
         end = _bound_end(low, high, *args)
@@ -1913,6 +1913,34 @@ class TestPlans:
             assert not plans and isinstance(ref, dict)
             return
         assert len(plans) == 1 and plans[0][1] <= min_terms + extra
+
+    @pytest.mark.parametrize("chunk", ["largest-block", "ragged"])
+    @pytest.mark.parametrize("cell", sorted(SCHEDULE_CELLS) + ["tiny-gamma"])
+    def test_one_plan_gives_the_same_bits(self, cell, chunk, monkeypatch):
+        # the first block plans every mode up to where the bound stops the
+        # sum against the static term, or max_terms; later blocks cut to the
+        # largest block keep the schedule, cut to 72 modes they end at other
+        # modes, and either way read slices of that one plan with the same bits
+        if cell == "tiny-gamma":  # the bound never stops this sum
+            spec = QuadratureSpec(max_terms=700)
+            args, stop = (casimir_pressure, Geometry(1.0, 1e-20), (AU, AU), spec), 700
+        else:
+            a_um, T_K, pair, free, tol = SCHEDULE_CELLS[cell]
+            spec = QuadratureSpec() if tol is None else QuadratureSpec(sum_rel_tol=tol)
+            args = (free_energy if free else casimir_pressure, Geometry(a_um, T_K), pair, spec)
+            stop = bound_stop(cell)
+        with plans_and_blocks() as events:
+            ref = outcome(*args)
+        plans, sizes = blocks_in_plans(events)
+        assert plans == [(1, stop)]
+        blocks_of_at_most(max(sizes) if chunk == "largest-block" else 72, monkeypatch,
+                          spec.max_terms)
+        with plans_and_blocks() as events:
+            assert outcome(*args) == ref
+        chunked, chunked_sizes = blocks_in_plans(events)
+        assert chunked == plans
+        if chunk == "largest-block":
+            assert chunked_sizes == sizes
 
     def test_a_tabulated_model_as_both_sides_is_evaluated_once_per_plan(self, monkeypatch):
         # with a Bloch-Grueneisen continuation at(T) is a copy, one per T;
