@@ -514,11 +514,11 @@ def kramers_kronig_transform(
     low_amp = w[0] * e2[0]  # eps'' ~ A/w below the window
     low = (low_amp / z) * np.arctan(w[0] / z)
 
-    high_amp = w[-1] ** 3 * e2[-1]  # eps'' ~ B/w^3 above the window
-    u = z / w[-1]
-    series = (high_amp / w[-1] ** 3) * (1.0 / 3.0 - u * u / 5.0 + u**4 / 7.0 - u**6 / 9.0)
-    closed = (high_amp / z**2) * (1.0 / w[-1] - np.arctan(u) / z)
-    high = np.where(u < 0.1, series, closed)
+    high_amp, u = w[-1] ** 3 * e2[-1], z / w[-1]  # eps'' ~ B/w^3 above the window
+    near, high = u < 0.1, np.empty(z.size)  # the series there, where the closed form cancels
+    v, zf = u[near], z[~near]  # and, far below w_N, divides by a zeta^2 that underflows
+    high[near] = (high_amp / w[-1] ** 3) * (1.0 / 3.0 - v * v / 5.0 + v**4 / 7.0 - v**6 / 9.0)
+    high[~near] = (high_amp / zf**2) * (1.0 / w[-1] - np.arctan(u[~near]) / zf)
 
     out = (1.0 + (2.0 / math.pi) * (low + interior + high)).reshape(zeta.shape)
     return float(out) if out.ndim == 0 else out

@@ -18,10 +18,13 @@ that it ends near the stop.  A sum plans once: the permittivities of all
 the modes the bound lets it reach, up to max_terms, each side classified
 once as ideal at all, none or some of them, and each block takes a slice
 of that plan.  A sum whose bound puts mode 1 below its first floor reads 0
-up to min_terms, never integrated.  A long block's values are summed in
-array passes, a short one's in a loop, with the same bits.  A sum
-(_sum_steps) asks for each block it integrates; _summed_modes answers with
-_mode_block.
+up to min_terms, never planned or integrated.  A sum (_sum_steps) finds
+its first block's end and makes its plan in a straight line; then every
+block goes through one body, which asks for the block's integrals
+(_summed_modes answers with _mode_block), unless an interpolant gives
+them, and sums its values, a long block's in array passes, a short one's
+in a loop, with the same bits; only a sum that goes on computes the next
+block's extent.
 Past mode 128 a long sum of two analytic sides (Drude, ideal) takes most
 terms from Chebyshev interpolants in m (casimir.chebyshev) of sample
 points it integrates, both screened for bad permittivities (_screen); the
@@ -677,26 +680,32 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
     terms that underflow from refining forever.  A block runs up to the first
     m >= min_terms at which the unit-reflection bound of _log_bound, times
     max(1, r/(1-r)), falls to sum_rel_tol * |S|, where the stop rule below
-    is certain to fire, and at max_terms at the latest.  The first block
-    holds at most _BLOCK_CAP modes, so a sum of up to _BLOCK_CAP terms takes
-    one block.  A later block holds as many modes as the nodes of the first
+    is certain to fire, and at max_terms at the latest.  A mode's value
+    depends on its block only through the floor.
+
+    The first block, S the static term, is a straight line before the block
+    loop.  If the bound at m = 1 is at or below its floor, so is every
+    mode's (|I_m| <= bound <= floor, a block's certificate): modes
+    1..min_terms read 0 and the sum returns, with no plan or block.
+    Otherwise one bisection (_bound_end) ends the block within _BLOCK_CAP
+    modes, so a sum of up to _BLOCK_CAP terms takes one block, and the sum
+    makes its one plan (_plan, a kind per side): that block's modes, or, if
+    it fills _BLOCK_CAP, those up to the first m >= min_terms where a second
+    bisection finds the bound meeting the same target, or max_terms.
+
+    Each later block's extent is computed after the block before it, only
+    if the sum goes on.  It holds as many modes as the nodes of the first
     block's rule pairs fill at its first mode's pair, whichever workspace
     answered that block, both counted from the nodes per mode of the
     ladder's entries (_LADDERS: a rung, or one panel count of the A-scaled
     panels); the adaptive calls of modes below the floor or not certified
     are not counted, and nodes per mode never rise with A, so no later
     block's kernel call is larger.  It holds at least _BLOCK_CAP modes, and
-    its bound is rescaled through the last term t used: the
-    target rises by shift = ln(bound/|t|) >= 0 there, so a long block does
-    not run far past the stop.  A mode's value depends on its block only
-    through the floor.  The first block makes the sum's one plan (_plan, a
-    kind per side): the modes up to the first m >= min_terms where the bound
-    meets the target at |S| = |static term|, or max_terms.  |S| only grows
-    and the shift is >= 0, so every later block and panel ends there too; a
-    block that reached past it would raise RuntimeError.  If the bound at
-    m = 1 is at or below the first block's floor, so is every mode's
-    (|I_m| <= bound <= floor, a block's certificate): modes 1..min_terms
-    read 0, with no plan or block, and the sum stops there.
+    its bound is rescaled through the last term t used: the target rises by
+    shift = ln(bound/|t|) >= 0 there, so a long block does not run far past
+    the stop.  |S| only grows and the shift is >= 0, so every later block
+    and panel ends within the plan too; a block that reached past it would
+    raise RuntimeError.
 
     Past mode _BLOCK_CAP, with two ``analytic`` sides and the bound's stop
     there _PANEL_MIN modes on, chebyshev._certify fits the panels from
@@ -707,7 +716,8 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
     is integrated in blocks.  So a failure past the stop moves no value, nor
     does the block schedule.
 
-    Every block takes one body: its values, from a certified panel's
+    Every block, the first, a later one, a panel or a panel integrated
+    instead, takes one body: its values, from a certified panel's
     interpolant or its request, are accumulated up to its first failed mode
     in increasing m with Neumaier compensation, one by one (_scan_loop) if
     there are fewer than _ARRAY_SCAN, else in array passes with the same
@@ -738,51 +748,25 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
     # ln of the stop rule's threshold on the bound, relative to |S|
     log_tol = math.log(spec.sum_rel_tol) - math.log(tail)
     acc, comp, n_terms, converged = zero_coeff, 0.0, 0, False
-    terms = []  # a slice of each block's values
     min_terms, max_terms, sum_rel_tol = spec.min_terms, spec.max_terms, spec.sum_rel_tol
     int_rel_tol = spec.integral_rel_tol
     floor = int_rel_tol * sum_rel_tol * abs(zero_coeff)  # the first block's
     if floor and _log_bound(gamma, free_energy) <= math.log(floor):  # so is every mode's bound
-        n_terms, converged, terms = min_terms, True, [np.zeros(min_terms)]
-    cap, shift, fill = _BLOCK_CAP, 0.0, None  # the first block's cap, its bound's shift, nodes
+        return result(zero_coeff * unit, zero_coeff * unit, np.zeros(min_terms) * unit,
+                      min_terms, True)
+    target = log_tol + math.log(abs(zero_coeff))  # ln of the bound where the stop rule fires
+    hi = _bound_end(min_terms, min(_BLOCK_CAP, max_terms), gamma, target, free_energy)
+    # the one plan: to the first block's end, or on to the bound's stop if it fills _BLOCK_CAP
+    planned = hi if hi < _BLOCK_CAP else _bound_end(max(hi, min_terms), max_terms, gamma,
+                                                     target, free_energy)
+    plan = gamma, zeta1, model1, model3, _reach(spec)  # _plan's arguments past the modes
+    lower, zeta, sides, kinds = _plan(np.arange(1, planned + 1), *plan)
+    # a slice of each block's values; the first block: no interpolant, its nodes not counted
+    terms, first, coeffs, fill = [], 1, None, None
     # {first mode: (last mode, coefficients or None)} of the panels; for analytic sides
     # {_BLOCK_CAP + 1: None} until the sum reaches that mode
     panels = {_BLOCK_CAP + 1: None} if model1.analytic and model3.analytic else {}
-    while not converged and n_terms < max_terms:
-        first, total = n_terms + 1, abs(acc + comp)
-        floor = int_rel_tol * sum_rel_tol * total
-        target = log_tol + math.log(total)  # ln of the bound where the stop rule fires
-        if terms:  # a later block: the modes whose nodes fill the first's, a rescaled bound
-            last = abs(float(terms[-1][-1]))
-            i = bisect_right(_LADDER_LOWS[free_energy], first * gamma) - 1  # -1 below the floor
-            if fill is None:  # the first block's kernel nodes (modes 1..n_terms of the plan),
-                fill = sum((hi - lo) * n  # whoever answered it
-                           for lo, hi, _, n in _rungs(lower[:n_terms], free_energy)[1])
-            cap = _BLOCK_CAP if i < 0 else max(  # the nodes of its first mode's pair
-                fill // _LADDERS[free_energy][i][2], _BLOCK_CAP)
-            # the bound exceeds the last term by e^shift: take it through that term
-            shift = last and max(0.0, _log_bound(n_terms * gamma, free_energy) - math.log(last))
-        if panels.get(first, ()) is None:  # at mode _BLOCK_CAP + 1: panels to the stop
-            stop, panels = _bound_end(max(_BLOCK_CAP + _PANEL_MIN, min_terms), max_terms,
-                                      gamma, target, free_energy), {}
-            if stop > _BLOCK_CAP + _PANEL_MIN:
-                from . import chebyshev  # here: most processes never load it
-                sample = functools.partial(_sampled, plan, floor)
-                panels = yield from chebyshev._certify(
-                    chebyshev._panels(_BLOCK_CAP, stop, gamma), gamma, sample, int_rel_tol, floor)
-        hi, coeffs = panels.get(first) or (0, None)  # then each panel is one block
-        if coeffs is None:  # a block, to its last mode hi
-            hi = _bound_end(max(first, min_terms), min(first + cap - 1, max_terms), gamma,
-                            target + shift, free_energy)
-            if terms and panels:  # a later block ends before the next panel
-                hi = min([hi, *(lo - 1 for lo in panels if lo > first)])
-        if not terms:  # the one plan: to the first block's end, or on to the bound's stop
-            planned = hi if hi < cap else _bound_end(max(hi, min_terms), max_terms, gamma,
-                                                      target, free_energy)
-            plan = gamma, zeta1, model1, model3, _reach(spec)  # _plan's arguments past the modes
-            lower, zeta, sides, kinds = _plan(np.arange(1, planned + 1), *plan)
-        elif hi > planned:  # |S| only grows and shift >= 0, so no block ends past the plan
-            raise RuntimeError(f"modes {first}-{hi} reach past the plan's {planned}")
+    while True:  # the block of modes first..hi, then the next one's extent
         part, n_ok = slice(first - 1, hi), hi - first + 1  # values before a failure
         if coeffs is not None:  # a panel's values come from its interpolant
             values = chebyshev._interpolated(coeffs, first, hi, gamma)
@@ -795,12 +779,41 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
         scanned = scan(values[:n_ok], acc, comp, first, min_terms, tail, sum_rel_tol)
         if coeffs is not None and (scanned[3] or not _screen([e[part] for _, e in sides])):
             panels[first] = hi, None  # the stop or a bad permittivity is in it: integrated
-            continue
-        acc, comp, used, converged = scanned
-        terms.append(values[:used])
-        n_terms += used
-        if not converged and first + n_ok <= hi:  # a failure the stop rule did not discard
-            raise _mode_error(first + n_ok, geom, float(values[n_ok]), float(errors[n_ok]))
+        else:
+            acc, comp, used, converged = scanned
+            terms.append(values[:used])
+            n_terms += used
+            if not converged and first + n_ok <= hi:  # a failure the stop rule did not discard
+                raise _mode_error(first + n_ok, geom, float(values[n_ok]), float(errors[n_ok]))
+            if converged or n_terms >= max_terms:
+                break
+        # the next block: the modes whose nodes fill the first's, a rescaled bound
+        first, total = n_terms + 1, abs(acc + comp)
+        floor, target = int_rel_tol * sum_rel_tol * total, log_tol + math.log(total)
+        last = abs(float(terms[-1][-1]))
+        i = bisect_right(_LADDER_LOWS[free_energy], first * gamma) - 1  # -1 below the floor
+        if fill is None:  # the first block's kernel nodes (modes 1..n_terms of the plan),
+            fill = sum((hi - lo) * n  # whoever answered it
+                       for lo, hi, _, n in _rungs(lower[:n_terms], free_energy)[1])
+        cap = _BLOCK_CAP if i < 0 else max(  # the nodes of its first mode's pair
+            fill // _LADDERS[free_energy][i][2], _BLOCK_CAP)
+        # the bound exceeds the last term by e^shift: take it through that term
+        shift = last and max(0.0, _log_bound(n_terms * gamma, free_energy) - math.log(last))
+        if panels.get(first, ()) is None:  # at mode _BLOCK_CAP + 1: panels to the stop
+            stop, panels = _bound_end(max(_BLOCK_CAP + _PANEL_MIN, min_terms), max_terms,
+                                      gamma, target, free_energy), {}
+            if stop > _BLOCK_CAP + _PANEL_MIN:
+                from . import chebyshev  # here: most processes never load it
+                sample = functools.partial(_sampled, plan, floor)
+                panels = yield from chebyshev._certify(
+                    chebyshev._panels(_BLOCK_CAP, stop, gamma), gamma, sample, int_rel_tol, floor)
+        hi, coeffs = panels.get(first) or (0, None)  # then each panel is one block
+        if coeffs is None:  # a block, to its last mode hi, ending before the next panel
+            hi = min([_bound_end(max(first, min_terms), min(first + cap - 1, max_terms), gamma,
+                                 target + shift, free_energy),
+                      *(lo - 1 for lo in panels if lo > first)])
+        if hi > planned:  # |S| only grows and shift >= 0, so no block ends past the plan
+            raise RuntimeError(f"modes {first}-{hi} reach past the plan's {planned}")
     terms = terms[0] if len(terms) == 1 else np.concatenate(terms)
     out = result((acc + comp) * unit, zero_coeff * unit, terms * unit, n_terms, converged)
     if not converged:

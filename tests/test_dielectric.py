@@ -285,6 +285,15 @@ class TestKramersKronig:
             with pytest.raises(ValueError, match="finite"):
                 kramers_kronig_transform(*data, 1e14)
 
+    def test_high_tail_far_below_the_last_sample(self):
+        # the default grid of ``casimir kk`` on samples from 1e-160 to 1e10
+        # rad/s: the high tail's closed form, taken at every zeta, divided by
+        # zeta^2, which underflows there; only the series is taken below u = 0.1
+        w = np.logspace(-160, 10, 35)
+        zeta = np.logspace(-160, 10, 170 * 60 + 1)
+        got = kramers_kronig_transform(w, np.ones_like(w), zeta)
+        assert np.isfinite(got).all() and (got >= 1.0).all()
+        assert got[-1] == kramers_kronig_transform(w, np.ones_like(w), zeta[-1:])[0]
 
     def test_memory_per_frequency_is_bounded(self):
         # the split sample intervals are built per block of frequencies;

@@ -493,7 +493,7 @@ class TestBlockDriver:
                                                               monkeypatch):
         from casimir import lifshitz
 
-        counts = dict.fromkeys(("_plan", "_mode_block", "_mode_kernel"), 0)
+        counts = dict.fromkeys(("_bound_end", "_plan", "_mode_block", "_rungs", "_mode_kernel"), 0)
         for name in counts:
             def spy(*args, name=name, fn=getattr(lifshitz, name)):
                 counts[name] += 1
@@ -2062,6 +2062,8 @@ class TestNegligibleModes:
         assert calls == []
         assert total.hex() == static.hex()
         assert terms.size == 5 and (terms == 0.0).all()
+        # -0.0 for the pressure, whose unit is negative, and +0.0 for the free energy
+        assert (np.signbit(terms) == (what == "pressure")).all()
         assert n_terms == 5 and converged
 
     @settings(max_examples=60, deadline=None)
