@@ -210,18 +210,26 @@ def _emit_rows(rows, fmt: str, stream) -> list[dict]:
     return written
 
 
-def _pressures(a_list, t_list, model1, model3, spec):
-    """(a, T, result) over the sorted a x T grid; a sum that runs out of terms
-    gives its partial result.  ``casimir_pressure`` is looked up in lifshitz
-    at each call, so a wrapper installed there sees every sum."""
-    from . import lifshitz
-
+def _cells(a_list, t_list, evaluate):
+    """(a, T, evaluate(geometry)) over the sorted a x T grid, one cell at a
+    time: the one loop of the commands that evaluate cells."""
     for a in sorted(a_list):
         for T in sorted(t_list):
-            try:
-                yield a, T, lifshitz.casimir_pressure(Geometry(a, T), model1, model3, spec)
-            except SumConvergenceError as exc:
-                yield a, T, exc.partial
+            yield a, T, evaluate(Geometry(a, T))
+
+
+def _pressure(model1, model3, spec):
+    """The evaluator of a cell's pressure; a sum that runs out of terms gives
+    its partial result.  ``casimir_pressure`` is looked up in lifshitz at
+    each call, so a wrapper installed there sees every sum."""
+    from . import lifshitz
+
+    def evaluate(geom):
+        try:
+            return lifshitz.casimir_pressure(geom, model1, model3, spec)
+        except SumConvergenceError as exc:
+            return exc.partial
+    return evaluate
 
 
 def cmd_pressure(args: argparse.Namespace, stream) -> int:
@@ -232,7 +240,7 @@ def cmd_pressure(args: argparse.Namespace, stream) -> int:
     models = _pair_models(args)
 
     def rows():
-        for a, T, res in _pressures(a_list, t_list, *models, spec):
+        for a, T, res in _cells(a_list, t_list, _pressure(*models, spec)):
             row = {"a_um": a, "T_K": T, "pressure_mPa": res.pressure_mPa,
                    "zero_mode_mPa": res.zero_mode_mPa, "zero_mode_share": res.zero_mode_share,
                    "n_terms": res.n_terms_used, "converged": res.converged}
@@ -252,20 +260,17 @@ def cmd_table(args: argparse.Namespace, stream) -> int:
     fixture = golden.TABLES[args.table_id]
     db = _database(args)
     spec = _build_spec(args)
-    tols = {}  # only those given: cell_tolerance owns the defaults
     for side, tol in (("short", args.tol_short), ("long", args.tol_long)):
-        if tol is not None:
-            if not 0 <= tol < math.inf:
-                raise InputError(f"--tol-{side} must be finite and >= 0, got {tol}")
-            tols[side + "_tol"] = tol
+        if not 0 <= tol < math.inf:
+            raise InputError(f"--tol-{side} must be finite and >= 0, got {tol}")
     sides = [_side_model(label, db) for label in fixture.pair]
-    cells = list(_pressures(golden.SEPARATIONS_UM, golden.TEMPERATURES_K, *sides, spec))
+    cells = list(_cells(golden.SEPARATIONS_UM, golden.TEMPERATURES_K, _pressure(*sides, spec)))
     rows = []
     offenders = []
     for a, T, res in cells:
         ref, corrected = fixture.reference(a, T)
         dev = abs(abs(res.pressure_mPa) - ref) / ref
-        tol = golden.cell_tolerance(a, **tols)
+        tol = golden.cell_tolerance(a, args.tol_short, args.tol_long)
         ok = dev <= tol and res.converged
         if not ok:
             offenders.append((a, T, dev, tol))
@@ -297,23 +302,21 @@ def cmd_entropy(args: argparse.Namespace, stream) -> int:
     if not 0 < step < min(t_list):
         raise InputError(f"--fd-step must be positive and below every T, got {step}")
     models = _pair_models(args)  # entropy takes them at T -/+ step
-    rows = []
-    for a in sorted(a_list):
-        for T in sorted(t_list):
-            geom = Geometry(a, T)
-            res = entropy(geom, *models, spec, fd_step_K=step)
-            row = {"a_um": a, "T_K": T, "entropy_J_per_m2_K": res.entropy_J_per_m2_K,
-                   "fd_step_K": res.fd_step_K}
-            if args.check_step_halving:
-                half = entropy(geom, *models, spec, fd_step_K=step / 2)
-                row["entropy_halved_step"] = half.entropy_J_per_m2_K
-                row["richardson"] = (4.0 * half.entropy_J_per_m2_K
-                                     - res.entropy_J_per_m2_K) / 3.0
-            rows.append(row)
-    _emit_rows(rows, args.format, stream)
+
+    def row(geom):
+        res = entropy(geom, *models, spec, fd_step_K=step)
+        out = {"entropy_J_per_m2_K": res.entropy_J_per_m2_K, "fd_step_K": res.fd_step_K}
+        if args.check_step_halving:
+            half = entropy(geom, *models, spec, fd_step_K=step / 2)
+            out["entropy_halved_step"] = half.entropy_J_per_m2_K
+            out["richardson"] = (4.0 * half.entropy_J_per_m2_K - res.entropy_J_per_m2_K) / 3.0
+        return out
+
+    _emit_rows([{"a_um": a, "T_K": T, **out} for a, T, out in _cells(a_list, t_list, row)],
+               args.format, stream)
     t_min, failed = min(t_list), False
-    for a in sorted(a_list):  # stderr: stdout holds rows only
-        report = nernst_check(Geometry(a, t_min), *models, spec)
+    verdicts = _cells(a_list, [t_min], lambda geom: nernst_check(geom, *models, spec))
+    for a, _, report in verdicts:  # stderr: stdout holds rows only
         failed = failed or not report.passed
         sys.stderr.write(
             f"nernst a={a} um: {'pass' if report.passed else 'FAIL'} "
@@ -413,12 +416,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         short_tol, long_tol = golden.cell_tolerance.__defaults__
         p = sub.add_parser("table", help="regression against a reference grid")
         p.add_argument("table_id", type=int, help="reference table id (1..6)")
-        p.add_argument("--tol-short", dest="tol_short", type=float,
+        p.add_argument("--tol-short", dest="tol_short", type=float, default=short_tol,
                        help=f"relative tolerance for a < {golden.SHORT_RANGE_UM:g} um "
-                       f"(default {short_tol:g})")
-        p.add_argument("--tol-long", dest="tol_long", type=float,
+                       "(default %(default)g)")
+        p.add_argument("--tol-long", dest="tol_long", type=float, default=long_tol,
                        help=f"relative tolerance for a >= {golden.SHORT_RANGE_UM:g} um "
-                       f"(default {long_tol:g})")
+                       "(default %(default)g)")
         common(p, T=None)
         p.set_defaults(func=cmd_table)
 

@@ -64,6 +64,9 @@ class DrudeParams:
 
 
 _ZERO = np.array(0.0)  # a 0-d operand, which a ufunc need not convert
+# Above _ZETA_QUIET (eV), for omega_p below _OMEGA_QUIET (eV), omega_p^2/zeta^2 is
+# below 1e300 and zeta^2 a normal float: the excess of drude_epsilon cannot overflow.
+_ZETA_QUIET, _OMEGA_QUIET = np.array(1e-100), 1e50
 
 
 def drude_epsilon(params: DrudeParams, zeta_eV):
@@ -71,12 +74,19 @@ def drude_epsilon(params: DrudeParams, zeta_eV):
 
     Strictly decreasing in zeta.  The zeta=0 limit diverges for a metal and
     is never evaluated numerically; the static Matsubara mode has its own
-    analytic path.
+    analytic path.  Where the excess overflows, eps is inf, an ideal
+    metal's, without a warning.
     """
     z = np.asarray(zeta_eV, dtype=float)
-    if _count_nonzero(np.greater(z, _ZERO)) < z.size:  # NaN fails it too; min() costs twice as much
+    w2 = params.omega_p_eV**2
+    # counts, not min(), which costs twice as much; NaN fails both
+    if params.omega_p_eV < _OMEGA_QUIET and _count_nonzero(np.greater(z, _ZETA_QUIET)) == z.size:
+        out = 1.0 + w2 / (z * (z + params.nu_eV))
+    elif _count_nonzero(np.greater(z, _ZERO)) < z.size:
         raise ValueError("zeta must be positive; the static mode is handled analytically")
-    out = 1.0 + params.omega_p_eV**2 / (z * (z + params.nu_eV))
+    else:
+        with np.errstate(over="ignore", divide="ignore"):
+            out = 1.0 + w2 / (z * (z + params.nu_eV))
     return float(out) if out.ndim == 0 else out
 
 
@@ -201,6 +211,21 @@ def bloch_gruneisen_nu(params: BlochGruneisenParams, T_K: float) -> float:
     return nu
 
 
+def _samples(x, y, names: tuple[str, str], y_low: float, y_rule: str):
+    """Samples (x, y) named ``names`` as float arrays: at least two of equal
+    length, x positive, finite and strictly increasing, y finite and at least
+    ``y_low``, else ValueError, stating ``y_rule`` for y."""
+    x, y = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (x, y))
+    if x.size < 2 or y.shape != x.shape:
+        raise ValueError(f"need at least two ({names[0]}, {names[1]}) samples of equal length")
+    # written so that NaN fails each test; diff only sees finite values
+    if not (np.all((x > 0) & (x < np.inf)) and np.all(np.diff(x) > 0)):
+        raise ValueError(f"{names[0]} samples must be positive, finite and strictly increasing")
+    if not np.all((y >= y_low) & (y < np.inf)):
+        raise ValueError(y_rule)
+    return x, y
+
+
 @dataclass(frozen=True)
 class PermittivityTable:
     """Samples of epsilon(i*zeta) with zeta strictly increasing (internally eV).
@@ -214,15 +239,8 @@ class PermittivityTable:
     eps: np.ndarray
 
     def __post_init__(self) -> None:
-        z = np.atleast_1d(np.asarray(self.zeta_eV, dtype=float))
-        e = np.atleast_1d(np.asarray(self.eps, dtype=float))
-        if z.size < 2 or e.shape != z.shape:
-            raise ValueError("need at least two (zeta, eps) samples of equal length")
-        # written so that NaN fails each test; diff only sees finite values
-        if not (np.all((z > 0) & (z < np.inf)) and np.all(np.diff(z) > 0)):
-            raise ValueError("zeta samples must be positive, finite and strictly increasing")
-        if not np.all((e >= 1.0) & (e < np.inf)):
-            raise ValueError("epsilon(i*zeta) must be finite and >= 1 everywhere")
+        z, e = _samples(self.zeta_eV, self.eps, ("zeta", "eps"), 1.0,
+                        "epsilon(i*zeta) must be finite and >= 1 everywhere")
         if np.any(np.diff(e) > 1e-9 * e[:-1]):
             raise ValueError("epsilon(i*zeta) must be non-increasing in zeta")
         object.__setattr__(self, "zeta_eV", z)
@@ -430,14 +448,8 @@ _KK_BLOCK = 64
 
 def _absorption_samples(omega_rad_s, eps_imag) -> tuple[np.ndarray, np.ndarray]:
     """Absorption samples as float arrays, checked as the KK transform needs them."""
-    w, e2 = np.asarray(omega_rad_s, dtype=float), np.asarray(eps_imag, dtype=float)
-    if w.size < 2 or e2.shape != w.shape:
-        raise ValueError("need at least two (omega, eps'') samples of equal length")
-    # written so that NaN fails each test; diff only sees finite values
-    if not (np.all((w > 0) & (w < np.inf)) and np.all(np.diff(w) > 0)):
-        raise ValueError("omega samples must be positive, finite and strictly increasing")
-    if not np.all((e2 >= 0) & (e2 < np.inf)):
-        raise ValueError("eps'' samples must be finite and nonnegative")
+    w, e2 = _samples(omega_rad_s, eps_imag, ("omega", "eps''"), 0.0,
+                     "eps'' samples must be finite and nonnegative")
     with np.errstate(over="ignore", invalid="ignore"):  # the high tail's amplitude, as below
         if not (w[-1] ** 3 * e2[-1] < np.inf and w[-1] * w[-1] < np.inf):
             raise ValueError(f"the last sample, omega = {w[-1]:.6g} rad/s and eps'' = "

@@ -47,7 +47,7 @@ import numpy as np
 from .dielectric import DielectricModel
 from .quadrature import (GAUSS_LAGUERRE, GAUSS_LEGENDRE, QuadratureError, SumConvergenceError,
                          _count_nonzero, _einsum, integrate_adaptive)
-from .quantities import Geometry
+from .quantities import _GAMMA_MIN, Geometry
 
 __all__ = [
     "QuadratureSpec",
@@ -205,6 +205,11 @@ _IDEAL, _FINITE, _MIXED = "ideal", "finite", "mixed"
 # The constant operands of the ufuncs below (_reflections, _mode_kernel,
 # _kernel_sides, _mode_block): a 0-d array, unlike a float, needs no conversion.
 _ZERO, _ONE, _MINUS_TWO, _INF = np.array(0.0), np.array(1.0), np.array(-2.0), np.array(np.inf)
+# A finite eps overflows in the reflections only above the largest float over
+# 1 + reach/lowest (_permittivities), so above _EPS_HUGE: the lowest A of a plan
+# is at least Geometry's least gamma, and a reach (_reach) is below 400, as
+# 1/integral_rel_tol is finite.
+_EPS_HUGE = np.array(np.finfo(float).max / (1.0 + 400.0 / _GAMMA_MIN))
 
 
 def _kernel_sides(*eps):
@@ -453,17 +458,21 @@ def _bound_end(low: int, high: int, gamma: float, log_target: float, free_energy
 
 def _permittivities(model: DielectricModel, zeta: np.ndarray, lowest: float, reach: float):
     """``model``'s eps(i zeta) as a float array.  Raises TypeError if it is
-    not one per frequency, and ValueError if the first, finite, times y/A
-    overflows at the farthest node, ``reach`` past the lowest A: inf/inf in
-    the reflections."""
+    not one per frequency, and ValueError if its largest finite value times
+    y/A overflows at the farthest node, ``reach`` past the lowest A: inf/inf
+    in the reflections.  An inf is legitimate, an ideal metal's mode."""
     eps = np.asarray(model.epsilon(zeta), dtype=float)
     if eps.shape != zeta.shape:
         raise TypeError(f"{model!r}: epsilon gave shape {eps.shape} for zeta of shape "
                         f"{zeta.shape}; it must give one permittivity per frequency")
-    e = eps.item(0)
-    if e < math.inf and e * (1.0 + reach / lowest) == math.inf:
-        raise ValueError(f"{model!r}: epsilon = {e:.6g} at zeta = {zeta.item(0):.6g} eV "
-                         f"overflows the reflections")
+    # a count above _EPS_HUGE and of inf, not a reduction, which costs more,
+    # finds that no finite eps can overflow
+    big = _count_nonzero(np.greater(eps, _EPS_HUGE))
+    if big and big > _count_nonzero(np.equal(eps, _INF)):
+        e = np.max(eps, initial=-math.inf, where=np.less(eps, _INF)).item()
+        if e * (1.0 + reach / lowest) == math.inf:
+            raise ValueError(f"{model!r}: epsilon = {e:.6g} at zeta = "
+                             f"{zeta[eps == e].item(0):.6g} eV overflows the reflections")
     return eps
 
 

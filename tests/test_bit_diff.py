@@ -2,11 +2,12 @@
 
 The full dump covers every recorded ``cold_sum``, ``warm_grid``,
 ``entropy_ladder`` and ``cli_tabulated`` input, three cells that reach the
-adaptive quadrature and the CLI's help and usage errors, and takes a few
-seconds per tree.  Here the tool runs this tree against itself on the first
-input of each recorded file, grid pair kind, adaptive, long and panel
-cell, the records of the first two are checked for coverage, the grid
-cells at 0.2 um and 3 K are shown to interpolate and to reach the
+adaptive quadrature, the CLI's help and usage errors and three runs of the
+commands that evaluate cells, and takes a few seconds per tree.  Here the
+tool runs this tree against itself on the first input of each recorded
+file, grid pair kind, adaptive, long and panel cell, the records of the
+first two are checked for coverage, the grid cells at 0.2 um and 3 K are
+shown to interpolate and to reach the
 Chebyshev screens, the long cells to plan once, the panel
 cells to integrate their certified first panel, and ``compare`` is
 shown a moved term, value and error, and a term that moved alone, with its
@@ -36,7 +37,7 @@ _spec.loader.exec_module(bit_diff)
 def test_a_tree_against_itself_differs_nowhere(capsys):
     assert bit_diff.main([str(ROOT), str(ROOT), "--limit", "1"]) == 0
     *work, last = capsys.readouterr().out.splitlines()
-    assert last == "0 of 49 records differ"
+    assert last == "0 of 52 records differ"
     kinds = [line.split(":")[0] for line in work]
     assert {"work cold_sum", "work grid Au-Au", "work long Au-Au"} <= set(kinds)
     assert all(line.endswith("; new the same") for line in work)
@@ -87,6 +88,20 @@ def test_records_cover_every_kind(records):
     assert usage["usage casimir kk --help"]["stdout"].startswith("usage: casimir kk [-h]")
     assert usage["usage casimir sweep --format json"] == {
         "exit": 3, "stdout": "", "stderr": "error: unrecognized arguments: --format json\n"}
+    # the commands that evaluate cells: table 1, an entropy grid and its
+    # Nernst verdicts, a pretty pressure grid, each with its stderr
+    cells = {key: fields for key, fields in records.items() if key.startswith("cells ")}
+    assert list(cells) == [" ".join(["cells casimir", *argv]) for argv in bit_diff.CELLS]
+    table, entropy, pressure = cells.values()
+    assert table["exit"] == 0 and table["stdout"].startswith("a_um,T_K,computed_mPa,")
+    assert table["stdout"].count("\n") == 1 + 12 * 3
+    assert table["stderr"] == "table 1 (Au-Au): all 36 cells within tolerance\n"
+    assert entropy["stdout"].splitlines()[0] == (
+        "a_um,T_K,entropy_J_per_m2_K,fd_step_K,entropy_halved_step,richardson")
+    assert [line.split(":")[0] for line in entropy["stderr"].splitlines()] == [
+        "nernst a=1.0 um", "nernst a=2.0 um"]
+    assert pressure["exit"] == 0 and pressure["stderr"] == ""
+    assert pressure["stdout"].split()[:3] == ["a_um", "T_K", "pressure_mPa"]
 
 
 @pytest.mark.parametrize("name, n_terms", [("P", 5890), ("F", 5331)])
@@ -256,8 +271,8 @@ def test_rel_prints_the_largest_deviation_per_kind(records, monkeypatch, capsys)
     assert out[-1] == f"0 of {len(records)} records differ"
     kinds = {line.split(":")[0]: line for line in out[:-1]}
     # the workloads, the grid's pair kinds, the adaptive cells, the long
-    # cells' sides, the panel cells' pair, the usage records
-    assert len(kinds) == 4 + 14 + 1 + 2 + 1 + 1
+    # cells' sides, the panel cells' pair, the usage and the cell command records
+    assert len(kinds) == 4 + 14 + 1 + 2 + 1 + 2
     assert kinds["entropy_ladder"].endswith("0.00e+00 of a value, 5.00e-14 of a term")
     assert kinds["grid Au-Au"].endswith("0.00e+00 of a value, 0.00e+00 of a term")
     assert bit_diff.main(["old", "new"]) == 1  # exact by default

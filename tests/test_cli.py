@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import casimir
 import casimir.lifshitz
@@ -997,6 +997,21 @@ class TestProcess:
                                       "epsilon = 5.27") and proc.stderr.count("\n") == 1
         assert proc.stderr.endswith(" eV overflows the reflections\n")
 
+    def test_permittivity_too_large_past_ideal_modes_exits_1(self, tmp_path):
+        # eps overflowed to inf at the first modes, which read as ideal, and
+        # the first finite one overflowed the reflections: RuntimeWarnings,
+        # then "quadrature error nan"
+        path = tmp_path / "materials.json"
+        path.write_text('[{"label": "Y", "omega_p_eV": 1e152, "nu_eV": 0.0345}]')
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "casimir.cli",
+                               "pressure", "--materials", str(path), "--pair", "Y,Au",
+                               "--a", "0.16", "--T", "1"], capture_output=True, text=True,
+                              env=_process_env(), timeout=120)
+        assert (proc.returncode, proc.stdout) == (EXIT_COMPUTE, "")
+        assert proc.stderr == ("error: DrudeModel(Y: omega_p=1e+152 eV, nu=0.0345 eV): "
+                               "epsilon = 1.70422e+308 at zeta = 0.00162433 eV "
+                               "overflows the reflections\n")
+
     @pytest.mark.parametrize("grid", [[], ["--grid", "1e-10,1e10,2"]], ids=["default", "given"])
     def test_kk_samples_that_overflow_the_transform_exit_3(self, tmp_path, grid):
         # samples from 1e-300 to 1e300 rad/s: w^2 and w^3*eps'' overflow at the
@@ -1088,13 +1103,26 @@ LABELS = ("Au", "Cu", "Al", "vacuum", "ideal")
        T=_log_uniform(1e-6, 1e7), pair=st.tuples(*[st.sampled_from(LABELS)] * 2),
        int_tol=_log_uniform(1e-16, 3.0), sum_tol=_log_uniform(1e-16, 3.0),
        bloch_gruneisen=st.booleans(), theta=st.none() | _log_uniform(1e-3, 1e5),
-       fd_step=st.none() | _log_uniform(1e-6, 1e3))
+       fd_step=st.none() | _log_uniform(1e-6, 1e3),
+       drude=st.none() | st.tuples(_log_uniform(1e-6, 1.34e154), _log_uniform(1e-12, 1e6)))
+# omega_p 1e152 eV overflowed eps to inf at the first modes and the
+# reflections at the first finite one: RuntimeWarnings, then exit 1
+@example(command="pressure", a=0.16, T=1.0, pair=("Au", "Au"), int_tol=1e-12, sum_tol=1e-8,
+         bloch_gruneisen=False, theta=None, fd_step=None, drude=(1e152, 0.0345))
 def test_every_input_in_the_domain_exits_with_a_documented_code(
-        command, a, T, pair, int_tol, sum_tol, bloch_gruneisen, theta, fd_step):
-    # a > 0 and T > 0 with any pair and tolerance: a result or a typed error,
-    # never a traceback or a warning; a warning raised as an error would be
-    # caught by main and hidden as exit 1, so warnings are recorded instead
-    argv = [command, "--pair", ",".join(pair), "--a", repr(a), "--T", repr(T),
+        command, a, T, pair, int_tol, sum_tol, bloch_gruneisen, theta, fd_step, drude,
+        tmp_path_factory):
+    # a > 0 and T > 0 with any pair and tolerance, a JSON Drude material
+    # (omega_p up to where its square overflows, nu > 0) on side 1 or not:
+    # a result or a typed error, never a traceback or a warning; a warning
+    # raised as an error would be caught by main and hidden as exit 1, so
+    # warnings are recorded instead
+    argv = []
+    if drude is not None:
+        path = tmp_path_factory.mktemp("materials") / "materials.json"
+        path.write_text(json.dumps([{"label": "Y", "omega_p_eV": drude[0], "nu_eV": drude[1]}]))
+        argv, pair = ["--materials", str(path)], ("Y", pair[1])
+    argv = [command, *argv, "--pair", ",".join(pair), "--a", repr(a), "--T", repr(T),
             "--int-tol", repr(int_tol), "--sum-tol", repr(sum_tol)]
     argv += ["--nu-model", "bloch-gruneisen"] if bloch_gruneisen else []
     argv += [] if theta is None else ["--theta", repr(theta)]

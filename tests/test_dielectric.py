@@ -64,6 +64,16 @@ class TestDrudeEpsilon:
         with pytest.raises(ValueError, match="^zeta must be positive"):
             drude_epsilon(AU, np.array([1.0, np.nan]))
 
+    def test_overflow_gives_inf_without_a_warning(self):
+        # the suite turns warnings into errors; inf is an ideal metal's eps
+        eps = drude_epsilon(DrudeParams(1e152, 0.0345), np.array([1e-4, 1.0]))
+        assert eps[0] == np.inf and 1.0 < eps[1] < np.inf
+        assert drude_epsilon(AU, 1e-306) == np.inf  # omega_p^2/(zeta*nu) overflows
+        # zeta*(zeta+nu) underflows to 0
+        assert drude_epsilon(DrudeParams(1e-3, 1e-300), 1e-170) == np.inf
+        with pytest.raises(ValueError, match="^zeta must be positive"):
+            drude_epsilon(DrudeParams(1e152, 0.0345), np.array([1e-4, -1.0]))
+
     def test_static_te_condition(self):
         # zeta^2 (eps - 1) = omega_p^2 zeta/(zeta + nu) -> 0 with bound
         # omega_p^2 * zeta/nu

@@ -1981,6 +1981,19 @@ class TestPlans:
             EVALUATE[what](geom, bad, AU)
 
     @pytest.mark.parametrize("what", sorted(EVALUATE))
+    def test_epsilon_that_overflows_past_ideal_modes_raises(self, what):
+        # inf at the first modes is an ideal metal's; the largest finite eps
+        # of the plan, not the first mode's, is checked against the reach
+        geom = Geometry(1.3, 20.0)
+        zeta = matsubara_frequency(1, geom.T_K)
+        with pytest.raises(ValueError, match=rf"^Above: epsilon = 1e\+308 at zeta = "
+                                             rf"{zeta * 3:.6g} eV overflows the reflections$"):
+            EVALUATE[what](geom, Above((0.0, np.inf), (zeta * 2.5, 1e308)), AU)
+        # a mixed side with ordinary finite modes is not rejected
+        res = EVALUATE[what](geom, Above((0.0, np.inf), (zeta * 2.5, 20.0)), AU)
+        assert res.converged
+
+    @pytest.mark.parametrize("what", sorted(EVALUATE))
     def test_epsilon_below_one_past_the_last_block_is_not_read(self, what):
         # the plan reaches modes no block integrates; eps below 1 there
         # changes nothing

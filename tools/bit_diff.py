@@ -38,7 +38,10 @@ the type and message of the error it raised (with the partial result of a
   for ``kk``, the bytes of the table it writes;
 - the help and usage errors of ``python -m casimir.cli`` (USAGE): the
   top-level and every command's ``--help``, no command, and an option
-  ``sweep`` does not take, each with its exit code, stdout and stderr.
+  ``sweep`` does not take, each with its exit code, stdout and stderr;
+- the same of three runs of the commands that evaluate cells (CELLS):
+  ``table 1`` as CSV, an entropy grid with ``--check-step-halving`` and its
+  Nernst verdicts, and a pressure grid in the pretty format.
 
 The recorded inputs are read from this script's own ``perfbench/recorded``
 (seeds 0 and 1), so both trees see the same ones.  The script prints every
@@ -48,7 +51,7 @@ whose terms differ also gets the largest |old - new| of its terms relative
 to |value|, which shows whether terms moved only far below the value's last
 bit.  ``--limit N`` takes only the first N inputs of each recorded file, the
 first N grid cells of each pair kind and the first N adaptive, long
-and panel cells; the usage records are always all run.
+and panel cells; the usage and cell command records are always all run.
 
 The script also prints, per record kind that did any, the work each tree
 did: integer-mode plans + sample plans (``_plan`` calls on Matsubara
@@ -152,6 +155,11 @@ ROUND = 3
 # argv of the help and usage records
 USAGE = (["--help"], *([cmd, "--help"] for cmd in ("pressure", "sweep", "table", "entropy", "kk")),
          [], ["sweep", "--format", "json"])
+# argv of the records of the commands that evaluate cells, recorded as USAGE's are
+CELLS = (["table", "1", "--format", "csv"],
+         ["entropy", "--pair", "Au,Au", "--a", "1,2", "--T", "4,8", "--format", "csv",
+          "--check-step-halving"],
+         ["pressure", "--pair", "Au,Cu", "--a", "0.5,2", "--T", "1,300"])
 
 
 def _models(C):
@@ -487,8 +495,9 @@ def _ratio(new: list, old: list, value) -> str:
 
 
 def _cli_records(C, limit: int | None):
-    """(id, fields) of the recorded ``cli_tabulated`` invocations and of
-    USAGE, each run as ``python -m casimir.cli`` on the package ``C``'s tree."""
+    """(id, fields) of the recorded ``cli_tabulated`` invocations, of USAGE
+    and of CELLS, each run as ``python -m casimir.cli`` on the package ``C``'s
+    tree."""
     sys.path.insert(0, str(PERFBENCH))
     from worker import Cli
 
@@ -507,11 +516,12 @@ def _cli_records(C, limit: int | None):
                 if inv[0] == "kk":
                     fields["table"] = base64.b64encode(Path(argv[2]).read_bytes()).decode()
                 yield f"cli_tabulated-{seed} #{i} {' '.join(map(str, inv[:3]))}", fields
-    for argv in USAGE:
-        proc = subprocess.run([sys.executable, "-m", "casimir.cli", *argv],
-                              env=env, capture_output=True, text=True)
-        yield (" ".join(["usage casimir", *argv]),
-               {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr})
+    for kind, argvs in (("usage", USAGE), ("cells", CELLS)):
+        for argv in argvs:
+            proc = subprocess.run([sys.executable, "-m", "casimir.cli", *argv],
+                                  env=env, capture_output=True, text=True)
+            yield (" ".join([kind, "casimir", *argv]),
+                   {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr})
 
 
 def dump(tree: Path, limit: int | None) -> tuple[dict, dict]:
@@ -578,10 +588,10 @@ def compare(old: dict, new: dict, rel: float | None = None) -> list[str]:
 
 def _kind(key: str) -> str:
     """The record kind of a key: its workload, its grid pair kind, the
-    adaptive cells, a long cell's sides, a panel cell's pair or the usage
-    records."""
-    if key.startswith("usage "):
-        return "usage"
+    adaptive cells, a long cell's sides, a panel cell's pair, the usage
+    records or the cell commands' records."""
+    if key.startswith(("usage ", "cells ")):
+        return key.split(" ")[0]
     if key.startswith(("grid ", "adaptive ", "long ", "panel ")):
         return key.split(" a=")[0]
     return key.split(" #")[0].rsplit("-", 1)[0]
