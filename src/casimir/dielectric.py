@@ -64,9 +64,12 @@ class DrudeParams:
 
 
 _ZERO = np.array(0.0)  # a 0-d operand, which a ufunc need not convert
-# Above _ZETA_QUIET (eV), for omega_p below _OMEGA_QUIET (eV), omega_p^2/zeta^2 is
-# below 1e300 and zeta^2 a normal float: the excess of drude_epsilon cannot overflow.
-_ZETA_QUIET, _OMEGA_QUIET = np.array(1e-100), 1e50
+# For omega_p and nu below _QUIET and zeta above _ZETA_QUIET (eV), the excess
+# omega_p^2/(zeta*(zeta+nu)) stays below 1e300, and zeta*(zeta+nu) overflows
+# only past zeta = 1e154 eV, far above the modes of any valid Geometry (its
+# first Matsubara frequency is below 1e85 eV): drude_epsilon needs no
+# np.errstate, which costs more than the rest of the call.
+_QUIET, _ZETA_QUIET = 1e50, np.array(1e-100)
 
 
 def drude_epsilon(params: DrudeParams, zeta_eV):
@@ -78,15 +81,16 @@ def drude_epsilon(params: DrudeParams, zeta_eV):
     metal's, without a warning.
     """
     z = np.asarray(zeta_eV, dtype=float)
-    w2 = params.omega_p_eV**2
+    w2, nu = params.omega_p_eV**2, params.nu_eV
     # counts, not min(), which costs twice as much; NaN fails both
-    if params.omega_p_eV < _OMEGA_QUIET and _count_nonzero(np.greater(z, _ZETA_QUIET)) == z.size:
-        out = 1.0 + w2 / (z * (z + params.nu_eV))
+    if (params.omega_p_eV < _QUIET and nu < _QUIET
+            and _count_nonzero(np.greater(z, _ZETA_QUIET)) == z.size):
+        out = 1.0 + w2 / (z * (z + nu))
     elif _count_nonzero(np.greater(z, _ZERO)) < z.size:
         raise ValueError("zeta must be positive; the static mode is handled analytically")
     else:
         with np.errstate(over="ignore", divide="ignore"):
-            out = 1.0 + w2 / (z * (z + params.nu_eV))
+            out = 1.0 + w2 / (z * (z + nu))
     return float(out) if out.ndim == 0 else out
 
 

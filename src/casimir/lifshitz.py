@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -47,7 +48,7 @@ import numpy as np
 from .dielectric import DielectricModel
 from .quadrature import (GAUSS_LAGUERRE, GAUSS_LEGENDRE, QuadratureError, SumConvergenceError,
                          _count_nonzero, _einsum, integrate_adaptive)
-from .quantities import _GAMMA_MIN, Geometry
+from .quantities import Geometry
 
 __all__ = [
     "QuadratureSpec",
@@ -198,28 +199,28 @@ class _Workspace:
 
 
 # How a side reflects over the modes of a plan: as an ideal metal
-# (eps = inf) at every mode, at none, or at some (_kernel_sides).
+# (eps = inf) at every mode, at none, or at some (_kind).
 _IDEAL, _FINITE, _MIXED = "ideal", "finite", "mixed"
 
 
 # The constant operands of the ufuncs below (_reflections, _mode_kernel,
-# _kernel_sides, _mode_block): a 0-d array, unlike a float, needs no conversion.
+# _kernel_sides, _permittivities, _mode_block): a 0-d array, unlike a float,
+# needs no conversion.
 _ZERO, _ONE, _MINUS_TWO, _INF = np.array(0.0), np.array(1.0), np.array(-2.0), np.array(np.inf)
-# A finite eps overflows in the reflections only above the largest float over
-# 1 + reach/lowest (_permittivities), so above _EPS_HUGE: the lowest A of a plan
-# is at least Geometry's least gamma, and a reach (_reach) is below 400, as
-# 1/integral_rel_tol is finite.
-_EPS_HUGE = np.array(np.finfo(float).max / (1.0 + 400.0 / _GAMMA_MIN))
+
+
+def _kind(eps, infs: int):
+    """A side's kind over a plan's modes from its count of eps = inf, as _mode_kernel takes it;
+    a slice keeps it, as _MIXED gives ideal and finite rows their own bits.  A NaN mode is not
+    ideal: it gives NaN."""
+    return _FINITE if not infs else _IDEAL if infs == eps.size else _MIXED
 
 
 def _kernel_sides(*eps):
-    """Each side's kind over a plan's modes, as _mode_kernel takes them; a slice keeps it, as
-    _MIXED gives ideal and finite rows their own bits.  A NaN mode is not ideal: it gives NaN."""
-    kinds = []
-    for e in eps:
-        n = _count_nonzero(np.equal(e, _INF))  # a reduction, such as max(), costs more
-        kinds.append(_FINITE if not n else _IDEAL if n == e.size else _MIXED)
-    return tuple(kinds)
+    """The kind (_kind) of each side of permittivities given outside a plan, whose
+    _permittivities gives its sides' kinds."""
+    # a count, not a reduction such as max(), which costs more
+    return tuple(_kind(e, _count_nonzero(np.equal(e, _INF))) for e in eps)
 
 
 def _reflections(kind, eps, p, pp, pair, out):
@@ -271,7 +272,7 @@ def _mode_kernel(y, work: _Workspace, free_energy: bool, kinds, A, eps1, eps3=No
 
     Row i of ``y`` holds nodes y >= A[i] = m*gamma, the lower limit of mode
     i (A ascending), whose permittivities at zeta_m are eps1[i] and eps3[i],
-    and ``kinds`` the kind of each side (_kernel_sides); a side ideal at
+    and ``kinds`` the kind of each side (_kind); a side ideal at
     every mode is not read.  One kind and no eps3 means that eps1 serves
     both sides.  Gives the pressure integrand
     y^2 * [x_TM/(1-x_TM) + x_TE/(1-x_TE)], x = delta1*delta2*e^{-2y}, or,
@@ -456,40 +457,45 @@ def _bound_end(low: int, high: int, gamma: float, log_target: float, free_energy
     return high
 
 
-def _permittivities(model: DielectricModel, zeta: np.ndarray, lowest: float, reach: float):
-    """``model``'s eps(i zeta) as a float array.  Raises TypeError if it is
-    not one per frequency, and ValueError if its largest finite value times
-    y/A overflows at the farthest node, ``reach`` past the lowest A: inf/inf
-    in the reflections.  An inf is legitimate, an ideal metal's mode."""
+def _permittivities(model: DielectricModel, zeta: np.ndarray, lower: np.ndarray, reach: float):
+    """``model``'s eps(i zeta) as a float array, and its kind (_kind).
+    Raises TypeError if it is not one per frequency, and ValueError naming
+    the first finite one that times y/A overflows at its mode's farthest
+    node, ``reach`` past its lower limit A in ``lower``: inf/inf in the
+    reflections.  An inf is legitimate, an ideal metal's mode."""
     eps = np.asarray(model.epsilon(zeta), dtype=float)
     if eps.shape != zeta.shape:
         raise TypeError(f"{model!r}: epsilon gave shape {eps.shape} for zeta of shape "
                         f"{zeta.shape}; it must give one permittivity per frequency")
-    # a count above _EPS_HUGE and of inf, not a reduction, which costs more,
-    # finds that no finite eps can overflow
-    big = _count_nonzero(np.greater(eps, _EPS_HUGE))
-    if big and big > _count_nonzero(np.equal(eps, _INF)):
-        e = np.max(eps, initial=-math.inf, where=np.less(eps, _INF)).item()
-        if e * (1.0 + reach / lowest) == math.inf:
-            raise ValueError(f"{model!r}: epsilon = {e:.6g} at zeta = "
-                             f"{zeta[eps == e].item(0):.6g} eV overflows the reflections")
-    return eps
+    # no finite eps below the largest float over the first mode's 1 + reach/A
+    # can overflow, and an inf is above it: one count, not a reduction, which
+    # costs more, finds a side finite and safe
+    big = _count_nonzero(np.greater(eps, sys.float_info.max / (1.0 + reach / lower.item(0))))
+    infs = big and _count_nonzero(np.equal(eps, _INF))
+    if big > infs:
+        with np.errstate(over="ignore"):
+            over = np.less(eps, _INF) & (eps * (1.0 + reach / lower) == _INF)
+        if over.any():
+            i = over.argmax()
+            raise ValueError(f"{model!r}: epsilon = {eps[i]:.6g} at zeta = {zeta[i]:.6g} eV "
+                             f"overflows the reflections")
+    return eps, _kind(eps, infs)
 
 
 def _plan(ms: np.ndarray, gamma, zeta1, model1: DielectricModel, model3: DielectricModel,
           reach: float):
     """Lower limits m*gamma, zeta_m = m*zeta1 in eV, (model, eps(i zeta_m))
     per distinct side of the Matsubara indices ``ms`` and their kinds
-    (_kernel_sides): one epsilon call per model (_permittivities, whose
-    check of the first mode takes ``reach``, _reach), and one side where
-    both give equal permittivities, so one interface serves both."""
-    zeta, lowest = ms * zeta1, ms.item(0) * gamma
-    eps = _permittivities(model1, zeta, lowest, reach)
+    (_kind): one epsilon call per model (_permittivities, whose overflow
+    check takes ``reach``, _reach), and one side where both give equal
+    permittivities, so one interface serves both."""
+    lower, zeta = ms * gamma, ms * zeta1
+    eps, kind = _permittivities(model1, zeta, lower, reach)
     if model3 is not model1:
-        eps3 = _permittivities(model3, zeta, lowest, reach)
+        eps3, kind3 = _permittivities(model3, zeta, lower, reach)
         if _count_nonzero(np.not_equal(eps, eps3)):
-            return ms * gamma, zeta, [(model1, eps), (model3, eps3)], _kernel_sides(eps, eps3)
-    return ms * gamma, zeta, [(model1, eps)], _kernel_sides(eps)
+            return lower, zeta, [(model1, eps), (model3, eps3)], (kind, kind3)
+    return lower, zeta, [(model1, eps)], (kind,)
 
 
 def _reach(spec: QuadratureSpec) -> float:

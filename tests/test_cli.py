@@ -1098,22 +1098,25 @@ def _log_uniform(lo, hi):
 LABELS = ("Au", "Cu", "Al", "vacuum", "ideal")
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(command=st.sampled_from(["pressure", "entropy"]), a=_log_uniform(1e-4, 1e5),
        T=_log_uniform(1e-6, 1e7), pair=st.tuples(*[st.sampled_from(LABELS)] * 2),
        int_tol=_log_uniform(1e-16, 3.0), sum_tol=_log_uniform(1e-16, 3.0),
        bloch_gruneisen=st.booleans(), theta=st.none() | _log_uniform(1e-3, 1e5),
        fd_step=st.none() | _log_uniform(1e-6, 1e3),
-       drude=st.none() | st.tuples(_log_uniform(1e-6, 1.34e154), _log_uniform(1e-12, 1e6)))
+       drude=st.none() | st.tuples(_log_uniform(1e-6, 1.34e154), _log_uniform(1e-12, 1.79e308)))
 # omega_p 1e152 eV overflowed eps to inf at the first modes and the
 # reflections at the first finite one: RuntimeWarnings, then exit 1
 @example(command="pressure", a=0.16, T=1.0, pair=("Au", "Au"), int_tol=1e-12, sum_tol=1e-8,
          bloch_gruneisen=False, theta=None, fd_step=None, drude=(1e152, 0.0345))
+# nu 1e308 eV: zeta*(zeta+nu) overflowed from mode 12 on at 300 K
+@example(command="pressure", a=0.16, T=300.0, pair=("Au", "Au"), int_tol=1e-12, sum_tol=1e-8,
+         bloch_gruneisen=False, theta=None, fd_step=None, drude=(9.0, 1e308))
 def test_every_input_in_the_domain_exits_with_a_documented_code(
         command, a, T, pair, int_tol, sum_tol, bloch_gruneisen, theta, fd_step, drude,
         tmp_path_factory):
     # a > 0 and T > 0 with any pair and tolerance, a JSON Drude material
-    # (omega_p up to where its square overflows, nu > 0) on side 1 or not:
+    # (omega_p up to where its square overflows, nu > 0 and finite) on side 1 or not:
     # a result or a typed error, never a traceback or a warning; a warning
     # raised as an error would be caught by main and hidden as exit 1, so
     # warnings are recorded instead

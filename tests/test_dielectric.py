@@ -71,6 +71,8 @@ class TestDrudeEpsilon:
         assert drude_epsilon(AU, 1e-306) == np.inf  # omega_p^2/(zeta*nu) overflows
         # zeta*(zeta+nu) underflows to 0
         assert drude_epsilon(DrudeParams(1e-3, 1e-300), 1e-170) == np.inf
+        # zeta*(zeta+nu) overflows: the excess vanishes
+        assert drude_epsilon(DrudeParams(9.0, 1e308), 2.0) == 1.0
         with pytest.raises(ValueError, match="^zeta must be positive"):
             drude_epsilon(DrudeParams(1e152, 0.0345), np.array([1e-4, -1.0]))
 

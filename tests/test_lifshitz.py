@@ -46,6 +46,7 @@ from casimir.lifshitz import (
     _Workspace,
     _bound_end,
     _kernel_sides,
+    _kind,
     _log_bound,
     _mode_block,
     _mode_kernel,
@@ -1994,6 +1995,18 @@ class TestPlans:
         assert res.converged
 
     @pytest.mark.parametrize("what", sorted(EVALUATE))
+    def test_each_mode_is_checked_at_its_own_lower_limit(self, what):
+        # at gamma 24.7 half the largest float overflows at mode 1's farthest
+        # node, 1 + reach/A = 2.13 times eps, but not at mode 2's, 1.56 times
+        geom = Geometry(30.0, 300.0)
+        zeta = matsubara_frequency(1, geom.T_K)
+        half = 0.5 * np.finfo(float).max
+        with pytest.raises(ValueError, match=rf"^Above: epsilon = 8.98847e\+307 at zeta = "
+                                             rf"{zeta:.6g} eV overflows the reflections$"):
+            EVALUATE[what](geom, Above((0.0, half)), AU)
+        assert EVALUATE[what](geom, Above((0.0, np.inf), (zeta * 1.5, half)), AU).converged
+
+    @pytest.mark.parametrize("what", sorted(EVALUATE))
     def test_epsilon_below_one_past_the_last_block_is_not_read(self, what):
         # the plan reaches modes no block integrates; eps below 1 there
         # changes nothing
@@ -2393,22 +2406,24 @@ class TestInterpolation:
 
     @pytest.mark.parametrize("what", sorted(EVALUATE))
     def test_sides_are_classified_once_per_plan(self, what):
-        # the sample plans included; no block or screen classifies again
+        # the sample plans included; each plan classifies its two sides, and
+        # no block or screen classifies again
         calls = []
 
         def planned(ms, *args):
             calls.append(ms)
             return _plan(ms, *args)
 
-        def classified(*eps):
+        def classified(eps, infs):
             calls.append(None)
-            return _kernel_sides(*eps)
+            return _kind(eps, infs)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("casimir.lifshitz._plan", planned)
-            patch.setattr("casimir.lifshitz._kernel_sides", classified)
+            patch.setattr("casimir.lifshitz._kind", classified)
+            patch.setattr("casimir.lifshitz._kernel_sides", None)
             EVALUATE[what](COLD, AU, CU)
-        plans = calls[::2]
-        assert [ms is None for ms in calls] == [False, True] * len(plans)
+        plans = calls[::3]
+        assert [ms is None for ms in calls] == [False, True, True] * len(plans)
         assert any((ms != np.round(ms)).any() for ms in plans) and len(plans) > 1
 
 
