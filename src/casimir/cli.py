@@ -348,9 +348,14 @@ def cmd_kk(args: argparse.Namespace, stream) -> int:
         raise InputError(f"--grid asks for {span + 1:.3g} points, more than {_GRID_MAX:g}")
     n = max(2, int(round(span)) + 1)
     zeta_grid = np.logspace(np.log10(lo), np.log10(hi), n)
-    eps = kramers_kronig_transform(omega, eps2, zeta_grid)
     try:
-        PermittivityTable(zeta_grid / CODATA.eV_to_rad_per_s, eps).to_csv(args.output)
+        table = PermittivityTable(zeta_grid / CODATA.eV_to_rad_per_s,
+                                  kramers_kronig_transform(omega, eps2, zeta_grid))
+    except ValueError as exc:  # a transform or a table that the grid cannot give
+        where = f"--grid {args.grid}" if args.grid else "the default grid"
+        raise InputError(f"{args.input} on {where}: {exc}") from None
+    try:
+        table.to_csv(args.output)
     except OSError as exc:
         raise InputError(f"cannot write {args.output}: {exc}") from exc
     stream.write(f"wrote {n} rows to {args.output}\n")

@@ -13,6 +13,7 @@ import copy
 import csv
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Sequence
@@ -462,6 +463,7 @@ def _absorption_samples(omega_rad_s, eps_imag) -> tuple[np.ndarray, np.ndarray]:
     return w, e2
 
 
+@np.errstate(all="ignore")  # what over- or underflows shows in the result, checked at the end
 def kramers_kronig_transform(
     omega_rad_s: Sequence[float],
     eps_imag: Sequence[float],
@@ -482,6 +484,8 @@ def kramers_kronig_transform(
     ``zeta_rad_s`` may be a scalar (returns a float) or an array of
     frequencies (returns an array of the same shape); the data are checked
     (``_absorption_samples``) and interpolated once for all of them.
+    Raises ValueError, without a warning, naming the first zeta whose value
+    over- or underflows to one that is not finite.
     """
     w, e2 = _absorption_samples(omega_rad_s, eps_imag)
     zeta = np.asarray(zeta_rad_s, dtype=float)
@@ -530,11 +534,18 @@ def kramers_kronig_transform(
     low_amp = w[0] * e2[0]  # eps'' ~ A/w below the window
     low = (low_amp / z) * np.arctan(w[0] / z)
 
-    high_amp, u = w[-1] ** 3 * e2[-1], z / w[-1]  # eps'' ~ B/w^3 above the window
+    # eps'' ~ B/w^3 above the window, a function of z/w_N alone: where w_N^3 is not a normal
+    # float (0, or too few digits for B) it is taken with w_N = 1 and z/w_N for zeta
+    w_n, z_n = (w[-1], z) if w[-1] ** 3 >= sys.float_info.min else (1.0, z / w[-1])
+    high_amp, u = w_n ** 3 * e2[-1], z_n / w_n
     near, high = u < 0.1, np.empty(z.size)  # the series there, where the closed form cancels
-    v, zf = u[near], z[~near]  # and, far below w_N, divides by a zeta^2 that underflows
-    high[near] = (high_amp / w[-1] ** 3) * (1.0 / 3.0 - v * v / 5.0 + v**4 / 7.0 - v**6 / 9.0)
-    high[~near] = (high_amp / zf**2) * (1.0 / w[-1] - np.arctan(u[~near]) / zf)
+    v, zf = u[near], z_n[~near]  # and, far below w_N, divides by a zeta^2 that underflows
+    high[near] = (high_amp / w_n ** 3) * (1.0 / 3.0 - v * v / 5.0 + v**4 / 7.0 - v**6 / 9.0)
+    high[~near] = (high_amp / zf**2) * (1.0 / w_n - np.arctan(u[~near]) / zf)
 
-    out = (1.0 + (2.0 / math.pi) * (low + interior + high)).reshape(zeta.shape)
+    out = 1.0 + (2.0 / math.pi) * (low + interior + high)
+    if not (finite := np.isfinite(out)).all():
+        raise ValueError(f"epsilon(i*zeta) is not finite at zeta = {z[finite.argmin()]:.6g} "
+                         f"rad/s: the transform over- or underflows there")
+    out = out.reshape(zeta.shape)
     return float(out) if out.ndim == 0 else out

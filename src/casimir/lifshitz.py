@@ -17,14 +17,15 @@ that first block's rule pairs, its bound scaled through the last term so
 that it ends near the stop.  A sum plans once: the permittivities of all
 the modes the bound lets it reach, up to max_terms, each side classified
 once as ideal at all, none or some of them, and each block takes a slice
-of that plan.  A sum whose bound puts mode 1 below its first floor reads 0
-up to min_terms, never planned or integrated.  A sum (_sum_steps) finds
-its first block's end and makes its plan in a straight line; then every
-block goes through one body, which asks for the block's integrals
-(_summed_modes answers with _mode_block), unless an interpolant gives
-them, and sums its values, a long block's in array passes, a short one's
-in a loop, with the same bits; only a sum that goes on computes the next
-block's extent.
+of that plan and checks the permittivities of its own modes, so no mode
+past the last block is checked.  A sum whose bound puts mode 1 below its
+first floor reads 0 up to min_terms, never planned or integrated.  A sum
+(_sum_steps) finds its first block's end and makes its plan in a straight
+line; then every block goes through one body, which asks for the block's
+integrals (_summed_modes answers with _mode_block), unless an interpolant
+gives them, and sums its values, a long block's in array passes, a short
+one's in a loop, with the same bits; only a sum that goes on computes the
+next block's extent.
 Past mode 128 a long sum of two analytic sides (Drude, ideal) takes most
 terms from Chebyshev interpolants in m (casimir.chebyshev) of sample
 points it integrates, both screened for bad permittivities (_screen); the
@@ -199,28 +200,25 @@ class _Workspace:
 
 
 # How a side reflects over the modes of a plan: as an ideal metal
-# (eps = inf) at every mode, at none, or at some (_kind).
+# (eps = inf) at every mode, at none, or at some (_kernel_sides).
 _IDEAL, _FINITE, _MIXED = "ideal", "finite", "mixed"
 
 
 # The constant operands of the ufuncs below (_reflections, _mode_kernel,
-# _kernel_sides, _permittivities, _mode_block): a 0-d array, unlike a float,
-# needs no conversion.
+# _kernel_sides, _mode_block): a 0-d array, unlike a float, needs no
+# conversion.
 _ZERO, _ONE, _MINUS_TWO, _INF = np.array(0.0), np.array(1.0), np.array(-2.0), np.array(np.inf)
 
 
-def _kind(eps, infs: int):
-    """A side's kind over a plan's modes from its count of eps = inf, as _mode_kernel takes it;
-    a slice keeps it, as _MIXED gives ideal and finite rows their own bits.  A NaN mode is not
-    ideal: it gives NaN."""
-    return _FINITE if not infs else _IDEAL if infs == eps.size else _MIXED
-
-
 def _kernel_sides(*eps):
-    """The kind (_kind) of each side of permittivities given outside a plan, whose
-    _permittivities gives its sides' kinds."""
-    # a count, not a reduction such as max(), which costs more
-    return tuple(_kind(e, _count_nonzero(np.equal(e, _INF))) for e in eps)
+    """The kind of each side over a plan's modes from its count of eps = inf, as _mode_kernel
+    takes it; a slice keeps it, as _MIXED gives ideal and finite rows their own bits.  A NaN
+    mode is not ideal: it gives NaN."""
+    kinds = []
+    for e in eps:  # a count, not a reduction such as max(), which costs more
+        infs = _count_nonzero(np.equal(e, _INF))
+        kinds.append(_FINITE if not infs else _IDEAL if infs == e.size else _MIXED)
+    return tuple(kinds)
 
 
 def _reflections(kind, eps, p, pp, pair, out):
@@ -272,7 +270,7 @@ def _mode_kernel(y, work: _Workspace, free_energy: bool, kinds, A, eps1, eps3=No
 
     Row i of ``y`` holds nodes y >= A[i] = m*gamma, the lower limit of mode
     i (A ascending), whose permittivities at zeta_m are eps1[i] and eps3[i],
-    and ``kinds`` the kind of each side (_kind); a side ideal at
+    and ``kinds`` the kind of each side (_kernel_sides); a side ideal at
     every mode is not read.  One kind and no eps3 means that eps1 serves
     both sides.  Gives the pressure integrand
     y^2 * [x_TM/(1-x_TM) + x_TE/(1-x_TE)], x = delta1*delta2*e^{-2y}, or,
@@ -457,45 +455,22 @@ def _bound_end(low: int, high: int, gamma: float, log_target: float, free_energy
     return high
 
 
-def _permittivities(model: DielectricModel, zeta: np.ndarray, lower: np.ndarray, reach: float):
-    """``model``'s eps(i zeta) as a float array, and its kind (_kind).
-    Raises TypeError if it is not one per frequency, and ValueError naming
-    the first finite one that times y/A overflows at its mode's farthest
-    node, ``reach`` past its lower limit A in ``lower``: inf/inf in the
-    reflections.  An inf is legitimate, an ideal metal's mode."""
-    eps = np.asarray(model.epsilon(zeta), dtype=float)
-    if eps.shape != zeta.shape:
-        raise TypeError(f"{model!r}: epsilon gave shape {eps.shape} for zeta of shape "
-                        f"{zeta.shape}; it must give one permittivity per frequency")
-    # no finite eps below the largest float over the first mode's 1 + reach/A
-    # can overflow, and an inf is above it: one count, not a reduction, which
-    # costs more, finds a side finite and safe
-    big = _count_nonzero(np.greater(eps, sys.float_info.max / (1.0 + reach / lower.item(0))))
-    infs = big and _count_nonzero(np.equal(eps, _INF))
-    if big > infs:
-        with np.errstate(over="ignore"):
-            over = np.less(eps, _INF) & (eps * (1.0 + reach / lower) == _INF)
-        if over.any():
-            i = over.argmax()
-            raise ValueError(f"{model!r}: epsilon = {eps[i]:.6g} at zeta = {zeta[i]:.6g} eV "
-                             f"overflows the reflections")
-    return eps, _kind(eps, infs)
-
-
-def _plan(ms: np.ndarray, gamma, zeta1, model1: DielectricModel, model3: DielectricModel,
-          reach: float):
+def _plan(ms: np.ndarray, gamma, zeta1, model1: DielectricModel, model3: DielectricModel):
     """Lower limits m*gamma, zeta_m = m*zeta1 in eV, (model, eps(i zeta_m))
     per distinct side of the Matsubara indices ``ms`` and their kinds
-    (_kind): one epsilon call per model (_permittivities, whose overflow
-    check takes ``reach``, _reach), and one side where both give equal
-    permittivities, so one interface serves both."""
-    lower, zeta = ms * gamma, ms * zeta1
-    eps, kind = _permittivities(model1, zeta, lower, reach)
-    if model3 is not model1:
-        eps3, kind3 = _permittivities(model3, zeta, lower, reach)
-        if _count_nonzero(np.not_equal(eps, eps3)):
-            return lower, zeta, [(model1, eps), (model3, eps3)], (kind, kind3)
-    return lower, zeta, [(model1, eps)], (kind,)
+    (_kernel_sides): one epsilon call per model, and one side where both
+    give equal permittivities, so one interface serves both.  Raises
+    TypeError if a model gives other than one permittivity per frequency;
+    the blocks check the values of the modes they take (_mode_block)."""
+    lower, zeta, sides = ms * gamma, ms * zeta1, []
+    for model in (model1,) if model3 is model1 else (model1, model3):
+        eps = np.asarray(model.epsilon(zeta), dtype=float)
+        if eps.shape != zeta.shape:
+            raise TypeError(f"{model!r}: epsilon gave shape {eps.shape} for zeta of shape "
+                            f"{zeta.shape}; it must give one permittivity per frequency")
+        if not sides or _count_nonzero(np.not_equal(sides[0][1], eps)):
+            sides.append((model, eps))
+    return lower, zeta, sides, _kernel_sides(*[e for _, e in sides])
 
 
 def _reach(spec: QuadratureSpec) -> float:
@@ -521,12 +496,29 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: Quadrat
     breaks below y_max, then y_max.  ``kinds`` classify the sides over
     their plan (_plan), so the kernel takes a side ideal at every mode as
     reflection 1 and one ideal at none without looking for ideal rows.
-    Raises ValueError for a permittivity below 1.  Returns (values, errors,
-    failed); a failed mode holds its uncertified estimate.
+    Raises ValueError naming the first mode of a side whose finite
+    permittivity times y/A overflows at the farthest node any rule may
+    take, _reach(spec) past its A (inf/inf in the reflections), else the
+    first below 1; an inf is legitimate, an ideal metal's mode.  Returns
+    (values, errors, failed); a failed mode holds its uncertified estimate.
     """
-    for (model, e), kind in zip(sides, kinds):  # NaN is not below 1: such a mode fails to certify
-        # an ideal side is inf at every mode; a reduction, such as any(), costs more
-        if kind is not _IDEAL and _count_nonzero(below := np.less(e, _ONE)):
+    reach = _reach(spec)
+    # no finite eps below the largest float over the first mode's 1 + reach/A
+    # can overflow, and an inf is above it
+    limit = sys.float_info.max / (1.0 + reach / lower.item(0))
+    for (model, e), kind in zip(sides, kinds):  # NaN passes both: such a mode fails to certify
+        if kind is _IDEAL:  # inf at every mode
+            continue
+        # counts, not reductions such as any(), which cost more: one finds a side safe
+        big = _count_nonzero(np.greater(e, limit))
+        if big and big > (kind is _MIXED and _count_nonzero(np.equal(e, _INF))):
+            with np.errstate(over="ignore"):
+                over = np.less(e, _INF) & (e * (1.0 + reach / lower) == _INF)
+            if over.any():
+                i = over.argmax()
+                raise ValueError(f"{model!r}: epsilon = {e[i]:.6g} at zeta = {zeta[i]:.6g} eV "
+                                 f"overflows the reflections")
+        if _count_nonzero(below := np.less(e, _ONE)):
             i = below.argmax()
             raise ValueError(f"{model!r}: epsilon = {e[i]:.6g} < 1 at zeta = {zeta[i]:.6g} eV")
     start, rungs = _rungs(lower, free_energy)
@@ -590,7 +582,7 @@ def _screen(eps):
 
 def _sampled(plan, floor, ms):
     """Mode integrals at ``ms``, Chebyshev points a row per panel, from one _plan (``plan``:
-    gamma, zeta1, both models, reach): a generator that asks, as _sum_steps asks for a block, for
+    gamma, zeta1, both models): a generator that asks, as _sum_steps asks for a block, for
     the rows _screen passes with ``floor``; NaN across the other rows and where a mode fails."""
     lower, zeta, sides, kinds = _plan(ms.ravel(), *plan)
     ok, out = _screen([e.reshape(ms.shape) for _, e in sides]), np.full(ms.shape, np.nan)
@@ -633,8 +625,8 @@ def matsubara_term(m: int, geom: Geometry, model1: DielectricModel,
     spec = spec or _DEFAULT_SPEC
     floor = spec.integral_rel_tol * spec.sum_rel_tol * (zeta3() / 8.0)
     values, errors, failed = _mode_block(
-        *_plan(np.array([m]), geom.gamma, geom.zeta1_eV, model1.at(geom.T_K), model3.at(geom.T_K),
-               _reach(spec)), spec, floor, False, _Workspace())
+        *_plan(np.array([m]), geom.gamma, geom.zeta1_eV, model1.at(geom.T_K), model3.at(geom.T_K)),
+        spec, floor, False, _Workspace())
     if failed[0]:
         raise _mode_error(m, geom, float(values[0]), float(errors[0]))
     return float(values[0])
@@ -704,9 +696,10 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
     1..min_terms read 0 and the sum returns, with no plan or block.
     Otherwise one bisection (_bound_end) ends the block within _BLOCK_CAP
     modes, so a sum of up to _BLOCK_CAP terms takes one block, and the sum
-    makes its one plan (_plan, a kind per side): that block's modes, or, if
-    it fills _BLOCK_CAP, those up to the first m >= min_terms where a second
-    bisection finds the bound meeting the same target, or max_terms.
+    makes its one plan (_plan, a kind per side, its values checked by the
+    blocks that take them): that block's modes, or, if it fills _BLOCK_CAP,
+    those up to the first m >= min_terms where a second bisection finds the
+    bound meeting the same target, or max_terms.
 
     Each later block's extent is computed after the block before it, only
     if the sum goes on.  It holds as many modes as the nodes of the first
@@ -774,7 +767,7 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
     # the one plan: to the first block's end, or on to the bound's stop if it fills _BLOCK_CAP
     planned = hi if hi < _BLOCK_CAP else _bound_end(max(hi, min_terms), max_terms, gamma,
                                                      target, free_energy)
-    plan = gamma, zeta1, model1, model3, _reach(spec)  # _plan's arguments past the modes
+    plan = gamma, zeta1, model1, model3  # _plan's arguments past the modes
     lower, zeta, sides, kinds = _plan(np.arange(1, planned + 1), *plan)
     # a slice of each block's values; the first block: no interpolant, its nodes not counted
     terms, first, coeffs, fill = [], 1, None, None

@@ -5,8 +5,8 @@ The full dump covers every recorded ``cold_sum``, ``warm_grid``,
 adaptive quadrature, the CLI's help and usage errors and three runs of the
 commands that evaluate cells, and takes a few seconds per tree.  Here the
 tool runs this tree against itself on the first input of each recorded
-file, grid pair kind, adaptive, long and panel cell, the records of the
-first two are checked for coverage, the grid cells at 0.2 um and 3 K are
+file, grid pair kind, adaptive, long, panel and overflow cell, the records
+of the first two are checked for coverage, the grid cells at 0.2 um and 3 K are
 shown to interpolate and to reach the
 Chebyshev screens, the long cells to plan once, the panel
 cells to integrate their certified first panel, and ``compare`` is
@@ -37,7 +37,7 @@ _spec.loader.exec_module(bit_diff)
 def test_a_tree_against_itself_differs_nowhere(capsys):
     assert bit_diff.main([str(ROOT), str(ROOT), "--limit", "1"]) == 0
     *work, last = capsys.readouterr().out.splitlines()
-    assert last == "0 of 52 records differ"
+    assert last == "0 of 53 records differ"
     kinds = [line.split(":")[0] for line in work]
     assert {"work cold_sum", "work grid Au-Au", "work long Au-Au"} <= set(kinds)
     assert all(line.endswith("; new the same") for line in work)
@@ -79,6 +79,18 @@ def test_records_cover_every_kind(records):
     assert {key: fields["n_terms_used"] for key, fields in records.items()
             if key.startswith("panel ")} == {"panel weak-weak a=1.0 T=1.0 P": 210,
                                              "panel weak-weak a=1.0 T=1.0 F": 193}
+    # the overflow cells, one kind: at 12 um the sums stop before the first
+    # mode whose eps overflows the reflections
+    assert [(key, bit_diff._kind(key)) for key, _, _ in bit_diff.cases()
+            if key.startswith("overflow ")] == [
+        (f"overflow Y-Au a={a_um} T=1.0 omega_p={omega_p} {name}", "overflow Y-Au")
+        for a_um, omega_p, name in ((12.0, "3e+153", "P"), (12.0, "3e+153", "F"),
+                                    (2.0, "3e+153", "P"), (2.0, "3e+153", "F"),
+                                    (0.16, "1e+152", "P"))]
+    assert {key: fields["n_terms_used"] for key, fields in records.items()
+            if key.startswith("overflow ")} == {
+        "overflow Y-Au a=12.0 T=1.0 omega_p=3e+153 P": 347,
+        "overflow Y-Au a=12.0 T=1.0 omega_p=3e+153 F": 314}
     kk = records["cli_tabulated-1 #1 kk 1"]
     assert kk["exit"] == 0 and kk["stdout"] == "wrote 421 rows to WORKDIR/eps1.csv\n"
     assert bit_diff.base64.b64decode(kk["table"]).startswith(b"zeta_rad_s,eps_izeta\r\n")
@@ -271,8 +283,9 @@ def test_rel_prints_the_largest_deviation_per_kind(records, monkeypatch, capsys)
     assert out[-1] == f"0 of {len(records)} records differ"
     kinds = {line.split(":")[0]: line for line in out[:-1]}
     # the workloads, the grid's pair kinds, the adaptive cells, the long
-    # cells' sides, the panel cells' pair, the usage and the cell command records
-    assert len(kinds) == 4 + 14 + 1 + 2 + 1 + 2
+    # cells' sides, the panel cells' pair, the overflow cells, the usage and
+    # the cell command records
+    assert len(kinds) == 4 + 14 + 1 + 2 + 1 + 1 + 2
     assert kinds["entropy_ladder"].endswith("0.00e+00 of a value, 5.00e-14 of a term")
     assert kinds["grid Au-Au"].endswith("0.00e+00 of a value, 0.00e+00 of a term")
     assert bit_diff.main(["old", "new"]) == 1  # exact by default

@@ -1012,6 +1012,18 @@ class TestProcess:
                                "epsilon = 1.70422e+308 at zeta = 0.00162433 eV "
                                "overflows the reflections\n")
 
+    def test_permittivity_overflowing_past_the_last_block_exits_0(self, tmp_path):
+        # eps overflows the reflections from mode 383 on, past the 347 terms
+        # the sum adds: a check of every planned mode rejected the cell
+        path = tmp_path / "materials.json"
+        path.write_text('[{"label": "Y", "omega_p_eV": 3e153, "nu_eV": 0.0345}]')
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "casimir.cli",
+                               "pressure", "--materials", str(path), "--pair", "Y,Au",
+                               "--a", "12", "--T", "1"], capture_output=True, text=True,
+                              env=_process_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout.splitlines()[1].split()[-2:] == ["347", "true"]
+
     @pytest.mark.parametrize("grid", [[], ["--grid", "1e-10,1e10,2"]], ids=["default", "given"])
     def test_kk_samples_that_overflow_the_transform_exit_3(self, tmp_path, grid):
         # samples from 1e-300 to 1e300 rad/s: w^2 and w^3*eps'' overflow at the
@@ -1098,28 +1110,71 @@ def _log_uniform(lo, hi):
 LABELS = ("Au", "Cu", "Al", "vacuum", "ideal")
 
 
+def _kk_argv(absorption, tmp_path_factory):
+    """argv of a ``kk`` run on an absorption file drawn as (first sample, span
+    last/first, sample count, shape of eps'', its level, --grid lo, hi and
+    per_decade or None): eps'' flat, Drude-like (level/(x(1+x^2)), x = omega
+    over the window's geometric centre) or flat then zero over the upper half."""
+    first, span, n, shape, level, grid = absorption
+    omega = np.array([first * span ** (k / (n - 1)) for k in range(n)])
+    with np.errstate(all="ignore"):  # a last sample past the largest float reads inf
+        if shape == "drude":
+            log_x = np.log(omega) - 0.5 * (np.log(omega[0]) + np.log(omega[-1]))
+            eps2 = np.exp(np.minimum(math.log(level) - log_x - np.logaddexp(0.0, 2.0 * log_x),
+                                     700.0))
+        else:
+            eps2 = np.where((shape == "flat") | (np.arange(n) < n // 2), level, 0.0)
+    path = tmp_path_factory.mktemp("absorption") / "loss.csv"
+    path.write_text("omega_rad_s,eps_imag\n" + "".join(
+        f"{w!r},{e!r}\n" for w, e in zip(omega.tolist(), eps2.tolist())))
+    argv = ["kk", str(path), str(path.with_name("eps.csv"))]
+    return argv + ([] if grid is None else ["--grid", ",".join(map(repr, grid))])
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(command=st.sampled_from(["pressure", "entropy"]), a=_log_uniform(1e-4, 1e5),
        T=_log_uniform(1e-6, 1e7), pair=st.tuples(*[st.sampled_from(LABELS)] * 2),
        int_tol=_log_uniform(1e-16, 3.0), sum_tol=_log_uniform(1e-16, 3.0),
        bloch_gruneisen=st.booleans(), theta=st.none() | _log_uniform(1e-3, 1e5),
        fd_step=st.none() | _log_uniform(1e-6, 1e3),
-       drude=st.none() | st.tuples(_log_uniform(1e-6, 1.34e154), _log_uniform(1e-12, 1.79e308)))
+       drude=st.none() | st.tuples(_log_uniform(1e-6, 1.34e154), _log_uniform(1e-12, 1.79e308)),
+       absorption=st.tuples(_log_uniform(1e-320, 1e100), _log_uniform(10.0, 1e300),
+                            st.integers(2, 40), st.sampled_from(["flat", "drude", "zero-tail"]),
+                            _log_uniform(1e-6, 1e6),
+                            st.none() | st.tuples(*[_log_uniform(1e-320, 1e300)] * 2,
+                                                  _log_uniform(1e-2, 10.0)).map(
+                                lambda g: (*sorted(g[:2]), g[2]))))
 # omega_p 1e152 eV overflowed eps to inf at the first modes and the
 # reflections at the first finite one: RuntimeWarnings, then exit 1
 @example(command="pressure", a=0.16, T=1.0, pair=("Au", "Au"), int_tol=1e-12, sum_tol=1e-8,
-         bloch_gruneisen=False, theta=None, fd_step=None, drude=(1e152, 0.0345))
+         bloch_gruneisen=False, theta=None, fd_step=None, drude=(1e152, 0.0345), absorption=None)
 # nu 1e308 eV: zeta*(zeta+nu) overflowed from mode 12 on at 300 K
 @example(command="pressure", a=0.16, T=300.0, pair=("Au", "Au"), int_tol=1e-12, sum_tol=1e-8,
-         bloch_gruneisen=False, theta=None, fd_step=None, drude=(9.0, 1e308))
+         bloch_gruneisen=False, theta=None, fd_step=None, drude=(9.0, 1e308), absorption=None)
+# kk: omega^3 of samples from 1e-300 rad/s underflowed, and the high tail's
+# series coefficient warned 0/0 though no zeta took it
+@example(command="pressure", a=1.0, T=300.0, pair=("Au", "Au"), int_tol=1e-12, sum_tol=1e-8,
+         bloch_gruneisen=False, theta=None, fd_step=None, drude=None,
+         absorption=(1e-300, 1e10, 40, "flat", 3.0, (1e-10, 1e10, 2.0)))
+# kk: zeta^2 overflowed on a grid up to 1e300 rad/s, with warnings
+@example(command="pressure", a=1.0, T=300.0, pair=("Au", "Au"), int_tol=1e-12, sum_tol=1e-8,
+         bloch_gruneisen=False, theta=None, fd_step=None, drude=None,
+         absorption=(1e-160, 1e170, 60, "flat", 3.0, (1e-300, 1e300, 1.0)))
+# kk: zeta/omega_N overflowed for subnormal samples: warnings, then NaN and
+# exit 1 with a message that named neither the file nor --grid
+@example(command="pressure", a=1.0, T=300.0, pair=("Au", "Au"), int_tol=1e-12, sum_tol=1e-8,
+         bloch_gruneisen=False, theta=None, fd_step=None, drude=None,
+         absorption=(1e-320, 1e3, 10, "flat", 3.0, (1e-10, 1e10, 2.0)))
 def test_every_input_in_the_domain_exits_with_a_documented_code(
         command, a, T, pair, int_tol, sum_tol, bloch_gruneisen, theta, fd_step, drude,
-        tmp_path_factory):
+        absorption, tmp_path_factory):
     # a > 0 and T > 0 with any pair and tolerance, a JSON Drude material
-    # (omega_p up to where its square overflows, nu > 0 and finite) on side 1 or not:
-    # a result or a typed error, never a traceback or a warning; a warning
-    # raised as an error would be caught by main and hidden as exit 1, so
-    # warnings are recorded instead
+    # (omega_p up to where its square overflows, nu > 0 and finite) on side 1 or not,
+    # and then, unless ``absorption`` is None, kk on absorption samples from
+    # 1e-320 rad/s on, over spans up to 1e300, with a --grid over that range or
+    # without: a result or a typed error, never a traceback or a warning; a
+    # warning raised as an error would be caught by main and hidden as exit 1,
+    # so warnings are recorded instead
     argv = []
     if drude is not None:
         path = tmp_path_factory.mktemp("materials") / "materials.json"
@@ -1130,13 +1185,20 @@ def test_every_input_in_the_domain_exits_with_a_documented_code(
     argv += ["--nu-model", "bloch-gruneisen"] if bloch_gruneisen else []
     argv += [] if theta is None else ["--theta", repr(theta)]
     argv += [] if fd_step is None or command != "entropy" else ["--fd-step", repr(fd_step)]
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    assert code in (EXIT_OK, EXIT_COMPUTE, EXIT_TOLERANCE, EXIT_INPUT), argv
-    assert "Traceback" not in err.getvalue()
-    if code == EXIT_INPUT:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
-    assert [str(w.message) for w in caught] == [], argv
+    for argv in [argv] + ([] if absorption is None else [_kk_argv(absorption, tmp_path_factory)]):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (EXIT_OK, EXIT_COMPUTE, EXIT_TOLERANCE, EXIT_INPUT), argv
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_INPUT:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+        assert [str(w.message) for w in caught] == [], argv
+        if argv[0] == "kk":  # finite rows, or exit 3 naming the file or --grid
+            assert code in (EXIT_OK, EXIT_INPUT), argv
+            if code == EXIT_OK:
+                assert np.isfinite(np.loadtxt(argv[2], delimiter=",", skiprows=1)).all(), argv
+            else:
+                assert argv[1] in err.getvalue() or "--grid" in err.getvalue(), argv

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -306,6 +307,34 @@ class TestKramersKronig:
         got = kramers_kronig_transform(w, np.ones_like(w), zeta)
         assert np.isfinite(got).all() and (got >= 1.0).all()
         assert got[-1] == kramers_kronig_transform(w, np.ones_like(w), zeta[-1:])[0]
+
+    def test_series_where_the_last_sample_cubed_underflows(self):
+        # samples from 2e-134 to 7.4e-120 rad/s on their default grid: omega_N^3
+        # underflows, so the high tail's series coefficient B/omega_N^3 read
+        # 0/0 below zeta = 0.1 omega_N, and its closed form 0 above.  The
+        # transform depends on frequency ratios alone: scaled by 2^400 it is
+        # the same
+        w = np.geomspace(2.04e-134, 7.4e-120, 37)
+        zeta = np.geomspace(w[0], w[-1], 14 * 60 + 1)
+        scale = 2.0 ** 400
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = kramers_kronig_transform(w, np.full(37, 14.49), zeta)
+        want = kramers_kronig_transform(w * scale, np.full(37, 14.49), zeta * scale)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("w0, zeta", [(1e-200, 1e-200), (1e10, 1e-300)],
+                             ids=["squares-underflow", "tiny-zeta"])
+    def test_a_value_that_is_not_finite_raises_naming_zeta(self, w0, zeta):
+        # omega^2 and zeta^2 both underflow to 0, 0/0; or omega_0 eps''/zeta
+        # overflows: RuntimeWarnings, then NaN or inf returned
+        w = w0 * np.geomspace(1.0, 1e3, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=rf"^epsilon\(i\*zeta\) is not finite at "
+                                                 rf"zeta = {zeta:.6g} rad/s: the transform "
+                                                 rf"over- or underflows there$"):
+                kramers_kronig_transform(w, np.full(10, 3.0), np.array([zeta, 1e20]))
 
     def test_memory_per_frequency_is_bounded(self):
         # the split sample intervals are built per block of frequencies;

@@ -46,7 +46,6 @@ from casimir.lifshitz import (
     _Workspace,
     _bound_end,
     _kernel_sides,
-    _kind,
     _log_bound,
     _mode_block,
     _mode_kernel,
@@ -1119,8 +1118,7 @@ def block(ms, geom, pair, spec=None, free_energy=False):
     of the modes that reached the adaptive quadrature."""
     ms = np.asarray(ms)
     spec = spec or QuadratureSpec()
-    plan = _plan(ms, reduced_temperature(geom), matsubara_frequency(1, geom.T_K), *pair,
-                 _reach(spec))
+    plan = _plan(ms, reduced_temperature(geom), matsubara_frequency(1, geom.T_K), *pair)
     with adaptive_calls() as calls:
         out = _mode_block(*plan, spec, 0.0, free_energy, _Workspace())
     sent = [breaks[0] for breaks, _ in calls]  # a mode's breaks start at its lower limit
@@ -1280,7 +1278,7 @@ class TestRungs:
         assert set(edges) >= {floor for floor, _ in _SCALED.values()}
         spec, args = QuadratureSpec(), (0.0, free)
         _, zeta, sides, kinds = _plan(edges / gamma, gamma, matsubara_frequency(1, geom.T_K),
-                                      *GL_PAIRS[pair], _reach(spec))
+                                      *GL_PAIRS[pair])
         values, errors, failed = _mode_block(edges, zeta, sides, kinds, spec, *args, _Workspace())
         for i, low in enumerate(edges.tolist()):
             part = slice(i, i + 1)
@@ -1355,7 +1353,7 @@ def fallback(ms, geom, floor):
     """(values, errors, failed) of one Au-Au pressure _mode_block with
     ``floor``, and the abs_tol of each adaptive call it made."""
     plan = _plan(np.asarray(ms), reduced_temperature(geom), matsubara_frequency(1, geom.T_K),
-                 AU, AU, _reach(QuadratureSpec()))
+                 AU, AU)
     with adaptive_calls() as calls:
         out = _mode_block(*plan, QuadratureSpec(), floor, False, _Workspace())
     return out, [kwargs["abs_tol"] for _, kwargs in calls]
@@ -1983,8 +1981,8 @@ class TestPlans:
 
     @pytest.mark.parametrize("what", sorted(EVALUATE))
     def test_epsilon_that_overflows_past_ideal_modes_raises(self, what):
-        # inf at the first modes is an ideal metal's; the largest finite eps
-        # of the plan, not the first mode's, is checked against the reach
+        # inf at the first modes is an ideal metal's; every finite eps of
+        # the block, not the first mode's alone, is checked against the reach
         geom = Geometry(1.3, 20.0)
         zeta = matsubara_frequency(1, geom.T_K)
         with pytest.raises(ValueError, match=rf"^Above: epsilon = 1e\+308 at zeta = "
@@ -2017,6 +2015,18 @@ class TestPlans:
         assert sum(sizes) < last
         bad = Above((matsubara_frequency(1, geom.T_K) * (sum(sizes) + 0.5), 0.5))
         assert outcome(EVALUATE[what], geom, (bad, CU)) == ref
+
+    @pytest.mark.parametrize("what", sorted(EVALUATE))
+    def test_overflow_past_the_last_block_is_not_read(self, what):
+        # eps that overflows the reflections only at planned modes no block
+        # integrates changes nothing either
+        geom = Geometry(1.3, 20.0)
+        with plans_and_blocks() as events:
+            ref = outcome(EVALUATE[what], geom, (AU, CU))
+        ((_, last),), sizes = blocks_in_plans(events)
+        assert sum(sizes) < last
+        huge = Above((matsubara_frequency(1, geom.T_K) * (sum(sizes) + 0.5), 1e308))
+        assert outcome(EVALUATE[what], geom, (huge, CU)) == ref
 
     @pytest.mark.parametrize("what", sorted(EVALUATE))
     def test_nan_inside_the_sum_fails_to_certify(self, what):
@@ -2059,7 +2069,7 @@ class TestPlans:
             evaluate(*args, Geometry(1.0, 300.0), AU, Flat(DB.get("Au")))
 
     def test_the_reach_covers_every_node(self):
-        # a plan checks eps*y/A at the first mode against the farthest node
+        # a block checks eps*y/A at its modes against the farthest node
         # of any rule, A-scaled ones included, or of the adaptive fallback
         scaled = [_scaled_rule(k) for k in range(1, 25)]
         assert _RULE_REACH >= max(float((y0 + 2.0 ** -k * dy).max())
@@ -2414,13 +2424,12 @@ class TestInterpolation:
             calls.append(ms)
             return _plan(ms, *args)
 
-        def classified(eps, infs):
-            calls.append(None)
-            return _kind(eps, infs)
+        def classified(*eps):
+            calls.extend([None] * len(eps))
+            return _kernel_sides(*eps)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("casimir.lifshitz._plan", planned)
-            patch.setattr("casimir.lifshitz._kind", classified)
-            patch.setattr("casimir.lifshitz._kernel_sides", None)
+            patch.setattr("casimir.lifshitz._kernel_sides", classified)
             EVALUATE[what](COLD, AU, CU)
         plans = calls[::3]
         assert [ms is None for ms in calls] == [False, True, True] * len(plans)

@@ -32,6 +32,11 @@ the type and message of the error it raised (with the partial result of a
   and the free energy of a weak Drude metal (omega_p 0.0005 eV, nu
   0.05 eV) on both sides stop inside it, and the pressure of an analytic
   Au side ideal at mode 150 alone against Cu fails the screen there;
+- five cells at 1 K of a Drude metal Y (nu 0.0345 eV) against Au whose
+  permittivity overflows to inf at the first modes and then, finite,
+  overflows the reflections at some planned modes: omega_p 3e153 eV at
+  12 um, where the sums stop before the first such mode, and at 2 um, both
+  quantities at each, and the pressure of omega_p 1e152 eV at 0.16 um;
 - every recorded ``cli_tabulated`` invocation, run in order as
   ``python -m casimir.cli`` on the absorption files that the benchmark's
   ``Cli`` (``perfbench/worker.py``) writes: its exit code, its stdout and,
@@ -50,8 +55,8 @@ one side.  A record whose value and ``n_terms_used`` have the same bits but
 whose terms differ also gets the largest |old - new| of its terms relative
 to |value|, which shows whether terms moved only far below the value's last
 bit.  ``--limit N`` takes only the first N inputs of each recorded file, the
-first N grid cells of each pair kind and the first N adaptive, long
-and panel cells; the usage and cell command records are always all run.
+first N grid cells of each pair kind and the first N adaptive, long,
+panel and overflow cells; the usage and cell command records are always all run.
 
 The script also prints, per record kind that did any, the work each tree
 did: integer-mode plans + sample plans (``_plan`` calls on Matsubara
@@ -128,6 +133,10 @@ LONG = (("P", ("Au", "Au"), 0.16, 0.5), ("F", ("Au", "Al"), 0.16, 0.5))
 # (quantity, pair kind of _panel_pairs) of the cells at 1 um and 1 K that integrate
 # their certified panel 129-256
 PANEL = (("P", "weak-weak"), ("F", "weak-weak"), ("P", "ideal-at-150-Cu"))
+# (quantity, omega_p in eV, a_um) of the cells at 1 K of Y against Au whose eps
+# overflows the reflections at some planned modes
+OVERFLOW = (("P", 3e153, 12.0), ("F", 3e153, 12.0), ("P", 3e153, 2.0), ("F", 3e153, 2.0),
+            ("P", 1e152, 0.16))
 # the work counted per record (install)
 WORK = ("integer-mode plans", "sample plans", "_mode_block calls", "rows", "kernel nodes",
         "adaptive calls", "bound evaluations")
@@ -294,6 +303,10 @@ def cases(limit: int | None = None):
     pairs = _panel_pairs(C)
     for name, kind in PANEL[:limit]:
         yield f"panel {kind} a=1.0 T=1.0 {name}", fns[name], (C.Geometry(1.0, 1.0), *pairs[kind])
+    for name, omega_p, a_um in OVERFLOW[:limit]:
+        y = C.DrudeModel(C.DrudeParams(omega_p, 0.0345, "Y"))
+        yield (f"overflow Y-Au a={a_um} T=1.0 omega_p={omega_p:g} {name}", fns[name],
+               (C.Geometry(a_um, 1.0), y, models["Au"]))
 
 
 def records(limit: int | None = None):
@@ -588,11 +601,11 @@ def compare(old: dict, new: dict, rel: float | None = None) -> list[str]:
 
 def _kind(key: str) -> str:
     """The record kind of a key: its workload, its grid pair kind, the
-    adaptive cells, a long cell's sides, a panel cell's pair, the usage
-    records or the cell commands' records."""
+    adaptive cells, a long cell's sides, a panel cell's pair, the overflow
+    cells, the usage records or the cell commands' records."""
     if key.startswith(("usage ", "cells ")):
         return key.split(" ")[0]
-    if key.startswith(("grid ", "adaptive ", "long ", "panel ")):
+    if key.startswith(("grid ", "adaptive ", "long ", "panel ", "overflow ")):
         return key.split(" a=")[0]
     return key.split(" #")[0].rsplit("-", 1)[0]
 
