@@ -340,9 +340,6 @@ def cmd_kk(args: argparse.Namespace, stream) -> int:
             raise InputError(f"--grid values out of range: {args.grid!r}")
     else:
         lo, hi, per_decade = float(omega[0]), float(omega[-1]), 60.0
-        if not lo * lo > 0:  # zeta^2 and omega^2 read 0 there: 0/0 in the transform
-            raise InputError(f"{args.input}: omega^2 underflows at the first sample, "
-                             f"{lo:.6g} rad/s; give a --grid")
     span = (np.log10(hi) - np.log10(lo)) * per_decade  # points - 1
     if not span + 1 < _GRID_MAX:
         raise InputError(f"--grid asks for {span + 1:.3g} points, more than {_GRID_MAX:g}")

@@ -13,7 +13,6 @@ import copy
 import csv
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Sequence
@@ -438,7 +437,8 @@ def read_optical_csv(path) -> tuple[np.ndarray, np.ndarray]:
     checked as it checks them."""
     omega, eps2 = _read_two_column_csv(path, ("omega_rad_s", "eps_imag"))
     try:
-        return _absorption_samples(omega, eps2)
+        return _samples(omega, eps2, ("omega", "eps''"), 0.0,
+                        "eps'' samples must be finite and nonnegative")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -446,21 +446,9 @@ def read_optical_csv(path) -> tuple[np.ndarray, np.ndarray]:
 _GL_NODES, _GL_WEIGHTS = GAUSS_LEGENDRE[8]
 
 
-# Frequencies per block of the vectorised KK transform; a block's work
-# arrays hold this many rows of (sample intervals x Gauss nodes).
+# Frequencies per block of the vectorised KK transform; its work array holds
+# this many rows of (sample intervals x Gauss nodes).
 _KK_BLOCK = 64
-
-
-def _absorption_samples(omega_rad_s, eps_imag) -> tuple[np.ndarray, np.ndarray]:
-    """Absorption samples as float arrays, checked as the KK transform needs them."""
-    w, e2 = _samples(omega_rad_s, eps_imag, ("omega", "eps''"), 0.0,
-                     "eps'' samples must be finite and nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):  # the high tail's amplitude, as below
-        if not (w[-1] ** 3 * e2[-1] < np.inf and w[-1] * w[-1] < np.inf):
-            raise ValueError(f"the last sample, omega = {w[-1]:.6g} rad/s and eps'' = "
-                             f"{e2[-1]:.6g}, overflows the transform: omega^2 and "
-                             f"omega^3*eps'' must be finite")
-    return w, e2
 
 
 @np.errstate(all="ignore")  # what over- or underflows shows in the result, checked at the end
@@ -474,74 +462,74 @@ def kramers_kronig_transform(
         eps(i*zeta) = 1 + (2/pi) * int_0^inf w*eps''(w)/(w^2 + zeta^2) dw.
 
     On the imaginary axis the integrand is regular (no principal value).
-    The data cover [w_0, w_N]; below w_0 the free-carrier form eps'' ~ A/w
-    (matched at w_0) integrates in closed form, above w_N an w^-3 falloff
-    (matched at w_N) does too.  Inside the window eps'' is interpolated
-    between samples (log-log when strictly positive) and integrated with
-    Gauss-Legendre nodes in log-frequency, the sample interval holding
-    w = zeta split there so the rational factor is well resolved.
+    The data cover [w_0, w_N]; below w_0 the free-carrier form eps'' ~ 1/w
+    gives eps''_0 rho arctan(rho), rho = w_0/zeta, and above w_N an w^-3
+    falloff eps''_N (u - arctan u)/u^3, u = zeta/w_N (its series below
+    u = 0.1, where this cancels).  Inside, eps'' is interpolated between
+    samples (log-log when strictly positive) and integrated with
+    Gauss-Legendre nodes in t = ln(w/2^e), 2^e the power of two halfway
+    between the binary exponents of w_0 and w_N, as the sum of
+    c/(1 + (zeta/w)^2), c = eps'' times the node weight; the sample
+    interval holding w = zeta is split there.  No power of a frequency is
+    formed, and scaling every frequency by 2^k changes no bit while all
+    stay normal floats.
 
     ``zeta_rad_s`` may be a scalar (returns a float) or an array of
     frequencies (returns an array of the same shape); the data are checked
-    (``_absorption_samples``) and interpolated once for all of them.
-    Raises ValueError, without a warning, naming the first zeta whose value
-    over- or underflows to one that is not finite.
+    and interpolated once for all of them.  Raises ValueError, without a
+    warning, naming the first zeta whose value is not finite.
     """
-    w, e2 = _absorption_samples(omega_rad_s, eps_imag)
+    w, e2 = _samples(omega_rad_s, eps_imag, ("omega", "eps''"), 0.0,
+                     "eps'' samples must be finite and nonnegative")
     zeta = np.asarray(zeta_rad_s, dtype=float)
     if not np.all(zeta > 0):  # NaN fails it too
         raise ValueError("zeta must be positive")
     z = zeta.ravel()
 
-    t = np.log(w)
-    if np.all(e2 > 0):
-        log_e2 = np.log(e2)
+    e = (math.frexp(w[0])[1] + math.frexp(w[-1])[1]) // 2
+    x, y = np.ldexp(w, -e), np.ldexp(z, -e)  # w/2^e and zeta/2^e, exact
+    t = np.log(x)
+    log_e2 = np.log(e2) if np.all(e2 > 0) else None
 
-        def e2_of(tq):
-            return np.exp(np.interp(tq, t, log_e2))
-    else:
-
-        def e2_of(tq):
-            return np.interp(np.exp(tq), w, e2)
+    def e2_of(tq):  # log-log where every sample is positive
+        return np.interp(np.exp(tq), x, e2) if log_e2 is None else np.exp(np.interp(tq, t, log_e2))
 
     def weighted(t0, t1):
-        # Gauss nodes of [t0, t1] and w^2 eps''(w) times the node weight
-        # (dw = w dt included); the integral is sum(c / (w^2 + zeta^2))
+        # 2^e/w at the Gauss nodes of [t0, t1], and eps''(w) times the node
+        # weight (dw/w = dt): the integral is the sum of c/(1 + r^2)
         half = 0.5 * (t1 - t0)
         tq = 0.5 * (t0 + t1)[..., None] + half[..., None] * _GL_NODES
-        w2 = np.exp(2.0 * tq)
-        return w2, half[..., None] * _GL_WEIGHTS * w2 * e2_of(tq)
+        return np.exp(-tq), half[..., None] * _GL_WEIGHTS * e2_of(tq)
+
+    def summed(c, r):  # the sum over the nodes of c/(1 + r^2), in r's own memory
+        np.square(r, out=r)
+        r += 1.0
+        return np.divide(c, r, out=r).sum(axis=-1)
 
     # sample intervals, shared by every zeta; the interval holding zeta is
     # replaced by its two halves split at zeta
-    w2, c = weighted(t[:-1], t[1:])
-    log_z = np.log(z)
-    k = np.clip(np.searchsorted(t, log_z) - 1, 0, t.size - 2)
-    split = (w[0] < z) & (z < w[-1])
+    inv_x, c = weighted(t[:-1], t[1:])
+    k = np.clip(np.searchsorted(x, y) - 1, 0, x.size - 2)
+    split = (x[0] < y) & (y < x[-1])
     interior = np.empty(z.size)
+    work = np.empty((min(z.size, _KK_BLOCK), *c.shape))
     for i in range(0, z.size, _KK_BLOCK):
         b = slice(i, i + _KK_BLOCK)
-        z2 = (z[b] * z[b])[:, None]
-        per_interval = (c / (w2 + z2[:, :, None])).sum(axis=-1)
+        yb = y[b]
+        per_interval = summed(c, np.multiply(yb[:, None, None], inv_x, out=work[:yb.size]))
         rows = np.flatnonzero(split[b])
-        kr, log_zr, z2r = k[b][rows], log_z[b][rows], z2[rows]
-        left_w2, left_c = weighted(t[kr], log_zr)
-        right_w2, right_c = weighted(log_zr, t[kr + 1])
-        per_interval[rows, kr] = ((left_c / (left_w2 + z2r)).sum(axis=-1)
-                                  + (right_c / (right_w2 + z2r)).sum(axis=-1))
-        interior[i:i + _KK_BLOCK] = per_interval.sum(axis=-1)
+        kr, yr = k[b][rows], yb[rows]
+        (left_inv, left_c), (right_inv, right_c) = (
+            weighted(t[kr], np.log(yr)), weighted(np.log(yr), t[kr + 1]))
+        per_interval[rows, kr] = (summed(left_c, yr[:, None] * left_inv)
+                                  + summed(right_c, yr[:, None] * right_inv))
+        interior[b] = per_interval.sum(axis=-1)
 
-    low_amp = w[0] * e2[0]  # eps'' ~ A/w below the window
-    low = (low_amp / z) * np.arctan(w[0] / z)
-
-    # eps'' ~ B/w^3 above the window, a function of z/w_N alone: where w_N^3 is not a normal
-    # float (0, or too few digits for B) it is taken with w_N = 1 and z/w_N for zeta
-    w_n, z_n = (w[-1], z) if w[-1] ** 3 >= sys.float_info.min else (1.0, z / w[-1])
-    high_amp, u = w_n ** 3 * e2[-1], z_n / w_n
-    near, high = u < 0.1, np.empty(z.size)  # the series there, where the closed form cancels
-    v, zf = u[near], z_n[~near]  # and, far below w_N, divides by a zeta^2 that underflows
-    high[near] = (high_amp / w_n ** 3) * (1.0 / 3.0 - v * v / 5.0 + v**4 / 7.0 - v**6 / 9.0)
-    high[~near] = (high_amp / zf**2) * (1.0 / w_n - np.arctan(u[~near]) / zf)
+    rho = w[0] / z  # eps'' ~ eps''_0 w_0/w below the window
+    low = e2[0] * rho * np.arctan(rho) if e2[0] else 0.0  # not 0 * inf
+    u = z / w[-1]  # eps'' ~ eps''_N (w_N/w)^3 above it
+    high = e2[-1] * np.where(u < 0.1, 1.0 / 3.0 - u * u / 5.0 + u**4 / 7.0 - u**6 / 9.0,
+                             (1.0 - np.arctan(u) / u) / u / u)
 
     out = 1.0 + (2.0 / math.pi) * (low + interior + high)
     if not (finite := np.isfinite(out)).all():

@@ -479,6 +479,18 @@ def _reach(spec: QuadratureSpec) -> float:
     return max(_RULE_REACH, 1.0 + 0.5 * math.log(1.0 / spec.integral_rel_tol) + _Y_MAX_PAD)
 
 
+def _check_reach(model, eps, lower, zeta, reach):
+    """Raise ValueError naming the first of the modes ``lower`` whose finite
+    permittivity ``eps`` times y/A overflows at y = A + ``reach`` (inf/inf in
+    the reflections); an inf is legitimate, an ideal metal's mode."""
+    with np.errstate(over="ignore"):
+        over = np.less(eps, _INF) & (eps * (1.0 + reach / lower) == _INF)
+    if over.any():
+        i = over.argmax()
+        raise ValueError(f"{model!r}: epsilon = {eps[i]:.6g} at zeta = {zeta[i]:.6g} eV "
+                         f"overflows the reflections")
+
+
 def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: QuadratureSpec,
                 floor: float, free_energy: bool, work: _Workspace):
     """Mode integrals of a slice of a _plan, ascending in m >= 1, in one block.
@@ -496,31 +508,13 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: Quadrat
     breaks below y_max, then y_max.  ``kinds`` classify the sides over
     their plan (_plan), so the kernel takes a side ideal at every mode as
     reflection 1 and one ideal at none without looking for ideal rows.
-    Raises ValueError naming the first mode of a side whose finite
-    permittivity times y/A overflows at the farthest node any rule may
-    take, _reach(spec) past its A (inf/inf in the reflections), else the
-    first below 1; an inf is legitimate, an ideal metal's mode.  Returns
-    (values, errors, failed); a failed mode holds its uncertified estimate.
+    Raises ValueError (_check_reach) naming the first mode of a side whose
+    finite permittivity times y/A overflows at the farthest node of its
+    pair, else the first below 1; the modes that go to the adaptive
+    quadrature are checked likewise against y_max before it takes them.
+    Returns (values, errors, failed); a failed mode holds its uncertified
+    estimate.
     """
-    reach = _reach(spec)
-    # no finite eps below the largest float over the first mode's 1 + reach/A
-    # can overflow, and an inf is above it
-    limit = sys.float_info.max / (1.0 + reach / lower.item(0))
-    for (model, e), kind in zip(sides, kinds):  # NaN passes both: such a mode fails to certify
-        if kind is _IDEAL:  # inf at every mode
-            continue
-        # counts, not reductions such as any(), which cost more: one finds a side safe
-        big = _count_nonzero(np.greater(e, limit))
-        if big and big > (kind is _MIXED and _count_nonzero(np.equal(e, _INF))):
-            with np.errstate(over="ignore"):
-                over = np.less(e, _INF) & (e * (1.0 + reach / lower) == _INF)
-            if over.any():
-                i = over.argmax()
-                raise ValueError(f"{model!r}: epsilon = {e[i]:.6g} at zeta = {zeta[i]:.6g} eV "
-                                 f"overflows the reflections")
-        if _count_nonzero(below := np.less(e, _ONE)):
-            i = below.argmax()
-            raise ValueError(f"{model!r}: epsilon = {e[i]:.6g} < 1 at zeta = {zeta[i]:.6g} eV")
     start, rungs = _rungs(lower, free_energy)
     if rungs and type(rungs[0][2]) is int:  # A-scaled runs, which come first: a pair per mode
         for r, (lo, hi, count, n) in enumerate(rungs):
@@ -528,6 +522,22 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: Quadrat
                 y0, dy, w0, dw = _scaled_rule(count)
                 A = lower[lo:hi, None]
                 rungs[r] = lo, hi, (y0 + A * dy, w0 + A[..., None] * dw), n
+    # no finite eps below the largest float over the first mode's 1 + reach/A,
+    # the farthest reach of any rule, can overflow, and an inf is above it
+    limit = sys.float_info.max / (1.0 + _reach(spec) / lower.item(0))
+    for (model, e), kind in zip(sides, kinds):  # NaN passes both: such a mode fails to certify
+        if kind is _IDEAL:  # inf at every mode
+            continue
+        # counts, not reductions such as any(), which cost more: one finds a side safe
+        big = _count_nonzero(np.greater(e, limit))
+        if big and big > (kind is _MIXED and _count_nonzero(np.equal(e, _INF))):
+            reach = np.zeros(lower.size)  # each run its pair's; below the floor, none
+            for lo, hi, (dy, _), _ in rungs:
+                reach[lo:hi] = dy.max(axis=-1)
+            _check_reach(model, e, lower, zeta, reach)
+        if _count_nonzero(below := np.less(e, _ONE)):
+            i = below.argmax()
+            raise ValueError(f"{model!r}: epsilon = {e[i]:.6g} < 1 at zeta = {zeta[i]:.6g} eV")
     out = np.empty((2, lower.size))  # value and check of every mode
     if start:  # below the floor: adaptive
         out[0, :start], out[1, :start] = 0.0, np.inf
@@ -557,7 +567,10 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: Quadrat
     if not _count_nonzero(failed):
         return values, errors, failed
     y_max, args = spec.y_max(lower), (lower, *(e for _, e in sides))
-    for i in np.flatnonzero(failed):
+    rows = np.flatnonzero(failed)
+    for model, e in sides:  # the adaptive quadrature's nodes reach y_max
+        _check_reach(model, e[rows], lower[rows], zeta[rows], y_max[rows] - lower[rows])
+    for i in rows:
         starts = lower[i] + _BREAK_OFFSETS
         row = [a[i:i + 1] for a in args]
         try:

@@ -2,10 +2,11 @@
 
 The full dump covers every recorded ``cold_sum``, ``warm_grid``,
 ``entropy_ladder`` and ``cli_tabulated`` input, three cells that reach the
-adaptive quadrature, the CLI's help and usage errors and three runs of the
-commands that evaluate cells, and takes a few seconds per tree.  Here the
-tool runs this tree against itself on the first input of each recorded
-file, grid pair kind, adaptive, long, panel and overflow cell, the records
+adaptive quadrature, ``kk`` on the data that pin the transform's range, the
+CLI's help and usage errors and three runs of the commands that evaluate
+cells, and takes a few seconds per tree.  Here the tool runs this tree
+against itself on the first input of each recorded file, grid pair kind,
+adaptive, long, panel, overflow and ``kk`` record, the records
 of the first two are checked for coverage, the grid cells at 0.2 um and 3 K are
 shown to interpolate and to reach the
 Chebyshev screens, the long cells to plan once, the panel
@@ -37,7 +38,7 @@ _spec.loader.exec_module(bit_diff)
 def test_a_tree_against_itself_differs_nowhere(capsys):
     assert bit_diff.main([str(ROOT), str(ROOT), "--limit", "1"]) == 0
     *work, last = capsys.readouterr().out.splitlines()
-    assert last == "0 of 53 records differ"
+    assert last == "0 of 54 records differ"
     kinds = [line.split(":")[0] for line in work]
     assert {"work cold_sum", "work grid Au-Au", "work long Au-Au"} <= set(kinds)
     assert all(line.endswith("; new the same") for line in work)
@@ -94,6 +95,15 @@ def test_records_cover_every_kind(records):
     kk = records["cli_tabulated-1 #1 kk 1"]
     assert kk["exit"] == 0 and kk["stdout"] == "wrote 421 rows to WORKDIR/eps1.csv\n"
     assert bit_diff.base64.b64decode(kk["table"]).startswith(b"zeta_rad_s,eps_izeta\r\n")
+    # the first two kk records, the reproductions whose squares underflow:
+    # exit 0 and a table, their kind one
+    kk = {key: fields for key, fields in records.items() if key.startswith("kk ")}
+    assert list(kk) == ["kk flat from 2.2e-250 on --grid 2.9e-206,2.1e174,0.074",
+                        "kk drude from 2.7e-162 on the default grid"]
+    assert [(f["exit"], f["stdout"], f["stderr"], bit_diff._kind(k)) for k, f in kk.items()] == [
+        (0, f"wrote {n} rows to WORKDIR/eps.csv\n", "", "kk") for n in (29, 721)]
+    assert all(bit_diff.base64.b64decode(f["table"]).startswith(b"zeta_rad_s,eps_izeta\r\n")
+               for f in kk.values())
     # every help and usage record, with its stderr
     usage = {key: fields for key, fields in records.items() if key.startswith("usage ")}
     assert len(usage) == len(bit_diff.USAGE) == 8
@@ -283,9 +293,9 @@ def test_rel_prints_the_largest_deviation_per_kind(records, monkeypatch, capsys)
     assert out[-1] == f"0 of {len(records)} records differ"
     kinds = {line.split(":")[0]: line for line in out[:-1]}
     # the workloads, the grid's pair kinds, the adaptive cells, the long
-    # cells' sides, the panel cells' pair, the overflow cells, the usage and
-    # the cell command records
-    assert len(kinds) == 4 + 14 + 1 + 2 + 1 + 1 + 2
+    # cells' sides, the panel cells' pair, the overflow cells, the kk, the
+    # usage and the cell command records
+    assert len(kinds) == 4 + 14 + 1 + 2 + 1 + 1 + 1 + 2
     assert kinds["entropy_ladder"].endswith("0.00e+00 of a value, 5.00e-14 of a term")
     assert kinds["grid Au-Au"].endswith("0.00e+00 of a value, 0.00e+00 of a term")
     assert bit_diff.main(["old", "new"]) == 1  # exact by default

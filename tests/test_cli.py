@@ -1024,37 +1024,68 @@ class TestProcess:
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         assert proc.stdout.splitlines()[1].split()[-2:] == ["347", "true"]
 
+    @pytest.mark.parametrize("omega_p", ["3e153", "5e153"])
+    def test_permittivity_within_its_own_rules_reach_exits_0(self, tmp_path, omega_p):
+        # the modes take a rung that reaches about 18.6 past A, where eps*y/A
+        # stays finite; a check at the farthest reach of any rule, 27.85,
+        # rejected them as overflowing the reflections
+        path = tmp_path / "materials.json"
+        path.write_text(f'[{{"label": "Y", "omega_p_eV": {omega_p}, "nu_eV": 0.0345}}]')
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "casimir.cli",
+                               "pressure", "--materials", str(path), "--pair", "Y,Au",
+                               "--a", "12", "--T", "300"], capture_output=True, text=True,
+                              env=_process_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout.splitlines()[1].split()[-2:] == ["5", "true"]
+
     @pytest.mark.parametrize("grid", [[], ["--grid", "1e-10,1e10,2"]], ids=["default", "given"])
-    def test_kk_samples_that_overflow_the_transform_exit_3(self, tmp_path, grid):
+    def test_kk_samples_whose_squares_overflow_exit_0(self, tmp_path, grid):
         # samples from 1e-300 to 1e300 rad/s: w^2 and w^3*eps'' overflow at the
-        # last.  A given grid met RuntimeWarnings and exited 1 without naming
-        # the file; the default one exited 3 as if --grid had asked for inf points
+        # last, and the transform in their powers rejected the file; only
+        # 2^24 or 2^-24 keep every frequency a normal float
         src = tmp_path / "loss.csv"
         src.write_text("omega_rad_s,eps_imag\n" + "".join(
             f"{w:.12g},1\n" for w in np.logspace(-300, 300, 61)))
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "casimir.cli",
                                "kk", str(src), str(tmp_path / "eps.csv"), *grid],
                               capture_output=True, text=True, env=_process_env(), timeout=120)
-        assert proc.returncode == EXIT_INPUT and proc.stdout == ""
-        assert proc.stderr == (f"error: {src}: the last sample, omega = 1e+300 rad/s and "
-                               "eps'' = 1, overflows the transform: omega^2 and omega^3*eps'' "
-                               "must be finite\n")
+        rows = 41 if grid else 36001
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_OK, f"wrote {rows} rows to {tmp_path / 'eps.csv'}\n", "")
+        _assert_scale_free_table(src, tmp_path / "eps.csv", (1e-10, 1e10) if grid else
+                                 (1e-300, 1e300), (2.0 ** 24, 2.0 ** -24))
 
-    def test_kk_default_grid_below_the_squares_exits_3(self, tmp_path, capsys):
-        # from 1e-300 rad/s the default grid's zeta^2 and omega^2 read 0: the
-        # span of 310 decades, once hi/lo = inf, now reaches the transform
+    def test_kk_default_grid_below_the_squares_exits_0(self, tmp_path, capsys):
+        # from 1e-300 rad/s the default grid's zeta^2 and omega^2 read 0, which
+        # the squared form could not divide: kk asked for a --grid
         src = tmp_path / "loss.csv"
         src.write_text("omega_rad_s,eps_imag\n" + "".join(
             f"{w:.12g},1\n" for w in np.logspace(-300, 10, 32)))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, out, err = run_cli(capsys, "kk", str(src), str(tmp_path / "eps.csv"))
-            assert (code, out) == (EXIT_INPUT, "")
-            assert err == (f"error: {src}: omega^2 underflows at the first sample, "
-                           "1e-300 rad/s; give a --grid\n")
+            assert (code, out, err) == (EXIT_OK, f"wrote 18601 rows to {tmp_path / 'eps.csv'}\n",
+                                        "")
+            _assert_scale_free_table(src, tmp_path / "eps.csv", (1e-300, 1e10), (2.0 ** 64,))
             code, out, _ = run_cli(capsys, "kk", str(src), str(tmp_path / "eps.csv"),
                                    "--grid", "1e-10,1e10,2")
         assert code == EXIT_OK and out.startswith("wrote 41 rows")
+
+    @pytest.mark.parametrize("absorption", [
+        (2.2e-250, 2e77, 20, "flat", 3.0, (2.9e-206, 2.1e174, 0.074)),
+        (2.7e-162, 1e12, 3, "drude", 3.0, None)], ids=["squares-underflow", "subnormal-square"])
+    def test_kk_where_the_squares_underflow_exits_0(self, absorption, tmp_path_factory):
+        # 20 samples whose squares, and those of the grid's first zeta, read 0:
+        # 0/0 and exit 3 "not finite"; 3 samples from 2.7e-162 rad/s, whose
+        # subnormal squares lost the digits of the lowest values: exit 3 "must
+        # be non-increasing"
+        argv = _kk_argv(absorption, tmp_path_factory)
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "casimir.cli",
+                               *argv], capture_output=True, text=True, env=_process_env(),
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        ends = absorption[5] or (absorption[0], absorption[0] * absorption[1])
+        _assert_scale_free_table(argv[1], argv[2], ends[:2], (2.0 ** 64, 2.0 ** -64))
 
     def test_only_the_process_command_freezes_the_heap(self, capsys):
         frozen = gc.get_freeze_count()
@@ -1095,6 +1126,22 @@ class TestProcess:
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (EXIT_COMPUTE, b"")
+
+
+def _assert_scale_free_table(src, table, ends, scales):
+    """The eps column of the table ``kk`` wrote from ``src`` on a grid from
+    ``ends``: finite, non-increasing and printed from the transform on that
+    grid, which gives the same bits on the data scaled by each of ``scales``."""
+    omega, eps2 = read_optical_csv(src)
+    with open(table, newline="") as fh:
+        printed = [row[1] for row in list(csv.reader(fh))[1:]]
+    zeta = np.logspace(np.log10(ends[0]), np.log10(ends[1]), len(printed))
+    eps = kramers_kronig_transform(omega, eps2, zeta)
+    assert printed == [f"{e:.12g}" for e in eps]
+    assert np.isfinite(eps).all() and (np.diff(eps) <= 0.0).all()
+    for scale in scales:
+        assert kramers_kronig_transform(omega * scale, eps2, zeta * scale).tobytes() == \
+            eps.tobytes()
 
 
 def test_parser_exists_for_all_subcommands():
@@ -1165,6 +1212,15 @@ def _kk_argv(absorption, tmp_path_factory):
 @example(command="pressure", a=1.0, T=300.0, pair=("Au", "Au"), int_tol=1e-12, sum_tol=1e-8,
          bloch_gruneisen=False, theta=None, fd_step=None, drude=None,
          absorption=(1e-320, 1e3, 10, "flat", 3.0, (1e-10, 1e10, 2.0)))
+# kk: the squares of the samples and of the first zeta read 0, 0/0: exit 3
+@example(command="pressure", a=1.0, T=300.0, pair=("Au", "Au"), int_tol=1e-12, sum_tol=1e-8,
+         bloch_gruneisen=False, theta=None, fd_step=None, drude=None,
+         absorption=(2.2e-250, 2e77, 20, "flat", 3.0, (2.9e-206, 2.1e174, 0.074)))
+# kk: the subnormal squares of samples from 2.7e-162 rad/s lost the digits of
+# the lowest values, which rose with zeta on the default grid: exit 3
+@example(command="pressure", a=1.0, T=300.0, pair=("Au", "Au"), int_tol=1e-12, sum_tol=1e-8,
+         bloch_gruneisen=False, theta=None, fd_step=None, drude=None,
+         absorption=(2.7e-162, 1e12, 3, "drude", 3.0, None))
 def test_every_input_in_the_domain_exits_with_a_documented_code(
         command, a, T, pair, int_tol, sum_tol, bloch_gruneisen, theta, fd_step, drude,
         absorption, tmp_path_factory):

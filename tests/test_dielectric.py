@@ -310,10 +310,9 @@ class TestKramersKronig:
 
     def test_series_where_the_last_sample_cubed_underflows(self):
         # samples from 2e-134 to 7.4e-120 rad/s on their default grid: omega_N^3
-        # underflows, so the high tail's series coefficient B/omega_N^3 read
-        # 0/0 below zeta = 0.1 omega_N, and its closed form 0 above.  The
-        # transform depends on frequency ratios alone: scaled by 2^400 it is
-        # the same
+        # underflows, so a high tail in powers of omega_N read 0/0 below
+        # zeta = 0.1 omega_N, and 0 above.  The transform depends on frequency
+        # ratios alone: scaled by 2^400 it is the same, bit for bit
         w = np.geomspace(2.04e-134, 7.4e-120, 37)
         zeta = np.geomspace(w[0], w[-1], 14 * 60 + 1)
         scale = 2.0 ** 400
@@ -321,13 +320,39 @@ class TestKramersKronig:
             warnings.simplefilter("error", RuntimeWarning)
             got = kramers_kronig_transform(w, np.full(37, 14.49), zeta)
         want = kramers_kronig_transform(w * scale, np.full(37, 14.49), zeta * scale)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("w0, zeta", [(1e-200, 1e-200), (1e10, 1e-300)],
-                             ids=["squares-underflow", "tiny-zeta"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(first=st.floats(-280.0, 250.0), decades=st.floats(0.5, 30.0), n=st.integers(2, 40),
+           shape=st.sampled_from(["flat", "drude", "zero-tail"]), level=st.floats(-6.0, 6.0),
+           grid=st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 40.0), st.integers(1, 300)),
+           k=st.floats(0.0, 1.0))
+    def test_scaling_every_frequency_by_a_power_of_two_changes_no_bit(
+            self, first, decades, n, shape, level, grid, k):
+        # samples 10^first..10^(first + decades) rad/s with eps'' flat,
+        # Drude-like or zero over the upper half, zeta from 10^grid[0] below
+        # the first over grid[1] decades, and 2^k with every frequency normal
+        w = np.logspace(first, first + decades, n)
+        x = np.logspace(-0.5 * decades, 0.5 * decades, n)  # over the geometric centre
+        eps2 = 10.0 ** level * {"flat": np.ones(n), "drude": 1.0 / (x * (1.0 + x * x)),
+                                "zero-tail": (np.arange(n) < max(1, n // 2)).astype(float)}[shape]
+        zeta = np.logspace(first + grid[0], first + grid[0] + grid[1], grid[2])
+        e_lo, e_hi = math.frexp(min(w[0], zeta[0]))[1], math.frexp(max(w[-1], zeta[-1]))[1]
+        k = round(-1021 - e_lo + k * (1024 - e_hi + 1021 + e_lo))
+        results = []
+        for frequencies in ((w, zeta), (np.ldexp(w, k), np.ldexp(zeta, k))):
+            try:
+                results.append(kramers_kronig_transform(frequencies[0], eps2, frequencies[1]))
+            except ValueError as exc:
+                results.append(str(exc).split(" at zeta")[0])
+        if isinstance(results[0], np.ndarray):
+            assert results[1].tobytes() == results[0].tobytes(), k
+        else:
+            assert results[1] == results[0]
+
+    @pytest.mark.parametrize("w0, zeta", [(1e10, 1e-300)], ids=["tiny-zeta"])
     def test_a_value_that_is_not_finite_raises_naming_zeta(self, w0, zeta):
-        # omega^2 and zeta^2 both underflow to 0, 0/0; or omega_0 eps''/zeta
-        # overflows: RuntimeWarnings, then NaN or inf returned
+        # omega_0 eps''/zeta overflows, and eps(i*zeta), about 1e310, with it
         w = w0 * np.geomspace(1.0, 1e3, 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -335,6 +360,29 @@ class TestKramersKronig:
                                                  rf"zeta = {zeta:.6g} rad/s: the transform "
                                                  rf"over- or underflows there$"):
                 kramers_kronig_transform(w, np.full(10, 3.0), np.array([zeta, 1e20]))
+
+    def test_no_absorption_at_the_first_sample_adds_no_low_tail(self):
+        # eps''_0 = 0 with rho = omega_0/zeta infinite: 0 * inf would read NaN
+        w, zeta = 1e10 * np.geomspace(1.0, 1e3, 10), np.array([1e-300, 1e20])
+        eps2 = np.append(0.0, np.full(9, 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = kramers_kronig_transform(w, eps2, zeta)
+        assert got[0] == kramers_kronig_transform(w, eps2, 1e-200) and got[0] > got[1] > 1.0
+
+    @pytest.mark.parametrize("w0, zeta", [(1e-200, 1e-200)], ids=["squares-underflow"])
+    def test_a_value_where_the_squares_underflow_is_finite(self, w0, zeta):
+        # omega^2 and zeta^2 both underflow to 0: the squared form read 0/0
+        # and raised; in ratios the values are finite, non-increasing and
+        # the same, bit for bit, on the data scaled by 2^64 or 2^-64
+        w, eps2, zeta = w0 * np.geomspace(1.0, 1e3, 10), np.full(10, 3.0), np.array([zeta, 1e20])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = kramers_kronig_transform(w, eps2, zeta)
+            for scale in (2.0 ** 64, 2.0 ** -64):
+                assert kramers_kronig_transform(w * scale, eps2, zeta * scale).tobytes() == \
+                    got.tobytes()
+        assert np.isfinite(got).all() and got[0] > got[1] == 1.0
 
     def test_memory_per_frequency_is_bounded(self):
         # the split sample intervals are built per block of frequencies;

@@ -1994,15 +1994,39 @@ class TestPlans:
 
     @pytest.mark.parametrize("what", sorted(EVALUATE))
     def test_each_mode_is_checked_at_its_own_lower_limit(self, what):
-        # at gamma 24.7 half the largest float overflows at mode 1's farthest
-        # node, 1 + reach/A = 2.13 times eps, but not at mode 2's, 1.56 times
+        # at gamma 24.7 the modes take the last rung, whose farthest node lies
+        # 18.5 past A: the largest float over 1.6 overflows at mode 1's, 1 +
+        # reach/A = 1.75 times eps, but not at mode 2's, 1.38 times
         geom = Geometry(30.0, 300.0)
         zeta = matsubara_frequency(1, geom.T_K)
-        half = 0.5 * np.finfo(float).max
-        with pytest.raises(ValueError, match=rf"^Above: epsilon = 8.98847e\+307 at zeta = "
+        big = np.finfo(float).max / 1.6
+        with pytest.raises(ValueError, match=rf"^Above: epsilon = 1.12356e\+308 at zeta = "
                                              rf"{zeta:.6g} eV overflows the reflections$"):
-            EVALUATE[what](geom, Above((0.0, half)), AU)
-        assert EVALUATE[what](geom, Above((0.0, np.inf), (zeta * 1.5, half)), AU).converged
+            EVALUATE[what](geom, Above((0.0, big)), AU)
+        assert EVALUATE[what](geom, Above((0.0, np.inf), (zeta * 1.5, big)), AU).converged
+
+    @pytest.mark.parametrize("what", sorted(EVALUATE))
+    def test_each_mode_is_checked_at_its_own_rules_reach(self, what):
+        # half the largest float overflows at mode 1 only past the farthest
+        # node of another rule, 27.85 past A (2.13 times eps): the sum takes it
+        geom = Geometry(30.0, 300.0)
+        half = 0.5 * np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert EVALUATE[what](geom, Above((0.0, half)), AU).converged
+
+    @pytest.mark.parametrize("what", sorted(EVALUATE))
+    def test_a_mode_for_the_adaptive_quadrature_is_checked_at_y_max(self, what):
+        # at integral_rel_tol 1e-30 no pair certifies mode 1, and the adaptive
+        # quadrature reaches y_max = A + 39.5, where eps = max/2.2 overflows
+        # (2.6 times eps), though at the rung's nodes (1.75 times) it did not
+        geom, spec = Geometry(30.0, 300.0), QuadratureSpec(integral_rel_tol=1e-30)
+        zeta = matsubara_frequency(1, geom.T_K)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=rf"^Above: epsilon = 8.17133e\+307 at zeta = "
+                                                 rf"{zeta:.6g} eV overflows the reflections$"):
+                EVALUATE[what](geom, Above((0.0, np.finfo(float).max / 2.2)), AU, spec)
 
     @pytest.mark.parametrize("what", sorted(EVALUATE))
     def test_epsilon_below_one_past_the_last_block_is_not_read(self, what):
@@ -2069,7 +2093,7 @@ class TestPlans:
             evaluate(*args, Geometry(1.0, 300.0), AU, Flat(DB.get("Au")))
 
     def test_the_reach_covers_every_node(self):
-        # a block checks eps*y/A at its modes against the farthest node
+        # a block screens eps*y/A at its modes against the farthest node
         # of any rule, A-scaled ones included, or of the adaptive fallback
         scaled = [_scaled_rule(k) for k in range(1, 25)]
         assert _RULE_REACH >= max(float((y0 + 2.0 ** -k * dy).max())

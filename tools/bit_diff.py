@@ -41,6 +41,10 @@ the type and message of the error it raised (with the partial result of a
   ``python -m casimir.cli`` on the absorption files that the benchmark's
   ``Cli`` (``perfbench/worker.py``) writes: its exit code, its stdout and,
   for ``kk``, the bytes of the table it writes;
+- ``kk`` on the absorption data of the tests that pin the transform's
+  range (KK_INPUTS: samples whose squares under- or overflow, a zeta whose
+  value is not representable), each run as ``python -m casimir.cli``: its
+  exit code, stdout, stderr and the bytes of the table it writes;
 - the help and usage errors of ``python -m casimir.cli`` (USAGE): the
   top-level and every command's ``--help``, no command, and an option
   ``sweep`` does not take, each with its exit code, stdout and stderr;
@@ -56,7 +60,8 @@ whose terms differ also gets the largest |old - new| of its terms relative
 to |value|, which shows whether terms moved only far below the value's last
 bit.  ``--limit N`` takes only the first N inputs of each recorded file, the
 first N grid cells of each pair kind and the first N adaptive, long,
-panel and overflow cells; the usage and cell command records are always all run.
+panel, overflow and ``kk`` records; the usage and cell command records are
+always all run.
 
 The script also prints, per record kind that did any, the work each tree
 did: integer-mode plans + sample plans (``_plan`` calls on Matsubara
@@ -161,6 +166,26 @@ WRAPS = {"lifshitz._plan": (lambda ms, *_: {0 if ms.dtype.kind in "iu" else 1: 1
 PARTS = tuple(dict.fromkeys(part for _, part in WRAPS.values() if part))
 # timed passes per round of a split on trees (split_trees)
 ROUND = 3
+# (name, omega_rad_s,eps_imag rows, --grid or None) of the kk records, the data
+# written as the tests write them: the two reproductions of
+# test_kk_where_the_squares_underflow_exits_0, the samples of
+# TestKramersKronig::test_a_value_where_the_squares_underflow_is_finite and
+# ::test_a_value_that_is_not_finite_raises_naming_zeta on a grid through
+# their zeta, and those of test_kk_samples_whose_squares_overflow_exit_0 and
+# test_kk_default_grid_below_the_squares_exits_0
+_FLAT = np.array([2.2e-250 * 2e77 ** (k / 19) for k in range(20)])
+_DRUDE = np.array([2.7e-162 * 1e12 ** (k / 2) for k in range(3)])
+_LOG_X = np.log(_DRUDE) - 0.5 * (np.log(_DRUDE[0]) + np.log(_DRUDE[-1]))
+KK_INPUTS = (
+    ("flat from 2.2e-250", [f"{w!r},3.0" for w in _FLAT.tolist()], "2.9e-206,2.1e174,0.074"),
+    ("drude from 2.7e-162", [f"{w!r},{e!r}" for w, e in zip(_DRUDE.tolist(), np.exp(
+        math.log(3.0) - _LOG_X - np.logaddexp(0.0, 2.0 * _LOG_X)).tolist())], None),
+    ("squares-underflow", [f"{w:.12g},3" for w in np.geomspace(1e-200, 1e-197, 10)],
+     "1e-200,1e20,0.05"),
+    ("tiny-zeta", [f"{w:.12g},3" for w in np.geomspace(1e10, 1e13, 10)], "1e-300,1e20,0.05"),
+    *((name, [f"{w:.12g},1" for w in np.logspace(*span)], grid)
+      for name, span in (("1e-300 to 1e300", (-300, 300, 61)), ("1e-300 to 1e10", (-300, 10, 32)))
+      for grid in (None, "1e-10,1e10,2")))
 # argv of the help and usage records
 USAGE = (["--help"], *([cmd, "--help"] for cmd in ("pressure", "sweep", "table", "entropy", "kk")),
          [], ["sweep", "--format", "json"])
@@ -508,9 +533,9 @@ def _ratio(new: list, old: list, value) -> str:
 
 
 def _cli_records(C, limit: int | None):
-    """(id, fields) of the recorded ``cli_tabulated`` invocations, of USAGE
-    and of CELLS, each run as ``python -m casimir.cli`` on the package ``C``'s
-    tree."""
+    """(id, fields) of the recorded ``cli_tabulated`` invocations, of
+    KK_INPUTS, USAGE and CELLS, each run as ``python -m casimir.cli`` on the
+    package ``C``'s tree."""
     sys.path.insert(0, str(PERFBENCH))
     from worker import Cli
 
@@ -529,6 +554,19 @@ def _cli_records(C, limit: int | None):
                 if inv[0] == "kk":
                     fields["table"] = base64.b64encode(Path(argv[2]).read_bytes()).decode()
                 yield f"cli_tabulated-{seed} #{i} {' '.join(map(str, inv[:3]))}", fields
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, rows, grid in KK_INPUTS[:limit]:
+            src, out = Path(workdir, "loss.csv"), Path(workdir, "eps.csv")
+            src.write_text("omega_rad_s,eps_imag\n" + "".join(f"{row}\n" for row in rows))
+            out.unlink(missing_ok=True)
+            argv = ["kk", str(src), str(out), *(["--grid", grid] if grid else [])]
+            proc = subprocess.run([sys.executable, "-m", "casimir.cli", *argv],
+                                  env=env, capture_output=True, text=True)
+            fields = {"exit": proc.returncode, "stdout": proc.stdout.replace(workdir, "WORKDIR"),
+                      "stderr": proc.stderr.replace(workdir, "WORKDIR")}
+            if out.exists():
+                fields["table"] = base64.b64encode(out.read_bytes()).decode()
+            yield f"kk {name} on {f'--grid {grid}' if grid else 'the default grid'}", fields
     for kind, argvs in (("usage", USAGE), ("cells", CELLS)):
         for argv in argvs:
             proc = subprocess.run([sys.executable, "-m", "casimir.cli", *argv],
@@ -602,8 +640,8 @@ def compare(old: dict, new: dict, rel: float | None = None) -> list[str]:
 def _kind(key: str) -> str:
     """The record kind of a key: its workload, its grid pair kind, the
     adaptive cells, a long cell's sides, a panel cell's pair, the overflow
-    cells, the usage records or the cell commands' records."""
-    if key.startswith(("usage ", "cells ")):
+    cells, the kk records, the usage records or the cell commands' records."""
+    if key.startswith(("usage ", "cells ", "kk ")):
         return key.split(" ")[0]
     if key.startswith(("grid ", "adaptive ", "long ", "panel ", "overflow ")):
         return key.split(" a=")[0]
