@@ -7,7 +7,8 @@ check), and ``kk`` (Kramers-Kronig ingestion of absorption data).
 
 Exit codes: 0 success, 1 computational failure, 2 tolerance failure,
 3 input or usage error.  Input is checked where it enters, so any other
-error raised by the numerics counts as a computational failure.
+error raised by the numerics counts as a computational failure, and so
+does a standard output that cannot be written.
 
 ``main`` builds only the named command's parser, and each command imports
 what it runs: ``golden`` for ``table``, ``lifshitz`` for the commands that
@@ -59,6 +60,30 @@ COMMANDS = ("pressure", "sweep", "table", "entropy", "kk")
 
 class InputError(ValueError):
     """Bad command line input or unreadable data file."""
+
+
+class _StdoutError(Exception):
+    """Standard output cannot be written; holds the OSError that said so."""
+
+
+class _Stdout:
+    """The commands' stream, sys.stdout: an OSError of a write or a flush other
+    than a broken pipe is raised as _StdoutError, so main tells it from others."""
+
+    def write(self, text):
+        return self._call(sys.stdout.write, text)
+
+    def flush(self):
+        self._call(sys.stdout.flush)
+
+    @staticmethod
+    def _call(method, *args):
+        try:
+            return method(*args)
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            raise _StdoutError(exc) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -462,12 +487,15 @@ def main(argv=None) -> int:
         argv = sys.argv[1:] if argv is None else list(argv)
         parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
         args = _apply_config(parser.parse_args(argv), argv)
-        code = args.func(args, sys.stdout)
-        sys.stdout.flush()
+        code = args.func(args, stream := _Stdout())
+        stream.flush()
         return code
-    except BrokenPipeError:
-        # the reader closed stdout: send the rest to devnull, so the flush
-        # at exit cannot fail again (Python's documented recipe)
+    except (BrokenPipeError, _StdoutError) as exc:
+        # the reader closed stdout, or it cannot be written (a full disk): send
+        # the rest to devnull, so the flush at exit cannot fail again (Python's
+        # documented recipe for a broken pipe)
+        if isinstance(exc, _StdoutError):
+            print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_COMPUTE
     except (InputError, UnknownMaterialError, NuRangeError) as exc:

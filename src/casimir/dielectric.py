@@ -468,7 +468,8 @@ def kramers_kronig_transform(
     u = 0.1, where this cancels).  Inside, eps'' is interpolated between
     samples (log-log when strictly positive) and integrated with
     Gauss-Legendre nodes in t = ln(w/2^e), 2^e the power of two halfway
-    between the binary exponents of w_0 and w_N, as the sum of
+    between the binary exponents of w_0 and w_N, raised so that w_N/2^e
+    stays below 2^1020 (only spans past about 2^2040 need it), as the sum of
     c/(1 + (zeta/w)^2), c = eps'' times the node weight; the sample
     interval holding w = zeta is split there.  No power of a frequency is
     formed, and scaling every frequency by 2^k changes no bit while all
@@ -486,7 +487,8 @@ def kramers_kronig_transform(
         raise ValueError("zeta must be positive")
     z = zeta.ravel()
 
-    e = (math.frexp(w[0])[1] + math.frexp(w[-1])[1]) // 2
+    e0, eN = math.frexp(w[0])[1], math.frexp(w[-1])[1]
+    e = max((e0 + eN) // 2, eN - 1020)  # w_N/2^e finite, even from a subnormal w_0
     x, y = np.ldexp(w, -e), np.ldexp(z, -e)  # w/2^e and zeta/2^e, exact
     t = np.log(x)
     log_e2 = np.log(e2) if np.all(e2 > 0) else None

@@ -15,11 +15,13 @@ for any reflections in [0, 1] shows the sum must stop, so a short sum
 takes one block.  Each later one takes as many modes as fill the nodes of
 that first block's rule pairs, its bound scaled through the last term so
 that it ends near the stop.  A sum plans once: the permittivities of all
-the modes the bound lets it reach, up to max_terms, each side classified
-once as ideal at all, none or some of them, and each block takes a slice
-of that plan and checks the permittivities of its own modes, so no mode
-past the last block is checked.  A sum whose bound puts mode 1 below its
-first floor reads 0 up to min_terms, never planned or integrated.  A sum
+the modes the bound lets it reach, up to max_terms, one side per model.
+A request (lower, zeta, sides, floor) slices a plan, and its block
+(_mode_block) makes every decision on its permittivities: it merges two
+sides equal over its rows, classifies each as ideal at all, none or some
+of them and checks them for overflow and below 1, so no mode past the last
+block is read.  A sum whose bound puts mode 1 below its first floor reads
+0 up to min_terms, never planned or integrated.  A sum
 (_sum_steps) finds its first block's end and makes its plan in a straight
 line; then every block goes through one body, which asks for the block's
 integrals (_summed_modes answers with _mode_block), unless an interpolant
@@ -199,7 +201,7 @@ class _Workspace:
         return self.floats[:8 * n].reshape((8,) + shape)  # unpacking it would cost 1 us
 
 
-# How a side reflects over the modes of a plan: as an ideal metal
+# How a side reflects over the modes of a block: as an ideal metal
 # (eps = inf) at every mode, at none, or at some (_kernel_sides).
 _IDEAL, _FINITE, _MIXED = "ideal", "finite", "mixed"
 
@@ -211,9 +213,9 @@ _ZERO, _ONE, _MINUS_TWO, _INF = np.array(0.0), np.array(1.0), np.array(-2.0), np
 
 
 def _kernel_sides(*eps):
-    """The kind of each side over a plan's modes from its count of eps = inf, as _mode_kernel
-    takes it; a slice keeps it, as _MIXED gives ideal and finite rows their own bits.  A NaN
-    mode is not ideal: it gives NaN."""
+    """The kind of each side over a block's modes from its count of eps = inf, as _mode_kernel
+    takes it; _MIXED gives ideal and finite rows their own bits, so a row's value does not
+    depend on its block.  A NaN mode is not ideal: it gives NaN."""
     kinds = []
     for e in eps:  # a count, not a reduction such as max(), which costs more
         infs = _count_nonzero(np.equal(e, _INF))
@@ -456,27 +458,18 @@ def _bound_end(low: int, high: int, gamma: float, log_target: float, free_energy
 
 
 def _plan(ms: np.ndarray, gamma, zeta1, model1: DielectricModel, model3: DielectricModel):
-    """Lower limits m*gamma, zeta_m = m*zeta1 in eV, (model, eps(i zeta_m))
-    per distinct side of the Matsubara indices ``ms`` and their kinds
-    (_kernel_sides): one epsilon call per model, and one side where both
-    give equal permittivities, so one interface serves both.  Raises
-    TypeError if a model gives other than one permittivity per frequency;
-    the blocks check the values of the modes they take (_mode_block)."""
+    """Lower limits m*gamma, zeta_m = m*zeta1 in eV and (model, eps(i zeta_m)) per distinct
+    model object of the Matsubara indices ``ms``, one epsilon call each.  It only evaluates,
+    raising TypeError if a model gives other than one permittivity per frequency; the block
+    that takes a slice of it decides the rest (_mode_block)."""
     lower, zeta, sides = ms * gamma, ms * zeta1, []
     for model in (model1,) if model3 is model1 else (model1, model3):
         eps = np.asarray(model.epsilon(zeta), dtype=float)
         if eps.shape != zeta.shape:
             raise TypeError(f"{model!r}: epsilon gave shape {eps.shape} for zeta of shape "
                             f"{zeta.shape}; it must give one permittivity per frequency")
-        if not sides or _count_nonzero(np.not_equal(sides[0][1], eps)):
-            sides.append((model, eps))
-    return lower, zeta, sides, _kernel_sides(*[e for _, e in sides])
-
-
-def _reach(spec: QuadratureSpec) -> float:
-    """Farthest offset y - A of a node of a mode integral under ``spec``: a
-    rung's, or the adaptive fallback's y_max - A, largest at A = 0."""
-    return max(_RULE_REACH, 1.0 + 0.5 * math.log(1.0 / spec.integral_rel_tol) + _Y_MAX_PAD)
+        sides.append((model, eps))
+    return lower, zeta, sides
 
 
 def _check_reach(model, eps, lower, zeta, reach):
@@ -491,9 +484,9 @@ def _check_reach(model, eps, lower, zeta, reach):
                          f"overflows the reflections")
 
 
-def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: QuadratureSpec,
+def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, spec: QuadratureSpec,
                 floor: float, free_energy: bool, work: _Workspace):
-    """Mode integrals of a slice of a _plan, ascending in m >= 1, in one block.
+    """Mode integrals of a request, a slice of a _plan ascending in m >= 1.
 
     Each integral is certified to max(integral_rel_tol * |I_m|, floor), the
     kernel working in ``work``, on the free-energy integrand with
@@ -505,16 +498,23 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: Quadrat
     nodes in a row; einsum, unlike BLAS, sums each row alike, so a value
     does not depend on its block.  Each mode below the floor or whose pair
     misses the target goes to ``integrate_adaptive`` alone, on its first
-    breaks below y_max, then y_max.  ``kinds`` classify the sides over
-    their plan (_plan), so the kernel takes a side ideal at every mode as
-    reflection 1 and one ideal at none without looking for ideal rows.
-    Raises ValueError (_check_reach) naming the first mode of a side whose
-    finite permittivity times y/A overflows at the farthest node of its
-    pair, else the first below 1; the modes that go to the adaptive
-    quadrature are checked likewise against y_max before it takes them.
-    Returns (values, errors, failed); a failed mode holds its uncertified
-    estimate.
+    breaks below y_max, then y_max.
+
+    Every decision about the permittivities of these rows is made here: two
+    sides equal over them are one interface, and each side is classified
+    over them (_kernel_sides), so the kernel takes a side ideal at every
+    mode as reflection 1 and one ideal at none without looking for ideal
+    rows.  Only a side with a finite value above the largest float over the
+    first mode's 1 + _RULE_REACH/A is checked mode by mode at its own pair's
+    farthest node (_check_reach).  Raises ValueError naming the first mode
+    of a side that overflows there, else the first below 1; the modes that
+    go to the adaptive quadrature are checked likewise against y_max before
+    it takes them.  Returns (values, errors, failed); a failed mode holds
+    its uncertified estimate.
     """
+    if len(sides) == 2 and not _count_nonzero(np.not_equal(sides[0][1], sides[1][1])):
+        sides = sides[:1]  # equal over these rows: one interface serves both
+    kinds = _kernel_sides(*[e for _, e in sides])
     start, rungs = _rungs(lower, free_energy)
     if rungs and type(rungs[0][2]) is int:  # A-scaled runs, which come first: a pair per mode
         for r, (lo, hi, count, n) in enumerate(rungs):
@@ -522,9 +522,8 @@ def _mode_block(lower: np.ndarray, zeta: np.ndarray, sides, kinds, spec: Quadrat
                 y0, dy, w0, dw = _scaled_rule(count)
                 A = lower[lo:hi, None]
                 rungs[r] = lo, hi, (y0 + A * dy, w0 + A[..., None] * dw), n
-    # no finite eps below the largest float over the first mode's 1 + reach/A,
-    # the farthest reach of any rule, can overflow, and an inf is above it
-    limit = sys.float_info.max / (1.0 + _reach(spec) / lower.item(0))
+    # no finite eps below this overflows at any rule's node, and an inf is above it
+    limit = sys.float_info.max / (1.0 + _RULE_REACH / lower.item(0))
     for (model, e), kind in zip(sides, kinds):  # NaN passes both: such a mode fails to certify
         if kind is _IDEAL:  # inf at every mode
             continue
@@ -596,13 +595,14 @@ def _screen(eps):
 def _sampled(plan, floor, ms):
     """Mode integrals at ``ms``, Chebyshev points a row per panel, from one _plan (``plan``:
     gamma, zeta1, both models): a generator that asks, as _sum_steps asks for a block, for
-    the rows _screen passes with ``floor``; NaN across the other rows and where a mode fails."""
-    lower, zeta, sides, kinds = _plan(ms.ravel(), *plan)
+    the rows _screen passes, a request (lower, zeta, sides, ``floor``); NaN across the other
+    rows and where a mode fails."""
+    lower, zeta, sides = _plan(ms.ravel(), *plan)
     ok, out = _screen([e.reshape(ms.shape) for _, e in sides]), np.full(ms.shape, np.nan)
     if ok.any():
         keep = ok.repeat(ms.shape[1])
         values, _, failed = yield (
-            lower[keep], zeta[keep], [(model, e[keep]) for model, e in sides], kinds, floor)
+            lower[keep], zeta[keep], [(model, e[keep]) for model, e in sides], floor)
         out[ok] = np.where(failed, np.nan, values).reshape(-1, ms.shape[1])
     return out
 
@@ -689,9 +689,9 @@ def _scan_arrays(values: np.ndarray, acc: float, comp: float, first: int, min_te
 def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
                spec: QuadratureSpec, free_energy: bool):
     """Primed Matsubara sum of the pressure or the free energy, a generator
-    holding one sum's state: it yields a request, (lower, zeta, sides, kinds,
-    floor), for each block it integrates and each degree of Chebyshev samples
-    (_sampled), and takes back _mode_block's answer.
+    holding one sum's state: it yields a request, (lower, zeta, sides,
+    floor), for each block it integrates and each degree of Chebyshev
+    samples (_sampled), and takes back _mode_block's answer.
 
     Every integral of a block is certified to max(integral_rel_tol * |I_m|,
     integral_rel_tol * sum_rel_tol * |S|), with S the running sum at the
@@ -709,8 +709,8 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
     1..min_terms read 0 and the sum returns, with no plan or block.
     Otherwise one bisection (_bound_end) ends the block within _BLOCK_CAP
     modes, so a sum of up to _BLOCK_CAP terms takes one block, and the sum
-    makes its one plan (_plan, a kind per side, its values checked by the
-    blocks that take them): that block's modes, or, if it fills _BLOCK_CAP,
+    makes its one plan (_plan, a side per model, its values read only by
+    the blocks that take them): that block's modes, or, if it fills _BLOCK_CAP,
     those up to the first m >= min_terms where a second bisection finds the
     bound meeting the same target, or max_terms.
 
@@ -781,7 +781,7 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
     planned = hi if hi < _BLOCK_CAP else _bound_end(max(hi, min_terms), max_terms, gamma,
                                                      target, free_energy)
     plan = gamma, zeta1, model1, model3  # _plan's arguments past the modes
-    lower, zeta, sides, kinds = _plan(np.arange(1, planned + 1), *plan)
+    lower, zeta, sides = _plan(np.arange(1, planned + 1), *plan)
     # a slice of each block's values; the first block: no interpolant, its nodes not counted
     terms, first, coeffs, fill = [], 1, None, None
     # {first mode: (last mode, coefficients or None)} of the panels; for analytic sides
@@ -793,7 +793,7 @@ def _sum_steps(geom: Geometry, model1: DielectricModel, model3: DielectricModel,
             values = chebyshev._interpolated(coeffs, first, hi, gamma)
         else:  # the request: the block's slice of the plan, and its floor
             values, errors, failed = yield (
-                lower[part], zeta[part], [(model, e[part]) for model, e in sides], kinds, floor)
+                lower[part], zeta[part], [(model, e[part]) for model, e in sides], floor)
             if _count_nonzero(failed):
                 n_ok = int(failed.argmax())
         scan = _scan_arrays if n_ok >= _ARRAY_SCAN else _scan_loop
@@ -851,8 +851,8 @@ def _summed_modes(geom: Geometry, model1: DielectricModel, model3: DielectricMod
     steps = _sum_steps(geom, model1, model3, spec, free_energy)
     try:
         while True:
-            lower, zeta, sides, kinds, floor = steps.send(out)
-            out = _mode_block(lower, zeta, sides, kinds, spec, floor, free_energy, work)
+            lower, zeta, sides, floor = steps.send(out)
+            out = _mode_block(lower, zeta, sides, spec, floor, free_energy, work)
     except StopIteration as done:
         return done.value
 

@@ -53,6 +53,20 @@ def test_a_tree_against_itself_differs_nowhere(capsys):
     assert figure("bound evaluations")["work cold_sum"] > 0
 
 
+def test_the_last_kk_inputs_span_past_the_float_range_on_a_normal_grid():
+    # samples from a subnormal first one to 1e300 rad/s, eps'' 3, on a grid
+    # whose every point is a normal float, through 1e-250, 1e-10 and 1e200
+    for name, rows, grid in bit_diff.KK_INPUTS[-2:]:
+        omega, eps2 = np.array([row.split(",") for row in rows], dtype=float).T
+        assert 0.0 < omega[0] < np.finfo(float).tiny and omega[-1] == 1e300
+        assert (eps2 == 3.0).all() and omega.size in (4, 3000)
+        lo, hi, per_decade = (float(v) for v in grid.split(","))
+        lo, hi = np.log10(lo), np.log10(hi)  # as casimir kk spaces its grid
+        zeta = np.logspace(lo, hi, round((hi - lo) * per_decade) + 1)
+        assert (zeta >= np.finfo(float).tiny).all()
+        assert np.isclose(np.log10(zeta), [[-250.0], [-10.0], [200.0]], atol=1e-9).any(axis=1).all()
+
+
 @pytest.fixture(scope="module")
 def records():
     return dict(bit_diff.records(limit=2))

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import errno
 import gc
 import io
 import json
@@ -1126,6 +1127,51 @@ class TestProcess:
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (EXIT_COMPUTE, b"")
+
+    def test_a_stdout_that_cannot_be_written_exits_1_with_one_error_line(self, capsys,
+                                                                         monkeypatch):
+        # stdout's write fails with ENOSPC: one error line, exit 1, and stdout
+        # pointed at devnull (here a descriptor of the test's own)
+        class Full:
+            def __init__(self):
+                self.fd = os.open(os.devnull, os.O_WRONLY)
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+        full = Full()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", full)
+                code = main(["pressure", "--a", "1", "--T", "300"])
+        finally:
+            os.close(full.fd)
+        assert (code, capsys.readouterr().err) == (
+            EXIT_COMPUTE, "error: cannot write standard output: [Errno 28] No space left on "
+                          "device\n")
+        # an OSError raised elsewhere is not stdout's, and is not reported as it
+        def fails(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(casimir.lifshitz, "casimir_pressure", fails)
+        with pytest.raises(OSError, match="No space left on device"):
+            main(["pressure", "--a", "1", "--T", "300"])
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["pressure", "sweep"])
+    def test_a_full_device_as_stdout_exits_1_with_one_error_line(self, command):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "casimir.cli", command, "--a", "1",
+                                   "--T", "300"], stdout=full, stderr=subprocess.PIPE,
+                                  env=_process_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (
+            EXIT_COMPUTE, b"error: cannot write standard output: [Errno 28] No space left on "
+                          b"device\n")
 
 
 def _assert_scale_free_table(src, table, ends, scales):

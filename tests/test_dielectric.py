@@ -350,6 +350,28 @@ class TestKramersKronig:
         else:
             assert results[1] == results[0]
 
+    def test_a_span_past_the_float_range_meets_the_closed_form(self):
+        # samples from a subnormal 1e-320 to 1e300 rad/s span more than the
+        # float range, so w_N over the power of two halfway between the ends
+        # overflowed; flat eps'' = 3 gives the window (eps''/2) ln((w_N^2 +
+        # zeta^2)/(w_0^2 + zeta^2)), taken in logs, plus the transform's tails
+        w, e2 = np.logspace(-320, 300, 3000), 3.0
+        assert 0.0 < w[0] < np.finfo(float).tiny
+
+        def log_sum_of_squares(a, b):  # ln(a^2 + b^2)
+            return 2.0 * math.log(max(a, b)) + math.log1p((min(a, b) / max(a, b)) ** 2)
+        zeta = np.array([1e-250, 1e-10, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = kramers_kronig_transform(w, np.full(w.size, e2), zeta)
+        for z, value in zip(zeta.tolist(), got.tolist()):
+            window = 0.5 * e2 * (log_sum_of_squares(w[-1], z) - log_sum_of_squares(w[0], z))
+            rho, u = w[0] / z, z / w[-1]
+            high = (1 / 3 - u * u / 5 + u**4 / 7 - u**6 / 9 if u < 0.1
+                    else (1.0 - math.atan(u) / u) / u / u)
+            want = 1.0 + 2.0 / math.pi * (window + e2 * rho * math.atan(rho) + e2 * high)
+            assert value == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("w0, zeta", [(1e10, 1e-300)], ids=["tiny-zeta"])
     def test_a_value_that_is_not_finite_raises_naming_zeta(self, w0, zeta):
         # omega_0 eps''/zeta overflows, and eps(i*zeta), about 1e310, with it

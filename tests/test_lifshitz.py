@@ -50,7 +50,6 @@ from casimir.lifshitz import (
     _mode_block,
     _mode_kernel,
     _plan,
-    _reach,
     _reflections,
     _rungs,
     _scaled_rule,
@@ -652,8 +651,8 @@ def finish(steps, out, spec, free_energy, work, block=_mode_block):
     _summed_modes answers it, by ``block``."""
     try:
         while True:
-            lower, zeta, sides, kinds, floor = steps.send(out)
-            out = block(lower, zeta, sides, kinds, spec, floor, free_energy, work)
+            lower, zeta, sides, floor = steps.send(out)
+            out = block(lower, zeta, sides, spec, floor, free_energy, work)
     except StopIteration as done:
         return done.value
 
@@ -664,7 +663,9 @@ AL_BG = DrudeModel(DB.get("Al"), BlochGruneisenParams())
 class TestBlockRequests:
     # a sum asks for every block it integrates, its first one included, so
     # one _mode_block call can serve the first blocks of several sums, as a
-    # grid evaluator would, and each sum keeps the bits it has alone
+    # grid evaluator would, and each sum keeps the bits it has alone: a
+    # request is modes, frequencies, sides and a floor, and the block
+    # decides on the permittivities of the rows it takes
 
     @pytest.mark.parametrize("what, cells, pair, spec", [
         ("pressure", [(5.0, 300.0), (2.0, 318.0)], (AU, AU), QuadratureSpec()),
@@ -672,11 +673,16 @@ class TestBlockRequests:
         ("free-energy", [(0.618, 3.5), (0.618, 4.5)], (AL_BG, AL_BG), _ENTROPY_SPEC),
         # and at 2 K with two sides, each side's permittivities merged
         ("free-energy", [(1.0, 1.5), (1.0, 2.5)], (AU, DrudeModel(DB.get("Al"))), _ENTROPY_SPEC),
+        # two sums whose first requests classify a side differently: Au
+        # ideal above 1 eV (Above), finite at every mode of the first cell's
+        # (up to 0.81 eV) and ideal at some of the second's (up to 1.38 eV)
+        ("pressure", [(5.0, 300.0), (2.0, 318.0)], None, QuadratureSpec()),
     ])
     def test_one_call_answers_the_first_blocks_of_two_sums(self, what, cells, pair, spec,
                                                            monkeypatch):
         from casimir import lifshitz
 
+        pair = pair or (Above((1.0, np.inf)), AU)
         free, geoms = what == "free-energy", [Geometry(a_um, T_K) for a_um, T_K in cells]
         alone = [EVALUATE[what](geom, *pair, spec) for geom in geoms]
         callers = []  # of _mode_block inside the sums: none, the samples are requests too
@@ -687,9 +693,11 @@ class TestBlockRequests:
         monkeypatch.setattr(lifshitz, "_mode_block", spy)
         works = [_Workspace() for _ in geoms]
         steps = [_sum_steps(geom, *pair, spec, free) for geom in geoms]
-        (la, za, sa, kinds, floor), (lb, zb, sb, kb, fb) = (next(s) for s in steps)
+        (la, za, sa, floor), (lb, zb, sb, fb) = (next(s) for s in steps)
         assert floor == fb == spec.integral_rel_tol * spec.sum_rel_tol * zeta3() / 8.0
-        assert kb == kinds and len(sa) == len(sb) == len({id(model) for model in pair})
+        assert len(sa) == len(sb) == len({id(model) for model in pair})
+        kinds = [_kernel_sides(*[e for _, e in sides]) for sides in (sa, sb)]
+        assert (kinds[0] != kinds[1]) == isinstance(pair[0], Above)
         # the rows of both merged and sorted by A, which the rule ladder needs,
         # their values unsorted afterwards
         lower = np.concatenate([la, lb])
@@ -697,7 +705,7 @@ class TestBlockRequests:
         assert (order[:la.size] != np.arange(la.size)).any()  # the two sums' modes interleave
         merged = _mode_block(lower[order], np.concatenate([za, zb])[order],
                              [(model, np.concatenate([ea, eb])[order])
-                              for (model, ea), (_, eb) in zip(sa, sb)], kinds,
+                              for (model, ea), (_, eb) in zip(sa, sb)],
                              spec, floor, free, _Workspace())
         back = np.empty_like(order)
         back[order] = np.arange(order.size)
@@ -731,8 +739,8 @@ class TestBlockRequests:
         assert sizes == schedule
         work = _Workspace()
         steps = _sum_steps(geom, AU, CU, spec, False)
-        lower, zeta, sides, kinds, floor = next(steps)
-        answer = _mode_block(lower, zeta, sides, kinds, spec, floor, False, _Workspace())
+        lower, zeta, sides, floor = next(steps)
+        answer = _mode_block(lower, zeta, sides, spec, floor, False, _Workspace())
         del sizes[:]
         res = finish(steps, answer, spec, False, work, counted)
         assert [lower.size, *sizes] == schedule
@@ -758,12 +766,11 @@ class TestBlockRequests:
             callers.append(sys._getframe(1).f_code.co_name)
             return _mode_block(*args)
 
-        def halves(lower, zeta, sides, kinds, *args):
+        def halves(lower, zeta, sides, *args):
             requests.append(lower / geom.gamma)  # the modes asked for
             if lower.size < 2:
-                return _mode_block(lower, zeta, sides, kinds, *args)
-            parts = [_mode_block(lower[i], zeta[i], [(model, e[i]) for model, e in sides],
-                                 kinds, *args)
+                return _mode_block(lower, zeta, sides, *args)
+            parts = [_mode_block(lower[i], zeta[i], [(model, e[i]) for model, e in sides], *args)
                      for i in (slice(0, lower.size // 2), slice(lower.size // 2, None))]
             return tuple(np.concatenate(half) for half in zip(*parts))
         monkeypatch.setattr(lifshitz, "_mode_block", spy)
@@ -1044,9 +1051,10 @@ class TestModeKernel:
 
     @pytest.mark.parametrize("free_energy", [False, True])
     def test_a_mixed_side_gives_its_ideal_and_finite_rows_their_own_bits(self, free_energy):
-        # a block takes each side's kind over its plan, so a slice of a
-        # _MIXED plan runs as _MIXED even where it is ideal at every mode or
-        # at none; one side serving both, or against a finite side
+        # a block takes each side's kind over its own rows, so rows that run
+        # as _MIXED in a block of many sums' requests, ideal at every mode
+        # or at none, keep the bits they have alone; one side serving both,
+        # or against a finite side
         y, A, eps1, eps3 = kernel_inputs(4, 15)
         for eps in (np.full(4, np.inf), eps1):
             for others in ((), (eps3,)):
@@ -1277,12 +1285,12 @@ class TestRungs:
         edges = np.unique([entry[0] for ladder in _LADDERS.values() for entry in ladder])
         assert set(edges) >= {floor for floor, _ in _SCALED.values()}
         spec, args = QuadratureSpec(), (0.0, free)
-        _, zeta, sides, kinds = _plan(edges / gamma, gamma, matsubara_frequency(1, geom.T_K),
-                                      *GL_PAIRS[pair])
-        values, errors, failed = _mode_block(edges, zeta, sides, kinds, spec, *args, _Workspace())
+        _, zeta, sides = _plan(edges / gamma, gamma, matsubara_frequency(1, geom.T_K),
+                               *GL_PAIRS[pair])
+        values, errors, failed = _mode_block(edges, zeta, sides, spec, *args, _Workspace())
         for i, low in enumerate(edges.tolist()):
             part = slice(i, i + 1)
-            one = _mode_block(edges[part], zeta[part], [(m, e[part]) for m, e in sides], kinds,
+            one = _mode_block(edges[part], zeta[part], [(m, e[part]) for m, e in sides],
                               spec, *args, _Workspace())
             assert all(same_bits(a, b[part]) for a, b in zip(one, (values, errors, failed)))
             if low in lows:
@@ -2093,16 +2101,12 @@ class TestPlans:
             evaluate(*args, Geometry(1.0, 300.0), AU, Flat(DB.get("Au")))
 
     def test_the_reach_covers_every_node(self):
-        # a block screens eps*y/A at its modes against the farthest node
-        # of any rule, A-scaled ones included, or of the adaptive fallback
+        # a block screens eps*y/A at its modes against the farthest node of
+        # any rule, A-scaled ones included; the adaptive fallback's nodes are
+        # checked at y_max (test_a_mode_for_the_adaptive_quadrature_is_checked_at_y_max)
         scaled = [_scaled_rule(k) for k in range(1, 25)]
         assert _RULE_REACH >= max(float((y0 + 2.0 ** -k * dy).max())
                                   for k, (y0, dy, _, _) in enumerate(scaled, 1))
-        for tol in (1e-12, 1e-30, 1e-300):
-            spec = QuadratureSpec(integral_rel_tol=tol)
-            lower = np.array([1e-140, 0.3, 1.0, 40.0])
-            assert _reach(spec) >= (spec.y_max(lower) - lower).max()
-        assert _reach(QuadratureSpec()) == _RULE_REACH
 
 
 class TestNegligibleModes:
@@ -2439,25 +2443,29 @@ class TestInterpolation:
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
     @pytest.mark.parametrize("what", sorted(EVALUATE))
-    def test_sides_are_classified_once_per_plan(self, what):
-        # the sample plans included; each plan classifies its two sides, and
-        # no block or screen classifies again
+    def test_sides_are_classified_once_per_request(self, what):
+        # the sample requests included; each block classifies the two sides
+        # of its request once, over that request's rows only, and no plan or
+        # screen classifies
         calls = []
 
-        def planned(ms, *args):
-            calls.append(ms)
-            return _plan(ms, *args)
+        def counted(lower, zeta, sides, *args):
+            calls.append((lower / COLD.gamma, [e for _, e in sides]))
+            return _mode_block(lower, zeta, sides, *args)
 
         def classified(*eps):
-            calls.extend([None] * len(eps))
+            calls.append(eps)
             return _kernel_sides(*eps)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("casimir.lifshitz._plan", planned)
+            patch.setattr("casimir.lifshitz._mode_block", counted)
             patch.setattr("casimir.lifshitz._kernel_sides", classified)
             EVALUATE[what](COLD, AU, CU)
-        plans = calls[::3]
-        assert [ms is None for ms in calls] == [False, True, True] * len(plans)
-        assert any((ms != np.round(ms)).any() for ms in plans) and len(plans) > 1
+        requests, classes = calls[::2], calls[1::2]
+        assert len(requests) == len(classes) > 2
+        for (ms, sides), eps in zip(requests, classes):
+            assert len(eps) == 2 and all(a is b for a, b in zip(sides, eps))
+        # a sample request among them, at points between the modes
+        assert any((np.abs(ms - np.round(ms)) > 0.01).any() for ms, _ in requests)
 
 
 # Run in a fresh interpreter by test_numpy_1_fallbacks_give_the_same_bits:

@@ -43,7 +43,8 @@ the type and message of the error it raised (with the partial result of a
   for ``kk``, the bytes of the table it writes;
 - ``kk`` on the absorption data of the tests that pin the transform's
   range (KK_INPUTS: samples whose squares under- or overflow, a zeta whose
-  value is not representable), each run as ``python -m casimir.cli``: its
+  value is not representable, samples from a subnormal first one that span
+  more than the float range), each run as ``python -m casimir.cli``: its
   exit code, stdout, stderr and the bytes of the table it writes;
 - the help and usage errors of ``python -m casimir.cli`` (USAGE): the
   top-level and every command's ``--help``, no command, and an option
@@ -171,8 +172,11 @@ ROUND = 3
 # test_kk_where_the_squares_underflow_exits_0, the samples of
 # TestKramersKronig::test_a_value_where_the_squares_underflow_is_finite and
 # ::test_a_value_that_is_not_finite_raises_naming_zeta on a grid through
-# their zeta, and those of test_kk_samples_whose_squares_overflow_exit_0 and
-# test_kk_default_grid_below_the_squares_exits_0
+# their zeta, those of test_kk_samples_whose_squares_overflow_exit_0 and
+# test_kk_default_grid_below_the_squares_exits_0, and samples from a subnormal
+# first one that span more than the float range (those of
+# test_a_span_past_the_float_range_meets_the_closed_form, and four) on a grid of
+# normal floats through that test's zeta
 _FLAT = np.array([2.2e-250 * 2e77 ** (k / 19) for k in range(20)])
 _DRUDE = np.array([2.7e-162 * 1e12 ** (k / 2) for k in range(3)])
 _LOG_X = np.log(_DRUDE) - 0.5 * (np.log(_DRUDE[0]) + np.log(_DRUDE[-1]))
@@ -185,7 +189,10 @@ KK_INPUTS = (
     ("tiny-zeta", [f"{w:.12g},3" for w in np.geomspace(1e10, 1e13, 10)], "1e-300,1e20,0.05"),
     *((name, [f"{w:.12g},1" for w in np.logspace(*span)], grid)
       for name, span in (("1e-300 to 1e300", (-300, 300, 61)), ("1e-300 to 1e10", (-300, 10, 32)))
-      for grid in (None, "1e-10,1e10,2")))
+      for grid in (None, "1e-10,1e10,2")),
+    *((name, [f"{w!r},3" for w in samples], "1e-250,1e200,0.1")
+      for name, samples in (("3,000 from 1e-320 to 1e300", np.logspace(-320, 300, 3000).tolist()),
+                            ("four from 1e-320 to 1e300", [1e-320, 1e-100, 1e100, 1e300]))))
 # argv of the help and usage records
 USAGE = (["--help"], *([cmd, "--help"] for cmd in ("pressure", "sweep", "table", "entropy", "kk")),
          [], ["sweep", "--format", "json"])
