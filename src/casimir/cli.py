@@ -8,7 +8,8 @@ check), and ``kk`` (Kramers-Kronig ingestion of absorption data).
 Exit codes: 0 success, 1 computational failure, 2 tolerance failure,
 3 input or usage error.  Input is checked where it enters, so any other
 error raised by the numerics counts as a computational failure, and so
-does a standard output that cannot be written.
+does a standard output that cannot be written.  A standard error that
+cannot be written is dropped, and the code stays the command's.
 
 ``main`` builds only the named command's parser, and each command imports
 what it runs: ``golden`` for ``table``, ``lifshitz`` for the commands that
@@ -84,6 +85,17 @@ class _Stdout:
             raise
         except OSError as exc:
             raise _StdoutError(exc) from exc
+
+
+def _say(text: str) -> None:
+    """Write ``text`` to stderr.  A stderr that cannot be written is pointed
+    at devnull, so nothing at exit writes to it again, and the text is
+    dropped: the exit code is the verdict, stderr only explains it."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -306,14 +318,14 @@ def cmd_table(args: argparse.Namespace, stream) -> int:
     _emit_rows(rows, args.format, stream)
     head = f"table {args.table_id} ({'-'.join(fixture.pair)})"  # stderr: stdout holds rows only
     if not all(res.converged for _, _, res in cells):
-        sys.stderr.write(f"{head}: computational failure\n")
+        _say(f"{head}: computational failure\n")
         return EXIT_COMPUTE
     if offenders:
-        sys.stderr.write(f"{head}: {len(offenders)}/{len(rows)} cells out of tolerance\n")
+        _say(f"{head}: {len(offenders)}/{len(rows)} cells out of tolerance\n")
         for a, T, dev, tol in offenders:
-            sys.stderr.write(f"  a={a} um T={T} K: dev={dev:.3%} > tol={tol:.0%}\n")
+            _say(f"  a={a} um T={T} K: dev={dev:.3%} > tol={tol:.0%}\n")
         return EXIT_TOLERANCE
-    sys.stderr.write(f"{head}: all {len(rows)} cells within tolerance\n")
+    _say(f"{head}: all {len(rows)} cells within tolerance\n")
     return EXIT_OK
 
 
@@ -343,7 +355,7 @@ def cmd_entropy(args: argparse.Namespace, stream) -> int:
     verdicts = _cells(a_list, [t_min], lambda geom: nernst_check(geom, *models, spec))
     for a, _, report in verdicts:  # stderr: stdout holds rows only
         failed = failed or not report.passed
-        sys.stderr.write(
+        _say(
             f"nernst a={a} um: {'pass' if report.passed else 'FAIL'} "
             f"(|S({_fmt(t_min)}K)|={abs(report.entropies_J_per_m2_K[0]):.3e}, "
             f"threshold |S_NV|/2={report.threshold_J_per_m2_K:.3e}, "
@@ -495,16 +507,16 @@ def main(argv=None) -> int:
         # the rest to devnull, so the flush at exit cannot fail again (Python's
         # documented recipe for a broken pipe)
         if isinstance(exc, _StdoutError):
-            print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+            _say(f"error: cannot write standard output: {exc}\n")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_COMPUTE
     except (InputError, UnknownMaterialError, NuRangeError) as exc:
         # nu(T) may be out of range at a T the library derives, such as T - fd_step
         flags = "--T/--theta: " if isinstance(exc, NuRangeError) else ""
-        print(f"error: {flags}{exc}", file=sys.stderr)
+        _say(f"error: {flags}{exc}\n")
         return EXIT_INPUT
     except (QuadratureError, SumConvergenceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}\n")
         return EXIT_COMPUTE
 
 

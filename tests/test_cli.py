@@ -377,18 +377,20 @@ class TestKKCommand:
 
     @staticmethod
     def _kk_one_zeta(w, e2, z):
-        """Window part of the transform at one zeta: Gauss-Legendre over the
-        sample intervals, with zeta inserted as one more break."""
-        t = np.log(w)
-        bounds = np.sort(np.append(t, np.log(z))) if w[0] < z < w[-1] else t
+        """Window part of the transform at one zeta: Gauss-Legendre on each
+        sample interval cut into ceil(max(dt, |d ln eps''|)/0.5) equal panels
+        in t = ln w."""
+        t, log_e2 = np.log(w), np.log(e2)
+        n = np.ceil(np.maximum(np.diff(t), np.abs(np.diff(log_e2))) / 0.5).astype(int)
+        bounds = np.append(np.concatenate([np.linspace(a, b, m + 1)[:-1]
+                                           for a, b, m in zip(t[:-1], t[1:], n)]), t[-1])
         t0, t1 = bounds[:-1], bounds[1:]
         nodes, weights = np.polynomial.legendre.leggauss(8)
         tq = 0.5 * (t0 + t1)[:, None] + 0.5 * (t1 - t0)[:, None] * nodes
         wq = np.exp(tq)
-        vals = wq * wq * np.exp(np.interp(tq, t, np.log(e2))) / (wq * wq + z * z)
+        vals = wq * wq * np.exp(np.interp(tq, t, log_e2)) / (wq * wq + z * z)
         return float(((0.5 * (t1 - t0))[:, None] * vals * weights).sum())
 
-    # at one sample per decade the split at zeta moves eps by about 1e-8
     @pytest.mark.parametrize("per_decade", [30, 1])
     def test_array_zeta_matches_scalar_calls(self, tmp_path, per_decade):
         src = tmp_path / "loss.csv"
@@ -465,6 +467,18 @@ class TestKKCommand:
         code, out, err = run_cli(capsys, "kk", str(src), str(dst))
         assert code == EXIT_INPUT and out == ""
         assert err.startswith(f"error: cannot write {dst}: ") and "No such file" in err
+
+    def test_three_sparse_samples_give_a_non_increasing_table(self, tmp_path, capsys):
+        # Drude-like samples 102 decades apart: with 8 nodes on each interval
+        # the table rose just past the middle sample, and kk exited 3
+        src, dst = tmp_path / "loss.csv", tmp_path / "out.csv"
+        src.write_text("omega_rad_s,eps_imag\n6.12e-8,3.08e103\n3.19e94,29.5\n"
+                       "1.66e196,4.17e-304\n")
+        code, out, err = run_cli(capsys, "kk", str(src), str(dst),
+                                 "--grid", "1.98e32,9.66e201,5.32")
+        assert (code, out, err) == (EXIT_OK, f"wrote 904 rows to {dst}\n", "")
+        eps = np.loadtxt(dst, delimiter=",", skiprows=1)[:, 1]
+        assert eps.size == 904 and (np.diff(eps) <= 0.0).all()
 
     def test_empty_input(self, tmp_path, capsys):
         src = tmp_path / "empty.csv"
@@ -959,6 +973,29 @@ def test_package_names_resolve_on_first_use():
         casimir.no_such_name
 
 
+class _Full:
+    """A stream whose every write fails with ENOSPC, on a descriptor of its
+    own opened onto ``path``."""
+
+    def __init__(self, path):
+        self.fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+# commands that exit 0, 2 and 3 with a writable stderr
+_STDERR_CASES = [(["table", "1", "--format", "csv"], EXIT_OK),
+                 (["entropy", "--a", "1", "--T", "4,8", "--format", "csv"], EXIT_TOLERANCE),
+                 (["pressure", "--a", "-1"], EXIT_INPUT)]
+
+
 class TestProcess:
     """``python -m casimir.cli``, the path the ``casimir`` script takes."""
 
@@ -1132,19 +1169,7 @@ class TestProcess:
                                                                          monkeypatch):
         # stdout's write fails with ENOSPC: one error line, exit 1, and stdout
         # pointed at devnull (here a descriptor of the test's own)
-        class Full:
-            def __init__(self):
-                self.fd = os.open(os.devnull, os.O_WRONLY)
-
-            def write(self, text):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-            def flush(self):
-                pass
-
-            def fileno(self):
-                return self.fd
-        full = Full()
+        full = _Full(os.devnull)
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(sys, "stdout", full)
@@ -1161,6 +1186,35 @@ class TestProcess:
         with pytest.raises(OSError, match="No space left on device"):
             main(["pressure", "--a", "1", "--T", "300"])
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv, code", _STDERR_CASES, ids=["table", "entropy", "pressure"])
+    def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(self, tmp_path, capsys,
+                                                                 monkeypatch, argv, code):
+        # stderr's write fails with ENOSPC: the command's own exit code and
+        # stdout, and stderr's descriptor (here a file of the test's own)
+        # pointed at devnull
+        _, want_out, _ = run_cli(capsys, *argv)
+        full = _Full(tmp_path / "stderr")
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stderr", full)
+                got = main(argv)
+            assert os.path.samestat(os.fstat(full.fd), os.stat(os.devnull))
+        finally:
+            os.close(full.fd)
+        assert (got, capsys.readouterr().out) == (code, want_out)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv, code", _STDERR_CASES, ids=["table", "entropy", "pressure"])
+    def test_a_full_device_as_stderr_keeps_the_exit_code(self, argv, code):
+        runs = []
+        for stderr in ("/dev/full", os.devnull):
+            with open(stderr, "wb") as err:
+                proc = subprocess.run([sys.executable, "-m", "casimir.cli", *argv],
+                                      stdout=subprocess.PIPE, stderr=err,
+                                      env=_process_env(), timeout=120)
+            runs.append((proc.returncode, proc.stdout))
+        assert runs[0] == runs[1] and runs[0][0] == code
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("command", ["pressure", "sweep"])

@@ -350,27 +350,61 @@ class TestKramersKronig:
         else:
             assert results[1] == results[0]
 
+    @staticmethod
+    def _tails(w, e2, z):
+        """The transform's two closed-form tails at zeta = z, below w_0 and above w_N."""
+        rho, u = w[0] / z, z / w[-1]
+        high = (1 / 3 - u * u / 5 + u**4 / 7 - u**6 / 9 if u < 0.1
+                else (1.0 - math.atan(u) / u) / u / u)
+        return e2[0] * rho * math.atan(rho) + e2[-1] * high
+
+    def _flat(self, w, e2, zeta):
+        """eps(i*zeta) for flat eps'' = e2 on the samples w: the window gives
+        (eps''/2) ln((w_N^2 + zeta^2)/(w_0^2 + zeta^2)), taken in logs."""
+        def log_sum_of_squares(a, b):  # ln(a^2 + b^2)
+            return 2.0 * math.log(max(a, b)) + math.log1p((min(a, b) / max(a, b)) ** 2)
+        return np.array([1.0 + 2.0 / math.pi * (
+            0.5 * e2 * (log_sum_of_squares(w[-1], z) - log_sum_of_squares(w[0], z))
+            + self._tails(w, [e2, e2], z)) for z in zeta.tolist()])
+
     def test_a_span_past_the_float_range_meets_the_closed_form(self):
         # samples from a subnormal 1e-320 to 1e300 rad/s span more than the
         # float range, so w_N over the power of two halfway between the ends
-        # overflowed; flat eps'' = 3 gives the window (eps''/2) ln((w_N^2 +
-        # zeta^2)/(w_0^2 + zeta^2)), taken in logs, plus the transform's tails
+        # overflowed
         w, e2 = np.logspace(-320, 300, 3000), 3.0
         assert 0.0 < w[0] < np.finfo(float).tiny
-
-        def log_sum_of_squares(a, b):  # ln(a^2 + b^2)
-            return 2.0 * math.log(max(a, b)) + math.log1p((min(a, b) / max(a, b)) ** 2)
         zeta = np.array([1e-250, 1e-10, 1e200])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = kramers_kronig_transform(w, np.full(w.size, e2), zeta)
+        np.testing.assert_allclose(got, self._flat(w, e2, zeta), rtol=1e-12, atol=0.0)
+
+    def test_four_flat_samples_over_200_decades_meet_the_closed_form(self):
+        # 67 decades between samples: the panels, not the samples, resolve
+        # the kernel, wherever zeta falls
+        w, e2 = np.logspace(-100, 100, 4), 3.0
+        zeta = np.logspace(-150, 150, 31)
+        got = kramers_kronig_transform(w, np.full(4, e2), zeta)
+        np.testing.assert_allclose(got, self._flat(w, e2, zeta), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("per_decade", [1, 0.5])
+    def test_sparse_drude_loss_meets_quadpack(self, per_decade):
+        # Au's Drude loss from 1.5e11 rad/s at per_decade samples a decade;
+        # the window integral of the log-log interpolant, in t = ln w, by
+        # QUADPACK between the samples and zeta
+        w = 1.5e11 * 10.0 ** np.arange(0.0, 7.0 + 1.0 / per_decade, 1.0 / per_decade)
+        eps2 = _drude_loss(AU, w / CODATA.eV_to_rad_per_s)
+        t, log_e2 = np.log(w), np.log(eps2)
+        zeta = np.geomspace(1e12, 1e18, 19)
+        got = kramers_kronig_transform(w, eps2, zeta)
         for z, value in zip(zeta.tolist(), got.tolist()):
-            window = 0.5 * e2 * (log_sum_of_squares(w[-1], z) - log_sum_of_squares(w[0], z))
-            rho, u = w[0] / z, z / w[-1]
-            high = (1 / 3 - u * u / 5 + u**4 / 7 - u**6 / 9 if u < 0.1
-                    else (1.0 - math.atan(u) / u) / u / u)
-            want = 1.0 + 2.0 / math.pi * (window + e2 * rho * math.atan(rho) + e2 * high)
-            assert value == pytest.approx(want, rel=1e-12)
+            breaks = np.unique(np.clip(np.append(t, math.log(z)), t[0], t[-1]))
+            window = sum(quad(lambda s: math.exp(np.interp(s, t, log_e2))
+                              / (1.0 + (z * math.exp(-s)) ** 2), a, b,
+                              epsabs=0.0, epsrel=5e-14, limit=200)[0]
+                         for a, b in zip(breaks[:-1], breaks[1:]))
+            want = 1.0 + 2.0 / math.pi * (window + self._tails(w, eps2, z))
+            assert value == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("w0, zeta", [(1e10, 1e-300)], ids=["tiny-zeta"])
     def test_a_value_that_is_not_finite_raises_naming_zeta(self, w0, zeta):
@@ -407,8 +441,8 @@ class TestKramersKronig:
         assert np.isfinite(got).all() and got[0] > got[1] == 1.0
 
     def test_memory_per_frequency_is_bounded(self):
-        # the split sample intervals are built per block of frequencies;
-        # built for every zeta at once they took about 480 bytes each
+        # the work array holds one block of frequencies at a time, so the peak
+        # grows by the result and the tails, a few doubles per frequency
         w, eps2 = self._window(per_decade=30)
         peaks = []
         for n in (4_000, 40_000):

@@ -44,8 +44,9 @@ the type and message of the error it raised (with the partial result of a
 - ``kk`` on the absorption data of the tests that pin the transform's
   range (KK_INPUTS: samples whose squares under- or overflow, a zeta whose
   value is not representable, samples from a subnormal first one that span
-  more than the float range), each run as ``python -m casimir.cli``: its
-  exit code, stdout, stderr and the bytes of the table it writes;
+  more than the float range, samples decades apart), each run as
+  ``python -m casimir.cli``: its exit code, stdout, stderr and the bytes of
+  the table it writes;
 - the help and usage errors of ``python -m casimir.cli`` (USAGE): the
   top-level and every command's ``--help``, no command, and an option
   ``sweep`` does not take, each with its exit code, stdout and stderr;
@@ -176,10 +177,14 @@ ROUND = 3
 # test_kk_default_grid_below_the_squares_exits_0, and samples from a subnormal
 # first one that span more than the float range (those of
 # test_a_span_past_the_float_range_meets_the_closed_form, and four) on a grid of
-# normal floats through that test's zeta
+# normal floats through that test's zeta; then sparse samples: those of
+# test_three_sparse_samples_give_a_non_increasing_table on its grid, and a Drude
+# loss (Au's omega_p and nu, 1.37e16 and 5.24e13 rad/s) at one sample per two
+# decades from 1.5e11 rad/s on the default grid
 _FLAT = np.array([2.2e-250 * 2e77 ** (k / 19) for k in range(20)])
 _DRUDE = np.array([2.7e-162 * 1e12 ** (k / 2) for k in range(3)])
 _LOG_X = np.log(_DRUDE) - 0.5 * (np.log(_DRUDE[0]) + np.log(_DRUDE[-1]))
+_SPARSE = 1.5e11 * 100.0 ** np.arange(5)
 KK_INPUTS = (
     ("flat from 2.2e-250", [f"{w!r},3.0" for w in _FLAT.tolist()], "2.9e-206,2.1e174,0.074"),
     ("drude from 2.7e-162", [f"{w!r},{e!r}" for w, e in zip(_DRUDE.tolist(), np.exp(
@@ -192,7 +197,11 @@ KK_INPUTS = (
       for grid in (None, "1e-10,1e10,2")),
     *((name, [f"{w!r},3" for w in samples], "1e-250,1e200,0.1")
       for name, samples in (("3,000 from 1e-320 to 1e300", np.logspace(-320, 300, 3000).tolist()),
-                            ("four from 1e-320 to 1e300", [1e-320, 1e-100, 1e100, 1e300]))))
+                            ("four from 1e-320 to 1e300", [1e-320, 1e-100, 1e100, 1e300]))),
+    ("three from 6.12e-8", ["6.12e-8,3.08e103", "3.19e94,29.5", "1.66e196,4.17e-304"],
+     "1.98e32,9.66e201,5.32"),
+    ("drude at one per two decades", [f"{w!r},{e!r}" for w, e in zip(_SPARSE.tolist(), (
+        1.37e16**2 * 5.24e13 / (_SPARSE * (_SPARSE**2 + 5.24e13**2))).tolist())], None))
 # argv of the help and usage records
 USAGE = (["--help"], *([cmd, "--help"] for cmd in ("pressure", "sweep", "table", "entropy", "kk")),
          [], ["sweep", "--format", "json"])
